@@ -23,8 +23,6 @@ import time
 import pytest
 
 from benchmarks.conftest import bench_runs
-from repro.core.exp_backon_backoff import ExpBackonBackoff
-from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.runner import run_sweep
@@ -33,8 +31,8 @@ from repro.util.tables import format_markdown_table
 
 def _specs() -> list[ProtocolSpec]:
     return [
-        ProtocolSpec(key="ofa", label="One-Fail Adaptive", factory=lambda k: OneFailAdaptive()),
-        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", factory=lambda k: ExpBackonBackoff()),
+        ProtocolSpec(key="ofa", label="One-Fail Adaptive", spec="one-fail-adaptive"),
+        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", spec="exp-backon-backoff"),
     ]
 
 
@@ -51,15 +49,8 @@ def test_parallel_sweep_matches_serial_smoke():
 @pytest.mark.smoke
 def test_parallel_dynamic_sweep_smoke():
     """The dynamic-arrivals path works through the pool as well."""
-    from repro.channel.arrivals import PoissonArrival
-
     config = ExperimentConfig(k_values=[12], runs=2, seed=7)
-    sweep = run_sweep(
-        _specs()[:1],
-        config,
-        workers=2,
-        arrivals_factory=lambda k: PoissonArrival(k=k, rate=0.2),
-    )
+    sweep = run_sweep(_specs()[:1], config, workers=2, arrivals="poisson(rate=0.2)")
     cell = sweep.cell("ofa", 12)
     assert cell.all_solved
     assert all(result.engine == "slot" for result in cell.results)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 
-from repro import SlottedAloha, paper_analysis
+from repro import paper_analysis
 from repro.experiments import ExperimentConfig, reproduce_figure1
 from repro.experiments.config import ProtocolSpec, paper_k_values, paper_protocol_suite
 from repro.util.tables import format_text_table
@@ -33,7 +33,7 @@ def main() -> int:
         ProtocolSpec(
             key="aloha",
             label="Slotted ALOHA (known k)",
-            factory=lambda k: SlottedAloha(k=k),
+            spec="slotted-aloha",
             analysis_ratio=lambda k: paper_analysis.fair_protocol_optimal_ratio(),
         )
     )

@@ -1,27 +1,19 @@
 #!/usr/bin/env sh
 # Fast benchmark smoke target: exercises each benchmark harness path that is
-# cheap enough for CI (the parallel-execution fidelity checks and the
-# batch-engine + batch-window-engine distributional/eligibility checks of
-# bench_batch.py — both batch engines' sweeps must stay distributionally
-# interchangeable with their per-run paths, and the registry must route fair
-# and windowed cells to their own batch engines — plus the mega-batch checks
-# of bench_megabatch.py: fused cross-cell sweeps are the default, stay
-# deterministic, route to the mega engines with a per-cell fallback on
-# fuse=False, and match the per-cell makespan distributions for every paper
-# protocol) without running the full
-# sweeps, then a Session-store smoke run proving that a repeated scenario
-# execution is served entirely from the result store, a store-migration smoke
-# (JSONL -> SQLite federation, re-served with 0 new simulations), and a
-# simulation-service smoke (cached resubmission over HTTP).  The smoke-marked
-# benchmark set includes bench_faults.py (crash-recovery time + zero-duplicate
-# chaos assertions -> benchmark_results/BENCH_faults.json), and the chaos-
-# marked test subset re-runs the deterministic fault-injection suite.
-# The full batch-speedup trajectories (write benchmark_results/BENCH_batch.json
-# and benchmark_results/BENCH_batch_window.json) run with:
-#   PYTHONPATH=src python -m pytest benchmarks/bench_batch.py -q
-# and the whole-Figure-1 mega-batch comparison (per-run vs per-cell batch vs
-# fused; writes benchmark_results/BENCH_megabatch.json and asserts the fused
-# sweep >=3x over the per-cell batch sweep) with:
+# cheap enough for CI (the parallel-execution fidelity checks, plus the
+# batched-engine checks of bench_megabatch.py: fused cross-cell sweeps are the
+# default, stay deterministic, route to the per-run engines on batch=False,
+# and match the per-run makespan distributions for every paper protocol)
+# without running the full sweeps, then a Session-store smoke run proving that
+# a repeated scenario execution is served entirely from the result store, a
+# store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
+# simulations), and a simulation-service smoke (cached resubmission over
+# HTTP).  The smoke-marked benchmark set includes bench_faults.py
+# (crash-recovery time + zero-duplicate chaos assertions ->
+# benchmark_results/BENCH_faults.json), and the chaos-marked test subset
+# re-runs the deterministic fault-injection suite.
+# The whole-Figure-1 timing (per-run vs fused; writes
+# benchmark_results/BENCH_megabatch.json) runs with:
 #   PYTHONPATH=src python -m pytest benchmarks/bench_megabatch.py -q
 # Usage:  sh scripts/bench_smoke.sh
 set -eu

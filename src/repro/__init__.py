@@ -51,10 +51,10 @@ from repro.channel import (
 from repro.core import ExpBackonBackoff, OneFailAdaptive
 from repro.core import analysis as paper_analysis
 from repro.engine import (
-    BatchFairEngine,
-    BatchWindowEngine,
     EngineCapabilities,
     FairEngine,
+    MegaFairEngine,
+    MegaWindowEngine,
     SimulationResult,
     SlotEngine,
     WindowEngine,
@@ -137,8 +137,8 @@ __all__ = [
     "FairEngine",
     "WindowEngine",
     "SlotEngine",
-    "BatchFairEngine",
-    "BatchWindowEngine",
+    "MegaFairEngine",
+    "MegaWindowEngine",
     "EngineCapabilities",
     "available_engines",
     "batch_engine_for",

@@ -14,11 +14,6 @@ a registry actually is, with a conforming declaration:
 * ``REG003`` — every registered store backend is concrete and implements
   the full :class:`~repro.scenarios.store.StoreBackend` ABC with
   call-compatible signatures.
-* ``REG004`` — every registered protocol that declares a per-cell batch
-  kernel also declares the per-row hooks the cross-cell mega-batch engines
-  need (``make_fused_batch_state`` for fair kernels,
-  ``fused_schedule_key`` for windowed ones), so a protocol cannot silently
-  fall out of sweep fusion.
 
 Unlike the AST rules these import :mod:`repro` and inspect the live
 registries, so a declaration that parses but lies (an engine that forgot to
@@ -38,7 +33,6 @@ from repro.analysis.core import Finding, ModuleInfo, ProjectRule, register_rule
 
 __all__ = [
     "EngineContractRule",
-    "FusedKernelContractRule",
     "ProtocolContractRule",
     "StoreContractRule",
 ]
@@ -250,73 +244,6 @@ class StoreContractRule(_ImportContractRule):
                         f"store backend {name!r}: `{method_name}` signature is "
                         f"not call-compatible with StoreBackend.{method_name} "
                         f"({problem})",
-                    )
-
-
-@register_rule
-class FusedKernelContractRule(_ImportContractRule):
-    """Protocols with a batch kernel also declare the per-row fusion hooks."""
-
-    id = "REG004"
-    name = "fused-kernel-contract"
-    description = (
-        "every registered protocol declaring a per-cell batch kernel "
-        "(make_batch_state / make_window_batch_state) also provides the "
-        "per-row hooks the mega-batch engines fuse on "
-        "(make_fused_batch_state / fused_schedule_key)"
-    )
-
-    #: Contention size used for the probe instances (mirrors REG002).
-    probe_k = 8
-
-    def check_project(self) -> Iterator[Finding]:
-        from repro.protocols import available_protocols, build_protocol, get_protocol_class
-
-        for name in available_protocols():
-            cls = get_protocol_class(name)
-            if inspect.isabstract(cls):
-                continue  # REG002's finding; nothing to probe here
-            path, line = _location(cls)
-            try:
-                instance = build_protocol(name, self.probe_k)
-            except Exception:  # noqa: BLE001 - REG002 reports broken round-trips
-                continue
-            kind = getattr(instance, "protocol_kind", "generic")
-            if kind == "fair" and instance.make_batch_state(1) is not None:
-                try:
-                    fused = type(instance).make_fused_batch_state([instance.spawn()], [1])
-                except Exception as error:  # noqa: BLE001 - any failure is the finding
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a fair batch "
-                        f"kernel but make_fused_batch_state raises "
-                        f"{type(error).__name__}: {error}",
-                    )
-                    continue
-                if fused is None:
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a fair batch "
-                        "kernel (make_batch_state) without the per-row "
-                        "make_fused_batch_state hook — its cells cannot fuse",
-                    )
-            elif kind == "windowed" and instance.make_window_batch_state(1) is not None:
-                try:
-                    key = instance.fused_schedule_key()
-                except Exception as error:  # noqa: BLE001 - any failure is the finding
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a window batch "
-                        f"kernel but fused_schedule_key raises "
-                        f"{type(error).__name__}: {error}",
-                    )
-                    continue
-                if key is None:
-                    yield Finding(
-                        path, line, self.id,
-                        f"protocol {name!r} ({cls.__name__}) declares a window batch "
-                        "kernel (make_window_batch_state) without a "
-                        "fused_schedule_key schedule identity — its cells cannot fuse",
                     )
 
 

@@ -138,8 +138,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (SpecError, KeyError) as error:
         return _scenario_error(error)
-    # batch=False keeps the historical single-run semantics: "auto" picks the
-    # cheapest per-run engine; the batch engine still serves --engine batch.
+    # batch=False keeps the single-run semantics: "auto" picks the cheapest
+    # per-run engine; a batched engine still serves an explicit --engine mega.
     result_set = Session(batch=False).run(scenario)
     result = result_set.results[0]
     if args.json:

@@ -32,7 +32,7 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.core.constants import EBB_DELTA_DEFAULT, EBB_DELTA_MAX
-from repro.protocols.base import WindowBatchState, WindowedProtocol, register_protocol
+from repro.protocols.base import WindowedProtocol, register_protocol
 from repro.util.validation import check_in_range
 
 __all__ = ["ExpBackonBackoff"]
@@ -102,15 +102,12 @@ class ExpBackonBackoff(WindowedProtocol):
                 yield int(math.ceil(w))
                 w *= 1.0 - self.delta
 
-    def make_window_batch_state(self, reps: int) -> WindowBatchState:
-        """Shared sawtooth schedule for ``reps`` lockstep replications.
-
-        Algorithm 2's schedule is *oblivious* — a pure function of the window
-        index, never of channel feedback — so every replication of a batch
-        traverses the same windows and the windowed batch engine may simulate
-        them in lockstep against this one iterator.
-        """
-        return WindowBatchState(self.spawn().window_lengths())
+    def fused_schedule_key(self) -> tuple:
+        """Algorithm 2's schedule is *oblivious* — a pure function of the
+        window index and ``δ``, never of channel feedback — so replications
+        may traverse one shared iterator in lockstep."""
+        parameters = self.describe()["parameters"]
+        return (self.name, tuple(sorted(parameters.items())))  # type: ignore[union-attr]
 
     def phase_of_window(self, window_index: int) -> int:
         """Return the outer-loop phase (1-based) of the ``window_index``-th window.

@@ -56,9 +56,7 @@ class _OneFailBatchState(FairBatchState):
 
     Line-for-line mirror of the scalar :meth:`OneFailAdaptive.notify` /
     :meth:`OneFailAdaptive.transmission_probability` pair, with the per-slot
-    branches turned into array expressions; the protocol's probability is
-    *not* constant between receptions (κ̃ grows after every AT step), so the
-    batch engine runs these replications strictly slot by slot.
+    branches turned into array expressions.
 
     ``δ`` is carried as a *per-row* array so one state can serve rows fused
     from several cells with different parameterisations (the AT/BT parity is
@@ -245,9 +243,6 @@ class OneFailAdaptive(FairProtocol):
             else:
                 # Line 18: κ̃ ← max{κ̃ − δ − 1, δ + 1}.
                 self._kappa_estimate = max(self._kappa_estimate - self.delta - 1.0, floor)
-
-    def make_batch_state(self, reps: int) -> _OneFailBatchState:
-        return _OneFailBatchState(np.full(reps, self.delta))
 
     @classmethod
     def make_fused_batch_state(

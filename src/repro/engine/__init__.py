@@ -1,116 +1,48 @@
 """Simulation engines and the capability registry that picks between them.
 
-Seven engines produce makespan samples of the *same* stochastic process — the
-paper's channel model — at very different costs.  Which engine serves which
-request is not hard-coded anywhere: every engine class declares an
-:class:`~repro.engine.registry.EngineCapabilities` record (the protocol
-*kinds* it can serve, the channel feedback models it implements, whether it
-supports staggered arrivals, whether it is *batched*, whether it collects
-traces) and registers itself with the :mod:`repro.engine.registry`; every
-protocol declares its kind
-(:attr:`~repro.protocols.base.Protocol.protocol_kind`).  Dispatch, sweep
-batch planning, the scenario layer and the CLI's ``--engine`` choices are all
-queries against those declarations.  This docstring is the engine-selection
-guide: what each engine declares, what it costs, and when the registry
-chooses it.
+Five engines sample the *same* stochastic process — the paper's channel —
+at very different costs.  Each declares :class:`EngineCapabilities`
+(protocol kinds, feedback models, arrivals, batched, traces) with the
+:mod:`repro.engine.registry`; each protocol declares its ``protocol_kind``.
+Dispatch, session planning and the CLI's ``--engine`` choices are queries
+against those declarations.
 
-* :class:`~repro.engine.slot_engine.SlotEngine` — wraps the exact node-level
-  :class:`~repro.channel.radio_network.RadioNetwork`.  **Declares:** every
-  protocol kind, every feedback model, arrivals, traces — it is the
-  reference the reduced engines are validated against, and carries the
-  highest cost rank so ``"auto"`` falls back to it only when no reduction
-  applies.  **Cost:** O(active nodes) per slot.
-* :class:`~repro.engine.fair_engine.FairEngine` — **declares:** kind
-  ``"fair"``, the paper's channel, traces.  The contract behind the kind:
-  every active station transmits with the same probability ``p`` and updates
-  state only on commonly-observed feedback, so the slot outcome is
-  ``Binomial(m, p)``-distributed — ``P(success) = m·p·(1−p)^{m−1}``,
-  ``P(silence) = (1−p)^m`` — and one uniform draw per slot suffices.
-  **Cost:** O(1) per slot regardless of k.  **Picked when:**
-  ``engine="auto"`` for a fair protocol on the paper's channel (single and
-  traced runs).
-* :class:`~repro.engine.window_engine.WindowEngine` — **declares:** kind
-  ``"windowed"``, the paper's channel, traces.  The contract: stations
-  commit to one uniform slot per contention window and the window schedule
-  is a pure function of the window index; a whole window is then one
-  balls-in-bins experiment.  **Cost:** O(window) numpy work per window (runs
-  with k = 10⁷ take seconds).  **Picked when:** ``engine="auto"`` for a
-  windowed protocol on the paper's channel.
-* :class:`~repro.engine.batch_engine.BatchFairEngine` — **declares:** kind
-  ``"fair"``, the paper's channel, *batched* (no traces, no arrivals).  On
-  top of the declared capabilities, its ``supports`` hook requires the
-  protocol to expose vectorised state via
-  :meth:`~repro.protocols.base.FairProtocol.make_batch_state`; protocols
-  additionally declaring
-  :attr:`~repro.protocols.base.FairProtocol.probability_constant_between_receptions`
-  get geometric silence-run skipping.  **Cost:** one vectorised slot step
-  for all R replications of a sweep cell at once.
-* :class:`~repro.engine.batch_window_engine.BatchWindowEngine` —
-  **declares:** kind ``"windowed"``, the paper's channel, *batched* (no
-  traces, no arrivals).  Its ``supports`` hook requires a shared schedule
-  via
-  :meth:`~repro.protocols.base.WindowedProtocol.make_window_batch_state`
-  (i.e. a feedback-oblivious window schedule — Exp Back-on/Back-off and the
-  whole monotone back-off family qualify).  **Cost:** one multinomial
-  occupancy matrix per contention window covering all R live replications,
-  with finished replications retired.
-* :class:`~repro.engine.megabatch.MegaFairEngine` (``"mega"``) —
-  **declares:** kind ``"fair"``, the paper's channel, batched *and*
-  ``fuses_cells``: it stacks **all fair cells of a sweep that share one
-  protocol class** — every k, every parameterisation — into a single padded
-  lockstep kernel with per-row parameters and per-row retirement.  Its
-  ``supports`` hook requires the per-row
-  :meth:`~repro.protocols.base.FairProtocol.make_fused_batch_state` hook
-  and *excludes* protocols declaring
-  ``probability_constant_between_receptions`` (slotted ALOHA), for which
-  ``BatchFairEngine``'s geometric silence skipping beats any lockstep pass.
-  **Cost:** one kernel traversal of the whole group's *global* maximum
-  makespan, instead of one per-cell traversal each.
-* :class:`~repro.engine.megabatch.MegaWindowEngine` (``"mega-window"``) —
-  the same for windowed cells: all cells sharing one window schedule
-  (equal :meth:`~repro.protocols.base.WindowedProtocol.fused_schedule_key`)
-  iterate the schedule in lockstep, with each cell's occupancy sampled from
-  its own stream exactly as ``BatchWindowEngine`` would — fused windowed
-  results are bit-identical per cell to the per-cell batch engine.
+=============== ============== ======================================= ================================
+engine          serves         cost                                    chosen by ``"auto"`` when
+=============== ============== ======================================= ================================
+``slot``        every kind,    O(active stations) per slot; the        nothing cheaper applies
+                channel and    node-level reference the others are     (generic protocols, other
+                arrivals;      validated against                       channels, arrival processes)
+                traces
+``fair``        ``fair``;      O(1) per slot: ``Binomial(m, p)``       a single fair run
+                traces         outcome from one uniform draw
+``window``      ``windowed``;  one balls-in-bins experiment per        a single windowed run
+                traces         contention window
+``mega``        ``fair``,      one masked numpy pass per slot for all  a sweep cell whose protocol has
+                batched        rows (cell × replication) of a group    ``make_fused_batch_state``
+``mega-window`` ``windowed``,  one occupancy sample per (cell,         a sweep cell whose protocol has
+                batched        window) along one shared schedule       a ``fused_schedule_key``
+=============== ============== ======================================= ================================
 
-Batched engines are never chosen by ``engine="auto"`` for single runs; they
-serve whole cells.  :func:`repro.experiments.runner.run_sweep` and the
-scenario :class:`~repro.scenarios.session.Session` group a cell's seeds into
-one :func:`simulate_batch` call whenever the registry's
-:func:`~repro.engine.registry.batch_engine_for` — the repository's **one**
-batch-eligibility predicate — reports an eligible engine (default; disable
-with ``batch=False`` / ``--no-batch``), and batch runs can also be requested
-explicitly via ``engine="batch"`` / ``engine="batch-window"``.  Batched runs
-are **distributionally identical but not bit-identical** to their per-run
-counterparts: the whole batch consumes one random stream derived from the
-full seed tuple, so the i-th replication's draws interleave with its
-siblings'.  The parity (same makespan mean and quantiles within sampling
-tolerance, same solved rate at a binding cap) is pinned by
-``tests/engine/test_batch_engine.py`` and
-``tests/engine/test_batch_window_engine.py``.
+The reduced engines implement only the paper's channel with slot-0 arrivals;
+anything else goes to ``slot``.  :func:`simulate` runs one replication on
+the cheapest per-run engine (``"auto"`` never picks a batched one).  Whole
+cells batch: the :class:`~repro.scenarios.session.Session` (and so
+``run_sweep``, Figure 1, Table 1 and the service) asks
+:func:`~repro.engine.registry.batch_engine_for` — the **one**
+batch-eligibility predicate — and stacks every eligible cell of a grid that
+shares a ``fuse_key`` into one :func:`simulate_megabatch` kernel pass;
+:func:`simulate_batch` is its one-cell form.  ``batch=False`` /
+``--no-batch`` replays per-run streams; an explicit ``engine="mega"`` or
+``"mega-window"`` batches regardless.
 
-*Fusing* engines go one step further: the scenario
-:class:`~repro.scenarios.session.Session` (and therefore ``run_sweep``,
-Figure 1 and Table 1) groups every fusable cell of a grid by fuse key and
-executes each group as **one** :func:`simulate_megabatch` kernel pass — the
-default; disable with ``fuse=False`` / ``--no-fuse``.  Eligibility is the
-registry's :func:`~repro.engine.registry.fused_engine_for`.  Fused fair
-results are distributionally identical but not bit-identical to
-``BatchFairEngine``'s (pinned by ``tests/engine/test_megabatch.py``); each
-*cell* consumes its own seed-derived stream in composition-independent
-chunks, so a cell's fused results never depend on which siblings it was
-fused with — resumed sweeps that re-fuse only the missing cells are
-bit-identical to fresh ones.  Fusion is skipped (falling back to per-cell
-batching or per-run execution) for: single-run ``engine="auto"`` calls,
-``batch=False`` sessions, explicit non-mega engine selectors, non-default
-channels, arrival processes, constant-probability protocols (slotted
-ALOHA), and factory-only sweep cells on the legacy runner path.
-
-:func:`simulate` dispatches a single run to the cheapest capable engine,
-:func:`simulate_batch` runs a whole cell through the eligible batch engine,
-:func:`simulate_megabatch` runs a whole fused group through the eligible
-mega engine, and :mod:`repro.engine.validation` provides the statistical
-cross-checks used by the test suite and the engine ablation benchmark.
+Batched results are **distributionally identical, not bit-identical** to
+per-run ones: a cell's replications share one stream keyed by its seed
+tuple.  Each cell draws from its own stream, so its results never depend on
+which cells it was fused with, and a resumed sweep that re-fuses only the
+missing cells is bit-identical to a fresh one.
+``tests/engine/test_megabatch.py`` pins both properties;
+:mod:`repro.engine.validation` holds the statistical cross-checks.
 """
 
 from __future__ import annotations
@@ -121,14 +53,11 @@ from repro.engine.registry import (
     available_engines,
     batch_engine_for,
     engine_capabilities,
-    fused_engine_for,
 )
 from repro.engine.result import SimulationResult
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.fair_engine import FairEngine
 from repro.engine.window_engine import WindowEngine
-from repro.engine.batch_engine import BatchFairEngine
-from repro.engine.batch_window_engine import BatchWindowEngine
 from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine
 from repro.engine.dispatch import pick_engine, simulate, simulate_batch, simulate_megabatch
 from repro.engine.validation import compare_engines, makespan_samples
@@ -138,8 +67,6 @@ __all__ = [
     "SlotEngine",
     "FairEngine",
     "WindowEngine",
-    "BatchFairEngine",
-    "BatchWindowEngine",
     "MegaFairEngine",
     "MegaWindowEngine",
     "FusedCell",
@@ -152,7 +79,6 @@ __all__ = [
     "available_engines",
     "batch_engine_for",
     "engine_capabilities",
-    "fused_engine_for",
     "compare_engines",
     "makespan_samples",
 ]

@@ -28,9 +28,7 @@ from repro.channel.model import ChannelModel
 from repro.channel.trace import ExecutionTrace
 
 # Importing the engine modules registers each engine with the registry.
-from repro.engine.batch_engine import BatchFairEngine  # noqa: F401  (registration)
-from repro.engine.batch_window_engine import BatchWindowEngine  # noqa: F401
-from repro.engine.fair_engine import FairEngine  # noqa: F401
+from repro.engine.fair_engine import FairEngine  # noqa: F401  (registration)
 from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine  # noqa: F401
 from repro.engine.registry import (
     available_engines,
@@ -38,7 +36,6 @@ from repro.engine.registry import (
     engine_capabilities,
     engine_class,
     engines_for,
-    fused_engine_for,
     pick_engine_name,
 )
 from repro.engine.result import SimulationResult
@@ -51,7 +48,6 @@ __all__ = [
     "available_engines",
     "batch_engine_for",
     "engine_capabilities",
-    "fused_engine_for",
     "pick_engine",
     "simulate",
     "simulate_batch",
@@ -60,8 +56,9 @@ __all__ = [
 
 
 # Engine-layer metric families, fed at this front door: every session /
-# sweep / service execution funnels through simulate() or simulate_batch(),
-# so counting here covers all engines without per-slot hooks.
+# sweep / service execution funnels through simulate() or
+# simulate_megabatch(), so counting here covers all engines without per-slot
+# hooks.
 _M_RUNS = REGISTRY.counter(
     "repro_engine_runs_total", "Simulation runs completed, by engine.", ("engine",)
 )
@@ -70,7 +67,7 @@ _M_SLOTS = REGISTRY.counter(
 )
 _M_BATCHES = REGISTRY.counter(
     "repro_engine_batches_total",
-    "Vectorised simulate_batch kernel calls, by engine.",
+    "Batched kernel calls (simulate_megabatch / simulate_batch), by engine.",
     ("engine",),
 )
 
@@ -99,11 +96,11 @@ def pick_engine(
 
     ``"auto"`` never selects a *batched* engine: for a single run the batch
     reduction has nothing to vectorise, and only the per-run engines collect
-    traces.  Sweeps are where batching pays off —
-    :func:`repro.experiments.runner.run_sweep` groups a cell's replications
-    into one :func:`simulate_batch` call whenever
+    traces.  Sweeps are where batching pays off — the scenario
+    :class:`~repro.scenarios.session.Session` fuses the cells of a grid into
+    :func:`simulate_megabatch` calls whenever
     :func:`~repro.engine.registry.batch_engine_for` reports an eligible
-    batch engine.
+    batched engine.
 
     Explicit choices are validated against the registry: an unknown name, an
     engine that cannot serve the requested channel or arrival process, or an
@@ -171,15 +168,42 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Simulate many replications of one (protocol, k) cell in a single batch.
 
-    Front door to the *batched* engines for callers holding a whole cell's
-    seeds (the sweep runner, benchmarks).  The registry's
-    :func:`~repro.engine.registry.batch_engine_for` — the repository's one
-    batch-eligibility predicate — selects the batch engine that can serve
-    the cell (``BatchFairEngine`` for fair protocols,
-    ``BatchWindowEngine`` for windowed ones); callers that need a silent
-    fallback check eligibility with the same query first and route
-    ineligible cells through per-run :func:`simulate` calls.
+    The one-cell form of :func:`simulate_megabatch`: the cell's seeds key
+    its random stream and ``max_slots`` (default ``10_000 × k``) caps every
+    replication.  Returns one result per seed, in order.
     """
+    cell = FusedCell(
+        protocol=protocol, k=k, seeds=tuple(int(seed) for seed in seeds), max_slots=max_slots
+    )
+    return simulate_megabatch([cell], engine=engine, channel=channel)[0]
+
+
+def simulate_megabatch(
+    cells: Sequence[FusedCell],
+    engine: str = "auto",
+    channel: ChannelModel | None = None,
+) -> list[list[SimulationResult]]:
+    """Simulate a whole group of fused (protocol, k) cells in one kernel pass.
+
+    Front door to the *batched* engines for callers holding an entire sweep
+    group (the session planner, benchmarks): every cell's replications enter
+    one padded lockstep kernel and retire row by row, so the group costs one
+    kernel traversal of the global maximum makespan instead of one per cell.
+
+    All cells must share one fuse key (same protocol class for fair cells,
+    same window schedule for windowed ones) — the engine rejects mixed
+    groups.  Eligibility is resolved through the registry's
+    :func:`~repro.engine.registry.batch_engine_for` predicate against the
+    first cell's protocol; callers needing a silent fallback check the same
+    query first and route ineligible cells through per-run :func:`simulate`
+    calls.  Returns one result list per cell, in input order; each cell's
+    results are independent of the group's composition, so re-fusing a
+    subset (e.g. on sweep resume) reproduces the original results bit for
+    bit.
+    """
+    if not cells:
+        raise ValueError("simulate_megabatch needs at least one fused cell")
+    protocol = cells[0].protocol
     name = batch_engine_for(protocol, engine=engine, channel=channel)
     if name is None:
         # Diagnose precisely: an unknown or per-run selector is a selector
@@ -191,60 +215,11 @@ def simulate_batch(
                 f"{engines_for(batched=True)} (or 'auto')"
             )
         raise ValueError(
-            f"no batch engine can serve {type(protocol).__name__} "
+            f"no batched engine can serve {type(protocol).__name__} "
             f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
             f"engine={engine!r} and channel={channel!r}; batch-eligible protocols "
-            "declare a vectorised kernel via make_batch_state / "
-            "make_window_batch_state and run on the paper's channel"
-        )
-    chosen = _instantiate(name, channel)
-    with span("engine.batch", engine=name, k=k, replications=len(seeds)):
-        results = chosen.simulate_batch(protocol, k, seeds, max_slots=max_slots)
-    _M_BATCHES.labels(engine=name).inc()
-    _M_RUNS.labels(engine=name).inc(len(results))
-    _M_SLOTS.labels(engine=name).inc(sum(result.slots_simulated for result in results))
-    return results
-
-
-def simulate_megabatch(
-    cells: Sequence[FusedCell],
-    engine: str = "auto",
-    channel: ChannelModel | None = None,
-) -> list[list[SimulationResult]]:
-    """Simulate a whole group of fused (protocol, k) cells in one kernel pass.
-
-    Front door to the *fusing* engines for callers holding an entire sweep
-    group (the session planner, benchmarks): every cell's replications enter
-    one padded lockstep kernel and retire row by row, so the group costs one
-    kernel traversal of the global maximum makespan instead of one per cell.
-
-    All cells must share one fuse key (same protocol class for fair cells,
-    same window schedule for windowed ones) — the engine rejects mixed
-    groups.  Eligibility is resolved through the registry's
-    :func:`~repro.engine.registry.fused_engine_for` predicate against the
-    first cell's protocol; callers needing a silent fallback check the same
-    query first and route unfusable cells through :func:`simulate_batch` or
-    per-run :func:`simulate` calls.  Returns one result list per cell, in
-    input order; each cell's results are independent of the group's
-    composition, so re-fusing a subset (e.g. on sweep resume) reproduces the
-    original results bit for bit.
-    """
-    if not cells:
-        raise ValueError("simulate_megabatch needs at least one fused cell")
-    protocol = cells[0].protocol
-    name = fused_engine_for(protocol, engine=engine, channel=channel)
-    if name is None:
-        if engine != "auto" and not engine_capabilities(engine).fuses_cells:
-            raise ValueError(
-                f"engine {engine!r} is not a fusing engine; fusing engines: "
-                f"{engines_for(fuses_cells=True)} (or 'auto')"
-            )
-        raise ValueError(
-            f"no fusing engine can serve {type(protocol).__name__} "
-            f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
-            f"engine={engine!r} and channel={channel!r}; fusable protocols "
-            "declare per-row kernels via make_fused_batch_state / "
-            "fused_schedule_key and run on the paper's channel"
+            "declare a kernel via make_fused_batch_state (fair) or "
+            "fused_schedule_key (windowed) and run on the paper's channel"
         )
     chosen = _instantiate(name, channel)
     replications = sum(len(cell.seeds) for cell in cells)

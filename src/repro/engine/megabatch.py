@@ -1,12 +1,10 @@
-"""Cross-cell mega-batch engines: one fused kernel per sweep, not per cell.
+"""The batched engines: every same-kind cell of a sweep in one fused kernel.
 
-:class:`~repro.engine.batch_engine.BatchFairEngine` and
-:class:`~repro.engine.batch_window_engine.BatchWindowEngine` vectorise the R
-replications *within* one (protocol, k) cell, but a Figure-1 sweep still
-executes its cells one kernel launch at a time — the per-cell wins are
-serialized across the k-grid × protocol family, and every cell pays the full
-makespan of its own slowest replication.  The engines here fuse **all
-same-kind cells of a sweep into a single padded numpy lockstep kernel**:
+A Figure-1 sweep is a grid of (protocol, k) cells with R replications each.
+The two engines here run **all same-kind cells of a grid in one padded numpy
+lockstep kernel** — :class:`MegaFairEngine` (``"mega"``) for fair protocols,
+:class:`MegaWindowEngine` (``"mega-window"``) for windowed ones; a lone cell
+is simply a group of one:
 
 * rows of the batch are cell × replication, with a row → cell index map;
 * protocol parameters, the network size ``k`` and the ``max_slots`` cap are
@@ -20,35 +18,36 @@ same-kind cells of a sweep into a single padded numpy lockstep kernel**:
 
 Randomness and resumability
 ---------------------------
-Each fused cell consumes its **own** random stream, seeded exactly like the
-per-cell batch engines (``SeedSequence(cell.seeds)``).  The fair kernel
-pre-draws each cell's uniforms in fixed-size chunks at absolute slot
-boundaries (:data:`_CHUNK`); a cell's draw count per chunk depends only on
-its *own* live-row trajectory, so a cell's fused results are **bit-identical
-no matter which group it is fused into** — alone, with any siblings, or
-re-fused by a resumed sweep that only re-runs the missing cells.  Fused fair
-results are *not* bit-identical to :class:`BatchFairEngine` (a different —
-distributionally identical — sampling of the same process, pinned by
-``tests/engine/test_megabatch.py``); fused *windowed* results consume their
-per-cell streams in exactly the order :class:`BatchWindowEngine` does and
-are therefore bit-identical to it per cell.
+Each cell consumes its **own** random stream, ``SeedSequence(cell.seeds)``.
+The fair kernel pre-draws each cell's uniforms in fixed-size chunks at
+absolute slot boundaries (:data:`_CHUNK`), and a cell's draw count per chunk
+depends only on its *own* live-row trajectory; the windowed kernel makes
+every random decision (saturation shortcut, occupancy sampling) per cell
+with the cell's own generator.  Either way a cell's results are
+**bit-identical no matter which group it is fused into** — alone, with any
+siblings, or re-fused by a resumed sweep that only re-runs the missing
+cells.  They are *not* bit-identical to the per-run engines (a cell's
+replications share one interleaved stream); ``tests/engine/test_megabatch.py``
+pins their distributional parity with
+:class:`~repro.engine.fair_engine.FairEngine` and
+:class:`~repro.engine.window_engine.WindowEngine`.
 
 Fusion is planned by the scenario layer (:class:`~repro.scenarios.session.Session`
-groups fusable cells by the engines' ``fuse_key`` hook) and executed through
+groups batched cells by the engines' ``fuse_key`` hook) and executed through
 :func:`repro.engine.dispatch.simulate_megabatch`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
 from repro.channel.model import ChannelModel
 from repro.channel.trace import ExecutionTrace
-from repro.engine.batch_engine import _BatchAccumulator
-from repro.engine.batch_window_engine import BatchWindowEngine, _LiveWindowBatch, _WindowBatchAccumulator
 from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
@@ -81,13 +80,6 @@ _M_CELLS = REGISTRY.counter(
     ("engine",),
 )
 
-#: Slots of uniforms pre-drawn per cell per refill of the fair kernel.  The
-#: refill boundaries are *absolute* slot multiples of this constant, and each
-#: cell draws its own ``(chunk, live-rows)`` block from its own generator, so
-#: a cell's stream consumption is independent of its group's composition.
-#: The value must stay constant for that guarantee to hold across runs.
-_CHUNK = 1024
-
 
 @dataclass(frozen=True)
 class FusedCell:
@@ -95,26 +87,171 @@ class FusedCell:
 
     ``protocol`` is the configured prototype instance (spawned fresh by the
     kernel), ``seeds`` the per-replication seeds keying the cell's private
-    random stream, ``max_slots`` the cell's own safety cap, and ``tag`` an
-    opaque caller token carried through to the executor layer.
+    random stream, ``max_slots`` the cell's own safety cap (``None`` means
+    the engine's ``max_slots_factor × k``), and ``tag`` an opaque caller
+    token carried through to the executor layer.
     """
 
     protocol: Protocol
     k: int
     seeds: tuple[int, ...]
-    max_slots: int
+    max_slots: int | None = None
     tag: object = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         check_positive_int("k", self.k)
         if not self.seeds:
             raise ValueError("a fused cell needs at least one seed")
-        check_positive_int("max_slots", self.max_slots)
+        if self.max_slots is not None:
+            check_positive_int("max_slots", self.max_slots)
 
 
-def _check_cells(cells: Sequence[FusedCell], engine_name: str) -> None:
-    if not cells:
-        raise ValueError(f"{engine_name}.simulate_fused needs at least one cell")
+@dataclass
+class _Accumulator:
+    """Final per-replication statistics, indexed by the original row."""
+
+    solved: np.ndarray
+    makespan: np.ndarray
+    slots: np.ndarray
+    successes: np.ndarray
+    collisions: np.ndarray
+    silences: np.ndarray
+    windows: np.ndarray
+
+    @classmethod
+    def empty(cls, reps: int) -> "_Accumulator":
+        return cls(
+            np.zeros(reps, dtype=bool),
+            *(np.zeros(reps, dtype=np.int64) for _ in range(len(fields(cls)) - 1)),
+        )
+
+    def split(self, counts: Sequence[int]) -> list["_Accumulator"]:
+        """Per-cell views of a group accumulator whose rows are cell-major."""
+        bounds = np.cumsum(counts)[:-1]
+        columns = [np.split(getattr(self, column.name), bounds) for column in fields(self)]
+        return [type(self)(*parts) for parts in zip(*columns)]
+
+
+class _BatchedEngine:
+    """The front shared by both batched engines: construction, the one-run
+    API and the fused-group checks.  Subclasses supply the eligibility hooks
+    (``supports``, ``fuse_key``) and the kernel, ``_run(cells, counts, caps,
+    generators)``, which returns one accumulator per cell and the number of
+    kernel iterations."""
+
+    name: ClassVar[str]
+    capabilities: ClassVar[EngineCapabilities]
+    #: Protocol base class the kernel serves.
+    _protocol_class: ClassVar[type]
+    #: What cells of one group must share (named in the mixed-group error).
+    _fuse_unit: ClassVar[str]
+    #: The per-run engine that collects traces instead.
+    _traced_engine: ClassVar[str]
+    #: Whether results report the number of contention windows.
+    _reports_windows: ClassVar[bool] = False
+
+    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
+        self.channel = check_engine_channel(type(self), channel)
+        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
+
+    def simulate(
+        self,
+        protocol: Protocol,
+        k: int,
+        seed: int = 0,
+        max_slots: int | None = None,
+        trace: ExecutionTrace | None = None,
+    ) -> SimulationResult:
+        """Run one instance as a fused group of one cell of one replication."""
+        if trace is not None:
+            raise ValueError(
+                f"{type(self).__name__} does not collect traces (outcomes are classified "
+                f"in bulk, not slot records); use {self._traced_engine} for traced runs"
+            )
+        cell = FusedCell(protocol=protocol, k=k, seeds=(int(seed),), max_slots=max_slots)
+        return self.simulate_fused([cell])[0][0]
+
+    def simulate_fused(self, cells: Sequence[FusedCell]) -> list[list[SimulationResult]]:
+        """Simulate every cell of the group in one fused kernel pass.
+
+        Returns one result list per cell (ordered like ``cells``, one
+        :class:`SimulationResult` per seed).  Each cell's results are
+        bit-identical regardless of the group's composition.
+        """
+        engine_name = type(self).__name__
+        if not cells:
+            raise ValueError(f"{engine_name}.simulate_fused needs at least one cell")
+        keys = set()
+        for cell in cells:
+            if not isinstance(cell.protocol, self._protocol_class):
+                raise TypeError(
+                    f"{engine_name} requires {self._protocol_class.__name__} cells, got "
+                    f"{type(cell.protocol).__name__}"
+                )
+            if not self.supports(cell.protocol):
+                raise ValueError(
+                    f"{type(cell.protocol).__name__} has no fused kernel for {engine_name} "
+                    "(see its supports() hook)"
+                )
+            keys.add(self.fuse_key(cell.protocol))
+        if len(keys) != 1:
+            raise ValueError(
+                f"{engine_name} can fuse only cells of one {self._fuse_unit}, "
+                f"got {len(keys)} distinct fuse keys"
+            )
+
+        counts = [len(cell.seeds) for cell in cells]
+        caps = [
+            cell.max_slots if cell.max_slots is not None else self.max_slots_factor * cell.k
+            for cell in cells
+        ]
+        generators = [
+            np.random.default_rng(np.random.SeedSequence(list(cell.seeds))) for cell in cells
+        ]
+        outs, iterations = self._run(cells, counts, caps, generators)
+        rows = sum(counts)
+        _M_ROWS.labels(engine=self.name).inc(rows)
+        _M_RETIRED.labels(engine=self.name).inc(rows)
+        _M_KERNEL.labels(engine=self.name).inc(iterations)
+        _M_CELLS.labels(engine=self.name).inc(len(cells))
+
+        results: list[list[SimulationResult]] = []
+        for cell, reps, out in zip(cells, counts, outs):
+            cell_results = []
+            for index in range(reps):
+                solved = bool(out.solved[index])
+                metadata: dict[str, object] = {"batch_reps": reps}
+                if self._reports_windows:
+                    metadata["windows"] = int(out.windows[index])
+                cell_results.append(
+                    SimulationResult(
+                        solved=solved,
+                        makespan=int(out.makespan[index]) if solved else None,
+                        k=cell.k,
+                        slots_simulated=int(out.slots[index]),
+                        successes=int(out.successes[index]),
+                        collisions=int(out.collisions[index]),
+                        silences=int(out.silences[index]),
+                        protocol=cell.protocol.name,
+                        engine=self.name,
+                        seed=cell.seeds[index],
+                        metadata=metadata,
+                    )
+                )
+            results.append(cell_results)
+        return results
+
+
+# ---------------------------------------------------------------------------
+# Fair protocols: one masked pass per slot
+# ---------------------------------------------------------------------------
+
+#: Slots of uniforms pre-drawn per cell per refill of the fair kernel.  The
+#: refill boundaries are *absolute* slot multiples of this constant, and each
+#: cell draws its own ``(chunk, live-rows)`` block from its own generator, so
+#: a cell's stream consumption is independent of its group's composition.
+#: The value must stay constant for that guarantee to hold across runs.
+_CHUNK = 1024
 
 
 class _ChunkedCellDraws:
@@ -158,12 +295,11 @@ class _ChunkedCellDraws:
 class _FusedLiveBatch:
     """The still-running rows of a fused fair group: counters + protocol state.
 
-    Mirrors :class:`repro.engine.batch_engine._LiveBatch`, with the network
-    size and the slot cap carried per row (rows come from cells with
-    different k).  The kernel is dispatch-overhead bound, so the per-slot
-    bookkeeping is collapsed to a single counter: ``under`` counts the slots
-    whose uniform draw fell below the silence threshold (successes +
-    silences); every other statistic is derived at retirement — successes
+    The network size and the slot cap are carried per row (rows come from
+    cells with different k).  The kernel is dispatch-overhead bound, so the
+    per-slot bookkeeping is collapsed to a single counter: ``under`` counts
+    the slots whose uniform draw fell below the silence threshold (successes
+    + silences); every other statistic is derived at retirement — successes
     from ``k − remaining``, silences from ``under − successes``, collisions
     from ``slots_lived − under``.
     """
@@ -182,7 +318,7 @@ class _FusedLiveBatch:
         return int(self.orig.size)
 
     def retire(
-        self, mask: np.ndarray, out: _BatchAccumulator, solved: bool, slot: int
+        self, mask: np.ndarray, out: _Accumulator, solved: bool, slot: int
     ) -> np.ndarray:
         """Write final stats for the masked rows (all of which lived exactly
         ``slot`` slots), drop them, and return the keep mask."""
@@ -206,43 +342,32 @@ class _FusedLiveBatch:
 
 
 @register_engine
-class MegaFairEngine:
+class MegaFairEngine(_BatchedEngine):
     """Fuse every fair (protocol, k) cell of a sweep into one lockstep kernel."""
 
     name = "mega"
 
-    #: Mega-batch engine for fair protocols on the paper's channel.  Batched
-    #: (it can serve one cell through ``simulate_batch``) *and* fusing; the
-    #: registry's ``batch_engine_for`` auto path skips fusing engines, so it
-    #: is reached only via ``fused_engine_for`` or an explicit selector.
+    #: The batched engine for fair protocols on the paper's channel: no
+    #: traces (outcomes are classified in bulk), no arrivals (slot-0 starts
+    #: assumed).  Eligibility of a *specific* protocol is :meth:`supports`.
     capabilities = EngineCapabilities(
         protocol_kinds=frozenset({"fair"}),
         batched=True,
-        fuses_cells=True,
         cost_rank=40,
     )
-
-    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
-        self.channel = check_engine_channel(type(self), channel)
-        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
+    _protocol_class = FairProtocol
+    _fuse_unit = "protocol class"
+    _traced_engine = "FairEngine"
 
     # ------------------------------------------------------------ eligibility
     @classmethod
     def supports(cls, protocol: Protocol) -> bool:
-        """Whether ``protocol``'s cells can be fused by this engine.
-
-        Requires the fair kind, the fair-engine state contract, a *per-row*
-        fused kernel (:meth:`FairProtocol.make_fused_batch_state`) and a
-        probability that actually varies between receptions — protocols
-        declaring ``probability_constant_between_receptions`` (slotted
-        ALOHA) are excluded because the per-cell batch engine's geometric
-        silence skipping beats any lockstep kernel for them.
-        """
+        """Whether ``protocol``'s cells can run in this engine: the fair kind,
+        the fair-engine state contract and a *per-row* kernel
+        (:meth:`FairProtocol.make_fused_batch_state` not returning ``None``)."""
         if getattr(protocol, "protocol_kind", "generic") not in cls.capabilities.protocol_kinds:
             return False
         if protocol.state_depends_on_own_transmission:
-            return False
-        if protocol.probability_constant_between_receptions:
             return False
         return type(protocol).make_fused_batch_state([protocol.spawn()], [1]) is not None
 
@@ -257,123 +382,38 @@ class MegaFairEngine:
         """
         return type(protocol)
 
-    # ----------------------------------------------------------------- public
-    def simulate(
+    # -------------------------------------------------------------- internals
+    def _run(
         self,
-        protocol: FairProtocol,
-        k: int,
-        seed: int = 0,
-        max_slots: int | None = None,
-        trace: ExecutionTrace | None = None,
-    ) -> SimulationResult:
-        """Run one instance as a fused group of one cell of one replication."""
-        if trace is not None:
-            raise ValueError(
-                "MegaFairEngine does not collect traces (outcomes are classified "
-                "in bulk, not slot records); use FairEngine for traced runs"
-            )
-        return self.simulate_batch(protocol, k, [seed], max_slots=max_slots)[0]
-
-    def simulate_batch(
-        self,
-        protocol: FairProtocol,
-        k: int,
-        seeds: Sequence[int],
-        max_slots: int | None = None,
-    ) -> list[SimulationResult]:
-        """Simulate one cell — a fused group of size one (the batch API)."""
-        cap = max_slots if max_slots is not None else self.max_slots_factor * k
-        cell = FusedCell(protocol=protocol, k=k, seeds=tuple(int(s) for s in seeds), max_slots=cap)
-        return self.simulate_fused([cell])[0]
-
-    def simulate_fused(self, cells: Sequence[FusedCell]) -> list[list[SimulationResult]]:
-        """Simulate every cell of the group in one fused kernel pass.
-
-        Returns one result list per cell (ordered like ``cells``, one
-        :class:`SimulationResult` per seed).  Each cell's results are
-        bit-identical regardless of the group's composition.
-        """
-        _check_cells(cells, type(self).__name__)
-        prototypes = []
-        for cell in cells:
-            if not isinstance(cell.protocol, FairProtocol):
-                raise TypeError(
-                    f"MegaFairEngine requires FairProtocol cells, got "
-                    f"{type(cell.protocol).__name__}"
-                )
-            if not self.supports(cell.protocol):
-                raise ValueError(
-                    f"{type(cell.protocol).__name__} has no per-row fused kernel "
-                    "(or declares a contract the fused reduction cannot serve)"
-                )
-            prototypes.append(cell.protocol.spawn())
-        keys = {self.fuse_key(cell.protocol) for cell in cells}
-        if len(keys) != 1:
-            raise ValueError(
-                f"MegaFairEngine can fuse only cells of one protocol class, got "
-                f"{sorted(key.__name__ for key in keys)}"
-            )
-
-        counts = [len(cell.seeds) for cell in cells]
+        cells: Sequence[FusedCell],
+        counts: Sequence[int],
+        caps: Sequence[int],
+        generators: Sequence[np.random.Generator],
+    ) -> tuple[list[_Accumulator], int]:
+        prototypes = [cell.protocol.spawn() for cell in cells]
         state = type(prototypes[0]).make_fused_batch_state(prototypes, counts)
-        if state is None:  # pragma: no cover - guarded by supports()
-            raise ValueError(
-                f"{type(prototypes[0]).__name__} provides no fused batch state"
-            )
         row_cell = np.repeat(np.arange(len(cells)), counts)
         ks = np.repeat([cell.k for cell in cells], counts)
-        caps = np.repeat([cell.max_slots for cell in cells], counts)
-        generators = [
-            np.random.default_rng(np.random.SeedSequence(list(cell.seeds))) for cell in cells
-        ]
-
-        rows = int(row_cell.size)
-        live = _FusedLiveBatch(ks, caps, state)
-        out = _BatchAccumulator.empty(rows)
+        live = _FusedLiveBatch(ks, np.repeat(caps, counts), state)
+        out = _Accumulator.empty(int(row_cell.size))
         iterations = self._run_lockstep(live, out, generators, row_cell)
-        _M_ROWS.labels(engine=self.name).inc(rows)
-        _M_RETIRED.labels(engine=self.name).inc(rows)
-        _M_KERNEL.labels(engine=self.name).inc(iterations)
-        _M_CELLS.labels(engine=self.name).inc(len(cells))
+        return out.split(counts), iterations
 
-        results: list[list[SimulationResult]] = []
-        offset = 0
-        for cell, reps in zip(cells, counts):
-            cell_results = [
-                SimulationResult(
-                    solved=bool(out.solved[offset + index]),
-                    makespan=int(out.makespan[offset + index]) if out.solved[offset + index] else None,
-                    k=cell.k,
-                    slots_simulated=int(out.slots[offset + index]),
-                    successes=int(out.successes[offset + index]),
-                    collisions=int(out.collisions[offset + index]),
-                    silences=int(out.silences[offset + index]),
-                    protocol=cell.protocol.name,
-                    engine=self.name,
-                    seed=cell.seeds[index],
-                    metadata={"batch_reps": reps},
-                )
-                for index in range(reps)
-            ]
-            results.append(cell_results)
-            offset += reps
-        return results
-
-    # -------------------------------------------------------------- internals
     def _run_lockstep(
         self,
         live: _FusedLiveBatch,
-        out: _BatchAccumulator,
+        out: _Accumulator,
         generators: Sequence[np.random.Generator],
         row_cell: np.ndarray,
     ) -> int:
         """One masked kernel pass per slot with per-row retirement.
 
-        Identical slot semantics to ``BatchFairEngine._run_lockstep`` — the
-        same classification thresholds (``draw < P(success)`` then
-        ``< P(success) + P(silence)``), the same per-slot feedback — but
-        organised around the fact that on a few dozen rows every numpy
-        dispatch costs as much as the arithmetic:
+        Each slot classifies every live row from one uniform draw —
+        ``draw < P(success)`` is a success, ``< P(success) + P(silence)`` a
+        silence, anything else a collision — and feeds the receptions back
+        to the shared state.  The loop is organised around the fact that on
+        a few dozen rows every numpy dispatch costs as much as the
+        arithmetic:
 
         * caps are *events*, not per-slot checks — the distinct cap values
           are visited in ascending order and the capped-row pass runs only
@@ -536,39 +576,229 @@ class MegaFairEngine:
         return slot
 
 
+# ---------------------------------------------------------------------------
+# Windowed protocols: one occupancy sample per (cell, window)
+# ---------------------------------------------------------------------------
+#
+# Every cell of a group traverses one shared, feedback-oblivious window
+# schedule; each window is a balls-in-bins experiment per live replication.
+# The occupancy sampling is adaptive, keyed on the saturation ratio ``m/w``
+# (balls per bin):
+#
+# * saturated windows (see _SATURATED_BOUND) emit the all-collisions outcome
+#   with no random draws at all — the long descending tails of every back-off
+#   sawtooth;
+# * narrow windows (``w·_MULTINOMIAL_RATIO < mean m``) sample each row's bin
+#   counts from the multinomial distribution (O(w) binomial draws per row);
+# * wide windows (``w ~ m``, where the deliveries happen) throw every ball
+#   explicitly — one bounded draw per ball in the narrowest sufficient dtype,
+#   one ``bincount`` for the whole occupancy matrix — in row chunks of at
+#   most _MAX_WINDOW_CELLS cells.
+
+#: Which sampler produced each window's occupancy: ``saturated`` windows are
+#: emitted without any draws, ``multinomial`` rows are sampled bin-wise, and
+#: ``ball-throw`` windows materialise every ball.  One increment per (cell,
+#: window), or per row chunk, never per slot.
+_M_OCCUPANCY = REGISTRY.counter(
+    "repro_batch_window_occupancy_total",
+    "Occupancy-sampling decisions in the windowed batch engine, by mode.",
+    ("mode",),
+)
+_M_SATURATED = _M_OCCUPANCY.labels(mode="saturated")
+
+#: Threshold under which a window is all-collisions "for sure": a window is
+#: *saturated* when the exact union bound ``P(any bin holds <= 1 ball) <=
+#: w [(1-1/w)^m + (m/w)(1-1/w)^{m-1}]`` evaluates below this — one power of
+#: two under ``2^{-53}``, so even with the bound's own float rounding the
+#: event probability is beneath the resolution of the double-precision
+#: uniforms every sampler consumes, and emitting the certain all-collisions
+#: outcome is indistinguishable from sampling it.
+_SATURATED_BOUND = 2.0**-54
+
+#: Saturation ratio above which sampling the occupancy row directly from the
+#: multinomial distribution (O(w) binomial draws per replication) is cheaper
+#: than throwing the ``m`` balls explicitly (O(m) uniform draws).  Below the
+#: ratio the binomial sampler degrades to O(m/w) per bin anyway, so balls win.
+_MULTINOMIAL_RATIO = 22
+
+#: Cap on per-chunk work: both the occupancy matrix (replication rows ×
+#: window slots) and the ball-throw scratch arrays (rows × remaining
+#: messages) are kept at or under this many entries, so memory stays bounded
+#: (~64 MB of int64 per chunk) at the paper's Figure-1 right edge (k = 10⁷)
+#: instead of scaling with R × w or R × k.  Chunk boundaries are a
+#: deterministic function of the live rows, so same-seed runs stay
+#: bit-identical.
+_MAX_WINDOW_CELLS = 1 << 23
+
+
+class _LiveWindowBatch:
+    """The still-running replications of one cell: per-replication counters.
+
+    There is no per-replication protocol state to carry — the window
+    schedule is shared by contract — so compaction only touches the counters.
+    """
+
+    def __init__(self, k: int, reps: int) -> None:
+        self.orig = np.arange(reps)
+        self.remaining = np.full(reps, k, dtype=np.int64)
+        self.successes = np.zeros(reps, dtype=np.int64)
+        self.collisions = np.zeros(reps, dtype=np.int64)
+        self.silences = np.zeros(reps, dtype=np.int64)
+        self.windows = np.zeros(reps, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return int(self.orig.size)
+
+    def retire(
+        self,
+        mask: np.ndarray,
+        out: _Accumulator,
+        solved: bool,
+        slots: np.ndarray,
+    ) -> None:
+        """Write final stats for the masked replications and drop them.
+
+        ``slots`` is the per-live-replication total slot count at retirement
+        (the truncated end of the finishing window for solved runs, the cap
+        boundary for unsolved ones).
+        """
+        idx = self.orig[mask]
+        out.solved[idx] = solved
+        out.makespan[idx] = slots[mask] if solved else 0
+        out.slots[idx] = slots[mask]
+        out.successes[idx] = self.successes[mask]
+        out.collisions[idx] = self.collisions[mask]
+        out.silences[idx] = self.silences[mask]
+        out.windows[idx] = self.windows[mask]
+        keep = ~mask
+        self.orig = self.orig[keep]
+        self.remaining = self.remaining[keep]
+        self.successes = self.successes[keep]
+        self.collisions = self.collisions[keep]
+        self.silences = self.silences[keep]
+        self.windows = self.windows[keep]
+
+
+def _saturated(length: int, m_min: int) -> bool:
+    """Whether every bin surely holds >= 2 balls (see :data:`_SATURATED_BOUND`).
+
+    Evaluates the exact union bound over the ``length`` bins at the
+    *smallest* live replication's ball count (the bound is decreasing in
+    ``m``, so it covers every row).  ``length == 1`` with ``m >= 2`` is the
+    degenerate certain collision.
+    """
+    if m_min < 2 * length:  # deliveries plainly possible; skip the math
+        return False
+    if length == 1:
+        return m_min >= 2
+    log_keep_out = math.log1p(-1.0 / length)  # log P(one ball misses a bin)
+    p_empty = math.exp(m_min * log_keep_out)
+    p_singleton = (m_min / length) * math.exp((m_min - 1) * log_keep_out)
+    return length * (p_empty + p_singleton) < _SATURATED_BOUND
+
+
+def _occupancy(rng: np.random.Generator, remaining: np.ndarray, length: int) -> np.ndarray:
+    """Sample the (rows × length) multinomial occupancy matrix.
+
+    Narrow windows (many balls per bin) sample each row's bin counts
+    directly; wide windows throw the balls explicitly, offset per row so one
+    ``bincount`` builds the whole matrix.
+    """
+    live = remaining.size
+    if length * _MULTINOMIAL_RATIO < int(remaining.mean()):
+        _M_OCCUPANCY.labels(mode="multinomial").inc()
+        return rng.multinomial(remaining, np.full(length, 1.0 / length))
+    _M_OCCUPANCY.labels(mode="ball-throw").inc()
+    if length <= np.iinfo(np.uint16).max:
+        dtype = np.uint16
+    elif length <= np.iinfo(np.uint32).max:
+        dtype = np.uint32
+    else:
+        dtype = np.int64
+    choices = rng.integers(0, length, size=int(remaining.sum()), dtype=dtype)
+    if live * length <= np.iinfo(np.int32).max:
+        rows = np.repeat(np.arange(live, dtype=np.int32), remaining)
+        keys = rows * np.int32(length) + choices.astype(np.int32, copy=False)
+    else:
+        rows = np.repeat(np.arange(live, dtype=np.int64), remaining)
+        keys = rows * length + choices
+    return np.bincount(keys, minlength=live * length).reshape(live, length)
+
+
+def _window_outcomes(
+    rng: np.random.Generator,
+    remaining: np.ndarray,
+    length: int,
+    window_start: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Classify one window for every live replication, in bounded memory.
+
+    Returns per-replication ``(delivered, collisions, silences, end_slot)``;
+    ``end_slot`` is the truncated end of the window for the replications it
+    finishes (their makespan) and the full window end for everyone else.
+    Rows are processed in chunks bounded both in occupancy cells (rows ×
+    window slots) and in thrown balls (rows × remaining messages) by
+    :data:`_MAX_WINDOW_CELLS`.
+    """
+    live = remaining.size
+    delivered = np.empty(live, dtype=np.int64)
+    collisions = np.empty(live, dtype=np.int64)
+    silences = np.empty(live, dtype=np.int64)
+    end_slot = np.full(live, window_start + length, dtype=np.int64)
+    mean_balls = max(1, int(remaining.mean()))
+    chunk = max(1, min(_MAX_WINDOW_CELLS // length, _MAX_WINDOW_CELLS // mean_balls))
+    for start in range(0, live, chunk):
+        stop = min(start + chunk, live)
+        occupancy = _occupancy(rng, remaining[start:stop], length)
+        singles = occupancy == 1
+        chunk_delivered = singles.sum(axis=1, dtype=np.int64)
+        occupied = np.count_nonzero(occupancy, axis=1)
+        chunk_collisions = occupied - chunk_delivered
+        chunk_silences = length - occupied
+        finishing = chunk_delivered == remaining[start:stop]
+        if finishing.any():
+            # Replications solved by this window stop at their final
+            # delivery: truncate the trailing slots (mirroring the per-run
+            # window engine) so counters agree with the node-level reference.
+            singles_f = singles[finishing]
+            occ_f = occupancy[finishing]
+            last = length - 1 - np.argmax(singles_f[:, ::-1], axis=1)
+            pick = np.arange(occ_f.shape[0])
+            chunk_collisions[finishing] = np.cumsum(occ_f >= 2, axis=1)[pick, last]
+            chunk_silences[finishing] = np.cumsum(occ_f == 0, axis=1)[pick, last]
+            end_slot[start:stop][finishing] = window_start + last + 1
+        delivered[start:stop] = chunk_delivered
+        collisions[start:stop] = chunk_collisions
+        silences[start:stop] = chunk_silences
+    return delivered, collisions, silences, end_slot
+
+
 @register_engine
-class MegaWindowEngine:
+class MegaWindowEngine(_BatchedEngine):
     """Fuse every same-schedule windowed cell of a sweep into one lockstep pass."""
 
     name = "mega-window"
 
-    #: Mega-batch engine for windowed protocols on the paper's channel; see
+    #: The batched engine for windowed protocols on the paper's channel; see
     #: :class:`MegaFairEngine` for the selection rules it shares.
     capabilities = EngineCapabilities(
         protocol_kinds=frozenset({"windowed"}),
         batched=True,
-        fuses_cells=True,
         cost_rank=40,
     )
-
-    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
-        self.channel = check_engine_channel(type(self), channel)
-        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
-        # The occupancy samplers (saturated shortcut, multinomial rows, ball
-        # throwing) are borrowed verbatim from the per-cell windowed batch
-        # engine, which keeps the two engines' draw sequences — and therefore
-        # their per-cell results — bit-identical.
-        self._inner = BatchWindowEngine(channel=channel, max_slots_factor=max_slots_factor)
+    _protocol_class = WindowedProtocol
+    _fuse_unit = "window schedule"
+    _traced_engine = "WindowEngine"
+    _reports_windows = True
 
     # ------------------------------------------------------------ eligibility
     @classmethod
     def supports(cls, protocol: Protocol) -> bool:
-        """Whether ``protocol``'s cells can be fused: windowed kind, a shared
-        window schedule kernel *and* a declared schedule identity
-        (:meth:`WindowedProtocol.fused_schedule_key`)."""
+        """Whether ``protocol``'s cells can run in this engine: the windowed
+        kind and a declared schedule identity
+        (:meth:`WindowedProtocol.fused_schedule_key` not returning ``None``)."""
         if getattr(protocol, "protocol_kind", "generic") not in cls.capabilities.protocol_kinds:
-            return False
-        if protocol.make_window_batch_state(1) is None:
             return False
         return protocol.fused_schedule_key() is not None
 
@@ -576,140 +806,41 @@ class MegaWindowEngine:
     def fuse_key(cls, protocol: Protocol) -> object:
         """Cells sharing this key traverse identical window schedules.
 
-        Windowed cells fuse per *schedule identity* — the lockstep window
-        iteration requires every fused row to share window boundaries, so
-        only cells whose protocols report equal
+        The lockstep window iteration requires every fused row to share
+        window boundaries, so only cells whose protocols report equal
         :meth:`~repro.protocols.base.WindowedProtocol.fused_schedule_key`
         values group together (e.g. every k of one backoff parameterisation).
         """
         return protocol.fused_schedule_key()
 
-    # ----------------------------------------------------------------- public
-    def simulate(
-        self,
-        protocol: WindowedProtocol,
-        k: int,
-        seed: int = 0,
-        max_slots: int | None = None,
-        trace: ExecutionTrace | None = None,
-    ) -> SimulationResult:
-        """Run one instance as a fused group of one cell of one replication."""
-        if trace is not None:
-            raise ValueError(
-                "MegaWindowEngine does not collect traces (windows are classified "
-                "in bulk, not slot records); use WindowEngine for traced runs"
-            )
-        return self.simulate_batch(protocol, k, [seed], max_slots=max_slots)[0]
-
-    def simulate_batch(
-        self,
-        protocol: WindowedProtocol,
-        k: int,
-        seeds: Sequence[int],
-        max_slots: int | None = None,
-    ) -> list[SimulationResult]:
-        """Simulate one cell — a fused group of size one (the batch API)."""
-        cap = max_slots if max_slots is not None else self.max_slots_factor * k
-        cell = FusedCell(protocol=protocol, k=k, seeds=tuple(int(s) for s in seeds), max_slots=cap)
-        return self.simulate_fused([cell])[0]
-
-    def simulate_fused(self, cells: Sequence[FusedCell]) -> list[list[SimulationResult]]:
-        """Simulate every cell of the group against one shared window schedule.
-
-        Returns one result list per cell (ordered like ``cells``).  Each
-        cell consumes its own random stream in exactly the order the
-        per-cell :class:`BatchWindowEngine` would, so per-cell results are
-        bit-identical to it — and therefore independent of the group's
-        composition.
-        """
-        _check_cells(cells, type(self).__name__)
-        keys = set()
-        for cell in cells:
-            if not isinstance(cell.protocol, WindowedProtocol):
-                raise TypeError(
-                    f"MegaWindowEngine requires WindowedProtocol cells, got "
-                    f"{type(cell.protocol).__name__}"
-                )
-            if not self.supports(cell.protocol):
-                raise ValueError(
-                    f"{type(cell.protocol).__name__} declares no fusable window schedule"
-                )
-            keys.add(self.fuse_key(cell.protocol))
-        if len(keys) != 1:
-            raise ValueError(
-                f"MegaWindowEngine can fuse only cells sharing one window schedule, "
-                f"got {len(keys)} distinct schedule keys"
-            )
-
-        counts = [len(cell.seeds) for cell in cells]
-        rows = sum(counts)
-        schedule_state = cells[0].protocol.make_window_batch_state(rows)
-        assert schedule_state is not None  # guarded by supports()
-        schedule = schedule_state.lengths
-        generators = [
-            np.random.default_rng(np.random.SeedSequence(list(cell.seeds))) for cell in cells
-        ]
-        lives = [_LiveWindowBatch(cell.k, reps) for cell, reps in zip(cells, counts)]
-        outs = [_WindowBatchAccumulator.empty(reps) for reps in counts]
-
-        iterations = self._run(cells, schedule, lives, outs, generators)
-        _M_ROWS.labels(engine=self.name).inc(rows)
-        _M_RETIRED.labels(engine=self.name).inc(rows)
-        _M_KERNEL.labels(engine=self.name).inc(iterations)
-        _M_CELLS.labels(engine=self.name).inc(len(cells))
-
-        results: list[list[SimulationResult]] = []
-        for cell, reps, out in zip(cells, counts, outs):
-            results.append(
-                [
-                    SimulationResult(
-                        solved=bool(out.solved[index]),
-                        makespan=int(out.makespan[index]) if out.solved[index] else None,
-                        k=cell.k,
-                        slots_simulated=int(out.slots[index]),
-                        successes=int(out.successes[index]),
-                        collisions=int(out.collisions[index]),
-                        silences=int(out.silences[index]),
-                        protocol=cell.protocol.name,
-                        engine=self.name,
-                        seed=cell.seeds[index],
-                        metadata={
-                            "batch_reps": reps,
-                            "windows": int(out.windows[index]),
-                        },
-                    )
-                    for index in range(reps)
-                ]
-            )
-        return results
-
     # -------------------------------------------------------------- internals
     def _run(
         self,
         cells: Sequence[FusedCell],
-        schedule,
-        lives: Sequence[_LiveWindowBatch],
-        outs: Sequence[_WindowBatchAccumulator],
+        counts: Sequence[int],
+        caps: Sequence[int],
         generators: Sequence[np.random.Generator],
-    ) -> int:
+    ) -> tuple[list[_Accumulator], int]:
         """Lockstep iteration of the one shared schedule across all cells.
 
-        Every decision that touches randomness — the per-cell saturated
-        shortcut and the occupancy sampling — is made per cell with the
-        cell's own generator, in the same order ``BatchWindowEngine._run``
-        makes it, so per-cell draw sequences match the per-cell engine
-        exactly.  Returns the number of windows iterated.
+        Every decision that touches randomness — the saturated shortcut and
+        the occupancy sampling — is made per cell with the cell's own
+        generator, so a cell's draw sequence does not depend on its siblings.
+        Returns the per-cell accumulators and the number of windows iterated.
         """
-        inner = self._inner
+        schedule = cells[0].protocol.spawn().window_lengths()
+        lives = [_LiveWindowBatch(cell.k, reps) for cell, reps in zip(cells, counts)]
+        outs = [_Accumulator.empty(reps) for reps in counts]
         window_start = 0
         windows = 0
+        saturated = 0
         while True:
             running = [index for index, live in enumerate(lives) if live.size]
             if not running:
                 break
             for index in running:
                 live = lives[index]
-                if window_start >= cells[index].max_slots:
+                if window_start >= caps[index]:
                     live.retire(
                         np.ones(live.size, dtype=bool),
                         outs[index],
@@ -733,11 +864,15 @@ class MegaWindowEngine:
 
             for index in running:
                 live = lives[index]
-                if inner._saturated(length, int(live.remaining.min())):
+                if _saturated(length, int(live.remaining.min())):
+                    # Every bin holds >= 2 balls (anything else is below
+                    # double-precision resolution): all collisions, no
+                    # deliveries, nobody finishes.
+                    saturated += 1
                     live.collisions += length
                     live.windows += 1
                     continue
-                delivered, collisions, silences, end_slot = inner._window_outcomes(
+                delivered, collisions, silences, end_slot = _window_outcomes(
                     generators[index], live.remaining, length, window_start
                 )
                 finishing = delivered == live.remaining
@@ -749,4 +884,5 @@ class MegaWindowEngine:
                 if finishing.any():
                     live.retire(finishing, outs[index], solved=True, slots=end_slot)
             window_start += length
-        return windows
+        _M_SATURATED.inc(saturated)
+        return outs, windows

@@ -21,8 +21,8 @@ a declarative scheme:
   against the registry.
 
 :func:`batch_engine_for` is the **single batch-eligibility predicate** in the
-repository: the scenario layer, the sweep runner and the ``simulate_batch``
-front door all call it, so they cannot diverge.
+repository: the scenario layer and the ``simulate_batch`` /
+``simulate_megabatch`` front doors all call it, so they cannot diverge.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "check_engine_channel",
     "pick_engine_name",
     "batch_engine_for",
-    "fused_engine_for",
 ]
 
 #: The paper's channel: no collision detection, implicit acknowledgements.
@@ -70,18 +69,12 @@ class EngineCapabilities:
         Whether the engine simulates staggered arrival processes.  The
         reduced engines all assume every station starts at slot 0.
     batched:
-        Whether the engine is a *batch* engine: it exposes
-        ``simulate_batch(protocol, k, seeds)`` running many replications of
-        one cell per call, plus a ``supports(protocol)`` kernel check.
-        Batched engines are never chosen by ``engine="auto"`` for single
-        runs; :func:`batch_engine_for` selects among them for whole cells.
-    fuses_cells:
-        Whether the engine is a *mega-batch* engine: it additionally exposes
-        ``simulate_fused(cells)`` running many (protocol, k) cells of a sweep
-        in one fused kernel, plus a ``fuse_key(protocol)`` grouping hook.
-        Fusing engines are selected only by :func:`fused_engine_for` —
-        ``batch_engine_for``'s ``"auto"`` path skips them, so per-cell batch
-        planning is unchanged when fusion is off.
+        Whether the engine is a *batched* engine: it exposes
+        ``simulate_fused(cells)`` running many replications of many
+        (protocol, k) cells in one kernel, a ``supports(protocol)`` kernel
+        check and a ``fuse_key(protocol)`` grouping hook.  Batched engines
+        are never chosen by ``engine="auto"`` for single runs;
+        :func:`batch_engine_for` selects among them for whole cells.
     traces:
         Whether the engine can fill an
         :class:`~repro.channel.trace.ExecutionTrace` with per-slot records.
@@ -98,7 +91,6 @@ class EngineCapabilities:
     )
     arrivals: bool = False
     batched: bool = False
-    fuses_cells: bool = False
     traces: bool = False
     cost_rank: int = 100
 
@@ -220,22 +212,19 @@ class EngineRegistry:
         channel: ChannelModel | None = None,
         arrivals: object | None = None,
         batched: bool | None = None,
-        fuses_cells: bool | None = None,
         traces: bool | None = None,
     ) -> list[str]:
         """Names of every engine serving the request, cheapest first.
 
         ``arrivals`` is the requested arrival process; any non-``None``
         value (``True`` works as a pure capability filter) restricts the
-        listing to engines declaring arrival support.  ``batched``,
-        ``fuses_cells`` and ``traces`` filter on the declared flags exactly.
+        listing to engines declaring arrival support.  ``batched`` and
+        ``traces`` filter on the declared flags exactly.
         """
         matches = []
         for name in self.names():
             caps = self.capabilities(name)
             if batched is not None and caps.batched != batched:
-                continue
-            if fuses_cells is not None and caps.fuses_cells != fuses_cells:
                 continue
             if traces is not None and caps.traces != traces:
                 continue
@@ -312,59 +301,24 @@ class EngineRegistry:
         channel: ChannelModel | None = None,
         arrivals: ArrivalProcess | None = None,
     ) -> str | None:
-        """The batch engine able to run a whole (protocol, k) cell, or ``None``.
+        """The batched engine able to run this protocol's cells, or ``None``.
 
         This is the repository's one batch-eligibility predicate: the
-        scenario layer (``Session._plan``), the sweep runner and the
-        ``simulate_batch`` front door all ask this question here.  A cell is
-        batch-eligible when a registered *batched* engine (a) is admissible
-        under the ``engine=`` selector (``"auto"`` considers every batched
-        engine, an explicit batched name considers only itself, any other
-        selector none), (b) declares capabilities covering the protocol kind
-        and channel, and (c) confirms a vectorised kernel for this specific
+        scenario layer (``Session._plan``) and the ``simulate_batch`` /
+        ``simulate_megabatch`` front doors all ask this question here.  A
+        cell is batch-eligible when a registered *batched* engine (a) is
+        admissible under the ``engine=`` selector (``"auto"`` considers every
+        batched engine, an explicit batched name considers only itself, any
+        other selector none), (b) declares capabilities covering the protocol
+        kind and channel, and (c) confirms a kernel for this specific
         protocol instance via its ``supports`` hook.  Arrival processes are
-        never batch-eligible — the batch reductions assume slot-0 arrivals.
+        never batch-eligible — the batched reductions assume slot-0 arrivals.
         """
         if arrivals is not None:
             return None
         if engine == "auto":
-            candidates = self.engines_for(
-                protocol=protocol, channel=channel, batched=True, fuses_cells=False
-            )
+            candidates = self.engines_for(protocol=protocol, channel=channel, batched=True)
         elif engine in self._engines and self.capabilities(engine).batched:
-            candidates = [engine] if self.serves(engine, protocol=protocol, channel=channel) else []
-        else:
-            return None
-        for name in candidates:
-            if self.engine_class(name).supports(protocol):
-                return name
-        return None
-
-    def fused_engine_for(
-        self,
-        protocol: object,
-        engine: str = "auto",
-        channel: ChannelModel | None = None,
-        arrivals: ArrivalProcess | None = None,
-    ) -> str | None:
-        """The mega-batch engine able to fuse this protocol's cells, or ``None``.
-
-        The one *fusion*-eligibility predicate, mirroring
-        :meth:`batch_engine_for`: a cell is fusable when a registered engine
-        declaring ``fuses_cells`` (a) is admissible under the ``engine=``
-        selector (``"auto"`` considers every fusing engine, an explicit
-        fusing name considers only itself, any other selector none),
-        (b) declares capabilities covering the protocol kind and channel, and
-        (c) confirms a per-row kernel for this specific protocol instance via
-        its ``supports`` hook.  Arrival processes are never fusable.
-        """
-        if arrivals is not None:
-            return None
-        if engine == "auto":
-            candidates = self.engines_for(
-                protocol=protocol, channel=channel, batched=True, fuses_cells=True
-            )
-        elif engine in self._engines and self.capabilities(engine).fuses_cells:
             candidates = [engine] if self.serves(engine, protocol=protocol, channel=channel) else []
         else:
             return None
@@ -422,7 +376,6 @@ def engines_for(
     channel: ChannelModel | None = None,
     arrivals: object | None = None,
     batched: bool | None = None,
-    fuses_cells: bool | None = None,
     traces: bool | None = None,
 ) -> list[str]:
     """Names of every engine serving the request, cheapest first
@@ -432,7 +385,6 @@ def engines_for(
         channel=channel,
         arrivals=arrivals,
         batched=batched,
-        fuses_cells=fuses_cells,
         traces=traces,
     )
 
@@ -456,12 +408,3 @@ def batch_engine_for(
     """The one batch-eligibility predicate (see :meth:`EngineRegistry.batch_engine_for`)."""
     return _loaded().batch_engine_for(protocol, engine=engine, channel=channel, arrivals=arrivals)
 
-
-def fused_engine_for(
-    protocol: object,
-    engine: str = "auto",
-    channel: ChannelModel | None = None,
-    arrivals: ArrivalProcess | None = None,
-) -> str | None:
-    """The one fusion-eligibility predicate (see :meth:`EngineRegistry.fused_engine_for`)."""
-    return _loaded().fused_engine_for(protocol, engine=engine, channel=channel, arrivals=arrivals)

@@ -39,7 +39,7 @@ from repro.core.constants import (
 from repro.core.exp_backon_backoff import ExpBackonBackoff  # noqa: F401
 from repro.core.one_fail_adaptive import OneFailAdaptive  # noqa: F401
 from repro.protocols.backoff import LogLogIteratedBackoff  # noqa: F401
-from repro.protocols.base import Protocol
+from repro.protocols.base import Protocol, build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive  # noqa: F401
 
 __all__ = [
@@ -72,41 +72,27 @@ class ProtocolSpec:
         Short machine-friendly identifier (used in CSV columns and file names).
     label:
         The curve label used by the paper's figure/table.
-    factory:
-        Callable mapping ``k`` to a fresh protocol instance.  Protocols that
-        use no knowledge of ``k`` ignore the argument.  Optional when
-        ``spec`` is given (the factory is then derived from the registry).
+    spec:
+        Protocol spec string (e.g. ``"one-fail-adaptive(delta=2.72)"``).
+        The sweep runner turns every (spec, k) cell into a content-hashed,
+        cacheable and resumable
+        :class:`~repro.scenarios.scenario.Scenario`.
     analysis_ratio:
         Callable mapping ``k`` to the steps/k constant predicted by the
         protocol's analysis, or ``None`` when the analysis only gives an
         asymptotic order (Loglog-iterated Back-off).
     analysis_note:
         Text used in the Analysis column when ``analysis_ratio`` is ``None``.
-    spec:
-        Protocol spec string (e.g. ``"one-fail-adaptive(delta=2.72)"``).
-        When set, the sweep runner routes this curve through the declarative
-        :class:`~repro.scenarios.session.Session` — content-hashed, cacheable
-        and resumable; factory-only specs take the legacy in-memory path.
     """
 
     key: str
     label: str
-    factory: Callable[[int], Protocol] | None = None
+    spec: str
     analysis_ratio: Callable[[int], float] | None = None
     analysis_note: str = ""
-    spec: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.factory is None and self.spec is None:
-            raise ValueError(f"ProtocolSpec {self.key!r} needs a factory or a spec string")
 
     def build(self, k: int) -> Protocol:
         """Instantiate the protocol for a network of ``k`` contenders."""
-        if self.factory is not None:
-            return self.factory(k)
-        from repro.protocols.base import build_protocol
-
-        assert self.spec is not None
         return build_protocol(self.spec, k)
 
     def analysis_text(self, k: int | None = None, float_format: str = ".1f") -> str:
@@ -198,21 +184,14 @@ class ExperimentConfig:
     serial behaviour, ``0`` means one worker per CPU.  Seeds are derived
     before dispatch, so the worker count never changes the results.
 
-    ``batch`` (default True) lets the runner group each eligible cell's
-    replications into one vectorised
-    :class:`~repro.engine.batch_engine.BatchFairEngine` call.  Batched sweeps
-    are deterministic in the seed but sample a *different* (distributionally
-    identical) set of runs than ``batch=False``, which replays the historical
-    per-run streams.
-
-    ``fuse`` (default True) additionally stacks all fusable cells of the
-    grid into cross-cell mega-batch kernels
+    ``batch`` (default True) lets the runner stack all batch-eligible cells
+    of the grid into fused kernels
     (:class:`~repro.engine.megabatch.MegaFairEngine` /
-    :class:`~repro.engine.megabatch.MegaWindowEngine`) — one fused kernel
-    pass per protocol family instead of one batch call per cell.  Requires
-    ``batch``; fused sweeps sample yet another (distributionally identical)
-    set of runs than per-cell batched ones, deterministic in the seed and
-    independent of which cells happen to fuse together.
+    :class:`~repro.engine.megabatch.MegaWindowEngine`) — one kernel pass per
+    protocol family.  Batched sweeps are deterministic in the seed and
+    independent of which cells happen to fuse together, but sample a
+    *different* (distributionally identical) set of runs than
+    ``batch=False``, which replays the per-run streams.
     """
 
     k_values: Sequence[int] = field(default_factory=paper_k_values)
@@ -221,7 +200,6 @@ class ExperimentConfig:
     max_slots_factor: int = 10_000
     workers: int = 1
     batch: bool = True
-    fuse: bool = True
 
     def __post_init__(self) -> None:
         if not self.k_values:
@@ -243,5 +221,4 @@ class ExperimentConfig:
             "max_slots_factor": self.max_slots_factor,
             "workers": self.workers,
             "batch": self.batch,
-            "fuse": self.fuse,
         }

@@ -13,25 +13,18 @@ from slices of the output cannot tell the difference from the serial path
 in-process loop with no pickling or process-pool overhead, which keeps the
 serial path exactly as cheap — and exactly as debuggable — as before.
 
-Work units carry materialised protocol and arrival-process *instances* (not
-the factories of :class:`~repro.experiments.config.ProtocolSpec`, which are
-often lambdas and therefore unpicklable); all of the repository's protocol
-and arrival classes are plain attribute holders that pickle cleanly.
+Work units carry materialised protocol and arrival-process *instances*; all
+of the repository's protocol and arrival classes are plain attribute holders
+that pickle cleanly.
 
-A unit may also be a *batch*: one vectorised
-:func:`~repro.engine.dispatch.simulate_batch` call covering many replications
-of the same (protocol, k) cell (``seeds`` set instead of ``seed``).  Batch
-units compose with the process pool exactly like single-run units — cells fan
-out across workers while each cell's replications run vectorised within one —
-and their outcome carries one result per seed.
-
-The largest unit is a *fused group*: one
+A unit may also be a *fused group*: one
 :func:`~repro.engine.dispatch.simulate_megabatch` call covering many whole
-(protocol, k) cells (``cells`` set instead of ``seeds``/``seed``).  The fused
-kernel's wall clock is one measurement for the whole group, so the outcome
-apportions it back to the member cells in proportion to the rows × slots each
-cell actually kept live inside the kernel — the best available estimate of
-each cell's share of the fused work.
+(protocol, k) cells (``cells`` set instead of ``seed``).  Fused units compose
+with the process pool exactly like single-run units.  The fused kernel's wall
+clock is one measurement for the whole group, so the outcome apportions it
+back to the member cells in proportion to the rows × slots each cell actually
+kept live inside the kernel — the best available estimate of each cell's
+share of the fused work.
 """
 
 from __future__ import annotations
@@ -44,7 +37,10 @@ from dataclasses import dataclass, field
 
 from repro.channel.arrivals import ArrivalProcess
 from repro.channel.model import ChannelModel
-from repro.engine.dispatch import FusedCell, simulate, simulate_batch, simulate_megabatch
+# simulate_batch is not called here; it is imported so that this module keeps
+# exposing all three engine front doors, which perfbench/tracer.py wraps by
+# name on this module.
+from repro.engine.dispatch import FusedCell, simulate, simulate_batch, simulate_megabatch  # noqa: F401
 from repro.engine.result import SimulationResult
 from repro.protocols.base import Protocol
 
@@ -87,19 +83,14 @@ class SimulationUnit:
     tag:
         Opaque caller marker (e.g. a ``(spec_key, k)`` cell id); carried
         through to :class:`UnitOutcome` untouched.
-    seeds:
-        When set, the unit is a *batch*: all listed replications run in one
-        :func:`~repro.engine.dispatch.simulate_batch` call (``seed`` and
-        ``arrivals`` are ignored; the protocol must be batch-eligible, and
-        ``engine`` selects among the batched engines — ``"auto"`` resolves
-        through the registry's batch-eligibility query).
     cells:
         When set, the unit is a *fused group*: every listed
         :class:`~repro.engine.megabatch.FusedCell` runs in one
         :func:`~repro.engine.dispatch.simulate_megabatch` kernel pass
-        (``protocol``/``k``/``seed``/``seeds``/``arrivals``/``max_slots``
-        are ignored — each cell carries its own; ``protocol`` and ``k``
-        should mirror the first cell for display purposes).  The outcome
+        (``protocol``/``k``/``seed``/``arrivals``/``max_slots`` are ignored —
+        each cell carries its own; ``protocol`` and ``k`` should mirror the
+        first cell for display purposes; ``engine`` selects among the batched
+        engines).  The outcome
         carries one :class:`FusedCellOutcome` per cell, tagged with the
         cell's own ``tag``.
     """
@@ -112,7 +103,6 @@ class SimulationUnit:
     arrivals: ArrivalProcess | None = None
     channel: ChannelModel | None = None
     tag: object = None
-    seeds: tuple[int, ...] | None = None
     cells: tuple[FusedCell, ...] | None = None
 
 
@@ -135,8 +125,7 @@ class UnitOutcome:
     """Result(s) of one executed unit plus its execution cost.
 
     Single-run units populate both ``result`` and the one-element
-    ``results``; batch units populate ``results`` (one entry per seed, in
-    seed order) and leave ``result`` ``None``; fused-group units populate
+    ``results``; fused-group units leave ``result`` ``None`` and populate
     ``cells`` (one :class:`FusedCellOutcome` per fused cell, in cell order)
     plus the flattened ``results``.
     """
@@ -198,22 +187,6 @@ def _execute_unit(index: int, unit: SimulationUnit) -> UnitOutcome:
                 result for cell_results in per_cell for result in cell_results
             ),
             cells=cell_outcomes,
-        )
-    if unit.seeds is not None:
-        results = simulate_batch(
-            unit.protocol,
-            unit.k,
-            unit.seeds,
-            engine=unit.engine,
-            channel=unit.channel,
-            max_slots=unit.max_slots,
-        )
-        return UnitOutcome(
-            index=index,
-            result=None,
-            elapsed_seconds=time.perf_counter() - started,
-            tag=unit.tag,
-            results=tuple(results),
         )
     result = simulate(
         unit.protocol,

@@ -6,34 +6,21 @@ sweep of the same shape: for each protocol specification and each network size
 makespans.  :func:`run_sweep` implements that shape once; the experiment
 modules wrap it with the paper's specific protocol suites and presentation.
 
-Since the declarative scenario API landed, :func:`run_sweep` is a thin
-*scenario-preset builder*: each (protocol, k) cell whose
-:class:`~repro.experiments.config.ProtocolSpec` carries a spec string becomes
-one frozen :class:`~repro.scenarios.scenario.Scenario`, and the whole grid is
-executed by a :class:`~repro.scenarios.session.Session` — which *fuses* all
-same-kind cells of the grid into cross-cell mega-batch kernels by default
-(the registry's :func:`~repro.engine.registry.fused_engine_for` picks
+:func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
+cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
+whole grid is executed by a :class:`~repro.scenarios.session.Session` —
+which stacks every batch-eligible cell of the grid into fused kernels
+(the registry's :func:`~repro.engine.registry.batch_engine_for` picks
 :class:`~repro.engine.megabatch.MegaFairEngine` /
-:class:`~repro.engine.megabatch.MegaWindowEngine`; ``fuse=False`` opts out),
-groups the remaining batch-eligible cells into one vectorised
-batch-engine call each
-(:func:`~repro.engine.registry.batch_engine_for` picks
-:class:`~repro.engine.batch_engine.BatchFairEngine` for fair cells and
-:class:`~repro.engine.batch_window_engine.BatchWindowEngine` for windowed
-ones), and (when ``store_dir`` is given) persists every replication to a
+:class:`~repro.engine.megabatch.MegaWindowEngine`; ``batch=False`` opts
+out) and, when ``store_dir`` is given, persists every replication to a
 JSONL store so an interrupted sweep resumes with only the missing cells
 executed.
 
-Cell seeds are derived *before* dispatch, exactly as the serial path always
-derived them, so ``workers=N`` produces bit-identical cells to ``workers=1``,
-and the Session path produces bit-identical cells to the historical direct
-path.  Batched cells are deterministic but sample a *different*
-(distributionally identical) set of runs than ``batch=False``, which replays
-the historical per-run streams.
-
-Protocol specifications that only provide a ``factory`` callable (no spec
-string) cannot be content-hashed; their cells take a legacy in-memory unit
-path with the same seeds, engine selection and batching rules.
+Cell seeds are derived *before* dispatch, so ``workers=N`` produces
+bit-identical cells to ``workers=1``.  Batched cells are deterministic but
+sample a *different* (distributionally identical) set of runs than
+``batch=False``, which replays the per-run streams.
 """
 
 from __future__ import annotations
@@ -43,14 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.statistics import RunStatistics, summarize_makespans
-from repro.channel.arrivals import ArrivalProcess
-from repro.engine.registry import batch_engine_for
 from repro.engine.result import SimulationResult
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
-from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
-from repro.util.rng import derive_seeds
 
 __all__ = ["SweepCell", "SweepResult", "run_sweep", "cell_seed_root"]
 
@@ -84,7 +67,7 @@ class SweepCell:
     label: str
     k: int
     results: tuple[SimulationResult, ...]
-    elapsed_seconds: float  # batched cells count their single vectorised call once
+    elapsed_seconds: float
 
     @property
     def solved_results(self) -> tuple[SimulationResult, ...]:
@@ -153,9 +136,8 @@ def run_sweep(
     engine: str = "auto",
     progress: ProgressCallback | None = None,
     workers: int | None = None,
-    arrivals_factory: Callable[[int], ArrivalProcess] | None = None,
+    arrivals: str = "batch",
     batch: bool | None = None,
-    fuse: bool | None = None,
     store_dir: str | Path | None = None,
 ) -> SweepResult:
     """Run every (protocol, k, repetition) combination of the sweep.
@@ -175,7 +157,7 @@ def run_sweep(
         Sizes, repetition count, root seed, safety caps and default worker
         count.
     engine:
-        Engine selector forwarded to :func:`repro.engine.dispatch.simulate`.
+        Engine selector carried into every cell's scenario.
     progress:
         Optional callback invoked after every completed run.  With
         ``workers > 1`` the callback fires in completion order; its
@@ -186,31 +168,20 @@ def run_sweep(
         Worker processes for the sweep; defaults to ``config.workers``.
         ``1`` runs serially in-process, ``0``/``None`` at config level means
         one worker per CPU.
-    arrivals_factory:
-        Optional mapping from ``k`` to an
-        :class:`~repro.channel.arrivals.ArrivalProcess`; when given, every
-        run goes through the node-level engine under that arrival process
-        (the dynamic workloads of the paper's Section 6) and batching is
-        disabled — the batch reduction assumes batched slot-0 arrivals.
-        Cells with an arrivals factory take the legacy path (a factory is
-        not serializable; use scenario arrival spec strings for cacheable
-        dynamic cells).
+    arrivals:
+        Arrival spec string carried into every cell's scenario, e.g.
+        ``"poisson(rate=0.2)"``; the default ``"batch"`` is the paper's
+        static setting (every message present at slot 0).  Any other arrival
+        process routes every run to the node-level engine (the dynamic
+        workloads of the paper's Section 6) — the batched reductions assume
+        slot-0 arrivals.
     batch:
-        Whether eligible cells run as one vectorised batch; defaults to
-        ``config.batch``.  Eligibility is the registry's
+        Whether batch-eligible cells are stacked into fused batched kernels;
+        defaults to ``config.batch``.  Eligibility is the registry's
         :func:`~repro.engine.registry.batch_engine_for`; ineligible cells
-        (protocols without a vectorised kernel, custom arrivals, explicit
-        per-run ``engine`` selectors) silently take the per-run path either
-        way.
-    fuse:
-        Whether fusable cells of the grid are stacked into cross-cell
-        mega-batch kernels — one fused kernel pass per (engine, fuse key)
-        group instead of one batch call per cell; defaults to
-        ``config.fuse`` and requires batching.  Eligibility is the
-        registry's :func:`~repro.engine.registry.fused_engine_for`;
-        unfusable cells (constant-probability protocols like slotted ALOHA,
-        custom channels or arrivals, factory-only specs on the legacy path)
-        silently fall back to the per-cell batch or per-run path.
+        (protocols without a batched kernel, arrival processes, custom
+        channels, explicit per-run ``engine`` selectors) silently take the
+        per-run path either way.
     store_dir:
         Optional Session store directory.  When given, every replication is
         persisted there and completed cells are served from the store on
@@ -219,160 +190,44 @@ def run_sweep(
     """
     if not specs:
         raise ValueError("run_sweep needs at least one protocol specification")
-    effective_workers = config.workers if workers is None else workers
-    effective_batch = config.batch if batch is None else batch
-    effective_fuse = config.fuse if fuse is None else fuse
-    result = SweepResult(config=config, specs=list(specs))
-
-    scenario_cells: list[tuple[ProtocolSpec, int]] = []
+    cells: list[tuple[ProtocolSpec, int]] = []
     scenarios: list[Scenario] = []
-    legacy_units: list[SimulationUnit] = []
-    legacy_cells: list[tuple[ProtocolSpec, int]] = []
-    cell_order: list[tuple[ProtocolSpec, int]] = []
     for spec_index, spec in enumerate(specs):
         for k_index, k in enumerate(config.k_values):
-            seed_root = cell_seed_root(config, spec_index, k_index)
-            cell_order.append((spec, k))
-            if spec.spec is not None and arrivals_factory is None:
-                scenario_cells.append((spec, k))
-                scenarios.append(
-                    Scenario(
-                        protocol=spec.spec,
-                        k=k,
-                        engine=engine,
-                        replications=config.runs,
-                        seed=seed_root,
-                        max_slots_factor=config.max_slots_factor,
-                    )
+            cells.append((spec, k))
+            scenarios.append(
+                Scenario(
+                    protocol=spec.spec,
+                    k=k,
+                    arrivals=arrivals,
+                    engine=engine,
+                    replications=config.runs,
+                    seed=cell_seed_root(config, spec_index, k_index),
+                    max_slots_factor=config.max_slots_factor,
                 )
-                continue
-            legacy_cells.append((spec, k))
-            legacy_units.extend(
-                _legacy_cell_units(spec, k, seed_root, config, engine, effective_batch,
-                                   arrivals_factory)
             )
 
-    staged: dict[tuple[str, int], SweepCell] = {}
-
-    if scenarios:
-        session = Session(
-            store_dir=store_dir,
-            workers=effective_workers,
-            batch=effective_batch,
-            fuse=effective_fuse,
-        )
-
-        def session_progress(index: int, _scenario: Scenario, done: int, total: int) -> None:
-            spec, k = scenario_cells[index]
-            assert progress is not None
-            progress(spec, k, done, total)
-
-        result_sets = session.run_all(
-            scenarios, progress=session_progress if progress is not None else None
-        )
-        for (spec, k), result_set in zip(scenario_cells, result_sets):
-            staged[(spec.key, k)] = SweepCell(
-                spec_key=spec.key,
-                label=spec.label,
-                k=k,
-                results=result_set.results,
-                elapsed_seconds=result_set.elapsed_seconds,
-            )
-
-    if legacy_units:
-        staged.update(
-            _run_legacy_units(legacy_units, legacy_cells, config, effective_workers, progress)
-        )
-
-    for spec, k in cell_order:
-        result.cells[(spec.key, k)] = staged[(spec.key, k)]
-    return result
-
-
-def _legacy_cell_units(
-    spec: ProtocolSpec,
-    k: int,
-    seed_root: int,
-    config: ExperimentConfig,
-    engine: str,
-    effective_batch: bool,
-    arrivals_factory: Callable[[int], ArrivalProcess] | None,
-) -> list[SimulationUnit]:
-    """Work units for one factory-only (or arrivals-factory) cell.
-
-    Batch eligibility is the registry's
-    :func:`~repro.engine.registry.batch_engine_for` — the same single
-    predicate the scenario layer uses — so factory-only cells batch exactly
-    when their spec-string siblings would.
-    """
-    seeds = derive_seeds(seed_root, config.runs)
-    arrivals = arrivals_factory(k) if arrivals_factory is not None else None
-    protocol = spec.build(k)
-    batch_engine = batch_engine_for(protocol, engine=engine, arrivals=arrivals)
-    batch_cell = batch_engine is not None and (effective_batch or engine == batch_engine)
-    if batch_cell:
-        return [
-            SimulationUnit(
-                protocol=protocol,
-                k=k,
-                engine=engine,
-                max_slots=config.max_slots_factor * k,
-                tag=(spec.key, k),
-                seeds=tuple(seeds),
-            )
-        ]
-    return [
-        SimulationUnit(
-            protocol=protocol,
-            k=k,
-            seed=seed,
-            engine=engine,
-            max_slots=config.max_slots_factor * k,
-            arrivals=arrivals,
-            tag=(spec.key, k),
-        )
-        for seed in seeds
-    ]
-
-
-def _run_legacy_units(
-    units: list[SimulationUnit],
-    cells: list[tuple[ProtocolSpec, int]],
-    config: ExperimentConfig,
-    workers: int | None,
-    progress: ProgressCallback | None,
-) -> dict[tuple[str, int], SweepCell]:
-    """Execute factory-only cells exactly as the pre-scenario runner did."""
-    completed_per_cell: dict[tuple[str, int], int] = {}
-    spec_by_key = {spec.key: spec for spec, _ in cells}
-
-    def unit_progress(outcome: UnitOutcome) -> None:
-        assert progress is not None
-        spec_key, k = outcome.tag
-        for _ in outcome.results:
-            done = completed_per_cell.get((spec_key, k), 0) + 1
-            completed_per_cell[(spec_key, k)] = done
-            progress(spec_by_key[spec_key], k, done, config.runs)
-
-    outcomes = ParallelExecutor(workers=workers).run(
-        units, progress=unit_progress if progress is not None else None
+    session = Session(
+        store_dir=store_dir,
+        workers=config.workers if workers is None else workers,
+        batch=config.batch if batch is None else batch,
     )
 
-    cell_results: dict[tuple[str, int], list[SimulationResult]] = {
-        (spec.key, k): [] for spec, k in cells
-    }
-    cell_elapsed: dict[tuple[str, int], float] = {key: 0.0 for key in cell_results}
-    for outcome in outcomes:
-        cell_results[outcome.tag].extend(outcome.results)
-        cell_elapsed[outcome.tag] += outcome.elapsed_seconds
+    def session_progress(index: int, _scenario: Scenario, done: int, total: int) -> None:
+        spec, k = cells[index]
+        assert progress is not None
+        progress(spec, k, done, total)
 
-    return {
-        (spec.key, k): SweepCell(
+    result_sets = session.run_all(
+        scenarios, progress=session_progress if progress is not None else None
+    )
+    result = SweepResult(config=config, specs=list(specs))
+    for (spec, k), result_set in zip(cells, result_sets):
+        result.cells[(spec.key, k)] = SweepCell(
             spec_key=spec.key,
             label=spec.label,
             k=k,
-            results=tuple(cell_results[(spec.key, k)]),
-            elapsed_seconds=cell_elapsed[(spec.key, k)],
+            results=result_set.results,
+            elapsed_seconds=result_set.elapsed_seconds,
         )
-        for spec, k in cells
-    }
+    return result

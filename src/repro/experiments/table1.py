@@ -162,15 +162,8 @@ def main(argv: list[str] | None = None) -> int:
         "--batch",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="vectorise each eligible cell's runs into one batch-engine call "
-        "(--no-batch replays the historical per-run streams)",
-    )
-    parser.add_argument(
-        "--fuse",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fuse all same-kind cells of the sweep into cross-cell mega-batch "
-        "kernels (--no-fuse falls back to one batch call per cell)",
+        help="stack all batch-eligible cells of the sweep into fused batched "
+        "kernels (--no-batch replays the per-run streams)",
     )
     parser.add_argument(
         "--output-dir",
@@ -194,7 +187,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         workers=args.workers,
         batch=args.batch,
-        fuse=args.fuse,
     )
     table = reproduce_table1(config=config, progress=not args.quiet, store_dir=args.store)
 

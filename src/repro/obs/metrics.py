@@ -8,7 +8,7 @@ named families plus get-or-create accessors, so any subsystem can say
     SLOTS = REGISTRY.counter(
         "repro_engine_slots_total", "Channel slots simulated.", ("engine",)
     )
-    SLOTS.labels(engine="batch").inc(out.slots)
+    SLOTS.labels(engine="fair").inc(out.slots)
 
 without caring whether another module already created the family.  Three
 instrument kinds are provided — :class:`Counter` (monotone), :class:`Gauge`

@@ -39,7 +39,6 @@ class _SlottedAlohaBatchState(FairBatchState):
 
     def __init__(self, ks: np.ndarray, track_deliveries: np.ndarray) -> None:
         self._track = np.asarray(track_deliveries, dtype=bool)
-        self.track_deliveries = bool(self._track.all())
         self._remaining = np.asarray(ks, dtype=np.int64).copy()
 
     def probabilities(self, slot: int) -> np.ndarray:
@@ -63,7 +62,6 @@ class _SlottedAlohaBatchState(FairBatchState):
     def compact(self, keep: np.ndarray) -> None:
         self._track = self._track[keep]
         self._remaining = self._remaining[keep]
-        self.track_deliveries = bool(self._track.all())
 
 
 @register_protocol
@@ -86,9 +84,6 @@ class SlottedAloha(FairProtocol):
     name: ClassVar[str] = "slotted-aloha"
     label: ClassVar[str] = "Slotted ALOHA (known k)"
     requires_knowledge: ClassVar[frozenset[str]] = frozenset({"k"})
-    #: ``p = 1/(messages left)`` depends on nothing but the reception count,
-    #: so the batch engine may skip silent stretches geometrically.
-    probability_constant_between_receptions: ClassVar[bool] = True
 
     def __init__(self, k: int, track_deliveries: bool = True) -> None:
         self.k = check_positive_int("k", k)
@@ -115,11 +110,6 @@ class SlottedAloha(FairProtocol):
     def notify(self, observation: Observation) -> None:
         if self.track_deliveries and observation.received:
             self._remaining = max(self._remaining - 1, 1)
-
-    def make_batch_state(self, reps: int) -> _SlottedAlohaBatchState:
-        return _SlottedAlohaBatchState(
-            np.full(reps, self.k), np.full(reps, self.track_deliveries)
-        )
 
     @classmethod
     def make_fused_batch_state(

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.core.constants import LLIB_R_DEFAULT
-from repro.protocols.base import WindowBatchState, WindowedProtocol, register_protocol
+from repro.protocols.base import WindowedProtocol, register_protocol
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -63,15 +63,13 @@ class WindowBackoffProtocol(WindowedProtocol):
     def window_sequence(self) -> Iterator[float]:
         """Yield the (real-valued, non-decreasing) window sizes."""
 
-    def make_window_batch_state(self, reps: int) -> WindowBatchState:
-        """Shared monotone schedule for ``reps`` lockstep replications.
-
-        Every member of the family is defined by a fixed window sequence —
-        a pure function of the round index, never of channel feedback (that
-        is what *monotone back-off* means in [2]) — so the whole batch may
-        traverse one shared iterator, monotonicity checks included.
-        """
-        return WindowBatchState(self.spawn().window_lengths())
+    def fused_schedule_key(self) -> tuple:
+        """Every member of the family is defined by a fixed window sequence —
+        a pure function of the round index and the public parameters, never
+        of channel feedback (that is what *monotone back-off* means in [2]) —
+        so replications may traverse one shared iterator in lockstep."""
+        parameters = self.describe()["parameters"]
+        return (self.name, tuple(sorted(parameters.items())))  # type: ignore[union-attr]
 
     def window_lengths(self) -> Iterator[int]:
         previous = 0

@@ -43,7 +43,6 @@ __all__ = [
     "FairProtocol",
     "FairBatchState",
     "WindowedProtocol",
-    "WindowBatchState",
     "ProtocolFactory",
     "register_protocol",
     "get_protocol_class",
@@ -198,30 +197,25 @@ class Protocol(abc.ABC):
 class FairBatchState(abc.ABC):
     """Vectorised shared state of many lockstep replications of a fair protocol.
 
-    The batch engine (:class:`~repro.engine.batch_engine.BatchFairEngine`)
-    simulates all R replications of a (protocol, k) cell at once; for that it
-    needs the protocol's shared state as R-sized numpy arrays instead of one
-    Python object per replication.  Implementations must mirror the scalar
-    protocol *exactly*: the batch engine is validated distributionally against
-    the per-run fair engine, and any semantic drift here shows up there.
+    The batched fair engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
+    simulates all rows (cell × replication) of a fused group at once; for
+    that it needs the protocol's shared state as row-sized numpy arrays
+    instead of one Python object per replication.  Implementations must
+    mirror the scalar protocol *exactly*: the batched engine is validated
+    distributionally against the per-run fair engine, and any semantic drift
+    here shows up there.
 
-    All methods operate on the *live* replications only — the engine compacts
-    the batch as replications finish, and calls :meth:`compact` so the state
-    arrays shrink in step.
+    All methods operate on the *live* rows only — the engine compacts the
+    batch as rows finish, and calls :meth:`compact` so the state arrays
+    shrink in step.
     """
 
     @abc.abstractmethod
     def probabilities(self, slot: int) -> np.ndarray:
-        """Per-replication transmission probability in (common) ``slot``.
+        """Per-row transmission probability in (common) ``slot``.
 
         The returned array is owned by the state and may be a cached buffer
         reused across slots — callers must treat it as read-only.
-
-        Protocols declaring
-        :attr:`FairProtocol.probability_constant_between_receptions` must
-        ignore ``slot`` (the silence-skipping path advances replications to
-        different slot indices, so no common slot exists; the engine then
-        passes ``-1``).
         """
 
     def probabilities_cached(self, slot: int) -> tuple[np.ndarray, object]:
@@ -291,32 +285,9 @@ class FairProtocol(Protocol):
     #: the fair engine refuses them.
     state_depends_on_own_transmission: ClassVar[bool] = False
 
-    #: Batch-engine contract flag: True when the transmission probability is
-    #: independent of the slot index and the shared state changes *only* upon
-    #: receiving a message.  Between two receptions every slot is then i.i.d.,
-    #: so the batch engine samples the length of each silent stretch from a
-    #: geometric distribution instead of looping slot by slot.  Slotted ALOHA
-    #: qualifies (``p = 1/remaining`` changes only on deliveries); the paper's
-    #: adaptive protocols do not — One-fail Adaptive revises its density
-    #: estimator after every single AT step (the very feature the paper names
-    #: it after) and alternates AT/BT rules by slot parity, and Log-fails
-    #: Adaptive corrects its estimator after every logarithmic failure streak.
-    probability_constant_between_receptions: ClassVar[bool] = False
-
     @abc.abstractmethod
     def transmission_probability(self, slot: int) -> float:
         """Probability with which each active station transmits in ``slot``."""
-
-    def make_batch_state(self, reps: int) -> FairBatchState | None:
-        """Return vectorised state for ``reps`` lockstep replications.
-
-        ``None`` (the default) opts the protocol out of the batch engine;
-        sweeps then fall back to one per-run simulation per seed.  Overriding
-        implementations must return a state whose evolution matches
-        :meth:`transmission_probability` / :meth:`notify` exactly, starting
-        from the *initial* (post-:meth:`reset`) state of this instance.
-        """
-        return None
 
     @classmethod
     def make_fused_batch_state(
@@ -326,17 +297,18 @@ class FairProtocol(Protocol):
     ) -> FairBatchState | None:
         """Return vectorised state for several *fused* cells of this class.
 
-        The mega engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
+        The batched fair engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
         stacks every eligible cell of a sweep along the batch axis;
         ``protocols[i]`` (an instance of ``cls``, possibly with different
-        constructor parameters) contributes ``counts[i]`` consecutive rows.
-        The returned state must therefore carry the protocol parameters as
-        *per-row* arrays, so that one kernel pass serves rows with different
-        parameterisations.  Rows belonging to one protocol instance must
-        evolve exactly as :meth:`make_batch_state` would evolve them.
+        constructor parameters, already reset) contributes ``counts[i]``
+        consecutive rows.  The returned state must carry the protocol
+        parameters as *per-row* arrays, so that one kernel pass serves rows
+        with different parameterisations, and each row must evolve exactly as
+        :meth:`transmission_probability` / :meth:`notify` evolve one
+        instance.
 
-        ``None`` (the default) opts the protocol class out of cross-cell
-        fusion; its cells then run one per-cell batch kernel each.
+        ``None`` (the default) opts the protocol class out of batching; its
+        cells then run one per-run simulation per seed.
         """
         return None
 
@@ -347,27 +319,6 @@ class FairProtocol(Protocol):
         if probability <= 0.0:
             return False
         return bool(rng.random() < probability)
-
-
-class WindowBatchState:
-    """Window schedule shared by many lockstep replications of a windowed protocol.
-
-    The windowed batch engine
-    (:class:`~repro.engine.batch_window_engine.BatchWindowEngine`) simulates
-    all R replications of a (protocol, k) cell window by window; every
-    replication traverses the *same* deterministic window schedule, so —
-    unlike :class:`FairBatchState`, whose per-replication estimators evolve
-    with each replication's own feedback — the whole batch's state is one
-    shared schedule iterator.  A windowed protocol whose schedule *reacted*
-    to channel feedback would need genuinely per-replication state and must
-    not return one of these; that is why
-    :meth:`WindowedProtocol.make_window_batch_state` defaults to ``None``
-    and every schedule-oblivious protocol opts in explicitly.
-    """
-
-    def __init__(self, lengths: Iterator[int]) -> None:
-        #: The successive window lengths, in slots (strictly positive ints).
-        self.lengths = lengths
 
 
 class WindowedProtocol(Protocol):
@@ -393,39 +344,24 @@ class WindowedProtocol(Protocol):
     def window_lengths(self) -> Iterator[int]:
         """Yield the successive contention-window lengths (in slots)."""
 
-    def make_window_batch_state(self, reps: int) -> WindowBatchState | None:
-        """Return the shared schedule state for ``reps`` lockstep replications.
+    def fused_schedule_key(self) -> tuple | None:
+        """Hashable identity of the window schedule, or ``None``.
 
-        ``None`` (the default) opts the protocol out of the windowed batch
-        engine; sweeps then fall back to one per-run
-        :class:`~repro.engine.window_engine.WindowEngine` simulation per
-        seed.  Overriding implementations declare that the window schedule is
-        *oblivious*: a pure function of the window index, never of channel
-        feedback — exactly the contract under which simulating replications
-        in lockstep against one shared schedule is sound.  All of the
-        repository's windowed protocols (Algorithm 2 and the monotone
-        back-off family) qualify and opt in.
+        A non-``None`` key declares that the window schedule is *oblivious*
+        — a pure function of the window index, never of channel feedback —
+        which is exactly the contract under which the batched windowed engine
+        (:class:`~repro.engine.megabatch.MegaWindowEngine`) may simulate every
+        replication in lockstep along one ``spawn().window_lengths()``
+        iterator.  Cells whose protocols report equal keys traverse
+        *identical* schedules and fuse into one kernel pass.
+
+        ``None`` (the default) opts the protocol out of batching; its cells
+        then run one per-run :class:`~repro.engine.window_engine.WindowEngine`
+        simulation per seed.  Oblivious protocols whose schedule is a pure
+        function of their public parameters return ``(name, sorted
+        describe() parameters)``.
         """
         return None
-
-    def fused_schedule_key(self) -> tuple | None:
-        """Hashable identity of the window schedule, for cross-cell fusion.
-
-        Cells whose protocols report equal keys traverse *identical* window
-        schedules and may be simulated in lockstep by the mega window engine
-        (:class:`~repro.engine.megabatch.MegaWindowEngine`), which iterates
-        one shared schedule for the whole fused group.  The default derives
-        the key from the protocol's registry name and its declared public
-        parameters (:meth:`Protocol.describe`), which is exact for every
-        schedule that is a pure function of those parameters; protocols
-        whose schedule depends on state not visible in ``describe()`` must
-        override this.  ``None`` (returned when the protocol has no window
-        batch kernel) opts the cell out of fusion.
-        """
-        if self.make_window_batch_state(1) is None:
-            return None
-        parameters = self.describe()["parameters"]
-        return (self.name, tuple(sorted(parameters.items())))  # type: ignore[union-attr]
 
     def reset(self) -> None:
         self._schedule: Iterator[int] | None = None

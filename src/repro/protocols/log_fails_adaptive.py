@@ -503,9 +503,6 @@ class LogFailsAdaptive(FairProtocol):
                 candidate = self._search_anchor / magnitude
             self._kappa_estimate = max(candidate, 1.0)
 
-    def make_batch_state(self, reps: int) -> _LogFailsBatchState:
-        return _LogFailsBatchState([self], [reps])
-
     @classmethod
     def make_fused_batch_state(
         cls,

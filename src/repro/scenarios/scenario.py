@@ -25,8 +25,8 @@ replication seeds are a prefix-stable stream (replication ``i`` gets the same
 seed no matter how many replications the scenario asks for), so raising the
 replication count extends a cell rather than renaming it.  For per-run
 execution a result store therefore reuses the first ``R`` outcomes when asked
-for ``R' > R``; cells executed by the vectorised batch engine are reused
-all-or-nothing instead (their results depend on the batch composition), which
+for ``R' > R``; cells executed by a batched engine are reused
+all-or-nothing instead (their results depend on the replication count), which
 keeps every served result set bit-identical to a fresh run of the same
 scenario.
 """

@@ -9,16 +9,14 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    replications already on record (re-running a completed scenario costs
    **zero** new simulations);
 2. plans exactly the missing replications as
-   :class:`~repro.experiments.parallel.SimulationUnit` work units — *fusable*
-   cells (the registry's :func:`~repro.engine.registry.fused_engine_for`
-   names the mega engine) are grouped by fuse key and stacked into **one
-   fused kernel unit per group**, so a whole grid of same-class cells costs
-   a single lockstep kernel pass; batch-eligible cells that cannot fuse get
-   one vectorised batch unit each
-   (:func:`~repro.engine.registry.batch_engine_for`:
-   :class:`~repro.engine.batch_engine.BatchFairEngine` for fair cells,
-   :class:`~repro.engine.batch_window_engine.BatchWindowEngine` for windowed
-   ones), and everything else runs as per-replication units;
+   :class:`~repro.experiments.parallel.SimulationUnit` work units —
+   batch-eligible cells (the registry's
+   :func:`~repro.engine.registry.batch_engine_for` names
+   :class:`~repro.engine.megabatch.MegaFairEngine` or
+   :class:`~repro.engine.megabatch.MegaWindowEngine`) are grouped by fuse
+   key and stacked into **one fused kernel unit per group**, so a whole grid
+   of same-class cells costs a single lockstep kernel pass, and everything
+   else runs as per-replication units;
 3. fans the units out over a
    :class:`~repro.experiments.parallel.ParallelExecutor` (cells across
    processes, replications vectorised within); and
@@ -45,7 +43,6 @@ one callback object observes several sessions or jobs.
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +90,8 @@ _M_REPLICATIONS = REGISTRY.counter(
 )
 _M_CELLS = REGISTRY.counter(
     "repro_session_cells_total",
-    "Scenario cells planned, by execution mode (one vectorised batch unit "
-    "vs per-replication units).",
+    "Scenario cells planned, by execution mode (stacked into a fused kernel "
+    "unit vs per-replication units).",
     ("mode",),
 )
 # Children resolved once — the cache probe is the service's hottest path.
@@ -111,10 +108,9 @@ class _CellPlan:
     protocol: object
     arrivals: object
     channel: object
-    use_batch: bool
-    use_fused: bool
+    batched: bool
     expected_engine: str  # name the produced SimulationResult.engine will carry
-    fuse_key: object = None  # set when use_fused: cells sharing it fuse together
+    fuse_key: object = None  # set when batched: cells sharing it fuse together
 
 
 @dataclass(frozen=True)
@@ -201,14 +197,10 @@ class Session:
         ``None`` = one per CPU).  Seeds travel with the scenarios, so the
         worker count never changes the results.
     batch:
-        Whether batch-eligible cells run as one vectorised engine call
-        (default True).  ``False`` replays the historical per-run streams
-        (and disables cross-cell fusion, which is a batched path).
-    fuse:
-        Whether fusable cells of one :meth:`run_all` grid are stacked into
-        cross-cell mega-batch kernels (default True; requires ``batch``).
-        ``False`` falls back to one batch unit per cell.  An explicit
-        ``engine="mega"``/``"mega-window"`` scenario fuses regardless.
+        Whether batch-eligible cells of one :meth:`run_all` grid are stacked
+        into fused batched kernels (default True).  ``False`` replays the
+        per-run streams; an explicit ``engine="mega"``/``"mega-window"``
+        scenario batches regardless.
     """
 
     def __init__(
@@ -216,12 +208,10 @@ class Session:
         store_dir: str | Path | StoreBackend | None = None,
         workers: int | None = 1,
         batch: bool = True,
-        fuse: bool = True,
     ) -> None:
         self.store = open_store(store_dir) if store_dir is not None else None
         self.workers = workers
         self.batch = batch
-        self.fuse = fuse
         # Serialises this session's store access so one Session instance can
         # be shared by concurrent callers (e.g. service worker threads).
         self._store_lock = threading.Lock()
@@ -253,10 +243,10 @@ class Session:
             and meta.seed == expected_seeds[replication]
             and meta.engine == plan.expected_engine
         }
-        if plan.use_batch or plan.use_fused:
-            # Same all-or-nothing rule as _usable_cached: a batch or fused
-            # cell is reusable only when it was produced as a batch of
-            # exactly this replication count.
+        if plan.batched:
+            # Same all-or-nothing rule as _usable_cached: a batched cell is
+            # reusable only when it was produced as a batch of exactly this
+            # replication count.
             usable = {
                 replication
                 for replication in usable
@@ -356,8 +346,8 @@ class Session:
             # query on indexed stores), then full result loads only for the
             # cells the counts say can actually serve: a cell with zero runs
             # on record — the entire grid on a cold store — never touches
-            # the store again, and batch/fused cells (all-or-nothing reuse)
-            # skip the load unless every replication is on record.
+            # the store again, and batched cells (all-or-nothing reuse) skip
+            # the load unless every replication is on record.
             if self.store is not None:
                 with self._store_lock:
                     counts = self.store.cached_counts(scenarios)
@@ -365,11 +355,7 @@ class Session:
                 counts = [0] * len(scenarios)
             cached = [
                 self._usable_cached(scenario, plan)
-                if count > 0
-                and (
-                    not (plan.use_batch or plan.use_fused)
-                    or count >= scenario.replications
-                )
+                if count > 0 and (not plan.batched or count >= scenario.replications)
                 else {}
                 for scenario, plan, count in zip(scenarios, plans, counts)
             ]
@@ -390,7 +376,7 @@ class Session:
                 if not missing:
                     continue
                 plan = plans[index]
-                if plan.use_fused:
+                if plan.batched:
                     # Stack this cell onto its fusion group; the groups
                     # become single kernel units after the scan.
                     _M_CELLS.labels(mode="fused").inc()
@@ -405,8 +391,19 @@ class Session:
                     group = (plan.expected_engine, plan.fuse_key)
                     fused_groups.setdefault(group, []).append(cell)
                     continue
+                _M_CELLS.labels(mode="per-run").inc()
                 units.extend(
-                    self._plan_units(index, scenario, plan, all_seeds[index], missing)
+                    SimulationUnit(
+                        protocol=plan.protocol,
+                        k=scenario.k,
+                        seed=all_seeds[index][replication],
+                        engine=scenario.engine,
+                        max_slots=scenario.max_slots(),
+                        arrivals=plan.arrivals,
+                        channel=plan.channel,
+                        tag=(index, (replication,)),
+                    )
+                    for replication in missing
                 )
             for (engine_name, _), cells in fused_groups.items():
                 units.append(
@@ -510,16 +507,14 @@ class Session:
             if replication < scenario.replications
             and run.result.engine == plan.expected_engine
         }
-        if plan.use_batch or plan.use_fused:
-            # A batch cell's results depend on the whole batch composition
-            # (one interleaved stream per batch-engine call, fair and
-            # windowed alike), so stored runs are reusable only when they
-            # come from the same engine and a batch of exactly this
-            # replication count — anything else is recomputed in full so a
-            # resumed run is bit-identical to a fresh one.  Fused cells
-            # follow the same rule: their per-cell streams make the results
-            # independent of the *group* composition, but not of the
-            # replication count within the cell.
+        if plan.batched:
+            # A batched cell's results depend on its replication count (one
+            # interleaved stream per cell, keyed by the cell's whole seed
+            # tuple), though not on which cells it was fused with — so
+            # stored runs are reusable only when they come from the same
+            # engine and a batch of exactly this replication count; anything
+            # else is recomputed in full so a resumed run is bit-identical to
+            # a fresh one.
             usable = {
                 replication: run
                 for replication, run in usable.items()
@@ -532,100 +527,41 @@ class Session:
     def _plan(self, scenario: Scenario) -> "_CellPlan":
         """Resolve a scenario's components and the engine this session will use.
 
-        Fusion, batch eligibility and engine selection are all registry
-        queries (:func:`~repro.engine.registry.fused_engine_for` /
-        :func:`~repro.engine.registry.batch_engine_for` /
+        Batch eligibility and engine selection are registry queries
+        (:func:`~repro.engine.registry.batch_engine_for` /
         :func:`~repro.engine.registry.pick_engine_name`) — the same
-        predicates the sweep runner and the engine front doors use, so the
-        layers cannot disagree about a cell's engine.
+        predicates the engine front doors use, so the layers cannot disagree
+        about a cell's engine.  A batched cell routes to its batched engine
+        even when it ends up alone in its fusion group, so a cell's expected
+        engine is a deterministic function of the scenario and the session
+        settings — resumed sweeps look for cached runs under the same engine
+        they would write.
         """
-        from repro.engine.registry import (
-            batch_engine_for,
-            engine_class,
-            fused_engine_for,
-            pick_engine_name,
-        )
+        from repro.engine.registry import batch_engine_for, engine_class, pick_engine_name
 
         protocol = scenario.build_protocol()
         arrivals = scenario.build_arrivals()
         channel = scenario.build_channel()
-        # Fusion supersedes per-cell batching: a fusable cell always routes
-        # to the mega engine when this session fuses (even when it ends up
-        # alone in its group), so a cell's expected engine is a deterministic
-        # function of the scenario and the session settings — resumed sweeps
-        # look for cached runs under the same engine they would write.
-        fused_engine = fused_engine_for(
-            protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
-        )
-        use_fused = fused_engine is not None and (
-            (self.batch and self.fuse) or scenario.engine == fused_engine
-        )
         batch_engine = batch_engine_for(
             protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
         )
-        # An explicitly selected batch engine always batches; "auto" batches
-        # only when this session says so.
-        use_batch = (
-            not use_fused
-            and batch_engine is not None
-            and (self.batch or scenario.engine == batch_engine)
-        )
-        fuse_key = None
-        if use_fused:
-            expected_engine = fused_engine
-            fuse_key = engine_class(fused_engine).fuse_key(protocol)
-        elif use_batch:
-            expected_engine = batch_engine
-        else:
-            expected_engine = pick_engine_name(
-                protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
+        # An explicitly selected batched engine always batches; "auto"
+        # batches only when this session says so.
+        if batch_engine is not None and (self.batch or scenario.engine == batch_engine):
+            return _CellPlan(
+                protocol=protocol,
+                arrivals=arrivals,
+                channel=channel,
+                batched=True,
+                expected_engine=batch_engine,
+                fuse_key=engine_class(batch_engine).fuse_key(protocol),
             )
         return _CellPlan(
             protocol=protocol,
             arrivals=arrivals,
             channel=channel,
-            use_batch=use_batch,
-            use_fused=use_fused,
-            expected_engine=expected_engine,
-            fuse_key=fuse_key,
+            batched=False,
+            expected_engine=pick_engine_name(
+                protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
+            ),
         )
-
-    def _plan_units(
-        self,
-        index: int,
-        scenario: Scenario,
-        plan: "_CellPlan",
-        seeds: Sequence[int],
-        missing: Sequence[int],
-    ) -> list[SimulationUnit]:
-        """Turn a scenario's missing replications into executor work units.
-
-        The unit ``tag`` is ``(scenario index, replication indices)`` so the
-        outcomes can be routed back and persisted per replication.
-        """
-        if plan.use_batch:
-            _M_CELLS.labels(mode="batch").inc()
-            return [
-                SimulationUnit(
-                    protocol=plan.protocol,
-                    k=scenario.k,
-                    engine=scenario.engine,
-                    max_slots=scenario.max_slots(),
-                    tag=(index, tuple(missing)),
-                    seeds=tuple(seeds[replication] for replication in missing),
-                )
-            ]
-        _M_CELLS.labels(mode="per-run").inc()
-        return [
-            SimulationUnit(
-                protocol=plan.protocol,
-                k=scenario.k,
-                seed=seeds[replication],
-                engine=scenario.engine,
-                max_slots=scenario.max_slots(),
-                arrivals=plan.arrivals,
-                channel=plan.channel,
-                tag=(index, (replication,)),
-            )
-            for replication in missing
-        ]

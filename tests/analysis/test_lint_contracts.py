@@ -1,4 +1,4 @@
-"""Import-time registry-contract rules (REG001-004).
+"""Import-time registry-contract rules (REG001-003).
 
 The conforming side is the repository itself: the live registries must pass
 every contract rule.  The violating side injects fake modules/classes and
@@ -14,7 +14,6 @@ import pytest
 
 from repro.analysis.rules_registry import (
     EngineContractRule,
-    FusedKernelContractRule,
     ProtocolContractRule,
     StoreContractRule,
 )
@@ -23,7 +22,7 @@ from repro.analysis.rules_registry import (
 class TestRealTreeIsClean:
     @pytest.mark.parametrize(
         "rule_cls",
-        [EngineContractRule, ProtocolContractRule, StoreContractRule, FusedKernelContractRule],
+        [EngineContractRule, ProtocolContractRule, StoreContractRule],
     )
     def test_registries_satisfy_their_contracts(self, rule_cls):
         assert list(rule_cls().check_project()) == []
@@ -191,80 +190,3 @@ class TestStoreContract:
             assert store_backend_class(name).__name__
         with pytest.raises(ValueError, match="unknown store backend"):
             store_backend_class("nope")
-
-
-class TestFusedKernelContract:
-    @staticmethod
-    def _install(monkeypatch, protocol_cls):
-        import repro.protocols as protocols
-
-        monkeypatch.setattr(protocols, "available_protocols", lambda: [protocol_cls.name])
-        monkeypatch.setattr(protocols, "get_protocol_class", lambda name: protocol_cls)
-        monkeypatch.setattr(protocols, "build_protocol", lambda name, k: protocol_cls())
-
-    def test_fair_batch_kernel_without_fused_hook_is_flagged(self, monkeypatch):
-        class HalfBatched:
-            name = "half-batched"
-            protocol_kind = "fair"
-
-            def make_batch_state(self, reps):
-                return object()  # has a per-cell kernel...
-
-            def spawn(self):
-                return HalfBatched()
-
-            @classmethod
-            def make_fused_batch_state(cls, prototypes, counts):
-                return None  # ...but no per-row hook
-
-        self._install(monkeypatch, HalfBatched)
-        findings = list(FusedKernelContractRule().check_project())
-        assert len(findings) == 1
-        assert "make_fused_batch_state" in findings[0].message
-
-    def test_fair_fused_hook_raising_is_flagged(self, monkeypatch):
-        class ExplodingFusion:
-            name = "exploding-fusion"
-            protocol_kind = "fair"
-
-            def make_batch_state(self, reps):
-                return object()
-
-            def spawn(self):
-                return ExplodingFusion()
-
-            @classmethod
-            def make_fused_batch_state(cls, prototypes, counts):
-                raise RuntimeError("rows not wired")
-
-        self._install(monkeypatch, ExplodingFusion)
-        findings = list(FusedKernelContractRule().check_project())
-        assert len(findings) == 1
-        assert "raises" in findings[0].message
-
-    def test_window_kernel_without_schedule_key_is_flagged(self, monkeypatch):
-        class KeylessWindow:
-            name = "keyless-window"
-            protocol_kind = "windowed"
-
-            def make_window_batch_state(self, reps):
-                return object()
-
-            def fused_schedule_key(self):
-                return None
-
-        self._install(monkeypatch, KeylessWindow)
-        findings = list(FusedKernelContractRule().check_project())
-        assert len(findings) == 1
-        assert "fused_schedule_key" in findings[0].message
-
-    def test_protocol_without_batch_kernel_is_exempt(self, monkeypatch):
-        class PerRunOnly:
-            name = "per-run-only"
-            protocol_kind = "fair"
-
-            def make_batch_state(self, reps):
-                return None  # no per-cell kernel, so nothing to fuse
-
-        self._install(monkeypatch, PerRunOnly)
-        assert list(FusedKernelContractRule().check_project()) == []

@@ -54,7 +54,7 @@ class TestRegistry:
             "RND001", "CLK001", "LCK001", "LCK002",
             "EXC001", "EXC002", "EXC003",
             "ANN001", "ANN002",
-            "REG001", "REG002", "REG003", "REG004",
+            "REG001", "REG002", "REG003",
         ):
             assert expected in ids
 

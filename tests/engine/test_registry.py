@@ -22,7 +22,6 @@ from repro.engine.registry import (
     EngineRegistry,
     available_engines,
     batch_engine_for,
-    fused_engine_for,
     engine_capabilities,
     engine_class,
     engine_names,
@@ -41,8 +40,7 @@ CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
 class TestRegistryContents:
     def test_available_engines_roster(self):
         assert available_engines() == [
-            "auto", "batch", "batch-window", "fair", "mega", "mega-window",
-            "slot", "window",
+            "auto", "fair", "mega", "mega-window", "slot", "window",
         ]
 
     def test_every_engine_declares_capabilities(self):
@@ -56,11 +54,11 @@ class TestRegistryContents:
         assert engine_capabilities("slot").arrivals
         assert engine_capabilities("fair").protocol_kinds == frozenset({"fair"})
         assert engine_capabilities("window").protocol_kinds == frozenset({"windowed"})
-        assert engine_capabilities("batch").batched
-        assert engine_capabilities("batch-window").batched
-        assert not engine_capabilities("batch").traces
-        assert not engine_capabilities("batch-window").traces
-        for name in ("fair", "window", "batch", "batch-window"):
+        assert engine_capabilities("mega").batched
+        assert engine_capabilities("mega-window").batched
+        assert not engine_capabilities("mega").traces
+        assert not engine_capabilities("mega-window").traces
+        for name in ("fair", "window", "mega", "mega-window"):
             assert not engine_capabilities(name).arrivals
 
     def test_unknown_engine_error_enumerates_registry(self):
@@ -119,13 +117,13 @@ class TestExplicitPickValidation:
         # Before the registry this either raised deep inside the engine
         # constructor or silently simulated the wrong feedback model; now the
         # explicit choice is validated up front against declared channels.
-        for engine in ("fair", "window", "batch", "batch-window"):
+        for engine in ("fair", "window", "mega", "mega-window"):
             with pytest.raises(ValueError, match="cannot serve channel"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, channel=CD_CHANNEL)
 
     def test_arrivals_rejected_for_non_arrival_engines(self):
         arrivals = PoissonArrival(k=10, rate=0.5)
-        for engine in ("fair", "window", "batch", "batch-window"):
+        for engine in ("fair", "window", "mega", "mega-window"):
             with pytest.raises(ValueError, match="arrival"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, arrivals=arrivals)
 
@@ -143,19 +141,19 @@ class TestExplicitPickValidation:
 
 class TestBatchEngineFor:
     def test_kind_routing(self):
-        assert batch_engine_for(OneFailAdaptive()) == "batch"
-        assert batch_engine_for(ExpBackonBackoff()) == "batch-window"
+        assert batch_engine_for(OneFailAdaptive()) == "mega"
+        assert batch_engine_for(ExpBackonBackoff()) == "mega-window"
         assert batch_engine_for(BinarySplitting()) is None
 
     def test_explicit_selectors(self):
-        assert batch_engine_for(OneFailAdaptive(), engine="batch") == "batch"
-        assert batch_engine_for(ExpBackonBackoff(), engine="batch-window") == "batch-window"
+        assert batch_engine_for(OneFailAdaptive(), engine="mega") == "mega"
+        assert batch_engine_for(ExpBackonBackoff(), engine="mega-window") == "mega-window"
         # A per-run selector is never batch-eligible.
         assert batch_engine_for(OneFailAdaptive(), engine="fair") is None
         assert batch_engine_for(ExpBackonBackoff(), engine="window") is None
         # A kind-mismatched batch selector is not eligible either.
-        assert batch_engine_for(ExpBackonBackoff(), engine="batch") is None
-        assert batch_engine_for(OneFailAdaptive(), engine="batch-window") is None
+        assert batch_engine_for(ExpBackonBackoff(), engine="mega") is None
+        assert batch_engine_for(OneFailAdaptive(), engine="mega-window") is None
 
     def test_arrivals_and_non_default_channels_never_batch(self):
         arrivals = PoissonArrival(k=10, rate=0.5)
@@ -188,12 +186,11 @@ class TestLayersAgreeForEveryRegisteredProtocol:
                             channel=channel_spec, max_slots_factor=100)
         protocol = scenario.build_protocol()
         channel = scenario.build_channel()
-        predicted_fused = fused_engine_for(protocol, channel=channel)
         predicted_batch = batch_engine_for(protocol, channel=channel)
         predicted_per_run = pick_engine_name(protocol, channel=channel)
 
         batched_session = Session().run(scenario)
-        expected_batched = predicted_fused or predicted_batch or predicted_per_run
+        expected_batched = predicted_batch or predicted_per_run
         assert batched_session.engine_used == expected_batched
 
         per_run_session = Session(batch=False).run(scenario)

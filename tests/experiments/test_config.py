@@ -102,10 +102,10 @@ class TestExperimentConfig:
 class TestProtocolSpec:
     def test_analysis_text_formats_ratio(self):
         spec = ProtocolSpec(
-            key="x", label="X", factory=lambda k: OneFailAdaptive(), analysis_ratio=lambda k: 3.14159
+            key="x", label="X", spec="one-fail-adaptive", analysis_ratio=lambda k: 3.14159
         )
         assert spec.analysis_text(float_format=".2f") == "3.14"
 
     def test_analysis_text_falls_back_to_note(self):
-        spec = ProtocolSpec(key="x", label="X", factory=lambda k: OneFailAdaptive())
+        spec = ProtocolSpec(key="x", label="X", spec="one-fail-adaptive")
         assert spec.analysis_text() == "-"

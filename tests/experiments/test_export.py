@@ -7,7 +7,6 @@ import json
 
 import pytest
 
-from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.export import write_json, write_markdown, write_series_dat, write_sweep_csv
 from repro.experiments.runner import run_sweep
@@ -16,7 +15,7 @@ from repro.experiments.runner import run_sweep
 @pytest.fixture(scope="module")
 def small_sweep():
     specs = [
-        ProtocolSpec(key="ofa", label="One-Fail Adaptive", factory=lambda k: OneFailAdaptive())
+        ProtocolSpec(key="ofa", label="One-Fail Adaptive", spec="one-fail-adaptive")
     ]
     config = ExperimentConfig(k_values=[10, 30], runs=3, seed=1)
     return run_sweep(specs, config)

@@ -115,45 +115,8 @@ class TestCommandLineEntryPoints:
         assert (tmp_path / "table1_comparison.md").exists()
 
 
-class TestSessionPathParity:
-    """The Session-routed sweep must reproduce the legacy factory path exactly.
-
-    The comparisons run with cross-cell fusion disabled: factory-only specs
-    take the legacy per-cell path by construction, and fused fair cells are
-    distributionally — not bit — identical to per-cell batch runs (that
-    parity is pinned in tests/engine/test_megabatch.py).
-    """
-
-    def legacy_suite(self):
-        """The paper suite expressed as factory-only specs (pre-scenario form)."""
-        from repro.experiments.config import ProtocolSpec
-        session_suite = paper_protocol_suite()
-        return [
-            ProtocolSpec(
-                key=spec.key,
-                label=spec.label,
-                factory=(lambda k, s=spec.spec: __import__("repro").build_protocol(s, k)),
-                analysis_ratio=spec.analysis_ratio,
-                analysis_note=spec.analysis_note,
-            )
-            for spec in session_suite
-        ]
-
-    def test_figure1_identical_through_session(self):
-        no_fuse = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, fuse=False)
-        session_path = reproduce_figure1(config=no_fuse)
-        legacy_path = reproduce_figure1(config=no_fuse, specs=self.legacy_suite())
-        assert session_path.series == legacy_path.series
-
-    def test_table1_identical_through_session(self):
-        no_fuse = ExperimentConfig(k_values=[10, 100], runs=2, seed=5, fuse=False)
-        session_path = reproduce_table1(config=no_fuse)
-        legacy_path = reproduce_table1(config=no_fuse, specs=self.legacy_suite())
-        for spec in session_path.specs:
-            for k in no_fuse.k_values:
-                assert session_path.measured_ratio(spec.key, k) == legacy_path.measured_ratio(
-                    spec.key, k
-                )
+class TestSweepFlags:
+    """Worker count, batching and stores, through the paper's experiments."""
 
     def test_workers_and_batch_flags_still_honoured(self, tiny_config):
         serial = reproduce_figure1(config=tiny_config)

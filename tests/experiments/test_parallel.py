@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.channel.arrivals import PoissonArrival
-from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.parallel import (
@@ -24,8 +23,8 @@ from repro.experiments.runner import run_sweep
 
 def small_specs() -> list[ProtocolSpec]:
     return [
-        ProtocolSpec(key="ofa", label="One-Fail Adaptive", factory=lambda k: OneFailAdaptive()),
-        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", factory=lambda k: ExpBackonBackoff()),
+        ProtocolSpec(key="ofa", label="One-Fail Adaptive", spec="one-fail-adaptive"),
+        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", spec="exp-backon-backoff"),
     ]
 
 
@@ -129,20 +128,16 @@ class TestParallelSweep:
             ("ofa", 10, 2, 2),
         ]
 
-    def test_arrivals_factory_routes_to_slot_engine(self):
+    def test_arrivals_route_to_slot_engine(self):
         config = ExperimentConfig(k_values=[12], runs=2, seed=3)
-        sweep = run_sweep(
-            small_specs()[:1],
-            config,
-            arrivals_factory=lambda k: PoissonArrival(k=k, rate=0.2),
-        )
+        sweep = run_sweep(small_specs()[:1], config, arrivals="poisson(rate=0.2)")
         for result in sweep.cell("ofa", 12).results:
             assert result.engine == "slot"
             assert result.metadata["arrivals"] == "PoissonArrival"
 
     def test_arrivals_sweep_parallel_matches_serial(self):
         config = ExperimentConfig(k_values=[12], runs=2, seed=3)
-        factory = lambda k: PoissonArrival(k=k, rate=0.2)  # noqa: E731
-        serial = run_sweep(small_specs()[:1], config, workers=1, arrivals_factory=factory)
-        parallel = run_sweep(small_specs()[:1], config, workers=2, arrivals_factory=factory)
+        arrivals = "poisson(rate=0.2)"
+        serial = run_sweep(small_specs()[:1], config, workers=1, arrivals=arrivals)
+        parallel = run_sweep(small_specs()[:1], config, workers=2, arrivals=arrivals)
         assert serial.cell("ofa", 12).results == parallel.cell("ofa", 12).results

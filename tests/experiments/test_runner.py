@@ -4,16 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.exp_backon_backoff import ExpBackonBackoff
-from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 
 
 def small_specs() -> list[ProtocolSpec]:
     return [
-        ProtocolSpec(key="ofa", label="One-Fail Adaptive", factory=lambda k: OneFailAdaptive()),
-        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", factory=lambda k: ExpBackonBackoff()),
+        ProtocolSpec(key="ofa", label="One-Fail Adaptive", spec="one-fail-adaptive"),
+        ProtocolSpec(key="ebb", label="Exp Back-on/Back-off", spec="exp-backon-backoff"),
     ]
 
 

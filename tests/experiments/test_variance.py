@@ -6,7 +6,6 @@ import pytest
 
 from repro.experiments.config import ProtocolSpec, paper_protocol_suite
 from repro.experiments.variance import run_variance_experiment
-from repro.core.one_fail_adaptive import OneFailAdaptive
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +52,6 @@ class TestVarianceExperiment:
             run_variance_experiment(k_values=())
 
     def test_custom_spec_subset(self):
-        specs = [ProtocolSpec(key="ofa", label="OFA", factory=lambda k: OneFailAdaptive())]
+        specs = [ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")]
         result = run_variance_experiment(k_values=(100,), runs=3, specs=specs)
         assert len(result.cells) == 1

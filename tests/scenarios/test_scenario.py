@@ -17,7 +17,7 @@ from repro.util.rng import derive_seeds
 class TestRegistries:
     def test_available_engines_covers_all(self):
         assert available_engines() == [
-            "auto", "batch", "batch-window", "fair", "mega", "mega-window", "slot", "window",
+            "auto", "fair", "mega", "mega-window", "slot", "window",
         ]
 
     def test_available_arrivals(self):

@@ -25,14 +25,11 @@ class TestSessionExecution:
 
     def test_batch_routing_for_eligible_cells(self):
         assert Session().run(scenario()).engine_used == "mega"
-        assert Session(fuse=False).run(scenario()).engine_used == "batch"
         assert Session(batch=False).run(scenario()).engine_used == "fair"
 
     def test_windowed_protocol_batch_routing(self):
         result_set = Session().run(scenario("exp-backon-backoff k=60 reps=2 seed=7"))
         assert result_set.engine_used == "mega-window"
-        result_set = Session(fuse=False).run(scenario("exp-backon-backoff k=60 reps=2 seed=7"))
-        assert result_set.engine_used == "batch-window"
         result_set = Session(batch=False).run(scenario("exp-backon-backoff k=60 reps=2 seed=7"))
         assert result_set.engine_used == "window"
 
