@@ -24,9 +24,7 @@ from repro import Scenario, Session, paper_analysis
 def main() -> int:
     k = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000
     seed = 2011
-    # batch=False: a single replication gains nothing from the vectorised
-    # batch engine, and the per-run engines match the paper's traces exactly.
-    session = Session(batch=False)
+    session = Session()
 
     print(f"Static k-selection on a single-hop radio network, k = {k} contenders")
     print("(channel without collision detection; batched arrivals; no knowledge of k)")

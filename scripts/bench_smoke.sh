@@ -1,10 +1,7 @@
 #!/usr/bin/env sh
 # Fast benchmark smoke target: exercises each benchmark harness path that is
-# cheap enough for CI (the parallel-execution fidelity checks, plus the
-# batched-engine checks of bench_megabatch.py: fused cross-cell sweeps are the
-# default, stay deterministic, route to the per-run engines on batch=False,
-# and match the per-run makespan distributions for every paper protocol)
-# without running the full sweeps, then a Session-store smoke run proving that
+# cheap enough for CI (the parallel-execution fidelity checks) without running
+# the full sweeps, then a Session-store smoke run proving that
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
 # simulations), and a simulation-service smoke (cached resubmission over
@@ -12,9 +9,6 @@
 # (crash-recovery time + zero-duplicate chaos assertions ->
 # benchmark_results/BENCH_faults.json), and the chaos-marked test subset
 # re-runs the deterministic fault-injection suite.
-# The whole-Figure-1 timing (per-run vs fused; writes
-# benchmark_results/BENCH_megabatch.json) runs with:
-#   PYTHONPATH=src python -m pytest benchmarks/bench_megabatch.py -q
 # Usage:  sh scripts/bench_smoke.sh
 set -eu
 cd "$(dirname "$0")/.."

@@ -15,7 +15,7 @@ The library provides:
 * the baselines the paper compares against — :class:`LogFailsAdaptive`
   (reconstruction of reference [7]) and :class:`LogLogIteratedBackoff` plus
   the rest of the monotone back-off family of reference [2];
-* the channel substrate (:mod:`repro.channel`) and five cross-validated
+* the channel substrate (:mod:`repro.channel`) and four cross-validated
   simulation engines behind one capability registry (:mod:`repro.engine`);
 * the analysis toolkit (:mod:`repro.analysis`, :mod:`repro.core.analysis`);
 * the experiment harness regenerating Figure 1 and Table 1
@@ -54,7 +54,6 @@ from repro.engine import (
     EngineCapabilities,
     FairEngine,
     MegaFairEngine,
-    MegaWindowEngine,
     SimulationResult,
     SlotEngine,
     WindowEngine,
@@ -138,7 +137,6 @@ __all__ = [
     "WindowEngine",
     "SlotEngine",
     "MegaFairEngine",
-    "MegaWindowEngine",
     "EngineCapabilities",
     "available_engines",
     "batch_engine_for",

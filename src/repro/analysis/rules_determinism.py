@@ -1,7 +1,7 @@
 """Determinism rules: seeded randomness and clock discipline.
 
 The repository's headline claims — bit-identical parallel sweeps,
-prefix-stable seeds, distributional parity between batch and per-run engines
+prefix-stable seeds, batched rows equal to per-run runs
 — all rest on one convention: *no simulation code draws from global,
 unseeded randomness*.  ``RND001`` enforces it inside the simulation packages.
 ``CLK001`` enforces the companion timing convention: durations, deadlines and

@@ -138,9 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (SpecError, KeyError) as error:
         return _scenario_error(error)
-    # batch=False keeps the single-run semantics: "auto" picks the cheapest
-    # per-run engine; a batched engine still serves an explicit --engine mega.
-    result_set = Session(batch=False).run(scenario)
+    result_set = Session().run(scenario)
     result = result_set.results[0]
     if args.json:
         payload = result.to_dict()
@@ -197,7 +195,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # invalid parameter — reports as a one-line CLI error, not a traceback.
     try:
         scenario = _load_scenario(args)
-        session = Session(store_dir=args.store, workers=args.workers, batch=args.batch)
+        session = Session(store_dir=args.store, workers=args.workers)
         result_set = session.run(scenario)
     except (SpecError, KeyError, ValueError, OSError) as error:
         return _scenario_error(error)
@@ -218,7 +216,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_dir=args.store,
             workers=args.workers,
             job_workers=args.job_workers,
-            batch=args.batch,
             quiet=args.quiet,
             max_queue=args.max_queue,
             obs=args.obs,
@@ -618,12 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications", "--reps", type=int, default=None, help="override the replication count"
     )
     run.add_argument("--seed", type=int, default=None, help="override the root seed")
-    run.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="vectorise batch-eligible cells (--no-batch replays per-run streams)",
-    )
     run.add_argument("--json", action="store_true", help="print the machine-readable result set")
     run.set_defaults(func=_cmd_run)
 
@@ -653,12 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--job-workers", type=int, default=1, help="concurrently executing jobs (FIFO start order)"
-    )
-    serve.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="vectorise batch-eligible cells (--no-batch replays per-run streams)",
     )
     serve.add_argument("--quiet", action="store_true", help="suppress per-request log lines")
     serve.add_argument(

@@ -102,13 +102,6 @@ class ExpBackonBackoff(WindowedProtocol):
                 yield int(math.ceil(w))
                 w *= 1.0 - self.delta
 
-    def fused_schedule_key(self) -> tuple:
-        """Algorithm 2's schedule is *oblivious* — a pure function of the
-        window index and ``δ``, never of channel feedback — so replications
-        may traverse one shared iterator in lockstep."""
-        parameters = self.describe()["parameters"]
-        return (self.name, tuple(sorted(parameters.items())))  # type: ignore[union-attr]
-
     def phase_of_window(self, window_index: int) -> int:
         """Return the outer-loop phase (1-based) of the ``window_index``-th window.
 

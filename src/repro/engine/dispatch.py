@@ -29,7 +29,7 @@ from repro.channel.trace import ExecutionTrace
 
 # Importing the engine modules registers each engine with the registry.
 from repro.engine.fair_engine import FairEngine  # noqa: F401  (registration)
-from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine  # noqa: F401
+from repro.engine.megabatch import FusedCell, MegaFairEngine  # noqa: F401
 from repro.engine.registry import (
     available_engines,
     batch_engine_for,
@@ -97,10 +97,10 @@ def pick_engine(
     ``"auto"`` never selects a *batched* engine: for a single run the batch
     reduction has nothing to vectorise, and only the per-run engines collect
     traces.  Sweeps are where batching pays off — the scenario
-    :class:`~repro.scenarios.session.Session` fuses the cells of a grid into
-    :func:`simulate_megabatch` calls whenever
+    :class:`~repro.scenarios.session.Session` fuses the fair cells of a grid
+    into :func:`simulate_megabatch` calls whenever
     :func:`~repro.engine.registry.batch_engine_for` reports an eligible
-    batched engine.
+    batched engine, with results equal to the per-run ones.
 
     Explicit choices are validated against the registry: an unknown name, an
     engine that cannot serve the requested channel or arrival process, or an
@@ -152,9 +152,9 @@ def simulate(
             )
         else:
             result = chosen.simulate(protocol, k, seed=seed, max_slots=max_slots, trace=trace)
-        run_span["engine"] = result.engine
-    _M_RUNS.labels(engine=result.engine).inc()
-    _M_SLOTS.labels(engine=result.engine).inc(result.slots_simulated)
+        run_span["engine"] = chosen.name
+    _M_RUNS.labels(engine=chosen.name).inc()
+    _M_SLOTS.labels(engine=chosen.name).inc(result.slots_simulated)
     return result
 
 
@@ -168,9 +168,9 @@ def simulate_batch(
 ) -> list[SimulationResult]:
     """Simulate many replications of one (protocol, k) cell in a single batch.
 
-    The one-cell form of :func:`simulate_megabatch`: the cell's seeds key
-    its random stream and ``max_slots`` (default ``10_000 × k``) caps every
-    replication.  Returns one result per seed, in order.
+    The one-cell form of :func:`simulate_megabatch`: each seed keys its own
+    replication's stream and ``max_slots`` (default ``10_000 × k``) caps
+    every replication.  Returns one result per seed, in order.
     """
     cell = FusedCell(
         protocol=protocol, k=k, seeds=tuple(int(seed) for seed in seeds), max_slots=max_slots
@@ -190,16 +190,14 @@ def simulate_megabatch(
     one padded lockstep kernel and retire row by row, so the group costs one
     kernel traversal of the global maximum makespan instead of one per cell.
 
-    All cells must share one fuse key (same protocol class for fair cells,
-    same window schedule for windowed ones) — the engine rejects mixed
-    groups.  Eligibility is resolved through the registry's
-    :func:`~repro.engine.registry.batch_engine_for` predicate against the
-    first cell's protocol; callers needing a silent fallback check the same
-    query first and route ineligible cells through per-run :func:`simulate`
-    calls.  Returns one result list per cell, in input order; each cell's
-    results are independent of the group's composition, so re-fusing a
-    subset (e.g. on sweep resume) reproduces the original results bit for
-    bit.
+    All cells must share one fuse key (the same protocol class) — the
+    engine rejects mixed groups.  Eligibility is resolved through the
+    registry's :func:`~repro.engine.registry.batch_engine_for` predicate
+    against the first cell's protocol; callers needing a silent fallback
+    check the same query first and route ineligible cells through per-run
+    :func:`simulate` calls.  Returns one result list per cell, in input
+    order; every result equals the per-run simulation of its seed, so
+    fusing is invisible in the results.
     """
     if not cells:
         raise ValueError("simulate_megabatch needs at least one fused cell")
@@ -218,8 +216,7 @@ def simulate_megabatch(
             f"no batched engine can serve {type(protocol).__name__} "
             f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
             f"engine={engine!r} and channel={channel!r}; batch-eligible protocols "
-            "declare a kernel via make_fused_batch_state (fair) or "
-            "fused_schedule_key (windowed) and run on the paper's channel"
+            "declare a kernel via make_fused_batch_state and run on the paper's channel"
         )
     chosen = _instantiate(name, channel)
     replications = sum(len(cell.seeds) for cell in cells)

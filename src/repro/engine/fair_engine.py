@@ -20,13 +20,17 @@ what the test suite verifies against the node-level engine.
 The uniform stream derives from :class:`repro.util.rng.RandomSource` like
 every other engine's, so a single integer seed keys the same machinery
 everywhere; draws are pulled in blocks to keep the hot loop as cheap as the
-stdlib generator this engine historically used.
+stdlib generator this engine historically used.  That block format is the
+stream the fused kernel (:class:`~repro.engine.megabatch.MegaFairEngine`)
+replays row by row, so its rows equal runs of this engine.
 
 Which station delivers in a successful slot is irrelevant for the makespan
 (they are exchangeable), so station identities are not tracked.
 """
 
 from __future__ import annotations
+
+from typing import ClassVar
 
 from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
@@ -38,11 +42,13 @@ from repro.util.validation import check_positive_int
 
 __all__ = ["FairEngine"]
 
-#: Uniform draws are pulled from the numpy generator in blocks of this size:
-#: a scalar ``Generator.random()`` call costs several times a
-#: ``random.Random.random()`` call, but a block amortises the dispatch
-#: overhead to well below it.  Runs shorter than one block waste the surplus
-#: draws; at 10 runs per cell that is noise next to the per-slot loop.
+#: Uniform draws are pulled from the numpy generator in blocks of this size,
+#: at absolute slot multiples of it: a scalar ``Generator.random()`` call
+#: costs several times a ``random.Random.random()`` call, but a block
+#: amortises the dispatch overhead to well below it.  Runs shorter than one
+#: block waste the surplus draws; at 10 runs per cell that is noise next to
+#: the per-slot loop.  The block size is part of the stream format that the
+#: fused kernel replays, so changing it means bumping ``stream_version``.
 _DRAW_BLOCK = 1024
 
 
@@ -60,6 +66,11 @@ class FairEngine:
         traces=True,
         cost_rank=10,
     )
+
+    #: Version of this engine's random stream (seed → draws → outcomes).
+    #: Stored runs are reused only under the version that produced them, so
+    #: any change to the draw order must bump it.
+    stream_version: ClassVar[int] = 1
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
         self.channel = check_engine_channel(type(self), channel)
@@ -170,6 +181,7 @@ class FairEngine:
             protocol=protocol.name,
             engine=self.name,
             seed=seed,
+            metadata={"stream_version": self.stream_version},
         )
 
     def _unsolved(
@@ -193,4 +205,5 @@ class FairEngine:
             protocol=protocol.name,
             engine=self.name,
             seed=seed,
+            metadata={"stream_version": self.stream_version},
         )

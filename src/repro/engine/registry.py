@@ -72,9 +72,12 @@ class EngineCapabilities:
         Whether the engine is a *batched* engine: it exposes
         ``simulate_fused(cells)`` running many replications of many
         (protocol, k) cells in one kernel, a ``supports(protocol)`` kernel
-        check and a ``fuse_key(protocol)`` grouping hook.  Batched engines
-        are never chosen by ``engine="auto"`` for single runs;
-        :func:`batch_engine_for` selects among them for whole cells.
+        check, a ``fuse_key(protocol)`` grouping hook and ``replays``, the
+        per-run engine class whose runs its rows reproduce.  Per-run engines
+        declare an integer ``stream_version`` instead (see
+        :attr:`~repro.engine.fair_engine.FairEngine.stream_version`).
+        Batched engines are never chosen by ``engine="auto"`` for single
+        runs; :func:`batch_engine_for` selects among them for whole cells.
     traces:
         Whether the engine can fill an
         :class:`~repro.channel.trace.ExecutionTrace` with per-slot records.
@@ -135,7 +138,8 @@ class EngineRegistry:
         The class must declare a unique ``name`` and an
         :class:`EngineCapabilities` instance as its ``capabilities``
         attribute; batched engines must additionally provide a
-        ``supports(protocol)`` classmethod (the kernel-availability check).
+        ``supports(protocol)`` classmethod (the kernel-availability check)
+        and ``replays``, per-run engines an integer ``stream_version``.
         """
         name = getattr(cls, "name", None)
         if not isinstance(name, str) or not name:
@@ -145,10 +149,17 @@ class EngineRegistry:
             raise ValueError(
                 f"{cls.__name__} must declare an EngineCapabilities 'capabilities' attribute"
             )
-        if capabilities.batched and not callable(getattr(cls, "supports", None)):
-            raise ValueError(
-                f"batched engine {cls.__name__} must provide a supports(protocol) classmethod"
-            )
+        if capabilities.batched:
+            if not callable(getattr(cls, "supports", None)):
+                raise ValueError(
+                    f"batched engine {cls.__name__} must provide a supports(protocol) classmethod"
+                )
+            if not isinstance(getattr(getattr(cls, "replays", None), "stream_version", None), int):
+                raise ValueError(
+                    f"batched engine {cls.__name__} must name the per-run engine it replays"
+                )
+        elif not isinstance(getattr(cls, "stream_version", None), int):
+            raise ValueError(f"per-run engine {cls.__name__} must declare an int stream_version")
         existing = self._engines.get(name)
         if existing is not None and existing is not cls:
             raise ValueError(f"engine name {name!r} already registered by {existing.__name__}")

@@ -8,6 +8,8 @@ fair and window engines are validated against it by
 
 from __future__ import annotations
 
+from typing import ClassVar
+
 from repro.channel.arrivals import ArrivalProcess, BatchArrival
 from repro.channel.model import ChannelModel
 from repro.channel.radio_network import RadioNetwork
@@ -37,6 +39,9 @@ class SlotEngine:
         traces=True,
         cost_rank=90,
     )
+
+    #: Version of this engine's random stream (see ``FairEngine.stream_version``).
+    stream_version: ClassVar[int] = 1
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
         self.channel = check_engine_channel(type(self), channel)
@@ -79,7 +84,10 @@ class SlotEngine:
             max_slots=max_slots if max_slots is not None else self.max_slots_factor * process.total_messages,
         )
         raw = network.run(trace=trace, collect_node_summaries=arrivals is not None)
-        metadata: dict[str, object] = {"arrivals": process.describe()["type"]}
+        metadata: dict[str, object] = {
+            "arrivals": process.describe()["type"],
+            "stream_version": self.stream_version,
+        }
         if arrivals is not None:
             # Per-message delivery latency (delivery slot − arrival slot) is
             # the quantity a dynamic analysis would bound; expose it so the

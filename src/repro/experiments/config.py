@@ -184,14 +184,10 @@ class ExperimentConfig:
     serial behaviour, ``0`` means one worker per CPU.  Seeds are derived
     before dispatch, so the worker count never changes the results.
 
-    ``batch`` (default True) lets the runner stack all batch-eligible cells
-    of the grid into fused kernels
-    (:class:`~repro.engine.megabatch.MegaFairEngine` /
-    :class:`~repro.engine.megabatch.MegaWindowEngine`) — one kernel pass per
-    protocol family.  Batched sweeps are deterministic in the seed and
-    independent of which cells happen to fuse together, but sample a
-    *different* (distributionally identical) set of runs than
-    ``batch=False``, which replays the per-run streams.
+    The runner stacks the batch-eligible fair cells of the grid into fused
+    kernels (:class:`~repro.engine.megabatch.MegaFairEngine`), one kernel
+    pass per protocol family; fused rows equal the per-run simulations of
+    their seeds, so batching never changes the results.
     """
 
     k_values: Sequence[int] = field(default_factory=paper_k_values)
@@ -199,7 +195,6 @@ class ExperimentConfig:
     seed: int = 2011  # year of the paper; any fixed value works
     max_slots_factor: int = 10_000
     workers: int = 1
-    batch: bool = True
 
     def __post_init__(self) -> None:
         if not self.k_values:
@@ -220,5 +215,4 @@ class ExperimentConfig:
             "seed": self.seed,
             "max_slots_factor": self.max_slots_factor,
             "workers": self.workers,
-            "batch": self.batch,
         }

@@ -29,6 +29,7 @@ share of the fused work.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from collections.abc import Callable, Sequence
@@ -42,6 +43,8 @@ from repro.channel.model import ChannelModel
 # name on this module.
 from repro.engine.dispatch import FusedCell, simulate, simulate_batch, simulate_megabatch  # noqa: F401
 from repro.engine.result import SimulationResult
+from repro.obs import REGISTRY
+from repro.obs.metrics import CounterKey
 from repro.protocols.base import Protocol
 
 __all__ = [
@@ -127,7 +130,9 @@ class UnitOutcome:
     Single-run units populate both ``result`` and the one-element
     ``results``; fused-group units leave ``result`` ``None`` and populate
     ``cells`` (one :class:`FusedCellOutcome` per fused cell, in cell order)
-    plus the flattened ``results``.
+    plus the flattened ``results``.  Units run in a pool worker also carry
+    the counter increments the worker made while running them
+    (``counter_deltas``), which the parent adds to its own registry.
     """
 
     index: int
@@ -136,6 +141,7 @@ class UnitOutcome:
     tag: object = None
     results: tuple[SimulationResult, ...] = field(default=())
     cells: tuple[FusedCellOutcome, ...] | None = None
+    counter_deltas: dict[CounterKey, float] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not self.results and self.result is not None:
@@ -205,6 +211,23 @@ def _execute_unit(index: int, unit: SimulationUnit) -> UnitOutcome:
     )
 
 
+def _execute_unit_in_worker(index: int, unit: SimulationUnit) -> UnitOutcome:
+    """:func:`_execute_unit` in a pool worker, returning its counter increments.
+
+    Metrics recorded in a worker process live in that process's registry,
+    so the outcome ships the difference of the worker's counter totals
+    around the unit back to the parent.
+    """
+    before = REGISTRY.counter_totals()
+    outcome = _execute_unit(index, unit)
+    deltas = {
+        key: value - before.get(key, 0.0)
+        for key, value in REGISTRY.counter_totals().items()
+        if value != before.get(key, 0.0)
+    }
+    return dataclasses.replace(outcome, counter_deltas=deltas)
+
+
 @dataclass
 class ParallelExecutor:
     """Run simulation units serially or across a process pool.
@@ -271,12 +294,13 @@ class ParallelExecutor:
                     except StopIteration:
                         exhausted = True
                         break
-                    pending.add(pool.submit(_execute_unit, index, unit))
+                    pending.add(pool.submit(_execute_unit_in_worker, index, unit))
                 if not pending:
                     break
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     outcome = future.result()
+                    REGISTRY.merge_counters(outcome.counter_deltas)
                     outcomes[outcome.index] = outcome
                     if progress is not None:
                         progress(outcome)

@@ -9,18 +9,15 @@ modules wrap it with the paper's specific protocol suites and presentation.
 :func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
 cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
 whole grid is executed by a :class:`~repro.scenarios.session.Session` —
-which stacks every batch-eligible cell of the grid into fused kernels
+which stacks the batch-eligible fair cells of the grid into fused kernels
 (the registry's :func:`~repro.engine.registry.batch_engine_for` picks
-:class:`~repro.engine.megabatch.MegaFairEngine` /
-:class:`~repro.engine.megabatch.MegaWindowEngine`; ``batch=False`` opts
-out) and, when ``store_dir`` is given, persists every replication to a
-JSONL store so an interrupted sweep resumes with only the missing cells
-executed.
+:class:`~repro.engine.megabatch.MegaFairEngine`) and, when ``store_dir`` is
+given, persists every replication to a JSONL store so an interrupted sweep
+resumes with only the missing cells executed.
 
 Cell seeds are derived *before* dispatch, so ``workers=N`` produces
-bit-identical cells to ``workers=1``.  Batched cells are deterministic but
-sample a *different* (distributionally identical) set of runs than
-``batch=False``, which replays the per-run streams.
+bit-identical cells to ``workers=1``, and fused rows equal the per-run
+simulations of their seeds, so batching never changes a cell either.
 """
 
 from __future__ import annotations
@@ -137,7 +134,6 @@ def run_sweep(
     progress: ProgressCallback | None = None,
     workers: int | None = None,
     arrivals: str = "batch",
-    batch: bool | None = None,
     store_dir: str | Path | None = None,
 ) -> SweepResult:
     """Run every (protocol, k, repetition) combination of the sweep.
@@ -175,13 +171,6 @@ def run_sweep(
         process routes every run to the node-level engine (the dynamic
         workloads of the paper's Section 6) — the batched reductions assume
         slot-0 arrivals.
-    batch:
-        Whether batch-eligible cells are stacked into fused batched kernels;
-        defaults to ``config.batch``.  Eligibility is the registry's
-        :func:`~repro.engine.registry.batch_engine_for`; ineligible cells
-        (protocols without a batched kernel, arrival processes, custom
-        channels, explicit per-run ``engine`` selectors) silently take the
-        per-run path either way.
     store_dir:
         Optional Session store directory.  When given, every replication is
         persisted there and completed cells are served from the store on
@@ -210,7 +199,6 @@ def run_sweep(
     session = Session(
         store_dir=store_dir,
         workers=config.workers if workers is None else workers,
-        batch=config.batch if batch is None else batch,
     )
 
     def session_progress(index: int, _scenario: Scenario, done: int, total: int) -> None:

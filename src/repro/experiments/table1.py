@@ -159,13 +159,6 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes for the sweep (0 = one per CPU); results are identical for any value",
     )
     parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="stack all batch-eligible cells of the sweep into fused batched "
-        "kernels (--no-batch replays the per-run streams)",
-    )
-    parser.add_argument(
         "--output-dir",
         type=Path,
         default=None,
@@ -186,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         runs=args.runs,
         seed=args.seed,
         workers=args.workers,
-        batch=args.batch,
     )
     table = reproduce_table1(config=config, progress=not args.quiet, store_dir=args.store)
 

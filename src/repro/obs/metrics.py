@@ -341,6 +341,11 @@ class Histogram(_Family):
         self.labels().observe(value)
 
 
+#: A counter series across processes: (family name, help, label names,
+#: label values).
+CounterKey = tuple[str, str, tuple[str, ...], tuple[str, ...]]
+
+
 class MetricsRegistry:
     """Get-or-create registry of metric families.
 
@@ -396,6 +401,25 @@ class MetricsRegistry:
         """Drop every family (tests and benchmark harnesses only)."""
         with self._lock:
             self._families.clear()
+
+    def counter_totals(self) -> dict[CounterKey, float]:
+        """The current value of every counter series.
+
+        With :meth:`merge_counters` this carries counts across a process
+        boundary: a worker process takes the totals before and after a unit
+        of work and ships the difference back for the parent to add.
+        """
+        return {
+            (family.name, family.help, family.labelnames, labelvalues): child.value  # type: ignore[attr-defined]
+            for family in self.families()
+            if isinstance(family, Counter)
+            for labelvalues, child in family.children()
+        }
+
+    def merge_counters(self, deltas: Mapping[CounterKey, float]) -> None:
+        """Add counter increments made elsewhere (see :meth:`counter_totals`)."""
+        for (name, help, labelnames, labelvalues), amount in deltas.items():
+            self.counter(name, help, labelnames).labels(*labelvalues).inc(amount)
 
     def snapshot(self) -> dict[str, dict[str, object]]:
         """Return all families and children as a plain nested dict."""

@@ -63,14 +63,6 @@ class WindowBackoffProtocol(WindowedProtocol):
     def window_sequence(self) -> Iterator[float]:
         """Yield the (real-valued, non-decreasing) window sizes."""
 
-    def fused_schedule_key(self) -> tuple:
-        """Every member of the family is defined by a fixed window sequence —
-        a pure function of the round index and the public parameters, never
-        of channel feedback (that is what *monotone back-off* means in [2]) —
-        so replications may traverse one shared iterator in lockstep."""
-        parameters = self.describe()["parameters"]
-        return (self.name, tuple(sorted(parameters.items())))  # type: ignore[union-attr]
-
     def window_lengths(self) -> Iterator[int]:
         previous = 0
         for size in self.window_sequence():

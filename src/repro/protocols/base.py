@@ -201,9 +201,9 @@ class FairBatchState(abc.ABC):
     simulates all rows (cell × replication) of a fused group at once; for
     that it needs the protocol's shared state as row-sized numpy arrays
     instead of one Python object per replication.  Implementations must
-    mirror the scalar protocol *exactly*: the batched engine is validated
-    distributionally against the per-run fair engine, and any semantic drift
-    here shows up there.
+    mirror the scalar protocol *exactly*: each fused row is checked for
+    equality against the per-run fair engine's run of the same seed, and
+    any semantic drift here shows up there.
 
     All methods operate on the *live* rows only — the engine compacts the
     batch as rows finish, and calls :meth:`compact` so the state arrays
@@ -343,25 +343,6 @@ class WindowedProtocol(Protocol):
     @abc.abstractmethod
     def window_lengths(self) -> Iterator[int]:
         """Yield the successive contention-window lengths (in slots)."""
-
-    def fused_schedule_key(self) -> tuple | None:
-        """Hashable identity of the window schedule, or ``None``.
-
-        A non-``None`` key declares that the window schedule is *oblivious*
-        — a pure function of the window index, never of channel feedback —
-        which is exactly the contract under which the batched windowed engine
-        (:class:`~repro.engine.megabatch.MegaWindowEngine`) may simulate every
-        replication in lockstep along one ``spawn().window_lengths()``
-        iterator.  Cells whose protocols report equal keys traverse
-        *identical* schedules and fuse into one kernel pass.
-
-        ``None`` (the default) opts the protocol out of batching; its cells
-        then run one per-run :class:`~repro.engine.window_engine.WindowEngine`
-        simulation per seed.  Oblivious protocols whose schedule is a pure
-        function of their public parameters return ``(name, sorted
-        describe() parameters)``.
-        """
-        return None
 
     def reset(self) -> None:
         self._schedule: Iterator[int] | None = None

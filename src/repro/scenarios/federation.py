@@ -45,6 +45,7 @@ from repro.scenarios.store import (
     StoreCapabilities,
     StoredRun,
     open_store,
+    stream_version_of,
 )
 
 __all__ = ["RemoteStore", "SyncReport", "resolve_store", "sync"]
@@ -155,9 +156,7 @@ class RemoteStore(StoreBackend):
                 replication=replication,
                 seed=run.seed,
                 engine=run.result.engine,
-                batch_reps=run.result.metadata.get("batch_reps")
-                if isinstance(run.result.metadata.get("batch_reps"), int)
-                else None,
+                stream_version=stream_version_of(run.result),
             )
             for replication, run in self.load(scenario).items()
         }

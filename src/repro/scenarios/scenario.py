@@ -23,12 +23,15 @@ Identity and hashing
 :meth:`content_hash` covers every field *except* ``replications``: the
 replication seeds are a prefix-stable stream (replication ``i`` gets the same
 seed no matter how many replications the scenario asks for), so raising the
-replication count extends a cell rather than renaming it.  For per-run
-execution a result store therefore reuses the first ``R`` outcomes when asked
-for ``R' > R``; cells executed by a batched engine are reused
-all-or-nothing instead (their results depend on the replication count), which
-keeps every served result set bit-identical to a fresh run of the same
-scenario.
+replication count extends a cell rather than renaming it.  Every
+replication draws its own stream from its own seed — batched execution
+included, whose fused rows replay the per-run engine's stream — so a result
+store reuses the first ``R`` outcomes when asked for ``R' > R`` and
+simulates only the ``R' − R`` missing ones, and every served result set is
+bit-identical to a fresh run of the same scenario.  Stored runs are reused
+only under the (seed, engine, stream version) that produced them, so a
+change to an engine's stream re-simulates a cell once instead of mixing
+streams.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    :class:`~repro.experiments.parallel.SimulationUnit` work units —
    batch-eligible cells (the registry's
    :func:`~repro.engine.registry.batch_engine_for` names
-   :class:`~repro.engine.megabatch.MegaFairEngine` or
-   :class:`~repro.engine.megabatch.MegaWindowEngine`) are grouped by fuse
-   key and stacked into **one fused kernel unit per group**, so a whole grid
-   of same-class cells costs a single lockstep kernel pass, and everything
-   else runs as per-replication units;
+   :class:`~repro.engine.megabatch.MegaFairEngine`) are grouped by fuse key,
+   and a group of at least :data:`_MIN_FUSED_ROWS` replications is stacked
+   into **one fused kernel unit**, so a whole grid of same-class cells costs
+   a single lockstep kernel pass; everything else runs as per-replication
+   units.  A fused row equals the per-run simulation of its seed, so the
+   choice never shows in the results;
 3. fans the units out over a
    :class:`~repro.experiments.parallel.ParallelExecutor` (cells across
    processes, replications vectorised within); and
@@ -57,7 +58,7 @@ from repro.experiments.parallel import (
     UnitOutcome,
 )
 from repro.scenarios.scenario import Scenario
-from repro.scenarios.store import StoreBackend, StoredRun, open_store
+from repro.scenarios.store import StoreBackend, StoredRun, open_store, stream_version_of
 
 __all__ = ["ResultSet", "Session", "SessionProgress"]
 
@@ -88,6 +89,16 @@ _M_REPLICATIONS = REGISTRY.counter(
     "Replications delivered by session calls, by source (cached vs fresh).",
     ("source",),
 )
+#: A same-key fair group is fused into one kernel unit only when it holds at
+#: least this many replications; smaller groups run per replication.  Fused
+#: and per-run results are equal, so this is purely a speed decision.
+#: Measured on a 2-vCPU VM, fused vs R per-run FairEngine calls: at R <= 3
+#: per-run wins (OFA k=64, R=3: 3.8 vs 7.0 ms; OFA k=10³, R=3: 73 vs 91 ms);
+#: from R=5 fused wins by 1.07-1.49x, and at R=8 by 1.2-2.1x.  Service cells
+#: (a few replications) fall on one side, Table 1 groups (30-60 rows) on the
+#: other.  An explicit ``engine="mega"`` always fuses.
+_MIN_FUSED_ROWS = 4
+
 _M_CELLS = REGISTRY.counter(
     "repro_session_cells_total",
     "Scenario cells planned, by execution mode (stacked into a fused kernel "
@@ -103,14 +114,17 @@ _M_REPL_FRESH = _M_REPLICATIONS.labels(source="fresh")
 
 @dataclass(frozen=True)
 class _CellPlan:
-    """Resolved execution plan of one scenario under one session's settings."""
+    """Resolved execution plan of one scenario."""
 
     protocol: object
     arrivals: object
     channel: object
-    batched: bool
-    expected_engine: str  # name the produced SimulationResult.engine will carry
-    fuse_key: object = None  # set when batched: cells sharing it fuse together
+    # The reuse key of the runs this cell produces: the engine name their
+    # SimulationResult.engine carries and that engine's stream version.
+    engine: str
+    stream_version: int
+    kernel: str | None = None  # batched engine able to fuse the cell, if any
+    fuse_key: object = None  # set with kernel: cells sharing it fuse together
 
 
 @dataclass(frozen=True)
@@ -196,22 +210,15 @@ class Session:
         Worker processes for fan-out (``1`` = serial in-process, ``0``/
         ``None`` = one per CPU).  Seeds travel with the scenarios, so the
         worker count never changes the results.
-    batch:
-        Whether batch-eligible cells of one :meth:`run_all` grid are stacked
-        into fused batched kernels (default True).  ``False`` replays the
-        per-run streams; an explicit ``engine="mega"``/``"mega-window"``
-        scenario batches regardless.
     """
 
     def __init__(
         self,
         store_dir: str | Path | StoreBackend | None = None,
         workers: int | None = 1,
-        batch: bool = True,
     ) -> None:
         self.store = open_store(store_dir) if store_dir is not None else None
         self.workers = workers
-        self.batch = batch
         # Serialises this session's store access so one Session instance can
         # be shared by concurrent callers (e.g. service worker threads).
         self._store_lock = threading.Lock()
@@ -236,25 +243,14 @@ class Session:
         with self._store_lock:
             index = self.store.run_index(scenario)
         expected_seeds = scenario.seeds()
-        usable = {
-            replication
+        return sum(
+            1
             for replication, meta in index.items()
             if replication < scenario.replications
             and meta.seed == expected_seeds[replication]
-            and meta.engine == plan.expected_engine
-        }
-        if plan.batched:
-            # Same all-or-nothing rule as _usable_cached: a batched cell is
-            # reusable only when it was produced as a batch of exactly this
-            # replication count.
-            usable = {
-                replication
-                for replication in usable
-                if index[replication].batch_reps == scenario.replications
-            }
-            if len(usable) != scenario.replications:
-                usable = set()
-        return len(usable)
+            and meta.engine == plan.engine
+            and meta.stream_version == plan.stream_version
+        )
 
     def is_cached(self, scenario: Scenario) -> bool:
         """Whether :meth:`run` would perform zero new simulations."""
@@ -346,23 +342,37 @@ class Session:
             # query on indexed stores), then full result loads only for the
             # cells the counts say can actually serve: a cell with zero runs
             # on record — the entire grid on a cold store — never touches
-            # the store again, and batched cells (all-or-nothing reuse) skip
-            # the load unless every replication is on record.
+            # the store again.
             if self.store is not None:
                 with self._store_lock:
                     counts = self.store.cached_counts(scenarios)
             else:
                 counts = [0] * len(scenarios)
             cached = [
-                self._usable_cached(scenario, plan)
-                if count > 0 and (not plan.batched or count >= scenario.replications)
-                else {}
+                self._usable_cached(scenario, plan) if count > 0 else {}
                 for scenario, plan, count in zip(scenarios, plans, counts)
             ]
 
             units: list[SimulationUnit] = []
-            fused_groups: dict[tuple, list[FusedCell]] = {}
+            fusable: dict[tuple, list[tuple[int, list[int]]]] = {}
             done_count = [0] * len(scenarios)
+
+            def per_run(index: int, replications: Sequence[int]) -> None:
+                _M_CELLS.labels(mode="per-run").inc()
+                scenario, plan = scenarios[index], plans[index]
+                units.extend(
+                    SimulationUnit(
+                        protocol=plan.protocol,
+                        k=scenario.k,
+                        seed=all_seeds[index][replication],
+                        engine=scenario.engine,
+                        max_slots=scenario.max_slots(),
+                        arrivals=plan.arrivals,
+                        channel=plan.channel,
+                        tag=(index, (replication,)),
+                    )
+                    for replication in replications
+                )
             for index, scenario in enumerate(scenarios):
                 missing = [
                     replication
@@ -376,46 +386,41 @@ class Session:
                 if not missing:
                     continue
                 plan = plans[index]
-                if plan.batched:
-                    # Stack this cell onto its fusion group; the groups
-                    # become single kernel units after the scan.
-                    _M_CELLS.labels(mode="fused").inc()
-                    seeds = all_seeds[index]
-                    cell = FusedCell(
-                        protocol=plan.protocol,
-                        k=scenario.k,
-                        seeds=tuple(seeds[replication] for replication in missing),
-                        max_slots=scenario.max_slots(),
+                if plan.kernel is None:
+                    per_run(index, missing)
+                else:
+                    # Collect the cell into its fusion group; the groups are
+                    # planned after the scan, once their sizes are known.
+                    fusable.setdefault((plan.kernel, plan.fuse_key), []).append(
+                        (index, missing)
+                    )
+            fused_groups = 0
+            for (kernel, _), members in fusable.items():
+                rows = sum(len(missing) for _, missing in members)
+                forced = any(scenarios[index].engine == kernel for index, _ in members)
+                if rows < _MIN_FUSED_ROWS and not forced:
+                    for index, missing in members:
+                        per_run(index, missing)
+                    continue
+                _M_CELLS.labels(mode="fused").inc(len(members))
+                cells = tuple(
+                    FusedCell(
+                        protocol=plans[index].protocol,
+                        k=scenarios[index].k,
+                        seeds=tuple(all_seeds[index][replication] for replication in missing),
+                        max_slots=scenarios[index].max_slots(),
                         tag=(index, tuple(missing)),
                     )
-                    group = (plan.expected_engine, plan.fuse_key)
-                    fused_groups.setdefault(group, []).append(cell)
-                    continue
-                _M_CELLS.labels(mode="per-run").inc()
-                units.extend(
-                    SimulationUnit(
-                        protocol=plan.protocol,
-                        k=scenario.k,
-                        seed=all_seeds[index][replication],
-                        engine=scenario.engine,
-                        max_slots=scenario.max_slots(),
-                        arrivals=plan.arrivals,
-                        channel=plan.channel,
-                        tag=(index, (replication,)),
-                    )
-                    for replication in missing
+                    for index, missing in members
                 )
-            for (engine_name, _), cells in fused_groups.items():
                 units.append(
                     SimulationUnit(
-                        protocol=cells[0].protocol,
-                        k=cells[0].k,
-                        engine=engine_name,
-                        cells=tuple(cells),
+                        protocol=cells[0].protocol, k=cells[0].k, engine=kernel, cells=cells
                     )
                 )
+                fused_groups += 1
             plan_span["units"] = len(units)
-            plan_span["fused_groups"] = len(fused_groups)
+            plan_span["fused_groups"] = fused_groups
             plan_span["cached_replications"] = sum(done_count)
         _M_REPL_CACHED.inc(sum(done_count))
 
@@ -491,77 +496,54 @@ class Session:
     def _usable_cached(self, scenario: Scenario, plan: "_CellPlan") -> dict[int, StoredRun]:
         """The stored replications this session may serve for ``scenario``.
 
-        Serves only the replications this call asks for, and only runs
-        produced by the engine this session would pick: the scenario hash
-        deliberately ignores the batch/per-run sampling mode (both are valid
-        samples of the cell), so a store written under the other mode is
-        recomputed rather than mixed into one result set.
+        Serves only the replications this call asks for, and only runs keyed
+        like the ones this session would produce — same seed (checked by the
+        store), same engine and same stream version — so a run sampled by a
+        different engine or an older stream is recomputed once rather than
+        mixed into one result set.  Every replication is its own stream, so
+        any prefix of the cell can be reused.
         """
         if self.store is None:
             return {}
         with self._store_lock:
             stored = self.store.load(scenario)
-        usable = {
+        return {
             replication: run
             for replication, run in stored.items()
             if replication < scenario.replications
-            and run.result.engine == plan.expected_engine
+            and run.result.engine == plan.engine
+            and stream_version_of(run.result) == plan.stream_version
         }
-        if plan.batched:
-            # A batched cell's results depend on its replication count (one
-            # interleaved stream per cell, keyed by the cell's whole seed
-            # tuple), though not on which cells it was fused with — so
-            # stored runs are reusable only when they come from the same
-            # engine and a batch of exactly this replication count; anything
-            # else is recomputed in full so a resumed run is bit-identical to
-            # a fresh one.
-            usable = {
-                replication: run
-                for replication, run in usable.items()
-                if run.result.metadata.get("batch_reps") == scenario.replications
-            }
-            if len(usable) != scenario.replications:
-                usable = {}
-        return usable
 
     def _plan(self, scenario: Scenario) -> "_CellPlan":
-        """Resolve a scenario's components and the engine this session will use.
+        """Resolve a scenario's components, its reuse key and its kernel.
 
         Batch eligibility and engine selection are registry queries
         (:func:`~repro.engine.registry.batch_engine_for` /
         :func:`~repro.engine.registry.pick_engine_name`) — the same
         predicates the engine front doors use, so the layers cannot disagree
-        about a cell's engine.  A batched cell routes to its batched engine
-        even when it ends up alone in its fusion group, so a cell's expected
-        engine is a deterministic function of the scenario and the session
-        settings — resumed sweeps look for cached runs under the same engine
-        they would write.
+        about a cell's engine.  A batched engine replays a per-run engine's
+        streams (its ``replays`` attribute), so the reuse key is the per-run
+        engine's whether or not the cell ends up fused.
         """
         from repro.engine.registry import batch_engine_for, engine_class, pick_engine_name
 
         protocol = scenario.build_protocol()
         arrivals = scenario.build_arrivals()
         channel = scenario.build_channel()
-        batch_engine = batch_engine_for(
+        engine = engine_class(
+            pick_engine_name(protocol, engine=scenario.engine, channel=channel, arrivals=arrivals)
+        )
+        engine = getattr(engine, "replays", engine)
+        kernel = batch_engine_for(
             protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
         )
-        # An explicitly selected batched engine always batches; "auto"
-        # batches only when this session says so.
-        if batch_engine is not None and (self.batch or scenario.engine == batch_engine):
-            return _CellPlan(
-                protocol=protocol,
-                arrivals=arrivals,
-                channel=channel,
-                batched=True,
-                expected_engine=batch_engine,
-                fuse_key=engine_class(batch_engine).fuse_key(protocol),
-            )
         return _CellPlan(
             protocol=protocol,
             arrivals=arrivals,
             channel=channel,
-            batched=False,
-            expected_engine=pick_engine_name(
-                protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
-            ),
+            engine=engine.name,
+            stream_version=engine.stream_version,
+            kernel=kernel,
+            fuse_key=engine_class(kernel).fuse_key(protocol) if kernel is not None else None,
         )

@@ -102,6 +102,7 @@ __all__ = [
     "register_store_backend",
     "available_store_backends",
     "store_backend_class",
+    "stream_version_of",
 ]
 
 #: Shape of :meth:`Scenario.content_hash` digests (16 lowercase hex digits).
@@ -137,7 +138,7 @@ class RunMeta:
     """Index entry for one stored replication: everything a cache probe needs.
 
     Carries the fields :class:`~repro.scenarios.session.Session` filters on
-    (seed, producing engine, batch composition) *without* the full
+    (seed, producing engine, its stream version) *without* the full
     :class:`SimulationResult`, so indexed backends can answer
     ``cached_count`` probes without deserialising result payloads.
     """
@@ -145,7 +146,7 @@ class RunMeta:
     replication: int
     seed: int
     engine: str
-    batch_reps: int | None
+    stream_version: int
 
 
 @dataclass(frozen=True)
@@ -575,7 +576,7 @@ class JsonlStore(StoreBackend):
                 replication=replication,
                 seed=run.seed,
                 engine=run.result.engine,
-                batch_reps=_batch_reps(run.result),
+                stream_version=stream_version_of(run.result),
             )
             for replication, run in self._cell_runs(scenario).items()
         }
@@ -706,10 +707,14 @@ class JsonlStore(StoreBackend):
             return None
 
 
-def _batch_reps(result: SimulationResult) -> int | None:
-    """The batch composition a result was produced under, if any."""
-    batch_reps = result.metadata.get("batch_reps")
-    return int(batch_reps) if isinstance(batch_reps, int) else None
+def stream_version_of(result: SimulationResult) -> int:
+    """The engine stream version a result was sampled under.
+
+    Results stored before engines recorded ``metadata["stream_version"]``
+    count as version 1, the version every engine had then.
+    """
+    version = result.metadata.get("stream_version", 1)
+    return version if isinstance(version, int) else 1
 
 
 def _header_line(scenario: Scenario) -> str:

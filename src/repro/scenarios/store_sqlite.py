@@ -43,6 +43,7 @@ from repro.scenarios.store import (
     StoreCapabilities,
     StoredRun,
     register_store_backend,
+    stream_version_of,
 )
 
 __all__ = ["SqliteStore"]
@@ -76,7 +77,7 @@ CREATE TABLE IF NOT EXISTS runs (
     replication     INTEGER NOT NULL,
     seed            INTEGER NOT NULL,
     engine          TEXT NOT NULL,
-    batch_reps      INTEGER,
+    stream_version  INTEGER NOT NULL DEFAULT 1,
     solved          INTEGER NOT NULL,
     elapsed_seconds REAL NOT NULL,
     result_json     TEXT NOT NULL,
@@ -125,7 +126,9 @@ class SqliteStore(StoreBackend):
         self._local = threading.local()
         self._connections: list[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
-        self._connection()  # create the schema eagerly, fail early on a bad path
+        # Create the schema eagerly (failing early on a bad path) and bring a
+        # file written by an older version up to date.
+        self._migrate(self._connection())
 
     @classmethod
     def from_spec(cls, location: str) -> "SqliteStore":
@@ -179,6 +182,33 @@ class SqliteStore(StoreBackend):
             self._connections.append(connection)
         return connection
 
+    @staticmethod
+    def _migrate(connection: sqlite3.Connection) -> None:
+        """Add the ``stream_version`` column to a file created without it.
+
+        The column is added in place (existing rows get version 1, the
+        version every such run was sampled under), so the file is never
+        rewritten.  The check repeats inside the write transaction because
+        another process may migrate concurrently.
+        """
+
+        def has_column() -> bool:
+            columns = connection.execute("PRAGMA table_info(runs)").fetchall()
+            return any(column[1] == "stream_version" for column in columns)
+
+        if has_column():
+            return
+        connection.execute("BEGIN IMMEDIATE")
+        try:
+            if not has_column():
+                connection.execute(
+                    "ALTER TABLE runs ADD COLUMN stream_version INTEGER NOT NULL DEFAULT 1"
+                )
+            connection.execute("COMMIT")
+        except BaseException:
+            connection.execute("ROLLBACK")
+            raise
+
     def close(self) -> None:
         with self._connections_lock:
             connections, self._connections = self._connections, []
@@ -215,14 +245,14 @@ class SqliteStore(StoreBackend):
 
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
         rows = self._connection().execute(
-            "SELECT replication, seed, engine, batch_reps FROM runs WHERE hash = ?",
+            "SELECT replication, seed, engine, stream_version FROM runs WHERE hash = ?",
             (scenario.content_hash(),),
         ).fetchall()
         return {
             replication: RunMeta(
-                replication=replication, seed=seed, engine=engine, batch_reps=batch_reps
+                replication=replication, seed=seed, engine=engine, stream_version=stream_version
             )
-            for replication, seed, engine, batch_reps in rows
+            for replication, seed, engine, stream_version in rows
         }
 
     def cached_count(self, scenario: Scenario) -> int:
@@ -333,7 +363,7 @@ class SqliteStore(StoreBackend):
             )
             connection.executemany(
                 "INSERT OR REPLACE INTO runs"
-                " (hash, replication, seed, engine, batch_reps, solved,"
+                " (hash, replication, seed, engine, stream_version, solved,"
                 "  elapsed_seconds, result_json, created_at)"
                 " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 [
@@ -342,7 +372,7 @@ class SqliteStore(StoreBackend):
                         run.replication,
                         run.seed,
                         run.result.engine,
-                        _batch_reps(run.result),
+                        stream_version_of(run.result),
                         1 if run.result.solved else 0,
                         run.elapsed_seconds,
                         json.dumps(run.result.to_dict(), sort_keys=True),
@@ -431,11 +461,6 @@ class SqliteStore(StoreBackend):
         connection.execute("PRAGMA wal_checkpoint(TRUNCATE)")
         connection.execute("VACUUM")
         return CompactionReport(scenarios=scenarios, runs_evicted=evicted)
-
-
-def _batch_reps(result: SimulationResult) -> int | None:
-    batch_reps = result.metadata.get("batch_reps")
-    return int(batch_reps) if isinstance(batch_reps, int) else None
 
 
 def _parse_scenario(scenario_json: str) -> Scenario | None:

@@ -491,7 +491,6 @@ def create_server(
     store_dir: str | Path | None = None,
     workers: int | None = 1,
     job_workers: int = 1,
-    batch: bool = True,
     quiet: bool = True,
     max_queue: int | None = None,
     fault_injector: FaultInjector | None = None,
@@ -513,7 +512,7 @@ def create_server(
     :func:`~repro.obs.tracing.trace_log_for_store`).  ``GET /metrics``
     serves either way — frozen counters under ``--no-obs``.
     """
-    session = Session(store_dir=store_dir, workers=workers, batch=batch)
+    session = Session(store_dir=store_dir, workers=workers)
     set_enabled(obs)
     if obs and session.store is not None:
         trace_log = trace_log_for_store(session.store)
@@ -540,7 +539,6 @@ def serve(
     store_dir: str | Path | None = None,
     workers: int | None = 1,
     job_workers: int = 1,
-    batch: bool = True,
     quiet: bool = False,
     max_queue: int | None = None,
     obs: bool = True,
@@ -561,7 +559,6 @@ def serve(
         store_dir=store_dir,
         workers=workers,
         job_workers=job_workers,
-        batch=batch,
         quiet=quiet,
         max_queue=max_queue,
         obs=obs,

@@ -1,166 +1,103 @@
-"""Tests for the batched engines, ``mega`` (fair) and ``mega-window`` (windowed).
+"""Tests for the batched fair engine, ``mega``, and the batching it serves.
 
 Six contracts are pinned here:
 
-* **Distributional parity** — batched cells sample the same makespan process
-  as the per-run :class:`FairEngine` / :class:`WindowEngine` (same mean and
-  quantiles within sampling tolerance, same solved rate at a binding cap),
-  for every batch-eligible registered protocol, down to k = 1 and 2.  A
-  cell's replications share one interleaved stream, so equality can only be
-  distributional.
+* **Exact rows** — every fused row equals the per-run
+  ``FairEngine.simulate(protocol, k, seed, max_slots)`` of its seed in all
+  six counters (and so in the whole result), for every batch-eligible fair
+  protocol: alone, in a mixed group, across a draw-block boundary, at
+  k = 1, 2, 150 and 10⁴, and with a binding cap.
 * **Golden streams** — fixed cells reproduce pinned makespans exactly, so a
-  change to either kernel's draw order cannot slip through as "still
-  distributionally fine" and silently invalidate stored results.
-* **Composition independence** — a cell's fused results are bit-identical no
-  matter which group it is fused into (alone, with any siblings, across
-  parameter variants), which is what makes resumed sweeps that re-fuse only
-  the missing cells reproduce fresh ones exactly.
+  change to an engine's draw order cannot slip through and silently
+  invalidate stored results: it must bump the engine's ``stream_version``.
+* **Occupancy metric** — the window engine counts one occupancy sample per
+  window and mode, incremented once per run.
 * **Eligibility and rejection** — the registry's one predicate,
-  :func:`batch_engine_for`, and the engines' own checks.
-* **Routing** — the Session/sweep layer batches every eligible cell, falls
-  back to per-run engines for the rest, and scatters fused results back into
-  the store under the per-cell hashes.
-* **Retired surface** — the selectors and knobs of the deleted per-cell batch
-  engines fail loudly, and cells they stored re-simulate once.
+  :func:`batch_engine_for`, and the engine's own checks.
+* **Routing** — the Session/sweep layer fuses fair groups of at least four
+  replications (always under ``engine="mega"``, never under
+  ``engine="fair"``), runs everything else per run, and every path yields
+  the same runs.
+* **Retired surface** — the deleted engines, selectors and knobs fail
+  loudly, and cells they stored (or stored under an older stream version)
+  re-simulate exactly once, on both store backends.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import math
-from collections.abc import Iterator
 from typing import ClassVar
 
 import numpy as np
 import pytest
 
-import repro.engine.megabatch as megabatch
+import repro.engine.window_engine as window_engine
 from repro.channel.arrivals import PoissonArrival
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import pick_engine, simulate, simulate_batch, simulate_megabatch
-from repro.engine.fair_engine import FairEngine
-from repro.engine.megabatch import FusedCell, MegaFairEngine, MegaWindowEngine
+from repro.engine.fair_engine import _DRAW_BLOCK, FairEngine
+from repro.engine.megabatch import FusedCell, MegaFairEngine
 from repro.engine.registry import batch_engine_for
 from repro.engine.window_engine import WindowEngine
 from repro.experiments import figure1, table1
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
+from repro.obs import REGISTRY
 from repro.protocols import base as protocol_base
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.base import (
     FairBatchState,
     FairProtocol,
-    WindowedProtocol,
     available_protocols,
     build_protocol,
 )
 from repro.scenarios import Scenario, Session
 from repro.scenarios.store import StoredRun, open_store
+from repro.service import create_server
 from repro.util.rng import derive_seeds
 
-#: Every batch-eligible fair protocol, as (spec, k) cases — both Log-fails
-#: Adaptive variants of the paper's suite are distinct parameterisations that
-#: must nonetheless share one fuse key; slotted ALOHA runs both with and
-#: without delivery tracking.
-FAIR_CASES = [
-    pytest.param("one-fail-adaptive", 150, id="ofa"),
-    pytest.param("log-fails-adaptive(xi_t=0.5)", 150, id="lfa-xt2"),
-    pytest.param("log-fails-adaptive(xi_t=0.1)", 150, id="lfa-xt10"),
-    pytest.param("slotted-aloha", 150, id="aloha"),
-    pytest.param("slotted-aloha(track_deliveries=False)", 80, id="aloha-static"),
+#: Every batch-eligible fair protocol: both Log-fails Adaptive variants of
+#: the paper's suite are distinct parameterisations that must nonetheless
+#: share one fuse key; slotted ALOHA runs both with and without delivery
+#: tracking.
+FAIR_SPECS = [
+    pytest.param("one-fail-adaptive", id="ofa"),
+    pytest.param("log-fails-adaptive(xi_t=0.5)", id="lfa-xt2"),
+    pytest.param("log-fails-adaptive(xi_t=0.1)", id="lfa-xt10"),
+    pytest.param("slotted-aloha", id="aloha"),
+    pytest.param("slotted-aloha(track_deliveries=False)", id="aloha-static"),
 ]
-
-#: Every windowed protocol with an oblivious (fusable) schedule: Algorithm 2
-#: exercises the sawtooth schedule (saturated descents + wide delivery
-#: windows), the monotone family the ever-growing schedules.
-WINDOW_CASES = [
-    pytest.param("exp-backon-backoff", 150, id="ebb"),
-    pytest.param("exponential-backoff", 150, id="exp"),
-    pytest.param("polynomial-backoff", 120, id="poly"),
-    pytest.param("log-backoff", 120, id="log"),
-    pytest.param("loglog-iterated-backoff", 150, id="loglog"),
-]
-
-#: Every batchable protocol at k = 1 and k = 2, where a cell's first window
-#: or first success can already finish it.
-TINY_CASES = [
-    pytest.param(case.values[0], k, id=f"{case.id}-k{k}")
-    for case in FAIR_CASES + WINDOW_CASES
-    for k in (1, 2)
-]
-
-RUNS = 300
-
-
-def _is_fair(spec: str) -> bool:
-    return build_protocol(spec, k=16).protocol_kind == "fair"
-
-
-def _batched_engine(spec: str) -> MegaFairEngine | MegaWindowEngine:
-    return MegaFairEngine() if _is_fair(spec) else MegaWindowEngine()
-
-
-def _per_run_engine(spec: str) -> FairEngine | WindowEngine:
-    return FairEngine() if _is_fair(spec) else WindowEngine()
 
 
 def _fused_cell(spec: str, k: int, seeds, max_slots: int | None = None) -> FusedCell:
     return FusedCell(protocol=build_protocol(spec, k=k), k=k, seeds=tuple(seeds), max_slots=max_slots)
 
 
-@functools.lru_cache(maxsize=None)
-def _batched_makespans(spec: str, k: int) -> tuple[int, ...]:
-    results = simulate_batch(build_protocol(spec, k=k), k, derive_seeds(1, RUNS))
-    assert all(result.solved for result in results)
-    return tuple(result.makespan for result in results)
-
-
-@functools.lru_cache(maxsize=None)
-def _per_run_makespans(spec: str, k: int) -> tuple[int, ...]:
-    engine = _per_run_engine(spec)
-    return tuple(
-        engine.simulate(build_protocol(spec, k=k), k, seed=seed).makespan
-        for seed in derive_seeds(2, RUNS)
-    )
-
-
-def _censored_rates(spec: str, k: int, cap: int) -> tuple[float, float, list]:
-    runs = 400
-    batched = simulate_batch(build_protocol(spec, k=k), k, derive_seeds(11, runs), max_slots=cap)
-    engine = _per_run_engine(spec)
-    per_run = [
-        engine.simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=cap)
-        for seed in derive_seeds(12, runs)
+def _per_run(spec: str, k: int, seeds, max_slots: int | None = None) -> list:
+    return [
+        FairEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=max_slots)
+        for seed in seeds
     ]
-    return (
-        sum(result.solved for result in batched) / runs,
-        sum(result.solved for result in per_run) / runs,
-        batched,
-    )
 
 
-def _assert_same_mean(batched: np.ndarray, per_run: np.ndarray) -> None:
-    """Two-sample z-test on the means, 4-sigma threshold (as in validation.py)."""
-    pooled = math.sqrt(batched.var(ddof=1) / batched.size + per_run.var(ddof=1) / per_run.size)
-    if pooled == 0.0:  # both samples constant, e.g. every run solved in slot 1
-        assert batched.mean() == per_run.mean()
-        return
-    z_score = abs(batched.mean() - per_run.mean()) / pooled
-    assert z_score < 4.0, (
-        f"batched mean {batched.mean():.1f} vs per-run mean {per_run.mean():.1f} "
-        f"(z={z_score:.2f})"
-    )
+def _fused_rows() -> float:
+    family = REGISTRY.snapshot().get("repro_megabatch_rows_total", {})
+    return family.get("series", {}).get('{engine="mega"}', 0.0)
 
 
-class TestDistributionalParity:
-    """Batched sampling must match the per-run engines' law."""
+def _cap(spec: str, k: int) -> int | None:
+    """Static ALOHA at large k runs for ~k·ln k slots; a cap keeps it short."""
+    return 20 * k if "track_deliveries=False" in spec and k > 100 else None
 
-    def test_cases_cover_every_batchable_registered_protocol(self):
-        covered = {build_protocol(case.values[0], k=16).name for case in FAIR_CASES + WINDOW_CASES}
+
+class TestExactRows:
+    """Fused rows are FairEngine runs, result for result."""
+
+    def test_specs_cover_every_batchable_registered_protocol(self):
+        covered = {build_protocol(case.values[0], k=16).name for case in FAIR_SPECS}
         batchable = {
             name
             for name in available_protocols()
@@ -168,187 +105,190 @@ class TestDistributionalParity:
         }
         assert batchable == covered
 
-    @pytest.mark.parametrize("spec,k", FAIR_CASES + WINDOW_CASES)
-    def test_makespan_mean_matches_per_run_engine(self, spec, k):
-        _assert_same_mean(
-            np.asarray(_batched_makespans(spec, k)), np.asarray(_per_run_makespans(spec, k))
-        )
+    @pytest.mark.parametrize("k", [1, 2, 150, 10_000])
+    @pytest.mark.parametrize("spec", FAIR_SPECS)
+    def test_rows_equal_per_run_simulations(self, spec, k):
+        seeds = derive_seeds(k, 2 if k == 10_000 else 6)
+        cap = _cap(spec, k)
+        (fused,) = MegaFairEngine().simulate_fused([_fused_cell(spec, k, seeds, cap)])
+        assert fused == _per_run(spec, k, seeds, cap)
 
-    @pytest.mark.parametrize("spec,k", TINY_CASES)
-    def test_tiny_k_matches_per_run_engine(self, spec, k):
-        """Cells that finish in their first slots or window keep the law."""
-        batched = np.asarray(_batched_makespans(spec, k))
-        assert batched.min() >= k
-        _assert_same_mean(batched, np.asarray(_per_run_makespans(spec, k)))
-
-    @pytest.mark.parametrize("spec,k", FAIR_CASES + WINDOW_CASES)
-    def test_makespan_quantiles_match_per_run_engine(self, spec, k):
-        batched = np.asarray(_batched_makespans(spec, k))
-        per_run = np.asarray(_per_run_makespans(spec, k))
-        for quantile in (0.25, 0.5, 0.75):
-            batched_q = np.quantile(batched, quantile)
-            per_run_q = np.quantile(per_run, quantile)
-            assert batched_q == pytest.approx(per_run_q, rel=0.10), (
-                f"q{quantile}: batched {batched_q} vs per-run {per_run_q}"
+    @pytest.mark.parametrize("spec", FAIR_SPECS)
+    def test_rows_equal_per_run_simulations_in_a_mixed_group(self, spec):
+        # Cells of other sizes, caps and (for LFA) parameters share the
+        # kernel; none of it may leak into a row.
+        protocol_class = type(build_protocol(spec, k=16))
+        members = [
+            (sibling, _fused_cell(sibling, k, derive_seeds(index * 10 + k, 3), max_slots=cap))
+            for index, sibling in enumerate(
+                case.values[0]
+                for case in FAIR_SPECS
+                if type(build_protocol(case.values[0], k=16)) is protocol_class
             )
+            for k, cap in ((9, None), (300, None), (60, 200))
+        ]
+        fused = MegaFairEngine().simulate_fused([cell for _, cell in members])
+        for (sibling, cell), results in zip(members, fused):
+            assert results == _per_run(sibling, cell.k, cell.seeds, cell.max_slots)
 
-    @pytest.mark.parametrize(
-        "spec,k,cap",
-        [
-            pytest.param("one-fail-adaptive", 64, 400, id="ofa-mid"),
-            pytest.param("slotted-aloha", 64, 170, id="aloha-mid"),
-            pytest.param("exp-backon-backoff", 64, 321, id="ebb-mid"),
-            pytest.param("loglog-iterated-backoff", 64, 352, id="loglog-mid"),
-        ],
-    )
-    def test_solved_rate_at_slot_cap_matches_per_run_engine(self, spec, k, cap):
-        """With a binding cap both engines must censor the same fraction of runs."""
-        batched_rate, per_run_rate, batched = _censored_rates(spec, k, cap)
-        pooled = (batched_rate + per_run_rate) / 2
-        sigma = math.sqrt(max(pooled * (1 - pooled), 1e-12) * 2 / len(batched))
-        assert 0.0 < pooled < 1.0, "cap must bind for some runs and not others"
-        assert abs(batched_rate - per_run_rate) < 4.0 * sigma + 1e-9, (
-            f"solved rate batched {batched_rate:.3f} vs per-run {per_run_rate:.3f}"
-        )
-        # Fair rows stop exactly at the cap; windowed rows at the first
-        # window boundary at or past it, like the per-run window engine.
-        for result in batched:
+    @pytest.mark.parametrize("spec", FAIR_SPECS)
+    def test_rows_equal_per_run_simulations_at_a_binding_cap(self, spec):
+        k, seeds = 64, derive_seeds(11, 8)
+        per_run = _per_run(spec, k, seeds)
+        cap = sorted(result.slots_simulated for result in per_run)[len(per_run) // 2]
+        (fused,) = MegaFairEngine().simulate_fused([_fused_cell(spec, k, seeds, cap)])
+        capped = _per_run(spec, k, seeds, cap)
+        assert fused == capped
+        assert any(result.solved for result in capped)
+        assert not all(result.solved for result in capped)
+        for result in fused:
             if not result.solved:
-                assert result.makespan is None
-                assert result.slots_simulated >= cap
-                if result.engine == "mega":
-                    assert result.slots_simulated == cap
+                assert result.slots_simulated == cap
+
+    def test_rows_equal_per_run_simulations_across_draw_blocks(self):
+        # k=400 OFA runs for thousands of slots — several block refills —
+        # next to a sibling that retires inside the first block.
+        cell = _fused_cell("one-fail-adaptive", 400, derive_seeds(6, 2))
+        sibling = _fused_cell("one-fail-adaptive", 10, derive_seeds(8, 2))
+        fused = MegaFairEngine().simulate_fused([cell, sibling])
+        assert fused[0] == _per_run("one-fail-adaptive", 400, cell.seeds)
+        assert min(result.makespan for result in fused[0]) > 2 * _DRAW_BLOCK
+        assert fused[1] == _per_run("one-fail-adaptive", 10, sibling.seeds)
+
+    def test_row_does_not_depend_on_its_group(self):
+        cell = _fused_cell("one-fail-adaptive", 70, derive_seeds(5, 3))
+        alone = MegaFairEngine().simulate_fused([cell])
+        grouped = MegaFairEngine().simulate_fused(
+            [_fused_cell("one-fail-adaptive", 140, derive_seeds(9, 3)), cell]
+        )
+        assert grouped[1] == alone[0]
+        prefix = dataclasses.replace(cell, seeds=cell.seeds[:1])
+        assert MegaFairEngine().simulate_fused([prefix])[0] == alone[0][:1]
 
 
 class TestGoldenStreams:
-    """Pinned makespans: the kernels' draw order is part of the store format."""
+    """Pinned makespans: each engine's draw order is part of the store format."""
+
+    BUMP = "the stream moved: bump the engine's stream_version"
 
     @pytest.mark.parametrize(
         "spec,k,root,reps,makespans",
         [
-            ("one-fail-adaptive", 60, 5, 3, [456, 372, 432]),
-            ("log-fails-adaptive(xi_t=0.5)", 50, 1, 3, [296, 324, 320]),
-            ("log-fails-adaptive(xi_t=0.1)", 200, 2, 2, [1715, 1500]),
-            ("one-fail-adaptive", 1000, 9, 2, [7370, 7325]),
-            ("exp-backon-backoff", 70, 5, 3, [332, 330, 322]),
-            ("loglog-iterated-backoff", 300, 6, 3, [1830, 1814, 1855]),
-            ("exponential-backoff", 90, 4, 2, [999, 494]),
-            ("polynomial-backoff", 80, 3, 3, [373, 409, 385]),
-            ("log-backoff", 110, 7, 2, [534, 564]),
+            ("one-fail-adaptive", 60, 5, 3, [408, 365, 369]),
+            ("log-fails-adaptive(xi_t=0.5)", 50, 1, 3, [429, 382, 382]),
+            ("log-fails-adaptive(xi_t=0.1)", 200, 2, 2, [737, 1450]),
+            ("one-fail-adaptive", 1000, 9, 2, [7302, 7373]),
+            ("slotted-aloha", 150, 3, 3, [389, 382, 420]),
+            ("slotted-aloha(track_deliveries=False)", 80, 3, 3, [479, 519, 639]),
         ],
     )
-    def test_cell_reproduces_pinned_makespans(self, spec, k, root, reps, makespans):
-        (results,) = simulate_megabatch([_fused_cell(spec, k, derive_seeds(root, reps))])
-        assert [result.makespan for result in results] == makespans
+    def test_fair_stream_version_1(self, spec, k, root, reps, makespans):
+        assert FairEngine.stream_version == 1
+        seeds = derive_seeds(root, reps)
+        per_run = [result.makespan for result in _per_run(spec, k, seeds)]
+        assert per_run == makespans, self.BUMP
+        (fused,) = simulate_megabatch([_fused_cell(spec, k, seeds)])
+        assert [result.makespan for result in fused] == makespans
+
+    def test_fair_stream_version_1_capped_counts(self):
+        """Rows cut off by the cap keep their (slots, successes, collisions, silences)."""
+        seeds = derive_seeds(4, 3)
+        counts = [(300, 32, 255, 13), (300, 29, 245, 26), (300, 30, 253, 17)]
+        per_run = _per_run("one-fail-adaptive", 100, seeds, max_slots=300)
+        (fused,) = simulate_megabatch([_fused_cell("one-fail-adaptive", 100, seeds, 300)])
+        for results in (per_run, fused):
+            assert not any(result.solved for result in results)
+            assert [
+                (result.slots_simulated, result.successes, result.collisions, result.silences)
+                for result in results
+            ] == counts, self.BUMP
 
     @pytest.mark.parametrize(
-        "spec,k,root,cap,counts",
+        "spec,k,root,reps,makespans",
         [
-            (
-                "one-fail-adaptive", 100, 4, 300,
-                [(300, 28, 260, 12), (300, 31, 261, 8), (300, 33, 259, 8)],
-            ),
-            (
-                "exp-backon-backoff", 200, 7, 400,
-                [(480, 69, 382, 29), (480, 54, 391, 35), (480, 50, 396, 34)],
-            ),
+            ("exp-backon-backoff", 70, 5, 3, [344, 333, 333]),
+            ("loglog-iterated-backoff", 300, 6, 3, [1891, 1874, 1887]),
+            ("exponential-backoff", 90, 4, 2, [509, 468]),
+            ("polynomial-backoff", 80, 3, 3, [284, 495, 382]),
+            ("log-backoff", 110, 7, 2, [570, 516]),
         ],
     )
-    def test_censored_cell_reproduces_pinned_slot_counts(self, spec, k, root, cap, counts):
-        """Rows cut off by the cap keep their (slots, successes, collisions, silences)."""
-        (results,) = simulate_megabatch(
-            [_fused_cell(spec, k, derive_seeds(root, 3), max_slots=cap)]
-        )
+    def test_window_stream_version_2(self, spec, k, root, reps, makespans):
+        assert WindowEngine.stream_version == 2
+        results = [
+            WindowEngine().simulate(build_protocol(spec, k=k), k, seed=seed)
+            for seed in derive_seeds(root, reps)
+        ]
+        assert [result.makespan for result in results] == makespans, self.BUMP
+
+    def test_window_stream_version_2_capped_counts(self):
+        results = [
+            WindowEngine().simulate(ExpBackonBackoff(), 200, seed=seed, max_slots=400)
+            for seed in derive_seeds(7, 3)
+        ]
         assert not any(result.solved for result in results)
         assert [
             (result.slots_simulated, result.successes, result.collisions, result.silences)
             for result in results
-        ] == counts
-
-    def test_large_windowed_cell_and_its_occupancy_modes(self):
-        """EBB at k=4096 walks every sampler; each (cell, window) is counted once."""
-        modes = ("ball-throw", "saturated", "multinomial")
-        before = {mode: megabatch._M_OCCUPANCY.labels(mode=mode).value for mode in modes}
-        (results,) = simulate_megabatch(
-            [_fused_cell("exp-backon-backoff", 4096, derive_seeds(3, 10))]
-        )
-        after = {mode: megabatch._M_OCCUPANCY.labels(mode=mode).value for mode in modes}
-        assert [result.makespan for result in results] == [
-            21670, 21683, 21682, 21628, 21847, 21638, 21670, 21676, 21669, 21667,
-        ]
-        deltas = {mode: after[mode] - before[mode] for mode in modes}
-        assert deltas == {"ball-throw": 21, "saturated": 85, "multinomial": 8}
-
-
-class TestCompositionIndependence:
-    """A cell's fused results never depend on its siblings."""
-
-    @pytest.mark.parametrize("spec,k", FAIR_CASES + WINDOW_CASES)
-    def test_cell_alone_vs_grouped(self, spec, k):
-        cell = _fused_cell(spec, k, derive_seeds(5, 3))
-        engine = _batched_engine(spec)
-        alone = engine.simulate_fused([cell])
-        grouped = engine.simulate_fused(
-            [
-                _fused_cell(spec, 2 * k, derive_seeds(9, 3)),
-                cell,
-                _fused_cell(spec, 15, derive_seeds(7, 2)),
-            ]
-        )
-        assert grouped[1] == alone[0]
-
-    def test_lfa_variants_fuse_into_one_kernel_without_interference(self):
-        xt2 = _fused_cell("log-fails-adaptive(xi_t=0.5)", 50, derive_seeds(1, 3))
-        xt10 = _fused_cell("log-fails-adaptive(xi_t=0.1)", 50, derive_seeds(2, 3))
-        alone = MegaFairEngine().simulate_fused([xt2])
-        mixed = MegaFairEngine().simulate_fused([xt10, xt2])
-        assert mixed[1] == alone[0]
-
-    def test_independence_across_chunk_boundaries(self):
-        """Cells whose makespans straddle the pre-draw chunk size still match."""
-        # k=400 OFA runs for thousands of slots — several refill boundaries.
-        cell = _fused_cell("one-fail-adaptive", 400, derive_seeds(6, 2))
-        sibling = _fused_cell("one-fail-adaptive", 10, derive_seeds(8, 2))
-        alone = MegaFairEngine().simulate_fused([cell])
-        grouped = MegaFairEngine().simulate_fused([cell, sibling])
-        assert grouped[0] == alone[0]
+        ] == [(480, 50, 396, 34), (480, 54, 395, 31), (480, 56, 393, 31)], self.BUMP
 
 
 _OCCUPANCY_MODES = ("ball-throw", "saturated", "multinomial")
 
 
-def _occupancy_deltas(cells: list[FusedCell]) -> tuple[dict[str, float], list]:
-    """Run one fused window group; return its occupancy-mode increments and results."""
-    before = {mode: megabatch._M_OCCUPANCY.labels(mode=mode).value for mode in _OCCUPANCY_MODES}
-    results = MegaWindowEngine().simulate_fused(cells)
-    deltas = {
-        mode: megabatch._M_OCCUPANCY.labels(mode=mode).value - before[mode]
-        for mode in _OCCUPANCY_MODES
+def _occupancy_counts() -> dict[str, float]:
+    return {
+        mode: window_engine._M_OCCUPANCY.labels(mode=mode).value for mode in _OCCUPANCY_MODES
     }
-    return deltas, results
 
 
 class TestOccupancyMetric:
-    """``repro_batch_window_occupancy_total`` counts one sample per (cell, window)."""
+    """``repro_window_occupancy_total`` counts every window once, by sampler."""
 
-    @pytest.mark.parametrize("spec,k", WINDOW_CASES)
-    def test_one_increment_per_cell_and_window(self, spec, k):
-        cells = [_fused_cell(spec, 300, derive_seeds(3, 4)), _fused_cell(spec, 40, derive_seeds(4, 3))]
-        alone = []
-        for cell in cells:
-            deltas, (results,) = _occupancy_deltas([cell])
-            # A cell steps until its slowest row is solved.
-            assert sum(deltas.values()) == max(r.metadata["windows"] for r in results)
-            alone.append(deltas)
-        grouped, _ = _occupancy_deltas(cells)
-        assert grouped == {mode: alone[0][mode] + alone[1][mode] for mode in _OCCUPANCY_MODES}
+    def test_large_cell_walks_every_sampler(self):
+        before = _occupancy_counts()
+        results = [
+            WindowEngine().simulate(ExpBackonBackoff(), 4096, seed=seed)
+            for seed in derive_seeds(3, 10)
+        ]
+        after = _occupancy_counts()
+        assert [result.makespan for result in results] == [
+            21639, 21654, 21574, 21683, 21654, 21808, 21628, 21672, 21661, 21259,
+        ]
+        deltas = {mode: after[mode] - before[mode] for mode in _OCCUPANCY_MODES}
+        assert deltas == {"ball-throw": 200, "saturated": 850, "multinomial": 80}
+        assert sum(deltas.values()) == sum(result.metadata["windows"] for result in results)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["exp-backon-backoff", "exponential-backoff", "polynomial-backoff", "log-backoff",
+         "loglog-iterated-backoff"],
+    )
+    def test_incremented_once_per_run_and_mode(self, spec, monkeypatch):
+        increments = []
+
+        class SpyFamily:
+            def labels(self, mode):
+                return SpyChild(mode)
+
+        class SpyChild:
+            def __init__(self, mode):
+                self.mode = mode
+
+            def inc(self, amount=1.0):
+                increments.append(self.mode)
+
+        monkeypatch.setattr(window_engine, "_M_OCCUPANCY", SpyFamily())
+        result = WindowEngine().simulate(build_protocol(spec, k=300), 300, seed=3)
+        assert result.metadata["windows"] > len(_OCCUPANCY_MODES)
+        assert len(increments) == len(set(increments)) <= len(_OCCUPANCY_MODES)
 
 
 class TestResultStructure:
-    @pytest.mark.parametrize("spec,k", FAIR_CASES + WINDOW_CASES)
-    def test_solved_run_invariants(self, spec, k):
-        seeds = derive_seeds(3, 20)
-        results = simulate_batch(build_protocol(spec, k=k), k, seeds)
+    @pytest.mark.parametrize("spec", FAIR_SPECS)
+    def test_solved_run_invariants(self, spec):
+        k, seeds = 150, derive_seeds(3, 20)
+        results = simulate_batch(build_protocol(spec, k=k), k, seeds, max_slots=_cap(spec, k))
         assert [result.seed for result in results] == seeds
         for result in results:
             assert result.solved
@@ -359,41 +299,19 @@ class TestResultStructure:
                 result.successes + result.collisions + result.silences
                 == result.slots_simulated
             )
-            assert result.metadata["batch_reps"] == 20
-            if result.engine == "mega-window":
-                assert result.metadata["windows"] >= 1
-            else:
-                assert result.engine == "mega"
-                assert result.metadata == {"batch_reps": 20}
+            assert result.engine == "fair"
+            assert result.metadata == {"stream_version": 1}
 
     def test_deterministic_given_seeds(self):
-        for spec in ("one-fail-adaptive", "exp-backon-backoff"):
-            cells = [_fused_cell(spec, 40, derive_seeds(5, 4))]
-            assert simulate_megabatch(cells) == simulate_megabatch(cells)
+        cells = [_fused_cell("one-fail-adaptive", 40, derive_seeds(5, 4))]
+        assert simulate_megabatch(cells) == simulate_megabatch(cells)
 
-    @pytest.mark.parametrize("spec,k", FAIR_CASES + WINDOW_CASES)
-    def test_unsolved_runs_count_every_slot_and_stop_where_per_run_does(self, spec, k):
-        """Fair rows stop at the cap, windowed rows at the first window boundary
-        at or past it — exactly where the per-run engine stops."""
-        cap = k // 2
-        (results,) = simulate_megabatch([_fused_cell(spec, k, derive_seeds(4, 5), max_slots=cap)])
-        per_run = _per_run_engine(spec).simulate(build_protocol(spec, k=k), k, seed=5, max_slots=cap)
-        assert not per_run.solved
-        for result in results:
-            assert not result.solved
-            assert result.makespan is None
-            assert result.slots_simulated == per_run.slots_simulated >= cap
-            assert result.successes + result.collisions + result.silences == (
-                result.slots_simulated
-            )
-
-    @pytest.mark.parametrize("spec", ["one-fail-adaptive", "exp-backon-backoff"])
-    def test_per_cell_caps_bind_independently(self, spec):
+    def test_per_cell_caps_bind_independently(self):
         """A capped cell retires while its uncapped sibling keeps stepping."""
-        capped = _fused_cell(spec, 100, derive_seeds(4, 3), max_slots=20)
-        free = _fused_cell(spec, 30, derive_seeds(5, 3))
-        fused = _batched_engine(spec).simulate_fused([capped, free])
-        assert all(not result.solved and result.slots_simulated >= 20 for result in fused[0])
+        capped = _fused_cell("one-fail-adaptive", 100, derive_seeds(4, 3), max_slots=20)
+        free = _fused_cell("one-fail-adaptive", 30, derive_seeds(5, 3))
+        fused = MegaFairEngine().simulate_fused([capped, free])
+        assert all(not result.solved and result.slots_simulated == 20 for result in fused[0])
         assert all(result.solved for result in fused[1])
 
     def test_silent_protocol_burns_to_the_cap(self):
@@ -401,35 +319,13 @@ class TestResultStructure:
         results = MegaFairEngine().simulate_fused(
             [FusedCell(NeverTransmit(), 5, (1, 2, 3), max_slots=40)]
         )[0]
+        assert results == [
+            FairEngine().simulate(NeverTransmit(), 5, seed=seed, max_slots=40) for seed in (1, 2, 3)
+        ]
         for result in results:
             assert not result.solved
             assert result.slots_simulated == 40
             assert result.silences == 40
-
-    def test_chunked_wide_windows_preserve_invariants(self, monkeypatch):
-        """Row-chunked occupancy (bounded memory) keeps every invariant.
-
-        Forcing a tiny chunk cap makes every wide window take the multi-chunk
-        path; the results must stay structurally sound, deterministic, and
-        distributionally in line with the unchunked engine.
-        """
-        seeds = derive_seeds(21, 40)
-        monkeypatch.setattr(megabatch, "_MAX_WINDOW_CELLS", 64)
-        chunked = simulate_batch(ExpBackonBackoff(), 100, seeds)
-        assert chunked == simulate_batch(ExpBackonBackoff(), 100, seeds)
-        for result in chunked:
-            assert result.solved
-            assert result.successes == 100
-            assert result.slots_simulated == result.makespan
-            assert (
-                result.successes + result.collisions + result.silences
-                == result.slots_simulated
-            )
-        monkeypatch.undo()
-        unchunked = simulate_batch(ExpBackonBackoff(), 100, derive_seeds(22, 40))
-        chunked_mean = np.mean([result.makespan for result in chunked])
-        unchunked_mean = np.mean([result.makespan for result in unchunked])
-        assert chunked_mean == pytest.approx(unchunked_mean, rel=0.15)
 
     def test_prototype_not_mutated(self):
         prototype = OneFailAdaptive()
@@ -446,12 +342,30 @@ class TestResultStructure:
 
     def test_single_run_via_simulate(self):
         result = MegaFairEngine().simulate(OneFailAdaptive(), 20, seed=3)
-        assert result.solved and result.engine == "mega"
+        assert result == FairEngine().simulate(OneFailAdaptive(), 20, seed=3)
         result = MegaFairEngine().simulate(SlottedAloha(k=1), 1, seed=0)
         assert result.solved and result.makespan == 1
-        result = MegaWindowEngine().simulate(ExpBackonBackoff(), 30, seed=4)
-        assert result.solved and result.engine == "mega-window"
-        assert result.metadata["batch_reps"] == 1
+
+
+class TestWindowEngineTraces:
+    @pytest.mark.parametrize("k", [1, 2, 40, 2048])
+    def test_traced_and_untraced_runs_are_equal(self, k):
+        # k=2048 walks saturated and multinomial windows as well as ball
+        # throws; tracing must not change a single draw.
+        for seed in derive_seeds(k, 3):
+            trace = ExecutionTrace()
+            traced = WindowEngine().simulate(ExpBackonBackoff(), k, seed=seed, trace=trace)
+            assert traced == WindowEngine().simulate(ExpBackonBackoff(), k, seed=seed)
+            assert len(trace) == traced.slots_simulated
+            assert trace.successes == traced.successes
+
+    def test_saturated_windows_are_traced_as_collisions(self):
+        trace = ExecutionTrace()
+        before = _occupancy_counts()["saturated"]
+        WindowEngine().simulate(ExpBackonBackoff(), 2048, seed=1, trace=trace)
+        assert _occupancy_counts()["saturated"] > before
+        collisions = [record for record in trace if record.outcome.name == "COLLISION"]
+        assert {record.transmitters for record in collisions} >= {2}
 
 
 class _SilentState(FairBatchState):
@@ -509,16 +423,6 @@ class PlainFair(FairProtocol):
             self._remaining = max(self._remaining - 1, 1)
 
 
-class FeedbackWindowed(WindowedProtocol):
-    """A windowed protocol declaring no oblivious schedule."""
-
-    name: ClassVar[str] = "test-mega-feedback-windowed"
-
-    def window_lengths(self) -> Iterator[int]:
-        while True:
-            yield 4
-
-
 class TestEligibilityAndRejection:
     def test_supports_matrix(self):
         assert MegaFairEngine.supports(OneFailAdaptive())
@@ -526,19 +430,13 @@ class TestEligibilityAndRejection:
         assert MegaFairEngine.supports(SlottedAloha(k=16))
         assert not MegaFairEngine.supports(PlainFair())
         assert not MegaFairEngine.supports(ExpBackonBackoff())
-        for case in WINDOW_CASES:
-            assert MegaWindowEngine.supports(build_protocol(case.values[0], k=16))
-        assert not MegaWindowEngine.supports(FeedbackWindowed())
-        assert not MegaWindowEngine.supports(OneFailAdaptive())
 
     def test_batch_engine_for_routing(self):
         assert batch_engine_for(OneFailAdaptive()) == "mega"
         assert batch_engine_for(SlottedAloha(k=16)) == "mega"
-        assert batch_engine_for(ExpBackonBackoff()) == "mega-window"
+        assert batch_engine_for(ExpBackonBackoff()) is None
         assert batch_engine_for(PlainFair()) is None
-        assert batch_engine_for(FeedbackWindowed()) is None
         assert batch_engine_for(OneFailAdaptive(), engine="mega") == "mega"
-        assert batch_engine_for(OneFailAdaptive(), engine="mega-window") is None
         assert batch_engine_for(OneFailAdaptive(), engine="fair") is None
         assert (
             batch_engine_for(OneFailAdaptive(), arrivals=PoissonArrival(k=10, rate=0.5))
@@ -551,25 +449,13 @@ class TestEligibilityAndRejection:
         assert MegaFairEngine.fuse_key(xt2) == MegaFairEngine.fuse_key(xt10)
         assert MegaFairEngine.fuse_key(xt2) != MegaFairEngine.fuse_key(OneFailAdaptive())
 
-    def test_window_fuse_key_separates_schedules(self):
-        assert MegaWindowEngine.fuse_key(ExpBackonBackoff()) == MegaWindowEngine.fuse_key(
-            ExpBackonBackoff()
-        )
-        assert MegaWindowEngine.fuse_key(ExpBackonBackoff()) != MegaWindowEngine.fuse_key(
-            build_protocol("exponential-backoff", k=16)
-        )
-
     def test_wrong_kind_rejected(self):
         with pytest.raises(TypeError):
             MegaFairEngine().simulate_fused([_fused_cell("exp-backon-backoff", 10, [0, 1])])
-        with pytest.raises(TypeError):
-            MegaWindowEngine().simulate_fused([_fused_cell("one-fail-adaptive", 10, [0, 1])])
 
     def test_protocol_without_kernel_rejected(self):
         with pytest.raises(ValueError, match="fused kernel"):
             MegaFairEngine().simulate_fused([FusedCell(PlainFair(), 20, (1, 2))])
-        with pytest.raises(ValueError, match="fused kernel"):
-            MegaWindowEngine().simulate_fused([FusedCell(FeedbackWindowed(), 20, (1, 2))])
 
     def test_mixed_groups_rejected(self):
         with pytest.raises(ValueError, match="one protocol class"):
@@ -577,13 +463,6 @@ class TestEligibilityAndRejection:
                 [
                     _fused_cell("one-fail-adaptive", 20, [1, 2]),
                     _fused_cell("log-fails-adaptive(xi_t=0.5)", 20, [3, 4]),
-                ]
-            )
-        with pytest.raises(ValueError, match="one window schedule"):
-            MegaWindowEngine().simulate_fused(
-                [
-                    _fused_cell("exp-backon-backoff", 20, [1, 2]),
-                    _fused_cell("exponential-backoff", 20, [3, 4]),
                 ]
             )
 
@@ -595,20 +474,17 @@ class TestEligibilityAndRejection:
         with pytest.raises(ValueError, match="at least one seed"):
             _fused_cell("one-fail-adaptive", 20, [])
         with pytest.raises(ValueError, match="at least one seed"):
-            simulate_batch(ExpBackonBackoff(), 10, [])
+            simulate_batch(OneFailAdaptive(), 10, [])
 
     def test_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
             MegaFairEngine().simulate(OneFailAdaptive(), 20, seed=0, trace=ExecutionTrace())
-        with pytest.raises(ValueError, match="trace"):
-            MegaWindowEngine().simulate(ExpBackonBackoff(), 20, seed=0, trace=ExecutionTrace())
 
-    @pytest.mark.parametrize("engine_cls", [MegaFairEngine, MegaWindowEngine])
-    def test_requires_paper_channel(self, engine_cls):
+    def test_requires_paper_channel(self):
         with pytest.raises(ValueError):
-            engine_cls(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
+            MegaFairEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
         with pytest.raises(ValueError):
-            engine_cls(channel=ChannelModel(acknowledgements=False))
+            MegaFairEngine(channel=ChannelModel(acknowledgements=False))
 
 
 class TestFrontDoors:
@@ -617,16 +493,17 @@ class TestFrontDoors:
             _fused_cell("one-fail-adaptive", 30, derive_seeds(1, 2)),
             _fused_cell("one-fail-adaptive", 60, derive_seeds(2, 2)),
         ]
+        before = _fused_rows()
         results = simulate_megabatch(cells)
+        assert _fused_rows() - before == 4
         assert len(results) == len(cells)
-        assert all(result.engine == "mega" for group in results for result in group)
+        assert all(result.engine == "fair" for group in results for result in group)
 
-    def test_simulate_batch_routes_by_kind(self):
-        assert {r.engine for r in simulate_batch(OneFailAdaptive(), 30, [0, 1, 2])} == {"mega"}
-        assert {r.engine for r in simulate_batch(SlottedAloha(k=30), 30, [0, 1])} == {"mega"}
-        assert {r.engine for r in simulate_batch(ExpBackonBackoff(), 30, [0, 1])} == {
-            "mega-window"
-        }
+    def test_simulate_batch_routes_fair_cells_only(self):
+        assert {r.engine for r in simulate_batch(OneFailAdaptive(), 30, [0, 1, 2])} == {"fair"}
+        assert {r.engine for r in simulate_batch(SlottedAloha(k=30), 30, [0, 1])} == {"fair"}
+        with pytest.raises(ValueError, match="no batched engine"):
+            simulate_batch(ExpBackonBackoff(), 30, [0, 1])
 
     def test_selector_problems_diagnosed(self):
         # A per-run selector is a selector problem, not a kernel problem.
@@ -636,25 +513,23 @@ class TestFrontDoors:
             simulate_megabatch([_fused_cell("one-fail-adaptive", 30, [1, 2])], engine="fair")
         # A typo gets the registry's enumerating unknown-engine error.
         with pytest.raises(ValueError, match="unknown engine"):
-            simulate_batch(ExpBackonBackoff(), 10, [0, 1], engine="bacth")
+            simulate_batch(OneFailAdaptive(), 10, [0, 1], engine="bacth")
 
     def test_protocol_without_kernel_diagnosed(self):
         with pytest.raises(ValueError, match="no batched engine"):
             simulate_megabatch([FusedCell(PlainFair(), 30, (1, 2))])
 
-    def test_pick_engine_and_simulate_accept_batched_selectors(self):
+    def test_pick_engine_and_simulate_accept_the_batched_selector(self):
         assert isinstance(pick_engine(OneFailAdaptive(), engine="mega"), MegaFairEngine)
-        assert isinstance(pick_engine(ExpBackonBackoff(), engine="mega-window"), MegaWindowEngine)
-        assert simulate(OneFailAdaptive(), k=30, seed=1, engine="mega").engine == "mega"
-        assert simulate(ExpBackonBackoff(), k=30, seed=1, engine="mega-window").engine == (
-            "mega-window"
+        assert simulate(OneFailAdaptive(), k=30, seed=1, engine="mega") == simulate(
+            OneFailAdaptive(), k=30, seed=1
         )
 
     def test_auto_never_picks_a_batched_engine_for_single_runs(self):
         assert simulate(OneFailAdaptive(), k=30, seed=1).engine == "fair"
         assert simulate(ExpBackonBackoff(), k=30, seed=1).engine == "window"
 
-    def test_batched_selectors_rejected_where_they_cannot_serve(self):
+    def test_batched_selector_rejected_where_it_cannot_serve(self):
         with pytest.raises(ValueError, match="protocol kinds"):
             pick_engine(ExpBackonBackoff(), engine="mega")
         with pytest.raises(ValueError):
@@ -675,18 +550,34 @@ def _engines(sweep, key: str, k: int) -> set[str]:
 
 class TestSweepRouting:
     CONFIG = ExperimentConfig(k_values=[20, 40], runs=3, seed=17)
+    OFA = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
+    EBB = ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff")
 
-    def test_mixed_suite_routes_each_family_to_its_batched_engine(self):
-        specs = [
-            ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive"),
-            ProtocolSpec(key="aloha", label="ALOHA", spec="slotted-aloha"),
-            ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff"),
-        ]
-        sweep = run_sweep(specs, self.CONFIG)
+    def test_fair_groups_of_four_rows_fuse(self):
+        # Two cells × three replications: six rows of one fuse key, one kernel.
+        before = _fused_rows()
+        sweep = run_sweep([self.OFA, self.EBB], self.CONFIG)
+        assert _fused_rows() - before == 6
         for k in self.CONFIG.k_values:
-            assert _engines(sweep, "ofa", k) == {"mega"}
-            assert _engines(sweep, "aloha", k) == {"mega"}
-            assert _engines(sweep, "ebb", k) == {"mega-window"}
+            assert _engines(sweep, "ofa", k) == {"fair"}
+            assert _engines(sweep, "ebb", k) == {"window"}
+
+    def test_small_groups_run_per_run_and_agree(self):
+        config = ExperimentConfig(k_values=[20], runs=3, seed=17)
+        before = _fused_rows()
+        small = run_sweep([self.OFA], config)
+        assert _fused_rows() == before
+        forced = run_sweep([self.OFA], config, engine="mega")
+        assert _fused_rows() - before == 3
+        assert small.cell("ofa", 20).results == forced.cell("ofa", 20).results
+
+    def test_explicit_per_run_selector_never_fuses(self):
+        before = _fused_rows()
+        sweep = run_sweep([self.OFA], self.CONFIG, engine="fair")
+        assert _fused_rows() == before
+        fused = run_sweep([self.OFA], self.CONFIG)
+        for k in self.CONFIG.k_values:
+            assert sweep.cell("ofa", k).results == fused.cell("ofa", k).results
 
     def test_protocol_without_kernel_falls_back_to_per_run(self, plain_fair_registered):
         spec = ProtocolSpec(key="plain", label="Plain", spec=PlainFair.name)
@@ -694,47 +585,24 @@ class TestSweepRouting:
         assert _engines(sweep, "plain", 40) == {"fair"}
 
     def test_arrivals_route_to_slot_engine(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
         config = ExperimentConfig(k_values=[12], runs=2, seed=17)
-        sweep = run_sweep([spec], config, arrivals="poisson(rate=0.2)")
+        sweep = run_sweep([self.OFA], config, arrivals="poisson(rate=0.2)")
         assert _engines(sweep, "ofa", 12) == {"slot"}
 
-    def test_explicit_per_run_selector_disables_batching(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
-        sweep = run_sweep([spec], self.CONFIG, engine="fair")
-        assert _engines(sweep, "ofa", 40) == {"fair"}
-
-    def test_batch_false_replays_per_run_streams(self):
-        specs = [
-            ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive"),
-            ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff"),
-        ]
-        for sweep in (
-            run_sweep(specs, self.CONFIG, batch=False),
-            run_sweep(specs, ExperimentConfig(k_values=[20, 40], runs=3, seed=17, batch=False)),
-        ):
-            assert _engines(sweep, "ofa", 40) == {"fair"}
-            assert _engines(sweep, "ebb", 40) == {"window"}
-
     def test_batched_sweep_bit_identical_across_workers(self):
-        specs = [
-            ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive"),
-            ProtocolSpec(key="ebb", label="EBB", spec="exp-backon-backoff"),
-        ]
-        serial = run_sweep(specs, self.CONFIG, workers=1)
-        pooled = run_sweep(specs, self.CONFIG, workers=2)
+        serial = run_sweep([self.OFA, self.EBB], self.CONFIG, workers=1)
+        pooled = run_sweep([self.OFA, self.EBB], self.CONFIG, workers=2)
         for key in serial.cells:
             assert serial.cells[key].results == pooled.cells[key].results
 
     def test_progress_counts_per_run(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
         calls = []
         run_sweep(
-            [spec],
-            ExperimentConfig(k_values=[40], runs=3, seed=17),
+            [self.OFA],
+            ExperimentConfig(k_values=[40], runs=4, seed=17),
             progress=lambda s, k, done, total: calls.append((s.key, k, done, total)),
         )
-        assert calls == [("ofa", 40, 1, 3), ("ofa", 40, 2, 3), ("ofa", 40, 3, 3)]
+        assert calls == [("ofa", 40, done, 4) for done in (1, 2, 3, 4)]
 
 
 class TestSessionStore:
@@ -750,16 +618,15 @@ class TestSessionStore:
     def test_fused_results_scatter_into_per_cell_store_records(self, tmp_path):
         scenarios = self.scenarios() + [Scenario.parse("exp-backon-backoff k=50 reps=3 seed=5")]
         stored = Session(store_dir=tmp_path).run_all(scenarios)
-        assert [rs.engine_used for rs in stored] == ["mega"] * 3 + ["mega-window"]
+        assert [rs.engine_used for rs in stored] == ["fair"] * 3 + ["window"]
         resumed = Session(store_dir=tmp_path).run_all(scenarios)
         for first, second in zip(stored, resumed):
             assert second.cached_runs == 3 and second.new_runs == 0
             assert first.results == second.results
 
-    def test_interrupted_sweep_refuses_only_missing_cells(self, tmp_path):
+    def test_interrupted_sweep_resimulates_only_missing_cells(self, tmp_path):
         """A sweep killed mid-grid resumes bit-identically: cached cells are
-        served from the store and only the missing ones enter the new fused
-        group — composition independence makes the two executions equal."""
+        served from the store and only the missing ones are simulated."""
         full = self.scenarios()
         Session(store_dir=tmp_path).run_all(full[:1])  # the "killed" partial sweep
         resumed = Session(store_dir=tmp_path).run_all(full)
@@ -767,54 +634,58 @@ class TestSessionStore:
         assert all(rs.cached_runs == 0 and rs.new_runs == 3 for rs in resumed[1:])
         fresh = Session().run_all(full)
         for resumed_set, fresh_set in zip(resumed, fresh):
-            assert resumed_set.makespans == fresh_set.makespans
-            assert [r.seed for r in resumed_set.results] == [r.seed for r in fresh_set.results]
+            assert resumed_set.results == fresh_set.results
 
-    def test_explicit_batched_engine_batches_in_a_per_run_session(self):
-        scenario = Scenario(
-            protocol="exp-backon-backoff", k=50, replications=3, seed=5, engine="mega-window"
+
+def _legacy(results, engine: str | None = None) -> list:
+    """Results as a store written before stream versions holds them."""
+    legacy = []
+    for result in results:
+        metadata = {key: value for key, value in result.metadata.items() if key != "stream_version"}
+        if engine is not None:
+            metadata["batch_reps"] = len(results)
+        legacy.append(
+            dataclasses.replace(result, engine=engine or result.engine, metadata=metadata)
         )
-        result_set = Session(batch=False).run(scenario)
-        assert result_set.engine_used == "mega-window"
-        assert result_set.results[0].metadata["batch_reps"] == 3
-
-    def test_batched_store_not_served_to_per_run_session(self, tmp_path):
-        scenario = Scenario(protocol="exp-backon-backoff", k=50, replications=4, seed=5)
-        Session(store_dir=tmp_path).run(scenario)
-        # Cached-run reuse is keyed by engine + batch_reps: a per-run session
-        # must not mix batched samples into its result set.
-        per_run = Session(store_dir=tmp_path, batch=False).run(scenario)
-        assert per_run.engine_used == "window"
-        assert per_run.new_runs == 4
+    return legacy
 
 
 class TestRetiredSurface:
-    """The per-cell batch engines, their selectors and the ``fuse`` knob are gone."""
+    """The windowed batch engine, the ``batch`` knob and their stored cells."""
 
-    @pytest.mark.parametrize("selector", ["batch", "batch-window"])
+    @pytest.mark.parametrize("selector", ["batch", "batch-window", "mega-window"])
     def test_retired_selectors_are_unknown_engines(self, selector):
         with pytest.raises(ValueError, match="unknown engine"):
             simulate_batch(OneFailAdaptive(), 10, [0, 1], engine=selector)
         with pytest.raises(ValueError, match="unknown engine"):
-            simulate(OneFailAdaptive(), k=10, seed=0, engine=selector)
+            simulate(ExpBackonBackoff(), k=10, seed=0, engine=selector)
+        with pytest.raises(ValueError, match="unknown engine"):
+            Scenario(protocol="exp-backon-backoff", k=10, engine=selector)
 
-    def test_fuse_knob_is_gone(self):
-        spec = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
+    @pytest.mark.parametrize("knob", ["batch", "fuse"])
+    def test_batching_knobs_are_gone(self, knob):
         config = ExperimentConfig(k_values=[10], runs=1, seed=17)
         with pytest.raises(TypeError):
-            ExperimentConfig(k_values=[10], runs=1, fuse=False)
+            ExperimentConfig(k_values=[10], runs=1, **{knob: False})
         with pytest.raises(TypeError):
-            Session(fuse=False)
+            Session(**{knob: False})
         with pytest.raises(TypeError):
-            run_sweep([spec], config, fuse=False)
+            run_sweep([TestSweepRouting.OFA], config, **{knob: False})
+        with pytest.raises(TypeError):
+            create_server(**{knob: False})
+        assert "batch" not in config.describe()
 
-    @pytest.mark.parametrize("flag", ["--fuse", "--no-fuse"])
-    def test_figure_and_table_clis_reject_fuse_flags(self, flag, capsys):
+    @pytest.mark.parametrize("flag", ["--fuse", "--no-fuse", "--batch", "--no-batch"])
+    def test_figure_and_table_clis_reject_batching_flags(self, flag, capsys):
         for main in (figure1.main, table1.main):
             with pytest.raises(SystemExit) as excinfo:
                 main([flag])
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_windowed_fuse_hook_is_gone(self):
+        assert not hasattr(ExpBackonBackoff(), "fused_schedule_key")
+        assert not hasattr(build_protocol("loglog-iterated-backoff", k=16), "fused_schedule_key")
 
     def test_protocol_specs_need_a_spec_string(self):
         with pytest.raises(TypeError):
@@ -822,17 +693,57 @@ class TestRetiredSurface:
         with pytest.raises(TypeError):
             ProtocolSpec(key="ofa", label="OFA")
 
-    def test_cells_stored_by_a_retired_engine_resimulate_once(self, tmp_path):
-        """ALOHA cells the deleted ``batch`` engine stored are recomputed under ``mega``."""
-        scenario = Scenario(protocol="slotted-aloha", k=30, replications=3, seed=5)
-        legacy = [
-            StoredRun(replication, result.seed, 0.0, dataclasses.replace(result, engine="batch"))
-            for replication, result in enumerate(Session().run(scenario).results)
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    @pytest.mark.parametrize(
+        "text,legacy_engine",
+        [
+            ("slotted-aloha k=30 reps=4 seed=5", "batch"),
+            ("one-fail-adaptive k=30 reps=4 seed=5", "mega"),
+            ("exp-backon-backoff k=30 reps=4 seed=5", "mega-window"),
+            ("exp-backon-backoff k=30 reps=4 seed=5", None),  # stream-1 window runs
+        ],
+    )
+    def test_legacy_cells_resimulate_once(self, tmp_path, backend, text, legacy_engine):
+        scenario = Scenario.parse(text)
+        target = tmp_path / "store" if backend == "jsonl" else f"sqlite:{tmp_path / 'store.db'}"
+        results = _legacy(Session().run(scenario).results, legacy_engine)
+        legacy = [StoredRun(index, result.seed, 0.0, result) for index, result in enumerate(results)]
+        open_store(target).append(scenario, legacy)
+        first = Session(store_dir=target).run(scenario)
+        assert first.cached_runs == 0 and first.new_runs == 4
+        assert first.results == Session().run(scenario).results
+        again = Session(store_dir=target)
+        assert again.cached_count(scenario) == 4
+        served = again.run(scenario)
+        assert served.cached_runs == 4 and served.new_runs == 0
+        assert served.results == first.results
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_legacy_fair_runs_are_served(self, tmp_path, backend):
+        scenario = Scenario.parse("one-fail-adaptive k=30 reps=4 seed=5")
+        target = tmp_path / "store" if backend == "jsonl" else f"sqlite:{tmp_path / 'store.db'}"
+        results = _legacy(Session().run(scenario.replace(engine="fair")).results)
+        assert all("stream_version" not in result.metadata for result in results)
+        legacy = [StoredRun(index, result.seed, 0.0, result) for index, result in enumerate(results)]
+        open_store(target).append(scenario, legacy)
+        session = Session(store_dir=target)
+        assert session.cached_count(scenario) == 4
+        served = session.run(scenario)
+        assert served.cached_runs == 4 and served.new_runs == 0
+        assert [result.makespan for result in served.results] == [
+            result.makespan for result in results
         ]
-        open_store(tmp_path).append(scenario, legacy)
-        first = Session(store_dir=tmp_path).run(scenario)
-        assert first.engine_used == "mega"
-        assert first.cached_runs == 0 and first.new_runs == 3
-        again = Session(store_dir=tmp_path).run(scenario)
-        assert again.cached_runs == 3 and again.new_runs == 0
-        assert again.results == first.results
+
+
+class TestWindowedProtocolsStayPerRun:
+    """Windowed cells never batch; every windowed protocol runs on ``window``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["exp-backon-backoff", "exponential-backoff", "polynomial-backoff", "log-backoff",
+         "loglog-iterated-backoff"],
+    )
+    def test_session_runs_windowed_cells_on_window(self, spec):
+        result_set = Session().run(Scenario(protocol=spec, k=40, replications=5, seed=3))
+        assert result_set.engine_used == "window"
+        assert all(result.metadata["stream_version"] == 2 for result in result_set.results)

@@ -39,9 +39,7 @@ CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
 
 class TestRegistryContents:
     def test_available_engines_roster(self):
-        assert available_engines() == [
-            "auto", "fair", "mega", "mega-window", "slot", "window",
-        ]
+        assert available_engines() == ["auto", "fair", "mega", "slot", "window"]
 
     def test_every_engine_declares_capabilities(self):
         for name in engine_names():
@@ -55,11 +53,18 @@ class TestRegistryContents:
         assert engine_capabilities("fair").protocol_kinds == frozenset({"fair"})
         assert engine_capabilities("window").protocol_kinds == frozenset({"windowed"})
         assert engine_capabilities("mega").batched
-        assert engine_capabilities("mega-window").batched
         assert not engine_capabilities("mega").traces
-        assert not engine_capabilities("mega-window").traces
-        for name in ("fair", "window", "mega", "mega-window"):
+        for name in ("fair", "window", "mega"):
             assert not engine_capabilities(name).arrivals
+
+    def test_per_run_engines_declare_stream_versions(self):
+        versions = {
+            name: engine_class(name).stream_version
+            for name in engine_names()
+            if not engine_capabilities(name).batched
+        }
+        assert versions == {"slot": 1, "fair": 1, "window": 2}
+        assert engine_class("mega").replays is engine_class("fair")
 
     def test_unknown_engine_error_enumerates_registry(self):
         with pytest.raises(ValueError) as excinfo:
@@ -82,6 +87,23 @@ class TestRegistryContents:
 
         with pytest.raises(ValueError, match="supports"):
             registry.register(BatchedWithoutSupports)
+
+        class BatchedWithoutReplays(BatchedWithoutSupports):
+            name = "batched-no-replays"
+
+            @classmethod
+            def supports(cls, protocol):
+                return True
+
+        with pytest.raises(ValueError, match="replays"):
+            registry.register(BatchedWithoutReplays)
+
+        class PerRunWithoutStreamVersion:
+            name = "per-run-no-version"
+            capabilities = EngineCapabilities()
+
+        with pytest.raises(ValueError, match="stream_version"):
+            registry.register(PerRunWithoutStreamVersion)
 
 
 class TestAutoPick:
@@ -117,13 +139,13 @@ class TestExplicitPickValidation:
         # Before the registry this either raised deep inside the engine
         # constructor or silently simulated the wrong feedback model; now the
         # explicit choice is validated up front against declared channels.
-        for engine in ("fair", "window", "mega", "mega-window"):
+        for engine in ("fair", "window", "mega"):
             with pytest.raises(ValueError, match="cannot serve channel"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, channel=CD_CHANNEL)
 
     def test_arrivals_rejected_for_non_arrival_engines(self):
         arrivals = PoissonArrival(k=10, rate=0.5)
-        for engine in ("fair", "window", "mega", "mega-window"):
+        for engine in ("fair", "window", "mega"):
             with pytest.raises(ValueError, match="arrival"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, arrivals=arrivals)
 
@@ -142,18 +164,16 @@ class TestExplicitPickValidation:
 class TestBatchEngineFor:
     def test_kind_routing(self):
         assert batch_engine_for(OneFailAdaptive()) == "mega"
-        assert batch_engine_for(ExpBackonBackoff()) == "mega-window"
+        assert batch_engine_for(ExpBackonBackoff()) is None
         assert batch_engine_for(BinarySplitting()) is None
 
     def test_explicit_selectors(self):
         assert batch_engine_for(OneFailAdaptive(), engine="mega") == "mega"
-        assert batch_engine_for(ExpBackonBackoff(), engine="mega-window") == "mega-window"
         # A per-run selector is never batch-eligible.
         assert batch_engine_for(OneFailAdaptive(), engine="fair") is None
         assert batch_engine_for(ExpBackonBackoff(), engine="window") is None
         # A kind-mismatched batch selector is not eligible either.
         assert batch_engine_for(ExpBackonBackoff(), engine="mega") is None
-        assert batch_engine_for(OneFailAdaptive(), engine="mega-window") is None
 
     def test_arrivals_and_non_default_channels_never_batch(self):
         arrivals = PoissonArrival(k=10, rate=0.5)
@@ -169,11 +189,12 @@ class TestLayersAgreeForEveryRegisteredProtocol:
     copies of the eligibility logic could (and did) disagree.  For every
     protocol in the registry we build an instance, ask the registry what
     should happen, and assert that a Session run and a run_sweep cell both
-    produce results from exactly the predicted engine — batched and per-run.
+    produce results from exactly the predicted engine, and that a batched
+    run equals the per-run one.
     """
 
     K = 12
-    REPS = 2
+    REPS = 5  # enough replications for a batch-eligible cell to fuse
 
     #: Protocols that cannot run on the paper's default channel, with the
     #: channel spec they need (binary splitting needs ternary feedback).
@@ -189,19 +210,20 @@ class TestLayersAgreeForEveryRegisteredProtocol:
         predicted_batch = batch_engine_for(protocol, channel=channel)
         predicted_per_run = pick_engine_name(protocol, channel=channel)
 
-        batched_session = Session().run(scenario)
-        expected_batched = predicted_batch or predicted_per_run
-        assert batched_session.engine_used == expected_batched
-
-        per_run_session = Session(batch=False).run(scenario)
-        assert per_run_session.engine_used == predicted_per_run
+        session = Session().run(scenario)
+        assert session.engine_used == predicted_per_run
+        per_run_session = Session().run(scenario.replace(engine=predicted_per_run))
+        assert per_run_session.results == session.results
+        if predicted_batch is not None:
+            batched_session = Session().run(scenario.replace(engine=predicted_batch))
+            assert batched_session.results == session.results
 
         if channel_spec != "default":
             return  # run_sweep cells always use the paper's channel
         spec = ProtocolSpec(key=name, label=name, spec=name)
         config = ExperimentConfig(k_values=[self.K], runs=self.REPS, seed=3,
                                   max_slots_factor=100)
-        batched_sweep = run_sweep([spec], config).cell(name, self.K)
-        assert {result.engine for result in batched_sweep.results} == {expected_batched}
-        per_run_sweep = run_sweep([spec], config, batch=False).cell(name, self.K)
-        assert {result.engine for result in per_run_sweep.results} == {predicted_per_run}
+        sweep = run_sweep([spec], config).cell(name, self.K)
+        assert {result.engine for result in sweep.results} == {predicted_per_run}
+        per_run_sweep = run_sweep([spec], config, engine=predicted_per_run).cell(name, self.K)
+        assert per_run_sweep.results == sweep.results

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.channel.model import ChannelModel, FeedbackModel
@@ -10,7 +13,8 @@ from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.window_engine import WindowEngine
 from repro.protocols.backoff import ExponentialBackoff, LogLogIteratedBackoff
-from repro.protocols.base import WindowedProtocol
+from repro.protocols.base import WindowedProtocol, build_protocol
+from repro.util.rng import derive_seeds
 
 
 class TestBasicOperation:
@@ -149,3 +153,70 @@ class TestStatisticalBehaviour:
         for seed in range(3):
             result = window_engine.simulate(ExpBackonBackoff(), k, seed=seed)
             assert result.makespan <= ebb_makespan_bound(k)
+
+
+#: Every registered windowed protocol.
+WINDOWED_SPECS = [
+    "exp-backon-backoff",
+    "exponential-backoff",
+    "polynomial-backoff",
+    "log-backoff",
+    "loglog-iterated-backoff",
+]
+
+
+def _reference_makespan(protocol: WindowedProtocol, k: int, rng: np.random.Generator) -> int:
+    """The plain balls-in-bins loop: every window throws every ball."""
+    remaining, start = k, 0
+    for length in protocol.spawn().window_lengths():
+        occupancy = np.bincount(rng.integers(0, length, size=remaining), minlength=length)
+        singles = np.flatnonzero(occupancy == 1)
+        if singles.size == remaining:
+            return start + int(singles[-1]) + 1
+        remaining -= singles.size
+        start += length
+    raise AssertionError("window schedule exhausted")
+
+
+def _assert_same_mean(engine: np.ndarray, reference: np.ndarray) -> None:
+    """Two-sample z-test on the means, 4-sigma threshold (as in validation.py)."""
+    pooled = math.sqrt(engine.var(ddof=1) / engine.size + reference.var(ddof=1) / reference.size)
+    if pooled == 0.0:  # both samples constant, e.g. every run solved in slot 1
+        assert engine.mean() == reference.mean()
+        return
+    z_score = abs(engine.mean() - reference.mean()) / pooled
+    assert z_score < 4.0, (
+        f"engine mean {engine.mean():.1f} vs reference mean {reference.mean():.1f} "
+        f"(z={z_score:.2f})"
+    )
+
+
+class TestOccupancySamplersAgainstBallThrowReference:
+    """The saturated/multinomial/ball-throw samplers keep the law of the
+    plain loop that throws every ball of every window."""
+
+    @staticmethod
+    def samples(spec: str, k: int, runs: int) -> tuple[np.ndarray, np.ndarray]:
+        protocol = build_protocol(spec, k=k)
+        engine = np.asarray(
+            [WindowEngine().simulate(protocol, k, seed=seed).makespan for seed in derive_seeds(1, runs)]
+        )
+        rng = np.random.default_rng(2)
+        reference = np.asarray([_reference_makespan(protocol, k, rng) for _ in range(runs)])
+        return engine, reference
+
+    @pytest.mark.parametrize("k", [1, 2, 150])
+    @pytest.mark.parametrize("spec", WINDOWED_SPECS)
+    def test_makespan_mean_matches_reference(self, spec, k):
+        engine, reference = self.samples(spec, k, 300)
+        assert engine.min() >= k
+        _assert_same_mean(engine, reference)
+        if k > 2:
+            for quantile in (0.25, 0.5, 0.75):
+                assert np.quantile(engine, quantile) == pytest.approx(
+                    np.quantile(reference, quantile), rel=0.10
+                )
+
+    @pytest.mark.parametrize("spec", ["exp-backon-backoff", "loglog-iterated-backoff"])
+    def test_large_k_walks_every_sampler_and_matches_reference(self, spec):
+        _assert_same_mean(*self.samples(spec, 2048, 60))

@@ -116,18 +116,14 @@ class TestCommandLineEntryPoints:
 
 
 class TestSweepFlags:
-    """Worker count, batching and stores, through the paper's experiments."""
+    """Worker count and stores, through the paper's experiments."""
 
-    def test_workers_and_batch_flags_still_honoured(self, tiny_config):
+    def test_workers_flag_still_honoured(self, tiny_config):
         serial = reproduce_figure1(config=tiny_config)
         parallel = reproduce_figure1(
             config=ExperimentConfig(k_values=[10, 100], runs=2, seed=5, workers=2)
         )
         assert serial.series == parallel.series
-        per_run = reproduce_figure1(
-            config=ExperimentConfig(k_values=[10, 100], runs=2, seed=5, batch=False)
-        )
-        assert set(per_run.series) == set(serial.series)
 
     def test_store_backed_figure1_identical(self, tiny_config, tmp_path):
         stored = reproduce_figure1(config=tiny_config, store_dir=tmp_path)

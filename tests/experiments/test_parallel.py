@@ -19,6 +19,8 @@ from repro.experiments.parallel import (
     resolve_workers,
 )
 from repro.experiments.runner import run_sweep
+from repro.obs import REGISTRY
+from repro.scenarios import Scenario, Session
 
 
 def small_specs() -> list[ProtocolSpec]:
@@ -141,3 +143,43 @@ class TestParallelSweep:
         serial = run_sweep(small_specs()[:1], config, workers=1, arrivals=arrivals)
         parallel = run_sweep(small_specs()[:1], config, workers=2, arrivals=arrivals)
         assert serial.cell("ofa", 12).results == parallel.cell("ofa", 12).results
+
+
+def _engine_counters() -> dict[str, float]:
+    """Every engine-layer counter series, keyed by name and labels."""
+    return {
+        name + labels: value
+        for name, family in REGISTRY.snapshot().items()
+        if name.startswith(("repro_engine_", "repro_megabatch_"))
+        or name == "repro_window_occupancy_total"
+        for labels, value in family["series"].items()
+    }
+
+
+class TestWorkerCountersReachTheParent:
+    """Counters incremented in pool workers are added to the parent's registry."""
+
+    SCENARIOS = [
+        "one-fail-adaptive k=30 reps=4 seed=1",  # with the next cell: one fused unit
+        "one-fail-adaptive k=60 reps=4 seed=2",
+        "exp-backon-backoff k=300 reps=3 seed=3",  # three per-run window units
+        "one-fail-adaptive k=20 reps=2 seed=4 engine=fair",  # two per-run fair units
+    ]
+
+    def deltas(self, workers: int) -> dict[str, float]:
+        before = _engine_counters()
+        Session(workers=workers).run_all([Scenario.parse(text) for text in self.SCENARIOS])
+        after = _engine_counters()
+        return {
+            key: value - before.get(key, 0.0)
+            for key, value in after.items()
+            if value != before.get(key, 0.0)
+        }
+
+    def test_pooled_counters_equal_serial_counters(self):
+        serial = self.deltas(workers=1)
+        assert self.deltas(workers=2) == serial
+        assert serial['repro_engine_runs_total{engine="window"}'] == 3
+        assert serial['repro_engine_runs_total{engine="fair"}'] == 2
+        assert serial['repro_megabatch_rows_total{engine="mega"}'] == 8
+        assert any(key.startswith("repro_window_occupancy_total") for key in serial)

@@ -133,7 +133,7 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["new_runs"] == 2
         assert payload["cached_runs"] == 0
-        assert payload["engine"] == "mega"
+        assert payload["engine"] == "fair"
         assert len(payload["results"]) == 2
         assert payload["hash"]
 

@@ -15,6 +15,7 @@ import json
 import sqlite3
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -291,22 +292,29 @@ class TestBackendContract:
         assert session.ingest(scenario().replace(seed=99), bogus) == 0
 
 
+#: A cell whose runs carry a stream version other than the default 1: a hop
+#: that dropped the version would make the destination re-simulate it.
+WINDOW_SPEC = "exp-backon-backoff k=32 reps=4 seed=3"
+
+
 class TestFederationOnDisk:
+    @pytest.mark.parametrize("text", [SPEC, WINDOW_SPEC])
     @pytest.mark.parametrize("src_name", BACKENDS)
     @pytest.mark.parametrize("dst_name", BACKENDS)
     def test_sync_makes_destination_serve_with_zero_simulations(
-        self, tmp_path, src_name, dst_name
+        self, tmp_path, src_name, dst_name, text
     ):
         src_spec = BACKEND_SPECS[src_name](tmp_path / "src")
         dst_spec = BACKEND_SPECS[dst_name](tmp_path / "dst")
         source_session = Session(store_dir=src_spec)
-        source_session.run(scenario())
+        source = source_session.run(scenario(text))
         report = sync_stores(src_spec, dst_spec)
         assert report.scenarios_examined == 1
         assert report.scenarios_copied == 1
         assert report.replications_copied == 4
-        served = Session(store_dir=dst_spec).run(scenario())
+        served = Session(store_dir=dst_spec).run(scenario(text))
         assert served.new_runs == 0 and served.cached_runs == 4
+        assert served.results == source.results  # stream_version included
         again = sync_stores(src_spec, dst_spec)
         assert again.scenarios_copied == 0 and again.replications_copied == 0
 
@@ -339,16 +347,18 @@ class TestFederationOverHttp:
         yield server
         server.close()
 
-    def test_push_to_server_makes_submission_cached(self, tmp_path, server):
+    @pytest.mark.parametrize("text", [SPEC, WINDOW_SPEC])
+    def test_push_to_server_makes_submission_cached(self, tmp_path, server, text):
         from repro.service import ServiceClient
 
         local_spec = BACKEND_SPECS["sqlite"](tmp_path / "local")
-        Session(store_dir=local_spec).run(scenario())
+        local = Session(store_dir=local_spec).run(scenario(text))
         report = sync_stores(local_spec, server.url)
         assert report.replications_copied == 4
-        status = ServiceClient(server.url).submit(scenario())
+        status = ServiceClient(server.url).submit(scenario(text))
         assert status.cached is True
         assert status.state == "done"
+        assert server.session.run(scenario(text)).results == local.results
 
     def test_pull_from_server_serves_locally_with_zero_simulations(self, tmp_path, server):
         from repro.service import ServiceClient
@@ -444,6 +454,45 @@ class TestSqliteSpecifics:
         assert sorted(store.load(scenario())) == [0, 1, 2, 3]
         store.close()
 
+    def test_file_without_stream_versions_gains_the_column_in_place(self, tmp_path):
+        # A database created before stream versions: a batch_reps column and
+        # no stream_version.  Opening it adds the column (rows get version
+        # 1) without rewriting the file; its fair runs are then served and
+        # its window runs re-simulated once.
+        path = tmp_path / "legacy.db"
+        fair, window = scenario(), scenario(WINDOW_SPEC)
+        with closing(sqlite3.connect(path)) as connection, connection:
+            connection.executescript(_LEGACY_SCHEMA)
+            for cell in (fair, window):
+                results = Session().run(cell.replace(engine="fair" if cell is fair else "window"))
+                connection.execute(
+                    "INSERT INTO scenarios (hash, scenario_json, run_count, max_replication,"
+                    " updated_at) VALUES (?, ?, 4, 3, 0)",
+                    (cell.content_hash(), json.dumps(cell.to_dict(), sort_keys=True)),
+                )
+                for replication, result in enumerate(results.results):
+                    legacy = dict(result.to_dict())
+                    legacy.pop("meta_stream_version")
+                    connection.execute(
+                        "INSERT INTO runs VALUES (?, ?, ?, ?, NULL, 1, 0.0, ?, 0)",
+                        (cell.content_hash(), replication, result.seed, result.engine,
+                         json.dumps(legacy, sort_keys=True)),
+                    )
+        inode = path.stat().st_ino
+        store = SqliteStore(path)
+        with closing(sqlite3.connect(path)) as connection:
+            columns = [row[1] for row in connection.execute("PRAGMA table_info(runs)")]
+        assert "batch_reps" in columns and "stream_version" in columns
+        assert path.stat().st_ino == inode
+        assert {meta.stream_version for meta in store.run_index(fair).values()} == {1}
+        session = Session(store_dir=store)
+        assert session.run(fair).cached_runs == 4
+        resimulated = session.run(window)
+        assert resimulated.new_runs == 4
+        assert session.run(window).cached_runs == 4
+        SqliteStore(path).close()  # reopening a migrated file is a no-op
+        store.close()
+
     def test_cached_count_is_a_counter_probe(self, tmp_path):
         store = SqliteStore(tmp_path / "a.db")
         big = scenario().replace(replications=50)
@@ -452,3 +501,28 @@ class TestSqliteSpecifics:
         assert store.cached_count(big.replace(replications=10)) == 10
         assert store.cached_count(big.replace(replications=80)) == 50
         store.close()
+
+
+#: The ``runs``/``scenarios`` schema of stores written before stream versions.
+_LEGACY_SCHEMA = """
+CREATE TABLE scenarios (
+    hash            TEXT PRIMARY KEY,
+    scenario_json   TEXT NOT NULL,
+    run_count       INTEGER NOT NULL DEFAULT 0,
+    max_replication INTEGER NOT NULL DEFAULT -1,
+    updated_at      REAL NOT NULL
+);
+CREATE TABLE runs (
+    hash            TEXT NOT NULL,
+    replication     INTEGER NOT NULL,
+    seed            INTEGER NOT NULL,
+    engine          TEXT NOT NULL,
+    batch_reps      INTEGER,
+    solved          INTEGER NOT NULL,
+    elapsed_seconds REAL NOT NULL,
+    result_json     TEXT NOT NULL,
+    created_at      REAL NOT NULL,
+    PRIMARY KEY (hash, replication)
+);
+CREATE INDEX runs_created_at ON runs (created_at);
+"""

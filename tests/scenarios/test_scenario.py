@@ -16,9 +16,7 @@ from repro.util.rng import derive_seeds
 
 class TestRegistries:
     def test_available_engines_covers_all(self):
-        assert available_engines() == [
-            "auto", "fair", "mega", "mega-window", "slot", "window",
-        ]
+        assert available_engines() == ["auto", "fair", "mega", "slot", "window"]
 
     def test_available_arrivals(self):
         assert {"batch", "poisson", "bursty"} <= set(available_arrivals())

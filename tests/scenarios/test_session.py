@@ -23,15 +23,20 @@ class TestSessionExecution:
         assert result_set.seeds == tuple(scenario().seeds())
         assert [result.seed for result in result_set.results] == list(result_set.seeds)
 
-    def test_batch_routing_for_eligible_cells(self):
-        assert Session().run(scenario()).engine_used == "mega"
-        assert Session(batch=False).run(scenario()).engine_used == "fair"
+    def test_fused_and_per_run_fair_cells_give_equal_fair_runs(self):
+        # Three replications run per run, five fuse; an explicit selector
+        # forces either path.  Every path yields the same FairEngine runs.
+        five = scenario().replace(replications=5)
+        assert Session().run(scenario()).engine_used == "fair"
+        fused = Session().run(five)
+        assert fused.engine_used == "fair"
+        assert fused.results == Session().run(five.replace(engine="mega")).results
+        assert fused.results == Session().run(five.replace(engine="fair")).results
 
-    def test_windowed_protocol_batch_routing(self):
-        result_set = Session().run(scenario("exp-backon-backoff k=60 reps=2 seed=7"))
-        assert result_set.engine_used == "mega-window"
-        result_set = Session(batch=False).run(scenario("exp-backon-backoff k=60 reps=2 seed=7"))
+    def test_windowed_cells_run_on_the_window_engine(self):
+        result_set = Session().run(scenario("exp-backon-backoff k=60 reps=6 seed=7"))
         assert result_set.engine_used == "window"
+        assert result_set.results[0].metadata["stream_version"] == 2
 
     def test_dynamic_arrivals_route_to_slot_engine(self):
         result_set = Session().run(
@@ -63,7 +68,7 @@ class TestSessionExecution:
         payload = Session().run(scenario()).to_dict()
         assert payload["new_runs"] == 3
         assert payload["cached_runs"] == 0
-        assert payload["engine"] == "mega"
+        assert payload["engine"] == "fair"
         assert len(payload["results"]) == 3
         assert payload["hash"] == scenario().content_hash()
         json.dumps(payload)  # must be JSON-serialisable as-is
@@ -87,29 +92,31 @@ class TestSessionStore:
     def test_raising_replications_extends_per_run_cell(self, tmp_path):
         # Per-run streams are prefix-stable, so a larger request reuses the
         # stored prefix and runs only the new replications.
-        session = Session(store_dir=tmp_path, batch=False)
+        session = Session(store_dir=tmp_path)
         small = session.run(scenario())
         extended = session.run(scenario().replace(replications=5))
         assert extended.cached_runs == 3
         assert extended.new_runs == 2
         assert extended.makespans[:3] == small.makespans
-        fresh = Session(batch=False).run(scenario().replace(replications=5))
+        fresh = Session().run(scenario().replace(replications=5))
         assert extended.makespans == fresh.makespans
 
-    def test_raising_replications_recomputes_batch_cell(self, tmp_path):
-        # A batch cell's results depend on the batch composition (one
-        # interleaved stream per engine call), so extension recomputes the
-        # whole cell — the resumed result is bit-identical to a fresh run.
-        session = Session(store_dir=tmp_path, batch=True)
-        session.run(scenario())
-        extended = session.run(scenario().replace(replications=5))
-        assert extended.cached_runs == 0
+    @pytest.mark.parametrize(
+        "text",
+        ["one-fail-adaptive k=60 reps=4 seed=7", "exp-backon-backoff k=60 reps=4 seed=7"],
+    )
+    def test_raising_replications_extends_a_batchable_cell(self, tmp_path, text):
+        # Fused rows are per-replication streams too, so a fused cell extends
+        # like any other: only the missing replications are simulated.
+        session = Session(store_dir=tmp_path)
+        session.run(scenario(text))
+        extended = session.run(scenario(text).replace(replications=9))
+        assert extended.cached_runs == 4
         assert extended.new_runs == 5
-        fresh = Session(batch=True).run(scenario().replace(replications=5))
-        assert extended.makespans == fresh.makespans
-        # The recomputed batch is now on record for its own replication count.
-        again = session.run(scenario().replace(replications=5))
-        assert again.new_runs == 0 and again.cached_runs == 5
+        fresh = Session().run(scenario(text).replace(replications=9))
+        assert extended.results == fresh.results
+        again = session.run(scenario(text).replace(replications=9))
+        assert again.new_runs == 0 and again.cached_runs == 9
 
     def test_interrupted_grid_resumes_missing_cells_only(self, tmp_path):
         grid = [
@@ -147,9 +154,8 @@ class TestSessionStore:
 
     def test_torn_tail_heals_on_next_append(self, tmp_path):
         # A torn final line must not swallow the record appended after it:
-        # the store heals by terminating the partial line first.  (Per-run
-        # mode: batch cells recover all-or-nothing instead.)
-        session = Session(store_dir=tmp_path, batch=False)
+        # the store heals by terminating the partial line first.
+        session = Session(store_dir=tmp_path)
         session.run(scenario())
         store_file = next(tmp_path.glob("*.jsonl"))
         content = store_file.read_text(encoding="utf-8")
@@ -161,34 +167,25 @@ class TestSessionStore:
         assert settled.new_runs == 0 and settled.cached_runs == 3
 
     def test_cached_runs_clamped_to_requested_replications(self, tmp_path):
-        session = Session(store_dir=tmp_path, batch=False)
+        session = Session(store_dir=tmp_path)
         session.run(scenario().replace(replications=6))
         small = session.run(scenario().replace(replications=2))
         assert small.cached_runs == 2
         assert small.new_runs == 0
         assert len(small.results) == 2
 
-    def test_store_never_mixes_batch_and_per_run_streams(self, tmp_path):
-        # The hash ignores the sampling mode, so a store written under one
-        # mode must be recomputed — not partially reused — under the other.
-        per_run = Session(store_dir=tmp_path, batch=False).run(scenario())
-        assert per_run.engine_used == "fair"
-        batched = Session(store_dir=tmp_path, batch=True).run(
-            scenario().replace(replications=5)
-        )
-        assert batched.cached_runs == 0 and batched.new_runs == 5
-        assert {result.engine for result in batched.results} == {"mega"}
-        fresh_batched = Session(batch=True).run(scenario().replace(replications=5))
-        assert batched.makespans == fresh_batched.makespans
-        # Flipping back serves the per-run records written first... or
-        # recomputes them; either way the set is engine-uniform and identical
-        # to an uncached per-run execution.
-        per_run_again = Session(store_dir=tmp_path, batch=False).run(scenario())
-        assert {result.engine for result in per_run_again.results} == {"fair"}
-        assert per_run_again.makespans == per_run.makespans
+    def test_per_run_prefix_extended_by_a_fused_group(self, tmp_path):
+        # Two stored per-run replications plus four missing ones that fuse:
+        # one cell mixing both paths equals a fresh per-run execution.
+        session = Session(store_dir=tmp_path)
+        session.run(scenario().replace(replications=2))
+        mixed = session.run(scenario().replace(replications=6))
+        assert mixed.cached_runs == 2 and mixed.new_runs == 4
+        fresh = Session().run(scenario().replace(replications=6, engine="fair"))
+        assert mixed.results == fresh.results
 
     def test_foreign_seed_record_recomputed(self, tmp_path):
-        session = Session(store_dir=tmp_path, batch=False)
+        session = Session(store_dir=tmp_path)
         session.run(scenario())
         store_file = next(tmp_path.glob("*.jsonl"))
         lines = store_file.read_text(encoding="utf-8").splitlines()

@@ -178,10 +178,18 @@ class TestServeParser:
     def test_serve_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--store", "s", "--job-workers", "2", "--no-batch"]
-        )
+        args = build_parser().parse_args(["serve", "--port", "0", "--store", "s", "--job-workers", "2"])
         assert args.port == 0
         assert args.job_workers == 2
-        assert args.batch is False
         assert args.func.__name__ == "_cmd_serve"
+
+    @pytest.mark.parametrize("command", ["serve", "run"])
+    def test_batch_flags_are_gone(self, command, capsys):
+        from repro.cli import build_parser
+
+        for flag in ("--batch", "--no-batch"):
+            argv = [command, flag] if command == "serve" else [command, "one-fail-adaptive", flag]
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

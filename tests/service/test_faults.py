@@ -206,9 +206,10 @@ class TestRetriesAndResume:
             f"chaos:jsonl:{store_dir}"
             "?seed=1&append_fail=1&append_fail_skip=2&append_fail_max=1"
         )
-        session = Session(store_dir=spec, batch=False)
+        session = Session(store_dir=spec)
         manager = make_manager(session)
-        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7")
+        # engine=fair: four replications would otherwise fuse into one append.
+        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7 engine=fair")
         job, disposition = manager.submit(scen)
         assert disposition == "queued"
         manager.process_next()
@@ -236,7 +237,7 @@ class TestRetriesAndResume:
 
     def test_retries_give_up_after_max_attempts(self, tmp_path):
         spec = f"chaos:jsonl:{tmp_path / 'store'}?seed=1&append_fail=1"
-        manager = make_manager(Session(store_dir=spec, batch=False))
+        manager = make_manager(Session(store_dir=spec))
         job, _ = manager.submit(scenario())
         manager.process_next()
         assert job.state == "failed"

@@ -163,7 +163,7 @@ class TestTracePropagation:
             "job.run",
             "job.attempt",
             "session.plan",
-            "engine.megabatch",
+            "engine.run",
             "store.append",
         } <= stages
         # The HTTP span and the worker spans agree on the trace id even
