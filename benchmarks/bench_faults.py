@@ -113,9 +113,7 @@ def test_crash_recovery_and_chaos_retries(tmp_path, results_dir):
     )
     session = Session(store_dir=spec)
     manager = make_manager(session)
-    # engine=fair keeps one store append per replication (four replications
-    # would otherwise fuse into a single append), i.e. more fault points.
-    scenarios = [scenario_for(seed=seed).replace(engine="fair") for seed in range(10, 16)]
+    scenarios = [scenario_for(seed=seed) for seed in range(10, 16)]
     started = time.perf_counter()
     jobs = [manager.submit(scen)[0] for scen in scenarios]
     while manager.process_next() is not None:

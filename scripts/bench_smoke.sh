@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
-# Fast benchmark smoke target: exercises each benchmark harness path that is
-# cheap enough for CI (the parallel-execution fidelity checks) without running
-# the full sweeps, then a Session-store smoke run proving that
+# Fast benchmark smoke target: checks that fair runs take the compiled slot
+# loop, exercises each benchmark harness path that is cheap enough for CI (the
+# parallel-execution fidelity checks) without running the full sweeps, then a
+# Session-store smoke run proving that
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
 # simulations), and a simulation-service smoke (cached resubmission over
@@ -19,6 +20,23 @@ cd "$(dirname "$0")/.."
 # contracts) before any benchmark numbers are worth reporting.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint
 echo "invariant lint ok: src/ is clean"
+
+# --- Compiled fair kernel ----------------------------------------------------
+# One k=1e5 One-fail Adaptive run must take FairEngine's compiled slot loop.
+# A compiler that rejects a flag would otherwise leave every fair sweep on
+# the ~80x slower Python loop with nothing failing.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+from repro import OneFailAdaptive, simulate
+from repro.obs import REGISTRY
+
+result = simulate(OneFailAdaptive(), k=100_000, seed=1)
+runs = REGISTRY.snapshot()["repro_fair_runs_total"]["series"]
+compiled = runs.get("{path=\"compiled\"}", 0)
+python = runs.get("{path=\"python\"}", 0)
+assert result.solved and compiled == 1 and python == 0, f"fair runs by path: {runs}"
+print("compiled fair kernel ok: k=1e5 OFA run took the compiled loop (%d slots)"
+      % result.slots_simulated)
+'
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -m smoke --override-ini addopts= -p no:cacheprovider "$@"
 

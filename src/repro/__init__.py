@@ -15,7 +15,7 @@ The library provides:
 * the baselines the paper compares against — :class:`LogFailsAdaptive`
   (reconstruction of reference [7]) and :class:`LogLogIteratedBackoff` plus
   the rest of the monotone back-off family of reference [2];
-* the channel substrate (:mod:`repro.channel`) and four cross-validated
+* the channel substrate (:mod:`repro.channel`) and three cross-validated
   simulation engines behind one capability registry (:mod:`repro.engine`);
 * the analysis toolkit (:mod:`repro.analysis`, :mod:`repro.core.analysis`);
 * the experiment harness regenerating Figure 1 and Table 1
@@ -53,12 +53,10 @@ from repro.core import analysis as paper_analysis
 from repro.engine import (
     EngineCapabilities,
     FairEngine,
-    MegaFairEngine,
     SimulationResult,
     SlotEngine,
     WindowEngine,
     available_engines,
-    batch_engine_for,
     compare_engines,
     engine_capabilities,
     simulate,
@@ -136,10 +134,8 @@ __all__ = [
     "FairEngine",
     "WindowEngine",
     "SlotEngine",
-    "MegaFairEngine",
     "EngineCapabilities",
     "available_engines",
-    "batch_engine_for",
     "engine_capabilities",
     "compare_engines",
     # scenarios (declarative front door)

@@ -6,8 +6,7 @@ a registry actually is, with a conforming declaration:
 
 * ``REG001`` — every engine class in the :mod:`repro.engine` package
   declares an :class:`~repro.engine.registry.EngineCapabilities` and is
-  registered under its ``name`` (batched engines additionally expose the
-  ``supports`` kernel check).
+  registered under its ``name``.
 * ``REG002`` — every registered protocol declares a valid
   ``protocol_kind`` and round-trips through
   :func:`~repro.protocols.base.build_protocol` back to its own class.
@@ -92,8 +91,7 @@ class EngineContractRule(_ImportContractRule):
     name = "engine-registry-contract"
     description = (
         "every engine class in repro.engine declares EngineCapabilities and "
-        "is registered under its `name`; batched engines expose "
-        "`supports(protocol)`"
+        "is registered under its `name`"
     )
 
     def check_project(self) -> Iterator[Finding]:
@@ -127,12 +125,6 @@ class EngineContractRule(_ImportContractRule):
                     path, line, self.id,
                     f"engine class {cls.__name__} (name {name!r}) is not "
                     "registered with register_engine",
-                )
-            if capabilities.batched and not callable(getattr(cls, "supports", None)):
-                yield Finding(
-                    path, line, self.id,
-                    f"batched engine {cls.__name__} must provide a "
-                    "supports(protocol) classmethod",
                 )
 
 

@@ -35,111 +35,14 @@ can be simulated by :class:`~repro.engine.fair_engine.FairEngine`.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import ClassVar
-
-import numpy as np
 
 from repro.channel.model import Observation
 from repro.core.constants import OFA_DELTA_DEFAULT, OFA_DELTA_MAX, OFA_DELTA_MIN
-from repro.protocols.base import FairBatchState, FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol, register_protocol
 from repro.util.validation import check_in_range
 
 __all__ = ["OneFailAdaptive"]
-
-#: Shared "no probability rows changed" return of observe_receptions.
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-class _OneFailBatchState(FairBatchState):
-    """Vectorised ``(κ̃, σ)`` state of R lockstep One-fail Adaptive replications.
-
-    Line-for-line mirror of the scalar :meth:`OneFailAdaptive.notify` /
-    :meth:`OneFailAdaptive.transmission_probability` pair, with the per-slot
-    branches turned into array expressions.
-
-    ``δ`` is carried as a *per-row* array so one state can serve rows fused
-    from several cells with different parameterisations (the AT/BT parity is
-    a pure function of the common slot index and stays scalar).
-    """
-
-    def __init__(self, deltas: np.ndarray) -> None:
-        self._delta = np.asarray(deltas, dtype=float)
-        self._floor = self._delta + 1.0
-        self._kappa = self._delta + 1.0
-        self._sigma = np.zeros(self._delta.size, dtype=np.int64)
-        # σ changes only on receptions, so the BT-step probability is cached
-        # (sparse receptions patch the affected rows in place); κ̃ grows every
-        # AT step, so the AT probability is always recomputed and carries no
-        # cache key — into a reusable buffer, valid only until the next call.
-        self._bt_cache: np.ndarray | None = None
-        self._at_buf = np.empty(self._delta.size)
-
-    def probabilities(self, slot: int) -> np.ndarray:
-        if OneFailAdaptive.is_bt_step(slot):
-            # Line 8: transmit with probability 1/(1 + log2(σ + 1)).
-            if self._bt_cache is None:
-                self._bt_cache = 1.0 / (1.0 + np.log2(self._sigma + 1.0))
-            return self._bt_cache
-        # Line 10: transmit with probability 1/κ̃.
-        return 1.0 / self._kappa
-
-    def probabilities_cached(self, slot: int) -> tuple[np.ndarray, object]:
-        if slot % 2 == 1:  # is_bt_step, inlined for the per-slot hot path
-            return self.probabilities(slot), True
-        return np.divide(1.0, self._kappa, out=self._at_buf), None
-
-    def observe_receptions(
-        self,
-        slot: int,
-        received: np.ndarray,
-        received_any: bool | None = None,
-        received_rows: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        bt_step = slot % 2 == 1  # is_bt_step, inlined for the per-slot hot path
-        if not bt_step:
-            # Line 11: κ̃ ← κ̃ + 1 at the end of every AT step (before the
-            # reception adjustment, matching the scalar update order).  κ̃
-            # feeds only the keyless AT probability, so cached-flavor content
-            # is unaffected.
-            self._kappa += 1.0
-        if received_any is None:
-            received_any = bool(received.any())
-        if not received_any:
-            return _NO_ROWS
-        rows = received_rows if received_rows is not None else np.flatnonzero(received)
-        if rows.size <= 8:
-            # Receptions are sparse (usually one row); per-row scalar
-            # arithmetic beats whole-array np.where passes.
-            bt_cache = self._bt_cache
-            for index in rows:
-                i = int(index)
-                self._sigma[i] += 1
-                # Lines 16/18: κ̃ ← max{κ̃ − δ[, − 1]}, floored at δ + 1.
-                decrement = self._delta[i] if bt_step else self._delta[i] + 1.0
-                self._kappa[i] = max(self._kappa[i] - decrement, self._floor[i])
-                if bt_cache is not None:
-                    bt_cache[i] = 1.0 / (1.0 + np.log2(self._sigma[i] + 1.0))
-            return rows
-        self._sigma += received
-        decrement = self._delta if bt_step else self._delta + 1.0
-        self._kappa = np.where(
-            received,
-            np.maximum(self._kappa - decrement, self._floor),
-            self._kappa,
-        )
-        self._bt_cache = None
-        return None
-
-    def compact(self, keep: np.ndarray) -> None:
-        self._delta = self._delta[keep]
-        self._floor = self._floor[keep]
-        self._kappa = self._kappa[keep]
-        self._sigma = self._sigma[keep]
-        # The cache is per-row, so it stays current under the same slicing.
-        if self._bt_cache is not None:
-            self._bt_cache = self._bt_cache[keep]
-        self._at_buf = np.empty(self._kappa.size)
 
 
 @register_protocol
@@ -243,12 +146,3 @@ class OneFailAdaptive(FairProtocol):
             else:
                 # Line 18: κ̃ ← max{κ̃ − δ − 1, δ + 1}.
                 self._kappa_estimate = max(self._kappa_estimate - self.delta - 1.0, floor)
-
-    @classmethod
-    def make_fused_batch_state(
-        cls,
-        protocols: "Sequence[FairProtocol]",
-        counts: "Sequence[int]",
-    ) -> _OneFailBatchState:
-        deltas = np.repeat([protocol.delta for protocol in protocols], counts)
-        return _OneFailBatchState(deltas)

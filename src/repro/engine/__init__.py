@@ -1,8 +1,8 @@
 """Simulation engines and the capability registry that picks between them.
 
-Four engines sample the *same* stochastic process — the paper's channel —
+Three engines sample the *same* stochastic process — the paper's channel —
 at very different costs.  Each declares :class:`EngineCapabilities`
-(protocol kinds, feedback models, arrivals, batched, traces) with the
+(protocol kinds, feedback models, arrivals, traces) with the
 :mod:`repro.engine.registry`; each protocol declares its ``protocol_kind``.
 Dispatch, session planning and the CLI's ``--engine`` choices are queries
 against those declarations.
@@ -14,36 +14,29 @@ engine      serves         cost                                    chosen by ``"
             channel and    node-level reference the others are     (generic protocols, other
             arrivals;      validated against                       channels, arrival processes)
             traces
-``fair``    ``fair``;      O(1) per slot: ``Binomial(m, p)``       a single fair run
-            traces         outcome from one uniform draw
+``fair``    ``fair``;      O(1) per slot: ``Binomial(m, p)``       a fair run
+            traces         outcome from one uniform draw; a
+                           compiled slot loop for OFA, LFA and
+                           ALOHA, the Python loop otherwise
 ``window``  ``windowed``;  one occupancy sample per contention      a windowed run
             traces         window (saturated / multinomial /
                            ball throw)
-``mega``    ``fair``,      one masked numpy pass per slot for all  never; the session fuses a fair
-            batched        rows (cell × replication) of a group    group of >= 4 rows whose
-                                                                   protocol has
-                                                                   ``make_fused_batch_state``
 =========== ============== ======================================= ================================
 
 The reduced engines implement only the paper's channel with slot-0 arrivals;
 anything else goes to ``slot``.  :func:`simulate` runs one replication on
-the cheapest per-run engine (``"auto"`` never picks a batched one).  Fair
-cells batch: the :class:`~repro.scenarios.session.Session` (and so
-``run_sweep``, Figure 1, Table 1 and the service) asks
-:func:`~repro.engine.registry.batch_engine_for` — the **one**
-batch-eligibility predicate — and stacks the eligible cells of a grid that
-share a ``fuse_key`` into one :func:`simulate_megabatch` kernel pass;
-:func:`simulate_batch` is its one-cell form.  An explicit ``engine="mega"``
-always batches; an explicit ``engine="fair"`` never does.
+the cheapest engine; a sweep cell is one :func:`simulate` call per
+replication, each keyed by its own seed, so a run never depends on its
+siblings.  :func:`simulate_batch` (one cell) and :func:`simulate_megabatch`
+(many cells) are loops over it.
 
-Batching is exact: each fused row replays the
-:class:`FairEngine` stream of its own seed, so it equals the per-run result
-run for run (up to last-bit rounding of the outcome thresholds; see
-:mod:`repro.engine.megabatch`) and carries ``engine="fair"``.  Every per-run
-engine declares a ``stream_version``; results record it in
+:class:`FairEngine` runs the paper's fair protocols in a compiled slot loop
+that equals its Python loop run for run (see :mod:`repro.engine.fair_engine`).
+Every engine declares a ``stream_version``; results record it in
 ``metadata["stream_version"]`` and stored runs are reused only under the
 (seed, engine, stream version) that produced them.
-``tests/engine/test_megabatch.py`` pins the equality;
+``tests/engine/test_fair_engine.py`` pins the compiled loop's equality and
+``tests/engine/test_streams.py`` the streams;
 :mod:`repro.engine.validation` holds the statistical cross-checks against
 the node-level engine.
 """
@@ -54,15 +47,19 @@ from repro.engine.registry import (
     EngineCapabilities,
     EngineRegistry,
     available_engines,
-    batch_engine_for,
     engine_capabilities,
 )
 from repro.engine.result import SimulationResult
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.fair_engine import FairEngine
 from repro.engine.window_engine import WindowEngine
-from repro.engine.megabatch import FusedCell, MegaFairEngine
-from repro.engine.dispatch import pick_engine, simulate, simulate_batch, simulate_megabatch
+from repro.engine.dispatch import (
+    FusedCell,
+    pick_engine,
+    simulate,
+    simulate_batch,
+    simulate_megabatch,
+)
 from repro.engine.validation import compare_engines, makespan_samples
 
 __all__ = [
@@ -70,7 +67,6 @@ __all__ = [
     "SlotEngine",
     "FairEngine",
     "WindowEngine",
-    "MegaFairEngine",
     "FusedCell",
     "EngineCapabilities",
     "EngineRegistry",
@@ -79,7 +75,6 @@ __all__ = [
     "simulate_megabatch",
     "pick_engine",
     "available_engines",
-    "batch_engine_for",
     "engine_capabilities",
     "compare_engines",
     "makespan_samples",

@@ -7,9 +7,9 @@ exact for the given protocol and returns a
 
 Every selection decision here is a query against the capability-driven
 :mod:`repro.engine.registry`: engines declare what they can serve (protocol
-kinds, channels, arrivals, batching, traces) and protocols declare their
-kind, so this module holds **no** eligibility logic of its own — it resolves
-names through the registry and instantiates the chosen engine class.
+kinds, channels, arrivals, traces) and protocols declare their kind, so
+this module holds **no** eligibility logic of its own — it resolves names
+through the registry and instantiates the chosen engine class.
 
 Dynamic workloads go through the same front door: passing an
 ``arrivals=`` process (e.g. :class:`~repro.channel.arrivals.PoissonArrival`)
@@ -21,6 +21,7 @@ need no special-casing for the paper's open dynamic problem.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Any
 
 from repro.channel.arrivals import ArrivalProcess
@@ -29,13 +30,10 @@ from repro.channel.trace import ExecutionTrace
 
 # Importing the engine modules registers each engine with the registry.
 from repro.engine.fair_engine import FairEngine  # noqa: F401  (registration)
-from repro.engine.megabatch import FusedCell, MegaFairEngine  # noqa: F401
 from repro.engine.registry import (
     available_engines,
-    batch_engine_for,
     engine_capabilities,
     engine_class,
-    engines_for,
     pick_engine_name,
 )
 from repro.engine.result import SimulationResult
@@ -45,8 +43,8 @@ from repro.obs import REGISTRY, span
 from repro.protocols.base import Protocol
 
 __all__ = [
+    "FusedCell",
     "available_engines",
-    "batch_engine_for",
     "engine_capabilities",
     "pick_engine",
     "simulate",
@@ -56,20 +54,26 @@ __all__ = [
 
 
 # Engine-layer metric families, fed at this front door: every session /
-# sweep / service execution funnels through simulate() or
-# simulate_megabatch(), so counting here covers all engines without per-slot
-# hooks.
+# sweep / service execution funnels through simulate(), so counting here
+# covers all engines without per-slot hooks.
 _M_RUNS = REGISTRY.counter(
     "repro_engine_runs_total", "Simulation runs completed, by engine.", ("engine",)
 )
 _M_SLOTS = REGISTRY.counter(
     "repro_engine_slots_total", "Channel slots simulated, by engine.", ("engine",)
 )
-_M_BATCHES = REGISTRY.counter(
-    "repro_engine_batches_total",
-    "Batched kernel calls (simulate_megabatch / simulate_batch), by engine.",
-    ("engine",),
-)
+
+
+@dataclass(frozen=True)
+class FusedCell:
+    """One (protocol, k) cell of replications for :func:`simulate_megabatch`:
+    one run per seed, each capped at ``max_slots`` (``None`` means the
+    engine's default cap)."""
+
+    protocol: Protocol
+    k: int
+    seeds: tuple[int, ...]
+    max_slots: int | None = None
 
 
 def _instantiate(name: str, channel: ChannelModel | None):
@@ -93,14 +97,6 @@ def pick_engine(
     the node-level engine otherwise (or whenever a non-default channel or an
     arrival process is requested, since the reduced engines only implement
     the paper's channel with slot-0 arrivals).
-
-    ``"auto"`` never selects a *batched* engine: for a single run the batch
-    reduction has nothing to vectorise, and only the per-run engines collect
-    traces.  Sweeps are where batching pays off — the scenario
-    :class:`~repro.scenarios.session.Session` fuses the fair cells of a grid
-    into :func:`simulate_megabatch` calls whenever
-    :func:`~repro.engine.registry.batch_engine_for` reports an eligible
-    batched engine, with results equal to the per-run ones.
 
     Explicit choices are validated against the registry: an unknown name, an
     engine that cannot serve the requested channel or arrival process, or an
@@ -166,16 +162,16 @@ def simulate_batch(
     channel: ChannelModel | None = None,
     max_slots: int | None = None,
 ) -> list[SimulationResult]:
-    """Simulate many replications of one (protocol, k) cell in a single batch.
+    """Simulate one replication of a (protocol, k) cell per seed.
 
-    The one-cell form of :func:`simulate_megabatch`: each seed keys its own
-    replication's stream and ``max_slots`` (default ``10_000 × k``) caps
-    every replication.  Returns one result per seed, in order.
+    Each seed keys its own run, so the result for a seed does not depend on
+    its siblings: this is ``[simulate(protocol, k, seed, ...) for seed in
+    seeds]``.  Returns one result per seed, in order.
     """
-    cell = FusedCell(
-        protocol=protocol, k=k, seeds=tuple(int(seed) for seed in seeds), max_slots=max_slots
-    )
-    return simulate_megabatch([cell], engine=engine, channel=channel)[0]
+    return [
+        simulate(protocol, k, seed=int(seed), engine=engine, channel=channel, max_slots=max_slots)
+        for seed in seeds
+    ]
 
 
 def simulate_megabatch(
@@ -183,48 +179,14 @@ def simulate_megabatch(
     engine: str = "auto",
     channel: ChannelModel | None = None,
 ) -> list[list[SimulationResult]]:
-    """Simulate a whole group of fused (protocol, k) cells in one kernel pass.
+    """Simulate many (protocol, k) cells: one :func:`simulate_batch` per cell.
 
-    Front door to the *batched* engines for callers holding an entire sweep
-    group (the session planner, benchmarks): every cell's replications enter
-    one padded lockstep kernel and retire row by row, so the group costs one
-    kernel traversal of the global maximum makespan instead of one per cell.
-
-    All cells must share one fuse key (the same protocol class) — the
-    engine rejects mixed groups.  Eligibility is resolved through the
-    registry's :func:`~repro.engine.registry.batch_engine_for` predicate
-    against the first cell's protocol; callers needing a silent fallback
-    check the same query first and route ineligible cells through per-run
-    :func:`simulate` calls.  Returns one result list per cell, in input
-    order; every result equals the per-run simulation of its seed, so
-    fusing is invisible in the results.
+    Returns one result list per cell, in input order.
     """
-    if not cells:
-        raise ValueError("simulate_megabatch needs at least one fused cell")
-    protocol = cells[0].protocol
-    name = batch_engine_for(protocol, engine=engine, channel=channel)
-    if name is None:
-        # Diagnose precisely: an unknown or per-run selector is a selector
-        # problem, not a missing kernel.  engine_capabilities raises the
-        # enumerating unknown-engine error for typos.
-        if engine != "auto" and not engine_capabilities(engine).batched:
-            raise ValueError(
-                f"engine {engine!r} is not a batched engine; batched engines: "
-                f"{engines_for(batched=True)} (or 'auto')"
-            )
-        raise ValueError(
-            f"no batched engine can serve {type(protocol).__name__} "
-            f"(kind {getattr(protocol, 'protocol_kind', 'generic')!r}) with "
-            f"engine={engine!r} and channel={channel!r}; batch-eligible protocols "
-            "declare a kernel via make_fused_batch_state and run on the paper's channel"
+    return [
+        simulate_batch(
+            cell.protocol, cell.k, cell.seeds, engine=engine, channel=channel,
+            max_slots=cell.max_slots,
         )
-    chosen = _instantiate(name, channel)
-    replications = sum(len(cell.seeds) for cell in cells)
-    with span("engine.megabatch", engine=name, cells=len(cells), replications=replications):
-        results = chosen.simulate_fused(cells)
-    _M_BATCHES.labels(engine=name).inc()
-    _M_RUNS.labels(engine=name).inc(replications)
-    _M_SLOTS.labels(engine=name).inc(
-        sum(result.slots_simulated for cell_results in results for result in cell_results)
-    )
-    return results
+        for cell in cells
+    ]

@@ -9,20 +9,14 @@ a declarative scheme:
 
 * every engine class carries an :class:`EngineCapabilities` declaration —
   which *protocol kinds* it can serve, which channel feedback models, whether
-  it supports staggered arrivals, whether it is a *batched* engine (simulates
-  many replications per call) and whether it collects traces — and registers
-  itself with the module-level :class:`EngineRegistry`;
+  it supports staggered arrivals and whether it collects traces — and
+  registers itself with the module-level :class:`EngineRegistry`;
 * every protocol declares its kind through
   :attr:`repro.protocols.base.Protocol.protocol_kind` (``"fair"``,
   ``"windowed"`` or ``"generic"``) instead of being ``isinstance``-sniffed;
-* dispatch (:func:`pick_engine_name`), batch planning
-  (:func:`batch_engine_for`), CLI/scenario engine choices
-  (:func:`available_engines`) and the documentation tables are all *queries*
-  against the registry.
-
-:func:`batch_engine_for` is the **single batch-eligibility predicate** in the
-repository: the scenario layer and the ``simulate_batch`` /
-``simulate_megabatch`` front doors all call it, so they cannot diverge.
+* dispatch (:func:`pick_engine_name`), session planning, CLI/scenario engine
+  choices (:func:`available_engines`) and the documentation tables are all
+  *queries* against the registry.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ __all__ = [
     "engines_for",
     "check_engine_channel",
     "pick_engine_name",
-    "batch_engine_for",
 ]
 
 #: The paper's channel: no collision detection, implicit acknowledgements.
@@ -68,16 +61,6 @@ class EngineCapabilities:
     arrivals:
         Whether the engine simulates staggered arrival processes.  The
         reduced engines all assume every station starts at slot 0.
-    batched:
-        Whether the engine is a *batched* engine: it exposes
-        ``simulate_fused(cells)`` running many replications of many
-        (protocol, k) cells in one kernel, a ``supports(protocol)`` kernel
-        check, a ``fuse_key(protocol)`` grouping hook and ``replays``, the
-        per-run engine class whose runs its rows reproduce.  Per-run engines
-        declare an integer ``stream_version`` instead (see
-        :attr:`~repro.engine.fair_engine.FairEngine.stream_version`).
-        Batched engines are never chosen by ``engine="auto"`` for single
-        runs; :func:`batch_engine_for` selects among them for whole cells.
     traces:
         Whether the engine can fill an
         :class:`~repro.channel.trace.ExecutionTrace` with per-slot records.
@@ -93,7 +76,6 @@ class EngineCapabilities:
         default_factory=lambda: frozenset({_PAPER_FEEDBACK})
     )
     arrivals: bool = False
-    batched: bool = False
     traces: bool = False
     cost_rank: int = 100
 
@@ -135,11 +117,10 @@ class EngineRegistry:
     def register(self, cls: type) -> type:
         """Class decorator: register an engine under its ``name`` attribute.
 
-        The class must declare a unique ``name`` and an
+        The class must declare a unique ``name``, an
         :class:`EngineCapabilities` instance as its ``capabilities``
-        attribute; batched engines must additionally provide a
-        ``supports(protocol)`` classmethod (the kernel-availability check)
-        and ``replays``, per-run engines an integer ``stream_version``.
+        attribute and an integer ``stream_version`` (see
+        :attr:`~repro.engine.fair_engine.FairEngine.stream_version`).
         """
         name = getattr(cls, "name", None)
         if not isinstance(name, str) or not name:
@@ -149,17 +130,8 @@ class EngineRegistry:
             raise ValueError(
                 f"{cls.__name__} must declare an EngineCapabilities 'capabilities' attribute"
             )
-        if capabilities.batched:
-            if not callable(getattr(cls, "supports", None)):
-                raise ValueError(
-                    f"batched engine {cls.__name__} must provide a supports(protocol) classmethod"
-                )
-            if not isinstance(getattr(getattr(cls, "replays", None), "stream_version", None), int):
-                raise ValueError(
-                    f"batched engine {cls.__name__} must name the per-run engine it replays"
-                )
-        elif not isinstance(getattr(cls, "stream_version", None), int):
-            raise ValueError(f"per-run engine {cls.__name__} must declare an int stream_version")
+        if not isinstance(getattr(cls, "stream_version", None), int):
+            raise ValueError(f"engine {cls.__name__} must declare an int stream_version")
         existing = self._engines.get(name)
         if existing is not None and existing is not cls:
             raise ValueError(f"engine name {name!r} already registered by {existing.__name__}")
@@ -199,9 +171,7 @@ class EngineRegistry:
         """Whether the named engine's declared capabilities cover the request.
 
         ``protocol`` is matched by its declared ``protocol_kind``; ``channel``
-        ``None`` means the paper's default channel.  This checks *declared*
-        capabilities only — for batched engines the per-protocol kernel check
-        (``supports``) is layered on top by :meth:`batch_engine_for`.
+        ``None`` means the paper's default channel.
         """
         caps = self.capabilities(name)
         if arrivals is not None and not caps.arrivals:
@@ -222,21 +192,18 @@ class EngineRegistry:
         protocol: object | None = None,
         channel: ChannelModel | None = None,
         arrivals: object | None = None,
-        batched: bool | None = None,
         traces: bool | None = None,
     ) -> list[str]:
         """Names of every engine serving the request, cheapest first.
 
         ``arrivals`` is the requested arrival process; any non-``None``
         value (``True`` works as a pure capability filter) restricts the
-        listing to engines declaring arrival support.  ``batched`` and
-        ``traces`` filter on the declared flags exactly.
+        listing to engines declaring arrival support.  ``traces`` filters on
+        the declared flag exactly.
         """
         matches = []
         for name in self.names():
             caps = self.capabilities(name)
-            if batched is not None and caps.batched != batched:
-                continue
             if traces is not None and caps.traces != traces:
                 continue
             if not self.serves(name, protocol=protocol, channel=channel, arrivals=arrivals):
@@ -253,9 +220,9 @@ class EngineRegistry:
     ) -> str:
         """Resolve an ``engine=`` selector to a registered engine name.
 
-        ``"auto"`` returns the cheapest non-batched engine whose declared
-        capabilities are exact for the request.  An explicit name is
-        validated against the registry — unknown names, engines that cannot
+        ``"auto"`` returns the cheapest engine whose declared capabilities
+        are exact for the request.  An explicit name is validated against
+        the registry — unknown names, engines that cannot
         serve the requested arrival process, channel or protocol kind are all
         rejected with the capable engines enumerated, so a wrong explicit
         choice fails loudly instead of silently simulating a different model.
@@ -270,9 +237,7 @@ class EngineRegistry:
                 "cannot terminate"
             )
         if engine == "auto":
-            candidates = self.engines_for(
-                protocol=protocol, channel=channel, arrivals=arrivals, batched=False
-            )
+            candidates = self.engines_for(protocol=protocol, channel=channel, arrivals=arrivals)
             if not candidates:
                 raise ValueError(
                     f"no registered engine can serve protocol kind "
@@ -304,39 +269,6 @@ class EngineRegistry:
                     f"({type(protocol).__name__}); engines that can: {capable}"
                 )
         return engine
-
-    def batch_engine_for(
-        self,
-        protocol: object,
-        engine: str = "auto",
-        channel: ChannelModel | None = None,
-        arrivals: ArrivalProcess | None = None,
-    ) -> str | None:
-        """The batched engine able to run this protocol's cells, or ``None``.
-
-        This is the repository's one batch-eligibility predicate: the
-        scenario layer (``Session._plan``) and the ``simulate_batch`` /
-        ``simulate_megabatch`` front doors all ask this question here.  A
-        cell is batch-eligible when a registered *batched* engine (a) is
-        admissible under the ``engine=`` selector (``"auto"`` considers every
-        batched engine, an explicit batched name considers only itself, any
-        other selector none), (b) declares capabilities covering the protocol
-        kind and channel, and (c) confirms a kernel for this specific
-        protocol instance via its ``supports`` hook.  Arrival processes are
-        never batch-eligible — the batched reductions assume slot-0 arrivals.
-        """
-        if arrivals is not None:
-            return None
-        if engine == "auto":
-            candidates = self.engines_for(protocol=protocol, channel=channel, batched=True)
-        elif engine in self._engines and self.capabilities(engine).batched:
-            candidates = [engine] if self.serves(engine, protocol=protocol, channel=channel) else []
-        else:
-            return None
-        for name in candidates:
-            if self.engine_class(name).supports(protocol):
-                return name
-        return None
 
 
 #: The process-wide registry.  Engine modules register themselves on import;
@@ -386,17 +318,12 @@ def engines_for(
     protocol: object | None = None,
     channel: ChannelModel | None = None,
     arrivals: object | None = None,
-    batched: bool | None = None,
     traces: bool | None = None,
 ) -> list[str]:
     """Names of every engine serving the request, cheapest first
     (see :meth:`EngineRegistry.engines_for`)."""
     return _loaded().engines_for(
-        protocol=protocol,
-        channel=channel,
-        arrivals=arrivals,
-        batched=batched,
-        traces=traces,
+        protocol=protocol, channel=channel, arrivals=arrivals, traces=traces
     )
 
 
@@ -408,14 +335,3 @@ def pick_engine_name(
 ) -> str:
     """Resolve an ``engine=`` selector to a registered name (see :meth:`EngineRegistry.pick`)."""
     return _loaded().pick(protocol, engine=engine, channel=channel, arrivals=arrivals)
-
-
-def batch_engine_for(
-    protocol: object,
-    engine: str = "auto",
-    channel: ChannelModel | None = None,
-    arrivals: ArrivalProcess | None = None,
-) -> str | None:
-    """The one batch-eligibility predicate (see :meth:`EngineRegistry.batch_engine_for`)."""
-    return _loaded().batch_engine_for(protocol, engine=engine, channel=channel, arrivals=arrivals)
-

@@ -183,11 +183,6 @@ class ExperimentConfig:
     :func:`~repro.experiments.runner.run_sweep`: ``1`` keeps the historical
     serial behaviour, ``0`` means one worker per CPU.  Seeds are derived
     before dispatch, so the worker count never changes the results.
-
-    The runner stacks the batch-eligible fair cells of the grid into fused
-    kernels (:class:`~repro.engine.megabatch.MegaFairEngine`), one kernel
-    pass per protocol family; fused rows equal the per-run simulations of
-    their seeds, so batching never changes the results.
     """
 
     k_values: Sequence[int] = field(default_factory=paper_k_values)

@@ -241,7 +241,7 @@ def run_dynamic_experiment(
         flat_units = [unit for _, units, _ in unit_cells for unit in units]
         outcomes = ParallelExecutor(workers=workers).run(flat_units)
         for outcome in outcomes:
-            results_by_cell.setdefault(outcome.tag, []).extend(outcome.results)
+            results_by_cell.setdefault(outcome.tag, []).append(outcome.result)
 
     cells = [
         _aggregate_cell(protocol_label, arrival_label, cell_k, results_by_cell[cell_index])

@@ -16,15 +16,6 @@ serial path exactly as cheap — and exactly as debuggable — as before.
 Work units carry materialised protocol and arrival-process *instances*; all
 of the repository's protocol and arrival classes are plain attribute holders
 that pickle cleanly.
-
-A unit may also be a *fused group*: one
-:func:`~repro.engine.dispatch.simulate_megabatch` call covering many whole
-(protocol, k) cells (``cells`` set instead of ``seed``).  Fused units compose
-with the process pool exactly like single-run units.  The fused kernel's wall
-clock is one measurement for the whole group, so the outcome apportions it
-back to the member cells in proportion to the rows × slots each cell actually
-kept live inside the kernel — the best available estimate of each cell's
-share of the fused work.
 """
 
 from __future__ import annotations
@@ -38,18 +29,16 @@ from dataclasses import dataclass, field
 
 from repro.channel.arrivals import ArrivalProcess
 from repro.channel.model import ChannelModel
-# simulate_batch is not called here; it is imported so that this module keeps
-# exposing all three engine front doors, which perfbench/tracer.py wraps by
-# name on this module.
-from repro.engine.dispatch import FusedCell, simulate, simulate_batch, simulate_megabatch  # noqa: F401
+# simulate_batch and simulate_megabatch are not called here; they are
+# imported so that this module keeps exposing all three engine front doors,
+# which perfbench/tracer.py wraps by name on this module.
+from repro.engine.dispatch import simulate, simulate_batch, simulate_megabatch  # noqa: F401
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.obs.metrics import CounterKey
 from repro.protocols.base import Protocol
 
 __all__ = [
-    "FusedCell",
-    "FusedCellOutcome",
     "SimulationUnit",
     "UnitOutcome",
     "ParallelExecutor",
@@ -86,16 +75,6 @@ class SimulationUnit:
     tag:
         Opaque caller marker (e.g. a ``(spec_key, k)`` cell id); carried
         through to :class:`UnitOutcome` untouched.
-    cells:
-        When set, the unit is a *fused group*: every listed
-        :class:`~repro.engine.megabatch.FusedCell` runs in one
-        :func:`~repro.engine.dispatch.simulate_megabatch` kernel pass
-        (``protocol``/``k``/``seed``/``arrivals``/``max_slots`` are ignored —
-        each cell carries its own; ``protocol`` and ``k`` should mirror the
-        first cell for display purposes; ``engine`` selects among the batched
-        engines).  The outcome
-        carries one :class:`FusedCellOutcome` per cell, tagged with the
-        cell's own ``tag``.
     """
 
     protocol: Protocol
@@ -106,46 +85,22 @@ class SimulationUnit:
     arrivals: ArrivalProcess | None = None
     channel: ChannelModel | None = None
     tag: object = None
-    cells: tuple[FusedCell, ...] | None = None
-
-
-@dataclass(frozen=True)
-class FusedCellOutcome:
-    """One cell's slice of a fused-group execution.
-
-    ``elapsed_seconds`` is the cell's apportioned share of the fused
-    kernel's wall clock, weighted by the slots its rows actually simulated
-    (cells that retire early cost — and are charged — less).
-    """
-
-    tag: object
-    results: tuple[SimulationResult, ...]
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
 class UnitOutcome:
-    """Result(s) of one executed unit plus its execution cost.
+    """The result of one executed unit plus its execution cost.
 
-    Single-run units populate both ``result`` and the one-element
-    ``results``; fused-group units leave ``result`` ``None`` and populate
-    ``cells`` (one :class:`FusedCellOutcome` per fused cell, in cell order)
-    plus the flattened ``results``.  Units run in a pool worker also carry
-    the counter increments the worker made while running them
-    (``counter_deltas``), which the parent adds to its own registry.
+    Units run in a pool worker also carry the counter increments the worker
+    made while running them (``counter_deltas``), which the parent adds to
+    its own registry.
     """
 
     index: int
-    result: SimulationResult | None
+    result: SimulationResult
     elapsed_seconds: float
     tag: object = None
-    results: tuple[SimulationResult, ...] = field(default=())
-    cells: tuple[FusedCellOutcome, ...] | None = None
     counter_deltas: dict[CounterKey, float] = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.results and self.result is not None:
-            object.__setattr__(self, "results", (self.result,))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -160,40 +115,6 @@ def resolve_workers(workers: int | None) -> int:
 def _execute_unit(index: int, unit: SimulationUnit) -> UnitOutcome:
     """Run one unit (module-level so process pools can pickle it)."""
     started = time.perf_counter()
-    if unit.cells is not None:
-        per_cell = simulate_megabatch(
-            unit.cells,
-            engine=unit.engine,
-            channel=unit.channel,
-        )
-        elapsed = time.perf_counter() - started
-        # The kernel's cost is one number for the whole group; attribute it
-        # to cells by the rows × slots they kept live (retired rows stop
-        # contributing), so per-cell elapsed_seconds stays meaningful for
-        # sweep reporting even though the cells ran fused.
-        weights = [
-            sum(result.slots_simulated for result in cell_results)
-            for cell_results in per_cell
-        ]
-        total_weight = sum(weights) or len(per_cell)
-        cell_outcomes = tuple(
-            FusedCellOutcome(
-                tag=cell.tag,
-                results=tuple(cell_results),
-                elapsed_seconds=elapsed * (weight if sum(weights) else 1) / total_weight,
-            )
-            for cell, cell_results, weight in zip(unit.cells, per_cell, weights)
-        )
-        return UnitOutcome(
-            index=index,
-            result=None,
-            elapsed_seconds=elapsed,
-            tag=unit.tag,
-            results=tuple(
-                result for cell_results in per_cell for result in cell_results
-            ),
-            cells=cell_outcomes,
-        )
     result = simulate(
         unit.protocol,
         unit.k,

@@ -9,15 +9,14 @@ modules wrap it with the paper's specific protocol suites and presentation.
 :func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
 cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
 whole grid is executed by a :class:`~repro.scenarios.session.Session` —
-which stacks the batch-eligible fair cells of the grid into fused kernels
-(the registry's :func:`~repro.engine.registry.batch_engine_for` picks
-:class:`~repro.engine.megabatch.MegaFairEngine`) and, when ``store_dir`` is
+which runs every replication on the engine the registry picks for its cell
+(the paper's fair protocols in the compiled slot loop of
+:class:`~repro.engine.fair_engine.FairEngine`) and, when ``store_dir`` is
 given, persists every replication to a JSONL store so an interrupted sweep
-resumes with only the missing cells executed.
+resumes with only the missing replications executed.
 
 Cell seeds are derived *before* dispatch, so ``workers=N`` produces
-bit-identical cells to ``workers=1``, and fused rows equal the per-run
-simulations of their seeds, so batching never changes a cell either.
+bit-identical cells to ``workers=1``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def cell_seed_root(config: ExperimentConfig, spec_index: int, k_index: int) -> i
     """Root seed of one (protocol, k) cell — the sweep's historical derivation.
 
     Depends only on the sweep seed and the cell's position in the grid, so
-    every execution path (serial, parallel, batched, Session-cached) sees the
+    every execution path (serial, parallel, Session-cached) sees the
     same per-replication seeds.
     """
     return config.seed + 1_000_003 * spec_index + 7_919 * k_index
@@ -169,7 +168,7 @@ def run_sweep(
         ``"poisson(rate=0.2)"``; the default ``"batch"`` is the paper's
         static setting (every message present at slot 0).  Any other arrival
         process routes every run to the node-level engine (the dynamic
-        workloads of the paper's Section 6) — the batched reductions assume
+        workloads of the paper's Section 6) — the reduced engines assume
         slot-0 arrivals.
     store_dir:
         Optional Session store directory.  When given, every replication is

@@ -15,53 +15,13 @@ engine (its makespan distribution is easy to reason about analytically).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import ClassVar
 
-import numpy as np
-
 from repro.channel.model import Observation
-from repro.protocols.base import FairBatchState, FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol, register_protocol
 from repro.util.validation import check_positive_int
 
 __all__ = ["SlottedAloha"]
-
-#: Shared "no probability rows changed" return of observe_receptions.
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-class _SlottedAlohaBatchState(FairBatchState):
-    """Vectorised ``(remaining estimate)`` state of R ALOHA replications.
-
-    ``k`` and the delivery-tracking flag are carried per row, so one state
-    can serve rows fused from several cells with different network sizes.
-    """
-
-    def __init__(self, ks: np.ndarray, track_deliveries: np.ndarray) -> None:
-        self._track = np.asarray(track_deliveries, dtype=bool)
-        self._remaining = np.asarray(ks, dtype=np.int64).copy()
-
-    def probabilities(self, slot: int) -> np.ndarray:
-        return 1.0 / np.maximum(self._remaining, 1)
-
-    def observe_receptions(
-        self,
-        slot: int,
-        received: np.ndarray,
-        received_any: bool | None = None,
-        received_rows: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        if received_any is False:
-            return _NO_ROWS
-        decrement = received & self._track
-        if decrement.any():
-            self._remaining = np.maximum(self._remaining - decrement, 1)
-            return None
-        return _NO_ROWS
-
-    def compact(self, keep: np.ndarray) -> None:
-        self._track = self._track[keep]
-        self._remaining = self._remaining[keep]
 
 
 @register_protocol
@@ -110,13 +70,3 @@ class SlottedAloha(FairProtocol):
     def notify(self, observation: Observation) -> None:
         if self.track_deliveries and observation.received:
             self._remaining = max(self._remaining - 1, 1)
-
-    @classmethod
-    def make_fused_batch_state(
-        cls,
-        protocols: "Sequence[FairProtocol]",
-        counts: "Sequence[int]",
-    ) -> _SlottedAlohaBatchState:
-        ks = np.repeat([protocol.k for protocol in protocols], counts)
-        track = np.repeat([protocol.track_deliveries for protocol in protocols], counts)
-        return _SlottedAlohaBatchState(ks, track)

@@ -18,7 +18,10 @@ exploit:
   probability in every slot (the paper calls these *fair* protocols, after
   Willard).  One-fail Adaptive, Log-fails Adaptive and slotted ALOHA are fair.
   The :class:`~repro.engine.fair_engine.FairEngine` simulates them with one
-  Bernoulli draw per slot instead of one per station.
+  Bernoulli draw per slot instead of one per station, in a compiled port of
+  their scalar rules for those three classes and through
+  :meth:`FairProtocol.transmission_probability` / :meth:`Protocol.notify`
+  for any other.
 * :class:`WindowedProtocol` — stations commit to one uniformly random slot in
   each contention window, and the window lengths follow a schedule that is a
   pure function of the window index.  Exp Back-on/Back-off and the monotone
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import copy
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from typing import ClassVar
 
 import numpy as np
@@ -41,7 +44,6 @@ from repro.channel.model import Observation
 __all__ = [
     "Protocol",
     "FairProtocol",
-    "FairBatchState",
     "WindowedProtocol",
     "ProtocolFactory",
     "register_protocol",
@@ -194,77 +196,6 @@ class Protocol(abc.ABC):
         return f"{type(self).__name__}({params})"
 
 
-class FairBatchState(abc.ABC):
-    """Vectorised shared state of many lockstep replications of a fair protocol.
-
-    The batched fair engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
-    simulates all rows (cell × replication) of a fused group at once; for
-    that it needs the protocol's shared state as row-sized numpy arrays
-    instead of one Python object per replication.  Implementations must
-    mirror the scalar protocol *exactly*: each fused row is checked for
-    equality against the per-run fair engine's run of the same seed, and
-    any semantic drift here shows up there.
-
-    All methods operate on the *live* rows only — the engine compacts the
-    batch as rows finish, and calls :meth:`compact` so the state arrays
-    shrink in step.
-    """
-
-    @abc.abstractmethod
-    def probabilities(self, slot: int) -> np.ndarray:
-        """Per-row transmission probability in (common) ``slot``.
-
-        The returned array is owned by the state and may be a cached buffer
-        reused across slots — callers must treat it as read-only.
-        """
-
-    def probabilities_cached(self, slot: int) -> tuple[np.ndarray, object]:
-        """Like :meth:`probabilities`, plus a cache key for derived values.
-
-        The key is a *stable flavor identity*: two slots returning equal keys
-        draw from the same rule of the protocol's schedule (e.g. the AT or BT
-        arm of an alternating schedule), and their probability arrays differ
-        at most at the rows reported changed by the intervening
-        :meth:`observe_receptions` calls.  Engines that derive per-slot
-        arrays from the probabilities (outcome probabilities, classification
-        thresholds) may therefore cache one derivation per key and patch just
-        the reported rows.  ``None`` means "no stable identity, always
-        recompute" and is the default, so plain states keep working
-        unchanged.
-        """
-        return self.probabilities(slot), None
-
-    @abc.abstractmethod
-    def observe_receptions(
-        self,
-        slot: int,
-        received: np.ndarray,
-        received_any: bool | None = None,
-        received_rows: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        """Apply the end-of-slot feedback: ``received`` is a boolean mask.
-
-        Mirrors :meth:`Protocol.notify` with ``transmitted=False`` and
-        ``delivered=False`` — exactly the observation the per-run fair engine
-        feeds its shared state, slot by slot.  ``received_any`` is an optional
-        caller-supplied value of ``received.any()``, and ``received_rows`` an
-        optional value of ``np.flatnonzero(received)`` — engines that already
-        computed them pass them along so the state need not reduce the mask a
-        second time; ``None`` means "unknown, compute it yourself".
-
-        Returns the rows whose *cached-flavor* probability content changed
-        (an empty array when none did), or ``None`` for "unknown — treat
-        every row and flavor as changed".  Engines holding per-key
-        derivations (see :meth:`probabilities_cached`) patch the returned
-        rows and drop everything on ``None``; states that do not track
-        changes simply return ``None``.
-        """
-
-    @abc.abstractmethod
-    def compact(self, keep: np.ndarray) -> None:
-        """Drop the replications where boolean mask ``keep`` is False."""
-
-
 class FairProtocol(Protocol):
     """Protocol in which every active station uses the same probability per slot.
 
@@ -288,29 +219,6 @@ class FairProtocol(Protocol):
     @abc.abstractmethod
     def transmission_probability(self, slot: int) -> float:
         """Probability with which each active station transmits in ``slot``."""
-
-    @classmethod
-    def make_fused_batch_state(
-        cls,
-        protocols: Sequence["FairProtocol"],
-        counts: Sequence[int],
-    ) -> FairBatchState | None:
-        """Return vectorised state for several *fused* cells of this class.
-
-        The batched fair engine (:class:`~repro.engine.megabatch.MegaFairEngine`)
-        stacks every eligible cell of a sweep along the batch axis;
-        ``protocols[i]`` (an instance of ``cls``, possibly with different
-        constructor parameters, already reset) contributes ``counts[i]``
-        consecutive rows.  The returned state must carry the protocol
-        parameters as *per-row* arrays, so that one kernel pass serves rows
-        with different parameterisations, and each row must evolve exactly as
-        :meth:`transmission_probability` / :meth:`notify` evolve one
-        instance.
-
-        ``None`` (the default) opts the protocol class out of batching; its
-        cells then run one per-run simulation per seed.
-        """
-        return None
 
     def will_transmit(self, slot: int, rng: np.random.Generator) -> bool:
         probability = self.transmission_probability(slot)

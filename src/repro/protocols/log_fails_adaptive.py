@@ -64,277 +64,14 @@ measured values side by side with the paper's.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import ClassVar
-
-import numpy as np
 
 from repro.channel.model import Observation
 from repro.core.constants import LFA_XI_BETA_DEFAULT, LFA_XI_DELTA_DEFAULT
-from repro.protocols.base import FairBatchState, FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol, register_protocol
 from repro.util.validation import check_in_range
 
 __all__ = ["LogFailsAdaptive"]
-
-#: Slots of BT/AT schedule flavors precomputed per vectorised block of the
-#: batch state (the schedule is a pure function of the slot index).
-_FLAVOR_BLOCK = 1024
-
-#: Shared "no probability rows changed" return of observe_receptions.
-_NO_ROWS = np.empty(0, dtype=np.int64)
-
-
-class _LogFailsBatchState(FairBatchState):
-    """Vectorised Log-fails Adaptive state for R lockstep replications.
-
-    Mirrors the scalar :meth:`LogFailsAdaptive.notify`: receptions reset the
-    failure streak and re-anchor the exponential search; a full failure streak
-    takes one alternating ``×2, ÷2, ×4, …`` step of that search.  Every
-    protocol constant (BT probability, failure threshold, search bound, ξδ,
-    ξt) is carried as a *per-row* array, so one state can serve rows fused
-    from several cells with different parameterisations.  ``protocols[i]``
-    contributes ``counts[i]`` consecutive rows.
-
-    Two amortisations keep the per-slot cost flat (the state is stepped
-    hundreds of thousands of times per sweep, on arrays of a few dozen rows
-    where every numpy dispatch costs as much as the arithmetic):
-
-    * **Probability caching.**  The BT/AT schedule is a pure function of the
-      slot and ξt, so it is precomputed in vectorised blocks (rows sharing a
-      ξt share a mask), and the per-flavor probability vectors are cached —
-      κ̃ only changes on receptions and coarse corrections, and those sparse
-      events patch the affected cache rows *in place* (reported to engines
-      through the :meth:`observe_receptions` return value); only bulk
-      updates drop the caches wholesale.
-    * **Deadline-based failure counting.**  A row's failure streak is fully
-      determined by the slot of its last reset, so instead of incrementing a
-      per-row counter every slot the state stores the absolute slot at which
-      each row *will* take its next coarse correction if nothing is received
-      (``trigger_slot = reset_slot + threshold``), plus the scalar minimum.
-      A quiet slot then costs one Python comparison; the array work runs
-      only on receptions and on actual correction events.
-    """
-
-    def __init__(
-        self, protocols: Sequence["LogFailsAdaptive"], counts: Sequence[int]
-    ) -> None:
-        repeat = np.asarray(counts, dtype=np.int64)
-        self._bt_probability = np.repeat([p.bt_probability for p in protocols], repeat)
-        self._failure_threshold = np.repeat(
-            [p.failure_threshold for p in protocols], repeat
-        )
-        self._max_exponent = np.repeat([p.max_search_exponent for p in protocols], repeat)
-        self._xi_delta = np.repeat([p.xi_delta for p in protocols], repeat)
-        xi_t = np.repeat([p.xi_t for p in protocols], repeat)
-        rows = int(repeat.sum())
-        self._kappa = np.ones(rows)
-        self._anchor = np.ones(rows)
-        self._search = np.zeros(rows, dtype=np.int64)
-        # One (ξt value, row mask) pair per distinct ξt: the schedule test is
-        # scalar per group, the mask scatters the BT probability to its rows.
-        self._xi_groups = [
-            (float(value), xi_t == value) for value in np.unique(xi_t)
-        ]
-        self._group_bit = np.zeros(rows, dtype=np.int64)
-        for bit, (_, mask) in enumerate(self._xi_groups):
-            self._group_bit[mask] = bit
-        # Probability caches, kept *current* in place: sparse κ̃ updates patch
-        # the affected rows scalar-wise, bulk updates drop the caches whole.
-        self._p_at: np.ndarray | None = None
-        self._flavor_cache: dict[int, np.ndarray] = {}
-        # Flavors are a pure function of the slot, so they are precomputed in
-        # vectorised blocks (4 array ops per _FLAVOR_BLOCK slots) instead of
-        # per-slot scalar floor arithmetic.
-        self._flavor_base = -1
-        self._flavor_block: np.ndarray | None = None
-        # A row whose last reset (reception or correction) happened at slot r
-        # triggers its next coarse correction at slot r + threshold; rows
-        # start as if reset at slot -1.
-        self._trigger_slot = self._failure_threshold.astype(np.int64) - 1
-        self._next_trigger = int(self._trigger_slot.min())
-
-    # ------------------------------------------------------------- scheduling
-    def _fill_flavor_block(self, base: int) -> None:
-        steps = np.arange(base + 1, base + 1 + _FLAVOR_BLOCK, dtype=np.int64)
-        block = np.zeros(_FLAVOR_BLOCK, dtype=np.int64)
-        for bit, (xi_t, _) in enumerate(self._xi_groups):
-            bt = np.floor(steps * xi_t) > np.floor((steps - 1) * xi_t)
-            block |= bt.astype(np.int64) << bit
-        self._flavor_base = base
-        self._flavor_block = block
-
-    def _bt_flavor(self, slot: int) -> int:
-        """Bitmask of ξt groups for which ``slot`` is a BT step.
-
-        ``slot`` (0-based) is a BT step of the ξt group iff step ``s = slot+1``
-        satisfies ``⌊s·ξt⌋ > ⌊(s−1)·ξt⌋`` (see :meth:`LogFailsAdaptive.is_bt_step`).
-        """
-        base = slot - slot % _FLAVOR_BLOCK
-        if base != self._flavor_base:
-            self._fill_flavor_block(base)
-        assert self._flavor_block is not None
-        return int(self._flavor_block[slot - base])
-
-    def _invalidate_probabilities(self) -> None:
-        self._p_at = None
-        self._flavor_cache.clear()
-
-    def _patch_probability_row(self, i: int, kappa_value: float) -> None:
-        """Keep the probability caches current after a single-row κ̃ change."""
-        p_at = self._p_at
-        if p_at is None:
-            return
-        value = min(1.0, 1.0 / kappa_value)
-        p_at[i] = value
-        bit = int(self._group_bit[i])
-        for flavor, mixed in self._flavor_cache.items():
-            # Rows on a BT step of their ξt group use the fixed BT
-            # probability, which κ̃ does not touch.
-            if not (flavor >> bit) & 1:
-                mixed[i] = value
-
-    def _probabilities_for(self, flavor: int) -> np.ndarray:
-        p_at = self._p_at
-        if p_at is None:
-            p_at = self._p_at = np.minimum(1.0, 1.0 / self._kappa)
-            self._flavor_cache.clear()
-        if flavor == 0:
-            return p_at
-        mixed = self._flavor_cache.get(flavor)
-        if mixed is None:
-            mixed = p_at.copy()
-            for bit, (_, mask) in enumerate(self._xi_groups):
-                if flavor & (1 << bit):
-                    mixed[mask] = self._bt_probability[mask]
-            self._flavor_cache[flavor] = mixed
-        return mixed
-
-    def probabilities(self, slot: int) -> np.ndarray:
-        return self._probabilities_for(self._bt_flavor(slot))
-
-    def probabilities_cached(self, slot: int) -> tuple[np.ndarray, object]:
-        flavor = self._bt_flavor(slot)
-        return self._probabilities_for(flavor), flavor
-
-    # --------------------------------------------------------------- feedback
-    def observe_receptions(
-        self,
-        slot: int,
-        received: np.ndarray,
-        received_any: bool | None = None,
-        received_rows: np.ndarray | None = None,
-    ) -> np.ndarray | None:
-        if received_any is None:
-            received_any = bool(received.any())
-        changed: np.ndarray | None = _NO_ROWS
-        if received_any:
-            rows = received_rows if received_rows is not None else np.flatnonzero(received)
-            if rows.size <= 8:
-                # Receptions are sparse (usually one row); per-row scalar
-                # arithmetic beats a cascade of whole-array np.where passes.
-                for index in rows:
-                    i = int(index)
-                    corrected = max(self._kappa[i] - 1.0 - self._xi_delta[i], 1.0)
-                    self._kappa[i] = corrected
-                    self._anchor[i] = corrected
-                    self._search[i] = 0
-                    self._trigger_slot[i] = slot + self._failure_threshold[i]
-                    self._patch_probability_row(i, corrected)
-                changed = rows
-            else:
-                corrected = np.maximum(self._kappa - 1.0 - self._xi_delta, 1.0)
-                self._kappa = np.where(received, corrected, self._kappa)
-                self._anchor = np.where(received, corrected, self._anchor)
-                self._search[received] = 0
-                self._trigger_slot = np.where(
-                    received, slot + self._failure_threshold, self._trigger_slot
-                )
-                self._invalidate_probabilities()
-                changed = None
-            self._next_trigger = int(self._trigger_slot.min())
-        if slot >= self._next_trigger:
-            triggered = self._take_search_steps(slot)
-            if changed is None or triggered is None:
-                changed = None
-            elif changed.size:
-                changed = np.concatenate([changed, triggered])
-            else:
-                changed = triggered
-        return changed
-
-    def _search_step_row(self, i: int, slot: int) -> None:
-        """Scalar version of one alternating exponential-search step."""
-        self._search[i] += 1
-        search = int(self._search[i])
-        exponent = (search + 1) // 2
-        if exponent > self._max_exponent[i]:
-            self._search[i] = search = 1
-            exponent = 1
-        magnitude = 2.0**exponent
-        if search % 2 == 1:
-            candidate = self._anchor[i] * magnitude
-        else:
-            candidate = self._anchor[i] / magnitude
-        corrected = max(candidate, 1.0)
-        self._kappa[i] = corrected
-        self._trigger_slot[i] = slot + self._failure_threshold[i]
-        self._patch_probability_row(i, corrected)
-
-    def _take_search_steps(self, slot: int) -> np.ndarray | None:
-        """One alternating exponential-search step for every row whose failure
-        streak reached its threshold at ``slot``.
-
-        Returns the rows stepped, or ``None`` when the bulk path invalidated
-        the probability caches wholesale.
-        """
-        triggered = self._trigger_slot <= slot
-        rows = np.flatnonzero(triggered)
-        if rows.size <= 8:
-            for index in rows:
-                self._search_step_row(int(index), slot)
-            result: np.ndarray | None = rows
-        else:
-            self._trigger_slot = np.where(
-                triggered, slot + self._failure_threshold, self._trigger_slot
-            )
-            self._search += triggered
-            exponent = (self._search + 1) // 2
-            restart = triggered & (exponent > self._max_exponent)
-            self._search[restart] = 1
-            exponent = np.where(restart, 1, exponent)
-            magnitude = np.exp2(exponent)
-            candidate = np.where(
-                self._search % 2 == 1,
-                self._anchor * magnitude,
-                self._anchor / magnitude,
-            )
-            self._kappa = np.where(triggered, np.maximum(candidate, 1.0), self._kappa)
-            self._invalidate_probabilities()
-            result = None
-        self._next_trigger = int(self._trigger_slot.min())
-        return result
-
-    def compact(self, keep: np.ndarray) -> None:
-        self._bt_probability = self._bt_probability[keep]
-        self._failure_threshold = self._failure_threshold[keep]
-        self._max_exponent = self._max_exponent[keep]
-        self._xi_delta = self._xi_delta[keep]
-        self._kappa = self._kappa[keep]
-        self._anchor = self._anchor[keep]
-        self._search = self._search[keep]
-        self._trigger_slot = self._trigger_slot[keep]
-        self._group_bit = self._group_bit[keep]
-        self._xi_groups = [
-            (xi_t, mask[keep]) for xi_t, mask in self._xi_groups
-        ]
-        # The caches are per-row, so they stay current under the same slicing.
-        if self._p_at is not None:
-            self._p_at = self._p_at[keep]
-            self._flavor_cache = {
-                flavor: mixed[keep] for flavor, mixed in self._flavor_cache.items()
-            }
-        if self._trigger_slot.size:
-            self._next_trigger = int(self._trigger_slot.min())
 
 
 @register_protocol
@@ -502,11 +239,3 @@ class LogFailsAdaptive(FairProtocol):
             else:
                 candidate = self._search_anchor / magnitude
             self._kappa_estimate = max(candidate, 1.0)
-
-    @classmethod
-    def make_fused_batch_state(
-        cls,
-        protocols: "Sequence[FairProtocol]",
-        counts: "Sequence[int]",
-    ) -> _LogFailsBatchState:
-        return _LogFailsBatchState(protocols, counts)  # type: ignore[arg-type]

@@ -24,8 +24,7 @@ Identity and hashing
 replication seeds are a prefix-stable stream (replication ``i`` gets the same
 seed no matter how many replications the scenario asks for), so raising the
 replication count extends a cell rather than renaming it.  Every
-replication draws its own stream from its own seed — batched execution
-included, whose fused rows replay the per-run engine's stream — so a result
+replication draws its own stream from its own seed, so a result
 store reuses the first ``R`` outcomes when asked for ``R' > R`` and
 simulates only the ``R' − R`` missing ones, and every served result set is
 bit-identical to a fresh run of the same scenario.  Stored runs are reused

@@ -8,21 +8,15 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    indexed SQLite file, or a spec string selecting one), loads the
    replications already on record (re-running a completed scenario costs
    **zero** new simulations);
-2. plans exactly the missing replications as
-   :class:`~repro.experiments.parallel.SimulationUnit` work units —
-   batch-eligible cells (the registry's
-   :func:`~repro.engine.registry.batch_engine_for` names
-   :class:`~repro.engine.megabatch.MegaFairEngine`) are grouped by fuse key,
-   and a group of at least :data:`_MIN_FUSED_ROWS` replications is stacked
-   into **one fused kernel unit**, so a whole grid of same-class cells costs
-   a single lockstep kernel pass; everything else runs as per-replication
-   units.  A fused row equals the per-run simulation of its seed, so the
-   choice never shows in the results;
+2. plans exactly the missing replications, one
+   :class:`~repro.experiments.parallel.SimulationUnit` per replication on
+   the engine the registry picks for the cell (the fair protocols run in
+   :class:`~repro.engine.fair_engine.FairEngine`'s compiled slot loop);
 3. fans the units out over a
-   :class:`~repro.experiments.parallel.ParallelExecutor` (cells across
-   processes, replications vectorised within); and
-4. appends each fresh outcome to the store, so an interrupted sweep resumes
-   with only the missing cells executed.
+   :class:`~repro.experiments.parallel.ParallelExecutor`; and
+4. appends each fresh replication to the store as it completes, so an
+   interrupted cell resumes from its persisted prefix and an interrupted
+   sweep with only the missing replications executed.
 
 The sweep experiments (:func:`repro.experiments.runner.run_sweep`, Figure 1,
 Table 1, the dynamic extension) and the ``repro run`` CLI are all thin
@@ -51,12 +45,7 @@ from pathlib import Path
 from repro.analysis.statistics import RunStatistics, summarize_makespans
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY, span
-from repro.experiments.parallel import (
-    FusedCell,
-    ParallelExecutor,
-    SimulationUnit,
-    UnitOutcome,
-)
+from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.store import StoreBackend, StoredRun, open_store, stream_version_of
 
@@ -89,22 +78,6 @@ _M_REPLICATIONS = REGISTRY.counter(
     "Replications delivered by session calls, by source (cached vs fresh).",
     ("source",),
 )
-#: A same-key fair group is fused into one kernel unit only when it holds at
-#: least this many replications; smaller groups run per replication.  Fused
-#: and per-run results are equal, so this is purely a speed decision.
-#: Measured on a 2-vCPU VM, fused vs R per-run FairEngine calls: at R <= 3
-#: per-run wins (OFA k=64, R=3: 3.8 vs 7.0 ms; OFA k=10³, R=3: 73 vs 91 ms);
-#: from R=5 fused wins by 1.07-1.49x, and at R=8 by 1.2-2.1x.  Service cells
-#: (a few replications) fall on one side, Table 1 groups (30-60 rows) on the
-#: other.  An explicit ``engine="mega"`` always fuses.
-_MIN_FUSED_ROWS = 4
-
-_M_CELLS = REGISTRY.counter(
-    "repro_session_cells_total",
-    "Scenario cells planned, by execution mode (stacked into a fused kernel "
-    "unit vs per-replication units).",
-    ("mode",),
-)
 # Children resolved once — the cache probe is the service's hottest path.
 _M_CACHE_HIT = _M_CACHE.labels(result="hit")
 _M_CACHE_MISS = _M_CACHE.labels(result="miss")
@@ -123,8 +96,6 @@ class _CellPlan:
     # SimulationResult.engine carries and that engine's stream version.
     engine: str
     stream_version: int
-    kernel: str | None = None  # batched engine able to fuse the cell, if any
-    fuse_key: object = None  # set with kernel: cells sharing it fuse together
 
 
 @dataclass(frozen=True)
@@ -354,26 +325,9 @@ class Session:
             ]
 
             units: list[SimulationUnit] = []
-            fusable: dict[tuple, list[tuple[int, list[int]]]] = {}
             done_count = [0] * len(scenarios)
-
-            def per_run(index: int, replications: Sequence[int]) -> None:
-                _M_CELLS.labels(mode="per-run").inc()
-                scenario, plan = scenarios[index], plans[index]
-                units.extend(
-                    SimulationUnit(
-                        protocol=plan.protocol,
-                        k=scenario.k,
-                        seed=all_seeds[index][replication],
-                        engine=scenario.engine,
-                        max_slots=scenario.max_slots(),
-                        arrivals=plan.arrivals,
-                        channel=plan.channel,
-                        tag=(index, (replication,)),
-                    )
-                    for replication in replications
-                )
             for index, scenario in enumerate(scenarios):
+                plan = plans[index]
                 missing = [
                     replication
                     for replication in range(scenario.replications)
@@ -383,97 +337,46 @@ class Session:
                 if progress is not None:
                     for step in range(done_count[index]):
                         progress(index, scenario, step + 1, scenario.replications)
-                if not missing:
-                    continue
-                plan = plans[index]
-                if plan.kernel is None:
-                    per_run(index, missing)
-                else:
-                    # Collect the cell into its fusion group; the groups are
-                    # planned after the scan, once their sizes are known.
-                    fusable.setdefault((plan.kernel, plan.fuse_key), []).append(
-                        (index, missing)
-                    )
-            fused_groups = 0
-            for (kernel, _), members in fusable.items():
-                rows = sum(len(missing) for _, missing in members)
-                forced = any(scenarios[index].engine == kernel for index, _ in members)
-                if rows < _MIN_FUSED_ROWS and not forced:
-                    for index, missing in members:
-                        per_run(index, missing)
-                    continue
-                _M_CELLS.labels(mode="fused").inc(len(members))
-                cells = tuple(
-                    FusedCell(
-                        protocol=plans[index].protocol,
-                        k=scenarios[index].k,
-                        seeds=tuple(all_seeds[index][replication] for replication in missing),
-                        max_slots=scenarios[index].max_slots(),
-                        tag=(index, tuple(missing)),
-                    )
-                    for index, missing in members
-                )
-                units.append(
+                units.extend(
                     SimulationUnit(
-                        protocol=cells[0].protocol, k=cells[0].k, engine=kernel, cells=cells
+                        protocol=plan.protocol,
+                        k=scenario.k,
+                        seed=all_seeds[index][replication],
+                        engine=scenario.engine,
+                        max_slots=scenario.max_slots(),
+                        arrivals=plan.arrivals,
+                        channel=plan.channel,
+                        tag=(index, replication),
                     )
+                    for replication in missing
                 )
-                fused_groups += 1
             plan_span["units"] = len(units)
-            plan_span["fused_groups"] = fused_groups
             plan_span["cached_replications"] = sum(done_count)
         _M_REPL_CACHED.inc(sum(done_count))
 
-        # Outcomes are persisted as they complete (not after the whole
-        # fan-out), so a sweep killed mid-run keeps every finished unit on
+        # Replications are persisted as they complete (not after the whole
+        # fan-out), so a sweep killed mid-run keeps every finished run on
         # record and the next invocation resumes from there.
         fresh: list[dict[int, StoredRun]] = [{} for _ in scenarios]
 
-        def record_cell(
-            tag: object, results: Sequence[SimulationResult], elapsed_seconds: float
-        ) -> None:
-            index, replications = tag
-            per_run_elapsed = elapsed_seconds / max(len(results), 1)
-            runs = [
-                StoredRun(
-                    replication=replication,
-                    seed=result.seed,
-                    elapsed_seconds=per_run_elapsed,
-                    result=result,
-                )
-                for replication, result in zip(replications, results)
-            ]
-            for run in runs:
-                fresh[index][run.replication] = run
-            _M_REPL_FRESH.inc(len(runs))
+        def record(outcome: UnitOutcome) -> None:
+            index, replication = outcome.tag
+            run = StoredRun(
+                replication=replication,
+                seed=outcome.result.seed,
+                elapsed_seconds=outcome.elapsed_seconds,
+                result=outcome.result,
+            )
+            fresh[index][replication] = run
+            _M_REPL_FRESH.inc()
             if self.store is not None:
-                with span("store.append", runs=len(runs)), self._store_lock:
-                    self.store.append(scenarios[index], runs)
+                with span("store.append", runs=1), self._store_lock:
+                    self.store.append(scenarios[index], [run])
             if progress is not None:
-                for _ in runs:
-                    done_count[index] += 1
-                    progress(
-                        index,
-                        scenarios[index],
-                        done_count[index],
-                        scenarios[index].replications,
-                    )
+                done_count[index] += 1
+                progress(index, scenarios[index], done_count[index], scenarios[index].replications)
 
-        def unit_progress(outcome: UnitOutcome) -> None:
-            if outcome.cells is not None:
-                # A fused group: scatter the kernel's results back to the
-                # member cells, each persisted under its own scenario hash
-                # with its apportioned share of the kernel's wall clock.
-                for cell_outcome in outcome.cells:
-                    record_cell(
-                        cell_outcome.tag,
-                        cell_outcome.results,
-                        cell_outcome.elapsed_seconds,
-                    )
-                return
-            record_cell(outcome.tag, outcome.results, outcome.elapsed_seconds)
-
-        ParallelExecutor(workers=self.workers).run(units, progress=unit_progress)
+        ParallelExecutor(workers=self.workers).run(units, progress=record)
 
         result_sets = []
         for index, scenario in enumerate(scenarios):
@@ -516,17 +419,14 @@ class Session:
         }
 
     def _plan(self, scenario: Scenario) -> "_CellPlan":
-        """Resolve a scenario's components, its reuse key and its kernel.
+        """Resolve a scenario's components and the reuse key of its runs.
 
-        Batch eligibility and engine selection are registry queries
-        (:func:`~repro.engine.registry.batch_engine_for` /
-        :func:`~repro.engine.registry.pick_engine_name`) — the same
-        predicates the engine front doors use, so the layers cannot disagree
-        about a cell's engine.  A batched engine replays a per-run engine's
-        streams (its ``replays`` attribute), so the reuse key is the per-run
-        engine's whether or not the cell ends up fused.
+        Engine selection is the registry's
+        :func:`~repro.engine.registry.pick_engine_name` — the same query the
+        engine front door makes, so the layers cannot disagree about a
+        cell's engine.
         """
-        from repro.engine.registry import batch_engine_for, engine_class, pick_engine_name
+        from repro.engine.registry import engine_class, pick_engine_name
 
         protocol = scenario.build_protocol()
         arrivals = scenario.build_arrivals()
@@ -534,16 +434,10 @@ class Session:
         engine = engine_class(
             pick_engine_name(protocol, engine=scenario.engine, channel=channel, arrivals=arrivals)
         )
-        engine = getattr(engine, "replays", engine)
-        kernel = batch_engine_for(
-            protocol, engine=scenario.engine, channel=channel, arrivals=arrivals
-        )
         return _CellPlan(
             protocol=protocol,
             arrivals=arrivals,
             channel=channel,
             engine=engine.name,
             stream_version=engine.stream_version,
-            kernel=kernel,
-            fuse_key=engine_class(kernel).fuse_key(protocol) if kernel is not None else None,
         )

@@ -1,12 +1,12 @@
 """Tests for the capability-driven engine registry.
 
 The registry is the single source of truth for dispatch: engines declare
-capabilities, protocols declare kinds, and `pick_engine_name` /
-`batch_engine_for` answer every "which engine serves this?" question.  The
-final class here pins the property the registry exists for — the scenario
-layer (`Session`), the sweep runner (`run_sweep`) and the dispatch front
-door agree on engine selection and batch eligibility for **every** protocol
-in the registry, because they all ask the same predicate.
+capabilities, protocols declare kinds, and `pick_engine_name` answers every
+"which engine serves this?" question.  The final class here pins the
+property the registry exists for — the scenario layer (`Session`), the sweep
+runner (`run_sweep`) and the dispatch front door agree on engine selection
+for **every** protocol in the registry, because they all ask the same
+query.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.engine.registry import (
     EngineCapabilities,
     EngineRegistry,
     available_engines,
-    batch_engine_for,
     engine_capabilities,
     engine_class,
     engine_names,
@@ -39,7 +38,7 @@ CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
 
 class TestRegistryContents:
     def test_available_engines_roster(self):
-        assert available_engines() == ["auto", "fair", "mega", "slot", "window"]
+        assert available_engines() == ["auto", "fair", "slot", "window"]
 
     def test_every_engine_declares_capabilities(self):
         for name in engine_names():
@@ -52,19 +51,12 @@ class TestRegistryContents:
         assert engine_capabilities("slot").arrivals
         assert engine_capabilities("fair").protocol_kinds == frozenset({"fair"})
         assert engine_capabilities("window").protocol_kinds == frozenset({"windowed"})
-        assert engine_capabilities("mega").batched
-        assert not engine_capabilities("mega").traces
-        for name in ("fair", "window", "mega"):
+        for name in ("fair", "window"):
             assert not engine_capabilities(name).arrivals
 
     def test_per_run_engines_declare_stream_versions(self):
-        versions = {
-            name: engine_class(name).stream_version
-            for name in engine_names()
-            if not engine_capabilities(name).batched
-        }
+        versions = {name: engine_class(name).stream_version for name in engine_names()}
         assert versions == {"slot": 1, "fair": 1, "window": 2}
-        assert engine_class("mega").replays is engine_class("fair")
 
     def test_unknown_engine_error_enumerates_registry(self):
         with pytest.raises(ValueError) as excinfo:
@@ -80,23 +72,6 @@ class TestRegistryContents:
 
         with pytest.raises(ValueError, match="capabilities"):
             registry.register(NoCaps)
-
-        class BatchedWithoutSupports:
-            name = "batched-no-supports"
-            capabilities = EngineCapabilities(batched=True)
-
-        with pytest.raises(ValueError, match="supports"):
-            registry.register(BatchedWithoutSupports)
-
-        class BatchedWithoutReplays(BatchedWithoutSupports):
-            name = "batched-no-replays"
-
-            @classmethod
-            def supports(cls, protocol):
-                return True
-
-        with pytest.raises(ValueError, match="replays"):
-            registry.register(BatchedWithoutReplays)
 
         class PerRunWithoutStreamVersion:
             name = "per-run-no-version"
@@ -123,10 +98,6 @@ class TestAutoPick:
         assert pick_engine_name(OneFailAdaptive(), arrivals=arrivals) == "slot"
         assert pick_engine_name(ExpBackonBackoff(), arrivals=arrivals) == "slot"
 
-    def test_auto_never_picks_batched_engines(self):
-        for protocol in (OneFailAdaptive(), ExpBackonBackoff()):
-            assert not engine_capabilities(pick_engine_name(protocol)).batched
-
 
 class TestExplicitPickValidation:
     def test_wrong_kind_rejected_with_capable_engines(self):
@@ -139,13 +110,13 @@ class TestExplicitPickValidation:
         # Before the registry this either raised deep inside the engine
         # constructor or silently simulated the wrong feedback model; now the
         # explicit choice is validated up front against declared channels.
-        for engine in ("fair", "window", "mega"):
+        for engine in ("fair", "window"):
             with pytest.raises(ValueError, match="cannot serve channel"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, channel=CD_CHANNEL)
 
     def test_arrivals_rejected_for_non_arrival_engines(self):
         arrivals = PoissonArrival(k=10, rate=0.5)
-        for engine in ("fair", "window", "mega"):
+        for engine in ("fair", "window"):
             with pytest.raises(ValueError, match="arrival"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, arrivals=arrivals)
 
@@ -161,27 +132,6 @@ class TestExplicitPickValidation:
                 pick_engine_name(OneFailAdaptive(), engine=engine, channel=no_acks)
 
 
-class TestBatchEngineFor:
-    def test_kind_routing(self):
-        assert batch_engine_for(OneFailAdaptive()) == "mega"
-        assert batch_engine_for(ExpBackonBackoff()) is None
-        assert batch_engine_for(BinarySplitting()) is None
-
-    def test_explicit_selectors(self):
-        assert batch_engine_for(OneFailAdaptive(), engine="mega") == "mega"
-        # A per-run selector is never batch-eligible.
-        assert batch_engine_for(OneFailAdaptive(), engine="fair") is None
-        assert batch_engine_for(ExpBackonBackoff(), engine="window") is None
-        # A kind-mismatched batch selector is not eligible either.
-        assert batch_engine_for(ExpBackonBackoff(), engine="mega") is None
-
-    def test_arrivals_and_non_default_channels_never_batch(self):
-        arrivals = PoissonArrival(k=10, rate=0.5)
-        assert batch_engine_for(OneFailAdaptive(), arrivals=arrivals) is None
-        assert batch_engine_for(OneFailAdaptive(), channel=CD_CHANNEL) is None
-        assert batch_engine_for(ExpBackonBackoff(), channel=CD_CHANNEL) is None
-
-
 class TestLayersAgreeForEveryRegisteredProtocol:
     """Session, run_sweep and the registry agree on every protocol's engines.
 
@@ -189,34 +139,30 @@ class TestLayersAgreeForEveryRegisteredProtocol:
     copies of the eligibility logic could (and did) disagree.  For every
     protocol in the registry we build an instance, ask the registry what
     should happen, and assert that a Session run and a run_sweep cell both
-    produce results from exactly the predicted engine, and that a batched
-    run equals the per-run one.
+    produce results from exactly the predicted engine, and that naming that
+    engine explicitly changes nothing.
     """
 
     K = 12
-    REPS = 5  # enough replications for a batch-eligible cell to fuse
+    REPS = 5
 
     #: Protocols that cannot run on the paper's default channel, with the
     #: channel spec they need (binary splitting needs ternary feedback).
     CHANNEL_OVERRIDES = {"binary-splitting": "cd"}
 
     @pytest.mark.parametrize("name", available_protocols())
-    def test_batched_and_per_run_routing(self, name):
+    def test_session_and_sweep_routing(self, name):
         channel_spec = self.CHANNEL_OVERRIDES.get(name, "default")
         scenario = Scenario(protocol=name, k=self.K, replications=self.REPS, seed=3,
                             channel=channel_spec, max_slots_factor=100)
         protocol = scenario.build_protocol()
         channel = scenario.build_channel()
-        predicted_batch = batch_engine_for(protocol, channel=channel)
         predicted_per_run = pick_engine_name(protocol, channel=channel)
 
         session = Session().run(scenario)
         assert session.engine_used == predicted_per_run
         per_run_session = Session().run(scenario.replace(engine=predicted_per_run))
         assert per_run_session.results == session.results
-        if predicted_batch is not None:
-            batched_session = Session().run(scenario.replace(engine=predicted_batch))
-            assert batched_session.results == session.results
 
         if channel_spec != "default":
             return  # run_sweep cells always use the paper's channel

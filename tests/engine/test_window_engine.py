@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import repro.engine.window_engine as window_module
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
@@ -14,6 +15,7 @@ from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.window_engine import WindowEngine
 from repro.protocols.backoff import ExponentialBackoff, LogLogIteratedBackoff
 from repro.protocols.base import WindowedProtocol, build_protocol
+from repro.scenarios import Scenario, Session
 from repro.util.rng import derive_seeds
 
 
@@ -220,3 +222,89 @@ class TestOccupancySamplersAgainstBallThrowReference:
     @pytest.mark.parametrize("spec", ["exp-backon-backoff", "loglog-iterated-backoff"])
     def test_large_k_walks_every_sampler_and_matches_reference(self, spec):
         _assert_same_mean(*self.samples(spec, 2048, 60))
+
+
+_OCCUPANCY_MODES = ("ball-throw", "saturated", "multinomial")
+
+
+def _occupancy_counts() -> dict[str, float]:
+    return {
+        mode: window_module._M_OCCUPANCY.labels(mode=mode).value for mode in _OCCUPANCY_MODES
+    }
+
+
+class TestOccupancyMetric:
+    """``repro_window_occupancy_total`` counts every window once, by sampler."""
+
+    def test_large_cell_walks_every_sampler(self):
+        before = _occupancy_counts()
+        results = [
+            WindowEngine().simulate(ExpBackonBackoff(), 4096, seed=seed)
+            for seed in derive_seeds(3, 10)
+        ]
+        after = _occupancy_counts()
+        assert [result.makespan for result in results] == [
+            21639, 21654, 21574, 21683, 21654, 21808, 21628, 21672, 21661, 21259,
+        ]
+        deltas = {mode: after[mode] - before[mode] for mode in _OCCUPANCY_MODES}
+        assert deltas == {"ball-throw": 200, "saturated": 850, "multinomial": 80}
+        assert sum(deltas.values()) == sum(result.metadata["windows"] for result in results)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["exp-backon-backoff", "exponential-backoff", "polynomial-backoff", "log-backoff",
+         "loglog-iterated-backoff"],
+    )
+    def test_incremented_once_per_run_and_mode(self, spec, monkeypatch):
+        increments = []
+
+        class SpyFamily:
+            def labels(self, mode):
+                return SpyChild(mode)
+
+        class SpyChild:
+            def __init__(self, mode):
+                self.mode = mode
+
+            def inc(self, amount=1.0):
+                increments.append(self.mode)
+
+        monkeypatch.setattr(window_module, "_M_OCCUPANCY", SpyFamily())
+        result = WindowEngine().simulate(build_protocol(spec, k=300), 300, seed=3)
+        assert result.metadata["windows"] > len(_OCCUPANCY_MODES)
+        assert len(increments) == len(set(increments)) <= len(_OCCUPANCY_MODES)
+
+
+class TestWindowEngineTraces:
+    @pytest.mark.parametrize("k", [1, 2, 40, 2048])
+    def test_traced_and_untraced_runs_are_equal(self, k):
+        # k=2048 walks saturated and multinomial windows as well as ball
+        # throws; tracing must not change a single draw.
+        for seed in derive_seeds(k, 3):
+            trace = ExecutionTrace()
+            traced = WindowEngine().simulate(ExpBackonBackoff(), k, seed=seed, trace=trace)
+            assert traced == WindowEngine().simulate(ExpBackonBackoff(), k, seed=seed)
+            assert len(trace) == traced.slots_simulated
+            assert trace.successes == traced.successes
+
+    def test_saturated_windows_are_traced_as_collisions(self):
+        trace = ExecutionTrace()
+        before = _occupancy_counts()["saturated"]
+        WindowEngine().simulate(ExpBackonBackoff(), 2048, seed=1, trace=trace)
+        assert _occupancy_counts()["saturated"] > before
+        collisions = [record for record in trace if record.outcome.name == "COLLISION"]
+        assert {record.transmitters for record in collisions} >= {2}
+
+
+class TestWindowedProtocolsStayPerRun:
+    """Windowed cells never batch; every windowed protocol runs on ``window``."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["exp-backon-backoff", "exponential-backoff", "polynomial-backoff", "log-backoff",
+         "loglog-iterated-backoff"],
+    )
+    def test_session_runs_windowed_cells_on_window(self, spec):
+        result_set = Session().run(Scenario(protocol=spec, k=40, replications=5, seed=3))
+        assert result_set.engine_used == "window"
+        assert all(result.metadata["stream_version"] == 2 for result in result_set.results)

@@ -150,8 +150,8 @@ def _engine_counters() -> dict[str, float]:
     return {
         name + labels: value
         for name, family in REGISTRY.snapshot().items()
-        if name.startswith(("repro_engine_", "repro_megabatch_"))
-        or name == "repro_window_occupancy_total"
+        if name.startswith("repro_engine_")
+        or name in ("repro_fair_runs_total", "repro_window_occupancy_total")
         for labels, value in family["series"].items()
     }
 
@@ -160,7 +160,7 @@ class TestWorkerCountersReachTheParent:
     """Counters incremented in pool workers are added to the parent's registry."""
 
     SCENARIOS = [
-        "one-fail-adaptive k=30 reps=4 seed=1",  # with the next cell: one fused unit
+        "one-fail-adaptive k=30 reps=4 seed=1",  # eight per-run fair units
         "one-fail-adaptive k=60 reps=4 seed=2",
         "exp-backon-backoff k=300 reps=3 seed=3",  # three per-run window units
         "one-fail-adaptive k=20 reps=2 seed=4 engine=fair",  # two per-run fair units
@@ -180,6 +180,8 @@ class TestWorkerCountersReachTheParent:
         serial = self.deltas(workers=1)
         assert self.deltas(workers=2) == serial
         assert serial['repro_engine_runs_total{engine="window"}'] == 3
-        assert serial['repro_engine_runs_total{engine="fair"}'] == 2
-        assert serial['repro_megabatch_rows_total{engine="mega"}'] == 8
+        assert serial['repro_engine_runs_total{engine="fair"}'] == 10
+        assert sum(
+            value for key, value in serial.items() if key.startswith("repro_fair_runs_total")
+        ) == 10
         assert any(key.startswith("repro_window_occupancy_total") for key in serial)

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.engine.fair_engine import FairEngine
+from repro.protocols.base import Protocol
 from repro.scenarios import ResultStore, Scenario, Session
 
 
@@ -23,15 +25,17 @@ class TestSessionExecution:
         assert result_set.seeds == tuple(scenario().seeds())
         assert [result.seed for result in result_set.results] == list(result_set.seeds)
 
-    def test_fused_and_per_run_fair_cells_give_equal_fair_runs(self):
-        # Three replications run per run, five fuse; an explicit selector
-        # forces either path.  Every path yields the same FairEngine runs.
+    def test_fair_cells_are_fair_engine_runs(self):
+        # Every replication is one FairEngine run of its own seed, whichever
+        # selector names the engine.
         five = scenario().replace(replications=5)
-        assert Session().run(scenario()).engine_used == "fair"
-        fused = Session().run(five)
-        assert fused.engine_used == "fair"
-        assert fused.results == Session().run(five.replace(engine="mega")).results
-        assert fused.results == Session().run(five.replace(engine="fair")).results
+        result_set = Session().run(five)
+        assert result_set.engine_used == "fair"
+        assert result_set.results == Session().run(five.replace(engine="fair")).results
+        assert list(result_set.results) == [
+            FairEngine().simulate(five.build_protocol(), five.k, seed=seed)
+            for seed in five.seeds()
+        ]
 
     def test_windowed_cells_run_on_the_window_engine(self):
         result_set = Session().run(scenario("exp-backon-backoff k=60 reps=6 seed=7"))
@@ -105,9 +109,9 @@ class TestSessionStore:
         "text",
         ["one-fail-adaptive k=60 reps=4 seed=7", "exp-backon-backoff k=60 reps=4 seed=7"],
     )
-    def test_raising_replications_extends_a_batchable_cell(self, tmp_path, text):
-        # Fused rows are per-replication streams too, so a fused cell extends
-        # like any other: only the missing replications are simulated.
+    def test_raising_replications_extends_a_cell(self, tmp_path, text):
+        # Every replication is its own stream, so a cell extends: only the
+        # missing replications are simulated.
         session = Session(store_dir=tmp_path)
         session.run(scenario(text))
         extended = session.run(scenario(text).replace(replications=9))
@@ -174,9 +178,9 @@ class TestSessionStore:
         assert small.new_runs == 0
         assert len(small.results) == 2
 
-    def test_per_run_prefix_extended_by_a_fused_group(self, tmp_path):
-        # Two stored per-run replications plus four missing ones that fuse:
-        # one cell mixing both paths equals a fresh per-run execution.
+    def test_stored_prefix_extended_by_missing_replications(self, tmp_path):
+        # Two stored replications plus four simulated now: the cell equals a
+        # fresh execution.
         session = Session(store_dir=tmp_path)
         session.run(scenario().replace(replications=2))
         mixed = session.run(scenario().replace(replications=6))
@@ -221,6 +225,24 @@ class TestSessionStore:
         cached = session.run(scenario())
         assert cached.elapsed_seconds == pytest.approx(fresh.elapsed_seconds)
         assert cached.elapsed_seconds > 0
+
+    @pytest.mark.parametrize(
+        "text",
+        ["one-fail-adaptive k=60 reps=3 seed=7", "log-fails-adaptive(xi_t=0.1) k=60 reps=3 seed=7"],
+    )
+    def test_cache_probes_spawn_no_protocol_state(self, tmp_path, monkeypatch, text):
+        # The service's cached path plans a cell on every probe; planning
+        # must only resolve the cell, never build per-run protocol state.
+        session = Session(store_dir=tmp_path)
+        session.run(scenario(text))
+        spawned = []
+        original = Protocol.spawn
+        monkeypatch.setattr(
+            Protocol, "spawn", lambda self: spawned.append(self) or original(self)
+        )
+        assert session.cached_count(scenario(text)) == 3
+        assert session.run_cached(scenario(text)).cached_runs == 3
+        assert spawned == []
 
 
 class TestSweepStoreIntegration:

@@ -208,8 +208,7 @@ class TestRetriesAndResume:
         )
         session = Session(store_dir=spec)
         manager = make_manager(session)
-        # engine=fair: four replications would otherwise fuse into one append.
-        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7 engine=fair")
+        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7")
         job, disposition = manager.submit(scen)
         assert disposition == "queued"
         manager.process_next()
