@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Fast benchmark smoke target: checks that fair runs take the compiled slot
-# loop, exercises each benchmark harness path that is cheap enough for CI (the
+# loop and windowed runs the compiled ball throw, exercises each benchmark
+# harness path that is cheap enough for CI (the
 # parallel-execution fidelity checks) without running the full sweeps, then a
 # Session-store smoke run proving that
 # a repeated scenario execution is served entirely from the result store, a
@@ -35,6 +36,22 @@ compiled = runs.get("{path=\"compiled\"}", 0)
 python = runs.get("{path=\"python\"}", 0)
 assert result.solved and compiled == 1 and python == 0, f"fair runs by path: {runs}"
 print("compiled fair kernel ok: k=1e5 OFA run took the compiled loop (%d slots)"
+      % result.slots_simulated)
+'
+
+# --- Compiled window kernel --------------------------------------------------
+# Likewise one k=1e5 Exp Back-on/Back-off run must throw its balls in C, not
+# on the numpy reference (~2-3x slower per ball, several times the memory).
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+from repro import ExpBackonBackoff, simulate
+from repro.obs import REGISTRY
+
+result = simulate(ExpBackonBackoff(), k=100_000, seed=1)
+runs = REGISTRY.snapshot()["repro_window_runs_total"]["series"]
+compiled = runs.get("{path=\"compiled\"}", 0)
+python = runs.get("{path=\"python\"}", 0)
+assert result.solved and compiled == 1 and python == 0, f"window runs by path: {runs}"
+print("compiled window kernel ok: k=1e5 EBB run took the compiled ball throw (%d slots)"
       % result.slots_simulated)
 '
 

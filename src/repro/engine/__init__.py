@@ -18,9 +18,11 @@ engine      serves         cost                                    chosen by ``"
             traces         outcome from one uniform draw; a
                            compiled slot loop for OFA, LFA and
                            ALOHA, the Python loop otherwise
-``window``  ``windowed``;  one occupancy sample per contention      a windowed run
-            traces         window (saturated / multinomial /
-                           ball throw)
+``window``  ``windowed``;  one balls-in-bins experiment per        a windowed run
+            traces         window: no draws when saturated, one
+                           uniform per ball otherwise; a compiled
+                           ball throw, the numpy reference when
+                           traced
 =========== ============== ======================================= ================================
 
 The reduced engines implement only the paper's channel with slot-0 arrivals;
@@ -31,12 +33,17 @@ siblings.  :func:`simulate_batch` (one cell) and :func:`simulate_megabatch`
 (many cells) are loops over it.
 
 :class:`FairEngine` runs the paper's fair protocols in a compiled slot loop
-that equals its Python loop run for run (see :mod:`repro.engine.fair_engine`).
+that equals its Python loop run for run (see :mod:`repro.engine.fair_engine`),
+and :class:`WindowEngine` throws each window's balls in a compiled kernel
+that equals its numpy reference run for run (see
+:mod:`repro.engine.window_engine`); both kernels live in one lazily built
+library (:mod:`repro.engine.native`).
 Every engine declares a ``stream_version``; results record it in
 ``metadata["stream_version"]`` and stored runs are reused only under the
 (seed, engine, stream version) that produced them.
-``tests/engine/test_fair_engine.py`` pins the compiled loop's equality and
-``tests/engine/test_streams.py`` the streams;
+``tests/engine/test_fair_engine.py`` and ``tests/engine/test_window_engine.py``
+pin the compiled paths' equality and ``tests/engine/test_streams.py`` the
+streams;
 :mod:`repro.engine.validation` holds the statistical cross-checks against
 the node-level engine.
 """

@@ -36,11 +36,10 @@ kernel is matched by exact type, so an overridden rule is never skipped) and
 hosts without a C compiler.  ``repro_fair_runs_total{path}`` counts which
 loop ran.
 
-The library is compiled lazily by the system ``cc`` on first use and cached
-per user (``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that
-hashes the source, the flags and the machine, so a second process only
-loads it.  A failed build logs one warning and leaves the Python loop in
-charge.
+The kernel shares one lazily compiled, per-user cached library with
+:class:`~repro.engine.window_engine.WindowEngine`'s ball throw
+(:mod:`repro.engine.native`).  A failed build logs one warning and leaves
+the Python loop in charge.
 
 Which station delivers in a successful slot is irrelevant for the makespan
 (they are exchangeable), so station identities are not tracked.
@@ -49,14 +48,6 @@ Which station delivers in a successful slot is irrelevant for the makespan
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
-import threading
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -64,9 +55,10 @@ import numpy as np
 from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.one_fail_adaptive import OneFailAdaptive
+from repro.engine import native
 from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
-from repro.obs import REGISTRY, get_logger
+from repro.obs import REGISTRY
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.base import FairProtocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
@@ -92,13 +84,6 @@ _M_FAIR_RUNS = REGISTRY.counter(
 _M_COMPILED = _M_FAIR_RUNS.labels(path="compiled")
 _M_PYTHON = _M_FAIR_RUNS.labels(path="python")
 
-_LOG = get_logger(__name__)
-
-_KERNEL_SOURCE = Path(__file__).with_name("fair_kernel.c")
-#: Never -ffast-math or -march=native: either lets the compiler reassociate
-#: or fuse the threshold arithmetic, and runs would stop equalling the
-#: Python loop's.
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # fair_run_block's return values.
 _MORE, _SOLVED = 0, 1
 
@@ -153,106 +138,6 @@ _KERNEL_PROTOCOLS = {
 }
 
 
-def _cache_dirs() -> list[Path]:
-    """Where the compiled kernel may be cached, in order of preference."""
-    directories = [Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"]
-    try:
-        directories.insert(0, Path.home() / ".cache" / "repro")
-    except RuntimeError:  # no home directory (unset HOME, uid without passwd entry)
-        pass
-    return directories
-
-
-def _private(directory: Path) -> bool:
-    """Create ``directory`` if needed; true if only this user can write it."""
-    try:
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        status = directory.stat()
-    except OSError:
-        return False
-    return status.st_uid == os.getuid() and not status.st_mode & 0o022
-
-
-def _library_name() -> str:
-    digest = hashlib.sha256(_KERNEL_SOURCE.read_bytes())
-    digest.update(" ".join(_CFLAGS).encode())
-    digest.update(platform.machine().encode())
-    return f"fair_kernel-{digest.hexdigest()[:16]}.so"
-
-
-def _build(directory: Path) -> Path:
-    """The kernel library in ``directory``, compiled first if it is missing.
-
-    The compiler writes a temporary file that is renamed into place, so a
-    concurrent process sees either no library or a complete one.  Raises
-    :class:`OSError` with the compiler's last stderr line on failure.
-    """
-    target = directory / _library_name()
-    if target.exists():
-        return target
-    compiler = shutil.which("cc")
-    if compiler is None:
-        raise OSError("no C compiler (cc) on PATH")
-    handle, partial = tempfile.mkstemp(dir=directory, prefix=".fair_kernel-", suffix=".so")
-    os.close(handle)
-    try:
-        completed = subprocess.run(
-            [compiler, *_CFLAGS, "-o", partial, str(_KERNEL_SOURCE), "-lm"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if completed.returncode != 0:
-            lines = completed.stderr.strip().splitlines() or [f"exit status {completed.returncode}"]
-            raise OSError(f"cc failed: {lines[-1]}")
-        os.replace(partial, target)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
-    return target
-
-
-def _open_kernel() -> ctypes.CDLL | None:
-    """Build (or find) and load the kernel; ``None`` if it cannot be had."""
-    reason = "no private cache directory"
-    for directory in _cache_dirs():
-        if not _private(directory):
-            continue
-        try:
-            library = ctypes.CDLL(str(_build(directory)))
-        except (OSError, subprocess.SubprocessError) as error:
-            reason = str(error)
-            continue
-        library.fair_run_block.argtypes = [
-            ctypes.POINTER(_FairRun), ctypes.c_void_p, ctypes.c_int64,
-        ]
-        library.fair_run_block.restype = ctypes.c_int
-        return library
-    _LOG.warning("compiled fair kernel unavailable (%s); FairEngine runs on its Python loop", reason)
-    return None
-
-
-class _KernelLoader:
-    """Loads the kernel once per process; worker threads share the result."""
-
-    #: Written only under ``self._lock`` (checked by lint rule LCK001).
-    _lock_guarded = frozenset({"_loaded", "_library"})
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._loaded = False
-        self._library: ctypes.CDLL | None = None
-
-    def get(self) -> ctypes.CDLL | None:
-        if not self._loaded:
-            with self._lock:
-                if not self._loaded:
-                    self._library = _open_kernel()
-                    self._loaded = True
-        return self._library
-
-
-_KERNEL = _KernelLoader()
 
 
 @register_engine
@@ -301,7 +186,7 @@ class FairEngine:
             )
         cap = max_slots if max_slots is not None else self.max_slots_factor * k
         fields = _KERNEL_PROTOCOLS.get(type(protocol)) if trace is None else None
-        kernel = _KERNEL.get() if fields is not None else None
+        kernel = native.KERNEL.get() if fields is not None else None
         if kernel is not None:
             _M_COMPILED.inc()
             run = _FairRun(remaining=k, cap=cap, last_delivery=-1, **fields(protocol))

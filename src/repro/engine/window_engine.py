@@ -1,4 +1,4 @@
-"""Vectorised balls-in-bins engine for windowed protocols.
+"""Balls-in-bins engine for windowed protocols.
 
 A :class:`~repro.protocols.base.WindowedProtocol` commits every active station
 to one uniformly random slot of each contention window.  With batched arrivals
@@ -7,23 +7,40 @@ with ``m`` active stations is exactly the balls-in-bins experiment of the
 paper's Lemma 1: ``m`` balls dropped uniformly into ``w`` bins, and a station
 is delivered iff its bin (slot) holds exactly one ball.
 
-The engine therefore processes a whole window in a handful of numpy
-operations, which makes runs with k = 10⁷ — the right edge of the paper's
-Figure 1 — take seconds instead of hours.  How a window's occupancy is
-sampled depends on its saturation ``m/w`` (balls per bin):
+The engine therefore processes a whole window at once, which makes runs with
+k = 10⁷ — the right edge of the paper's Figure 1 — take seconds instead of
+hours:
 
 * saturated windows (see :data:`_SATURATED_BOUND`) emit the all-collisions
   outcome with no random draws at all — the long descending tails of every
   back-off sawtooth;
-* narrow windows (``w·_MULTINOMIAL_RATIO < m``) sample the bin counts from
-  the multinomial distribution (O(w) binomial draws);
-* wide windows (``w ~ m``, where the deliveries happen) throw every ball
-  explicitly — one bounded draw per ball in the narrowest sufficient dtype,
-  then one ``bincount``.
+* every other window throws its balls: it takes exactly ``m`` uniforms
+  ``u_i``, the values ``generator.random(m)`` returns, and ball ``i`` lands
+  in bin ``min(⌊u_i·w⌋, w−1)``.  A uniform is a multiple of ``2⁻⁵³``, so
+  each bin's probability is within ``O(2⁻⁵³)`` of ``1/w`` — the
+  double-precision resolution :data:`_SATURATED_BOUND` argues from too.
+
+A window cut by the run's slot cap simulates only its slots before the cap,
+so a capped run never reports more than ``max_slots`` slots.
+
+Compiled ball throw
+-------------------
+Untraced runs throw each window's balls in C (``window_kernel.c``, built into
+the library of :mod:`repro.engine.native`): one byte per bin, with the
+uniforms drawn straight from the run's numpy bit generator through its
+``ctypes`` interface — the calls ``Generator.random`` makes.  The window
+schedule, the saturated-window shortcut, the cap and the result stay in
+Python, so every windowed protocol takes the compiled path, subclasses and
+user-defined schedules included.  Traced runs (they record exact per-slot
+transmitter counts) and hosts without a C compiler throw the balls with
+numpy (:func:`_throw_reference`), which draws the same values and bins them
+the same way, so both paths produce the same runs.
+``repro_window_runs_total{path}`` counts which one ran.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import ClassVar
 
@@ -31,6 +48,7 @@ import numpy as np
 
 from repro.channel.model import ChannelModel, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
+from repro.engine import native
 from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
@@ -40,34 +58,33 @@ from repro.util.validation import check_positive_int
 
 __all__ = ["WindowEngine"]
 
-#: Which sampler produced each window's occupancy: ``saturated`` windows are
-#: emitted without any draws, ``multinomial`` ones are sampled bin-wise, and
-#: ``ball-throw`` windows materialise every ball.  Counts one per window, but
-#: is incremented once per run and mode, never per window.
+#: How each window's occupancy was produced: ``saturated`` windows are
+#: emitted without any draws and ``ball-throw`` windows throw every ball.
+#: Counts one per window, but is incremented once per run and mode, never per
+#: window.
 _M_OCCUPANCY = REGISTRY.counter(
     "repro_window_occupancy_total",
     "Contention windows simulated by the window engine, by occupancy-sampling mode.",
     ("mode",),
 )
-_OCCUPANCY_MODES = ("saturated", "multinomial", "ball-throw")
+_OCCUPANCY_MODES = ("saturated", "ball-throw")
+
+_M_WINDOW_RUNS = REGISTRY.counter(
+    "repro_window_runs_total",
+    "WindowEngine runs, by ball throw (compiled kernel vs numpy reference).",
+    ("path",),
+)
+_M_COMPILED = _M_WINDOW_RUNS.labels(path="compiled")
+_M_PYTHON = _M_WINDOW_RUNS.labels(path="python")
 
 #: Threshold under which a window is all-collisions "for sure": a window is
 #: *saturated* when the exact union bound ``P(any bin holds <= 1 ball) <=
 #: w [(1-1/w)^m + (m/w)(1-1/w)^{m-1}]`` evaluates below this — one power of
 #: two under ``2^{-53}``, so even with the bound's own float rounding the
 #: event probability is beneath the resolution of the double-precision
-#: uniforms every sampler consumes, and emitting the certain all-collisions
+#: uniforms the ball throw consumes, and emitting the certain all-collisions
 #: outcome is indistinguishable from sampling it.
 _SATURATED_BOUND = 2.0**-54
-
-#: Saturation ratio above which sampling the occupancy directly from the
-#: multinomial distribution (O(w) binomial draws) is cheaper than throwing
-#: the ``m`` balls explicitly (O(m) uniform draws).  Below the ratio the
-#: binomial sampler degrades to O(m/w) per bin anyway, so balls win.
-_MULTINOMIAL_RATIO = 22
-
-_UINT16_MAX = int(np.iinfo(np.uint16).max)
-_UINT32_MAX = int(np.iinfo(np.uint32).max)
 
 
 def _saturated(length: int, balls: int) -> bool:
@@ -85,18 +102,56 @@ def _saturated(length: int, balls: int) -> bool:
     return length * (p_empty + p_singleton) < _SATURATED_BOUND
 
 
-def _occupancy(rng: np.random.Generator, balls: int, length: int) -> tuple[str, np.ndarray]:
-    """Sample one window's bin counts; returns the sampling mode and the counts."""
-    if length * _MULTINOMIAL_RATIO < balls:
-        return "multinomial", rng.multinomial(balls, np.full(length, 1.0 / length))
-    if length <= _UINT16_MAX:
-        dtype: type = np.uint16
-    elif length <= _UINT32_MAX:
-        dtype = np.uint32
-    else:
-        dtype = np.int64
-    choices = rng.integers(0, length, size=balls, dtype=dtype)
-    return "ball-throw", np.bincount(choices, minlength=length)
+#: A window's tally over its first ``limit`` slots, as ``window_kernel.c``
+#: writes it: silences, singletons, the last singleton's slot (-1 if none)
+#: and the silences before it.
+_Tally = tuple[int, int, int, int]
+
+
+def _throw_reference(
+    generator: np.random.Generator, length: int, balls: int, limit: int
+) -> tuple[np.ndarray, _Tally]:
+    """The numpy ball throw: per-slot ball counts of ``[0, limit)`` and their tally."""
+    bins = np.minimum((generator.random(balls) * length).astype(np.intp), length - 1)
+    occupancy = np.bincount(bins, minlength=length)[:limit]
+    silent = occupancy == 0
+    singles = np.flatnonzero(occupancy == 1)
+    last = int(singles[-1]) if singles.size else -1
+    before = int(np.count_nonzero(silent[:last])) if singles.size else 0
+    return occupancy, (int(np.count_nonzero(silent)), int(singles.size), last, before)
+
+
+class _CompiledThrow:
+    """One run's compiled ball throw: its bin buffer and its generator's C interface.
+
+    The buffer belongs to the run, because the GIL is released during the
+    call and the service runs windows of different jobs on concurrent threads.
+    """
+
+    def __init__(self, function: ctypes._CFuncPtr, generator: np.random.Generator) -> None:
+        interface = generator.bit_generator.ctypes
+        self._function = function
+        self._generator = generator  # owns the state the kernel draws from
+        self._next_double = ctypes.cast(interface.next_double, ctypes.c_void_p).value
+        self._state = interface.state_address
+        self._counts = np.empty(0, dtype=np.uint8)
+        self._tally = (ctypes.c_int64 * 4)()
+
+    def __call__(self, length: int, balls: int, limit: int) -> _Tally:
+        if self._counts.size < length:
+            self._counts = np.empty(length, dtype=np.uint8)
+        counts = self._counts
+        if not (counts.dtype == np.uint8 and counts.flags.c_contiguous
+                and 0 <= limit <= length <= counts.size):
+            raise ValueError(
+                f"bin buffer of {counts.size} bytes cannot hold {limit} of {length} slots"
+            )
+        with self._generator.bit_generator.lock:
+            self._function(
+                counts.ctypes.data, length, balls, limit, self._next_double, self._state,
+                self._tally,
+            )
+        return tuple(self._tally)
 
 
 @register_engine
@@ -114,9 +169,11 @@ class WindowEngine:
     )
 
     #: Version of this engine's random stream (see
-    #: ``FairEngine.stream_version``).  Version 2 samples each window with
-    #: the adaptive occupancy samplers; version 1 threw every ball.
-    stream_version: ClassVar[int] = 2
+    #: ``FairEngine.stream_version``).  Version 3 throws every non-saturated
+    #: window's balls from ``generator.random`` (bin ``⌊u·w⌋``); version 2
+    #: sampled narrow windows multinomially; version 1 threw every ball of
+    #: every window with bounded integers.
+    stream_version: ClassVar[int] = 3
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
         self.channel = check_engine_channel(type(self), channel)
@@ -145,6 +202,9 @@ class WindowEngine:
         schedule = protocol.spawn().window_lengths()
         rng = RandomSource(seed=seed).generator
         cap = max_slots if max_slots is not None else self.max_slots_factor * k
+        library = native.KERNEL.get() if trace is None else None
+        throw = None if library is None else _CompiledThrow(library.window_balls, rng)
+        (_M_PYTHON if throw is None else _M_COMPILED).inc()
         modes = dict.fromkeys(_OCCUPANCY_MODES, 0)
 
         remaining = k
@@ -163,12 +223,14 @@ class WindowEngine:
             if length < 1:
                 raise ValueError(f"window length must be >= 1, got {length}")
             windows_processed += 1
+            # A window cut by the cap simulates only its slots before it.
+            limit = min(length, cap - window_start)
 
             if _saturated(length, remaining):
                 modes["saturated"] += 1
-                collisions += length
+                collisions += limit
                 if trace is not None:
-                    for offset in range(length):
+                    for offset in range(limit):
                         trace.append(
                             SlotRecord(
                                 slot=window_start + offset,
@@ -177,22 +239,26 @@ class WindowEngine:
                                 active_before=remaining,
                             )
                         )
-                window_start += length
+                window_start += limit
                 continue
 
             # Balls-in-bins: each of the `remaining` stations picks one slot
             # of the window; slots hit exactly once deliver their message.
-            mode, occupancy = _occupancy(rng, remaining, length)
-            modes[mode] += 1
-            silent, delivered = np.bincount(occupancy, minlength=2)[:2].tolist()
+            modes["ball-throw"] += 1
+            if throw is not None:
+                silent, delivered, last, silent_before = throw(length, remaining, limit)
+            else:
+                occupancy, (silent, delivered, last, silent_before) = _throw_reference(
+                    rng, length, remaining, limit
+                )
 
             # The node-level engine stops at the slot of the final delivery;
-            # when this window solves the instance, truncate the trailing
-            # slots so counters and traces agree with it.
+            # when this window solves the instance, it ends there so counters
+            # and traces agree with it.
+            simulated_length = limit
             if delivered == remaining:
-                occupancy = occupancy[: int(np.flatnonzero(occupancy == 1)[-1]) + 1]
-                silent = int(np.count_nonzero(occupancy == 0))
-            simulated_length = int(occupancy.size)
+                simulated_length = last + 1
+                silent = silent_before
 
             successes += delivered
             collisions += simulated_length - silent - delivered
@@ -203,7 +269,7 @@ class WindowEngine:
                 # station that delivers becomes idle for the rest of the
                 # window, so the active count decreases at every singleton.
                 active = remaining
-                for offset, count in enumerate(occupancy.tolist()):
+                for offset, count in enumerate(occupancy[:simulated_length].tolist()):
                     outcome = (
                         SlotOutcome.SILENCE
                         if count == 0
@@ -231,8 +297,8 @@ class WindowEngine:
         solved = remaining == 0
         return SimulationResult(
             solved=solved,
-            # A solving window is truncated at its final delivery, so the
-            # run ends exactly at the makespan.
+            # A solving window ends at its final delivery, so the run ends
+            # exactly at the makespan.
             makespan=window_start if solved else None,
             k=k,
             slots_simulated=window_start,

@@ -36,6 +36,7 @@ streams.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -198,7 +199,15 @@ class Scenario:
         }
 
     def content_hash(self) -> str:
-        """Stable 16-hex-digit digest of :meth:`identity` (store key)."""
+        """Stable 16-hex-digit digest of :meth:`identity` (store key).
+
+        Computed once per instance: a scenario is frozen, and every store
+        probe and append asks for its digest.
+        """
+        return self._content_hash
+
+    @functools.cached_property
+    def _content_hash(self) -> str:
         canonical = json.dumps(self.identity(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

@@ -3,19 +3,14 @@
 Besides the engine's own behaviour, this pins its two slot loops against
 each other: the compiled loop (``fair_kernel.c``) must equal the Python loop
 in every result field for every protocol it implements, and everything it
-does not serve — traced runs, subclasses, other fair protocols, a failed
-build — must take the Python loop and say so in
-``repro_fair_runs_total{path}``.
+does not serve — traced runs, subclasses, other fair protocols — must take
+the Python loop and say so in ``repro_fair_runs_total{path}``.  The shared
+library's build, cache and failed-build fallback are tested in
+``test_native.py``.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 from typing import ClassVar
 
 import pytest
@@ -40,9 +35,6 @@ from repro.protocols.base import (
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios import Scenario, Session
 from repro.util.rng import derive_seeds
-
-_SRC = Path(fair_module.__file__).resolve().parents[2]
-
 
 class TestBasicOperation:
     @pytest.mark.parametrize("k", [1, 2, 10, 500])
@@ -280,12 +272,6 @@ class NeverTransmit(FairProtocol):
         pass
 
 
-def _fresh_loader(monkeypatch, *directories: Path) -> None:
-    """Make the next FairEngine run load the kernel anew from ``directories``."""
-    monkeypatch.setattr(fair_module, "_KERNEL", fair_module._KernelLoader())
-    monkeypatch.setattr(fair_module, "_cache_dirs", lambda: list(directories))
-
-
 class TestPythonFallback:
     """Runs the kernel cannot serve take the Python loop, exactly and visibly."""
 
@@ -293,22 +279,6 @@ class TestPythonFallback:
 
     def compiled_runs(self) -> list:
         return [FairEngine().simulate(OneFailAdaptive(), 150, seed=seed) for seed in self.SEEDS]
-
-    def test_failed_build_falls_back_and_warns_once(self, tmp_path, monkeypatch, caplog):
-        expected = self.compiled_runs()
-        monkeypatch.setattr(fair_module, "_CFLAGS", (*fair_module._CFLAGS, "-fno-such-flag"))
-        _fresh_loader(monkeypatch, tmp_path)
-        before = _fair_runs()
-        with caplog.at_level(logging.WARNING, logger=fair_module.__name__):
-            runs = [FairEngine().simulate(OneFailAdaptive(), 150, seed=seed) for seed in self.SEEDS]
-        assert runs == expected
-        assert _fair_runs() == {
-            "compiled": before["compiled"], "python": before["python"] + len(self.SEEDS),
-        }
-        (warning,) = [record for record in caplog.records if record.name == fair_module.__name__]
-        assert warning.levelno == logging.WARNING
-        assert "fno-such-flag" in warning.getMessage()
-        assert list(tmp_path.iterdir()) == []
 
     def test_subclass_takes_the_python_loop(self):
         expected = self.compiled_runs()
@@ -341,68 +311,6 @@ class TestPythonFallback:
             result = FairEngine().simulate(NeverTransmit(), 5, seed=seed, max_slots=40)
             assert not result.solved
             assert result.slots_simulated == result.silences == 40
-
-
-#: Loads the kernel from (building it into) one directory and runs OFA on it.
-_BUILD_AND_RUN = """
-    from pathlib import Path
-    import repro.engine.fair_engine as fair
-    fair._cache_dirs = lambda: [Path({directory!r})]
-    result = fair.FairEngine().simulate(fair.OneFailAdaptive(), 200, seed=5)
-    assert fair._M_COMPILED.value == 1, "the compiled loop did not run"
-    print(result.makespan)
-"""
-
-#: Makes any further compiler run fail the interpreter.
-_NO_COMPILER = """
-    import subprocess
-    def refuse(*args, **kwargs):
-        raise AssertionError("the compiler ran again")
-    subprocess.run = refuse
-"""
-
-
-def _interpreter(directory: Path, *preludes: str) -> subprocess.Popen:
-    """A fresh interpreter running ``preludes`` then ``_BUILD_AND_RUN``."""
-    code = "".join(
-        textwrap.dedent(part) for part in (*preludes, _BUILD_AND_RUN.format(directory=str(directory)))
-    )
-    return subprocess.Popen(
-        [sys.executable, "-c", code],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(_SRC)},
-    )
-
-
-class TestKernelCache:
-    def test_second_interpreter_loads_without_compiling(self, tmp_path):
-        first = _interpreter(tmp_path)
-        first_out, first_err = first.communicate(timeout=120)
-        assert first.returncode == 0, first_err
-        (library,) = tmp_path.glob("*.so")
-        built_at = library.stat().st_mtime_ns
-        second = _interpreter(tmp_path, _NO_COMPILER)
-        second_out, second_err = second.communicate(timeout=120)
-        assert second.returncode == 0, second_err
-        assert second_out == first_out
-        assert library.stat().st_mtime_ns == built_at
-
-    def test_concurrent_builds_both_succeed(self, tmp_path):
-        processes = [_interpreter(tmp_path) for _ in range(2)]
-        outputs = [process.communicate(timeout=120) for process in processes]
-        assert [process.returncode for process in processes] == [0, 0], outputs
-        assert outputs[0][0] == outputs[1][0]
-        assert [path.name for path in tmp_path.iterdir()] == [fair_module._library_name()]
-
-    def test_directories_other_users_can_write_are_skipped(self, tmp_path, monkeypatch):
-        shared = tmp_path / "shared"
-        shared.mkdir()
-        shared.chmod(0o777)
-        private = tmp_path / "private"
-        _fresh_loader(monkeypatch, shared, private)
-        assert fair_module._KERNEL.get() is not None
-        assert list(shared.iterdir()) == []
-        assert [path.name for path in private.iterdir()] == [fair_module._library_name()]
 
 
 class TestResultStructure:

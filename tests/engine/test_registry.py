@@ -28,7 +28,7 @@ from repro.engine.registry import (
 )
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
-from repro.protocols.base import available_protocols, build_protocol
+from repro.protocols.base import available_protocols, build_protocol, get_protocol_class
 from repro.protocols.splitting import BinarySplitting
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
@@ -56,7 +56,7 @@ class TestRegistryContents:
 
     def test_per_run_engines_declare_stream_versions(self):
         versions = {name: engine_class(name).stream_version for name in engine_names()}
-        assert versions == {"slot": 1, "fair": 1, "window": 2}
+        assert versions == {"slot": 1, "fair": 1, "window": 3}
 
     def test_unknown_engine_error_enumerates_registry(self):
         with pytest.raises(ValueError) as excinfo:
@@ -130,6 +130,47 @@ class TestExplicitPickValidation:
         for engine in ("auto", "slot", "fair"):
             with pytest.raises(ValueError, match="without acknowledgements"):
                 pick_engine_name(OneFailAdaptive(), engine=engine, channel=no_acks)
+
+
+#: One protocol of each kind, with the channel it needs.
+KIND_EXAMPLES = {
+    "fair": ("one-fail-adaptive", None),
+    "windowed": ("exp-backon-backoff", None),
+    "generic": ("binary-splitting", CD_CHANNEL),
+}
+
+
+def _engine_kinds() -> list:
+    """``(engine, kind)`` for every kind each registered engine serves."""
+    return [
+        pytest.param(name, kind, id=f"{name}-{kind}")
+        for name in engine_names()
+        for kind in sorted(engine_capabilities(name).protocol_kinds or KIND_EXAMPLES)
+    ]
+
+
+class TestSlotCapsBindEveryEngine:
+    """``max_slots`` binds every engine alike: no run goes past its cap, and
+    a cap at the uncapped makespan still solves."""
+
+    K = 20
+
+    def test_examples_cover_every_protocol_kind(self):
+        kinds = {get_protocol_class(name).protocol_kind for name in available_protocols()}
+        assert kinds == set(KIND_EXAMPLES)
+
+    @pytest.mark.parametrize("engine_name,kind", _engine_kinds())
+    def test_caps_bind(self, engine_name, kind):
+        spec, channel = KIND_EXAMPLES[kind]
+        engine = engine_class(engine_name)(channel=channel)
+        protocol = build_protocol(spec, k=self.K)
+        for seed in range(20):
+            makespan = engine.simulate(protocol, self.K, seed=seed).makespan
+            for cap in (1, makespan // 2, makespan - 1, makespan):
+                result = engine.simulate(protocol, self.K, seed=seed, max_slots=cap)
+                assert result.slots_simulated <= cap, (seed, cap, result)
+                assert not result.solved or result.makespan <= cap, (seed, cap, result)
+                assert result.solved or cap < makespan, (seed, cap, result)
 
 
 class TestLayersAgreeForEveryRegisteredProtocol:

@@ -1,8 +1,8 @@
 """Stream pins and the retired batching surface.
 
 * **Golden streams** — fixed cells reproduce pinned makespans exactly, on
-  FairEngine's compiled loop and on its Python loop alike, so a change to an
-  engine's draw order cannot slip through and silently invalidate stored
+  each engine's compiled path and on its Python path alike, so a change to
+  an engine's draw order cannot slip through and silently invalidate stored
   results: it must bump the engine's ``stream_version``.
 * **Retired surface** — the deleted engines, selectors, knobs and hooks fail
   loudly, and cells they stored (or stored under an older stream version)
@@ -16,6 +16,8 @@ import importlib
 
 import pytest
 
+import repro.engine.native as native
+import repro.engine.window_engine as window_module
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import simulate, simulate_batch
@@ -48,6 +50,28 @@ def _python_loop(spec: str, k: int, seeds, max_slots: int | None = None) -> list
         FairEngine()._simulate_python(build_protocol(spec, k=k), k, seed, cap, None)
         for seed in seeds
     ]
+
+
+class _NoLibrary:
+    """The kernel loader of a host without a C compiler."""
+
+    def get(self) -> None:
+        return None
+
+
+def _window_runs(path: str, spec: str, k: int, seeds, max_slots: int | None = None) -> list:
+    """WindowEngine's runs of each seed, all on the given ball-throw ``path``."""
+    counter = window_module._M_WINDOW_RUNS.labels(path=path)
+    before = counter.value
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "python":
+            patch.setattr(native, "KERNEL", _NoLibrary())
+        results = [
+            WindowEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=max_slots)
+            for seed in seeds
+        ]
+    assert counter.value - before == len(seeds), f"not every run took the {path} path"
+    return results
 
 
 class TestGoldenStreams:
@@ -87,39 +111,43 @@ class TestGoldenStreams:
     @pytest.mark.parametrize(
         "spec,k,root,reps,makespans",
         [
-            ("exp-backon-backoff", 70, 5, 3, [344, 333, 333]),
-            ("loglog-iterated-backoff", 300, 6, 3, [1891, 1874, 1887]),
-            ("exponential-backoff", 90, 4, 2, [509, 468]),
-            ("polynomial-backoff", 80, 3, 3, [284, 495, 382]),
-            ("log-backoff", 110, 7, 2, [570, 516]),
+            ("exp-backon-backoff", 70, 5, 3, [337, 322, 344]),
+            ("loglog-iterated-backoff", 300, 6, 3, [1886, 1861, 1855]),
+            ("exponential-backoff", 90, 4, 2, [842, 507]),
+            ("polynomial-backoff", 80, 3, 3, [367, 371, 366]),
+            ("log-backoff", 110, 7, 2, [520, 593]),
         ],
     )
-    def test_window_stream_version_2(self, spec, k, root, reps, makespans):
-        assert WindowEngine.stream_version == 2
-        results = [
-            WindowEngine().simulate(build_protocol(spec, k=k), k, seed=seed)
-            for seed in derive_seeds(root, reps)
-        ]
+    @pytest.mark.parametrize("path", ["compiled", "python"])
+    def test_window_stream_version_3(self, path, spec, k, root, reps, makespans):
+        assert WindowEngine.stream_version == 3
+        results = _window_runs(path, spec, k, derive_seeds(root, reps))
         assert [result.makespan for result in results] == makespans, self.BUMP
 
-    def test_window_stream_version_2_capped_counts(self):
-        results = [
-            WindowEngine().simulate(ExpBackonBackoff(), 200, seed=seed, max_slots=400)
-            for seed in derive_seeds(7, 3)
-        ]
+    @pytest.mark.parametrize("path", ["compiled", "python"])
+    def test_window_stream_version_3_capped_counts(self, path):
+        """A window cut by the cap simulates only its slots before it."""
+        results = _window_runs(path, "exp-backon-backoff", 200, derive_seeds(7, 3), max_slots=400)
         assert not any(result.solved for result in results)
         assert [
             (result.slots_simulated, result.successes, result.collisions, result.silences)
             for result in results
-        ] == [(480, 50, 396, 34), (480, 54, 395, 31), (480, 56, 393, 31)], self.BUMP
+        ] == [(400, 32, 355, 13), (400, 32, 352, 16), (400, 31, 353, 16)], self.BUMP
 
 
 def _legacy(results, engine: str | None = None) -> list:
-    """Results as a store written before stream versions holds them."""
+    """Results as an older store holds them.
+
+    ``None``: written before stream versions (version 1); ``"window"``: the
+    window engine's stream-2 runs; any other name: a retired batched engine's
+    runs, with their ``batch_reps``.
+    """
     legacy = []
     for result in results:
         metadata = {key: value for key, value in result.metadata.items() if key != "stream_version"}
-        if engine is not None:
+        if engine == "window":
+            metadata["stream_version"] = 2
+        elif engine is not None:
             metadata["batch_reps"] = len(results)
         legacy.append(
             dataclasses.replace(result, engine=engine or result.engine, metadata=metadata)
@@ -195,6 +223,7 @@ class TestRetiredSurface:
             ("one-fail-adaptive k=30 reps=4 seed=5", "mega"),
             ("exp-backon-backoff k=30 reps=4 seed=5", "mega-window"),
             ("exp-backon-backoff k=30 reps=4 seed=5", None),  # stream-1 window runs
+            ("exp-backon-backoff k=30 reps=4 seed=5", "window"),  # stream-2 window runs
         ],
     )
     def test_legacy_cells_resimulate_once(self, tmp_path, backend, text, legacy_engine):

@@ -1,20 +1,36 @@
-"""Tests for the balls-in-bins window engine."""
+"""Tests for the balls-in-bins window engine.
+
+Besides the engine's own behaviour, this pins its two ball throws against
+each other: the compiled throw (``window_kernel.c``) must equal the numpy
+reference in every result field for every registered windowed protocol, cap
+and thread interleaving, and ``repro_window_runs_total{path}`` must say
+which one ran.
+"""
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro.engine.native as native
 import repro.engine.window_engine as window_module
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.window_engine import WindowEngine
+from repro.engine.window_engine import WindowEngine, _CompiledThrow, _throw_reference
 from repro.protocols.backoff import ExponentialBackoff, LogLogIteratedBackoff
-from repro.protocols.base import WindowedProtocol, build_protocol
+from repro.protocols.base import (
+    WindowedProtocol,
+    available_protocols,
+    build_protocol,
+    get_protocol_class,
+)
 from repro.scenarios import Scenario, Session
 from repro.util.rng import derive_seeds
 
@@ -194,8 +210,9 @@ def _assert_same_mean(engine: np.ndarray, reference: np.ndarray) -> None:
 
 
 class TestOccupancySamplersAgainstBallThrowReference:
-    """The saturated/multinomial/ball-throw samplers keep the law of the
-    plain loop that throws every ball of every window."""
+    """The saturated shortcut and the ``⌊u·w⌋`` ball throw keep the law of
+    the plain loop that throws every ball of every window with bounded
+    integers."""
 
     @staticmethod
     def samples(spec: str, k: int, runs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +241,7 @@ class TestOccupancySamplersAgainstBallThrowReference:
         _assert_same_mean(*self.samples(spec, 2048, 60))
 
 
-_OCCUPANCY_MODES = ("ball-throw", "saturated", "multinomial")
+_OCCUPANCY_MODES = ("ball-throw", "saturated")
 
 
 def _occupancy_counts() -> dict[str, float]:
@@ -244,10 +261,10 @@ class TestOccupancyMetric:
         ]
         after = _occupancy_counts()
         assert [result.makespan for result in results] == [
-            21639, 21654, 21574, 21683, 21654, 21808, 21628, 21672, 21661, 21259,
+            21661, 21680, 21622, 21616, 21642, 21634, 21502, 21643, 21626, 21647,
         ]
         deltas = {mode: after[mode] - before[mode] for mode in _OCCUPANCY_MODES}
-        assert deltas == {"ball-throw": 200, "saturated": 850, "multinomial": 80}
+        assert deltas == {"ball-throw": 280, "saturated": 850}
         assert sum(deltas.values()) == sum(result.metadata["windows"] for result in results)
 
     @pytest.mark.parametrize(
@@ -278,8 +295,8 @@ class TestOccupancyMetric:
 class TestWindowEngineTraces:
     @pytest.mark.parametrize("k", [1, 2, 40, 2048])
     def test_traced_and_untraced_runs_are_equal(self, k):
-        # k=2048 walks saturated and multinomial windows as well as ball
-        # throws; tracing must not change a single draw.
+        # k=2048 walks saturated windows as well as ball throws; tracing
+        # (which takes the numpy reference) must not change a single draw.
         for seed in derive_seeds(k, 3):
             trace = ExecutionTrace()
             traced = WindowEngine().simulate(ExpBackonBackoff(), k, seed=seed, trace=trace)
@@ -307,4 +324,159 @@ class TestWindowedProtocolsStayPerRun:
     def test_session_runs_windowed_cells_on_window(self, spec):
         result_set = Session().run(Scenario(protocol=spec, k=40, replications=5, seed=3))
         assert result_set.engine_used == "window"
-        assert all(result.metadata["stream_version"] == 2 for result in result_set.results)
+        assert all(result.metadata["stream_version"] == 3 for result in result_set.results)
+
+
+class _NoLibrary:
+    """The kernel loader of a host without a C compiler."""
+
+    def get(self) -> None:
+        return None
+
+
+PATHS = ("compiled", "python")
+
+
+def _window_runs(path: str, protocol, k: int, seeds, max_slots: int | None = None) -> list:
+    """WindowEngine's runs of each seed, all on the given ball-throw ``path``."""
+    counter = window_module._M_WINDOW_RUNS.labels(path=path)
+    before = counter.value
+    with pytest.MonkeyPatch.context() as patch:
+        if path == "python":
+            patch.setattr(native, "KERNEL", _NoLibrary())
+        results = [
+            WindowEngine().simulate(protocol, k, seed=seed, max_slots=max_slots) for seed in seeds
+        ]
+    assert counter.value - before == len(seeds), f"not every run took the {path} path"
+    return results
+
+
+def _assert_paths_agree(protocol, k: int, seeds, max_slots: int | None = None) -> list:
+    compiled, python = (_window_runs(path, protocol, k, seeds, max_slots) for path in PATHS)
+    assert [result.to_dict() for result in compiled] == [result.to_dict() for result in python]
+    return compiled
+
+
+def _windows(protocol, k: int, seed: int) -> list[tuple[int, int, bool]]:
+    """``(start, length, saturated)`` of every window of the uncapped run."""
+    calls = []
+    original = window_module._saturated
+
+    def spy(length, balls):
+        calls.append((length, original(length, balls)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(window_module, "_saturated", spy)
+        WindowEngine().simulate(protocol, k, seed=seed)
+    starts = itertools.accumulate((length for length, _ in calls), initial=0)
+    return [(start, length, saturated) for start, (length, saturated) in zip(starts, calls)]
+
+
+def _cap(windows: list[tuple[int, int, bool]], where: str) -> int:
+    if where == "first-slot":
+        return 1
+    if where == "window-boundary":
+        return windows[-1][0]  # the start of the final window
+    start, length, _ = next(
+        window for window in windows if window[2] == (where == "saturated") and window[1] >= 2
+    )
+    return start + length // 2
+
+
+class DoubledBackon(ExpBackonBackoff):
+    """A user-defined schedule: Algorithm 2's windows, each twice as long."""
+
+    name = "test-doubled-backon"
+
+    def window_lengths(self):
+        for length in super().window_lengths():
+            yield 2 * length
+
+
+class TestCompiledThrowIsExact:
+    """The compiled ball throw's runs are the numpy reference's, field for field."""
+
+    def test_cases_are_every_registered_windowed_protocol(self):
+        registered = [
+            name for name in available_protocols()
+            if get_protocol_class(name).protocol_kind == "windowed"
+        ]
+        assert sorted(WINDOWED_SPECS) == registered
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 150, 2048, 10_000])
+    @pytest.mark.parametrize("spec", WINDOWED_SPECS)
+    def test_runs_equal_the_reference(self, spec, k):
+        results = _assert_paths_agree(build_protocol(spec, k=k), k, derive_seeds(k, 10))
+        assert all(result.solved for result in results)
+
+    @pytest.mark.parametrize("where", ["first-slot", "saturated", "thrown", "window-boundary"])
+    @pytest.mark.parametrize("spec", WINDOWED_SPECS)
+    def test_caps_cut_both_paths_alike(self, spec, where):
+        k = 2048
+        protocol = build_protocol(spec, k=k)
+        for seed in derive_seeds(17, 10):
+            cap = _cap(_windows(protocol, k, seed), where)
+            (result,) = _assert_paths_agree(protocol, k, [seed], max_slots=cap)
+            assert not result.solved
+            assert result.slots_simulated == cap
+            assert result.successes + result.collisions + result.silences == cap
+
+    def test_subclass_with_its_own_schedule_takes_the_compiled_path(self):
+        results = _assert_paths_agree(DoubledBackon(), 300, derive_seeds(5, 10))
+        assert all(result.solved for result in results)
+        assert results != _window_runs("compiled", ExpBackonBackoff(), 300, derive_seeds(5, 10))
+
+    @pytest.mark.parametrize(
+        "length,balls,limit",
+        [(1, 1, 1), (2, 3, 1), (7, 20, 7), (1000, 700, 300), (2**20, 10**5, 2**20)],
+    )
+    def test_a_window_takes_exactly_its_balls_uniforms(self, length, balls, limit):
+        """The kernel's tally is the reference's, and the generator continues
+        where ``generator.random(balls)`` leaves it."""
+        library = native.KERNEL.get()
+        assert library is not None
+        compiled, reference = np.random.default_rng(9), np.random.default_rng(9)
+        tally = _CompiledThrow(library.window_balls, compiled)(length, balls, limit)
+        assert tally == _throw_reference(reference, length, balls, limit)[1]
+        assert compiled.random() == reference.random()
+
+    def test_window_larger_than_its_limit_is_refused(self):
+        library = native.KERNEL.get()
+        assert library is not None
+        with pytest.raises(ValueError, match="bin buffer"):
+            _CompiledThrow(library.window_balls, np.random.default_rng(0))(4, 10, 5)
+
+    def test_concurrent_runs_equal_serial_runs(self):
+        """Threads share the library but not a bin buffer: with more threads
+        than cores and a tiny switch interval, every run is its serial self."""
+        jobs = [
+            (build_protocol(spec, k=k), k, derive_seeds(k + index, 3))
+            for index, (spec, k) in enumerate(
+                [("exp-backon-backoff", 10_000), ("loglog-iterated-backoff", 10_000),
+                 ("exp-backon-backoff", 2048), ("polynomial-backoff", 4096)]
+            )
+        ]
+        serial = [_window_runs("compiled", *job) for job in jobs]
+        threaded: list = [None] * len(jobs)
+
+        def work(index):
+            protocol, k, seeds = jobs[index]
+            threaded[index] = [WindowEngine().simulate(protocol, k, seed=seed) for seed in seeds]
+
+        compiled = window_module._M_WINDOW_RUNS.labels(path="compiled")
+        before = compiled.value
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(index,)) for index in range(len(jobs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a window run hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert compiled.value - before == sum(len(seeds) for _, _, seeds in jobs)

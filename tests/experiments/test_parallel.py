@@ -151,7 +151,9 @@ def _engine_counters() -> dict[str, float]:
         name + labels: value
         for name, family in REGISTRY.snapshot().items()
         if name.startswith("repro_engine_")
-        or name in ("repro_fair_runs_total", "repro_window_occupancy_total")
+        or name in (
+            "repro_fair_runs_total", "repro_window_runs_total", "repro_window_occupancy_total",
+        )
         for labels, value in family["series"].items()
     }
 
@@ -184,4 +186,7 @@ class TestWorkerCountersReachTheParent:
         assert sum(
             value for key, value in serial.items() if key.startswith("repro_fair_runs_total")
         ) == 10
+        assert sum(
+            value for key, value in serial.items() if key.startswith("repro_window_runs_total")
+        ) == 3
         assert any(key.startswith("repro_window_occupancy_total") for key in serial)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+
+import repro.scenarios.scenario as scenario_module
 
 from repro.channel.arrivals import PoissonArrival, available_arrivals, build_arrivals
 from repro.channel.model import ChannelModel, FeedbackModel, available_channels, build_channel
@@ -238,6 +242,40 @@ class TestScenarioHash:
         large = small.replace(replications=7)
         assert small.content_hash() == large.content_hash()
         assert large.seeds()[:2] == small.seeds()
+
+
+class TestScenarioHashIsMemoised:
+    TEXT = "log-fails-adaptive(xi_t=0.5) k=100 seed=3 arrivals=poisson(rate=0.1)"
+
+    def test_specs_are_canonicalised_once_per_instance(self, monkeypatch):
+        scenario = Scenario.parse(self.TEXT)
+        calls = []
+        canonical = scenario_module.canonical_spec
+        monkeypatch.setattr(
+            scenario_module, "canonical_spec", lambda spec: calls.append(spec) or canonical(spec)
+        )
+        digests = {scenario.content_hash() for _ in range(10)}
+        assert len(digests) == 1
+        assert sorted(calls) == sorted([scenario.protocol, scenario.arrivals, scenario.channel])
+
+    def test_replaced_copy_gets_its_own_digest(self):
+        scenario = Scenario.parse(self.TEXT)
+        digest = scenario.content_hash()
+        other = scenario.replace(k=101)
+        assert other.content_hash() != digest
+        fresh = Scenario.parse(self.TEXT.replace("k=100", "k=101"))
+        assert other.content_hash() == fresh.content_hash()
+        assert scenario.content_hash() == digest
+
+    @pytest.mark.parametrize("hashed_first", [False, True])
+    def test_pickled_and_equal_instances_agree(self, hashed_first):
+        scenario = Scenario.parse(self.TEXT)
+        if hashed_first:
+            scenario.content_hash()
+        copy = pickle.loads(pickle.dumps(scenario))
+        equal = Scenario.parse(self.TEXT)
+        assert copy == scenario == equal
+        assert copy.content_hash() == scenario.content_hash() == equal.content_hash()
 
 
 class TestScenarioSeeds:
