@@ -16,7 +16,7 @@ The library provides:
   (reconstruction of reference [7]) and :class:`LogLogIteratedBackoff` plus
   the rest of the monotone back-off family of reference [2];
 * the channel substrate (:mod:`repro.channel`) and three cross-validated
-  simulation engines behind one capability registry (:mod:`repro.engine`);
+  simulation engines behind one selection rule (:mod:`repro.engine`);
 * the analysis toolkit (:mod:`repro.analysis`, :mod:`repro.core.analysis`);
 * the experiment harness regenerating Figure 1 and Table 1
   (:mod:`repro.experiments`); and
@@ -51,14 +51,12 @@ from repro.channel import (
 from repro.core import ExpBackonBackoff, OneFailAdaptive
 from repro.core import analysis as paper_analysis
 from repro.engine import (
-    EngineCapabilities,
     FairEngine,
     SimulationResult,
     SlotEngine,
     WindowEngine,
     available_engines,
     compare_engines,
-    engine_capabilities,
     simulate,
     simulate_batch,
 )
@@ -134,9 +132,7 @@ __all__ = [
     "FairEngine",
     "WindowEngine",
     "SlotEngine",
-    "EngineCapabilities",
     "available_engines",
-    "engine_capabilities",
     "compare_engines",
     # scenarios (declarative front door)
     "Scenario",

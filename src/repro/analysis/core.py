@@ -6,8 +6,8 @@ engine/protocol randomness must flow through seeded
 durations and deadlines must be measured on the monotonic clock, shared
 :class:`~repro.service.jobs.JobManager` state must only be written under its
 lock, no handler may swallow the chaos layer's
-:class:`~repro.service.reliability.SimulatedCrash`, and every engine /
-protocol / store backend must honour its registry contract.  This module
+:class:`~repro.service.reliability.SimulatedCrash`, and every protocol /
+store backend must honour its registry contract.  This module
 turns those conventions into machine-checked rules:
 
 * :class:`Finding` — one violation: file, line, rule id, message.
@@ -16,8 +16,9 @@ turns those conventions into machine-checked rules:
   pass) and :class:`ProjectRule` (import-time contract checks that inspect
   the live registries instead of source text).
 * :class:`RuleRegistry` / :func:`register_rule` — rules register themselves
-  exactly like engines do in :mod:`repro.engine.registry`; the CLI, the
-  docs table and the test suite all enumerate :func:`available_rules`.
+  with a class decorator, like protocols do with
+  :func:`~repro.protocols.base.register_protocol`; the CLI, the docs table
+  and the test suite all enumerate :func:`available_rules`.
 * :func:`load_module` — a per-file AST cache keyed by ``(mtime, size)`` so
   repeated lint runs (and multi-rule runs) parse each file once.
 * Suppression — a ``# repro: noqa[rule-id]`` comment on the flagged line
@@ -191,7 +192,7 @@ def load_module(path: str | Path, relpath: str | None = None) -> ModuleInfo:
 
 
 # --------------------------------------------------------------------------
-# Rule interface + registry (mirrors the engine-registry idiom)
+# Rule interface + registry (mirrors the protocol-registry idiom)
 # --------------------------------------------------------------------------
 
 
@@ -246,7 +247,7 @@ class ProjectRule(Rule):
 
 
 class RuleRegistry:
-    """Rule-id -> rule-class mapping with the engine registry's query API."""
+    """Rule-id -> rule-class mapping with register / lookup / list queries."""
 
     def __init__(self) -> None:
         self._rules: dict[str, type[Rule]] = {}

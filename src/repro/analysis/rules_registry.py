@@ -1,12 +1,8 @@
 """Import-time contract rules: the registries' promises, machine-checked.
 
-PRs 5–6 made every dispatch decision a registry query; these rules verify
-the *other* direction of that contract — that everything which should be in
-a registry actually is, with a conforming declaration:
+Protocols and store backends join spec-string registries; these rules verify
+that everything in a registry carries a conforming declaration:
 
-* ``REG001`` — every engine class in the :mod:`repro.engine` package
-  declares an :class:`~repro.engine.registry.EngineCapabilities` and is
-  registered under its ``name``.
 * ``REG002`` — every registered protocol declares a valid
   ``protocol_kind`` and round-trips through
   :func:`~repro.protocols.base.build_protocol` back to its own class.
@@ -15,28 +11,24 @@ a registry actually is, with a conforming declaration:
   call-compatible signatures.
 
 Unlike the AST rules these import :mod:`repro` and inspect the live
-registries, so a declaration that parses but lies (an engine that forgot to
-register, a protocol whose ``from_spec`` cannot rebuild it) is caught here.
-Findings point at the defining class's source location.
+registries, so a declaration that parses but lies (a protocol whose
+``from_spec`` cannot rebuild it) is caught here.  Findings point at the
+defining class's source location.
 """
 
 from __future__ import annotations
 
-import importlib
 import inspect
-import pkgutil
-import sys
 from collections.abc import Iterator
 
 from repro.analysis.core import Finding, ModuleInfo, ProjectRule, register_rule
 
 __all__ = [
-    "EngineContractRule",
     "ProtocolContractRule",
     "StoreContractRule",
 ]
 
-#: The protocol kinds the engine registry dispatches on.
+#: The protocol kinds the engine selection rule dispatches on.
 _VALID_KINDS = frozenset({"fair", "windowed", "generic"})
 
 
@@ -50,82 +42,11 @@ def _location(obj: object) -> tuple[str, int]:
     return path, line
 
 
-def _iter_package_classes(package_name: str) -> Iterator[type]:
-    """Every class *defined* in a package's modules (imported, recursive)."""
-    package = importlib.import_module(package_name)
-    module_names = [package_name]
-    for info in pkgutil.iter_modules(package.__path__, prefix=f"{package_name}."):
-        module_names.append(info.name)
-    # Include dynamically injected submodules (the test suite uses these to
-    # exercise the violating side of each contract).
-    module_names.extend(
-        name
-        for name in sys.modules
-        if name.startswith(f"{package_name}.") and name not in module_names
-    )
-    seen: set[int] = set()
-    for module_name in sorted(module_names):
-        try:
-            module = importlib.import_module(module_name)
-        except ImportError:
-            continue
-        for _, cls in sorted(inspect.getmembers(module, inspect.isclass)):
-            if cls.__module__ != module_name or id(cls) in seen:
-                continue
-            seen.add(id(cls))
-            yield cls
-
-
 class _ImportContractRule(ProjectRule):
     """Shared plumbing: project rules ignore per-module AST state."""
 
     def applies_to(self, module: ModuleInfo) -> bool:  # pragma: no cover - unused
         return False
-
-
-@register_rule
-class EngineContractRule(_ImportContractRule):
-    """Engines declare capabilities and register themselves."""
-
-    id = "REG001"
-    name = "engine-registry-contract"
-    description = (
-        "every engine class in repro.engine declares EngineCapabilities and "
-        "is registered under its `name`"
-    )
-
-    def check_project(self) -> Iterator[Finding]:
-        from repro.engine.registry import EngineCapabilities, engine_class, engine_names
-
-        registered = {name: engine_class(name) for name in engine_names()}
-        for cls in _iter_package_classes("repro.engine"):
-            if not cls.__name__.endswith("Engine") or cls.__name__.startswith("_"):
-                continue
-            if inspect.isabstract(cls):
-                continue
-            path, line = _location(cls)
-            capabilities = getattr(cls, "capabilities", None)
-            if not isinstance(capabilities, EngineCapabilities):
-                yield Finding(
-                    path, line, self.id,
-                    f"engine class {cls.__name__} does not declare an "
-                    "EngineCapabilities `capabilities` attribute",
-                )
-                continue
-            name = getattr(cls, "name", None)
-            if not isinstance(name, str) or not name:
-                yield Finding(
-                    path, line, self.id,
-                    f"engine class {cls.__name__} does not declare a non-empty "
-                    "`name` attribute",
-                )
-                continue
-            if registered.get(name) is not cls:
-                yield Finding(
-                    path, line, self.id,
-                    f"engine class {cls.__name__} (name {name!r}) is not "
-                    "registered with register_engine",
-                )
 
 
 @register_rule

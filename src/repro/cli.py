@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.wire import JobStatus
 
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.registry import available_engines
+from repro.engine.dispatch import available_engines
 from repro.protocols.base import available_protocols, get_protocol_class
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session
@@ -749,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the invariant checker over the source tree: seeded-randomness "
         "discipline (RND001), monotonic-clock discipline (CLK001), lock discipline "
         "(LCK001/LCK002), exception hygiene (EXC001-003), annotation coverage "
-        "(ANN001/ANN002) and registry contracts (REG001-003).  Exits 0 when clean, "
+        "(ANN001/ANN002) and registry contracts (REG002-003).  Exits 0 when clean, "
         "1 on findings, 2 on usage errors.  Suppress a single line with "
         "'# repro: noqa[RULE-ID]'; grandfather existing findings with --write-baseline.",
     )

@@ -1,36 +1,38 @@
-"""Simulation engines and the capability registry that picks between them.
+"""Simulation engines and the one rule that picks between them.
 
 Three engines sample the *same* stochastic process — the paper's channel —
-at very different costs.  Each declares :class:`EngineCapabilities`
-(protocol kinds, feedback models, arrivals, traces) with the
-:mod:`repro.engine.registry`; each protocol declares its ``protocol_kind``.
-Dispatch, session planning and the CLI's ``--engine`` choices are queries
-against those declarations.
+at very different costs.  :data:`ENGINES` names them, and
+:func:`pick_engine_name` (in :mod:`repro.engine.dispatch`) states the whole
+selection rule from the protocol's ``protocol_kind``, the channel and the
+arrival process; dispatch, session planning, scenario validation and the
+CLI's ``--engine`` choices all ask it.
 
-=========== ============== ======================================= ================================
-engine      serves         cost                                    chosen by ``"auto"`` when
-=========== ============== ======================================= ================================
-``slot``    every kind,    O(active stations) per slot; the        nothing cheaper applies
-            channel and    node-level reference the others are     (generic protocols, other
-            arrivals;      validated against                       channels, arrival processes)
-            traces
-``fair``    ``fair``;      O(1) per slot: ``Binomial(m, p)``       a fair run
-            traces         outcome from one uniform draw; a
-                           compiled slot loop for OFA, LFA and
-                           ALOHA, the Python loop otherwise
-``window``  ``windowed``;  one balls-in-bins experiment per        a windowed run
-            traces         window: no draws when saturated, one
-                           uniform per ball otherwise; a compiled
-                           ball throw, the numpy reference when
-                           traced
-=========== ============== ======================================= ================================
+=========== ======================================= ==========================================
+engine      cost                                    chosen by ``"auto"`` when
+=========== ======================================= ==========================================
+``slot``    O(active stations) per slot; the        nothing cheaper applies (generic protocols,
+            node-level reference the others are     other channels, arrival processes, fair
+            validated against                       protocols whose state depends on their
+                                                    own transmissions)
+``fair``    O(1) per slot: ``Binomial(m, p)``       a fair protocol whose state ignores its own
+            outcome from one uniform draw; a        transmissions, on the paper's channel with
+            compiled slot loop for OFA, LFA and     slot-0 arrivals
+            ALOHA, the Python loop otherwise
+``window``  one balls-in-bins experiment per        a windowed protocol, on the paper's channel
+            window: no draws when saturated, one    with slot-0 arrivals
+            uniform per ball otherwise; a compiled
+            ball throw, the numpy reference when
+            traced
+=========== ======================================= ==========================================
 
-The reduced engines implement only the paper's channel with slot-0 arrivals;
-anything else goes to ``slot``.  :func:`simulate` runs one replication on
-the cheapest engine; a sweep cell is one :func:`simulate` call per
-replication, each keyed by its own seed, so a run never depends on its
-siblings.  :func:`simulate_batch` (one cell) and :func:`simulate_megabatch`
-(many cells) are loops over it.
+Every engine collects traces.  A channel without acknowledgements is refused
+outright, and an explicit engine outside the rule's answer is refused with
+the engines that can serve the request.
+
+:func:`simulate` runs one replication on the cheapest engine; a sweep cell
+is one :func:`simulate` call per replication, each keyed by its own seed,
+so a run never depends on its siblings.  :func:`simulate_batch` (one cell)
+and :func:`simulate_megabatch` (many cells) are loops over it.
 
 :class:`FairEngine` runs the paper's fair protocols in a compiled slot loop
 that equals its Python loop run for run (see :mod:`repro.engine.fair_engine`),
@@ -50,19 +52,16 @@ the node-level engine.
 
 from __future__ import annotations
 
-from repro.engine.registry import (
-    EngineCapabilities,
-    EngineRegistry,
-    available_engines,
-    engine_capabilities,
-)
 from repro.engine.result import SimulationResult
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.fair_engine import FairEngine
 from repro.engine.window_engine import WindowEngine
 from repro.engine.dispatch import (
+    ENGINES,
     FusedCell,
+    available_engines,
     pick_engine,
+    pick_engine_name,
     simulate,
     simulate_batch,
     simulate_megabatch,
@@ -75,14 +74,13 @@ __all__ = [
     "FairEngine",
     "WindowEngine",
     "FusedCell",
-    "EngineCapabilities",
-    "EngineRegistry",
+    "ENGINES",
     "simulate",
     "simulate_batch",
     "simulate_megabatch",
     "pick_engine",
+    "pick_engine_name",
     "available_engines",
-    "engine_capabilities",
     "compare_engines",
     "makespan_samples",
 ]

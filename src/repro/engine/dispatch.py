@@ -5,17 +5,27 @@ contenders and seed s"; :func:`simulate` picks the cheapest engine that is
 exact for the given protocol and returns a
 :class:`~repro.engine.result.SimulationResult`.
 
-Every selection decision here is a query against the capability-driven
-:mod:`repro.engine.registry`: engines declare what they can serve (protocol
-kinds, channels, arrivals, traces) and protocols declare their kind, so
-this module holds **no** eligibility logic of its own — it resolves names
-through the registry and instantiates the chosen engine class.
+The paper's model is one channel (no collision detection, implicit
+acknowledgements, every station present at slot 0), and the reduced engines
+rest on two protocol structures, so choosing an engine is a three-row rule,
+stated once in :func:`pick_engine_name` over the closed :data:`ENGINES`
+table:
+
+* a channel without acknowledgements is refused;
+* on the paper's channel with slot-0 arrivals, a fair protocol whose state
+  ignores its own transmissions runs on ``fair`` and a windowed protocol on
+  ``window``;
+* everything else runs on ``slot``.
+
+An explicit engine outside that answer is refused with the engines that can
+serve the request.  :func:`simulate`, ``Session._plan``, ``Scenario``
+validation and the CLI's ``--engine`` choices all ask that function or the
+table, so the layers cannot disagree about a cell's engine.
 
 Dynamic workloads go through the same front door: passing an
 ``arrivals=`` process (e.g. :class:`~repro.channel.arrivals.PoissonArrival`)
-routes the run to the node-level :class:`SlotEngine` — the only registered
-engine declaring arrival support — so the runner, CLI and sweep machinery
-need no special-casing for the paper's open dynamic problem.
+routes the run to the node-level :class:`SlotEngine`, so the runner, CLI and
+sweep machinery need no special-casing for the paper's open dynamic problem.
 """
 
 from __future__ import annotations
@@ -27,30 +37,75 @@ from typing import Any
 from repro.channel.arrivals import ArrivalProcess
 from repro.channel.model import ChannelModel
 from repro.channel.trace import ExecutionTrace
-
-# Importing the engine modules registers each engine with the registry.
-from repro.engine.fair_engine import FairEngine  # noqa: F401  (registration)
-from repro.engine.registry import (
-    available_engines,
-    engine_capabilities,
-    engine_class,
-    pick_engine_name,
-)
+from repro.engine.fair_engine import FairEngine
 from repro.engine.result import SimulationResult
-from repro.engine.slot_engine import SlotEngine  # noqa: F401
-from repro.engine.window_engine import WindowEngine  # noqa: F401
+from repro.engine.slot_engine import SlotEngine
+from repro.engine.window_engine import WindowEngine
 from repro.obs import REGISTRY, span
 from repro.protocols.base import Protocol
 
 __all__ = [
+    "ENGINES",
     "FusedCell",
     "available_engines",
-    "engine_capabilities",
     "pick_engine",
+    "pick_engine_name",
     "simulate",
     "simulate_batch",
     "simulate_megabatch",
 ]
+
+#: Every engine, by the name ``engine=`` selects it with.
+ENGINES = {"fair": FairEngine, "slot": SlotEngine, "window": WindowEngine}
+
+#: The engine each protocol kind reduces to on the paper's channel.
+_REDUCED = {"fair": "fair", "windowed": "window"}
+
+
+def available_engines() -> list[str]:
+    """Valid ``engine=`` selectors: ``"auto"`` plus every engine name."""
+    return ["auto", *sorted(ENGINES)]
+
+
+def pick_engine_name(
+    protocol: Protocol | type[Protocol],
+    engine: str = "auto",
+    channel: ChannelModel | None = None,
+    arrivals: ArrivalProcess | None = None,
+) -> str:
+    """Resolve an ``engine=`` selector to an engine name (see the module docstring).
+
+    ``protocol`` may be an instance or its class: the rule reads only class
+    attributes.  ``channel`` ``None`` means the paper's channel and
+    ``arrivals`` ``None`` means every station is present at slot 0.
+    """
+    if channel is not None and not channel.acknowledgements:
+        raise ValueError(
+            "no engine can serve a channel without acknowledgements: a station "
+            "that never learns of its own delivery never retires, so k-selection "
+            "cannot terminate"
+        )
+    kind = getattr(protocol, "protocol_kind", "generic")
+    reduced = None
+    if arrivals is not None:
+        request = "arrival processes"
+    elif channel is not None and channel != ChannelModel():
+        request = f"channel {channel!r}"
+    elif getattr(protocol, "state_depends_on_own_transmission", False):
+        request = f"{protocol.name!r}, whose state depends on its own transmissions"
+    else:
+        request = f"{kind} protocol {protocol.name!r}"
+        reduced = _REDUCED.get(kind)
+    capable = [reduced, "slot"] if reduced else ["slot"]
+    if engine == "auto":
+        return capable[0]
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; choose from {sorted(ENGINES)} or 'auto'")
+    if engine not in capable:
+        raise ValueError(
+            f"engine {engine!r} cannot serve {request}; engines that can: {capable} (or 'auto')"
+        )
+    return engine
 
 
 # Engine-layer metric families, fed at this front door: every session /
@@ -76,35 +131,15 @@ class FusedCell:
     max_slots: int | None = None
 
 
-def _instantiate(name: str, channel: ChannelModel | None):
-    cls = engine_class(name)
-    return cls(channel=channel) if channel is not None else cls()
-
-
 def pick_engine(
     protocol: Protocol,
     engine: str = "auto",
     channel: ChannelModel | None = None,
     arrivals: ArrivalProcess | None = None,
 ) -> Any:
-    """Instantiate the engine to use for ``protocol``.
-
-    ``engine`` may be ``"auto"`` (default) or any name from
-    :func:`~repro.engine.registry.available_engines`.  ``"auto"`` selects
-    the cheapest registered engine whose declared capabilities are exact for
-    the protocol's kind, the channel and the arrival process — the fair
-    engine for fair protocols, the window engine for windowed protocols, and
-    the node-level engine otherwise (or whenever a non-default channel or an
-    arrival process is requested, since the reduced engines only implement
-    the paper's channel with slot-0 arrivals).
-
-    Explicit choices are validated against the registry: an unknown name, an
-    engine that cannot serve the requested channel or arrival process, or an
-    engine whose declared protocol kinds exclude this protocol are all
-    rejected with the capable engines enumerated.
-    """
+    """Instantiate the engine :func:`pick_engine_name` names for ``protocol``."""
     name = pick_engine_name(protocol, engine=engine, channel=channel, arrivals=arrivals)
-    return _instantiate(name, channel)
+    return ENGINES[name](channel=channel)
 
 
 def simulate(

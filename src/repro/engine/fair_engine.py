@@ -56,7 +56,6 @@ from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine import native
-from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.protocols.aloha import SlottedAloha
@@ -140,20 +139,10 @@ _KERNEL_PROTOCOLS = {
 
 
 
-@register_engine
 class FairEngine:
     """Simulate a :class:`FairProtocol` with one random draw per slot."""
 
     name = "fair"
-
-    #: Fair protocols on the paper's channel, one draw per slot; collects
-    #: traces, so it is the per-run *and* the traced engine for fair
-    #: protocols.  Cheapest rank: ``"auto"`` prefers it whenever it is exact.
-    capabilities = EngineCapabilities(
-        protocol_kinds=frozenset({"fair"}),
-        traces=True,
-        cost_rank=10,
-    )
 
     #: Version of this engine's random stream (seed → draws → outcomes).
     #: Stored runs are reused only under the version that produced them, so
@@ -162,7 +151,12 @@ class FairEngine:
     stream_version: ClassVar[int] = 1
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
-        self.channel = check_engine_channel(type(self), channel)
+        if channel is not None and channel != ChannelModel():
+            raise ValueError(
+                "FairEngine implements only the paper's channel (no collision detection, "
+                f"implicit acknowledgements), got {channel!r}; use SlotEngine for other channels"
+            )
+        self.channel = ChannelModel()
         self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(

@@ -14,7 +14,6 @@ from repro.channel.arrivals import ArrivalProcess, BatchArrival
 from repro.channel.model import ChannelModel
 from repro.channel.radio_network import RadioNetwork
 from repro.channel.trace import ExecutionTrace
-from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.protocols.base import Protocol
 from repro.util.validation import check_positive_int
@@ -22,29 +21,21 @@ from repro.util.validation import check_positive_int
 __all__ = ["SlotEngine"]
 
 
-@register_engine
 class SlotEngine:
     """Simulate any protocol by instantiating every station explicitly."""
 
     name = "slot"
 
-    #: The reference engine: every protocol kind, every feedback model,
-    #: staggered arrivals and traces — at O(active nodes) per slot, so it is
-    #: the most expensive (highest cost rank) and ``"auto"`` falls back to it
-    #: only when no reduction applies.
-    capabilities = EngineCapabilities(
-        protocol_kinds=None,
-        channels=None,
-        arrivals=True,
-        traces=True,
-        cost_rank=90,
-    )
-
     #: Version of this engine's random stream (see ``FairEngine.stream_version``).
     stream_version: ClassVar[int] = 1
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
-        self.channel = check_engine_channel(type(self), channel)
+        self.channel = channel if channel is not None else ChannelModel()
+        if not self.channel.acknowledgements:
+            raise ValueError(
+                "SlotEngine requires a channel with acknowledgements: without them "
+                "no station ever retires and k-selection cannot terminate"
+            )
         self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(

@@ -6,7 +6,7 @@ they draw makespan samples from two engines for the same protocol and network
 size and compare the samples' means with a two-sample z-test-style criterion.
 The test suite uses them with small k and moderate sample counts, and
 ``benchmarks/bench_engines.py`` uses them to document the speed/fidelity
-trade-off (experiment E5 of DESIGN.md).
+trade-off.
 """
 
 from __future__ import annotations

@@ -49,7 +49,6 @@ import numpy as np
 from repro.channel.model import ChannelModel, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.engine import native
-from repro.engine.registry import EngineCapabilities, check_engine_channel, register_engine
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.protocols.base import WindowedProtocol
@@ -154,19 +153,10 @@ class _CompiledThrow:
         return tuple(self._tally)
 
 
-@register_engine
 class WindowEngine:
     """Simulate a :class:`WindowedProtocol` one contention window at a time."""
 
     name = "window"
-
-    #: Windowed protocols on the paper's channel, one balls-in-bins
-    #: experiment per contention window; collects traces.
-    capabilities = EngineCapabilities(
-        protocol_kinds=frozenset({"windowed"}),
-        traces=True,
-        cost_rank=10,
-    )
 
     #: Version of this engine's random stream (see
     #: ``FairEngine.stream_version``).  Version 3 throws every non-saturated
@@ -176,7 +166,12 @@ class WindowEngine:
     stream_version: ClassVar[int] = 3
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
-        self.channel = check_engine_channel(type(self), channel)
+        if channel is not None and channel != ChannelModel():
+            raise ValueError(
+                "WindowEngine implements only the paper's channel (no collision detection, "
+                f"implicit acknowledgements), got {channel!r}; use SlotEngine for other channels"
+            )
+        self.channel = ChannelModel()
         self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(

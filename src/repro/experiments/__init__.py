@@ -12,7 +12,7 @@
 * :mod:`repro.experiments.table1` — reproduces Table 1 (steps/k ratios plus
   the analysis column).
 * :mod:`repro.experiments.ablations` — δ-sensitivity sweeps for the paper's
-  two protocols (experiments E3/E4 of DESIGN.md).
+  two protocols (experiments E3/E4).
 * :mod:`repro.experiments.dynamic` — the dynamic-arrivals extension
   (experiment E6).
 * :mod:`repro.experiments.variance` — the makespan-dispersion (predictability)

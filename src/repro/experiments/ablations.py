@@ -5,7 +5,7 @@ Back-on/Back-off without exploring the sensitivity of the makespan to those
 choices (the theorems admit ranges ``(e, 2.99]`` and ``(0, 1/e)``
 respectively).  These ablations quantify that sensitivity: for each admissible
 δ on a grid and each network size, they measure the mean steps/k ratio, which
-is how the design choice recorded in DESIGN.md is justified empirically.
+is how the paper's choice of δ is justified empirically.
 """
 
 from __future__ import annotations

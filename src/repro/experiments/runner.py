@@ -9,8 +9,9 @@ modules wrap it with the paper's specific protocol suites and presentation.
 :func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
 cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
 whole grid is executed by a :class:`~repro.scenarios.session.Session` —
-which runs every replication on the engine the registry picks for its cell
-(the paper's fair protocols in the compiled slot loop of
+which runs every replication on the engine
+:func:`~repro.engine.dispatch.pick_engine_name` picks for its cell (the
+paper's fair protocols in the compiled slot loop of
 :class:`~repro.engine.fair_engine.FairEngine`) and, when ``store_dir`` is
 given, persists every replication to a JSONL store so an interrupted sweep
 resumes with only the missing replications executed.

@@ -1,7 +1,7 @@
 """Thread-safe, stdlib-only metrics primitives with Prometheus exposition.
 
-The design mirrors the engine registry's idiom: a small, explicit registry of
-named families plus get-or-create accessors, so any subsystem can say
+The design is a small, explicit registry of named families plus
+get-or-create accessors, so any subsystem can say
 
     from repro.obs import REGISTRY
 

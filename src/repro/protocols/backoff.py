@@ -23,8 +23,7 @@ The paper's evaluation (Section 5) uses loglog-iterated back-off with
 ``r = 2`` — the best monotone strategy of [2] and the only one of the family
 that appears in Figure 1 / Table 1.  The exact pseudocode of [2] is not
 reproduced in the paper; the schedules above are reconstructions from the
-published growth rates (see DESIGN.md), seeded at ``w₁ = r`` and rounded up to
-integers.
+published growth rates, seeded at ``w₁ = r`` and rounded up to integers.
 """
 
 from __future__ import annotations

@@ -128,13 +128,12 @@ class Protocol(abc.ABC):
     #: Human-readable label used in figures and tables.
     label: ClassVar[str] = "Protocol"
 
-    #: Capability kind consumed by the engine registry
-    #: (:mod:`repro.engine.registry`): engines declare which kinds they can
-    #: serve, so dispatch never has to sniff protocol classes.  The two
-    #: structural refinements below override this — ``"fair"`` for
-    #: :class:`FairProtocol`, ``"windowed"`` for :class:`WindowedProtocol` —
-    #: and everything else is ``"generic"`` (served only by the node-level
-    #: engine).
+    #: Structural kind read by the engine selection rule
+    #: (:func:`repro.engine.dispatch.pick_engine_name`), so dispatch never has
+    #: to sniff protocol classes.  The two structural refinements below
+    #: override this — ``"fair"`` for :class:`FairProtocol`, ``"windowed"``
+    #: for :class:`WindowedProtocol` — and everything else is ``"generic"``
+    #: (served only by the node-level engine).
     protocol_kind: ClassVar[str] = "generic"
 
     #: External knowledge the protocol needs (subset of {"k", "n", "epsilon"}).
@@ -213,7 +212,8 @@ class FairProtocol(Protocol):
 
     #: Fair-engine contract flag; subclasses that (incorrectly for this class)
     #: update state based on their own transmissions must set this to True so
-    #: the fair engine refuses them.
+    #: the fair engine refuses them and ``"auto"`` runs them on the node-level
+    #: engine.
     state_depends_on_own_transmission: ClassVar[bool] = False
 
     @abc.abstractmethod

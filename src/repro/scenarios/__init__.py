@@ -46,7 +46,6 @@ from repro.scenarios.store import (
     ResultStore,
     RunMeta,
     StoreBackend,
-    StoreCapabilities,
     StoredRun,
     StoreRecord,
     available_store_backends,
@@ -72,7 +71,6 @@ __all__ = [
     "StoredRun",
     "StoreRecord",
     "RunMeta",
-    "StoreCapabilities",
     "CompactionReport",
     "open_store",
     "parse_store_spec",

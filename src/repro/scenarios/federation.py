@@ -42,7 +42,6 @@ from repro.scenarios.store import (
     CompactionReport,
     RunMeta,
     StoreBackend,
-    StoreCapabilities,
     StoredRun,
     open_store,
     stream_version_of,
@@ -96,7 +95,6 @@ class RemoteStore(StoreBackend):
     """
 
     name = "remote"
-    capabilities = StoreCapabilities(indexed_counts=False, eviction=False, multiprocess=True)
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         from repro.service.client import ServiceClient  # lazy: avoid an import cycle

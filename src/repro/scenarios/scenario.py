@@ -44,7 +44,7 @@ from pathlib import Path
 
 from repro.channel.arrivals import ArrivalProcess, build_arrivals, get_arrival_class
 from repro.channel.model import ChannelModel, build_channel
-from repro.engine.registry import available_engines, engine_capabilities, engines_for
+from repro.engine.dispatch import available_engines, pick_engine_name
 from repro.protocols.base import Protocol, build_protocol, get_protocol_class
 from repro.scenarios.spec import SpecError, canonical_spec, parse_spec, parse_value, split_top_level
 from repro.util.rng import derive_seeds
@@ -128,18 +128,16 @@ class Scenario:
         # Resolve the three component specs now so a typo fails at
         # construction, with a registry error, not mid-sweep.
         protocol_name, _ = parse_spec(self.protocol)
-        get_protocol_class(protocol_name)
+        protocol_class = get_protocol_class(protocol_name)
         arrivals_name, _ = parse_spec(self.arrivals)
         get_arrival_class(arrivals_name)
-        build_channel(self.channel)
-        if (
-            self.arrivals_name != "batch"
-            and self.engine != "auto"
-            and not engine_capabilities(self.engine).arrivals
-        ):
-            raise ValueError(
-                f"engine {self.engine!r} does not support arrival processes; "
-                f"engines that do: {engines_for(arrivals=True)} (or 'auto')"
+        channel = build_channel(self.channel)
+        if self.engine != "auto":
+            # An explicit engine the rule would refuse fails here, not when
+            # the cell is planned.
+            pick_engine_name(
+                protocol_class, engine=self.engine, channel=channel,
+                arrivals=self.build_arrivals(),
             )
 
     # ------------------------------------------------------------ components

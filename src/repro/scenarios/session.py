@@ -10,7 +10,8 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    **zero** new simulations);
 2. plans exactly the missing replications, one
    :class:`~repro.experiments.parallel.SimulationUnit` per replication on
-   the engine the registry picks for the cell (the fair protocols run in
+   the engine :func:`~repro.engine.dispatch.pick_engine_name` picks for the
+   cell (the fair protocols run in
    :class:`~repro.engine.fair_engine.FairEngine`'s compiled slot loop);
 3. fans the units out over a
    :class:`~repro.experiments.parallel.ParallelExecutor`; and
@@ -43,6 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.statistics import RunStatistics, summarize_makespans
+from repro.engine.dispatch import ENGINES, pick_engine_name
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY, span
 from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
@@ -421,19 +423,16 @@ class Session:
     def _plan(self, scenario: Scenario) -> "_CellPlan":
         """Resolve a scenario's components and the reuse key of its runs.
 
-        Engine selection is the registry's
-        :func:`~repro.engine.registry.pick_engine_name` — the same query the
-        engine front door makes, so the layers cannot disagree about a
-        cell's engine.
+        Engine selection is :func:`~repro.engine.dispatch.pick_engine_name`
+        — the same rule the engine front door applies, so the layers cannot
+        disagree about a cell's engine.
         """
-        from repro.engine.registry import engine_class, pick_engine_name
-
         protocol = scenario.build_protocol()
         arrivals = scenario.build_arrivals()
         channel = scenario.build_channel()
-        engine = engine_class(
+        engine = ENGINES[
             pick_engine_name(protocol, engine=scenario.engine, channel=channel, arrivals=arrivals)
-        )
+        ]
         return _CellPlan(
             protocol=protocol,
             arrivals=arrivals,

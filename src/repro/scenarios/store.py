@@ -92,7 +92,6 @@ __all__ = [
     "StoredRun",
     "StoreRecord",
     "RunMeta",
-    "StoreCapabilities",
     "CompactionReport",
     "StoreBackend",
     "JsonlStore",
@@ -176,15 +175,6 @@ class StoreRecord:
 
 
 @dataclass(frozen=True)
-class StoreCapabilities:
-    """What a backend can do, for dispatch decisions and the README table."""
-
-    indexed_counts: bool  #: ``cached_count`` without reading result payloads
-    eviction: bool  #: supports TTL / max-row eviction for always-on servers
-    multiprocess: bool  #: concurrent writers across OS processes are safe
-
-
-@dataclass(frozen=True)
 class CompactionReport:
     """What :meth:`StoreBackend.compact` reclaimed."""
 
@@ -207,15 +197,12 @@ class StoreBackend(ABC):
 
     See the module docstring for the storage and locking contracts.  All
     methods must be callable from any thread; ``append`` must additionally be
-    safe under concurrent writers (threads *and* processes for backends that
-    declare ``capabilities.multiprocess``).
+    safe under concurrent writers (threads, and OS processes for backends that
+    lock across them).
     """
 
     #: Registry name; doubles as the spec-grammar scheme (``name:location``).
     name: str = ""
-    capabilities: StoreCapabilities = StoreCapabilities(
-        indexed_counts=False, eviction=False, multiprocess=False
-    )
 
     # ------------------------------------------------------------- required
     @abstractmethod
@@ -420,9 +407,6 @@ class JsonlStore(StoreBackend):
     """
 
     name = "jsonl"
-    capabilities = StoreCapabilities(
-        indexed_counts=False, eviction=False, multiprocess=fcntl is not None
-    )
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)

@@ -87,8 +87,6 @@ class ChaosStore(StoreBackend):
         if isinstance(self.inner, ChaosStore):
             raise ValueError("chaos stores do not nest")
         self.injector = injector if injector is not None else FaultInjector()
-        # Chaos changes reliability, not capability: mirror the inner store.
-        self.capabilities = self.inner.capabilities
 
     @classmethod
     def from_spec(cls, location: str) -> "ChaosStore":

@@ -40,7 +40,6 @@ from repro.scenarios.store import (
     CompactionReport,
     RunMeta,
     StoreBackend,
-    StoreCapabilities,
     StoredRun,
     register_store_backend,
     stream_version_of,
@@ -110,7 +109,6 @@ class SqliteStore(StoreBackend):
     """
 
     name = "sqlite"
-    capabilities = StoreCapabilities(indexed_counts=True, eviction=True, multiprocess=True)
 
     def __init__(
         self,

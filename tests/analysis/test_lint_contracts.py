@@ -1,76 +1,21 @@
-"""Import-time registry-contract rules (REG001-003).
+"""Import-time registry-contract rules (REG002-003).
 
 The conforming side is the repository itself: the live registries must pass
-every contract rule.  The violating side injects fake modules/classes and
-checks each contract failure is reported.
+every contract rule.  The violating side injects fake classes and checks
+each contract failure is reported.
 """
 
 from __future__ import annotations
 
-import sys
-import types
-
 import pytest
 
-from repro.analysis.rules_registry import (
-    EngineContractRule,
-    ProtocolContractRule,
-    StoreContractRule,
-)
+from repro.analysis.rules_registry import ProtocolContractRule, StoreContractRule
 
 
 class TestRealTreeIsClean:
-    @pytest.mark.parametrize(
-        "rule_cls",
-        [EngineContractRule, ProtocolContractRule, StoreContractRule],
-    )
+    @pytest.mark.parametrize("rule_cls", [ProtocolContractRule, StoreContractRule])
     def test_registries_satisfy_their_contracts(self, rule_cls):
         assert list(rule_cls().check_project()) == []
-
-
-@pytest.fixture
-def fake_engine_module():
-    """Inject a module into repro.engine holding one violating engine class."""
-    name = "repro.engine._lint_contract_fixture"
-    module = types.ModuleType(name)
-    sys.modules[name] = module
-    try:
-        yield module
-    finally:
-        sys.modules.pop(name, None)
-
-
-class TestEngineContract:
-    def test_engine_without_capabilities_is_flagged(self, fake_engine_module):
-        class BogusEngine:
-            name = "bogus"
-
-        BogusEngine.__module__ = fake_engine_module.__name__
-        fake_engine_module.BogusEngine = BogusEngine
-        findings = list(EngineContractRule().check_project())
-        assert len(findings) == 1
-        assert "EngineCapabilities" in findings[0].message
-
-    def test_unregistered_engine_is_flagged(self, fake_engine_module):
-        from repro.engine.registry import EngineCapabilities
-
-        class StrayEngine:
-            name = "stray-never-registered"
-            capabilities = EngineCapabilities(protocol_kinds=frozenset({"fair"}))
-
-        StrayEngine.__module__ = fake_engine_module.__name__
-        fake_engine_module.StrayEngine = StrayEngine
-        findings = list(EngineContractRule().check_project())
-        assert len(findings) == 1
-        assert "not registered" in findings[0].message
-
-    def test_helper_classes_are_ignored(self, fake_engine_module):
-        class NotAnEngineHelper:  # name does not end in "Engine"
-            pass
-
-        NotAnEngineHelper.__module__ = fake_engine_module.__name__
-        fake_engine_module.NotAnEngineHelper = NotAnEngineHelper
-        assert list(EngineContractRule().check_project()) == []
 
 
 class TestProtocolContract:

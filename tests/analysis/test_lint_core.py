@@ -54,9 +54,10 @@ class TestRegistry:
             "RND001", "CLK001", "LCK001", "LCK002",
             "EXC001", "EXC002", "EXC003",
             "ANN001", "ANN002",
-            "REG001", "REG002", "REG003",
+            "REG002", "REG003",
         ):
             assert expected in ids
+        assert "REG001" not in ids
 
     def test_rule_classes_declare_metadata(self):
         for cls in rule_classes():

@@ -1,21 +1,55 @@
-"""Tests for engine dispatch (`simulate` / `pick_engine`)."""
+"""Tests for engine selection (`pick_engine_name`, `pick_engine`) and the `simulate` front door.
+
+One rule picks every engine: `pick_engine_name` over the closed `ENGINES`
+table.  The routing and validation classes pin that rule; the final class
+pins the property it exists for — the scenario layer (`Session`), the sweep
+runner (`run_sweep`) and the dispatch front door agree on engine selection
+for **every** registered protocol, because they all ask the same function.
+"""
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import repro.engine
 from repro.channel.arrivals import BurstyArrival, PoissonArrival
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.dispatch import pick_engine, simulate
+from repro.engine.dispatch import (
+    ENGINES,
+    available_engines,
+    pick_engine,
+    pick_engine_name,
+    simulate,
+)
 from repro.engine.fair_engine import FairEngine
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.window_engine import WindowEngine
+from repro.experiments.config import ExperimentConfig, ProtocolSpec
+from repro.experiments.runner import run_sweep
+from repro.protocols.aloha import SlottedAloha
+from repro.protocols.base import available_protocols, build_protocol, get_protocol_class
 from repro.protocols.splitting import BinarySplitting
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.session import Session
+
+CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
+
+
+class OwnTransmissionAloha(SlottedAloha):
+    """A fair protocol declaring per-station state the fair reduction cannot share."""
+
+    state_depends_on_own_transmission = True
 
 
 class TestPickEngine:
+    """`pick_engine` builds the engine `pick_engine_name` names."""
+
     def test_fair_protocol_gets_fair_engine(self):
         assert isinstance(pick_engine(OneFailAdaptive()), FairEngine)
 
@@ -26,8 +60,7 @@ class TestPickEngine:
         assert isinstance(pick_engine(BinarySplitting()), SlotEngine)
 
     def test_non_default_channel_forces_slot_engine(self):
-        channel = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
-        assert isinstance(pick_engine(OneFailAdaptive(), channel=channel), SlotEngine)
+        assert isinstance(pick_engine(OneFailAdaptive(), channel=CD_CHANNEL), SlotEngine)
 
     def test_explicit_engine_respected(self):
         assert isinstance(pick_engine(OneFailAdaptive(), engine="slot"), SlotEngine)
@@ -47,6 +80,202 @@ class TestPickEngine:
             pick_engine(OneFailAdaptive(), engine="fair", arrivals=arrivals)
         with pytest.raises(ValueError):
             pick_engine(ExpBackonBackoff(), engine="window", arrivals=arrivals)
+
+
+class TestEngineTable:
+    def test_available_engines_roster(self):
+        assert available_engines() == ["auto", "fair", "slot", "window"]
+
+    def test_every_engine_is_named_by_its_table_key(self):
+        for name, cls in ENGINES.items():
+            assert cls.name == name
+
+    def test_every_public_engine_class_is_in_the_table(self):
+        package = repro.engine
+        modules = [package] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.iter_modules(package.__path__, prefix="repro.engine.")
+        ]
+        engine_classes = {
+            cls
+            for module in modules
+            for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__
+            and name.endswith("Engine")
+            and not name.startswith("_")
+        }
+        assert engine_classes == set(ENGINES.values())
+
+    def test_per_run_engines_declare_stream_versions(self):
+        versions = {name: cls.stream_version for name, cls in ENGINES.items()}
+        assert versions == {"slot": 1, "fair": 1, "window": 3}
+
+    def test_unknown_engine_error_enumerates_engines(self):
+        with pytest.raises(ValueError) as excinfo:
+            pick_engine_name(OneFailAdaptive(), engine="quantum")
+        for name in ENGINES:
+            assert name in str(excinfo.value)
+
+
+class TestAutoPick:
+    def test_kind_routing(self):
+        assert pick_engine_name(OneFailAdaptive()) == "fair"
+        assert pick_engine_name(ExpBackonBackoff()) == "window"
+        assert pick_engine_name(BinarySplitting()) == "slot"
+
+    def test_non_default_channel_falls_back_to_slot(self):
+        assert pick_engine_name(OneFailAdaptive(), channel=CD_CHANNEL) == "slot"
+
+    def test_explicit_default_channel_keeps_reduced_engine(self):
+        assert pick_engine_name(OneFailAdaptive(), channel=ChannelModel()) == "fair"
+
+    def test_arrivals_fall_back_to_slot(self):
+        arrivals = PoissonArrival(k=10, rate=0.5)
+        assert pick_engine_name(OneFailAdaptive(), arrivals=arrivals) == "slot"
+        assert pick_engine_name(ExpBackonBackoff(), arrivals=arrivals) == "slot"
+
+    def test_own_transmission_state_falls_back_to_slot(self):
+        # FairEngine refuses such a protocol, so "auto" must not pick it, and
+        # naming it explicitly is refused up front.
+        protocol = OwnTransmissionAloha(k=8)
+        assert pick_engine_name(protocol) == "slot"
+        assert pick_engine_name(type(protocol)) == "slot"
+        result = simulate(protocol, k=8, seed=0)
+        assert result.engine == "slot" and result.solved
+        with pytest.raises(ValueError, match="own transmissions"):
+            pick_engine_name(protocol, engine="fair")
+
+
+class TestExplicitPickValidation:
+    def test_wrong_kind_rejected_with_capable_engines(self):
+        with pytest.raises(ValueError) as excinfo:
+            pick_engine_name(ExpBackonBackoff(), engine="fair")
+        message = str(excinfo.value)
+        assert "windowed" in message and "window" in message and "slot" in message
+
+    def test_incapable_channel_rejected_with_capable_engines(self):
+        # An explicit choice is validated up front against the rule instead
+        # of raising deep inside the engine constructor.
+        for engine in ("fair", "window"):
+            with pytest.raises(ValueError, match="cannot serve channel"):
+                pick_engine_name(OneFailAdaptive(), engine=engine, channel=CD_CHANNEL)
+
+    def test_arrivals_rejected_for_non_arrival_engines(self):
+        arrivals = PoissonArrival(k=10, rate=0.5)
+        for engine in ("fair", "window"):
+            with pytest.raises(ValueError, match="arrival"):
+                pick_engine_name(OneFailAdaptive(), engine=engine, arrivals=arrivals)
+
+    def test_slot_serves_everything_explicitly(self):
+        assert pick_engine_name(ExpBackonBackoff(), engine="slot", channel=CD_CHANNEL) == "slot"
+
+    def test_ackless_channel_diagnosed_as_such(self):
+        # The precise failure is the missing acknowledgements, not any
+        # engine's feedback model.
+        no_acks = ChannelModel(acknowledgements=False)
+        for engine in ("auto", "slot", "fair"):
+            with pytest.raises(ValueError, match="without acknowledgements"):
+                pick_engine_name(OneFailAdaptive(), engine=engine, channel=no_acks)
+
+
+#: One protocol of each kind, with the channel it needs.
+KIND_EXAMPLES = {
+    "fair": ("one-fail-adaptive", None),
+    "windowed": ("exp-backon-backoff", None),
+    "generic": ("binary-splitting", CD_CHANNEL),
+}
+
+
+def _serves(name: str, kind: str) -> bool:
+    spec, channel = KIND_EXAMPLES[kind]
+    try:
+        pick_engine_name(get_protocol_class(spec), engine=name, channel=channel)
+    except ValueError:
+        return False
+    return True
+
+
+#: ``(engine, kind)`` for every kind example each engine serves, by the rule.
+ENGINE_KINDS = [(name, kind) for name in ENGINES for kind in KIND_EXAMPLES if _serves(name, kind)]
+
+
+class TestSlotCapsBindEveryEngine:
+    """``max_slots`` binds every engine alike: no run goes past its cap, and
+    a cap at the uncapped makespan still solves."""
+
+    K = 20
+
+    def test_examples_cover_every_protocol_kind(self):
+        kinds = {get_protocol_class(name).protocol_kind for name in available_protocols()}
+        assert kinds == set(KIND_EXAMPLES)
+
+    def test_rule_pairs_every_engine_with_its_kinds(self):
+        assert sorted(ENGINE_KINDS) == [
+            ("fair", "fair"),
+            ("slot", "fair"),
+            ("slot", "generic"),
+            ("slot", "windowed"),
+            ("window", "windowed"),
+        ]
+
+    @pytest.mark.parametrize(
+        "engine_name,kind",
+        [pytest.param(name, kind, id=f"{name}-{kind}") for name, kind in sorted(ENGINE_KINDS)],
+    )
+    def test_caps_bind(self, engine_name, kind):
+        spec, channel = KIND_EXAMPLES[kind]
+        engine = ENGINES[engine_name](channel=channel)
+        protocol = build_protocol(spec, k=self.K)
+        for seed in range(20):
+            makespan = engine.simulate(protocol, self.K, seed=seed).makespan
+            for cap in (1, makespan // 2, makespan - 1, makespan):
+                result = engine.simulate(protocol, self.K, seed=seed, max_slots=cap)
+                assert result.slots_simulated <= cap, (seed, cap, result)
+                assert not result.solved or result.makespan <= cap, (seed, cap, result)
+                assert result.solved or cap < makespan, (seed, cap, result)
+
+
+class TestLayersAgreeForEveryRegisteredProtocol:
+    """Session, run_sweep and the front door agree on every protocol's engines.
+
+    This is the regression the one rule prevents: three divergent copies of
+    the eligibility logic could (and did) disagree.  For every registered
+    protocol we build an instance, ask `pick_engine_name` what should happen,
+    and assert that a Session run and a run_sweep cell both produce results
+    from exactly the predicted engine, and that naming that engine
+    explicitly changes nothing.
+    """
+
+    K = 12
+    REPS = 5
+
+    #: Protocols that cannot run on the paper's default channel, with the
+    #: channel spec they need (binary splitting needs ternary feedback).
+    CHANNEL_OVERRIDES = {"binary-splitting": "cd"}
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_session_and_sweep_routing(self, name):
+        channel_spec = self.CHANNEL_OVERRIDES.get(name, "default")
+        scenario = Scenario(protocol=name, k=self.K, replications=self.REPS, seed=3,
+                            channel=channel_spec, max_slots_factor=100)
+        protocol = scenario.build_protocol()
+        channel = scenario.build_channel()
+        predicted_per_run = pick_engine_name(protocol, channel=channel)
+
+        session = Session().run(scenario)
+        assert session.engine_used == predicted_per_run
+        per_run_session = Session().run(scenario.replace(engine=predicted_per_run))
+        assert per_run_session.results == session.results
+
+        if channel_spec != "default":
+            return  # run_sweep cells always use the paper's channel
+        spec = ProtocolSpec(key=name, label=name, spec=name)
+        config = ExperimentConfig(k_values=[self.K], runs=self.REPS, seed=3,
+                                  max_slots_factor=100)
+        sweep = run_sweep([spec], config).cell(name, self.K)
+        assert {result.engine for result in sweep.results} == {predicted_per_run}
+        per_run_sweep = run_sweep([spec], config, engine=predicted_per_run).cell(name, self.K)
+        assert per_run_sweep.results == sweep.results
 
 
 class TestSimulateFrontDoor:

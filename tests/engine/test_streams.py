@@ -4,9 +4,9 @@
   each engine's compiled path and on its Python path alike, so a change to
   an engine's draw order cannot slip through and silently invalidate stored
   results: it must bump the engine's ``stream_version``.
-* **Retired surface** — the deleted engines, selectors, knobs and hooks fail
-  loudly, and cells they stored (or stored under an older stream version)
-  re-simulate exactly once, on both store backends.
+* **Retired surface** — the deleted engines, selectors, knobs, hooks and
+  capability records fail loudly, and cells they stored (or stored under an
+  older stream version) re-simulate exactly once, on both store backends.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ import repro.engine.native as native
 import repro.engine.window_engine as window_module
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.dispatch import simulate, simulate_batch
+from repro.engine.dispatch import ENGINES, simulate, simulate_batch
 from repro.engine.fair_engine import FairEngine
-from repro.engine.registry import EngineCapabilities
 from repro.engine.window_engine import WindowEngine
 from repro.experiments import figure1, table1
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
@@ -30,7 +29,12 @@ from repro.experiments.runner import run_sweep
 from repro.protocols import base as protocol_base
 from repro.protocols.base import build_protocol
 from repro.scenarios import Scenario, Session
-from repro.scenarios.store import StoredRun, open_store
+from repro.scenarios.store import (
+    StoredRun,
+    available_store_backends,
+    open_store,
+    store_backend_class,
+)
 from repro.service import create_server
 from repro.util.rng import derive_seeds
 
@@ -156,7 +160,8 @@ def _legacy(results, engine: str | None = None) -> list:
 
 
 class TestRetiredSurface:
-    """The batched engines, their knobs and hooks, and the cells they stored."""
+    """The batched engines, their knobs and hooks, the capability records, and
+    the cells they stored."""
 
     @pytest.mark.parametrize("selector", ["batch", "batch-window", "mega", "mega-window"])
     def test_retired_selectors_are_unknown_engines(self, selector):
@@ -195,19 +200,36 @@ class TestRetiredSurface:
     def test_batched_fair_engine_surface_is_gone(self):
         import repro
         import repro.engine
-        import repro.engine.registry
 
         for module in (repro, repro.engine):
             assert not hasattr(module, "MegaFairEngine")
             assert not hasattr(module, "batch_engine_for")
-        assert not hasattr(repro.engine.registry, "batch_engine_for")
-        assert not hasattr(repro.engine.registry.EngineRegistry, "batch_engine_for")
-        assert "batched" not in {field.name for field in dataclasses.fields(EngineCapabilities)}
         assert not hasattr(protocol_base, "FairBatchState")
         for name in ("one-fail-adaptive", "log-fails-adaptive", "slotted-aloha"):
             assert not hasattr(build_protocol(name, k=16), "make_fused_batch_state")
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.engine.megabatch")
+
+    def test_engine_registry_is_gone(self):
+        import repro
+        import repro.engine
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.registry")
+        for module in (repro, repro.engine):
+            for name in ("EngineCapabilities", "EngineRegistry", "engine_capabilities"):
+                assert not hasattr(module, name), (module.__name__, name)
+        for cls in ENGINES.values():
+            assert not hasattr(cls, "capabilities")
+
+    def test_store_capabilities_are_gone(self):
+        import repro.scenarios
+        import repro.scenarios.store
+
+        for module in (repro.scenarios, repro.scenarios.store):
+            assert not hasattr(module, "StoreCapabilities")
+        for name in available_store_backends():
+            assert not hasattr(store_backend_class(name), "capabilities")
 
     def test_protocol_specs_need_a_spec_string(self):
         with pytest.raises(TypeError):

@@ -184,9 +184,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=10, seed_policy="lucky")
 
-    def test_arrivals_reject_specialised_engine(self):
-        with pytest.raises(ValueError):
-            Scenario(protocol="one-fail-adaptive", k=10, arrivals="poisson(rate=0.1)", engine="fair")
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"protocol": "one-fail-adaptive", "arrivals": "poisson(rate=0.1)", "engine": "fair"},
+            {"protocol": "exp-backon-backoff", "engine": "fair"},
+            {"protocol": "one-fail-adaptive", "channel": "cd", "engine": "fair"},
+            {"protocol": "one-fail-adaptive", "channel": "cd", "engine": "window"},
+        ],
+        ids=["arrivals", "kind", "channel", "channel-window"],
+    )
+    def test_arrivals_reject_specialised_engine(self, fields):
+        with pytest.raises(ValueError, match=f"engine {fields['engine']!r}"):
+            Scenario(k=10, **fields)
 
     def test_bad_sizes(self):
         with pytest.raises(ValueError):

@@ -121,9 +121,19 @@ class TestEndpoints:
 
 
 class TestErrors:
-    def test_bad_scenario_spec_is_400(self, client):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "definitely-not-a-protocol k=10",
+            "exp-backon-backoff k=10 engine=fair",
+            "one-fail-adaptive k=10 channel=cd engine=fair",
+            "one-fail-adaptive k=10 arrivals=poisson(rate=0.2) engine=fair",
+        ],
+        ids=["unknown-protocol", "wrong-kind", "wrong-channel", "wrong-arrivals"],
+    )
+    def test_bad_scenario_spec_is_400(self, client, spec):
         with pytest.raises(ServiceError) as excinfo:
-            client.submit("definitely-not-a-protocol k=10")
+            client.submit(spec)
         assert excinfo.value.status == 400
 
     def test_unknown_job_is_404(self, client):
