@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Fast benchmark smoke target: checks that fair runs take the compiled slot
-# loop and windowed runs the compiled ball throw, exercises each benchmark
+# Fast benchmark smoke target: checks that both kernels compile warning-free,
+# that fair runs take the compiled slot loop and windowed runs the compiled
+# window loop, exercises each benchmark
 # harness path that is cheap enough for CI (the
 # parallel-execution fidelity checks) without running the full sweeps, then a
 # Session-store smoke run proving that
@@ -22,6 +23,14 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint
 echo "invariant lint ok: src/ is clean"
 
+# --- Kernel warnings ---------------------------------------------------------
+# Both kernels must compile warning-free as strict C99.  These flags only
+# check the sources; the library itself is built with native._CFLAGS.
+for kernel in src/repro/engine/fair_kernel.c src/repro/engine/window_kernel.c; do
+    cc -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null "$kernel"
+done
+echo "kernel warnings ok: both kernels compile with -Wall -Wextra -Werror"
+
 # --- Compiled fair kernel ----------------------------------------------------
 # One k=1e5 One-fail Adaptive run must take FairEngine's compiled slot loop.
 # A compiler that rejects a flag would otherwise leave every fair sweep on
@@ -40,8 +49,8 @@ print("compiled fair kernel ok: k=1e5 OFA run took the compiled loop (%d slots)"
 '
 
 # --- Compiled window kernel --------------------------------------------------
-# Likewise one k=1e5 Exp Back-on/Back-off run must throw its balls in C, not
-# on the numpy reference (~2-3x slower per ball, several times the memory).
+# Likewise one k=1e5 Exp Back-on/Back-off run must run its window loop in C,
+# not on the numpy reference (~2-3x slower per ball, several times the memory).
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
 from repro import ExpBackonBackoff, simulate
 from repro.obs import REGISTRY
@@ -51,7 +60,7 @@ runs = REGISTRY.snapshot()["repro_window_runs_total"]["series"]
 compiled = runs.get("{path=\"compiled\"}", 0)
 python = runs.get("{path=\"python\"}", 0)
 assert result.solved and compiled == 1 and python == 0, f"window runs by path: {runs}"
-print("compiled window kernel ok: k=1e5 EBB run took the compiled ball throw (%d slots)"
+print("compiled window kernel ok: k=1e5 EBB run took the compiled window loop (%d slots)"
       % result.slots_simulated)
 '
 

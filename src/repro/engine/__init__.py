@@ -21,7 +21,7 @@ engine      cost                                    chosen by ``"auto"`` when
 ``window``  one balls-in-bins experiment per        a windowed protocol, on the paper's channel
             window: no draws when saturated, one    with slot-0 arrivals
             uniform per ball otherwise; a compiled
-            ball throw, the numpy reference when
+            window loop, the Python loop when
             traced
 =========== ======================================= ==========================================
 
@@ -34,10 +34,11 @@ is one :func:`simulate` call per replication, each keyed by its own seed,
 so a run never depends on its siblings.  :func:`simulate_batch` (one cell)
 and :func:`simulate_megabatch` (many cells) are loops over it.
 
-:class:`FairEngine` runs the paper's fair protocols in a compiled slot loop
-that equals its Python loop run for run (see :mod:`repro.engine.fair_engine`),
-and :class:`WindowEngine` throws each window's balls in a compiled kernel
-that equals its numpy reference run for run (see
+:class:`FairEngine` runs the paper's fair protocols in a compiled slot loop,
+one call per run (per 2^20 slots of a longer run), that equals its Python
+loop run for run (see :mod:`repro.engine.fair_engine`), and
+:class:`WindowEngine` runs its window loop in a compiled kernel, one call
+per schedule chunk, that equals its Python loop run for run (see
 :mod:`repro.engine.window_engine`); both kernels live in one lazily built
 library (:mod:`repro.engine.native`).
 Every engine declares a ``stream_version``; results record it in

@@ -19,25 +19,27 @@ what the test suite verifies against the node-level engine.
 
 The uniform stream derives from :class:`repro.util.rng.RandomSource` like
 every other engine's, so a single integer seed keys the same machinery
-everywhere; draws are pulled in blocks to keep the hot loop as cheap as the
-stdlib generator this engine historically used.
+everywhere: slot ``i`` takes the generator's ``i``-th uniform.
 
 Compiled slot loop
 ------------------
 The paper's fair protocols — :class:`~repro.core.one_fail_adaptive.OneFailAdaptive`,
 :class:`~repro.protocols.log_fails_adaptive.LogFailsAdaptive` and
 :class:`~repro.protocols.aloha.SlottedAloha` — also run in a C port of this
-loop (``fair_kernel.c``), about 80× faster per slot.  It consumes the same
-draw blocks, makes the same libm calls in the same order and is compiled with
-``-ffp-contract=off``, so each run equals the Python loop's run of the same
-seed in every field.  The Python loop stays the reference and runs everything
+loop (``fair_kernel.c``), about 80× faster per slot.  A run is one call (one
+per ``native.SLOTS_PER_CALL`` slots of a longer run, so Ctrl-C is seen): the
+kernel draws each slot's uniform through the generator's ``ctypes``
+interface (the values the Python loop reads from its blocks), makes the same
+libm calls in the same order and is compiled with ``-ffp-contract=off``, so
+each run equals the Python loop's run of the same seed in every field.  The
+Python loop stays the reference and runs everything
 else: traced runs, other fair protocols (and subclasses of the three — the
 kernel is matched by exact type, so an overridden rule is never skipped) and
 hosts without a C compiler.  ``repro_fair_runs_total{path}`` counts which
 loop ran.
 
 The kernel shares one lazily compiled, per-user cached library with
-:class:`~repro.engine.window_engine.WindowEngine`'s ball throw
+:class:`~repro.engine.window_engine.WindowEngine`'s window loop
 (:mod:`repro.engine.native`).  A failed build logs one warning and leaves
 the Python loop in charge.
 
@@ -50,8 +52,6 @@ from __future__ import annotations
 import ctypes
 from typing import ClassVar
 
-import numpy as np
-
 from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.core.one_fail_adaptive import OneFailAdaptive
@@ -62,17 +62,16 @@ from repro.protocols.aloha import SlottedAloha
 from repro.protocols.base import FairProtocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.util.rng import RandomSource
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_max_slots, check_positive_int
 
 __all__ = ["FairEngine"]
 
-#: Uniform draws are pulled from the numpy generator in blocks of this size,
-#: at absolute slot multiples of it: a scalar ``Generator.random()`` call
-#: costs several times a ``random.Random.random()`` call, but a block
-#: amortises the dispatch overhead to well below it.  Runs shorter than one
-#: block waste the surplus draws; at 10 runs per cell that is noise next to
-#: the per-slot loop.  The block size is part of the stream format, so
-#: changing it means bumping ``stream_version``.
+#: The Python loop pulls its uniforms from the numpy generator in blocks of
+#: this size: a scalar ``Generator.random()`` call costs several times a
+#: ``random.Random.random()`` call, and a block amortises it.  Slot ``i``
+#: takes uniform ``i`` whatever the block size, and the surplus of the last
+#: block dies with the run's generator, so the block size is not part of the
+#: stream: the compiled loop draws one uniform per slot.
 _DRAW_BLOCK = 1024
 
 _M_FAIR_RUNS = REGISTRY.counter(
@@ -83,8 +82,9 @@ _M_FAIR_RUNS = REGISTRY.counter(
 _M_COMPILED = _M_FAIR_RUNS.labels(path="compiled")
 _M_PYTHON = _M_FAIR_RUNS.labels(path="python")
 
-# fair_run_block's return values.
-_MORE, _SOLVED = 0, 1
+# fair_simulate returns _SOLVED or 2 (capped) once the run ends, and _PAUSED
+# after native.SLOTS_PER_CALL slots: the caller calls again.
+_PAUSED, _SOLVED = 0, 1
 
 
 class _FairRun(ctypes.Structure):
@@ -93,7 +93,7 @@ class _FairRun(ctypes.Structure):
     _fields_ = [
         *((name, ctypes.c_int64) for name in (
             "slot", "remaining", "cap", "successes", "collisions", "silences",
-            "last_delivery", "protocol",
+            "last_delivery", "budget", "protocol",
         )),
         *((name, ctypes.c_double) for name in ("delta", "xi_t", "xi_delta", "bt_probability")),
         *((name, ctypes.c_int64) for name in (
@@ -178,19 +178,22 @@ class FairEngine:
                 f"{type(protocol).__name__} declares per-station state that depends on its own "
                 "transmissions; the shared-state reduction of FairEngine does not apply"
             )
-        cap = max_slots if max_slots is not None else self.max_slots_factor * k
+        cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
         fields = _KERNEL_PROTOCOLS.get(type(protocol)) if trace is None else None
         kernel = native.KERNEL.get() if fields is not None else None
         if kernel is not None:
             _M_COMPILED.inc()
-            run = _FairRun(remaining=k, cap=cap, last_delivery=-1, **fields(protocol))
-            # The same blocks the Python loop draws, one kernel call per block.
-            generator = RandomSource(seed=seed).generator
-            draws = np.empty(_DRAW_BLOCK)
-            status = _MORE
-            while status == _MORE:
-                generator.random(out=draws)
-                status = kernel.fair_run_block(ctypes.byref(run), draws.ctypes.data, _DRAW_BLOCK)
+            run = _FairRun(
+                remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, last_delivery=-1,
+                **fields(protocol),
+            )
+            # The uniforms the Python loop reads from its blocks, one per slot.
+            bit_generator = RandomSource(seed=seed).generator.bit_generator
+            draws = native.uniforms(bit_generator)
+            status = _PAUSED
+            while status == _PAUSED:
+                with bit_generator.lock:
+                    status = kernel.fair_simulate(ctypes.byref(run), *draws)
             return self._result(
                 protocol, k, seed, status == _SOLVED, run.slot, run.successes,
                 run.collisions, run.silences, run.last_delivery,

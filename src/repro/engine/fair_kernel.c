@@ -1,28 +1,36 @@
 /* Compiled slot loop of FairEngine for One-fail Adaptive, Log-fails Adaptive
  * and slotted ALOHA.
  *
- * This is a line-for-line port of FairEngine.simulate's Python loop and of
- * the three protocols' transmission_probability / notify pairs.  It makes the
- * same libm calls (pow, log2, floor) on the same operands in the same order,
- * and is built with -ffp-contract=off so that no multiply-add is fused: every
- * run equals the Python loop's run of the same seed, bit for bit.  The Python
+ * This is a line-for-line port of FairEngine's Python loop and of the three
+ * protocols' transmission_probability / notify pairs.  It makes the same libm
+ * calls (pow, log2, floor) on the same operands in the same order, and is
+ * built with -ffp-contract=off so that no multiply-add is fused: every run
+ * equals the Python loop's run of the same seed, bit for bit.  The Python
  * loop stays the reference; tests/engine/test_fair_engine.py compares the two.
  *
- * The caller owns the random stream: it passes one block of uniforms at a
- * time (FairEngine's _DRAW_BLOCK draws of RandomSource(seed).generator) and
- * calls fair_run_block again while it returns FAIR_MORE.
+ * fair_simulate runs the run until it is solved or capped, or until it has
+ * run r->budget slots in this call: the caller then calls again, so a long
+ * run still returns to Python (and sees Ctrl-C) every so often.  Slot i takes
+ * the i-th uniform of the run's numpy bit generator: the caller passes the
+ * generator's next_double function and state (bit_generator.ctypes), which is
+ * what Generator.random calls too, so these are the values the Python loop
+ * reads from its blocks of generator.random(1024).
  */
 
 #include <math.h>
 #include <stdint.h>
 
+typedef double (*next_double_fn)(void *state);
+
 enum { OFA = 0, LFA = 1, ALOHA = 2 };
-enum { FAIR_MORE = 0, FAIR_SOLVED = 1, FAIR_CAPPED = 2 };
+enum { FAIR_PAUSED = 0, FAIR_SOLVED = 1, FAIR_CAPPED = 2 };
 
 /* Mirrored field for field by _FairRun in fair_engine.py. */
 typedef struct {
     /* FairEngine's counters. */
     int64_t slot, remaining, cap, successes, collisions, silences, last_delivery;
+    /* Slots one call runs at most. */
+    int64_t budget;
     /* Which protocol, and its constants (precomputed by the Python side). */
     int64_t protocol;
     double delta;                                      /* OFA */
@@ -104,12 +112,15 @@ static void notify(fair_run *r, int received) {
     }
 }
 
-int fair_run_block(fair_run *r, const double *draws, int64_t n) {
-    for (int64_t i = 0; i < n; i++) {
-        double p, probability_success, probability_silence, draw = draws[i];
+int fair_simulate(fair_run *r, next_double_fn next_double, void *state) {
+    const int64_t first = r->slot;
+    for (;;) {
+        double p, probability_success, probability_silence, draw;
         int received = 0;
         if (r->slot >= r->cap)
             return FAIR_CAPPED;
+        if (r->slot - first >= r->budget)
+            return FAIR_PAUSED;
         p = transmission_probability(r);
         if (p <= 0.0) {
             probability_success = 0.0;
@@ -123,6 +134,7 @@ int fair_run_block(fair_run *r, const double *draws, int64_t n) {
             probability_success = (double)r->remaining * p * q_pow;
             probability_silence = q_pow * q;
         }
+        draw = next_double(state);
         if (draw < probability_success) {
             r->successes += 1;
             r->remaining -= 1;
@@ -138,5 +150,4 @@ int fair_run_block(fair_run *r, const double *draws, int64_t n) {
         if (r->remaining == 0)
             return FAIR_SOLVED;
     }
-    return FAIR_MORE;
 }

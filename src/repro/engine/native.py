@@ -2,12 +2,16 @@
 
 ``fair_kernel.c`` holds :class:`~repro.engine.fair_engine.FairEngine`'s slot
 loop and ``window_kernel.c`` :class:`~repro.engine.window_engine.WindowEngine`'s
-ball throw.  The system ``cc`` compiles both into one shared library on the
-first run that needs either, and the library is cached per user
-(``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that hashes
-both sources, the flags and the machine, so a second process only loads it.
-A failed build logs one warning per process and leaves both engines on their
-Python paths, which compute the same runs.
+window loop.  An untraced fair run is one call into the library; a windowed
+run is one call per chunk of its window schedule.  A call returns after
+:data:`SLOTS_PER_CALL` slots and the next one carries on, so a long run
+still sees Ctrl-C.  Both draw their uniforms straight from the run's numpy
+bit generator.  The system ``cc`` compiles both files into one shared
+library on the first run that needs either, and the library is cached per
+user (``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that
+hashes both sources, the flags and the machine, so a second process only
+loads it.  A failed build logs one warning per process and leaves both
+engines on their Python paths, which compute the same runs.
 """
 
 from __future__ import annotations
@@ -22,9 +26,11 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
+
 from repro.obs import get_logger
 
-__all__ = ["KERNEL"]
+__all__ = ["KERNEL", "SLOTS_PER_CALL", "uniforms"]
 
 _LOG = get_logger(__name__)
 
@@ -34,18 +40,36 @@ _SOURCES = tuple(Path(__file__).with_name(name) for name in ("fair_kernel.c", "w
 #: Python paths'.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: The library's functions: name -> (argtypes, restype).
+#: Slots after which a kernel call returns (a windowed one at its next window)
+#: and the caller calls again: the ``budget`` of a run.  A long run returns to
+#: Python, where Ctrl-C is handled, every fraction of a second.
+SLOTS_PER_CALL = 1 << 20
+
+#: The library's functions: name -> (argtypes, restype).  ``next_double``
+#: and ``state`` are the addresses :func:`uniforms` returns.
 _SIGNATURES = {
-    # fair_run_block(fair_run *run, const double *draws, int64_t n)
-    "fair_run_block": ([ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64], ctypes.c_int),
-    # window_balls(uint8_t *counts, int64_t length, int64_t balls, int64_t limit,
-    #              next_double_fn next_double, void *state, int64_t *tally)
-    "window_balls": (
-        [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p],
-        None,
+    # fair_simulate(fair_run *run, next_double_fn next_double, void *state)
+    "fair_simulate": ([ctypes.c_void_p] * 3, ctypes.c_int),
+    # window_simulate(window_run *run, const int64_t *lengths, int64_t n,
+    #                 uint8_t *counts, int64_t capacity,
+    #                 next_double_fn next_double, void *state)
+    "window_simulate": (
+        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+         ctypes.c_void_p, ctypes.c_void_p],
+        ctypes.c_int,
     ),
 }
+
+
+def uniforms(bit_generator: np.random.BitGenerator) -> tuple[int, int]:
+    """``(next_double, state)``: how a kernel draws ``bit_generator``'s uniforms.
+
+    These are the function and state ``Generator.random`` calls, so a kernel
+    that calls ``next_double(state)`` takes the values ``generator.random``
+    would return, in order.  Call the kernel under ``bit_generator.lock``.
+    """
+    interface = bit_generator.ctypes
+    return ctypes.cast(interface.next_double, ctypes.c_void_p).value, interface.state_address
 
 
 def _cache_dirs() -> list[Path]:
@@ -127,7 +151,7 @@ def _open_kernel() -> ctypes.CDLL | None:
         return library
     _LOG.warning(
         "compiled engine kernels unavailable (%s); FairEngine runs on its Python slot loop "
-        "and WindowEngine on its numpy ball throw",
+        "and WindowEngine on its Python window loop and numpy ball throw",
         reason,
     )
     return None

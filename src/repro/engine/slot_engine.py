@@ -16,7 +16,7 @@ from repro.channel.radio_network import RadioNetwork
 from repro.channel.trace import ExecutionTrace
 from repro.engine.result import SimulationResult
 from repro.protocols.base import Protocol
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_max_slots, check_positive_int
 
 __all__ = ["SlotEngine"]
 
@@ -67,12 +67,11 @@ class SlotEngine:
         """
         check_positive_int("k", k)
         process = arrivals if arrivals is not None else BatchArrival(k)
+        cap = check_max_slots(
+            max_slots if max_slots is not None else self.max_slots_factor * process.total_messages
+        )
         network = RadioNetwork(
-            protocol=protocol,
-            arrivals=process,
-            channel=self.channel,
-            seed=seed,
-            max_slots=max_slots if max_slots is not None else self.max_slots_factor * process.total_messages,
+            protocol=protocol, arrivals=process, channel=self.channel, seed=seed, max_slots=cap
         )
         raw = network.run(trace=trace, collect_node_summaries=arrivals is not None)
         metadata: dict[str, object] = {

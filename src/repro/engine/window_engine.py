@@ -23,18 +23,24 @@ hours:
 A window cut by the run's slot cap simulates only its slots before the cap,
 so a capped run never reports more than ``max_slots`` slots.
 
-Compiled ball throw
--------------------
-Untraced runs throw each window's balls in C (``window_kernel.c``, built into
-the library of :mod:`repro.engine.native`): one byte per bin, with the
-uniforms drawn straight from the run's numpy bit generator through its
-``ctypes`` interface — the calls ``Generator.random`` makes.  The window
-schedule, the saturated-window shortcut, the cap and the result stay in
-Python, so every windowed protocol takes the compiled path, subclasses and
-user-defined schedules included.  Traced runs (they record exact per-slot
-transmitter counts) and hosts without a C compiler throw the balls with
-numpy (:func:`_throw_reference`), which draws the same values and bins them
-the same way, so both paths produce the same runs.
+Compiled window loop
+--------------------
+Untraced runs run the window loop in C (``window_kernel.c``, built into the
+library of :mod:`repro.engine.native`): the saturation test (a port of
+:func:`_saturated` making the same libm calls), the cap, the ball throw into
+one byte per bin with uniforms drawn straight from the run's numpy bit
+generator, and the counters.  Python pulls the window schedule in chunks of
+8, 16, 32, … windows and makes one call per chunk, so every windowed protocol
+takes the compiled path, subclasses and user-defined schedules included.  An
+error the schedule raises while a chunk is pulled ahead is held back and
+raised only if the run reaches that window, so the run ends exactly where
+the per-window loop would.  A thrown window wider than the run's bin buffer
+hands back to Python, which grows the buffer to the next power of two and
+resumes there; so does a call that has run ``native.SLOTS_PER_CALL`` slots,
+so Ctrl-C is seen.  Traced runs (they record exact per-slot transmitter
+counts) and hosts without a C compiler run the Python per-window loop and
+throw the balls with numpy (:func:`_throw_reference`), which draws the same
+values and bins them the same way, so both paths produce the same runs.
 ``repro_window_runs_total{path}`` counts which one ran.
 """
 
@@ -42,6 +48,8 @@ from __future__ import annotations
 
 import ctypes
 import math
+from array import array
+from collections.abc import Iterator
 from typing import ClassVar
 
 import numpy as np
@@ -53,7 +61,7 @@ from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.protocols.base import WindowedProtocol
 from repro.util.rng import RandomSource
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_max_slots, check_positive_int
 
 __all__ = ["WindowEngine"]
 
@@ -66,11 +74,10 @@ _M_OCCUPANCY = REGISTRY.counter(
     "Contention windows simulated by the window engine, by occupancy-sampling mode.",
     ("mode",),
 )
-_OCCUPANCY_MODES = ("saturated", "ball-throw")
 
 _M_WINDOW_RUNS = REGISTRY.counter(
     "repro_window_runs_total",
-    "WindowEngine runs, by ball throw (compiled kernel vs numpy reference).",
+    "WindowEngine runs, by window loop (compiled kernel vs Python reference).",
     ("path",),
 )
 _M_COMPILED = _M_WINDOW_RUNS.labels(path="compiled")
@@ -101,9 +108,8 @@ def _saturated(length: int, balls: int) -> bool:
     return length * (p_empty + p_singleton) < _SATURATED_BOUND
 
 
-#: A window's tally over its first ``limit`` slots, as ``window_kernel.c``
-#: writes it: silences, singletons, the last singleton's slot (-1 if none)
-#: and the silences before it.
+#: A window's tally over its first ``limit`` slots: silences, singletons, the
+#: last singleton's slot (-1 if none) and the silences before it.
 _Tally = tuple[int, int, int, int]
 
 
@@ -120,37 +126,107 @@ def _throw_reference(
     return occupancy, (int(np.count_nonzero(silent)), int(singles.size), last, before)
 
 
-class _CompiledThrow:
-    """One run's compiled ball throw: its bin buffer and its generator's C interface.
+class _WindowRun(ctypes.Structure):
+    """A run's state and counters: the ``window_run`` struct of
+    ``window_kernel.c``, field for field.  The Python loop reports in it too."""
 
-    The buffer belongs to the run, because the GIL is released during the
-    call and the service runs windows of different jobs on concurrent threads.
+    _fields_ = [
+        (name, ctypes.c_int64)
+        for name in (
+            "remaining", "start", "cap", "windows", "successes", "collisions", "silences",
+            "saturated", "thrown", "position", "budget",
+        )
+    ]
+
+
+# window_simulate returns _DONE once the run is solved or capped, 1 when the
+# chunk is used up, _GROW when the window at ``position`` needs a larger bin
+# buffer, and _PAUSED at ``position`` after native.SLOTS_PER_CALL slots.
+_DONE, _GROW, _PAUSED = 0, 2, 3
+
+#: Windows in the first schedule chunk of a compiled run; each further chunk
+#: is twice the last, so a run of ``n`` windows makes ``⌈log2(n/8 + 1)⌉``
+#: calls (plus one per bin-buffer growth and per ``native.SLOTS_PER_CALL``
+#: slots) and pulls fewer than ``2n + 8`` windows.
+_FIRST_CHUNK = 8
+
+#: Bins of a compiled run's first bin buffer: wide enough for every window an
+#: EBB or LLIB run at k <= 10^3 throws, so those runs never hand back.
+_FIRST_BINS = 4096
+
+
+def _window_length(value: object) -> int:
+    """One window length of a schedule, checked."""
+    length = int(value)
+    if length < 1:
+        raise ValueError(f"window length must be >= 1, got {length}")
+    return length
+
+
+def _exhausted(protocol: WindowedProtocol, remaining: int) -> RuntimeError:
+    return RuntimeError(
+        f"{type(protocol).__name__}: window schedule exhausted with {remaining} messages left"
+    )
+
+
+def _pull(schedule: Iterator[int], count: int) -> tuple[array, Exception | None]:
+    """Up to ``count`` window lengths, and the error that cut them short.
+
+    The caller raises the error only if the run reaches that window, which
+    the per-window loop would have asked for: a run that ends before it
+    never sees an error of the schedule's future.
     """
+    lengths = array("q")
+    try:
+        for _ in range(count):
+            lengths.append(_window_length(next(schedule)))
+    except Exception as error:  # noqa: BLE001 - deferred, not swallowed (see above)
+        return lengths, error
+    return lengths, None
 
-    def __init__(self, function: ctypes._CFuncPtr, generator: np.random.Generator) -> None:
-        interface = generator.bit_generator.ctypes
-        self._function = function
-        self._generator = generator  # owns the state the kernel draws from
-        self._next_double = ctypes.cast(interface.next_double, ctypes.c_void_p).value
-        self._state = interface.state_address
-        self._counts = np.empty(0, dtype=np.uint8)
-        self._tally = (ctypes.c_int64 * 4)()
 
-    def __call__(self, length: int, balls: int, limit: int) -> _Tally:
-        if self._counts.size < length:
-            self._counts = np.empty(length, dtype=np.uint8)
-        counts = self._counts
-        if not (counts.dtype == np.uint8 and counts.flags.c_contiguous
-                and 0 <= limit <= length <= counts.size):
-            raise ValueError(
-                f"bin buffer of {counts.size} bytes cannot hold {limit} of {length} slots"
-            )
-        with self._generator.bit_generator.lock:
-            self._function(
-                counts.ctypes.data, length, balls, limit, self._next_double, self._state,
-                self._tally,
-            )
-        return tuple(self._tally)
+def _compiled_run(
+    window_simulate: ctypes._CFuncPtr,
+    protocol: WindowedProtocol,
+    schedule: Iterator[int],
+    generator: np.random.Generator,
+    k: int,
+    cap: int,
+) -> _WindowRun:
+    """The run on ``window_kernel.c``: one call per schedule chunk, and one
+    more per bin-buffer growth and per ``native.SLOTS_PER_CALL`` slots.
+
+    The bin buffer and the run state belong to the run, because the GIL is
+    released during each call and the service runs windows of different jobs
+    on concurrent threads.
+    """
+    bit_generator = generator.bit_generator
+    next_double, state = native.uniforms(bit_generator)
+    run = _WindowRun(remaining=k, cap=cap, budget=native.SLOTS_PER_CALL)
+    bins = np.empty(_FIRST_BINS, dtype=np.uint8)
+    chunk = _FIRST_CHUNK
+    while True:
+        lengths, error = _pull(schedule, chunk)
+        chunk *= 2
+        address, count = lengths.buffer_info()
+        run.position = 0
+        while True:
+            with bit_generator.lock:
+                status = window_simulate(
+                    ctypes.byref(run), address, count, bins.ctypes.data, bins.size,
+                    next_double, state,
+                )
+            if status == _GROW:
+                # The next power of two: at most twice the window that did not fit.
+                bins = np.empty(1 << (lengths[run.position] - 1).bit_length(), dtype=np.uint8)
+            elif status != _PAUSED:
+                break
+        if status == _DONE:
+            return run
+        if isinstance(error, StopIteration):
+            raise _exhausted(protocol, run.remaining) from error
+        if error is not None:
+            raise error
 
 
 class WindowEngine:
@@ -193,115 +269,132 @@ class WindowEngine:
             raise TypeError(
                 f"WindowEngine requires a WindowedProtocol, got {type(protocol).__name__}"
             )
+        cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
 
         schedule = protocol.spawn().window_lengths()
         rng = RandomSource(seed=seed).generator
-        cap = max_slots if max_slots is not None else self.max_slots_factor * k
         library = native.KERNEL.get() if trace is None else None
-        throw = None if library is None else _CompiledThrow(library.window_balls, rng)
-        (_M_PYTHON if throw is None else _M_COMPILED).inc()
-        modes = dict.fromkeys(_OCCUPANCY_MODES, 0)
+        if library is not None:
+            _M_COMPILED.inc()
+            run = _compiled_run(library.window_simulate, protocol, schedule, rng, k, cap)
+        else:
+            _M_PYTHON.inc()
+            run = _python_run(protocol, schedule, rng, k, cap, trace)
 
-        remaining = k
-        window_start = 0
-        windows_processed = 0
-        successes = collisions = silences = 0
-
-        while remaining > 0 and window_start < cap:
-            try:
-                length = int(next(schedule))
-            except StopIteration as error:
-                raise RuntimeError(
-                    f"{type(protocol).__name__}: window schedule exhausted with "
-                    f"{remaining} messages left"
-                ) from error
-            if length < 1:
-                raise ValueError(f"window length must be >= 1, got {length}")
-            windows_processed += 1
-            # A window cut by the cap simulates only its slots before it.
-            limit = min(length, cap - window_start)
-
-            if _saturated(length, remaining):
-                modes["saturated"] += 1
-                collisions += limit
-                if trace is not None:
-                    for offset in range(limit):
-                        trace.append(
-                            SlotRecord(
-                                slot=window_start + offset,
-                                transmitters=2,
-                                outcome=SlotOutcome.COLLISION,
-                                active_before=remaining,
-                            )
-                        )
-                window_start += limit
-                continue
-
-            # Balls-in-bins: each of the `remaining` stations picks one slot
-            # of the window; slots hit exactly once deliver their message.
-            modes["ball-throw"] += 1
-            if throw is not None:
-                silent, delivered, last, silent_before = throw(length, remaining, limit)
-            else:
-                occupancy, (silent, delivered, last, silent_before) = _throw_reference(
-                    rng, length, remaining, limit
-                )
-
-            # The node-level engine stops at the slot of the final delivery;
-            # when this window solves the instance, it ends there so counters
-            # and traces agree with it.
-            simulated_length = limit
-            if delivered == remaining:
-                simulated_length = last + 1
-                silent = silent_before
-
-            successes += delivered
-            collisions += simulated_length - silent - delivered
-            silences += silent
-
-            if trace is not None:
-                # Stations committed to their slots at the window start, but a
-                # station that delivers becomes idle for the rest of the
-                # window, so the active count decreases at every singleton.
-                active = remaining
-                for offset, count in enumerate(occupancy[:simulated_length].tolist()):
-                    outcome = (
-                        SlotOutcome.SILENCE
-                        if count == 0
-                        else SlotOutcome.SUCCESS
-                        if count == 1
-                        else SlotOutcome.COLLISION
-                    )
-                    trace.append(
-                        SlotRecord(
-                            slot=window_start + offset,
-                            transmitters=count,
-                            outcome=outcome,
-                            active_before=active,
-                        )
-                    )
-                    if count == 1:
-                        active -= 1
-
-            remaining -= delivered
-            window_start += simulated_length
-
-        for mode, count in modes.items():
+        for mode, count in (("saturated", run.saturated), ("ball-throw", run.thrown)):
             if count:
                 _M_OCCUPANCY.labels(mode=mode).inc(count)
-        solved = remaining == 0
+        solved = run.remaining == 0
         return SimulationResult(
             solved=solved,
             # A solving window ends at its final delivery, so the run ends
             # exactly at the makespan.
-            makespan=window_start if solved else None,
+            makespan=run.start if solved else None,
             k=k,
-            slots_simulated=window_start,
-            successes=successes,
-            collisions=collisions,
-            silences=silences,
+            slots_simulated=run.start,
+            successes=run.successes,
+            collisions=run.collisions,
+            silences=run.silences,
             protocol=protocol.name,
             engine=self.name,
             seed=seed,
-            metadata={"windows": windows_processed, "stream_version": self.stream_version},
+            metadata={"windows": run.windows, "stream_version": self.stream_version},
         )
+
+
+def _python_run(
+    protocol: WindowedProtocol,
+    schedule: Iterator[int],
+    rng: np.random.Generator,
+    k: int,
+    cap: int,
+    trace: ExecutionTrace | None,
+) -> _WindowRun:
+    """The reference window loop: one window at a time, optionally traced."""
+    remaining = k
+    window_start = 0
+    windows_processed = saturated = thrown = 0
+    successes = collisions = silences = 0
+
+    while remaining > 0 and window_start < cap:
+        try:
+            length = _window_length(next(schedule))
+        except StopIteration as error:
+            raise _exhausted(protocol, remaining) from error
+        windows_processed += 1
+        # A window cut by the cap simulates only its slots before it.
+        limit = min(length, cap - window_start)
+
+        if _saturated(length, remaining):
+            saturated += 1
+            collisions += limit
+            if trace is not None:
+                for offset in range(limit):
+                    trace.append(
+                        SlotRecord(
+                            slot=window_start + offset,
+                            transmitters=2,
+                            outcome=SlotOutcome.COLLISION,
+                            active_before=remaining,
+                        )
+                    )
+            window_start += limit
+            continue
+
+        # Balls-in-bins: each of the `remaining` stations picks one slot
+        # of the window; slots hit exactly once deliver their message.
+        thrown += 1
+        occupancy, (silent, delivered, last, silent_before) = _throw_reference(
+            rng, length, remaining, limit
+        )
+
+        # The node-level engine stops at the slot of the final delivery;
+        # when this window solves the instance, it ends there so counters
+        # and traces agree with it.
+        simulated_length = limit
+        if delivered == remaining:
+            simulated_length = last + 1
+            silent = silent_before
+
+        successes += delivered
+        collisions += simulated_length - silent - delivered
+        silences += silent
+
+        if trace is not None:
+            # Stations committed to their slots at the window start, but a
+            # station that delivers becomes idle for the rest of the
+            # window, so the active count decreases at every singleton.
+            active = remaining
+            for offset, count in enumerate(occupancy[:simulated_length].tolist()):
+                outcome = (
+                    SlotOutcome.SILENCE
+                    if count == 0
+                    else SlotOutcome.SUCCESS
+                    if count == 1
+                    else SlotOutcome.COLLISION
+                )
+                trace.append(
+                    SlotRecord(
+                        slot=window_start + offset,
+                        transmitters=count,
+                        outcome=outcome,
+                        active_before=active,
+                    )
+                )
+                if count == 1:
+                    active -= 1
+
+        remaining -= delivered
+        window_start += simulated_length
+
+    return _WindowRun(
+        remaining=remaining,
+        start=window_start,
+        cap=cap,
+        windows=windows_processed,
+        successes=successes,
+        collisions=collisions,
+        silences=silences,
+        saturated=saturated,
+        thrown=thrown,
+    )

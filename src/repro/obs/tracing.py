@@ -16,8 +16,9 @@ Finished spans are appended to a :class:`TraceLog` — line-buffered JSONL next
 to the job journal (see :func:`trace_log_for_store`), torn-line tolerant on
 read exactly like the journal and the JSONL store: a crash mid-write costs at
 most the final line.  When no sink is configured (the default for library
-use), spans still nest and propagate ids but write nothing, and the fast-path
-cost is one ContextVar read.
+use), spans still nest and propagate ids but write nothing.  Such a span is
+cheap but not free: a ContextVar get, set and reset, an ``os.urandom`` span
+id (and a trace id when it opens a trace) and two clock reads.
 
 Span durations come from ``time.monotonic`` (wall-clock timestamps are
 metadata only), and ids are 64-bit hex from ``os.urandom`` — independent of

@@ -48,6 +48,7 @@ from repro.engine.dispatch import available_engines, pick_engine_name
 from repro.protocols.base import Protocol, build_protocol, get_protocol_class
 from repro.scenarios.spec import SpecError, canonical_spec, parse_spec, parse_value, split_top_level
 from repro.util.rng import derive_seeds
+from repro.util.validation import check_max_slots
 
 __all__ = ["Scenario", "SEED_POLICIES"]
 
@@ -111,12 +112,19 @@ class Scenario:
     max_slots_factor: int = 10_000
 
     def __post_init__(self) -> None:
+        # Checked here, not by the engines mid-job: a float from a spec
+        # string or a JSON document is a bad scenario (HTTP 400).
+        for name in ("k", "replications", "max_slots_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
         if self.max_slots_factor < 2:
             raise ValueError(f"max_slots_factor must be at least 2, got {self.max_slots_factor}")
+        check_max_slots(self.max_slots())
         if self.seed_policy not in SEED_POLICIES:
             raise ValueError(
                 f"unknown seed_policy {self.seed_policy!r}; choose from {SEED_POLICIES}"

@@ -69,6 +69,7 @@ mtime/size change, so an external append is observed on the next read.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
@@ -443,13 +444,15 @@ class JsonlStore(StoreBackend):
             if fcntl is None:
                 yield
                 return
-            lock_path = path.with_name(path.name + ".lock")
-            with lock_path.open("a") as lock_handle:
-                fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
+            lock = os.open(f"{path}.lock", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+            try:
+                fcntl.flock(lock, fcntl.LOCK_EX)
                 try:
                     yield
                 finally:
-                    fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
+                    fcntl.flock(lock, fcntl.LOCK_UN)
+            finally:
+                os.close(lock)
 
     # -------------------------------------------------------------- reading
     @staticmethod
@@ -571,34 +574,35 @@ class JsonlStore(StoreBackend):
 
         The whole operation — tail inspection, torn-line healing, header
         decision and the write itself — runs under the per-hash advisory
-        lock, and all lines of one call are emitted by a single ``write``,
-        so concurrent appenders serialise cleanly instead of interleaving.
+        lock, and all lines of one call are emitted by a single ``write``
+        loop, so concurrent appenders serialise cleanly instead of
+        interleaving.  It works on file descriptors, and holds none once it
+        returns.
         """
         if not runs:
             return
         started = time.monotonic()
         path = self.path_for(scenario)
+        body = "".join(
+            _run_line(run) + "\n" for run in sorted(runs, key=lambda run: run.replication)
+        )
         with self._locked(path):
-            lines = []
-            # Heal a torn tail: a process killed mid-write leaves the file
-            # without a trailing newline; appending straight onto it would
-            # glue the first new record to the partial line and corrupt both,
-            # forever.
-            needs_leading_newline = False
-            is_new_file = not path.exists() or path.stat().st_size == 0
-            if not is_new_file:
-                with path.open("rb") as handle:
-                    handle.seek(-1, 2)
-                    needs_leading_newline = handle.read(1) != b"\n"
-            if is_new_file:
-                lines.append(_header_line(scenario))
-            for run in sorted(runs, key=lambda run: run.replication):
-                lines.append(_run_line(run))
-            with path.open("a", encoding="utf-8") as handle:
-                payload = "\n".join(lines) + "\n"
-                if needs_leading_newline:
-                    payload = "\n" + payload
-                handle.write(payload)
+            cell = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                if os.fstat(cell).st_size == 0:
+                    body = _header_line(scenario) + "\n" + body
+                else:
+                    # Heal a torn tail: a process killed mid-write leaves the
+                    # file without a trailing newline; appending straight
+                    # onto it would glue the first new record to the partial
+                    # line and corrupt both, forever.  (O_APPEND writes at
+                    # the end wherever this read leaves the offset.)
+                    os.lseek(cell, -1, os.SEEK_END)
+                    if os.read(cell, 1) != b"\n":
+                        body = "\n" + body
+                _write_all(cell, body.encode("utf-8"))
+            finally:
+                os.close(cell)
         content_hash = scenario.content_hash()
         with self._cache_lock:
             self._cache.pop(content_hash, None)
@@ -689,6 +693,13 @@ class JsonlStore(StoreBackend):
             return Scenario.from_dict(record["scenario"])
         except (KeyError, TypeError, ValueError):
             return None
+
+
+def _write_all(descriptor: int, data: bytes) -> None:
+    """Write all of ``data``: ``os.write`` may write only part of it."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(descriptor, view):]
 
 
 def stream_version_of(result: SimulationResult) -> int:

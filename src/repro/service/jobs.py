@@ -74,7 +74,6 @@ from repro.service.wire import (
     JOB_FAILED,
     JOB_QUEUED,
     JOB_RUNNING,
-    TERMINAL_STATES,
 )
 
 __all__ = ["Job", "JobManager"]
@@ -330,7 +329,7 @@ class JobManager:
                 job.result_set = cached_result
                 job.done = job.total
                 job.cached = True
-                job.state = JOB_DONE
+                self._publish_terminal(job, JOB_DONE)
             self._mark_finished(job)
             _M_SUBMITTED.labels(disposition="cached").inc()
             return job, "cached"
@@ -549,7 +548,7 @@ class JobManager:
                             job.scenario, progress=progress
                         )
                 except JobCancelled as error:
-                    job.state = JOB_CANCELLED
+                    state = JOB_CANCELLED
                     job.error = str(error)
                     if isinstance(error, DeadlineExceeded):
                         _M_DEADLINE.inc()
@@ -570,7 +569,7 @@ class JobManager:
                         )
                         self._retry_sleep(policy.delay(job.attempts, self._retry_rng))
                         continue
-                    job.state = JOB_FAILED
+                    state = JOB_FAILED
                     job.error = f"{type(error).__name__}: {error}"
                     self._note_failure(job.id, job.error)
                     break
@@ -580,16 +579,17 @@ class JobManager:
                     # window journal replay exists to cover.
                     if self.fault_injector is not None:
                         self.fault_injector.maybe_crash("worker-crash")
-                    job.state = JOB_DONE
+                    state = JOB_DONE
                     job.done = job.total
                     break
-            job_span["state"] = job.state
+            job_span["state"] = state
             job_span["attempts"] = job.attempts
         _M_RUN.observe(time.monotonic() - run_started)
         job.finished_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata
         with self._lock:
             if self._inflight.get(job.content_hash) is job:
                 del self._inflight[job.content_hash]
+            self._publish_terminal(job, state)
         self._journal_mark(job)
         self._mark_finished(job)
 
@@ -602,12 +602,20 @@ class JobManager:
             # one spurious (deduplicated-to-cached) replay on the next boot.
             log.warning("could not mark job %s in journal: %s", job.id, error)
 
+    def _publish_terminal(self, job: Job, state: str) -> None:
+        """Count ``state`` and make it the job's state; the manager lock must be held.
+
+        The counters move where the state is published, so whoever sees a
+        job terminal (``GET /jobs/<id>``) sees ``repro_jobs_finished_total``
+        count it: the journal mark and :meth:`_mark_finished` come after.
+        """
+        self._totals[state] += 1
+        _M_FINISHED.labels(state=state).inc()
+        job.state = state
+
     def _mark_finished(self, job: Job) -> None:
         """Record a finished job and evict the oldest beyond ``max_finished``."""
         with self._lock:
-            if job.state in TERMINAL_STATES:
-                self._totals[job.state] += 1
-                _M_FINISHED.labels(state=job.state).inc()
             self._finished_order.append(job.id)
             while len(self._finished_order) > self.max_finished:
                 evicted = self._finished_order.popleft()
@@ -628,9 +636,9 @@ class JobManager:
             if job is None:
                 return None
             if job.state == JOB_QUEUED:
-                job.state = JOB_CANCELLED
                 job.error = "cancelled before start"
                 job.finished_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata
+                self._publish_terminal(job, JOB_CANCELLED)
                 try:
                     self._queue.remove(job)
                 except ValueError:

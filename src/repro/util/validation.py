@@ -10,9 +10,11 @@ simulation results.
 from __future__ import annotations
 
 import math
+import operator
 
 __all__ = [
     "check_in_range",
+    "check_max_slots",
     "check_positive",
     "check_positive_int",
     "check_probability",
@@ -33,6 +35,28 @@ def check_positive_int(name: str, value: int) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+#: The largest slot cap: the compiled engines keep run state in int64.
+_MAX_SLOTS_LIMIT = 2**63 - 1
+
+
+def check_max_slots(max_slots: object) -> int:
+    """Return an engine's slot cap, given or its default, as an ``int`` >= 1.
+
+    Any integer type passes (``operator.index``: numpy integers too);
+    ``bool``, floats and everything else raise ``TypeError``, and caps below
+    1 or beyond int64 raise ``ValueError``.
+    """
+    if isinstance(max_slots, bool):
+        raise TypeError("max_slots must be an int, got bool")
+    try:
+        cap = operator.index(max_slots)
+    except TypeError:
+        raise TypeError(f"max_slots must be an int, got {type(max_slots).__name__}") from None
+    if not 1 <= cap <= _MAX_SLOTS_LIMIT:
+        raise ValueError(f"max_slots must lie in [1, 2**63 - 1], got {cap}")
+    return cap
 
 
 def check_probability(name: str, value: float, allow_zero: bool = False) -> float:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import types
+
 import numpy as np
 import pytest
 
+import repro.engine.native as native
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
@@ -51,6 +55,37 @@ def window_engine() -> WindowEngine:
 @pytest.fixture
 def slot_engine() -> SlotEngine:
     return SlotEngine()
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch) -> collections.Counter:
+    """Calls into the compiled kernel library while the test runs, by function."""
+    library = native.KERNEL.get()
+    assert library is not None, "the kernel library did not build"
+    calls: collections.Counter = collections.Counter()
+
+    class CountingLibrary:
+        def __getattr__(self, name):
+            function = getattr(library, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+
+            return counted
+
+    class Loader:
+        def get(self) -> CountingLibrary:
+            return CountingLibrary()
+
+    monkeypatch.setattr(native, "KERNEL", Loader())
+    return calls
+
+
+@pytest.fixture
+def no_kernel(monkeypatch) -> None:
+    """The kernel loader of a host without a C compiler, while the test runs."""
+    monkeypatch.setattr(native, "KERNEL", types.SimpleNamespace(get=lambda: None))
 
 
 @pytest.fixture

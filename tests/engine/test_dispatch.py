@@ -13,6 +13,7 @@ import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import repro.engine
@@ -233,6 +234,55 @@ class TestSlotCapsBindEveryEngine:
                 assert result.slots_simulated <= cap, (seed, cap, result)
                 assert not result.solved or result.makespan <= cap, (seed, cap, result)
                 assert result.solved or cap < makespan, (seed, cap, result)
+
+
+#: Every engine, and both loops of the two compiled ones.
+ENGINE_LOOPS = [
+    ("fair", "compiled"), ("fair", "python"), ("slot", "python"),
+    ("window", "compiled"), ("window", "python"),
+]
+
+
+class TestSlotCapIsCheckedAlike:
+    """A slot cap, given or the default ``max_slots_factor * k``, is an
+    integer in [1, 2**63 - 1] on every engine and loop, so whether ``cc``
+    exists never decides what a cap means."""
+
+    K = 20
+
+    @pytest.fixture(params=ENGINE_LOOPS, ids=lambda pair: "-".join(pair))
+    def run(self, request):
+        engine_name, loop = request.param
+        if loop == "python":
+            request.getfixturevalue("no_kernel")
+        kind = "fair" if engine_name != "window" else "windowed"
+        spec, channel = KIND_EXAMPLES[kind]
+        protocol = build_protocol(spec, k=self.K)
+
+        def run(max_slots, max_slots_factor=10_000):
+            engine = ENGINES[engine_name](channel=channel, max_slots_factor=max_slots_factor)
+            return engine.simulate(protocol, self.K, seed=3, max_slots=max_slots)
+
+        return run
+
+    @pytest.mark.parametrize("cap", [2.5, 3.0, "3", True])
+    def test_non_integer_caps_raise_type_error(self, run, cap):
+        with pytest.raises(TypeError, match="max_slots"):
+            run(cap)
+
+    @pytest.mark.parametrize("cap", [0, -3, 2**64])
+    def test_out_of_range_caps_raise_value_error(self, run, cap):
+        with pytest.raises(ValueError, match="max_slots"):
+            run(cap)
+
+    def test_default_cap_beyond_int64_raises_value_error(self, run):
+        with pytest.raises(ValueError, match="max_slots"):
+            run(None, max_slots_factor=2**62)
+
+    def test_numpy_integer_caps_bind_like_ints(self, run):
+        capped = run(np.int64(5))
+        assert capped == run(5)
+        assert not capped.solved and capped.slots_simulated == 5
 
 
 class TestLayersAgreeForEveryRegisteredProtocol:

@@ -2,7 +2,8 @@
 
 Besides the engine's own behaviour, this pins its two slot loops against
 each other: the compiled loop (``fair_kernel.c``) must equal the Python loop
-in every result field for every protocol it implements, and everything it
+in every result field for every protocol it implements, in one kernel call
+per run, and everything it
 does not serve — traced runs, subclasses, other fair protocols — must take
 the Python loop and say so in ``repro_fair_runs_total{path}``.  The shared
 library's build, cache and failed-build fallback are tested in
@@ -16,6 +17,7 @@ from typing import ClassVar
 import pytest
 
 import repro.engine.fair_engine as fair_module
+import repro.engine.native as native
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
@@ -214,6 +216,28 @@ class TestCompiledLoopIsExact:
             result.to_dict() for result in python
         ]
         assert all(result.solved for result in compiled)
+
+    @pytest.mark.parametrize("k", [1, 150, 10_000])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_a_run_is_one_kernel_call(self, spec, k, kernel_calls):
+        """The kernel draws its own uniforms: no per-block round trips."""
+        result = FairEngine().simulate(build_protocol(spec, k=k), k, seed=7)
+        assert result.solved
+        assert kernel_calls == {"fair_simulate": 1}
+
+    @pytest.mark.parametrize("cap", [None, 300])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS)
+    def test_paused_calls_resume_where_they_stopped(self, spec, cap, kernel_calls, monkeypatch):
+        """A call returns after ``native.SLOTS_PER_CALL`` slots and the next
+        one carries on: a run takes one call per budget, and does not move."""
+        k, seeds = 150, derive_seeds(31, 5)
+        python = _runs(spec, k, seeds, max_slots=cap)[1]
+        monkeypatch.setattr(native, "SLOTS_PER_CALL", 100)
+        for seed, reference in zip(seeds, python):
+            kernel_calls.clear()
+            result = FairEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=cap)
+            assert result.to_dict() == reference.to_dict()
+            assert kernel_calls == {"fair_simulate": -(-result.slots_simulated // 100)}
 
     @pytest.mark.parametrize("cap", [1, _DRAW_BLOCK, _DRAW_BLOCK + 1, "mid-run"])
     @pytest.mark.parametrize("spec", KERNEL_SPECS)

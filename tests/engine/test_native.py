@@ -88,7 +88,7 @@ _BUILD_AND_RUN = """
     ofa = fair.FairEngine().simulate(OneFailAdaptive(), 200, seed=5)
     ebb = window.WindowEngine().simulate(ExpBackonBackoff(), 200, seed=5)
     assert fair._M_COMPILED.value == 1, "the compiled slot loop did not run"
-    assert window._M_COMPILED.value == 1, "the compiled ball throw did not run"
+    assert window._M_COMPILED.value == 1, "the compiled window loop did not run"
     print(ofa.makespan, ebb.makespan)
 """
 

@@ -1,18 +1,21 @@
 """Tests for the balls-in-bins window engine.
 
-Besides the engine's own behaviour, this pins its two ball throws against
-each other: the compiled throw (``window_kernel.c``) must equal the numpy
-reference in every result field for every registered windowed protocol, cap
-and thread interleaving, and ``repro_window_runs_total{path}`` must say
-which one ran.
+Besides the engine's own behaviour, this pins its two window loops against
+each other: the compiled loop (``window_kernel.c``) must equal the Python
+loop and its numpy ball throw in every result field for every registered
+windowed protocol, cap and thread interleaving, must make one kernel call
+per schedule chunk rather than per window, and ``repro_window_runs_total
+{path}`` must say which loop ran.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import sys
 import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.window_engine import WindowEngine, _CompiledThrow, _throw_reference
+from repro.engine.window_engine import WindowEngine, _saturated, _throw_reference, _WindowRun
 from repro.protocols.backoff import ExponentialBackoff, LogLogIteratedBackoff
 from repro.protocols.base import (
     WindowedProtocol,
@@ -338,7 +341,7 @@ PATHS = ("compiled", "python")
 
 
 def _window_runs(path: str, protocol, k: int, seeds, max_slots: int | None = None) -> list:
-    """WindowEngine's runs of each seed, all on the given ball-throw ``path``."""
+    """WindowEngine's runs of each seed, all on the given window-loop ``path``."""
     counter = window_module._M_WINDOW_RUNS.labels(path=path)
     before = counter.value
     with pytest.MonkeyPatch.context() as patch:
@@ -358,7 +361,8 @@ def _assert_paths_agree(protocol, k: int, seeds, max_slots: int | None = None) -
 
 
 def _windows(protocol, k: int, seed: int) -> list[tuple[int, int, bool]]:
-    """``(start, length, saturated)`` of every window of the uncapped run."""
+    """``(start, length, saturated)`` of every window of the uncapped run,
+    spied on the Python loop (the compiled loop tests saturation in C)."""
     calls = []
     original = window_module._saturated
 
@@ -367,6 +371,7 @@ def _windows(protocol, k: int, seed: int) -> list[tuple[int, int, bool]]:
         return calls[-1][1]
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(native, "KERNEL", _NoLibrary())
         patch.setattr(window_module, "_saturated", spy)
         WindowEngine().simulate(protocol, k, seed=seed)
     starts = itertools.accumulate((length for length, _ in calls), initial=0)
@@ -384,6 +389,39 @@ def _cap(windows: list[tuple[int, int, bool]], where: str) -> int:
     return start + length // 2
 
 
+def _one_window(
+    length: int, balls: int, limit: int, generator: np.random.Generator, capacity: int | None = None
+) -> tuple[int, _WindowRun]:
+    """``window_simulate`` over a one-window chunk: a run of ``balls``
+    stations capped at ``limit`` slots, with a bin buffer of ``capacity``."""
+    library = native.KERNEL.get()
+    assert library is not None
+    run = _WindowRun(remaining=balls, cap=limit, budget=native.SLOTS_PER_CALL)
+    lengths = array("q", [length])
+    bins = np.empty(length if capacity is None else capacity, dtype=np.uint8)
+    bit_generator = generator.bit_generator
+    with bit_generator.lock:
+        status = library.window_simulate(
+            ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size,
+            *native.uniforms(bit_generator),
+        )
+    return status, run
+
+
+def _saturation_edge(length: int) -> int:
+    """The fewest balls ``_saturated`` calls saturating for ``length`` bins."""
+    low, high = 2 * length - 1, 4 * length  # fewer than 2 balls a bin never saturate
+    while not _saturated(length, high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _saturated(length, middle):
+            high = middle
+        else:
+            low = middle
+    return high
+
+
 class DoubledBackon(ExpBackonBackoff):
     """A user-defined schedule: Algorithm 2's windows, each twice as long."""
 
@@ -395,7 +433,7 @@ class DoubledBackon(ExpBackonBackoff):
 
 
 class TestCompiledThrowIsExact:
-    """The compiled ball throw's runs are the numpy reference's, field for field."""
+    """The compiled window loop's runs are the Python loop's, field for field."""
 
     def test_cases_are_every_registered_windowed_protocol(self):
         registered = [
@@ -432,20 +470,117 @@ class TestCompiledThrowIsExact:
         [(1, 1, 1), (2, 3, 1), (7, 20, 7), (1000, 700, 300), (2**20, 10**5, 2**20)],
     )
     def test_a_window_takes_exactly_its_balls_uniforms(self, length, balls, limit):
-        """The kernel's tally is the reference's, and the generator continues
-        where ``generator.random(balls)`` leaves it."""
-        library = native.KERNEL.get()
-        assert library is not None
+        """The kernel's counts are the reference tally's, and the generator
+        continues where ``generator.random(balls)`` leaves it."""
         compiled, reference = np.random.default_rng(9), np.random.default_rng(9)
-        tally = _CompiledThrow(library.window_balls, compiled)(length, balls, limit)
-        assert tally == _throw_reference(reference, length, balls, limit)[1]
+        status, run = _one_window(length, balls, limit, compiled)
+        _, (silent, delivered, last, before) = _throw_reference(reference, length, balls, limit)
+        simulated = limit
+        if delivered == balls:  # the solving window ends at its final delivery
+            simulated, silent = last + 1, before
+        assert status == window_module._DONE
+        assert (run.windows, run.thrown, run.saturated) == (1, 1, 0)
+        assert (run.start, run.remaining, run.successes, run.silences, run.collisions) == (
+            simulated, balls - delivered, delivered, silent, simulated - silent - delivered,
+        )
         assert compiled.random() == reference.random()
 
-    def test_window_larger_than_its_limit_is_refused(self):
-        library = native.KERNEL.get()
-        assert library is not None
-        with pytest.raises(ValueError, match="bin buffer"):
-            _CompiledThrow(library.window_balls, np.random.default_rng(0))(4, 10, 5)
+    def test_window_wider_than_the_bin_buffer_is_handed_back(self):
+        """A thrown window that does not fit the bin buffer is not started:
+        no draws, no counters, and ``position`` names it for the resume."""
+        generator = np.random.default_rng(0)
+        status, run = _one_window(4, 3, 4, generator, capacity=3)
+        assert status == window_module._GROW
+        assert (run.position, run.windows, run.start, run.remaining) == (0, 0, 0, 3)
+        assert generator.random() == np.random.default_rng(0).random()
+
+    def test_saturation_test_equals_the_reference(self):
+        """The kernel's saturation test is ``_saturated``.  With an empty bin
+        buffer every window the kernel would throw is handed back, so the
+        status tells its verdict; the pairs straddle the saturation edge."""
+        rng = np.random.default_rng(2011)
+        lengths = np.unique(np.geomspace(1, 2**24, 400).astype(np.int64)).tolist()
+        pairs = [
+            (int(length), int(length * ratio))
+            for length, ratio in zip(
+                rng.integers(1, 2**20, 3000), np.exp(rng.uniform(0.0, math.log(200.0), 3000))
+            )
+        ]
+        for length in lengths:
+            edge = _saturation_edge(length)
+            pairs += [(length, balls) for balls in (edge - 1, edge, edge + 1)]
+        generator = np.random.default_rng(0)
+        verdicts = [
+            _one_window(length, balls, length, generator, capacity=0)[0] != window_module._GROW
+            for length, balls in pairs
+        ]
+        assert verdicts == [_saturated(length, balls) for length, balls in pairs]
+        assert 0 < sum(verdicts) < len(pairs)
+
+    def test_compiled_run_calls_once_per_schedule_chunk(self, kernel_calls):
+        """Chunks of 8, 16, 32 and 64 windows: four calls for EBB's 79."""
+        result = WindowEngine().simulate(ExpBackonBackoff(), 1000, seed=derive_seeds(1, 1)[0])
+        assert result.metadata["windows"] == 79
+        assert kernel_calls == {"window_simulate": 4}
+
+    @pytest.mark.parametrize("spec", WINDOWED_SPECS)
+    def test_paused_calls_resume_where_they_stopped(self, spec, kernel_calls, monkeypatch):
+        """A call returns at the first window after ``native.SLOTS_PER_CALL``
+        slots and the next one carries on there: with a budget of one slot
+        every call runs one window, and the runs do not move."""
+        k, seeds = 300, derive_seeds(12, 4)
+        protocol = build_protocol(spec, k=k)
+        python = _window_runs("python", protocol, k, seeds)
+        monkeypatch.setattr(native, "SLOTS_PER_CALL", 1)
+        for seed, reference in zip(seeds, python):
+            kernel_calls.clear()
+            result = WindowEngine().simulate(protocol, k, seed=seed)
+            assert result.to_dict() == reference.to_dict()
+            assert kernel_calls == {"window_simulate": result.metadata["windows"]}
+
+    @pytest.mark.parametrize("spec", WINDOWED_SPECS)
+    def test_runs_with_many_windows_make_fewer_calls_than_windows(self, spec, kernel_calls):
+        for seed in derive_seeds(3, 3):
+            kernel_calls.clear()
+            result = WindowEngine().simulate(build_protocol(spec, k=2048), 2048, seed=seed)
+            if result.metadata["windows"] > 16:
+                assert 0 < sum(kernel_calls.values()) < result.metadata["windows"]
+
+    def test_schedule_errors_past_the_run_end_are_never_raised(self):
+        """A chunk is pulled ahead of the run, but an error of the schedule's
+        future (exhaustion, a bad length, the back-off safety cap) is raised
+        only if the run reaches that window, on both loops."""
+
+        class SafetyCapped(WindowedProtocol):
+            name = "test-safety-capped"
+
+            def window_lengths(self):
+                yield 1
+                raise RuntimeError("window grew beyond the safety cap")
+
+        class BadLength(WindowedProtocol):
+            name = "test-bad-length"
+
+            def window_lengths(self):
+                yield 1
+                yield 0
+
+        class Ends(WindowedProtocol):
+            name = "test-ends"
+
+            def window_lengths(self):
+                yield 1
+
+        for protocol in (SafetyCapped(), BadLength(), Ends()):
+            (result,) = _assert_paths_agree(protocol, 1, [5])
+            assert result.solved and result.metadata["windows"] == 1
+        for path in PATHS:
+            with pytest.raises(RuntimeError, match="safety cap"):
+                _window_runs(path, SafetyCapped(), 2, [5])
+            with pytest.raises(ValueError, match="window length"):
+                _window_runs(path, BadLength(), 2, [5])
+            with pytest.raises(RuntimeError, match="exhausted with 2 messages left"):
+                _window_runs(path, Ends(), 2, [5])
 
     def test_concurrent_runs_equal_serial_runs(self):
         """Threads share the library but not a bin buffer: with more threads

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -205,6 +206,27 @@ class TestScenarioValidation:
             Scenario(protocol="one-fail-adaptive", k=10, replications=0)
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=10, max_slots_factor=1)
+
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            ("one-fail-adaptive k=10 max_slots_factor=2.5", "max_slots_factor"),
+            ("one-fail-adaptive k=10 max_slots_factor=1e3", "max_slots_factor"),
+            ("exp-backon-backoff k=10 channel=cd max_slots_factor=2.5", "max_slots_factor"),
+            ("one-fail-adaptive k=2.5", "k"),
+            ("one-fail-adaptive k=10 reps=2.5", "replications"),
+        ],
+    )
+    def test_non_integer_sizes_fail_at_construction(self, spec, field):
+        with pytest.raises(ValueError, match=field):
+            Scenario.parse(spec)
+        with pytest.raises(ValueError, match=field):
+            Scenario.from_json(json.dumps({"protocol": "one-fail-adaptive", "k": 10, field: 2.5}))
+
+    def test_slot_cap_beyond_int64_fails_at_construction(self):
+        with pytest.raises(ValueError, match="max_slots"):
+            Scenario(protocol="one-fail-adaptive", k=10, max_slots_factor=2**62)
+        assert Scenario(protocol="one-fail-adaptive", k=1, max_slots_factor=2**63 - 1)
 
 
 class TestScenarioHash:

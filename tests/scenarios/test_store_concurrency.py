@@ -114,6 +114,28 @@ class TestConcurrentAppends:
         assert runs == 1
 
 
+    def test_short_writes_still_append_whole_records(self, tmp_path, monkeypatch):
+        """``os.write`` may write only part of its buffer; append loops until
+        every byte of its payload is out."""
+        from repro.scenarios import store as store_module
+
+        write = store_module.os.write
+        calls = []
+
+        def short_write(descriptor, data):
+            calls.append(len(data))
+            return write(descriptor, bytes(data[:7]))
+
+        monkeypatch.setattr(store_module.os, "write", short_write)
+        store = ResultStore(tmp_path)
+        store.append(scenario(), [make_run(0), make_run(1)])
+        store.append(scenario(), [make_run(2)])
+        monkeypatch.undo()
+        assert len(calls) > 2
+        assert _parse_store_file(store.path_for(scenario())) == (1, 3)
+        assert sorted(store.run_index(scenario())) == [0, 1, 2]
+
+
 class TestStoreSummaries:
     def test_summaries_report_runs_and_solved_fraction(self, tmp_path):
         store_dir = tmp_path / "store"

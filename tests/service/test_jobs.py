@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.scenarios import Scenario, Session
-from repro.service import JOB_DONE, JOB_FAILED, JOB_QUEUED, JobManager
+from repro.service import JOB_CANCELLED, JOB_DONE, JOB_FAILED, JOB_QUEUED, JobJournal, JobManager
+from repro.service.jobs import _M_FINISHED
 
 
 def scenario(text: str = "one-fail-adaptive k=40 reps=3 seed=7") -> Scenario:
@@ -207,3 +211,59 @@ class TestRetention:
         # Eviction only ever touches *finished* jobs: the queued one survives.
         assert manager.get(still_queued.id) is still_queued
         assert still_queued.state == JOB_QUEUED
+
+
+class _HeldJournal(JobJournal):
+    """A journal whose terminal marks wait until the test releases them."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.release = threading.Event()
+
+    def mark(self, job_id: str, state: str) -> None:
+        self.release.wait(timeout=60)
+        super().mark(job_id, state)
+
+
+def _poll_state(job, state: str) -> None:
+    """Poll the ``GET /jobs/<id>`` payload until it reports ``state``."""
+    deadline = time.monotonic() + 60
+    while job.snapshot()["state"] != state:
+        assert time.monotonic() < deadline, f"job never reached {state}"
+        time.sleep(0.001)
+
+
+class TestTerminalStateIsCounted:
+    """Whoever sees a job terminal sees ``repro_jobs_finished_total`` count
+    it, although the journal mark and the finished bookkeeping come later."""
+
+    def test_done_job_is_counted_before_its_journal_mark(self, tmp_path):
+        journal = _HeldJournal(tmp_path / "jobs.journal")
+        manager = JobManager(Session(store_dir=tmp_path / "store"), journal=journal)
+        before = _M_FINISHED.labels(state=JOB_DONE).value
+        try:
+            job, _ = manager.submit(scenario())
+            _poll_state(job, JOB_DONE)
+            assert _M_FINISHED.labels(state=JOB_DONE).value - before == 1
+            assert not job.finished.is_set()  # the mark is still held
+        finally:
+            journal.release.set()
+            manager.shutdown()
+        assert job.finished.is_set()
+        assert _M_FINISHED.labels(state=JOB_DONE).value - before == 1
+
+    def test_cancelled_queued_job_is_counted_before_its_journal_mark(self, tmp_path):
+        journal = _HeldJournal(tmp_path / "jobs.journal")
+        manager = JobManager(Session(store_dir=tmp_path / "store"), start=False, journal=journal)
+        before = _M_FINISHED.labels(state=JOB_CANCELLED).value
+        job, _ = manager.submit(scenario())
+        canceller = threading.Thread(target=manager.cancel, args=(job.id,))
+        canceller.start()
+        try:
+            _poll_state(job, JOB_CANCELLED)
+            assert _M_FINISHED.labels(state=JOB_CANCELLED).value - before == 1
+        finally:
+            journal.release.set()
+            canceller.join(timeout=60)
+        assert job.finished.is_set()
+        assert _M_FINISHED.labels(state=JOB_CANCELLED).value - before == 1

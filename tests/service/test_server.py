@@ -128,8 +128,13 @@ class TestErrors:
             "exp-backon-backoff k=10 engine=fair",
             "one-fail-adaptive k=10 channel=cd engine=fair",
             "one-fail-adaptive k=10 arrivals=poisson(rate=0.2) engine=fair",
+            "exp-backon-backoff k=10 channel=cd max_slots_factor=2.5",
+            "one-fail-adaptive k=10 max_slots_factor=1000000000000000000",
         ],
-        ids=["unknown-protocol", "wrong-kind", "wrong-channel", "wrong-arrivals"],
+        ids=[
+            "unknown-protocol", "wrong-kind", "wrong-channel", "wrong-arrivals",
+            "float-slot-factor", "slot-cap-beyond-int64",
+        ],
     )
     def test_bad_scenario_spec_is_400(self, client, spec):
         with pytest.raises(ServiceError) as excinfo:

@@ -4,14 +4,36 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.util.validation import (
     check_in_range,
+    check_max_slots,
     check_positive,
     check_positive_int,
     check_probability,
 )
+
+
+class TestCheckMaxSlots:
+    def test_accepts_integers(self):
+        assert check_max_slots(1) == 1
+        cap = check_max_slots(np.int64(7))
+        assert cap == 7 and type(cap) is int
+
+    @pytest.mark.parametrize("value", [None, 2.5, 3.0, "10", True])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(TypeError, match="max_slots"):
+            check_max_slots(value)
+
+    def test_accepts_the_largest_int64(self):
+        assert check_max_slots(2**63 - 1) == 2**63 - 1
+
+    @pytest.mark.parametrize("value", [0, -1, np.int64(-5), 2**63])
+    def test_rejects_caps_outside_int64_range(self, value):
+        with pytest.raises(ValueError, match="max_slots"):
+            check_max_slots(value)
 
 
 class TestCheckPositive:
