@@ -2,7 +2,8 @@
 
 The (protocol × k × repetition) sweep behind Figure 1 / Table 1 is
 embarrassingly parallel, and :func:`repro.experiments.runner.run_sweep` fans
-its work units out over a :class:`~repro.experiments.parallel.ParallelExecutor`.
+its work units out over a :class:`~repro.experiments.parallel.ParallelExecutor`
+with ``ExperimentConfig.workers`` processes.
 This benchmark quantifies the two promises of that layer:
 
 * **fidelity** — a ``workers=N`` sweep is bit-identical to ``workers=1``
@@ -17,6 +18,7 @@ Scale comes from the shared ``REPRO_BENCH_*`` environment knobs (see
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -40,8 +42,8 @@ def _specs() -> list[ProtocolSpec]:
 def test_parallel_sweep_matches_serial_smoke():
     """workers=4 reproduces the serial sweep bit for bit (fast smoke check)."""
     config = ExperimentConfig(k_values=[10, 50], runs=2, seed=7)
-    serial = run_sweep(_specs(), config, workers=1)
-    parallel = run_sweep(_specs(), config, workers=4)
+    serial = run_sweep(_specs(), config)
+    parallel = run_sweep(_specs(), dataclasses.replace(config, workers=4))
     for key in serial.cells:
         assert serial.cells[key].results == parallel.cells[key].results
 
@@ -49,8 +51,8 @@ def test_parallel_sweep_matches_serial_smoke():
 @pytest.mark.smoke
 def test_parallel_dynamic_sweep_smoke():
     """The dynamic-arrivals path works through the pool as well."""
-    config = ExperimentConfig(k_values=[12], runs=2, seed=7)
-    sweep = run_sweep(_specs()[:1], config, workers=2, arrivals="poisson(rate=0.2)")
+    config = ExperimentConfig(k_values=[12], runs=2, seed=7, workers=2)
+    sweep = run_sweep(_specs()[:1], config, arrivals="poisson(rate=0.2)")
     cell = sweep.cell("ofa", 12)
     assert cell.all_solved
     assert all(result.engine == "slot" for result in cell.results)
@@ -73,11 +75,11 @@ def test_parallel_sweep_speedup(results_dir):
     specs = _specs()
 
     started = time.perf_counter()
-    serial = run_sweep(specs, config, workers=1)
+    serial = run_sweep(specs, config)
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel = run_sweep(specs, config, workers=workers)
+    parallel = run_sweep(specs, dataclasses.replace(config, workers=workers))
     parallel_seconds = time.perf_counter() - started
 
     for key in serial.cells:

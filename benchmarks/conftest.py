@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark regenerates one artefact of the paper's evaluation (see the
-per-experiment index in DESIGN.md).  Scale is controlled by environment
-variables so the default run finishes in a few minutes on one CPU while the
-full paper range remains reachable:
+Every benchmark regenerates one artefact of the paper's evaluation (the
+experiment it reproduces is named in its docstring).  Scale is controlled by
+environment variables so the default run finishes in a few minutes on one CPU
+while the full paper range remains reachable:
 
 * ``REPRO_BENCH_MAX_K``  — largest network size swept (default 10_000;
   the paper goes to 10_000_000).

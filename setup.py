@@ -1,10 +1,10 @@
-"""Legacy setup shim.
+"""Setup shim with no package metadata.
 
-The project is fully described by ``pyproject.toml``; this file exists so the
-package can be installed in environments without the ``wheel`` package (where
-PEP 660 editable installs are unavailable), e.g.::
+``setup()`` receives no arguments and the repository has no
+``pyproject.toml``, so this file describes no installable package and no
+console scripts.  Run the code from a checkout with::
 
-    pip install -e . --no-build-isolation --no-use-pep517
+    PYTHONPATH=src python -m repro --help
 """
 
 from setuptools import setup

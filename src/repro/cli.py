@@ -501,24 +501,6 @@ def _cmd_protocols(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure1(args: argparse.Namespace) -> int:
-    from repro.experiments.figure1 import main as figure1_main
-
-    return figure1_main(args.rest)
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.experiments.table1 import main as table1_main
-
-    return table1_main(args.rest)
-
-
-def _cmd_dynamic(args: argparse.Namespace) -> int:
-    from repro.experiments.dynamic import main as dynamic_main
-
-    return dynamic_main(args.rest)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.core import Baseline, available_rules, rule_class, run_lint
 
@@ -780,25 +762,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=_cmd_lint)
 
-    figure1 = subparsers.add_parser("figure1", help="reproduce Figure 1 (forwards remaining flags)")
-    figure1.add_argument("rest", nargs=argparse.REMAINDER)
-    figure1.set_defaults(func=_cmd_figure1)
-
-    table1 = subparsers.add_parser("table1", help="reproduce Table 1 (forwards remaining flags)")
-    table1.add_argument("rest", nargs=argparse.REMAINDER)
-    table1.set_defaults(func=_cmd_table1)
-
-    dynamic = subparsers.add_parser(
-        "dynamic", help="dynamic-arrivals experiment (forwards remaining flags)"
-    )
-    dynamic.add_argument("rest", nargs=argparse.REMAINDER)
-    dynamic.set_defaults(func=_cmd_dynamic)
+    # main() forwards these three to the experiment scripts before parsing;
+    # they are listed here so that `repro --help` names them.
+    subparsers.add_parser("figure1", help="reproduce Figure 1 (forwards remaining flags)")
+    subparsers.add_parser("table1", help="reproduce Table 1 (forwards remaining flags)")
+    subparsers.add_parser("dynamic", help="dynamic-arrivals experiment (forwards remaining flags)")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``python -m repro`` and the ``repro`` console script."""
+    """Entry point for ``python -m repro``."""
     arguments = list(argv) if argv is not None else sys.argv[1:]
     # The figure1/table1/dynamic subcommands forward *all* remaining flags to
     # the experiment scripts; argparse's REMAINDER does not reliably capture

@@ -1,13 +1,17 @@
 """Experiment harness: the sweeps behind Figure 1, Table 1 and the ablations.
 
-* :mod:`repro.experiments.config` — experiment configuration, the paper's
+Every experiment builds one :class:`~repro.scenarios.scenario.Scenario` per
+cell and runs its grid with one
+:meth:`~repro.scenarios.session.Session.run_all` call.
+
+* :mod:`repro.experiments.config` — experiment configuration and the paper's
   protocol suite (the five curves of Figure 1 with the parameters of
-  Section 5), and environment-variable overrides for scale.
+  Section 5).
 * :mod:`repro.experiments.runner` — generic (protocol × k × seeds) sweep
-  runner returning per-cell statistics.
-* :mod:`repro.experiments.parallel` — the process-pool execution layer the
-  runner fans its independent work units out over (``workers=1`` falls back
-  to a serial in-process loop).
+  runner returning one :class:`~repro.scenarios.session.ResultSet` per cell.
+* :mod:`repro.experiments.parallel` — the process-pool execution layer
+  :class:`~repro.scenarios.session.Session` fans its independent work units
+  out over (``workers=1`` falls back to a serial in-process loop).
 * :mod:`repro.experiments.figure1` — reproduces Figure 1 (average steps vs k).
 * :mod:`repro.experiments.table1` — reproduces Table 1 (steps/k ratios plus
   the analysis column).
@@ -29,7 +33,7 @@ from repro.experiments.config import (
     paper_protocol_suite,
 )
 from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
-from repro.experiments.runner import SweepCell, SweepResult, run_sweep
+from repro.experiments.runner import SweepResult, run_sweep
 from repro.experiments.figure1 import Figure1Result, reproduce_figure1
 from repro.experiments.table1 import Table1Result, reproduce_table1
 from repro.experiments.ablations import AblationResult, run_ebb_delta_ablation, run_ofa_delta_ablation
@@ -44,7 +48,6 @@ __all__ = [
     "ParallelExecutor",
     "SimulationUnit",
     "UnitOutcome",
-    "SweepCell",
     "SweepResult",
     "run_sweep",
     "Figure1Result",

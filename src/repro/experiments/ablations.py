@@ -5,7 +5,9 @@ Back-on/Back-off without exploring the sensitivity of the makespan to those
 choices (the theorems admit ranges ``(e, 2.99]`` and ``(0, 1/e)``
 respectively).  These ablations quantify that sensitivity: for each admissible
 δ on a grid and each network size, they measure the mean steps/k ratio, which
-is how the paper's choice of δ is justified empirically.
+is how the paper's choice of δ is justified empirically.  Each (δ, k) cell is
+one :class:`~repro.scenarios.scenario.Scenario`, and a sweep is one
+:meth:`~repro.scenarios.session.Session.run_all` call.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.statistics import RunStatistics, summarize_makespans
+from repro.analysis.statistics import RunStatistics
 from repro.core import analysis as core_analysis
 from repro.core.constants import EBB_DELTA_MAX, OFA_DELTA_MAX, OFA_DELTA_MIN
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.dispatch import simulate
-from repro.util.rng import derive_seeds
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.session import Session
+from repro.scenarios.spec import format_spec
 from repro.util.tables import format_text_table
 
 __all__ = ["AblationResult", "run_ofa_delta_ablation", "run_ebb_delta_ablation"]
@@ -65,7 +68,7 @@ class AblationResult:
 
 
 def _run_delta_grid(
-    protocol_factory,
+    protocol: str,
     analysis_constant,
     deltas: Sequence[float],
     k_values: Sequence[int],
@@ -73,25 +76,29 @@ def _run_delta_grid(
     seed: int,
     label: str,
 ) -> AblationResult:
+    grid = [(delta, k) for delta in deltas for k in k_values]
+    scenarios = [
+        Scenario(
+            protocol=format_spec(protocol, {"delta": float(delta)}),
+            k=k,
+            replications=runs,
+            seed=seed + 131 * i + 17 * j,
+        )
+        for i, delta in enumerate(deltas)
+        for j, k in enumerate(k_values)
+    ]
     cells: list[AblationCell] = []
-    for delta_index, delta in enumerate(deltas):
-        for k_index, k in enumerate(k_values):
-            seeds = derive_seeds(seed + 131 * delta_index + 17 * k_index, runs)
-            makespans = []
-            for run_seed in seeds:
-                result = simulate(protocol_factory(delta), k, seed=run_seed)
-                if result.solved and result.makespan is not None:
-                    makespans.append(result.makespan / k)
-            if not makespans:
-                raise RuntimeError(f"{label}: no solved runs for delta={delta}, k={k}")
-            cells.append(
-                AblationCell(
-                    delta=float(delta),
-                    k=int(k),
-                    ratio=summarize_makespans(makespans),
-                    analysis_constant=analysis_constant(delta),
-                )
+    for (delta, k), result_set in zip(grid, Session().run_all(scenarios)):
+        if not result_set.makespans:
+            raise RuntimeError(f"{label}: no solved runs for delta={delta}, k={k}")
+        cells.append(
+            AblationCell(
+                delta=float(delta),
+                k=int(k),
+                ratio=result_set.ratio_statistics(),
+                analysis_constant=analysis_constant(delta),
             )
+        )
     return AblationResult(protocol_label=label, cells=cells)
 
 
@@ -107,7 +114,7 @@ def run_ofa_delta_ablation(
         high = OFA_DELTA_MAX
         deltas = [low, 2.72, 2.8, 2.9, high]
     return _run_delta_grid(
-        protocol_factory=lambda delta: OneFailAdaptive(delta=delta),
+        protocol=OneFailAdaptive.name,
         analysis_constant=core_analysis.ofa_leading_constant,
         deltas=deltas,
         k_values=k_values,
@@ -127,7 +134,7 @@ def run_ebb_delta_ablation(
     if deltas is None:
         deltas = [0.05, 0.15, 0.25, 0.33, 0.366, EBB_DELTA_MAX - 0.001]
     return _run_delta_grid(
-        protocol_factory=lambda delta: ExpBackonBackoff(delta=delta),
+        protocol=ExpBackonBackoff.name,
         analysis_constant=core_analysis.ebb_leading_constant,
         deltas=deltas,
         k_values=k_values,

@@ -12,17 +12,13 @@ encoded here (values imported from :mod:`repro.core.constants`):
 * each (protocol, k) point is the average of 10 runs;
 * k ranges over powers of ten from 10 to 10⁷.
 
-The paper's largest sizes take a long while on a single CPU with the exact
-per-slot fair engine, so the default configuration sweeps k up to ``10⁵`` and
-the ceiling can be raised via the ``REPRO_MAX_K`` environment variable or the
-``--max-k`` command-line flag of the figure/table scripts; EXPERIMENTS.md
-records which points were measured.
+The paper's largest sizes take a long while on a single CPU, so the default
+configuration sweeps k up to ``10⁵``; the ``--max-k`` flag of the figure and
+table scripts raises the ceiling.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -34,12 +30,11 @@ from repro.core.constants import (
     LLIB_R_DEFAULT,
     OFA_DELTA_DEFAULT,
 )
-# The protocol imports also populate the spec-string registry the suite's
+# The protocol imports populate the spec-string registry the suite's
 # scenario specs resolve against.
 from repro.core.exp_backon_backoff import ExpBackonBackoff  # noqa: F401
 from repro.core.one_fail_adaptive import OneFailAdaptive  # noqa: F401
 from repro.protocols.backoff import LogLogIteratedBackoff  # noqa: F401
-from repro.protocols.base import Protocol, build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive  # noqa: F401
 
 __all__ = [
@@ -91,10 +86,6 @@ class ProtocolSpec:
     analysis_ratio: Callable[[int], float] | None = None
     analysis_note: str = ""
 
-    def build(self, k: int) -> Protocol:
-        """Instantiate the protocol for a network of ``k`` contenders."""
-        return build_protocol(self.spec, k)
-
     def analysis_text(self, k: int | None = None, float_format: str = ".1f") -> str:
         """Human-readable entry for the Analysis column of Table 1."""
         if self.analysis_ratio is not None:
@@ -103,92 +94,69 @@ class ProtocolSpec:
         return self.analysis_note or "-"
 
 
-def paper_k_values(max_k: int | None = None, min_k: int = 10) -> list[int]:
-    """Powers of ten from ``min_k`` to ``max_k`` (defaults to the sweep ceiling).
-
-    ``max_k`` defaults to the ``REPRO_MAX_K`` environment variable when set,
-    otherwise to :data:`DEFAULT_MAX_K`.
-    """
+def paper_k_values(max_k: int | None = None) -> list[int]:
+    """Powers of ten from 10 to ``max_k`` (default :data:`DEFAULT_MAX_K`)."""
     if max_k is None:
-        max_k = int(os.environ.get("REPRO_MAX_K", DEFAULT_MAX_K))
-    if max_k < min_k:
-        raise ValueError(f"max_k={max_k} is smaller than min_k={min_k}")
-    values = []
-    exponent = int(round(math.log10(min_k)))
-    while 10**exponent <= max_k:
-        values.append(10**exponent)
-        exponent += 1
+        max_k = DEFAULT_MAX_K
+    if max_k < 10:
+        raise ValueError(f"max_k={max_k} is smaller than the smallest size, 10")
+    values = [10]
+    while values[-1] * 10 <= max_k:
+        values.append(values[-1] * 10)
     return values
 
 
-def paper_protocol_suite(
-    include_lfa: bool = True,
-    include_llib: bool = True,
-) -> list[ProtocolSpec]:
+def paper_protocol_suite() -> list[ProtocolSpec]:
     """The five curves of Figure 1, with the parameters of Section 5."""
-    suite: list[ProtocolSpec] = []
-    if include_lfa:
-        suite.append(
-            ProtocolSpec(
-                key="lfa-xt2",
-                label="Log-Fails Adaptive (2)",
-                spec="log-fails-adaptive"
-                f"(xi_t=0.5,xi_delta={LFA_XI_DELTA_DEFAULT},xi_beta={LFA_XI_BETA_DEFAULT})",
-                analysis_ratio=lambda k: core_analysis.lfa_leading_constant(0.5),
-            )
-        )
-        suite.append(
-            ProtocolSpec(
-                key="lfa-xt10",
-                label="Log-Fails Adaptive (10)",
-                spec="log-fails-adaptive"
-                f"(xi_t=0.1,xi_delta={LFA_XI_DELTA_DEFAULT},xi_beta={LFA_XI_BETA_DEFAULT})",
-                analysis_ratio=lambda k: core_analysis.lfa_leading_constant(0.1),
-            )
-        )
-    suite.append(
+    return [
+        ProtocolSpec(
+            key="lfa-xt2",
+            label="Log-Fails Adaptive (2)",
+            spec="log-fails-adaptive"
+            f"(xi_t=0.5,xi_delta={LFA_XI_DELTA_DEFAULT},xi_beta={LFA_XI_BETA_DEFAULT})",
+            analysis_ratio=lambda k: core_analysis.lfa_leading_constant(0.5),
+        ),
+        ProtocolSpec(
+            key="lfa-xt10",
+            label="Log-Fails Adaptive (10)",
+            spec="log-fails-adaptive"
+            f"(xi_t=0.1,xi_delta={LFA_XI_DELTA_DEFAULT},xi_beta={LFA_XI_BETA_DEFAULT})",
+            analysis_ratio=lambda k: core_analysis.lfa_leading_constant(0.1),
+        ),
         ProtocolSpec(
             key="ofa",
             label="One-Fail Adaptive",
             spec=f"one-fail-adaptive(delta={OFA_DELTA_DEFAULT})",
             analysis_ratio=lambda k: core_analysis.ofa_leading_constant(OFA_DELTA_DEFAULT),
-        )
-    )
-    suite.append(
+        ),
         ProtocolSpec(
             key="ebb",
             label="Exp Back-on/Back-off",
             spec=f"exp-backon-backoff(delta={EBB_DELTA_DEFAULT})",
             analysis_ratio=lambda k: core_analysis.ebb_leading_constant(EBB_DELTA_DEFAULT),
-        )
-    )
-    if include_llib:
-        suite.append(
-            ProtocolSpec(
-                key="llib",
-                label="Loglog-Iterated Backoff",
-                spec=f"loglog-iterated-backoff(r={float(LLIB_R_DEFAULT)})",
-                analysis_ratio=None,
-                analysis_note="Theta(lglg k / lglglg k)",
-            )
-        )
-    return suite
+        ),
+        ProtocolSpec(
+            key="llib",
+            label="Loglog-Iterated Backoff",
+            spec=f"loglog-iterated-backoff(r={float(LLIB_R_DEFAULT)})",
+            analysis_ratio=None,
+            analysis_note="Theta(lglg k / lglglg k)",
+        ),
+    ]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of a Figure 1 / Table 1 style sweep.
 
-    ``workers`` is the default process count used by
-    :func:`~repro.experiments.runner.run_sweep`: ``1`` keeps the historical
-    serial behaviour, ``0`` means one worker per CPU.  Seeds are derived
+    ``workers`` is the process count of the sweep's session: ``1`` runs
+    serially in-process, ``0`` means one worker per CPU.  Seeds are derived
     before dispatch, so the worker count never changes the results.
     """
 
     k_values: Sequence[int] = field(default_factory=paper_k_values)
     runs: int = DEFAULT_RUNS
     seed: int = 2011  # year of the paper; any fixed value works
-    max_slots_factor: int = 10_000
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -196,10 +164,11 @@ class ExperimentConfig:
             raise ValueError("k_values must not be empty")
         if any(k < 1 for k in self.k_values):
             raise ValueError(f"all k values must be positive, got {list(self.k_values)}")
+        repeated = [k for index, k in enumerate(self.k_values) if k in self.k_values[:index]]
+        if repeated:
+            raise ValueError(f"k_values repeats k={repeated[0]}: {list(self.k_values)}")
         if self.runs < 1:
             raise ValueError(f"runs must be positive, got {self.runs}")
-        if self.max_slots_factor < 2:
-            raise ValueError(f"max_slots_factor must be at least 2, got {self.max_slots_factor}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 = one per CPU), got {self.workers}")
 
@@ -208,6 +177,5 @@ class ExperimentConfig:
             "k_values": list(self.k_values),
             "runs": self.runs,
             "seed": self.seed,
-            "max_slots_factor": self.max_slots_factor,
             "workers": self.workers,
         }

@@ -16,12 +16,10 @@ Each (protocol, arrival process) cell is described by one declarative
 exact node-level engine (the fair and window reductions assume batched
 arrivals) and fans the cells out over a
 :class:`~repro.experiments.parallel.ParallelExecutor`; a ``store_dir`` makes
-the experiment resumable like any other scenario workload.  Callers may still
-pass materialised protocol/arrival *instances*; those cells run through the
-same executor without the scenario cache.  The reported metrics are the
-makespan (slot of the last delivery) and the per-message delivery latency
-(delivery slot − arrival slot), which is the quantity a dynamic analysis
-would bound.
+the experiment resumable like any other scenario workload.  The reported
+metrics are the makespan (slot of the last delivery) and the per-message
+delivery latency (delivery slot − arrival slot), which is the quantity a
+dynamic analysis would bound.
 
 Run from the command line with::
 
@@ -36,13 +34,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.analysis.statistics import RunStatistics, summarize_makespans
-from repro.channel.arrivals import ArrivalProcess
 from repro.engine.result import SimulationResult
-from repro.experiments.parallel import ParallelExecutor, SimulationUnit
-from repro.protocols.base import Protocol
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
-from repro.util.rng import derive_seeds
 from repro.util.tables import format_text_table
 
 __all__ = ["DynamicResult", "run_dynamic_experiment", "main"]
@@ -153,8 +147,8 @@ def run_dynamic_experiment(
     k: int = 64,
     runs: int = 5,
     seed: int = 23,
-    protocols: Sequence[tuple[str, Protocol | str]] | None = None,
-    arrival_factories: Sequence[tuple[str, ArrivalProcess | str]] | None = None,
+    protocols: Sequence[tuple[str, str]] | None = None,
+    arrival_factories: Sequence[tuple[str, str]] | None = None,
     workers: int = 1,
     store_dir: str | Path | None = None,
 ) -> DynamicResult:
@@ -170,15 +164,15 @@ def run_dynamic_experiment(
     seed:
         Root seed.
     protocols, arrival_factories:
-        Optional overrides of the default protocol and arrival-process sets.
-        Entries may be spec strings (cacheable scenario path) or materialised
-        instances (direct executor path).
+        Optional overrides of the default protocol and arrival-process sets,
+        as ``(label, spec string)`` pairs, e.g.
+        ``("OFA", "one-fail-adaptive")`` and ``("poisson", "poisson(rate=0.3)")``.
     workers:
         Worker processes (``1`` = serial, ``0`` = one per CPU); per-run seeds
         are derived up front, so the results do not depend on this.
     store_dir:
-        Optional Session store directory; spec-string cells completed on a
-        previous run are served from it.
+        Optional Session store directory; cells completed on a previous run
+        are served from it.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -186,68 +180,29 @@ def run_dynamic_experiment(
     arrival_set = (
         list(arrival_factories) if arrival_factories is not None else _default_arrivals(k)
     )
-
-    scenario_cells: list[tuple[int, Scenario]] = []
-    unit_cells: list[tuple[int, list[SimulationUnit], int]] = []
-    labels: list[tuple[str, str, int]] = []
+    labels: list[tuple[str, str]] = []
+    scenarios: list[Scenario] = []
     for protocol_index, (protocol_label, protocol) in enumerate(protocol_set):
         for arrival_index, (arrival_label, arrivals) in enumerate(arrival_set):
-            cell_index = len(labels)
-            cell_seed = seed + 101 * protocol_index + 13 * arrival_index
-            if isinstance(protocol, str) and isinstance(arrivals, str):
-                # The arrival spec rules the cell's message count (an explicit
-                # burst shape may round k down, as the instance path always did).
-                cell_k = _arrival_total(arrivals, k)
-                scenario = Scenario(
+            labels.append((protocol_label, arrival_label))
+            # The arrival spec rules the cell's message count (an explicit
+            # burst shape may round k down).
+            scenarios.append(
+                Scenario(
                     protocol=protocol,
-                    k=cell_k,
+                    k=_arrival_total(arrivals, k),
                     arrivals=arrivals,
                     replications=runs,
-                    seed=cell_seed,
+                    seed=seed + 101 * protocol_index + 13 * arrival_index,
                 )
-                scenario_cells.append((cell_index, scenario))
-            else:
-                if isinstance(protocol, str):
-                    from repro.protocols.base import build_protocol
-
-                    built_protocol = build_protocol(protocol, k)
-                else:
-                    built_protocol = protocol
-                if isinstance(arrivals, str):
-                    from repro.channel.arrivals import build_arrivals
-
-                    arrivals = build_arrivals(arrivals, k)
-                cell_k = arrivals.total_messages if arrivals is not None else k
-                units = [
-                    SimulationUnit(
-                        protocol=built_protocol,
-                        k=cell_k,
-                        seed=run_seed,
-                        arrivals=arrivals,
-                        tag=cell_index,
-                    )
-                    for run_seed in derive_seeds(cell_seed, runs)
-                ]
-                unit_cells.append((cell_index, units, cell_k))
-            labels.append((protocol_label, arrival_label, cell_k))
-
-    results_by_cell: dict[int, list[SimulationResult]] = {}
-    if scenario_cells:
-        session = Session(store_dir=store_dir, workers=workers)
-        result_sets = session.run_all([scenario for _, scenario in scenario_cells])
-        for (cell_index, _), result_set in zip(scenario_cells, result_sets):
-            results_by_cell[cell_index] = list(result_set.results)
-    if unit_cells:
-        flat_units = [unit for _, units, _ in unit_cells for unit in units]
-        outcomes = ParallelExecutor(workers=workers).run(flat_units)
-        for outcome in outcomes:
-            results_by_cell.setdefault(outcome.tag, []).append(outcome.result)
-
-    cells = [
-        _aggregate_cell(protocol_label, arrival_label, cell_k, results_by_cell[cell_index])
-        for cell_index, (protocol_label, arrival_label, cell_k) in enumerate(labels)
-    ]
-    return DynamicResult(cells=cells)
+            )
+    result_sets = Session(store_dir=store_dir, workers=workers).run_all(scenarios)
+    return DynamicResult(
+        cells=[
+            _aggregate_cell(protocol_label, arrival_label, result_set.scenario.k, result_set.results)
+            for (protocol_label, arrival_label), result_set in zip(labels, result_sets)
+        ]
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -46,6 +46,7 @@ def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
         "silences",
         "engine",
     ]
+    labels = {spec.key: spec.label for spec in sweep.specs}
     with target.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
         writer.writeheader()
@@ -54,7 +55,7 @@ def write_sweep_csv(sweep: SweepResult, path: str | Path) -> Path:
                 writer.writerow(
                     {
                         "protocol_key": key,
-                        "label": cell.label,
+                        "label": labels[key],
                         "k": k,
                         "seed": run.seed,
                         "solved": run.solved,
@@ -108,12 +109,13 @@ def write_json(sweep: SweepResult, path: str | Path) -> Path:
     """Write the sweep configuration and per-cell statistics as JSON."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
+    labels = {spec.key: spec.label for spec in sweep.specs}
     payload: dict[str, object] = {
         "config": sweep.config.describe(),
         "cells": [
             {
                 "protocol_key": key,
-                "label": cell.label,
+                "label": labels[key],
                 "k": k,
                 "runs": len(cell.results),
                 "solved_runs": len(cell.solved_results),

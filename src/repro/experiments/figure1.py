@@ -12,25 +12,17 @@ Run it with::
 
 or, for the full paper range (slow on one CPU)::
 
-    REPRO_MAX_K=10000000 python -m repro.experiments.figure1
+    python -m repro.experiments.figure1 --max-k 10000000
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.config import (
-    DEFAULT_RUNS,
-    ExperimentConfig,
-    ProtocolSpec,
-    paper_k_values,
-    paper_protocol_suite,
-)
+from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.export import write_json, write_series_dat, write_sweep_csv
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.runner import SweepResult, parse_sweep_args, run_paper_sweep
 from repro.util.tables import format_text_table
 from repro.util.textplot import LogLogPlot
 
@@ -73,7 +65,6 @@ class Figure1Result:
 def reproduce_figure1(
     config: ExperimentConfig | None = None,
     specs: list[ProtocolSpec] | None = None,
-    engine: str = "auto",
     progress: bool = False,
     store_dir: "str | Path | None" = None,
 ) -> Figure1Result:
@@ -83,11 +74,9 @@ def reproduce_figure1(
     ----------
     config:
         Sweep configuration; defaults to the paper's (10 runs per point,
-        powers of ten up to the ``REPRO_MAX_K`` ceiling).
+        powers of ten up to :data:`~repro.experiments.config.DEFAULT_MAX_K`).
     specs:
         Protocol curves; defaults to the paper's five.
-    engine:
-        Engine selector (``"auto"`` picks the cheapest exact engine).
     progress:
         When true, prints one line per completed (protocol, k) cell to stderr.
     store_dir:
@@ -95,61 +84,15 @@ def reproduce_figure1(
         built backend): completed cells are persisted there and served from
         it on re-run (resumable sweeps).
     """
-    if config is None:
-        config = ExperimentConfig()
-    if specs is None:
-        specs = paper_protocol_suite()
-
-    def progress_callback(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
-        if done == total:
-            print(f"[figure1] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)  # repro: noqa[OBS001] - experiment stdout is the artefact
-
-    sweep = run_sweep(
-        specs,
-        config,
-        engine=engine,
-        progress=progress_callback if progress else None,
-        store_dir=store_dir,
-    )
-    series = {spec.key: sweep.series(spec.key) for spec in specs}
-    labels = {spec.key: spec.label for spec in specs}
+    sweep = run_paper_sweep("figure1", config, specs, progress, store_dir)
+    series = {spec.key: sweep.series(spec.key) for spec in sweep.specs}
+    labels = {spec.key: spec.label for spec in sweep.specs}
     return Figure1Result(sweep=sweep, series=series, labels=labels)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point (also installed as ``repro-figure1``)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-k", type=int, default=None, help="largest network size to sweep")
-    parser.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per (protocol, k)")
-    parser.add_argument("--seed", type=int, default=2011, help="root seed of the sweep")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (0 = one per CPU); results are identical for any value",
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory for CSV/gnuplot/JSON artefacts (omit to skip writing)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="Session result store (directory or spec like sqlite:results.db): "
-        "completed cells are persisted there and served from it on re-run "
-        "(resumable sweeps)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-
-    config = ExperimentConfig(
-        k_values=paper_k_values(max_k=args.max_k),
-        runs=args.runs,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    """Command-line entry point (``python -m repro figure1``)."""
+    config, args = parse_sweep_args(__doc__.splitlines()[0], argv)
     figure = reproduce_figure1(config=config, progress=not args.quiet, store_dir=args.store)
 
     print("Figure 1 — number of steps to solve static k-selection, per number of nodes k")  # repro: noqa[OBS001] - experiment stdout is the artefact

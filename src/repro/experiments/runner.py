@@ -1,20 +1,23 @@
 """Generic (protocol × network size × repetitions) sweep runner.
 
-Every experiment in this repository — Figure 1, Table 1, the ablations — is a
-sweep of the same shape: for each protocol specification and each network size
-``k``, run a number of independently seeded simulations and aggregate their
-makespans.  :func:`run_sweep` implements that shape once; the experiment
-modules wrap it with the paper's specific protocol suites and presentation.
+Figure 1 and Table 1 are sweeps of one shape: for each protocol specification
+and each network size ``k``, run a number of independently seeded simulations
+and aggregate their makespans.  :func:`run_sweep` implements that shape once;
+:func:`run_paper_sweep` and :func:`parse_sweep_args` hold what the two
+experiments share (the sweep call, its progress lines and its flags), and
+the experiment modules add the paper's presentation.
 
 :func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
 cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
-whole grid is executed by a :class:`~repro.scenarios.session.Session` —
+whole grid is one :meth:`~repro.scenarios.session.Session.run_all` call —
 which runs every replication on the engine
 :func:`~repro.engine.dispatch.pick_engine_name` picks for its cell (the
 paper's fair protocols in the compiled slot loop of
 :class:`~repro.engine.fair_engine.FairEngine`) and, when ``store_dir`` is
-given, persists every replication to a JSONL store so an interrupted sweep
-resumes with only the missing replications executed.
+given, persists every replication to a result store so an interrupted sweep
+resumes with only the missing replications executed.  Each cell of the
+result is the :class:`~repro.scenarios.session.ResultSet` the session
+returned for it.
 
 Cell seeds are derived *before* dispatch, so ``workers=N`` produces
 bit-identical cells to ``workers=1``.
@@ -22,17 +25,23 @@ bit-identical cells to ``workers=1``.
 
 from __future__ import annotations
 
+import argparse
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.statistics import RunStatistics, summarize_makespans
-from repro.engine.result import SimulationResult
-from repro.experiments.config import ExperimentConfig, ProtocolSpec
+from repro.experiments.config import (
+    DEFAULT_RUNS,
+    ExperimentConfig,
+    ProtocolSpec,
+    paper_k_values,
+    paper_protocol_suite,
+)
 from repro.scenarios.scenario import Scenario
-from repro.scenarios.session import Session
+from repro.scenarios.session import ResultSet, Session
 
-__all__ = ["SweepCell", "SweepResult", "run_sweep", "cell_seed_root"]
+__all__ = ["SweepResult", "run_sweep", "run_paper_sweep", "parse_sweep_args", "cell_seed_root"]
 
 #: Signature of the optional progress callback: (spec, k, completed_runs, total_runs).
 ProgressCallback = Callable[[ProtocolSpec, int, int, int], None]
@@ -48,60 +57,22 @@ def cell_seed_root(config: ExperimentConfig, spec_index: int, k_index: int) -> i
     return config.seed + 1_000_003 * spec_index + 7_919 * k_index
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    """All runs of one (protocol, k) cell, plus their aggregates.
-
-    ``elapsed_seconds`` is the *aggregate simulation time* of the cell's runs
-    (the sum of per-run durations), not wall-clock time: with ``workers > 1``
-    the runs execute concurrently and interleaved with other cells, so the
-    sum is the only definition that is comparable across worker counts.
-    Replications served from a Session store contribute their recorded
-    durations.
-    """
-
-    spec_key: str
-    label: str
-    k: int
-    results: tuple[SimulationResult, ...]
-    elapsed_seconds: float
-
-    @property
-    def solved_results(self) -> tuple[SimulationResult, ...]:
-        return tuple(result for result in self.results if result.solved)
-
-    @property
-    def all_solved(self) -> bool:
-        return len(self.solved_results) == len(self.results)
-
-    @property
-    def makespans(self) -> list[int]:
-        return [result.makespan for result in self.solved_results if result.makespan is not None]
-
-    def makespan_statistics(self) -> RunStatistics:
-        return summarize_makespans(self.makespans)
-
-    def ratio_statistics(self) -> RunStatistics:
-        return summarize_makespans([makespan / self.k for makespan in self.makespans])
-
-    @property
-    def mean_makespan(self) -> float:
-        return self.makespan_statistics().mean
-
-    @property
-    def mean_ratio(self) -> float:
-        return self.ratio_statistics().mean
-
-
 @dataclass
 class SweepResult:
-    """All cells of a sweep, indexed by (protocol key, k)."""
+    """All cells of a sweep, indexed by (protocol key, k).
+
+    A cell's ``elapsed_seconds`` is the *aggregate simulation time* of its
+    runs (the sum of per-run durations, stored runs included), not
+    wall-clock time: with ``workers > 1`` the runs execute concurrently and
+    interleaved with other cells, so the sum is the only definition that is
+    comparable across worker counts.
+    """
 
     config: ExperimentConfig
     specs: Sequence[ProtocolSpec]
-    cells: dict[tuple[str, int], SweepCell] = field(default_factory=dict)
+    cells: dict[tuple[str, int], ResultSet] = field(default_factory=dict)
 
-    def cell(self, spec_key: str, k: int) -> SweepCell:
+    def cell(self, spec_key: str, k: int) -> ResultSet:
         try:
             return self.cells[(spec_key, k)]
         except KeyError:
@@ -132,7 +103,6 @@ def run_sweep(
     config: ExperimentConfig,
     engine: str = "auto",
     progress: ProgressCallback | None = None,
-    workers: int | None = None,
     arrivals: str = "batch",
     store_dir: str | Path | None = None,
 ) -> SweepResult:
@@ -143,15 +113,16 @@ def run_sweep(
     index) face statistically independent randomness (they are different
     stochastic processes; sharing seeds would not make them comparable anyway).
     Because every seed is fixed before any run starts, the results do not
-    depend on ``workers``: a parallel sweep is bit-identical to a serial one.
+    depend on ``config.workers``: a parallel sweep is bit-identical to a
+    serial one.
 
     Parameters
     ----------
     specs:
-        Protocol specifications (one per curve).
+        Protocol specifications (one per curve), with distinct keys.
     config:
-        Sizes, repetition count, root seed, safety caps and default worker
-        count.
+        Sizes, repetition count, root seed and worker processes (``1`` runs
+        serially in-process, ``0`` uses one worker per CPU).
     engine:
         Engine selector carried into every cell's scenario.
     progress:
@@ -160,10 +131,6 @@ def run_sweep(
         ``completed`` argument is always the number of runs done *in that
         cell* so far.  Replications served from the store are reported
         immediately, so ``completed`` reaches the total either way.
-    workers:
-        Worker processes for the sweep; defaults to ``config.workers``.
-        ``1`` runs serially in-process, ``0``/``None`` at config level means
-        one worker per CPU.
     arrivals:
         Arrival spec string carried into every cell's scenario, e.g.
         ``"poisson(rate=0.2)"``; the default ``"batch"`` is the paper's
@@ -179,43 +146,98 @@ def run_sweep(
     """
     if not specs:
         raise ValueError("run_sweep needs at least one protocol specification")
-    cells: list[tuple[ProtocolSpec, int]] = []
-    scenarios: list[Scenario] = []
-    for spec_index, spec in enumerate(specs):
-        for k_index, k in enumerate(config.k_values):
-            cells.append((spec, k))
-            scenarios.append(
-                Scenario(
-                    protocol=spec.spec,
-                    k=k,
-                    arrivals=arrivals,
-                    engine=engine,
-                    replications=config.runs,
-                    seed=cell_seed_root(config, spec_index, k_index),
-                    max_slots_factor=config.max_slots_factor,
-                )
-            )
-
-    session = Session(
-        store_dir=store_dir,
-        workers=config.workers if workers is None else workers,
-    )
+    keys = [spec.key for spec in specs]
+    repeated = [key for index, key in enumerate(keys) if key in keys[:index]]
+    if repeated:
+        raise ValueError(f"run_sweep got protocol key {repeated[0]!r} more than once")
+    grid = [(spec, k) for spec in specs for k in config.k_values]
+    scenarios = [
+        Scenario(
+            protocol=spec.spec,
+            k=k,
+            arrivals=arrivals,
+            engine=engine,
+            replications=config.runs,
+            seed=cell_seed_root(config, spec_index, k_index),
+        )
+        for spec_index, spec in enumerate(specs)
+        for k_index, k in enumerate(config.k_values)
+    ]
 
     def session_progress(index: int, _scenario: Scenario, done: int, total: int) -> None:
-        spec, k = cells[index]
+        spec, k = grid[index]
         assert progress is not None
         progress(spec, k, done, total)
 
-    result_sets = session.run_all(
+    result_sets = Session(store_dir=store_dir, workers=config.workers).run_all(
         scenarios, progress=session_progress if progress is not None else None
     )
-    result = SweepResult(config=config, specs=list(specs))
-    for (spec, k), result_set in zip(cells, result_sets):
-        result.cells[(spec.key, k)] = SweepCell(
-            spec_key=spec.key,
-            label=spec.label,
-            k=k,
-            results=result_set.results,
-            elapsed_seconds=result_set.elapsed_seconds,
-        )
-    return result
+    return SweepResult(
+        config=config,
+        specs=list(specs),
+        cells={(spec.key, k): result_set for (spec, k), result_set in zip(grid, result_sets)},
+    )
+
+
+def run_paper_sweep(
+    name: str,
+    config: ExperimentConfig | None,
+    specs: Sequence[ProtocolSpec] | None,
+    progress: bool,
+    store_dir: str | Path | None,
+) -> SweepResult:
+    """The Figure 1 / Table 1 sweep, by default the paper's suite and configuration.
+
+    With ``progress``, prints ``[<name>] <label>: k=<k> (<runs> runs done)``
+    to stderr as each (protocol, k) cell completes.
+    """
+
+    def report(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
+        if done == total:
+            print(f"[{name}] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)  # repro: noqa[OBS001] - experiment stdout is the artefact
+
+    return run_sweep(
+        specs if specs is not None else paper_protocol_suite(),
+        config if config is not None else ExperimentConfig(),
+        progress=report if progress else None,
+        store_dir=store_dir,
+    )
+
+
+def parse_sweep_args(
+    description: str, argv: Sequence[str] | None
+) -> tuple[ExperimentConfig, argparse.Namespace]:
+    """Parse the command-line flags of the Figure 1 and Table 1 scripts.
+
+    Returns the sweep configuration and the namespace, whose ``output_dir``,
+    ``store`` and ``quiet`` the script reads.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--max-k", type=int, default=None, help="largest network size to sweep")
+    parser.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per (protocol, k)")
+    parser.add_argument("--seed", type=int, default=2011, help="root seed of the sweep")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for the sweep (0 = one per CPU); results are identical for any value",
+    )
+    parser.add_argument(
+        "--output-dir",
+        type=Path,
+        default=None,
+        help="directory for the CSV, JSON and table or plot artefacts (omit to skip writing)",
+    )
+    parser.add_argument(
+        "--store",
+        default=None,
+        help="Session result store (directory or spec like sqlite:results.db): "
+        "completed cells are persisted there and served from it on re-run "
+        "(resumable sweeps)",
+    )
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    args = parser.parse_args(argv)
+    config = ExperimentConfig(
+        k_values=paper_k_values(args.max_k), runs=args.runs, seed=args.seed, workers=args.workers
+    )
+    return config, args

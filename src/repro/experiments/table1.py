@@ -13,20 +13,12 @@ Run with::
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.config import (
-    DEFAULT_RUNS,
-    ExperimentConfig,
-    ProtocolSpec,
-    paper_k_values,
-    paper_protocol_suite,
-)
+from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.export import write_json, write_markdown, write_sweep_csv
-from repro.experiments.runner import SweepResult, run_sweep
+from repro.experiments.runner import SweepResult, parse_sweep_args, run_paper_sweep
 from repro.util.tables import format_markdown_table, format_text_table
 
 __all__ = ["Table1Result", "reproduce_table1", "PAPER_TABLE1", "main"]
@@ -117,7 +109,6 @@ class Table1Result:
 def reproduce_table1(
     config: ExperimentConfig | None = None,
     specs: list[ProtocolSpec] | None = None,
-    engine: str = "auto",
     progress: bool = False,
     store_dir: "str | Path | None" = None,
 ) -> Table1Result:
@@ -127,59 +118,13 @@ def reproduce_table1(
     spec string, or built backend); completed cells are persisted there and
     served from it on re-run (resumable sweeps).
     """
-    if config is None:
-        config = ExperimentConfig()
-    if specs is None:
-        specs = paper_protocol_suite()
-
-    def progress_callback(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
-        if done == total:
-            print(f"[table1] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)  # repro: noqa[OBS001] - experiment stdout is the artefact
-
-    sweep = run_sweep(
-        specs,
-        config,
-        engine=engine,
-        progress=progress_callback if progress else None,
-        store_dir=store_dir,
-    )
-    return Table1Result(sweep=sweep, specs=list(specs))
+    sweep = run_paper_sweep("table1", config, specs, progress, store_dir)
+    return Table1Result(sweep=sweep, specs=list(sweep.specs))
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point (also installed as ``repro-table1``)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-k", type=int, default=None, help="largest network size to sweep")
-    parser.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per (protocol, k)")
-    parser.add_argument("--seed", type=int, default=2011, help="root seed of the sweep")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (0 = one per CPU); results are identical for any value",
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory for CSV/Markdown/JSON artefacts (omit to skip writing)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="Session result store (directory or spec like sqlite:results.db): "
-        "completed cells are persisted there and served from it on re-run "
-        "(resumable sweeps)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-
-    config = ExperimentConfig(
-        k_values=paper_k_values(max_k=args.max_k),
-        runs=args.runs,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    """Command-line entry point (``python -m repro table1``)."""
+    config, args = parse_sweep_args(__doc__.splitlines()[0], argv)
     table = reproduce_table1(config=config, progress=not args.quiet, store_dir=args.store)
 
     print("Table 1 — ratio steps/nodes as a function of the number of nodes k (measured)")  # repro: noqa[OBS001] - experiment stdout is the artefact

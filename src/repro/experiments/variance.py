@@ -7,7 +7,9 @@ as much less predictable.  Figure 1 and Table 1 only show averages, so this
 experiment quantifies the stability claim directly: for every protocol of the
 evaluation and every network size it reports the standard deviation, the
 coefficient of variation and the min–max spread of the makespan over
-independently seeded runs.
+independently seeded runs.  Each (protocol, k) cell is one
+:class:`~repro.scenarios.scenario.Scenario`, and the grid is one
+:meth:`~repro.scenarios.session.Session.run_all` call.
 
 Regenerated by ``benchmarks/bench_variance.py``; a scaled-down version is
 exercised by the test suite.
@@ -18,10 +20,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.statistics import RunStatistics, summarize_makespans
-from repro.engine.dispatch import simulate
+from repro.analysis.statistics import RunStatistics
 from repro.experiments.config import ProtocolSpec, paper_protocol_suite
-from repro.util.rng import derive_seeds
+from repro.scenarios.scenario import Scenario
+from repro.scenarios.session import Session
 from repro.util.tables import format_text_table
 
 __all__ = ["VarianceCell", "VarianceResult", "run_variance_experiment"]
@@ -89,23 +91,22 @@ def run_variance_experiment(
     if not k_values:
         raise ValueError("k_values must not be empty")
     protocol_specs = list(specs) if specs is not None else paper_protocol_suite()
+    grid = [(spec, k) for spec in protocol_specs for k in k_values]
+    scenarios = [
+        Scenario(protocol=spec.spec, k=k, replications=runs, seed=seed + 881 * i + 29 * j)
+        for i, spec in enumerate(protocol_specs)
+        for j, k in enumerate(k_values)
+    ]
     cells: list[VarianceCell] = []
-    for spec_index, spec in enumerate(protocol_specs):
-        for k_index, k in enumerate(k_values):
-            seeds = derive_seeds(seed + 881 * spec_index + 29 * k_index, runs)
-            makespans = []
-            for run_seed in seeds:
-                result = simulate(spec.build(k), k, seed=run_seed)
-                if result.solved and result.makespan is not None:
-                    makespans.append(result.makespan)
-            if len(makespans) < 2:
-                raise RuntimeError(f"variance experiment: not enough solved runs for {spec.key}, k={k}")
-            cells.append(
-                VarianceCell(
-                    spec_key=spec.key,
-                    label=spec.label,
-                    k=int(k),
-                    makespan=summarize_makespans(makespans),
-                )
+    for (spec, k), result_set in zip(grid, Session().run_all(scenarios)):
+        if len(result_set.makespans) < 2:
+            raise RuntimeError(f"variance experiment: not enough solved runs for {spec.key}, k={k}")
+        cells.append(
+            VarianceCell(
+                spec_key=spec.key,
+                label=spec.label,
+                k=int(k),
+                makespan=result_set.makespan_statistics(),
             )
+        )
     return VarianceResult(cells=cells, runs=runs)

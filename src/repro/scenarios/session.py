@@ -19,9 +19,10 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    interrupted cell resumes from its persisted prefix and an interrupted
    sweep with only the missing replications executed.
 
-The sweep experiments (:func:`repro.experiments.runner.run_sweep`, Figure 1,
-Table 1, the dynamic extension) and the ``repro run`` CLI are all thin
-scenario-preset builders over this class, and the simulation service
+Every experiment (:func:`repro.experiments.runner.run_sweep`, Figure 1,
+Table 1, the variance experiment, the δ ablations, the dynamic extension) and
+the ``repro run`` CLI are thin scenario-preset builders over
+:meth:`Session.run_all`, and the simulation service
 (:mod:`repro.service`) shares **one** session across its worker threads.
 
 Thread-safety
@@ -143,11 +144,12 @@ class ResultSet:
     def mean_makespan(self) -> float:
         return self.makespan_statistics().mean
 
+    def ratio_statistics(self) -> RunStatistics:
+        return summarize_makespans([makespan / self.scenario.k for makespan in self.makespans])
+
     @property
     def mean_ratio(self) -> float:
-        return summarize_makespans(
-            [makespan / self.scenario.k for makespan in self.makespans]
-        ).mean
+        return self.ratio_statistics().mean
 
     def to_dict(self) -> dict[str, object]:
         """Machine-readable summary (the ``repro run --json`` payload)."""

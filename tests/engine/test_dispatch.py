@@ -320,8 +320,7 @@ class TestLayersAgreeForEveryRegisteredProtocol:
         if channel_spec != "default":
             return  # run_sweep cells always use the paper's channel
         spec = ProtocolSpec(key=name, label=name, spec=name)
-        config = ExperimentConfig(k_values=[self.K], runs=self.REPS, seed=3,
-                                  max_slots_factor=100)
+        config = ExperimentConfig(k_values=[self.K], runs=self.REPS, seed=3)
         sweep = run_sweep([spec], config).cell(name, self.K)
         assert {result.engine for result in sweep.results} == {predicted_per_run}
         per_run_sweep = run_sweep([spec], config, engine=predicted_per_run).cell(name, self.K)

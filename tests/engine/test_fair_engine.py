@@ -12,6 +12,7 @@ library's build, cache and failed-build fallback are tested in
 
 from __future__ import annotations
 
+import dataclasses
 from typing import ClassVar
 
 import pytest
@@ -423,8 +424,8 @@ class TestSweepRouting:
         assert _engines(sweep, "ofa", 12) == {"slot"}
 
     def test_sweep_bit_identical_across_workers(self):
-        serial = run_sweep([self.OFA, self.EBB], self.CONFIG, workers=1)
-        pooled = run_sweep([self.OFA, self.EBB], self.CONFIG, workers=2)
+        serial = run_sweep([self.OFA, self.EBB], self.CONFIG)
+        pooled = run_sweep([self.OFA, self.EBB], dataclasses.replace(self.CONFIG, workers=2))
         for key in serial.cells:
             assert serial.cells[key].results == pooled.cells[key].results
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.channel.arrivals import PoissonArrival
-from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.experiments.ablations import run_ebb_delta_ablation, run_ofa_delta_ablation
 from repro.experiments.dynamic import run_dynamic_experiment
 
@@ -17,6 +15,15 @@ class TestOfaDeltaAblation:
 
     def test_grid_size(self, result):
         assert len(result.cells) == 4
+
+    def test_pinned_ratios(self, result):
+        """Mean steps/k per (delta, k), as the ablation first measured them."""
+        assert {(cell.delta, cell.k): cell.ratio.mean for cell in result.cells} == {
+            (2.72, 50): 5.93,
+            (2.72, 200): 6.985,
+            (2.95, 50): 6.12,
+            (2.95, 200): 7.390000000000001,
+        }
 
     def test_analysis_constants_recorded(self, result):
         by_delta = {cell.delta: cell.analysis_constant for cell in result.cells}
@@ -42,6 +49,13 @@ class TestEbbDeltaAblation:
     def test_grid_size(self, result):
         assert len(result.cells) == 2
 
+    def test_pinned_ratios(self, result):
+        """Mean steps/k per (delta, k), as the ablation first measured them."""
+        assert {(cell.delta, cell.k): cell.ratio.mean for cell in result.cells} == {
+            (0.1, 200): 9.1375,
+            (0.3, 200): 6.630000000000001,
+        }
+
     def test_ratios_positive(self, result):
         assert all(cell.ratio.mean > 1 for cell in result.cells)
 
@@ -60,6 +74,21 @@ class TestDynamicExperiment:
         labels = {(cell.protocol_label, cell.arrivals_description) for cell in result.cells}
         assert len(labels) == 6  # 2 protocols x 3 arrival processes
 
+    def test_pinned_means(self, result):
+        """Mean makespan and latency per cell, as the experiment first measured them."""
+        measured = {
+            (cell.protocol_label, cell.arrivals_description): (cell.makespan.mean, cell.latency.mean)
+            for cell in result.cells
+        }
+        assert measured == {
+            ("One-Fail Adaptive", "poisson rate=0.05"): (391.0, 0.4583333333333333),
+            ("One-Fail Adaptive", "poisson rate=0.2"): (114.0, 1.7083333333333333),
+            ("One-Fail Adaptive", "bursty 4x6"): (92.0, 12.125),
+            ("Exp Back-on/Back-off", "poisson rate=0.05"): (456.0, 26.3125),
+            ("Exp Back-on/Back-off", "poisson rate=0.2"): (133.5, 7.208333333333333),
+            ("Exp Back-on/Back-off", "bursty 4x6"): (92.5, 12.25),
+        }
+
     def test_latencies_non_negative(self, result):
         assert all(cell.latency.minimum >= 0 for cell in result.cells)
 
@@ -75,8 +104,8 @@ class TestDynamicExperiment:
         result = run_dynamic_experiment(
             k=12,
             runs=1,
-            protocols=[("OFA", OneFailAdaptive())],
-            arrival_factories=[("poisson", PoissonArrival(k=12, rate=0.3))],
+            protocols=[("OFA", "one-fail-adaptive")],
+            arrival_factories=[("poisson", "poisson(rate=0.3)")],
         )
         assert len(result.cells) == 1
 

@@ -14,6 +14,7 @@ from repro.experiments.config import (
     paper_protocol_suite,
 )
 from repro.protocols.backoff import LogLogIteratedBackoff
+from repro.protocols.base import build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 
 
@@ -22,20 +23,15 @@ class TestPaperKValues:
         values = paper_k_values(max_k=100_000)
         assert values == [10, 100, 1_000, 10_000, 100_000]
 
-    def test_respects_environment_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_K", "1000")
-        assert paper_k_values() == [10, 100, 1_000]
-
-    def test_default_ceiling(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_K", raising=False)
+    def test_default_ceiling(self):
         assert max(paper_k_values()) == DEFAULT_MAX_K
+
+    def test_ceiling_between_powers(self):
+        assert paper_k_values(max_k=5_000) == [10, 100, 1_000]
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
-            paper_k_values(max_k=5, min_k=10)
-
-    def test_custom_min(self):
-        assert paper_k_values(max_k=1_000, min_k=100) == [100, 1_000]
+            paper_k_values(max_k=5)
 
 
 class TestPaperProtocolSuite:
@@ -43,22 +39,18 @@ class TestPaperProtocolSuite:
         suite = paper_protocol_suite()
         assert [spec.key for spec in suite] == ["lfa-xt2", "lfa-xt10", "ofa", "ebb", "llib"]
 
-    def test_optional_exclusions(self):
-        suite = paper_protocol_suite(include_lfa=False, include_llib=False)
-        assert [spec.key for spec in suite] == ["ofa", "ebb"]
-
     def test_factories_build_correct_types(self):
         suite = {spec.key: spec for spec in paper_protocol_suite()}
-        assert isinstance(suite["ofa"].build(100), OneFailAdaptive)
-        assert isinstance(suite["ebb"].build(100), ExpBackonBackoff)
-        assert isinstance(suite["llib"].build(100), LogLogIteratedBackoff)
-        assert isinstance(suite["lfa-xt2"].build(100), LogFailsAdaptive)
+        assert isinstance(build_protocol(suite["ofa"].spec, 100), OneFailAdaptive)
+        assert isinstance(build_protocol(suite["ebb"].spec, 100), ExpBackonBackoff)
+        assert isinstance(build_protocol(suite["llib"].spec, 100), LogLogIteratedBackoff)
+        assert isinstance(build_protocol(suite["lfa-xt2"].spec, 100), LogFailsAdaptive)
 
     def test_papers_parameters_applied(self):
         suite = {spec.key: spec for spec in paper_protocol_suite()}
-        assert suite["ofa"].build(10).delta == pytest.approx(2.72)
-        assert suite["ebb"].build(10).delta == pytest.approx(0.366)
-        lfa = suite["lfa-xt10"].build(999)
+        assert build_protocol(suite["ofa"].spec, 10).delta == pytest.approx(2.72)
+        assert build_protocol(suite["ebb"].spec, 10).delta == pytest.approx(0.366)
+        lfa = build_protocol(suite["lfa-xt10"].spec, 999)
         assert lfa.xi_t == pytest.approx(0.1)
         assert lfa.epsilon == pytest.approx(1 / 1_000)
 
@@ -72,14 +64,14 @@ class TestPaperProtocolSuite:
 
     def test_lfa_factory_uses_its_own_k(self):
         spec = {s.key: s for s in paper_protocol_suite()}["lfa-xt2"]
-        assert spec.build(10).epsilon != spec.build(1_000).epsilon
+        assert build_protocol(spec.spec, 10).epsilon != build_protocol(spec.spec, 1_000).epsilon
 
 
 class TestExperimentConfig:
     def test_defaults(self):
         config = ExperimentConfig(k_values=[10, 100])
         assert config.runs == 10
-        assert config.max_slots_factor == 10_000
+        assert config.workers == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,8 +80,11 @@ class TestExperimentConfig:
             ExperimentConfig(k_values=[10], runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(k_values=[0])
-        with pytest.raises(ValueError):
-            ExperimentConfig(k_values=[10], max_slots_factor=1)
+
+    def test_repeated_k_rejected(self):
+        """A repeated k would be simulated twice and kept once."""
+        with pytest.raises(ValueError, match="k=10"):
+            ExperimentConfig(k_values=[10, 100, 10])
 
     def test_describe(self):
         config = ExperimentConfig(k_values=[10], runs=2, seed=7)

@@ -46,7 +46,7 @@ class TestFigure1:
         assert "10" in table and "100" in table
 
     def test_custom_spec_subset(self, tiny_config):
-        specs = paper_protocol_suite(include_lfa=False, include_llib=False)
+        specs = [spec for spec in paper_protocol_suite() if spec.key in ("ofa", "ebb")]
         figure = reproduce_figure1(config=tiny_config, specs=specs)
         assert set(figure.series) == {"ofa", "ebb"}
 

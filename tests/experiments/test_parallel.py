@@ -7,6 +7,8 @@ pre-derived seed and the executor returns outcomes in submission order.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.channel.arrivals import PoissonArrival
@@ -102,8 +104,8 @@ class TestParallelExecutor:
 class TestParallelSweep:
     def test_workers_4_reproduces_workers_1_exactly(self):
         config = ExperimentConfig(k_values=[10, 50], runs=3, seed=99)
-        serial = run_sweep(small_specs(), config, workers=1)
-        parallel = run_sweep(small_specs(), config, workers=4)
+        serial = run_sweep(small_specs(), config)
+        parallel = run_sweep(small_specs(), dataclasses.replace(config, workers=4))
         assert set(serial.cells) == set(parallel.cells)
         for key in serial.cells:
             assert serial.cells[key].results == parallel.cells[key].results
@@ -119,8 +121,7 @@ class TestParallelSweep:
         calls = []
         run_sweep(
             small_specs(),
-            ExperimentConfig(k_values=[10], runs=2, seed=1),
-            workers=2,
+            ExperimentConfig(k_values=[10], runs=2, seed=1, workers=2),
             progress=lambda spec, k, done, total: calls.append((spec.key, k, done, total)),
         )
         assert sorted(calls) == [
@@ -140,8 +141,9 @@ class TestParallelSweep:
     def test_arrivals_sweep_parallel_matches_serial(self):
         config = ExperimentConfig(k_values=[12], runs=2, seed=3)
         arrivals = "poisson(rate=0.2)"
-        serial = run_sweep(small_specs()[:1], config, workers=1, arrivals=arrivals)
-        parallel = run_sweep(small_specs()[:1], config, workers=2, arrivals=arrivals)
+        serial = run_sweep(small_specs()[:1], config, arrivals=arrivals)
+        pooled = dataclasses.replace(config, workers=2)
+        parallel = run_sweep(small_specs()[:1], pooled, arrivals=arrivals)
         assert serial.cell("ofa", 12).results == parallel.cell("ofa", 12).results
 
 

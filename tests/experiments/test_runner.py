@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
+from repro.scenarios.session import ResultSet
 
 
 def small_specs() -> list[ProtocolSpec]:
@@ -72,6 +73,20 @@ class TestRunSweep:
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
             run_sweep([], small_config())
+
+    def test_repeated_spec_key_rejected(self):
+        """Two specs under one key would both run and one would overwrite the other."""
+        ofa, ebb = small_specs()
+        twin = ProtocolSpec(key=ofa.key, label=ebb.label, spec=ebb.spec)
+        with pytest.raises(ValueError, match="'ofa'"):
+            run_sweep([ofa, twin], small_config(runs=2))
+
+    def test_cells_are_session_result_sets(self):
+        sweep = run_sweep(small_specs(), small_config(runs=2))
+        cell = sweep.cell("ebb", 50)
+        assert isinstance(cell, ResultSet)
+        assert cell.scenario.protocol == "exp-backon-backoff"
+        assert cell.scenario.k == 50
 
     def test_totals(self):
         sweep = run_sweep(small_specs(), small_config(runs=2))

@@ -7,6 +7,17 @@ import pytest
 from repro.experiments.config import ProtocolSpec, paper_protocol_suite
 from repro.experiments.variance import run_variance_experiment
 
+#: (mean, std, min, max) of each cell's makespan in the ``result`` fixture,
+#: as the experiment first measured them.  They move only if a cell's seeds,
+#: engine, slot cap or stream do.
+PINNED_MAKESPANS = {
+    "lfa-xt2": (4800.2, 375.8818963451153, 4288.0, 5230.0),
+    "lfa-xt10": (3210.0, 287.72817032748117, 2781.0, 3440.0),
+    "ofa": (3648.4, 36.68514685809503, 3631.0, 3714.0),
+    "ebb": (2654.4, 48.8702363407422, 2582.0, 2718.0),
+    "llib": (3112.4, 224.16355636008277, 2807.0, 3346.0),
+}
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -25,6 +36,15 @@ class TestVarianceExperiment:
             assert cell.makespan.minimum <= cell.makespan.mean <= cell.makespan.maximum
             assert cell.coefficient_of_variation >= 0
             assert cell.spread >= 0
+
+    def test_pinned_makespans(self, result):
+        measured = {
+            cell.spec_key: (
+                cell.makespan.mean, cell.makespan.std, cell.makespan.minimum, cell.makespan.maximum
+            )
+            for cell in result.cells
+        }
+        assert measured == PINNED_MAKESPANS
 
     def test_ofa_is_stable(self, result):
         """The paper: One-fail Adaptive has a "very stable" behaviour."""

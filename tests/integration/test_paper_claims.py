@@ -10,7 +10,11 @@ Section 5 that are robust enough to assert on a handful of runs:
 * both new protocols respect their theorems' high-probability upper bounds;
 * the qualitative ordering of the curves at moderate k: the two new protocols
   are faster on average than Loglog-iterated Back-off;
-* the genie-aided ALOHA yardstick sits near e, below all of them.
+* the genie-aided ALOHA yardstick sits near e, below all of them;
+* the two new protocols' makespans are stable from run to run, and Log-fails
+  Adaptive's are not;
+* across each theorem's δ range, One-fail Adaptive tracks 2(δ+1) and Exp
+  Back-on/Back-off stays below 4(1+1/δ).
 
 Each assertion uses generous margins so the tests are deterministic in
 practice (fixed seeds) and robust to the statistical noise of small samples.
@@ -24,6 +28,8 @@ from repro.core import analysis
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import simulate
+from repro.experiments.ablations import run_ebb_delta_ablation, run_ofa_delta_ablation
+from repro.experiments.variance import run_variance_experiment
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.backoff import LogLogIteratedBackoff
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
@@ -119,6 +125,31 @@ class TestPredictability:
         lfa_cv = coefficient_of_variation(lambda: LogFailsAdaptive.for_k(k), root_seed=42)
         assert ofa_cv < 0.02
         assert lfa_cv > ofa_cv
+
+    def test_stability_at_ten_thousand_nodes(self):
+        """The stability claim at k = 10^4, through the variance experiment."""
+        result = run_variance_experiment(k_values=(10_000,), runs=10, seed=2011)
+        ofa_cv = result.cell("ofa", 10_000).coefficient_of_variation
+        ebb_cv = result.cell("ebb", 10_000).coefficient_of_variation
+        lfa_cv = result.cell("lfa-xt2", 10_000).coefficient_of_variation
+        assert ofa_cv < 0.05
+        assert ebb_cv < 0.05
+        assert lfa_cv > ofa_cv
+
+
+class TestDeltaAblations:
+    def test_ofa_tracks_its_constant_for_every_delta(self):
+        """Theorem 1's constant 2(delta+1) is tight across (e, 2.99]: within 20 %."""
+        result = run_ofa_delta_ablation(k_values=(1_000,), runs=5, seed=7)
+        for cell in result.cells:
+            gap = abs(cell.ratio.mean - cell.analysis_constant) / cell.analysis_constant
+            assert gap < 0.2, (cell.delta, cell.ratio.mean)
+
+    def test_ebb_below_its_constant_for_every_delta(self):
+        """Theorem 2's constant 4(1+1/delta) bounds the ratio across (0, 1/e)."""
+        result = run_ebb_delta_ablation(k_values=(1_000,), runs=5, seed=11)
+        for cell in result.cells:
+            assert cell.ratio.mean < cell.analysis_constant, (cell.delta, cell.ratio.mean)
 
 
 class TestUnboundedness:

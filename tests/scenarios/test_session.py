@@ -251,7 +251,7 @@ class TestSweepStoreIntegration:
         from repro.experiments.runner import run_sweep
 
         config = ExperimentConfig(k_values=[10, 30], runs=2, seed=77)
-        specs = paper_protocol_suite(include_lfa=False, include_llib=False)
+        specs = [spec for spec in paper_protocol_suite() if spec.key in ("ofa", "ebb")]
         stored = run_sweep(specs, config, store_dir=tmp_path)
         resumed = run_sweep(specs, config, store_dir=tmp_path)
         in_memory = run_sweep(specs, config)
