@@ -8,7 +8,7 @@
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
 # simulations), and a simulation-service smoke (cached resubmission over
-# HTTP).  The smoke-marked benchmark set includes bench_faults.py
+# HTTP, then the server's store listed by URL).  The smoke-marked benchmark set includes bench_faults.py
 # (crash-recovery time + zero-duplicate chaos assertions ->
 # benchmark_results/BENCH_faults.json), and the chaos-marked test subset
 # re-runs the deterministic fault-injection suite.
@@ -76,10 +76,11 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests -q -m chaos -
 # simulations (every replication served from the JSONL store).
 STORE_DIR="$(mktemp -d)"
 SERVICE_STORE_DIR="$(mktemp -d)"
+LIST_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR"
+    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR"
 }
 trap cleanup EXIT
 SCENARIO="one-fail-adaptive(delta=2.72) k=256 reps=5 seed=2011"
@@ -169,3 +170,23 @@ assert payload["cached_runs"] == 4, f"expected 4 cached runs, got {payload}"
 print("service smoke ok: cached resubmission served %d runs, %d new simulations"
       % (payload["cached_runs"], payload["new_runs"]))
 '
+
+# --- Service store listing by URL --------------------------------------------
+# `repro store <url>` lists the server's cells over GET /store.  Run from an
+# empty directory, it must list the scenario just submitted and create
+# nothing there (a URL is never a local directory named `http:`).
+ROOT="$(pwd)"
+(cd "$LIST_DIR" && PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}" \
+    python -m repro store "$URL" --json) \
+  | PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import json, os, sys
+from repro.scenarios import Scenario
+records = json.load(sys.stdin)
+expected = Scenario.parse(sys.argv[1]).content_hash()
+hashes = [record["hash"] for record in records]
+assert expected in hashes, f"repro store <url> listed {hashes}, not {expected}"
+litter = os.listdir(sys.argv[2])
+assert not litter, f"repro store <url> created {litter} in its working directory"
+print("store-by-url smoke ok: repro store <url> listed %d cell(s), created nothing"
+      % len(records))
+' "$SERVICE_SCENARIO" "$LIST_DIR"

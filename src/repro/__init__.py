@@ -80,15 +80,14 @@ from repro.protocols import (
     get_protocol_class,
 )
 from repro.scenarios import (
+    STORE_SCHEMES,
     JsonlStore,
     ResultSet,
-    ResultStore,
     Scenario,
     Session,
     SqliteStore,
     StoreBackend,
     SyncReport,
-    available_store_backends,
     open_store,
     sync_stores,
 )
@@ -142,9 +141,8 @@ __all__ = [
     "StoreBackend",
     "JsonlStore",
     "SqliteStore",
-    "ResultStore",
     "open_store",
-    "available_store_backends",
+    "STORE_SCHEMES",
     "sync_stores",
     "SyncReport",
     # simulation service

@@ -6,8 +6,8 @@ engine/protocol randomness must flow through seeded
 durations and deadlines must be measured on the monotonic clock, shared
 :class:`~repro.service.jobs.JobManager` state must only be written under its
 lock, no handler may swallow the chaos layer's
-:class:`~repro.service.reliability.SimulatedCrash`, and every protocol /
-store backend must honour its registry contract.  This module
+:class:`~repro.service.reliability.SimulatedCrash`, and every protocol must
+honour its registry contract.  This module
 turns those conventions into machine-checked rules:
 
 * :class:`Finding` — one violation: file, line, rule id, message.
@@ -236,9 +236,9 @@ class AstRule(Rule):
 class ProjectRule(Rule):
     """An import-time contract check against the live registries.
 
-    These rules import :mod:`repro` and interrogate the engine / protocol /
-    store registries directly — declarations that parse but violate their
-    contract are caught here, not by text matching.
+    These rules import :mod:`repro` and interrogate the protocol registry
+    directly — declarations that parse but violate their contract are caught
+    here, not by text matching.
     """
 
     @abstractmethod

@@ -9,18 +9,19 @@ Subcommands:
 * ``run``       — execute a declarative scenario (a compact spec string or a
   ``.toml``/``.json`` scenario file) through a
   :class:`~repro.scenarios.session.Session`, optionally backed by a
-  persistent ``--store`` (a JSONL directory, or a store spec like
-  ``sqlite:results.db``) that serves completed replications on re-run;
+  persistent ``--store`` (a JSONL directory, a store spec like
+  ``sqlite:results.db``, or a service URL) that serves completed
+  replications on re-run;
 * ``serve``     — run the simulation service (:mod:`repro.service`): a
   threaded HTTP/JSON server with a dedup'ing FIFO job queue over one shared
   session;
 * ``submit``    — submit a scenario to a running service (``--url``) instead
   of simulating locally; waits for completion and prints the result;
-* ``store``     — inspect and manage result stores: ``repro store <spec>``
-  lists the scenarios on record, ``repro store migrate <src> <dst>`` copies
-  missing replications between any two backends (or a running service URL)
-  via :func:`repro.scenarios.federation.sync`, and ``repro store compact
-  <spec>`` reclaims space and removes lock litter;
+* ``store``     — inspect and manage result stores (any spec, or a running
+  service URL): ``repro store <spec>`` lists the scenarios on record,
+  ``repro store migrate <src> <dst>`` copies missing replications between
+  any two stores via :func:`repro.scenarios.federation.sync`, and ``repro
+  store compact <spec>`` reclaims space and removes lock litter;
 * ``trace``     — summarise a span trace log (:mod:`repro.obs`): per-stage
   latency breakdown and the slowest traces, from the ``trace.jsonl`` the
   service writes next to its store;
@@ -33,8 +34,8 @@ Subcommands:
 * ``protocols`` — list the registered protocols and the knowledge they need;
 * ``lint``      — run the invariant checker (:mod:`repro.analysis`) over the
   source tree: seeded-randomness discipline, monotonic-clock discipline,
-  lock discipline, exception hygiene and registry contracts; exits non-zero
-  on findings so it can gate CI.
+  lock discipline, exception hygiene and the protocol registry contract;
+  exits non-zero on findings so it can gate CI.
 
 The figure/table/dynamic subcommands accept the same flags as their
 ``python -m`` counterparts (``--max-k``, ``--runs``, ``--seed``,
@@ -51,6 +52,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.scenarios.store import StoreBackend
     from repro.service.wire import JobStatus
 
 from repro.core.one_fail_adaptive import OneFailAdaptive
@@ -220,7 +222,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue=args.max_queue,
             obs=args.obs,
         )
-    except OSError as error:  # e.g. port already in use, privileged port
+    except (OSError, ValueError) as error:  # e.g. port in use, a bad store spec
         return _scenario_error(error)
 
 
@@ -316,19 +318,18 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if payload["solved_runs"] == len(payload["results"]) else 1
 
 
-def _store_spec_missing(spec: str) -> str | None:
-    """For a read-only store command: the local path that must already exist.
+def _open_existing_store(spec: str) -> StoreBackend:
+    """Open the store a ``repro store`` command reads, never creating it.
 
-    Returns the missing path, or ``None`` when the target exists (service
-    URLs are always deferred to the request itself).
+    Raises ``ValueError`` when the spec's local file or directory does not
+    exist; a service URL is left to its requests.
     """
-    if spec.startswith(("http://", "https://")):
-        return None
-    from repro.scenarios.store import parse_store_spec
+    from repro.scenarios.store import open_store, store_path
 
-    _, location = parse_store_spec(spec)
-    path = Path(location.partition("?")[0])
-    return None if path.exists() else str(path)
+    path = store_path(spec)
+    if path is not None and not path.exists():
+        raise ValueError(f"store directory {path} does not exist")
+    return open_store(spec)
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -345,13 +346,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _store_list(spec: str, json_output: bool) -> int:
-    from repro.scenarios.store import open_store
+    from repro.service.client import ServiceError
 
-    missing = _store_spec_missing(spec)
-    if missing is not None:
-        print(f"repro: error: store directory {missing} does not exist", file=sys.stderr)
-        return 2
-    records = open_store(spec).summaries()
+    try:
+        records = _open_existing_store(spec).summaries()
+    except (ValueError, ServiceError) as error:
+        return _scenario_error(error)
     if json_output:
         print(json.dumps([record.to_dict() for record in records], indent=2, sort_keys=True))
         return 0
@@ -373,26 +373,21 @@ def _store_list(spec: str, json_output: bool) -> int:
 
 def _store_migrate(targets: list[str], json_output: bool) -> int:
     """``repro store migrate <src> <dst>``: federation sync + lock cleanup."""
-    from repro.scenarios.federation import resolve_store, sync
-    from repro.scenarios.store import JsonlStore
+    from repro.scenarios.federation import sync
+    from repro.scenarios.store import JsonlStore, open_store
     from repro.service.reliability import RetryPolicy
 
     if len(targets) != 2:
         print("repro: error: usage: repro store migrate <src> <dst>", file=sys.stderr)
         return 2
-    source, destination = targets
-    missing = _store_spec_missing(source)
-    if missing is not None:
-        print(f"repro: error: store directory {missing} does not exist", file=sys.stderr)
-        return 2
     try:
-        report = sync(source, destination, retry=RetryPolicy())
+        endpoints = (_open_existing_store(targets[0]), open_store(targets[1]))
+        report = sync(*endpoints, retry=RetryPolicy())
     except Exception as error:  # noqa: BLE001 - surfaced as a one-line CLI error
         return _scenario_error(error)
     # Migration is an offline moment: clear accumulated lock-sidecar litter
     # on both local JSONL endpoints (unsafe only under live writers).
-    for endpoint in (source, destination):
-        store = resolve_store(endpoint)
+    for store in endpoints:
         if isinstance(store, JsonlStore):
             store.clean_locks()
     if json_output:
@@ -416,16 +411,13 @@ def _store_migrate(targets: list[str], json_output: bool) -> int:
 
 def _store_compact(targets: list[str], json_output: bool) -> int:
     """``repro store compact <spec>``: reclaim space, drop lock litter."""
-    from repro.scenarios.store import open_store
-
     if len(targets) != 1:
         print("repro: error: usage: repro store compact <spec>", file=sys.stderr)
         return 2
-    missing = _store_spec_missing(targets[0])
-    if missing is not None:
-        print(f"repro: error: store directory {missing} does not exist", file=sys.stderr)
-        return 2
-    report = open_store(targets[0]).compact()
+    try:
+        report = _open_existing_store(targets[0]).compact()
+    except ValueError as error:
+        return _scenario_error(error)
     if json_output:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -584,8 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--store",
         default=None,
-        help="persistent result store: a directory (JSONL) or a backend spec "
-        "like jsonl:dir / sqlite:results.db",
+        help="persistent result store: a directory (JSONL), a backend spec "
+        "like jsonl:dir / sqlite:results.db, or a service URL",
     )
     run.add_argument(
         "--workers",
@@ -696,10 +688,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Inspect and manage result stores.  'repro store <spec>' lists the "
         "scenarios on record with content hashes, replications and solved fractions; "
         "'repro store migrate <src> <dst>' copies the replications <dst> is missing "
-        "from <src> (any backend spec or a running service URL, idempotent); "
-        "'repro store compact <spec>' drops stale records, lock litter and evicted "
-        "rows.  A spec is a directory (JSONL), jsonl:dir, sqlite:file.db, or for "
-        "migrate an http(s):// service URL.",
+        "from <src> (idempotent); 'repro store compact <spec>' drops stale records, "
+        "lock litter and evicted rows.  A spec is a directory (JSONL), jsonl:dir, "
+        "sqlite:file.db, chaos:<spec>?seed=N, or an http(s):// service URL, for "
+        "every subcommand.",
     )
     store.add_argument(
         "target",
@@ -731,8 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the invariant checker over the source tree: seeded-randomness "
         "discipline (RND001), monotonic-clock discipline (CLK001), lock discipline "
         "(LCK001/LCK002), exception hygiene (EXC001-003), annotation coverage "
-        "(ANN001/ANN002) and registry contracts (REG002-003).  Exits 0 when clean, "
-        "1 on findings, 2 on usage errors.  Suppress a single line with "
+        "(ANN001/ANN002) and the protocol registry contract (REG002).  Exits 0 "
+        "when clean, 1 on findings, 2 on usage errors.  Suppress a single line with "
         "'# repro: noqa[RULE-ID]'; grandfather existing findings with --write-baseline.",
     )
     lint.add_argument(

@@ -247,25 +247,14 @@ def read_trace(path: "str | Path") -> list[SpanEvent]:
 def trace_log_for_store(store: "StoreBackend | None") -> TraceLog | None:
     """The conventional trace-log location for a store, or ``None``.
 
-    Mirrors :func:`repro.service.reliability.journal_for_store`: the trace
-    log lives beside the journal so a store directory carries its own
-    observability artefacts — ``<root>/trace.jsonl`` for a JSONL store,
-    ``<file>.db.trace.jsonl`` for SQLite; chaos wrappers delegate to the
-    store they wrap.
+    The store's ``trace.jsonl`` sidecar, beside the job journal, so a store
+    directory carries its own observability artefacts —
+    ``<root>/trace.jsonl`` for a JSONL store, ``<file>.db.trace.jsonl`` for
+    SQLite, the wrapped store's for a chaos wrapper, and none for a remote
+    service.
     """
-    if store is None:
-        return None
-    inner = getattr(store, "inner", None)
-    if inner is not None:
-        return trace_log_for_store(inner)
-    root = getattr(store, "root", None)
-    if root is not None:
-        return TraceLog(Path(root) / "trace.jsonl")
-    path = getattr(store, "path", None)
-    if path is not None:
-        path = Path(path)
-        return TraceLog(path.with_name(path.name + ".trace.jsonl"))
-    return None
+    path = store.sidecar("trace.jsonl") if store is not None else None
+    return TraceLog(path) if path is not None else None
 
 
 def summarize_trace(events: list[SpanEvent]) -> dict[str, Any]:

@@ -11,8 +11,9 @@ This package is the spec-driven front door to the whole library:
   (:class:`JsonlStore`), the indexed SQLite store
   (:class:`~repro.scenarios.store_sqlite.SqliteStore`), the deterministic
   fault-injecting ``chaos:`` wrapper
-  (:class:`~repro.scenarios.store_chaos.ChaosStore`), and the
-  ``jsonl:``/``sqlite:``/``chaos:`` selection grammar (:func:`open_store`);
+  (:class:`~repro.scenarios.store_chaos.ChaosStore`), and the one closed
+  selection grammar — ``jsonl:``/``sqlite:``/``chaos:`` specs, bare paths
+  and service URLs (:func:`open_store`);
 * :mod:`repro.scenarios.federation` — cross-store sync by content hash
   (:func:`sync_stores`), disk↔disk or against a running simulation service;
 * :mod:`repro.scenarios.session` — the :class:`Session` service that plans,
@@ -42,16 +43,15 @@ from repro.scenarios.session import ResultSet, Session, SessionProgress
 from repro.scenarios.spec import SpecError, canonical_spec, format_spec, parse_spec
 from repro.scenarios.store import (
     CompactionReport,
+    STORE_SCHEMES,
     JsonlStore,
-    ResultStore,
     RunMeta,
     StoreBackend,
     StoredRun,
     StoreRecord,
-    available_store_backends,
     open_store,
     parse_store_spec,
-    register_store_backend,
+    store_path,
 )
 from repro.scenarios.store_chaos import ChaosStore
 from repro.scenarios.store_sqlite import SqliteStore
@@ -67,15 +67,14 @@ __all__ = [
     "SqliteStore",
     "ChaosStore",
     "RemoteStore",
-    "ResultStore",
     "StoredRun",
     "StoreRecord",
     "RunMeta",
     "CompactionReport",
     "open_store",
     "parse_store_spec",
-    "register_store_backend",
-    "available_store_backends",
+    "store_path",
+    "STORE_SCHEMES",
     "sync_stores",
     "SyncReport",
     "SpecError",

@@ -14,13 +14,14 @@ Three shapes of endpoint, freely mixable as source or destination::
     sync("sqlite:lab.db", "http://10.0.0.5:8765")     # disk -> running server
     sync("http://10.0.0.5:8765", "results/mirror")    # running server -> disk
 
-Local endpoints go through :func:`repro.scenarios.store.open_store` (the
-``jsonl:``/``sqlite:`` grammar); ``http://``/``https://`` endpoints become a
-:class:`RemoteStore` speaking the service wire protocol — reads via
-``GET /store`` + ``GET /results/<hash>``, writes via the ``POST
-/results/<hash>`` ingest endpoint.  A scenario simulated on any machine
-thereby becomes cached everywhere: after a sync, the receiving side serves
-it with **zero** new simulations.
+Every endpoint goes through :func:`repro.scenarios.store.open_store`, where
+an ``http://``/``https://`` URL becomes a :class:`RemoteStore` speaking the
+service wire protocol — reads via ``GET /store`` + ``GET /results/<hash>``,
+writes via the ``POST /results/<hash>`` ingest endpoint.  A scenario
+simulated on any machine thereby becomes cached everywhere: after a sync,
+the receiving side serves it with **zero** new simulations.  A URL works
+wherever a store is named (``repro run --store``, ``repro store``), not
+only here.
 
 ``repro store migrate <src> <dst>`` is a thin CLI veneer over :func:`sync`.
 """
@@ -43,11 +44,12 @@ from repro.scenarios.store import (
     RunMeta,
     StoreBackend,
     StoredRun,
+    StoreRecord,
     open_store,
     stream_version_of,
 )
 
-__all__ = ["RemoteStore", "SyncReport", "resolve_store", "sync"]
+__all__ = ["RemoteStore", "SyncReport", "sync"]
 
 
 @dataclass(frozen=True)
@@ -106,14 +108,26 @@ class RemoteStore(StoreBackend):
         return self.base_url
 
     # -------------------------------------------------------------- reading
-    def scenarios_on_record(self) -> list[Scenario]:
-        scenarios = []
+    def summaries(self) -> list[StoreRecord]:
+        """The server's own listing: one ``GET /store``, incomplete cells too."""
+        records = []
         for record in self.client.store_records():
             try:
-                scenarios.append(Scenario.parse(str(record["scenario"])))
-            except (KeyError, ValueError):  # SpecError is a ValueError
+                scenario = Scenario.parse(str(record["scenario"]))
+                records.append(
+                    StoreRecord(
+                        scenario=scenario,
+                        hash=scenario.content_hash(),
+                        replications_on_record=int(record["replications_on_record"]),
+                        solved_runs=int(record["solved_runs"]),
+                    )
+                )
+            except (KeyError, TypeError, ValueError):  # SpecError is a ValueError
                 continue
-        return scenarios
+        return records
+
+    def scenarios_on_record(self) -> list[Scenario]:
+        return [record.scenario for record in self.summaries()]
 
     def scenario_for_hash(self, content_hash: str) -> Scenario | None:
         for scenario in self.scenarios_on_record():
@@ -175,15 +189,6 @@ class RemoteStore(StoreBackend):
         return CompactionReport()
 
 
-def resolve_store(
-    target: str | Path | StoreBackend, timeout: float = 30.0
-) -> StoreBackend:
-    """A federation endpoint: URL → :class:`RemoteStore`, else the store grammar."""
-    if isinstance(target, str) and target.startswith(("http://", "https://")):
-        return RemoteStore(target, timeout=timeout)
-    return open_store(target)
-
-
 def _copy_scenario(
     scenario: Scenario, src: StoreBackend, dst: StoreBackend
 ) -> int:
@@ -209,7 +214,6 @@ def sync(
     source: str | Path | StoreBackend,
     destination: str | Path | StoreBackend,
     *,
-    timeout: float = 30.0,
     retry: "RetryPolicy | None" = None,
     sleep: "Callable[[float], None]" = time.sleep,
 ) -> SyncReport:
@@ -228,8 +232,8 @@ def sync(
     idempotence makes the recovery story "run it again": already-copied
     cells diff to nothing, so the retry resumes with exactly the failures.
     """
-    src = resolve_store(source, timeout=timeout)
-    dst = resolve_store(destination, timeout=timeout)
+    src = open_store(source)
+    dst = open_store(destination)
     examined = copied_scenarios = copied_replications = 0
     failures: list[str] = []
     for scenario in src.scenarios_on_record():

@@ -178,8 +178,8 @@ class Session:
         Where results persist: an already-built
         :class:`~repro.scenarios.store.StoreBackend`, a ``Path`` (JSONL
         directory), or a store spec string (``jsonl:dir``,
-        ``sqlite:file.db``; a bare path is a JSONL directory) — see
-        :func:`~repro.scenarios.store.open_store`.  ``None`` (default) runs
+        ``sqlite:file.db``, a service URL; a bare path is a JSONL
+        directory) — see :func:`~repro.scenarios.store.open_store`.  ``None`` (default) runs
         everything in memory — no persistence, no cache hits.
     workers:
         Worker processes for fan-out (``1`` = serial in-process, ``0``/

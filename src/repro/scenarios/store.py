@@ -14,20 +14,22 @@ ship with the library:
   reading a result tail, compaction, and optional TTL / max-row eviction
   for always-on servers.
 
-Backends are selected by a compact spec grammar mirroring the engine /
-protocol / arrival registries, consumed by ``Session(store_dir=…)``,
-``repro run/figure1/table1 --store``, ``repro serve --store`` and
-``repro store``::
+This module is the only reader of store specs.  One closed grammar is
+consumed by ``Session(store_dir=…)``, ``repro run/figure1/table1 --store``,
+``repro serve --store``, ``repro store`` and federation sync::
 
     results/store                  # bare path: JSONL directory (default)
     jsonl:results/store            # explicit JSONL directory
     sqlite:results/store.db        # SQLite database file
     sqlite:store.db?ttl=86400&max_rows=100000   # with eviction options
+    chaos:jsonl:results/store?seed=7&append_fail=0.3   # fault injection
+    http://127.0.0.1:8765          # a running service (RemoteStore)
 
-:func:`open_store` resolves a spec (or a ``Path``, or an already-built
-backend) to a :class:`StoreBackend`; third-party backends join the grammar
-via :func:`register_store_backend`.  Cross-store exchange of results by
-content hash — disk↔disk and over HTTP against a running service — lives in
+:func:`open_store` states the whole rule and :func:`store_path` names the
+local file or directory a spec opens, without creating it.  A backend
+outside the grammar is passed wherever a store is accepted as a built
+instance.  Cross-store exchange of results by content hash — disk↔disk and
+over HTTP against a running service — lives in
 :mod:`repro.scenarios.federation`.
 
 Storage contract
@@ -96,12 +98,10 @@ __all__ = [
     "CompactionReport",
     "StoreBackend",
     "JsonlStore",
-    "ResultStore",
+    "STORE_SCHEMES",
     "open_store",
     "parse_store_spec",
-    "register_store_backend",
-    "available_store_backends",
-    "store_backend_class",
+    "store_path",
     "stream_version_of",
 ]
 
@@ -111,8 +111,8 @@ _HASH_RE = re.compile(r"[0-9a-f]{16}")
 #: Parsed JSONL cells kept per :class:`JsonlStore` instance (LRU, by hash).
 _JSONL_CACHE_ENTRIES = 128
 
-# Store-layer metric families, labelled by backend name so JSONL and SQLite
-# latencies land side by side in one ``/metrics`` scrape.
+# Store-layer metric families, shared by every backend and labelled by its
+# name so JSONL and SQLite latencies land side by side in one scrape.
 _M_APPEND = REGISTRY.histogram(
     "repro_store_append_seconds", "Store append latency, by backend.", ("backend",)
 )
@@ -202,7 +202,7 @@ class StoreBackend(ABC):
     lock across them).
     """
 
-    #: Registry name; doubles as the spec-grammar scheme (``name:location``).
+    #: Spec-grammar scheme (``name:location``) and ``backend`` metrics label.
     name: str = ""
 
     # ------------------------------------------------------------- required
@@ -299,98 +299,100 @@ class StoreBackend(ABC):
     def close(self) -> None:
         """Release backend resources; further use is undefined."""
 
+    def sidecar(self, name: str) -> Path | None:
+        """Where this store keeps its companion file ``name``, or ``None``.
+
+        The service keeps its job journal (``jobs.journal``) and span log
+        (``trace.jsonl``) here, so they share the store's fate across
+        restarts.  A store with no local home, such as a remote service,
+        has none.
+        """
+        return None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging cosmetics
         return f"{type(self).__name__}({self.describe()!r})"
 
-    # ------------------------------------------------------------- creation
-    @classmethod
-    def from_spec(cls, location: str) -> "StoreBackend":
-        """Build from the grammar's location part (``<name>:<location>``)."""
-        return cls(location)  # type: ignore[call-arg]
-
 
 # --------------------------------------------------------------------------
-# Backend registry and the store-selection grammar
+# The store-selection grammar
 # --------------------------------------------------------------------------
 
-_BACKENDS: dict[str, type[StoreBackend]] = {}
-_builtin_backends_loaded = False
-
-
-def register_store_backend(cls: type[StoreBackend]) -> type[StoreBackend]:
-    """Class decorator: add a backend to the ``name:location`` grammar."""
-    if not cls.name:
-        raise ValueError(f"store backend {cls.__name__} must declare a name")
-    existing = _BACKENDS.get(cls.name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"store backend name {cls.name!r} is already registered")
-    _BACKENDS[cls.name] = cls
-    return cls
-
-
-def _ensure_builtin_backends() -> None:
-    """Import modules that register the built-in backends (cycle-free lazily)."""
-    global _builtin_backends_loaded
-    if _builtin_backends_loaded:
-        return
-    from repro.scenarios import store_chaos, store_sqlite  # noqa: F401 - register backends
-
-    _builtin_backends_loaded = True
-
-
-def available_store_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (``('chaos', 'jsonl', 'sqlite')`` out of the box)."""
-    _ensure_builtin_backends()
-    return tuple(sorted(_BACKENDS))
-
-
-def store_backend_class(name: str) -> type[StoreBackend]:
-    """Look up a registered backend class by name (the ``repro lint``
-    store-contract rule audits every registered backend through this)."""
-    _ensure_builtin_backends()
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown store backend {name!r}; registered: {sorted(_BACKENDS)}"
-        ) from None
+#: The ``<scheme>:<location>`` prefixes of the grammar.  The list is closed:
+#: ``http(s)://`` URLs are the one other form (``remote``), and anything else
+#: is a JSONL directory.
+STORE_SCHEMES = ("chaos", "jsonl", "sqlite")
 
 
 def parse_store_spec(spec: str) -> tuple[str, str]:
     """Split a store spec into ``(backend name, location)``.
 
-    ``jsonl:path`` and ``sqlite:path.db`` select backends explicitly; a bare
-    path — including Windows drive paths, whose one-letter "scheme" is never
-    a registered backend — defaults to JSONL.
+    An ``http(s)://`` URL is ``remote`` with the whole URL as location.  A
+    bare path — including a Windows drive path, whose one-letter "scheme" is
+    not in :data:`STORE_SCHEMES` — is ``jsonl``.  A scheme with an empty
+    location raises ``ValueError``.
     """
-    _ensure_builtin_backends()
-    scheme, sep, rest = spec.partition(":")
-    if sep and rest and scheme in _BACKENDS:
-        return scheme, rest
-    return JsonlStore.name, spec
+    if spec.startswith(("http://", "https://")):
+        return "remote", spec
+    scheme, sep, location = spec.partition(":")
+    if not sep or scheme not in STORE_SCHEMES:
+        return "jsonl", spec
+    if not location:
+        raise ValueError(f"store spec {spec!r} names no location")
+    return scheme, location
 
 
 def open_store(target: "str | Path | StoreBackend") -> StoreBackend:
     """Resolve a store target to a live :class:`StoreBackend`.
 
-    Accepts an already-built backend (returned as-is), a ``Path`` (JSONL
-    directory), or a spec string in the grammar documented in the module
-    docstring.
+    A built backend is returned as is and a ``Path`` is a JSONL directory.
+    A spec string resolves by :func:`parse_store_spec`: a URL is a
+    :class:`~repro.scenarios.federation.RemoteStore`, ``sqlite:`` and
+    ``chaos:`` go to their backends' option parsers, and the rest is JSONL.
     """
     if isinstance(target, StoreBackend):
         return target
     if isinstance(target, Path):
         return JsonlStore(target)
     name, location = parse_store_spec(str(target))
-    return _BACKENDS[name].from_spec(location)
+    # The other backends import this module: import them lazily.
+    if name == "remote":
+        from repro.scenarios.federation import RemoteStore
+
+        return RemoteStore(location)
+    if name == "sqlite":
+        from repro.scenarios.store_sqlite import SqliteStore
+
+        return SqliteStore.from_spec(location)
+    if name == "chaos":
+        from repro.scenarios.store_chaos import ChaosStore
+
+        return ChaosStore.from_spec(location)
+    return JsonlStore(location)
+
+
+def store_path(spec: str) -> Path | None:
+    """The local file or directory :func:`open_store` would open, uncreated.
+
+    ``None`` for a service URL.  A ``chaos:`` spec names its inner store's
+    path, and a SQLite spec its database file without the option query.
+    """
+    name, location = parse_store_spec(spec)
+    if name == "remote":
+        return None
+    if name == "chaos":
+        from repro.scenarios.store_chaos import _split_chaos_spec
+
+        return store_path(_split_chaos_spec(location)[0])
+    if name == "sqlite":
+        return Path(location.partition("?")[0])
+    return Path(location)
 
 
 # --------------------------------------------------------------------------
-# JSONL backend (the historical ResultStore, re-homed)
+# JSONL backend
 # --------------------------------------------------------------------------
 
 
-@register_store_backend
 class JsonlStore(StoreBackend):
     """Append-only per-hash JSONL files under one root directory.
 
@@ -436,6 +438,9 @@ class JsonlStore(StoreBackend):
 
     def describe(self) -> str:
         return f"{self.name}:{self.root}"
+
+    def sidecar(self, name: str) -> Path:
+        return self.root / name
 
     @contextmanager
     def _locked(self, path: Path) -> Iterator[None]:
@@ -734,8 +739,3 @@ def _run_line(run: StoredRun) -> str:
         },
         sort_keys=True,
     )
-
-
-#: Backwards-compatible alias: the concrete class every pre-interface caller
-#: constructed directly.  ``ResultStore(root)`` is a ``JsonlStore``.
-ResultStore = JsonlStore

@@ -1,6 +1,6 @@
 """Deterministic fault-injecting store wrapper (``chaos:<inner-spec>?…``).
 
-:class:`ChaosStore` wraps any registered :class:`~repro.scenarios.store.
+:class:`ChaosStore` wraps any other :class:`~repro.scenarios.store.
 StoreBackend` and injects seeded, reproducible faults on the two paths a
 session exercises under load — ``append`` and ``load`` — plus optional slow
 I/O.  It exists so every recovery path in the service layer (job retry with
@@ -27,14 +27,15 @@ success under retry); ``slow_ms`` adds fixed latency to both paths;
 Injected failures raise :class:`~repro.service.reliability.InjectedFault`,
 a :class:`~repro.service.reliability.TransientError` — retryable under the
 default :class:`~repro.service.reliability.RetryPolicy`.  Listing, probe and
-janitorial methods (``cached_count``, ``run_index``, ``scenario_for_hash``,
-``compact``, …) delegate untouched: the chaos surface is the result-I/O hot
-path, not the bookkeeping around it.
+janitorial methods (``cached_count``, ``cached_counts``, ``run_index``,
+``scenario_for_hash``, ``compact``, ``sidecar``, …) delegate untouched: the
+chaos surface is the result-I/O hot path, not the bookkeeping around it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from pathlib import Path
 from urllib.parse import parse_qsl
 
 from repro.scenarios.scenario import Scenario
@@ -45,7 +46,6 @@ from repro.scenarios.store import (
     StoredRun,
     StoreRecord,
     open_store,
-    register_store_backend,
 )
 from repro.service.reliability import FaultInjector
 
@@ -74,7 +74,6 @@ def _split_chaos_spec(location: str) -> tuple[str, list[tuple[str, str]]]:
     return location, []
 
 
-@register_store_backend
 class ChaosStore(StoreBackend):
     """A :class:`FaultInjector`-wrapped view of any other store backend."""
 
@@ -83,7 +82,7 @@ class ChaosStore(StoreBackend):
     def __init__(
         self, inner: "StoreBackend | str", injector: FaultInjector | None = None
     ) -> None:
-        self.inner = inner if isinstance(inner, StoreBackend) else open_store(inner)
+        self.inner = open_store(inner)
         if isinstance(self.inner, ChaosStore):
             raise ValueError("chaos stores do not nest")
         self.injector = injector if injector is not None else FaultInjector()
@@ -138,6 +137,9 @@ class ChaosStore(StoreBackend):
     def cached_count(self, scenario: Scenario) -> int:
         return self.inner.cached_count(scenario)
 
+    def cached_counts(self, scenarios: Sequence[Scenario]) -> list[int]:
+        return self.inner.cached_counts(scenarios)
+
     def scenarios_on_record(self) -> list[Scenario]:
         return self.inner.scenarios_on_record()
 
@@ -152,3 +154,8 @@ class ChaosStore(StoreBackend):
 
     def close(self) -> None:
         self.inner.close()
+
+    def sidecar(self, name: str) -> Path | None:
+        # The journal and trace log sit beside the inner store's data, never
+        # chaos-wrapped: they are the recovery mechanism under test.
+        return self.inner.sidecar(name)

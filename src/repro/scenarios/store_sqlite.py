@@ -37,26 +37,17 @@ from repro.obs import REGISTRY
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.store import (
     _HASH_RE,
+    _M_APPEND,
+    _M_PROBE,
     CompactionReport,
     RunMeta,
     StoreBackend,
     StoredRun,
-    register_store_backend,
     stream_version_of,
 )
 
 __all__ = ["SqliteStore"]
 
-# Shared store-layer families (same names as the JSONL backend's; the
-# registry get-or-creates, so whichever module imports first wins).
-_M_APPEND = REGISTRY.histogram(
-    "repro_store_append_seconds", "Store append latency, by backend.", ("backend",)
-)
-_M_PROBE = REGISTRY.histogram(
-    "repro_store_probe_seconds",
-    "cached_count probe latency, by backend.",
-    ("backend",),
-)
 _M_EVICTIONS = REGISTRY.counter(
     "repro_store_evictions_total",
     "Run rows evicted by retention policies, by backend.",
@@ -90,7 +81,6 @@ CREATE INDEX IF NOT EXISTS runs_created_at ON runs (created_at);
 _BUSY_TIMEOUT_MS = 30_000
 
 
-@register_store_backend
 class SqliteStore(StoreBackend):
     """WAL-mode SQLite store with maintained per-scenario run counters.
 
@@ -155,6 +145,9 @@ class SqliteStore(StoreBackend):
             options.append(f"max_rows={self.max_rows}")
         suffix = f"?{'&'.join(options)}" if options else ""
         return f"{self.name}:{self.path}{suffix}"
+
+    def sidecar(self, name: str) -> Path:
+        return self.path.with_name(f"{self.path.name}.{name}")
 
     # ---------------------------------------------------------- connections
     def _connection(self) -> sqlite3.Connection:

@@ -7,11 +7,10 @@ bottom to top:
 
 1. **Session + store** (:mod:`repro.scenarios`) — the execution substrate.
    One session, shared by every worker thread, content-hashes scenarios,
-   serves completed replications from its :class:`ResultStore` (whose
-   ``append`` takes per-hash advisory file locks, so concurrent workers and
-   even concurrent *server processes* sharing a store directory cannot tear
-   its JSONL files), and fans missing replications out over the
-   batch/parallel engines.
+   serves completed replications from its result store (whose ``append``
+   is safe under concurrent writers, so worker threads and even concurrent
+   *server processes* sharing a store cannot tear its records), and fans
+   missing replications out over the parallel executor.
 
 2. **Job queue** (:mod:`repro.service.jobs`) — :class:`JobManager`, a strict
    FIFO of :class:`Job`\\ s drained by daemon worker threads.  Submissions

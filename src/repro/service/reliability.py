@@ -335,25 +335,14 @@ class JobJournal:
 def journal_for_store(store: "StoreBackend | None") -> JobJournal | None:
     """The conventional journal location for a store, or ``None``.
 
-    Lives *in the store dir* so journal and results share fate across
-    restarts: ``<root>/jobs.journal`` beside a JSONL store's cells,
-    ``<file>.db.jobs.journal`` beside a SQLite store.  Chaos wrappers
-    delegate to the store they wrap (the journal itself is not chaos-wrapped:
-    it is the recovery mechanism, not the system under test).
+    The store's ``jobs.journal`` sidecar (see
+    :meth:`~repro.scenarios.store.StoreBackend.sidecar`), so journal and
+    results share fate across restarts: ``<root>/jobs.journal`` beside a
+    JSONL store's cells, ``<file>.db.jobs.journal`` beside a SQLite store,
+    the wrapped store's for a chaos wrapper, and none for a remote service.
     """
-    if store is None:
-        return None
-    inner = getattr(store, "inner", None)
-    if inner is not None:
-        return journal_for_store(inner)
-    root = getattr(store, "root", None)
-    if root is not None:
-        return JobJournal(Path(root) / "jobs.journal")
-    path = getattr(store, "path", None)
-    if path is not None:
-        path = Path(path)
-        return JobJournal(path.with_name(path.name + ".jobs.journal"))
-    return None
+    path = store.sidecar("jobs.journal") if store is not None else None
+    return JobJournal(path) if path is not None else None
 
 
 # --------------------------------------------------------------------------

@@ -28,13 +28,15 @@ from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 from repro.protocols import base as protocol_base
 from repro.protocols.base import build_protocol
-from repro.scenarios import Scenario, Session
-from repro.scenarios.store import (
-    StoredRun,
-    available_store_backends,
-    open_store,
-    store_backend_class,
+from repro.scenarios import (
+    ChaosStore,
+    JsonlStore,
+    RemoteStore,
+    Scenario,
+    Session,
+    SqliteStore,
 )
+from repro.scenarios.store import StoredRun, open_store
 from repro.service import create_server
 from repro.util.rng import derive_seeds
 
@@ -228,8 +230,8 @@ class TestRetiredSurface:
 
         for module in (repro.scenarios, repro.scenarios.store):
             assert not hasattr(module, "StoreCapabilities")
-        for name in available_store_backends():
-            assert not hasattr(store_backend_class(name), "capabilities")
+        for cls in (JsonlStore, SqliteStore, ChaosStore, RemoteStore):
+            assert not hasattr(cls, "capabilities")
 
     def test_protocol_specs_need_a_spec_string(self):
         with pytest.raises(TypeError):

@@ -20,6 +20,7 @@ from repro.obs.tracing import (
     trace_log_for_store,
     tracing_sink,
 )
+from repro.scenarios.federation import RemoteStore
 from repro.scenarios.store import JsonlStore
 from repro.scenarios.store_chaos import ChaosStore
 from repro.scenarios.store_sqlite import SqliteStore
@@ -142,6 +143,17 @@ class TestStoreSiting:
         store = ChaosStore(JsonlStore(tmp_path / "store"))
         log = trace_log_for_store(store)
         assert log.path == tmp_path / "store" / "trace.jsonl"
+
+    def test_chaos_wrapped_sqlite_store_uses_the_inner_sidecar(self, tmp_path):
+        store = ChaosStore(SqliteStore(tmp_path / "results.db"))
+        try:
+            log = trace_log_for_store(store)
+        finally:
+            store.close()
+        assert log.path == tmp_path / "results.db.trace.jsonl"
+
+    def test_remote_store_has_no_log(self):
+        assert trace_log_for_store(RemoteStore("http://127.0.0.1:8765")) is None
 
     def test_none_store_has_no_log(self):
         assert trace_log_for_store(None) is None

@@ -1,12 +1,13 @@
-"""Backend-conformance suite: every registered store backend, one contract.
+"""Backend-conformance suite: every store scheme, one contract.
 
 Each test in :class:`TestBackendContract` runs parametrized over *all*
-registered backends (``available_store_backends()`` is asserted against the
-parametrization, so registering a third backend without adding it here fails
-loudly).  The contract covers round-trips, last-write-wins, torn/corrupt
-input tolerance, threaded and multiprocess append safety, Session resume,
-compaction, and cross-backend federation sync — disk↔disk in every
-direction, plus client↔server over a live service.
+schemes of the store grammar (``STORE_SCHEMES`` is asserted against the
+parametrization, so adding a scheme without adding it here fails loudly),
+and every store it opens must be a concrete ``StoreBackend``.  The contract
+covers round-trips, last-write-wins, torn/corrupt input tolerance, threaded
+and multiprocess append safety, Session resume, compaction, and
+cross-backend federation sync — disk↔disk in every direction, plus
+client↔server over a live service.
 """
 
 from __future__ import annotations
@@ -22,21 +23,23 @@ import pytest
 
 from repro.engine.result import SimulationResult
 from repro.scenarios import (
+    STORE_SCHEMES,
     JsonlStore,
+    RemoteStore,
     Scenario,
     Session,
     SqliteStore,
     StoreBackend,
     StoredRun,
-    available_store_backends,
     open_store,
     parse_store_spec,
+    store_path,
     sync_stores,
 )
 
 SPEC = "one-fail-adaptive k=32 reps=4 seed=3"
 
-#: backend name -> spec builder; must cover every registered backend.
+#: scheme -> spec builder; must cover every scheme of the store grammar.
 #: The chaos entry carries no fault options, so it must behave as a
 #: transparent proxy over its inner store — that equivalence *is* the test.
 BACKEND_SPECS = {
@@ -111,7 +114,7 @@ def _append_via_spec(spec: str, start: int, count: int) -> None:
 
 
 def test_parametrization_covers_every_registered_backend():
-    assert tuple(BACKENDS) == available_store_backends()
+    assert tuple(BACKENDS) == STORE_SCHEMES
 
 
 @pytest.fixture(params=BACKENDS)
@@ -129,6 +132,7 @@ def store(backend_spec) -> StoreBackend:
 class TestBackendContract:
     def test_open_store_resolves_the_spec(self, backend_spec, store):
         name, _ = parse_store_spec(backend_spec)
+        assert isinstance(store, StoreBackend)
         assert store.name == name
         assert parse_store_spec(store.describe())[0] == name
 
@@ -370,6 +374,13 @@ class TestFederationOverHttp:
         served = Session(store_dir=mirror_spec).run(scenario())
         assert served.new_runs == 0 and served.cached_runs == 4
 
+    def test_remote_listing_counts_an_incomplete_cell(self, server):
+        server.session.store.append(scenario(), seeded_runs(scenario(), range(0, 2)))
+        (record,) = open_store(server.url).summaries()
+        assert record.hash == scenario().content_hash()
+        assert record.replications_on_record == 2
+        assert record.scenario.replications == 4
+
     def test_push_is_idempotent_over_http(self, tmp_path, server):
         local_spec = BACKEND_SPECS["jsonl"](tmp_path / "local")
         Session(store_dir=local_spec).run(scenario())
@@ -526,3 +537,44 @@ CREATE TABLE runs (
 );
 CREATE INDEX runs_created_at ON runs (created_at);
 """
+
+
+class TestChaosSpecifics:
+    def test_grid_probe_reaches_the_inner_store_once(self, tmp_path, monkeypatch):
+        calls = []
+        probe = SqliteStore.cached_counts
+
+        def spy(self, scenarios):
+            calls.append(len(scenarios))
+            return probe(self, scenarios)
+
+        monkeypatch.setattr(SqliteStore, "cached_counts", spy)
+        session = Session(store_dir=f"chaos:sqlite:{tmp_path / 'store.db'}?seed=1")
+        session.run_all(
+            [scenario(f"one-fail-adaptive k=8 reps=1 seed={seed}") for seed in (1, 2, 3)]
+        )
+        assert calls == [3]
+
+
+class TestSpecGrammar:
+    def test_service_url_is_a_remote_store(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = open_store("http://127.0.0.1:8765")
+        assert isinstance(store, RemoteStore)
+        assert store.describe() == "http://127.0.0.1:8765"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_path_names_the_local_file_without_creating_it(self, tmp_path):
+        root, db = tmp_path / "store", tmp_path / "store.db"
+        cases = {
+            str(root): root,
+            f"jsonl:{root}": root,
+            f"sqlite:{db}?ttl=60": db,
+            f"chaos:{root}?seed=1": root,
+            f"chaos:jsonl:{root}?seed=1": root,
+            f"chaos:sqlite:{db}?ttl=60?seed=1": db,
+            "http://127.0.0.1:8765": None,
+        }
+        for spec, path in cases.items():
+            assert store_path(spec) == path, spec
+        assert list(tmp_path.iterdir()) == []

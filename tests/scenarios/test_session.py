@@ -8,7 +8,7 @@ import pytest
 
 from repro.engine.fair_engine import FairEngine
 from repro.protocols.base import Protocol
-from repro.scenarios import ResultStore, Scenario, Session
+from repro.scenarios import JsonlStore, Scenario, Session
 
 
 def scenario(text: str = "one-fail-adaptive k=60 reps=3 seed=7") -> Scenario:
@@ -202,7 +202,7 @@ class TestSessionStore:
 
     def test_store_file_is_self_describing(self, tmp_path):
         Session(store_dir=tmp_path).run(scenario())
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         on_record = store.scenarios_on_record()
         assert on_record == [scenario()]
 

@@ -1,4 +1,4 @@
-"""Concurrent-writer safety of the ResultStore and a shared Session.
+"""Concurrent-writer safety of the JsonlStore and a shared Session.
 
 Covers the advisory-locking guarantees: appends from many threads and from
 separate processes interleave without torn lines or duplicate headers, and
@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.engine.result import SimulationResult
-from repro.scenarios import ResultStore, Scenario, Session, StoredRun
+from repro.scenarios import JsonlStore, Scenario, Session, StoredRun
 
 SPEC = "one-fail-adaptive k=32 reps=4 seed=3"
 
@@ -55,14 +55,14 @@ def _parse_store_file(path) -> tuple[int, int]:
 
 def _append_batch(root: str, start: int, count: int) -> None:
     """Module-level so ProcessPoolExecutor can pickle it."""
-    store = ResultStore(root)
+    store = JsonlStore(root)
     for replication in range(start, start + count):
         store.append(scenario(), [make_run(replication)])
 
 
 class TestConcurrentAppends:
     def test_threaded_appends_do_not_tear(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         threads = [
             threading.Thread(target=_append_batch, args=(str(tmp_path), base * 50, 50))
             for base in range(8)
@@ -82,12 +82,12 @@ class TestConcurrentAppends:
             ]
             for future in futures:
                 future.result()
-        headers, runs = _parse_store_file(ResultStore(tmp_path).path_for(scenario()))
+        headers, runs = _parse_store_file(JsonlStore(tmp_path).path_for(scenario()))
         assert headers == 1
         assert runs == 120
 
     def test_lock_files_do_not_pollute_the_listing(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0)])
         assert (store.path_for(scenario()).with_name(
             store.path_for(scenario()).name + ".lock"
@@ -98,7 +98,7 @@ class TestConcurrentAppends:
         from repro.scenarios import store as store_module
 
         monkeypatch.setattr(store_module, "fcntl", None)
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0)])
         store.append(scenario(), [make_run(1)])
         headers, runs = _parse_store_file(store.path_for(scenario()))
@@ -106,7 +106,7 @@ class TestConcurrentAppends:
         assert runs == 2
 
     def test_header_written_once_even_onto_empty_file(self, tmp_path):
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         store.path_for(scenario()).touch()  # empty file, e.g. a crashed first write
         store.append(scenario(), [make_run(0)])
         headers, runs = _parse_store_file(store.path_for(scenario()))
@@ -127,7 +127,7 @@ class TestConcurrentAppends:
             return write(descriptor, bytes(data[:7]))
 
         monkeypatch.setattr(store_module.os, "write", short_write)
-        store = ResultStore(tmp_path)
+        store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0), make_run(1)])
         store.append(scenario(), [make_run(2)])
         monkeypatch.undo()
@@ -140,7 +140,7 @@ class TestStoreSummaries:
     def test_summaries_report_runs_and_solved_fraction(self, tmp_path):
         store_dir = tmp_path / "store"
         Session(store_dir=store_dir).run(scenario())
-        records = ResultStore(store_dir).summaries()
+        records = JsonlStore(store_dir).summaries()
         assert len(records) == 1
         record = records[0]
         assert record.hash == scenario().content_hash()
@@ -152,7 +152,7 @@ class TestStoreSummaries:
     def test_scenario_for_hash_round_trip(self, tmp_path):
         store_dir = tmp_path / "store"
         Session(store_dir=store_dir).run(scenario())
-        store = ResultStore(store_dir)
+        store = JsonlStore(store_dir)
         recovered = store.scenario_for_hash(scenario().content_hash())
         assert recovered == scenario()
         assert store.scenario_for_hash("0000000000000000") is None
@@ -165,7 +165,7 @@ class TestStoreSummaries:
             json.dumps({"kind": "scenario", "scenario": scenario().to_dict()}) + "\n",
             encoding="utf-8",
         )
-        store = ResultStore(tmp_path / "store")
+        store = JsonlStore(tmp_path / "store")
         for payload in ("../outside", "..", "ABCDEF0123456789", "0" * 15, "0" * 17, ""):
             assert store.scenario_for_hash(payload) is None
 

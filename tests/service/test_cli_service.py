@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.scenarios import Scenario, Session
 from repro.service import create_server
@@ -62,13 +67,28 @@ class TestSubmitCommand:
 
 
 class TestStoreCommand:
-    def test_lists_scenarios_on_record(self, capsys, tmp_path):
-        store_dir = tmp_path / "store"
-        Session(store_dir=store_dir).run(Scenario.parse(SPEC))
-        assert main(["store", str(store_dir)]) == 0
+    @pytest.mark.parametrize(
+        "form",
+        ["{tmp}/store", "chaos:jsonl:{tmp}/store?seed=1", "chaos:sqlite:{tmp}/store.db?seed=1"],
+        ids=["dir", "chaos-jsonl", "chaos-sqlite"],
+    )
+    def test_lists_scenarios_on_record(self, capsys, tmp_path, form):
+        spec = form.format(tmp=tmp_path)
+        Session(store_dir=spec).run(Scenario.parse(SPEC))
+        assert main(["store", spec]) == 0
         output = capsys.readouterr().out
         assert Scenario.parse(SPEC).content_hash() in output
         assert "3/3" in output
+
+    def test_lists_a_service_store_by_url(self, capsys, tmp_path, monkeypatch, server):
+        server.session.run(Scenario.parse(SPEC))
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(["store", server.url, "--json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [record["hash"] for record in records] == [Scenario.parse(SPEC).content_hash()]
+        assert list(workdir.iterdir()) == []
 
     def test_json_records(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
@@ -85,6 +105,12 @@ class TestStoreCommand:
     def test_missing_directory_is_clean_error(self, capsys, tmp_path):
         assert main(["store", str(tmp_path / "absent")]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_unreachable_service_is_clean_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["store", "http://127.0.0.1:9"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_lists_sqlite_store_via_spec(self, capsys, tmp_path):
         spec = f"sqlite:{tmp_path / 'store.db'}"
@@ -172,6 +198,48 @@ class TestRunWithSqliteStore:
         second = json.loads(capsys.readouterr().out)
         assert second["new_runs"] == 0
         assert second["cached_runs"] == 3
+
+
+class TestStoreSpecErrors:
+    @pytest.mark.parametrize("spec", ["jsonl:", "sqlite:", "chaos:"])
+    def test_run_refuses_a_scheme_without_location(self, capsys, tmp_path, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "one-fail-adaptive k=8 reps=1", "--store", spec]) == 2
+        error = capsys.readouterr().err
+        assert error == f"repro: error: store spec {spec!r} names no location\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_serve_refuses_it_before_listening(self, tmp_path):
+        # A child process: a server that does listen would serve until the
+        # timeout instead of hanging the test run.
+        src = Path(repro.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", "sqlite:"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "store spec 'sqlite:' names no location" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestRunWithServiceStore:
+    def test_run_pushes_to_the_service_and_resumes_from_it(
+        self, capsys, tmp_path, monkeypatch, server
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert main(["run", SPEC, "--store", server.url, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["new_runs"] == 3
+        assert main(["submit", SPEC, "--url", server.url, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cached"] is True
+        assert main(["run", SPEC, "--store", server.url, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["new_runs"] == 0
+        assert list(workdir.iterdir()) == []
 
 
 class TestServeParser:

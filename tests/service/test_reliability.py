@@ -196,6 +196,15 @@ class TestJournalForStore:
         # recovery mechanism, never itself chaos-wrapped.
         assert journal.path == tmp_path / "store" / "jobs.journal"
 
+    def test_chaos_wrapped_sqlite_store_uses_the_inner_sidecar(self, tmp_path):
+        store = open_store(f"chaos:sqlite:{tmp_path / 'results.db'}?seed=1")
+        journal = journal_for_store(store)
+        assert journal is not None
+        assert journal.path == tmp_path / "results.db.jobs.journal"
+
+    def test_none_for_a_remote_store(self):
+        assert journal_for_store(open_store("http://127.0.0.1:8765")) is None
+
     def test_none_for_no_store(self):
         assert journal_for_store(None) is None
 
