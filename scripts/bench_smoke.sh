@@ -8,7 +8,8 @@
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
 # simulations), and a simulation-service smoke (cached resubmission over
-# HTTP, then the server's store listed by URL).  The smoke-marked benchmark set includes bench_faults.py
+# HTTP, a bad component parameter refused with HTTP 400, then the server's
+# store listed by URL).  The smoke-marked benchmark set includes bench_faults.py
 # (crash-recovery time + zero-duplicate chaos assertions ->
 # benchmark_results/BENCH_faults.json), and the chaos-marked test subset
 # re-runs the deterministic fault-injection suite.
@@ -18,8 +19,8 @@ cd "$(dirname "$0")/.."
 
 # --- Invariant lint ----------------------------------------------------------
 # The tree must satisfy the machine-checked invariants (seeded randomness,
-# monotonic-clock discipline, lock discipline, exception hygiene, registry
-# contracts) before any benchmark numbers are worth reporting.
+# monotonic-clock discipline, lock discipline, exception hygiene) before any
+# benchmark numbers are worth reporting.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint
 echo "invariant lint ok: src/ is clean"
 
@@ -170,6 +171,22 @@ assert payload["cached_runs"] == 4, f"expected 4 cached runs, got {payload}"
 print("service smoke ok: cached resubmission served %d runs, %d new simulations"
       % (payload["cached_runs"], payload["new_runs"]))
 '
+
+# --- Bad-parameter smoke -----------------------------------------------------
+# A scenario whose component parameter is out of range must be refused when
+# it is submitted (HTTP 400), not accepted and then failed mid-job.
+python -c "
+import urllib.error, urllib.request
+request = urllib.request.Request(
+    '$URL/scenarios', data=b'one-fail-adaptive(delta=-1) k=10',
+    headers={'Content-Type': 'text/plain'}, method='POST')
+try:
+    status = urllib.request.urlopen(request, timeout=10).status
+except urllib.error.HTTPError as error:
+    status = error.code
+assert status == 400, f'expected HTTP 400 for delta=-1, got {status}'
+print('bad-parameter smoke ok: POST one-fail-adaptive(delta=-1) k=10 answered 400')
+"
 
 # --- Service store listing by URL --------------------------------------------
 # `repro store <url>` lists the server's cells over GET /store.  Run from an

@@ -43,10 +43,6 @@ from repro.channel import (
     PoissonArrival,
     RadioNetwork,
     SlotOutcome,
-    available_arrivals,
-    available_channels,
-    build_arrivals,
-    build_channel,
 )
 from repro.core import ExpBackonBackoff, OneFailAdaptive
 from repro.core import analysis as paper_analysis
@@ -75,9 +71,6 @@ from repro.protocols import (
     LogLogIteratedBackoff,
     PolynomialBackoff,
     SlottedAloha,
-    available_protocols,
-    build_protocol,
-    get_protocol_class,
 )
 from repro.scenarios import (
     STORE_SCHEMES,
@@ -90,6 +83,14 @@ from repro.scenarios import (
     SyncReport,
     open_store,
     sync_stores,
+)
+from repro.scenarios.spec import (
+    ARRIVALS,
+    CHANNELS,
+    PROTOCOLS,
+    build_arrivals,
+    build_channel,
+    build_protocol,
 )
 from repro.service import ServiceClient, ServiceError
 
@@ -108,8 +109,7 @@ __all__ = [
     "LogBackoff",
     "SlottedAloha",
     "BinarySplitting",
-    "available_protocols",
-    "get_protocol_class",
+    "PROTOCOLS",
     "build_protocol",
     # channel substrate
     "ChannelModel",
@@ -120,8 +120,8 @@ __all__ = [
     "PoissonArrival",
     "BurstyArrival",
     "ExecutionTrace",
-    "available_arrivals",
-    "available_channels",
+    "ARRIVALS",
+    "CHANNELS",
     "build_arrivals",
     "build_channel",
     # engines

@@ -6,19 +6,17 @@ engine/protocol randomness must flow through seeded
 durations and deadlines must be measured on the monotonic clock, shared
 :class:`~repro.service.jobs.JobManager` state must only be written under its
 lock, no handler may swallow the chaos layer's
-:class:`~repro.service.reliability.SimulatedCrash`, and every protocol must
-honour its registry contract.  This module
-turns those conventions into machine-checked rules:
+:class:`~repro.service.reliability.SimulatedCrash`, and library code must
+not ``print()``.  This module turns those conventions into machine-checked
+rules:
 
 * :class:`Finding` — one violation: file, line, rule id, message.
-* :class:`Rule` — the rule interface, refined into :class:`AstRule`
-  (per-module AST walk, with an optional cross-module :meth:`AstRule.finish`
-  pass) and :class:`ProjectRule` (import-time contract checks that inspect
-  the live registries instead of source text).
-* :class:`RuleRegistry` / :func:`register_rule` — rules register themselves
-  with a class decorator, like protocols do with
-  :func:`~repro.protocols.base.register_protocol`; the CLI, the docs table
-  and the test suite all enumerate :func:`available_rules`.
+* :class:`AstRule` — the rule interface: a per-module AST walk, with an
+  optional cross-module :meth:`AstRule.finish` pass.
+* :func:`rule_classes` — the closed id → class table of every rule, like
+  the engine and component tables (:data:`repro.engine.ENGINES`,
+  :mod:`repro.scenarios.spec`); the CLI, the docs table and the test suite
+  all enumerate :func:`available_rules`.
 * :func:`load_module` — a per-file AST cache keyed by ``(mtime, size)`` so
   repeated lint runs (and multi-rule runs) parse each file once.
 * Suppression — a ``# repro: noqa[rule-id]`` comment on the flagged line
@@ -45,11 +43,7 @@ from typing import ClassVar
 __all__ = [
     "Finding",
     "ModuleInfo",
-    "Rule",
     "AstRule",
-    "ProjectRule",
-    "RuleRegistry",
-    "register_rule",
     "available_rules",
     "rule_class",
     "rule_classes",
@@ -192,15 +186,20 @@ def load_module(path: str | Path, relpath: str | None = None) -> ModuleInfo:
 
 
 # --------------------------------------------------------------------------
-# Rule interface + registry (mirrors the protocol-registry idiom)
+# Rule interface + the closed rule table
 # --------------------------------------------------------------------------
 
 
-class Rule(ABC):
-    """One invariant check.  Subclasses declare ``id``/``name``/``description``
-    class attributes and register themselves with :func:`register_rule`;
-    ``scope`` restricts an AST rule to dotted-module prefixes (``None`` means
-    every linted file)."""
+class AstRule(ABC):
+    """One invariant check that walks one module's AST at a time.
+
+    Subclasses declare ``id``/``name``/``description`` class attributes;
+    ``scope`` restricts the rule to dotted-module prefixes (``None`` means
+    every linted file).  :meth:`finish` runs once after every module has
+    been checked — rules that need cross-module aggregation (the lock-order
+    graph) accumulate state in :meth:`check_module` and report from
+    :meth:`finish`.
+    """
 
     id: ClassVar[str]
     name: ClassVar[str]
@@ -215,15 +214,6 @@ class Rule(ABC):
             for prefix in self.scope
         )
 
-
-class AstRule(Rule):
-    """A rule that walks one module's AST at a time.
-
-    :meth:`finish` runs once after every module has been checked — rules that
-    need cross-module aggregation (the lock-order graph) accumulate state in
-    :meth:`check_module` and report from :meth:`finish`.
-    """
-
     @abstractmethod
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         """Yield findings for one parsed module."""
@@ -233,87 +223,55 @@ class AstRule(Rule):
         return iter(())
 
 
-class ProjectRule(Rule):
-    """An import-time contract check against the live registries.
+def _rules() -> dict[str, type[AstRule]]:
+    # Built when asked for: the rule modules import this one.
+    from repro.analysis.rules_concurrency import LockDisciplineRule, LockOrderRule
+    from repro.analysis.rules_determinism import ClockDisciplineRule, GlobalRandomnessRule
+    from repro.analysis.rules_hygiene import (
+        BareExceptRule,
+        BaseExceptionSwallowRule,
+        BroadExceptRule,
+        FutureAnnotationsRule,
+        PublicApiAnnotationsRule,
+    )
+    from repro.analysis.rules_obs import NoPrintInLibraryRule
 
-    These rules import :mod:`repro` and interrogate the protocol registry
-    directly — declarations that parse but violate their contract are caught
-    here, not by text matching.
-    """
-
-    @abstractmethod
-    def check_project(self) -> Iterator[Finding]:
-        """Yield findings for the imported ``repro`` package."""
-
-
-class RuleRegistry:
-    """Rule-id -> rule-class mapping with register / lookup / list queries."""
-
-    def __init__(self) -> None:
-        self._rules: dict[str, type[Rule]] = {}
-
-    def register(self, cls: type[Rule]) -> type[Rule]:
-        rule_id = getattr(cls, "id", None)
-        if not isinstance(rule_id, str) or not rule_id:
-            raise ValueError(f"{cls.__name__} must define a non-empty 'id' attribute")
-        for attr in ("name", "description"):
-            if not isinstance(getattr(cls, attr, None), str):
-                raise ValueError(f"{cls.__name__} must define a '{attr}' string attribute")
-        existing = self._rules.get(rule_id)
-        if existing is not None and existing is not cls:
-            raise ValueError(
-                f"rule id {rule_id!r} already registered by {existing.__name__}"
-            )
-        self._rules[rule_id] = cls
-        return cls
-
-    def ids(self) -> list[str]:
-        return sorted(self._rules)
-
-    def rule_class(self, rule_id: str) -> type[Rule]:
-        try:
-            return self._rules[rule_id]
-        except KeyError:
-            raise ValueError(
-                f"unknown rule {rule_id!r}; choose from {self.ids()}"
-            ) from None
-
-
-_REGISTRY = RuleRegistry()
-
-
-def register_rule(cls: type[Rule]) -> type[Rule]:
-    """Register a rule class with the process-wide registry (decorator)."""
-    return _REGISTRY.register(cls)
-
-
-def _loaded() -> RuleRegistry:
-    # Importing the rule modules registers every built-in rule; after the
-    # first call this is a no-op.
-    import repro.analysis.rules_concurrency  # noqa: F401
-    import repro.analysis.rules_determinism  # noqa: F401
-    import repro.analysis.rules_hygiene  # noqa: F401
-    import repro.analysis.rules_obs  # noqa: F401
-    import repro.analysis.rules_registry  # noqa: F401
-
-    return _REGISTRY
+    return {
+        cls.id: cls
+        for cls in (
+            GlobalRandomnessRule,
+            ClockDisciplineRule,
+            LockDisciplineRule,
+            LockOrderRule,
+            BareExceptRule,
+            BaseExceptionSwallowRule,
+            BroadExceptRule,
+            FutureAnnotationsRule,
+            PublicApiAnnotationsRule,
+            NoPrintInLibraryRule,
+        )
+    }
 
 
 def available_rules() -> list[str]:
-    """Sorted ids of every registered rule."""
-    return _loaded().ids()
+    """Sorted ids of every rule."""
+    return sorted(_rules())
 
 
-def rule_class(rule_id: str) -> type[Rule]:
-    """Look up a registered rule class by id."""
-    return _loaded().rule_class(rule_id)
+def rule_class(rule_id: str) -> type[AstRule]:
+    """Look up a rule class by id."""
+    try:
+        return _rules()[rule_id]
+    except KeyError:
+        raise ValueError(
+            f"unknown rule {rule_id!r}; choose from {available_rules()}"
+        ) from None
 
 
-def rule_classes(rule_ids: Sequence[str] | None = None) -> list[type[Rule]]:
-    """The rule classes for ``rule_ids`` (default: every registered rule)."""
-    registry = _loaded()
-    ids = registry.ids() if rule_ids is None else list(rule_ids)
-    return [registry.rule_class(rule_id) for rule_id in ids]
+def rule_classes(rule_ids: Sequence[str] | None = None) -> list[type[AstRule]]:
+    """The rule classes for ``rule_ids`` (default: every rule)."""
+    ids = available_rules() if rule_ids is None else list(rule_ids)
+    return [rule_class(rule_id) for rule_id in ids]
 
 
 # --------------------------------------------------------------------------
@@ -444,17 +402,13 @@ def run_lint(
 ) -> LintReport:
     """Lint ``paths`` (files or directories) with the selected rules.
 
-    ``rules`` filters by id (default: every registered rule — AST rules walk
-    the collected files, project rules interrogate the live registries once).
-    ``baseline`` absorbs grandfathered findings; ``root`` anchors the
-    deterministic relative paths in findings (default: the current working
-    directory).  Unparseable files surface as ``parse-error`` findings rather
-    than aborting the run.
+    ``rules`` filters by id (default: every rule); ``baseline`` absorbs
+    grandfathered findings; ``root`` anchors the deterministic relative paths
+    in findings (default: the current working directory).  Unparseable files
+    surface as ``parse-error`` findings rather than aborting the run.
     """
     root = Path(root) if root is not None else Path.cwd()
     selected = [cls() for cls in rule_classes(rules)]
-    ast_rules = [rule for rule in selected if isinstance(rule, AstRule)]
-    project_rules = [rule for rule in selected if isinstance(rule, ProjectRule)]
 
     raw: list[Finding] = []
     suppressed = 0
@@ -468,7 +422,7 @@ def run_lint(
                 Finding(relpath, error.lineno or 1, "parse-error", f"cannot parse: {error.msg}")
             )
             continue
-        for rule in ast_rules:
+        for rule in selected:
             if not rule.applies_to(module):
                 continue
             for finding in rule.check_module(module):
@@ -476,13 +430,8 @@ def run_lint(
                     suppressed += 1
                 else:
                     raw.append(finding)
-    for rule in ast_rules:
+    for rule in selected:
         raw.extend(rule.finish())
-    for rule in project_rules:
-        for finding in rule.check_project():
-            raw.append(
-                Finding(_relpath(Path(finding.path), root), finding.line, finding.rule, finding.message)
-            )
 
     raw.sort()
     if not isinstance(baseline, Baseline):

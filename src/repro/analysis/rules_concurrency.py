@@ -35,7 +35,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.astutil import dotted_name, import_aliases, resolve_call
-from repro.analysis.core import AstRule, Finding, ModuleInfo, register_rule
+from repro.analysis.core import AstRule, Finding, ModuleInfo
 
 __all__ = ["LockDisciplineRule", "LockOrderRule"]
 
@@ -196,7 +196,6 @@ def _docstring_marks_held(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
     return any(phrase in lowered for phrase in _HELD_PHRASES)
 
 
-@register_rule
 class LockDisciplineRule(AstRule):
     """Writes to declared-guarded fields happen under the class lock."""
 
@@ -314,7 +313,6 @@ class LockDisciplineRule(AstRule):
             )
 
 
-@register_rule
 class LockOrderRule(AstRule):
     """Cross-module lock-acquisition-order graph: report inversions."""
 

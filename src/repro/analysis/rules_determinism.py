@@ -16,7 +16,7 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.astutil import import_aliases, resolve_call
-from repro.analysis.core import AstRule, Finding, ModuleInfo, register_rule
+from repro.analysis.core import AstRule, Finding, ModuleInfo
 
 __all__ = ["GlobalRandomnessRule", "ClockDisciplineRule"]
 
@@ -52,7 +52,6 @@ _NUMPY_LEGACY = frozenset(
 )
 
 
-@register_rule
 class GlobalRandomnessRule(AstRule):
     """No global-state randomness inside the simulation packages."""
 
@@ -100,7 +99,6 @@ class GlobalRandomnessRule(AstRule):
                 )
 
 
-@register_rule
 class ClockDisciplineRule(AstRule):
     """Durations and deadlines use the monotonic clock."""
 

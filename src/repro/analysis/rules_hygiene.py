@@ -23,7 +23,7 @@ import ast
 import re
 from collections.abc import Iterator
 
-from repro.analysis.core import AstRule, Finding, ModuleInfo, register_rule
+from repro.analysis.core import AstRule, Finding, ModuleInfo
 
 __all__ = [
     "BareExceptRule",
@@ -85,7 +85,6 @@ def _names_in_type(node: ast.expr | None) -> set[str]:
     return set()
 
 
-@register_rule
 class BareExceptRule(AstRule):
     """No bare ``except:`` — it swallows ``SimulatedCrash`` and ``KeyboardInterrupt``."""
 
@@ -109,7 +108,6 @@ class BareExceptRule(AstRule):
                 )
 
 
-@register_rule
 class BaseExceptionSwallowRule(AstRule):
     """``except BaseException`` must re-raise."""
 
@@ -135,7 +133,6 @@ class BaseExceptionSwallowRule(AstRule):
                 )
 
 
-@register_rule
 class BroadExceptRule(AstRule):
     """Broad ``except Exception`` in fault-injected modules needs justification."""
 
@@ -177,7 +174,6 @@ class BroadExceptRule(AstRule):
             )
 
 
-@register_rule
 class FutureAnnotationsRule(AstRule):
     """Modules that define anything import ``from __future__ import annotations``."""
 
@@ -213,7 +209,6 @@ class FutureAnnotationsRule(AstRule):
         )
 
 
-@register_rule
 class PublicApiAnnotationsRule(AstRule):
     """Public functions and methods carry full type annotations."""
 

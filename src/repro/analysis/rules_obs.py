@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.core import AstRule, Finding, ModuleInfo, register_rule
+from repro.analysis.core import AstRule, Finding, ModuleInfo
 
 __all__ = ["NoPrintInLibraryRule"]
 
@@ -26,7 +26,6 @@ __all__ = ["NoPrintInLibraryRule"]
 _EXEMPT_MODULES = frozenset({"repro.cli", "repro.util.textplot"})
 
 
-@register_rule
 class NoPrintInLibraryRule(AstRule):
     """Library code logs through :mod:`repro.obs`, never ``print()``."""
 

@@ -26,8 +26,6 @@ from repro.channel.model import (
     FeedbackModel,
     Observation,
     SlotOutcome,
-    available_channels,
-    build_channel,
     resolve_slot,
 )
 from repro.channel.node import Message, Node, NodeState
@@ -37,10 +35,6 @@ from repro.channel.arrivals import (
     BatchArrival,
     BurstyArrival,
     PoissonArrival,
-    available_arrivals,
-    build_arrivals,
-    get_arrival_class,
-    register_arrival,
 )
 from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.channel.radio_network import RadioNetwork, RadioNetworkResult
@@ -59,12 +53,6 @@ __all__ = [
     "BatchArrival",
     "BurstyArrival",
     "PoissonArrival",
-    "available_arrivals",
-    "available_channels",
-    "build_arrivals",
-    "build_channel",
-    "get_arrival_class",
-    "register_arrival",
     "ExecutionTrace",
     "SlotRecord",
     "RadioNetwork",

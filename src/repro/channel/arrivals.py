@@ -7,14 +7,15 @@ version of the problem, where messages arrive over time under statistical or
 adversarial processes, as the main open direction; :class:`PoissonArrival` and
 :class:`BurstyArrival` implement the two canonical instances of that setting
 so the protocols can also be exercised beyond the paper's experiments (see
-``examples/dynamic_arrivals.py`` and ``benchmarks/bench_dynamic.py``).
+``examples/dynamic_arrivals.py`` and ``benchmarks/bench_dynamic.py``).  Spec
+strings name the three through the closed table
+:data:`repro.scenarios.spec.ARRIVALS`.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -26,71 +27,7 @@ __all__ = [
     "BatchArrival",
     "PoissonArrival",
     "BurstyArrival",
-    "register_arrival",
-    "get_arrival_class",
-    "available_arrivals",
-    "build_arrivals",
 ]
-
-_ARRIVAL_REGISTRY: dict[str, type["ArrivalProcess"]] = {}
-
-
-def register_arrival(cls: type["ArrivalProcess"]) -> type["ArrivalProcess"]:
-    """Class decorator adding an arrival process to the spec-string registry.
-
-    Mirrors :func:`repro.protocols.base.register_protocol`: processes declare
-    a ``spec_name`` class attribute and become addressable by spec strings
-    like ``"poisson(rate=0.2)"`` (see :func:`build_arrivals`).
-    """
-    name = cls.spec_name
-    if not name:
-        raise ValueError(f"{cls.__name__} must define a non-empty 'spec_name'")
-    existing = _ARRIVAL_REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"arrival name {name!r} already registered by {existing.__name__}")
-    _ARRIVAL_REGISTRY[name] = cls
-    return cls
-
-
-def get_arrival_class(name: str) -> type["ArrivalProcess"]:
-    """Look up a registered arrival-process class by spec name."""
-    try:
-        return _ARRIVAL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_ARRIVAL_REGISTRY)) or "<none>"
-        raise KeyError(f"unknown arrival process {name!r}; registered: {known}") from None
-
-
-def available_arrivals() -> list[str]:
-    """Return the sorted spec names of all registered arrival processes."""
-    return sorted(_ARRIVAL_REGISTRY)
-
-
-def build_arrivals(spec: str, k: int) -> "ArrivalProcess | None":
-    """Build the arrival process described by a spec string, for ``k`` messages.
-
-    ``"batch"`` — the paper's static k-selection — returns ``None``, the
-    static default of :func:`repro.engine.dispatch.simulate` (so the cheap
-    fair/window/batch reductions stay eligible); every other spec returns a
-    process injecting exactly ``k`` messages, e.g. ``"poisson(rate=0.2)"`` or
-    ``"bursty(bursts=4,gap=100)"``.
-    """
-    from repro.scenarios.spec import parse_spec
-
-    name, params = parse_spec(spec)
-    cls = get_arrival_class(name)
-    try:
-        process = cls.from_spec(k, **params)
-    except TypeError as error:
-        raise ValueError(f"cannot build arrival process from spec {spec!r}: {error}") from error
-    if isinstance(process, BatchArrival):
-        return None
-    if process.total_messages != k:
-        raise ValueError(
-            f"arrival spec {spec!r} injects {process.total_messages} messages, "
-            f"which disagrees with k={k}"
-        )
-    return process
 
 
 @dataclass(frozen=True)
@@ -109,9 +46,6 @@ class ArrivalEvent:
 
 class ArrivalProcess(abc.ABC):
     """Generates the arrival schedule for one simulation run."""
-
-    #: Registry spec name; subclasses must override to be registrable.
-    spec_name: ClassVar[str] = ""
 
     @classmethod
     def from_spec(cls, k: int, **params: object) -> "ArrivalProcess":
@@ -142,11 +76,8 @@ class ArrivalProcess(abc.ABC):
         return {"type": type(self).__name__, "parameters": params}
 
 
-@register_arrival
 class BatchArrival(ArrivalProcess):
     """All ``k`` messages arrive simultaneously at slot 0 (static k-selection)."""
-
-    spec_name: ClassVar[str] = "batch"
 
     def __init__(self, k: int) -> None:
         self.k = check_positive_int("k", k)
@@ -159,7 +90,6 @@ class BatchArrival(ArrivalProcess):
         return self.k
 
 
-@register_arrival
 class PoissonArrival(ArrivalProcess):
     """Messages arrive one by one, with independent exponential gaps.
 
@@ -169,8 +99,6 @@ class PoissonArrival(ArrivalProcess):
     The first message arrives at slot 0 so every run has work to do from the
     start.
     """
-
-    spec_name: ClassVar[str] = "poisson"
 
     def __init__(self, k: int, rate: float) -> None:
         self.k = check_positive_int("k", k)
@@ -192,7 +120,6 @@ class PoissonArrival(ArrivalProcess):
         return self.k
 
 
-@register_arrival
 class BurstyArrival(ArrivalProcess):
     """Adversarial-style bursts: ``burst_size`` messages every ``gap`` slots.
 
@@ -200,8 +127,6 @@ class BurstyArrival(ArrivalProcess):
     frequent in practice (batched/bursty traffic): contention arrives in
     lumps rather than smoothly.
     """
-
-    spec_name: ClassVar[str] = "bursty"
 
     @classmethod
     def from_spec(

@@ -13,7 +13,9 @@ The multiple-access channel of the paper is fully described by two rules:
 
 Other feedback models (full collision detection, as used by the tree/splitting
 algorithms discussed in the paper's related work) are provided so baselines
-that need them can be expressed in the same framework.
+that need them can be expressed in the same framework.  Spec strings name the
+channel configurations through the closed table
+:data:`repro.scenarios.spec.CHANNELS`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ __all__ = [
     "Observation",
     "ChannelModel",
     "resolve_slot",
-    "available_channels",
-    "build_channel",
 ]
 
 
@@ -109,17 +109,11 @@ class ChannelModel:
     """Configuration of the shared channel.
 
     The default configuration is exactly the paper's model: no collision
-    detection and implicit acknowledgement of successful transmissions.
-    Setting ``acknowledgements=False`` models channels without an ACK
-    mechanism, in which stations never learn that their own transmission
-    succeeded.  None of the paper's protocols can *terminate* in that setting
-    (a station that never learns of its delivery never retires), so the
-    simulation engines reject such channels up front; the flag remains for
-    reasoning about :meth:`observe` feedback in isolation.
+    detection.  Successful transmissions are always acknowledged implicitly,
+    so a station whose message got through learns so and retires.
     """
 
     feedback: FeedbackModel = FeedbackModel.NO_COLLISION_DETECTION
-    acknowledgements: bool = True
 
     def observe(
         self,
@@ -147,52 +141,11 @@ class ChannelModel:
         if is_successful_transmitter and not transmitted:
             raise ValueError("the successful transmitter must have transmitted")
         received = outcome is SlotOutcome.SUCCESS and not is_successful_transmitter
-        delivered = is_successful_transmitter and self.acknowledgements
         detected = outcome if self.feedback is FeedbackModel.COLLISION_DETECTION else None
         return Observation(
             slot=slot,
             transmitted=transmitted,
             received=received,
-            delivered=delivered,
+            delivered=is_successful_transmitter,
             detected=detected,
         )
-
-
-#: Spec-string registry of named channel configurations, mirroring the
-#: protocol and arrival registries.  "default" (alias "no-cd") is the paper's
-#: channel; "cd" grants every station ternary collision-detection feedback.
-_CHANNEL_REGISTRY: dict[str, FeedbackModel] = {
-    "default": FeedbackModel.NO_COLLISION_DETECTION,
-    "no-cd": FeedbackModel.NO_COLLISION_DETECTION,
-    "cd": FeedbackModel.COLLISION_DETECTION,
-}
-
-
-def available_channels() -> list[str]:
-    """Return the sorted spec names of the registered channel configurations."""
-    return sorted(_CHANNEL_REGISTRY)
-
-
-def build_channel(spec: str) -> ChannelModel:
-    """Build a :class:`ChannelModel` from a spec string.
-
-    ``"default"``/``"no-cd"`` is the paper's channel (no collision detection,
-    implicit acknowledgements); ``"cd"`` enables ternary feedback.  Either
-    name accepts an ``acknowledgements`` parameter, e.g.
-    ``"cd(acknowledgements=false)"`` (note that the simulation engines reject
-    ack-less channels up front — no protocol can terminate on them).
-    """
-    from repro.scenarios.spec import parse_spec
-
-    name, params = parse_spec(spec)
-    try:
-        feedback = _CHANNEL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(available_channels())
-        raise KeyError(f"unknown channel {name!r}; registered: {known}") from None
-    acknowledgements = params.pop("acknowledgements", True)
-    if params:
-        raise ValueError(f"unknown channel parameters {sorted(params)} in spec {spec!r}")
-    if not isinstance(acknowledgements, bool):
-        raise ValueError(f"acknowledgements must be a boolean, got {acknowledgements!r}")
-    return ChannelModel(feedback=feedback, acknowledgements=acknowledgements)

@@ -115,15 +115,6 @@ class RadioNetwork:
         self.protocol_prototype = protocol
         self.arrivals = arrivals
         self.channel = channel if channel is not None else ChannelModel()
-        if not self.channel.acknowledgements:
-            # Without acknowledgements a successful transmitter never learns
-            # of its delivery, so it stays active and the run is guaranteed to
-            # burn to the slot cap; fail loudly instead of timing out.
-            raise ValueError(
-                "RadioNetwork requires a channel with acknowledgements: under "
-                "acknowledgements=False no station ever retires, so k-selection "
-                "cannot terminate and every run would hit the slot cap"
-            )
         self.seed = seed
         self.k = arrivals.total_messages
         self.max_slots = max_slots if max_slots is not None else _DEFAULT_SLOT_FACTOR * self.k

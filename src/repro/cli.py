@@ -4,7 +4,7 @@ Subcommands:
 
 * ``simulate``  — run one protocol on one network size and print the result;
   ``--arrivals`` accepts an arrival spec string (``poisson(rate=0.2)``,
-  ``bursty(bursts=4,gap=100)``) or a bare registry name tuned by ``--rate``,
+  ``bursty(bursts=4,gap=100)``) or a bare name tuned by ``--rate``,
   ``--bursts``, ``--gap``; ``--json`` emits a machine-readable result;
 * ``run``       — execute a declarative scenario (a compact spec string or a
   ``.toml``/``.json`` scenario file) through a
@@ -31,11 +31,11 @@ Subcommands:
   :mod:`repro.experiments.table1`);
 * ``dynamic``   — the dynamic-arrivals experiment (delegates to
   :mod:`repro.experiments.dynamic`);
-* ``protocols`` — list the registered protocols and the knowledge they need;
+* ``protocols`` — list the protocols and the knowledge they need;
 * ``lint``      — run the invariant checker (:mod:`repro.analysis`) over the
   source tree: seeded-randomness discipline, monotonic-clock discipline,
-  lock discipline, exception hygiene and the protocol registry contract;
-  exits non-zero on findings so it can gate CI.
+  lock discipline, exception hygiene, annotation coverage and no ``print()``
+  in library code; exits non-zero on findings so it can gate CI.
 
 The figure/table/dynamic subcommands accept the same flags as their
 ``python -m`` counterparts (``--max-k``, ``--runs``, ``--seed``,
@@ -57,10 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import available_engines
-from repro.protocols.base import available_protocols, get_protocol_class
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session
-from repro.scenarios.spec import SpecError, format_spec
+from repro.scenarios.spec import PROTOCOLS, SpecError, format_spec
 from repro.util.tables import format_text_table
 
 __all__ = ["main"]
@@ -73,11 +72,10 @@ def _protocol_spec(name: str, delta: float | None = None, xi_t: float = 0.5) -> 
     protocols that take a δ (One-fail Adaptive, Exp Back-on/Back-off) and is
     ignored elsewhere; ``--xi-t`` parameterises Log-fails Adaptive only.
     """
-    cls = get_protocol_class(name)  # fail early on unknown names
     params: dict[str, object] = {}
-    if delta is not None and cls.name in ("one-fail-adaptive", "exp-backon-backoff"):
+    if delta is not None and name in ("one-fail-adaptive", "exp-backon-backoff"):
         params["delta"] = delta
-    if cls.name == "log-fails-adaptive":
+    if name == "log-fails-adaptive":
         params["xi_t"] = xi_t
     return format_spec(name, params)
 
@@ -86,7 +84,7 @@ def _arrivals_spec(kind: str, rate: float, bursts: int, gap: int | None) -> str:
     """Assemble the arrival spec string selected by the simulate flags.
 
     A ``kind`` that already carries parameters (``"poisson(rate=0.5)"``) is
-    passed through untouched; a bare registry name picks its parameters from
+    passed through untouched; a bare name picks its parameters from
     the dedicated flags.
     """
     if "(" in kind:
@@ -193,7 +191,7 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # `run` is a new subcommand with no legacy error contract, so every
-    # scenario-level failure — bad spec, unknown registry name, missing file,
+    # scenario-level failure — bad spec, unknown component name, missing file,
     # invalid parameter — reports as a one-line CLI error, not a traceback.
     try:
         scenario = _load_scenario(args)
@@ -485,8 +483,7 @@ def _format_attrs(attrs: dict[str, object]) -> str:
 
 def _cmd_protocols(_: argparse.Namespace) -> int:
     rows = []
-    for name in available_protocols():
-        cls = get_protocol_class(name)
+    for name, cls in sorted(PROTOCOLS.items()):
         knowledge = ", ".join(sorted(cls.requires_knowledge)) or "none"
         rows.append([name, cls.label, knowledge])
     print(format_text_table(["name", "label", "required knowledge"], rows))
@@ -542,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="run one static k-selection instance")
-    sim.add_argument("--protocol", default=OneFailAdaptive.name, choices=available_protocols())
+    sim.add_argument("--protocol", default=OneFailAdaptive.name, choices=sorted(PROTOCOLS))
     sim.add_argument("--k", type=int, default=1_000, help="number of contenders")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--engine", default="auto", choices=available_engines())
@@ -551,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--arrivals",
         default="batch",
-        help="arrival spec string: a registry name (batch, poisson, bursty; batch = the "
+        help="arrival spec string: an arrival name (batch, poisson, bursty; batch = the "
         "paper's static k-selection) tuned by --rate/--bursts/--gap, or a parameterised "
         "spec like 'poisson(rate=0.2)'",
     )
@@ -714,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true", help="print the machine-readable summary")
     trace.set_defaults(func=_cmd_trace)
 
-    protocols = subparsers.add_parser("protocols", help="list registered protocols")
+    protocols = subparsers.add_parser("protocols", help="list the protocols")
     protocols.set_defaults(func=_cmd_protocols)
 
     lint = subparsers.add_parser(
@@ -723,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the invariant checker over the source tree: seeded-randomness "
         "discipline (RND001), monotonic-clock discipline (CLK001), lock discipline "
         "(LCK001/LCK002), exception hygiene (EXC001-003), annotation coverage "
-        "(ANN001/ANN002) and the protocol registry contract (REG002).  Exits 0 "
+        "(ANN001/ANN002) and no print() in library code (OBS001).  Exits 0 "
         "when clean, 1 on findings, 2 on usage errors.  Suppress a single line with "
         "'# repro: noqa[RULE-ID]'; grandfather existing findings with --write-baseline.",
     )
@@ -750,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the current findings as the new baseline and exit 0",
     )
     lint.add_argument(
-        "--list-rules", action="store_true", help="list the registered rules and exit"
+        "--list-rules", action="store_true", help="list the rules and exit"
     )
     lint.set_defaults(func=_cmd_lint)
 

@@ -32,13 +32,12 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.core.constants import EBB_DELTA_DEFAULT, EBB_DELTA_MAX
-from repro.protocols.base import WindowedProtocol, register_protocol
+from repro.protocols.base import WindowedProtocol
 from repro.util.validation import check_in_range
 
 __all__ = ["ExpBackonBackoff"]
 
 
-@register_protocol
 class ExpBackonBackoff(WindowedProtocol):
     """Algorithm 2 of the paper: the Exp Back-on/Back-off protocol.
 

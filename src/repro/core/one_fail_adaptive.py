@@ -39,13 +39,12 @@ from typing import ClassVar
 
 from repro.channel.model import Observation
 from repro.core.constants import OFA_DELTA_DEFAULT, OFA_DELTA_MAX, OFA_DELTA_MIN
-from repro.protocols.base import FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol
 from repro.util.validation import check_in_range
 
 __all__ = ["OneFailAdaptive"]
 
 
-@register_protocol
 class OneFailAdaptive(FairProtocol):
     """Algorithm 1 of the paper: the One-fail Adaptive protocol.
 

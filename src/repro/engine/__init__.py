@@ -25,9 +25,10 @@ engine      cost                                    chosen by ``"auto"`` when
             traced
 =========== ======================================= ==========================================
 
-Every engine collects traces.  A channel without acknowledgements is refused
-outright, and an explicit engine outside the rule's answer is refused with
-the engines that can serve the request.
+Every engine collects traces.  An explicit engine outside the rule's answer
+is refused with the engines that can serve the request.  Protocols, arrival
+processes and channels reach the rule as built components: spec strings
+name them through the closed tables of :mod:`repro.scenarios.spec`.
 
 :func:`simulate` runs one replication on the cheapest engine; a sweep cell
 is one :func:`simulate` call per replication, each keyed by its own seed,

@@ -7,11 +7,10 @@ exact for the given protocol and returns a
 
 The paper's model is one channel (no collision detection, implicit
 acknowledgements, every station present at slot 0), and the reduced engines
-rest on two protocol structures, so choosing an engine is a three-row rule,
+rest on two protocol structures, so choosing an engine is a two-row rule,
 stated once in :func:`pick_engine_name` over the closed :data:`ENGINES`
 table:
 
-* a channel without acknowledgements is refused;
 * on the paper's channel with slot-0 arrivals, a fair protocol whose state
   ignores its own transmissions runs on ``fair`` and a windowed protocol on
   ``window``;
@@ -20,7 +19,10 @@ table:
 An explicit engine outside that answer is refused with the engines that can
 serve the request.  :func:`simulate`, ``Session._plan``, ``Scenario``
 validation and the CLI's ``--engine`` choices all ask that function or the
-table, so the layers cannot disagree about a cell's engine.
+table, so the layers cannot disagree about a cell's engine.  The components
+it reads arrive built: :mod:`repro.scenarios.spec` turns protocol, arrival
+and channel names into them through closed tables, as :data:`ENGINES` does
+for engine names.
 
 Dynamic workloads go through the same front door: passing an
 ``arrivals=`` process (e.g. :class:`~repro.channel.arrivals.PoissonArrival`)
@@ -79,12 +81,6 @@ def pick_engine_name(
     attributes.  ``channel`` ``None`` means the paper's channel and
     ``arrivals`` ``None`` means every station is present at slot 0.
     """
-    if channel is not None and not channel.acknowledgements:
-        raise ValueError(
-            "no engine can serve a channel without acknowledgements: a station "
-            "that never learns of its own delivery never retires, so k-selection "
-            "cannot terminate"
-        )
     kind = getattr(protocol, "protocol_kind", "generic")
     reduced = None
     if arrivals is not None:

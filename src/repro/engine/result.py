@@ -27,7 +27,7 @@ class SimulationResult:
     successes, collisions, silences:
         Slot-outcome counts over the simulated slots.
     protocol:
-        Registry name of the protocol that produced the run.
+        Name of the protocol that produced the run.
     engine:
         Name of the engine that produced the run.
     seed:

@@ -31,11 +31,6 @@ class SlotEngine:
 
     def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
         self.channel = channel if channel is not None else ChannelModel()
-        if not self.channel.acknowledgements:
-            raise ValueError(
-                "SlotEngine requires a channel with acknowledgements: without them "
-                "no station ever retires and k-selection cannot terminate"
-            )
         self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(

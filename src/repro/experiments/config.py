@@ -30,12 +30,6 @@ from repro.core.constants import (
     LLIB_R_DEFAULT,
     OFA_DELTA_DEFAULT,
 )
-# The protocol imports populate the spec-string registry the suite's
-# scenario specs resolve against.
-from repro.core.exp_backon_backoff import ExpBackonBackoff  # noqa: F401
-from repro.core.one_fail_adaptive import OneFailAdaptive  # noqa: F401
-from repro.protocols.backoff import LogLogIteratedBackoff  # noqa: F401
-from repro.protocols.log_fails_adaptive import LogFailsAdaptive  # noqa: F401
 
 __all__ = [
     "ProtocolSpec",

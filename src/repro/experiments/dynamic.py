@@ -37,6 +37,7 @@ from repro.analysis.statistics import RunStatistics, summarize_makespans
 from repro.engine.result import SimulationResult
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
+from repro.scenarios.spec import ARRIVALS, parse_spec
 from repro.util.tables import format_text_table
 
 __all__ = ["DynamicResult", "run_dynamic_experiment", "main"]
@@ -106,12 +107,8 @@ def _default_arrivals(k: int) -> list[tuple[str, str]]:
 
 def _arrival_total(spec: str, k: int) -> int:
     """Messages actually injected by ``spec`` built for a nominal ``k``."""
-    from repro.channel.arrivals import get_arrival_class
-    from repro.scenarios.spec import parse_spec
-
     name, params = parse_spec(spec)
-    process = get_arrival_class(name).from_spec(k, **params)
-    return process.total_messages
+    return ARRIVALS[name].from_spec(k, **params).total_messages
 
 
 def _aggregate_cell(

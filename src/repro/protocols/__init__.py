@@ -5,7 +5,7 @@ live in :mod:`repro.core`; this package provides the protocol framework they
 are built on plus every protocol the paper compares against or discusses:
 
 * :mod:`repro.protocols.base` — the :class:`Protocol`, :class:`FairProtocol`
-  and :class:`WindowedProtocol` interfaces and the protocol registry.
+  and :class:`WindowedProtocol` interfaces.
 * :mod:`repro.protocols.log_fails_adaptive` — reconstruction of the
   Log-fails Adaptive protocol of Fernández Anta & Mosteiro (DMAA 2010),
   the paper's closest prior work (reference [7]).
@@ -16,20 +16,15 @@ are built on plus every protocol the paper compares against or discusses:
   reference optimum mentioned in Section 5.
 * :mod:`repro.protocols.splitting` — binary splitting / tree algorithm, the
   classical collision-detection baseline from the related-work section.
+
+Spec strings name these protocols through the closed table
+:data:`repro.scenarios.spec.PROTOCOLS`, which :func:`repro.build_protocol`
+reads.
 """
 
 from __future__ import annotations
 
-from repro.protocols.base import (
-    FairProtocol,
-    Protocol,
-    ProtocolFactory,
-    WindowedProtocol,
-    available_protocols,
-    build_protocol,
-    get_protocol_class,
-    register_protocol,
-)
+from repro.protocols.base import FairProtocol, Protocol, WindowedProtocol
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.backoff import (
     ExponentialBackoff,
@@ -45,11 +40,6 @@ __all__ = [
     "Protocol",
     "FairProtocol",
     "WindowedProtocol",
-    "ProtocolFactory",
-    "register_protocol",
-    "get_protocol_class",
-    "available_protocols",
-    "build_protocol",
     "SlottedAloha",
     "WindowBackoffProtocol",
     "ExponentialBackoff",

@@ -18,13 +18,12 @@ from __future__ import annotations
 from typing import ClassVar
 
 from repro.channel.model import Observation
-from repro.protocols.base import FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol
 from repro.util.validation import check_positive_int
 
 __all__ = ["SlottedAloha"]
 
 
-@register_protocol
 class SlottedAloha(FairProtocol):
     """Idealised slotted ALOHA with perfect knowledge of the contention.
 

@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from typing import ClassVar
 
 from repro.core.constants import LLIB_R_DEFAULT
-from repro.protocols.base import WindowedProtocol, register_protocol
+from repro.protocols.base import WindowedProtocol
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -82,7 +82,6 @@ class WindowBackoffProtocol(WindowedProtocol):
             yield length
 
 
-@register_protocol
 class ExponentialBackoff(WindowBackoffProtocol):
     """r-exponential back-off: window ``r^i`` in round ``i``.
 
@@ -107,7 +106,6 @@ class ExponentialBackoff(WindowBackoffProtocol):
             size *= self.r
 
 
-@register_protocol
 class PolynomialBackoff(WindowBackoffProtocol):
     """r-polynomial back-off: window ``i^r`` in round ``i`` (``r > 1``)."""
 
@@ -148,7 +146,6 @@ class _GrowthFactorBackoff(WindowBackoffProtocol):
             size *= 1.0 + 1.0 / denominator
 
 
-@register_protocol
 class LogBackoff(_GrowthFactorBackoff):
     """Log back-off: the window grows by the factor ``1 + 1/lg w``."""
 
@@ -159,7 +156,6 @@ class LogBackoff(_GrowthFactorBackoff):
         return math.log2(size) if size > 2.0 else 1.0
 
 
-@register_protocol
 class LogLogIteratedBackoff(_GrowthFactorBackoff):
     """Loglog-iterated back-off: the window grows by the factor ``1 + 1/lglg w``.
 

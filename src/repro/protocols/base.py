@@ -1,4 +1,4 @@
-"""Protocol interfaces and registry.
+"""Protocol interfaces.
 
 A *protocol* is the algorithm run by every station holding a message.  The
 interface is deliberately narrow and mirrors the information available in the
@@ -28,91 +28,24 @@ exploit:
   back-off family are windowed.  The
   :class:`~repro.engine.window_engine.WindowEngine` simulates a whole window
   as one balls-in-bins experiment.
+
+Spec strings name protocols through the closed table
+:data:`repro.scenarios.spec.PROTOCOLS`; a protocol outside it is handed to
+the engines as an instance.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from typing import ClassVar
 
 import numpy as np
 
 from repro.channel.model import Observation
 
-__all__ = [
-    "Protocol",
-    "FairProtocol",
-    "WindowedProtocol",
-    "ProtocolFactory",
-    "register_protocol",
-    "get_protocol_class",
-    "available_protocols",
-    "build_protocol",
-]
-
-#: A protocol factory maps the number of contenders ``k`` to a fresh protocol
-#: instance.  Protocols that genuinely do not use ``k`` (the paper's own two
-#: protocols) simply ignore the argument; baselines that require knowledge of
-#: ``k`` or of ``epsilon <= 1/(n+1)`` (Log-fails Adaptive, slotted ALOHA) use
-#: it, and declare so through :attr:`Protocol.requires_knowledge`.
-ProtocolFactory = Callable[[int], "Protocol"]
-
-_REGISTRY: dict[str, type["Protocol"]] = {}
-
-
-def register_protocol(cls: type["Protocol"]) -> type["Protocol"]:
-    """Class decorator adding a protocol class to the global registry.
-
-    The registry lets experiment configurations refer to protocols by their
-    ``name`` class attribute (e.g. ``"one-fail-adaptive"``) instead of
-    importing classes directly.
-    """
-    name = cls.name
-    if not name or name == Protocol.name:
-        raise ValueError(f"{cls.__name__} must define a unique 'name' class attribute")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(f"protocol name {name!r} already registered by {existing.__name__}")
-    _REGISTRY[name] = cls
-    return cls
-
-
-def get_protocol_class(name: str) -> type["Protocol"]:
-    """Look up a registered protocol class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(f"unknown protocol {name!r}; registered protocols: {known}") from None
-
-
-def available_protocols() -> list[str]:
-    """Return the sorted names of all registered protocols."""
-    return sorted(_REGISTRY)
-
-
-def build_protocol(spec: str, k: int) -> "Protocol":
-    """Instantiate a protocol from a parameterised spec string.
-
-    ``spec`` is a registry name with optional constructor parameters, e.g.
-    ``"one-fail-adaptive"`` or ``"log-fails-adaptive(xi_t=0.1)"`` (see
-    :mod:`repro.scenarios.spec` for the grammar).  ``k`` is the network size
-    the protocol will face; it is forwarded to the class's
-    :meth:`Protocol.from_spec` hook so that protocols *requiring* knowledge of
-    the contention (Log-fails Adaptive's ``ε ≤ 1/(k+1)``, slotted ALOHA's
-    ``k``) can derive their required parameters, while the paper's own
-    oblivious protocols ignore it.
-    """
-    from repro.scenarios.spec import parse_spec
-
-    name, params = parse_spec(spec)
-    cls = get_protocol_class(name)
-    try:
-        return cls.from_spec(k, **params)
-    except TypeError as error:
-        raise ValueError(f"cannot build protocol from spec {spec!r}: {error}") from error
+__all__ = ["Protocol", "FairProtocol", "WindowedProtocol"]
 
 
 class Protocol(abc.ABC):
@@ -122,7 +55,8 @@ class Protocol(abc.ABC):
     instance per station by copying a prototype and calling :meth:`reset`.
     """
 
-    #: Registry name; subclasses must override.
+    #: Spec name, the protocol's key in
+    #: :data:`~repro.scenarios.spec.PROTOCOLS`; subclasses must override.
     name: ClassVar[str] = "protocol"
 
     #: Human-readable label used in figures and tables.

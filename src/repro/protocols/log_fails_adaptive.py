@@ -68,13 +68,12 @@ from typing import ClassVar
 
 from repro.channel.model import Observation
 from repro.core.constants import LFA_XI_BETA_DEFAULT, LFA_XI_DELTA_DEFAULT
-from repro.protocols.base import FairProtocol, register_protocol
+from repro.protocols.base import FairProtocol
 from repro.util.validation import check_in_range
 
 __all__ = ["LogFailsAdaptive"]
 
 
-@register_protocol
 class LogFailsAdaptive(FairProtocol):
     """Reconstruction of Log-fails Adaptive (reference [7] of the paper).
 

@@ -39,12 +39,11 @@ from typing import ClassVar
 import numpy as np
 
 from repro.channel.model import Observation, SlotOutcome
-from repro.protocols.base import Protocol, register_protocol
+from repro.protocols.base import Protocol
 
 __all__ = ["BinarySplitting"]
 
 
-@register_protocol
 class BinarySplitting(Protocol):
     """Randomized binary splitting (tree) algorithm under collision detection.
 

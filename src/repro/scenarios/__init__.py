@@ -3,7 +3,7 @@
 This package is the spec-driven front door to the whole library:
 
 * :mod:`repro.scenarios.spec` — the ``"name(key=value)"`` spec-string grammar
-  shared by the protocol, arrival and channel registries;
+  and the closed protocol, arrival and channel tables it names entries of;
 * :mod:`repro.scenarios.scenario` — the frozen, hashable :class:`Scenario`
   value object (string ⇄ dict ⇄ JSON ⇄ TOML round-trips);
 * :mod:`repro.scenarios.store` — pluggable result-store backends behind the

@@ -42,11 +42,20 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.channel.arrivals import ArrivalProcess, build_arrivals, get_arrival_class
-from repro.channel.model import ChannelModel, build_channel
+from repro.channel.arrivals import ArrivalProcess
+from repro.channel.model import ChannelModel
 from repro.engine.dispatch import available_engines, pick_engine_name
-from repro.protocols.base import Protocol, build_protocol, get_protocol_class
-from repro.scenarios.spec import SpecError, canonical_spec, parse_spec, parse_value, split_top_level
+from repro.protocols.base import Protocol
+from repro.scenarios.spec import (
+    SpecError,
+    build_arrivals,
+    build_channel,
+    build_protocol,
+    canonical_spec,
+    parse_spec,
+    parse_value,
+    split_top_level,
+)
 from repro.util.rng import derive_seeds
 from repro.util.validation import check_max_slots
 
@@ -82,7 +91,7 @@ class Scenario:
     protocol:
         Protocol spec string, e.g. ``"log-fails-adaptive(xi_t=0.1)"``.
         Protocols requiring knowledge of the network derive it from ``k``
-        at build time (:func:`repro.protocols.base.build_protocol`).
+        at build time (:func:`repro.scenarios.spec.build_protocol`).
     k:
         Number of messages (network size).
     arrivals:
@@ -94,7 +103,8 @@ class Scenario:
     replications:
         Number of independently seeded runs of the cell.
     seed:
-        Root seed; per-replication seeds follow from it and ``seed_policy``.
+        Non-negative root seed; per-replication seeds follow from it and
+        ``seed_policy``.
     seed_policy:
         One of :data:`SEED_POLICIES`.
     max_slots_factor:
@@ -114,7 +124,7 @@ class Scenario:
     def __post_init__(self) -> None:
         # Checked here, not by the engines mid-job: a float from a spec
         # string or a JSON document is a bad scenario (HTTP 400).
-        for name in ("k", "replications", "max_slots_factor"):
+        for name in ("k", "replications", "seed", "max_slots_factor"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -122,6 +132,8 @@ class Scenario:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.replications < 1:
             raise ValueError(f"replications must be positive, got {self.replications}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_slots_factor < 2:
             raise ValueError(f"max_slots_factor must be at least 2, got {self.max_slots_factor}")
         check_max_slots(self.max_slots())
@@ -133,30 +145,25 @@ class Scenario:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {available_engines()}"
             )
-        # Resolve the three component specs now so a typo fails at
-        # construction, with a registry error, not mid-sweep.
-        protocol_name, _ = parse_spec(self.protocol)
-        protocol_class = get_protocol_class(protocol_name)
-        arrivals_name, _ = parse_spec(self.arrivals)
-        get_arrival_class(arrivals_name)
-        channel = build_channel(self.channel)
-        if self.engine != "auto":
-            # An explicit engine the rule would refuse fails here, not when
-            # the cell is planned.
-            pick_engine_name(
-                protocol_class, engine=self.engine, channel=channel,
-                arrivals=self.build_arrivals(),
-            )
+        # Build the three components and ask the engine rule now, so an
+        # unknown name, a bad parameter or an engine the rule refuses fails
+        # at construction, not mid-job.
+        pick_engine_name(
+            build_protocol(self.protocol, self.k),
+            engine=self.engine,
+            channel=build_channel(self.channel),
+            arrivals=build_arrivals(self.arrivals, self.k),
+        )
 
     # ------------------------------------------------------------ components
     @property
     def protocol_name(self) -> str:
-        """Registry name of the protocol (spec string minus parameters)."""
+        """Name of the protocol (spec string minus parameters)."""
         return parse_spec(self.protocol)[0]
 
     @property
     def arrivals_name(self) -> str:
-        """Registry name of the arrival process."""
+        """Name of the arrival process."""
         return parse_spec(self.arrivals)[0]
 
     def build_protocol(self) -> Protocol:

@@ -1,9 +1,12 @@
-"""Parameterised spec strings: ``"name(key=value, ...)"`` ⇄ ``(name, params)``.
+"""Spec strings and the component tables they name.
 
-Every registry of this package — protocols, arrival processes, channel
-models — names its entries with short strings.  A *spec string* extends such
-a name with constructor parameters, so that one flat string describes a fully
-parameterised component::
+Protocols, arrival processes and channels are named with short strings, and
+this module is the only place that turns such a name into a component: the
+closed tables :data:`PROTOCOLS`, :data:`ARRIVALS` and :data:`CHANNELS` list
+every one the paper's model needs, and :func:`build_protocol`,
+:func:`build_arrivals` and :func:`build_channel` build one from its spec.  A
+*spec string* extends a name with constructor parameters, so that one flat
+string describes a fully parameterised component::
 
     one-fail-adaptive                      -> ("one-fail-adaptive", {})
     log-fails-adaptive(xi_t=0.1)           -> ("log-fails-adaptive", {"xi_t": 0.1})
@@ -14,15 +17,47 @@ Values are parsed as Python scalars: integers, floats, the booleans
 delimiter characters).  :func:`format_spec` is the exact inverse of
 :func:`parse_spec` and emits a *canonical* form — parameters sorted by name,
 no spaces — which is what scenario content-hashing relies on.
+
+A component outside the tables is passed as an instance instead:
+:func:`~repro.engine.dispatch.simulate` takes any
+:class:`~repro.protocols.base.Protocol` and
+:class:`~repro.channel.arrivals.ArrivalProcess`.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TypeVar
 
-__all__ = ["SpecError", "parse_spec", "format_spec", "split_top_level"]
+from repro.channel.arrivals import ArrivalProcess, BatchArrival, BurstyArrival, PoissonArrival
+from repro.channel.model import ChannelModel, FeedbackModel
+from repro.core.exp_backon_backoff import ExpBackonBackoff
+from repro.core.one_fail_adaptive import OneFailAdaptive
+from repro.protocols.aloha import SlottedAloha
+from repro.protocols.backoff import (
+    ExponentialBackoff,
+    LogBackoff,
+    LogLogIteratedBackoff,
+    PolynomialBackoff,
+)
+from repro.protocols.base import Protocol
+from repro.protocols.log_fails_adaptive import LogFailsAdaptive
+from repro.protocols.splitting import BinarySplitting
 
-#: Registry names: lower-case words joined by hyphens/underscores/dots.
+__all__ = [
+    "SpecError",
+    "parse_spec",
+    "format_spec",
+    "split_top_level",
+    "PROTOCOLS",
+    "ARRIVALS",
+    "CHANNELS",
+    "build_protocol",
+    "build_arrivals",
+    "build_channel",
+]
+
+#: Component names: lower-case words joined by hyphens/underscores/dots.
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9._-]*$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 #: Characters that force a string value to be quoted on output.
@@ -173,3 +208,105 @@ def split_top_level(text: str) -> list[str]:
     if current:
         tokens.append("".join(current))
     return tokens
+
+
+# --------------------------------------------------------------------------
+# Component tables
+# --------------------------------------------------------------------------
+
+#: Every protocol, by its ``name``: the paper's two, the two it compares
+#: against, the rest of the monotone back-off family, slotted ALOHA and the
+#: collision-detection splitting baseline.
+PROTOCOLS: dict[str, type[Protocol]] = {
+    cls.name: cls
+    for cls in (
+        OneFailAdaptive,
+        ExpBackonBackoff,
+        LogFailsAdaptive,
+        LogLogIteratedBackoff,
+        ExponentialBackoff,
+        PolynomialBackoff,
+        LogBackoff,
+        SlottedAloha,
+        BinarySplitting,
+    )
+}
+
+#: Every arrival process: ``batch`` is the paper's static k-selection.
+ARRIVALS: dict[str, type[ArrivalProcess]] = {
+    "batch": BatchArrival,
+    "poisson": PoissonArrival,
+    "bursty": BurstyArrival,
+}
+
+#: Every channel: ``default`` (alias ``no-cd``) is the paper's, ``cd`` grants
+#: every station ternary collision-detection feedback.
+CHANNELS: dict[str, ChannelModel] = {
+    "default": ChannelModel(),
+    "no-cd": ChannelModel(),
+    "cd": ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION),
+}
+
+
+_T = TypeVar("_T")
+
+
+def _lookup(table: dict[str, _T], kind: str, name: str) -> _T:
+    try:
+        return table[name]
+    except KeyError:
+        raise KeyError(f"unknown {kind} {name!r}; known: {', '.join(sorted(table))}") from None
+
+
+def build_protocol(spec: str, k: int) -> Protocol:
+    """Instantiate a protocol from a parameterised spec string.
+
+    ``spec`` is a :data:`PROTOCOLS` name with optional constructor
+    parameters, e.g. ``"one-fail-adaptive"`` or
+    ``"log-fails-adaptive(xi_t=0.1)"``.  ``k`` is the network size the
+    protocol will face; it is forwarded to the class's
+    :meth:`~repro.protocols.base.Protocol.from_spec` hook so that protocols
+    *requiring* knowledge of the contention (Log-fails Adaptive's
+    ``ε ≤ 1/(k+1)``, slotted ALOHA's ``k``) can derive their required
+    parameters, while the paper's own oblivious protocols ignore it.
+    """
+    name, params = parse_spec(spec)
+    cls = _lookup(PROTOCOLS, "protocol", name)
+    try:
+        return cls.from_spec(k, **params)
+    except TypeError as error:
+        raise ValueError(f"cannot build protocol from spec {spec!r}: {error}") from error
+
+
+def build_arrivals(spec: str, k: int) -> ArrivalProcess | None:
+    """Build the arrival process described by a spec string, for ``k`` messages.
+
+    ``"batch"`` — the paper's static k-selection — returns ``None``, the
+    static default of :func:`repro.engine.dispatch.simulate` (so the cheap
+    fair and window reductions stay eligible); every other spec returns a
+    process injecting exactly ``k`` messages, e.g. ``"poisson(rate=0.2)"`` or
+    ``"bursty(bursts=4,gap=100)"``.
+    """
+    name, params = parse_spec(spec)
+    cls = _lookup(ARRIVALS, "arrival process", name)
+    try:
+        process = cls.from_spec(k, **params)
+    except TypeError as error:
+        raise ValueError(f"cannot build arrival process from spec {spec!r}: {error}") from error
+    if isinstance(process, BatchArrival):
+        return None
+    if process.total_messages != k:
+        raise ValueError(
+            f"arrival spec {spec!r} injects {process.total_messages} messages, "
+            f"which disagrees with k={k}"
+        )
+    return process
+
+
+def build_channel(spec: str) -> ChannelModel:
+    """Build the :data:`CHANNELS` entry a spec string names; it takes no parameters."""
+    name, params = parse_spec(spec)
+    channel = _lookup(CHANNELS, "channel", name)
+    if params:
+        raise ValueError(f"unknown channel parameters {sorted(params)} in spec {spec!r}")
+    return channel

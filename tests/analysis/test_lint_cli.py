@@ -58,7 +58,7 @@ class TestOutput:
     def test_list_rules(self, capsys):
         assert run_cli("--list-rules") == 0
         out = capsys.readouterr().out
-        for rule_id in ("RND001", "CLK001", "LCK001", "EXC001", "ANN001", "REG002"):
+        for rule_id in ("RND001", "CLK001", "LCK001", "EXC001", "ANN001", "OBS001"):
             assert rule_id in out
 
 

@@ -54,10 +54,11 @@ class TestRegistry:
             "RND001", "CLK001", "LCK001", "LCK002",
             "EXC001", "EXC002", "EXC003",
             "ANN001", "ANN002",
-            "REG002",
+            "OBS001",
         ):
             assert expected in ids
         assert "REG001" not in ids
+        assert "REG002" not in ids
         assert "REG003" not in ids
 
     def test_rule_classes_declare_metadata(self):

@@ -60,7 +60,7 @@ class TestChannelModelNoCollisionDetection:
 
     def test_default_is_papers_model(self):
         assert self.channel.feedback is FeedbackModel.NO_COLLISION_DETECTION
-        assert self.channel.acknowledgements
+        assert self.channel == ChannelModel(feedback=FeedbackModel.NO_COLLISION_DETECTION)
 
     def test_successful_transmitter_gets_ack(self):
         obs = self.channel.observe(
@@ -111,12 +111,3 @@ class TestChannelModelCollisionDetection:
             slot=0, transmitted=False, outcome=outcome, is_successful_transmitter=False
         )
         assert obs.detected is outcome
-
-
-class TestChannelModelWithoutAcks:
-    def test_no_delivery_without_acknowledgements(self):
-        channel = ChannelModel(acknowledgements=False)
-        obs = channel.observe(
-            slot=0, transmitted=True, outcome=SlotOutcome.SUCCESS, is_successful_transmitter=True
-        )
-        assert not obs.delivered

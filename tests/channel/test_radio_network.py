@@ -149,29 +149,6 @@ class TestDynamicArrivals:
             assert summary["delivery_slot"] >= summary["activation_slot"]
 
 
-class TestNoAcknowledgementChannel:
-    def test_rejected_up_front(self):
-        """Without ACKs no station ever retires, so instead of silently
-        burning to the slot cap the simulator must refuse the configuration."""
-        with pytest.raises(ValueError, match="acknowledg"):
-            RadioNetwork.for_static_k_selection(
-                OneFailAdaptive(), k=4, seed=0, channel=ChannelModel(acknowledgements=False)
-            )
-
-    def test_slot_engine_rejects_too(self):
-        from repro.engine.slot_engine import SlotEngine
-
-        with pytest.raises(ValueError, match="acknowledg"):
-            SlotEngine(channel=ChannelModel(acknowledgements=False))
-
-    def test_no_ack_with_collision_detection_also_rejected(self):
-        channel = ChannelModel(
-            feedback=FeedbackModel.COLLISION_DETECTION, acknowledgements=False
-        )
-        with pytest.raises(ValueError, match="acknowledg"):
-            RadioNetwork.for_static_k_selection(OneFailAdaptive(), k=4, seed=0, channel=channel)
-
-
 class TestArrivalEventScaling:
     def test_many_single_message_events(self):
         """One event per message (the Poisson worst case) must stay cheap:

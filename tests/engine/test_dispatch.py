@@ -34,10 +34,10 @@ from repro.engine.window_engine import WindowEngine
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 from repro.protocols.aloha import SlottedAloha
-from repro.protocols.base import available_protocols, build_protocol, get_protocol_class
 from repro.protocols.splitting import BinarySplitting
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
+from repro.scenarios.spec import PROTOCOLS, build_protocol
 
 CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
 
@@ -170,14 +170,6 @@ class TestExplicitPickValidation:
     def test_slot_serves_everything_explicitly(self):
         assert pick_engine_name(ExpBackonBackoff(), engine="slot", channel=CD_CHANNEL) == "slot"
 
-    def test_ackless_channel_diagnosed_as_such(self):
-        # The precise failure is the missing acknowledgements, not any
-        # engine's feedback model.
-        no_acks = ChannelModel(acknowledgements=False)
-        for engine in ("auto", "slot", "fair"):
-            with pytest.raises(ValueError, match="without acknowledgements"):
-                pick_engine_name(OneFailAdaptive(), engine=engine, channel=no_acks)
-
 
 #: One protocol of each kind, with the channel it needs.
 KIND_EXAMPLES = {
@@ -190,7 +182,7 @@ KIND_EXAMPLES = {
 def _serves(name: str, kind: str) -> bool:
     spec, channel = KIND_EXAMPLES[kind]
     try:
-        pick_engine_name(get_protocol_class(spec), engine=name, channel=channel)
+        pick_engine_name(PROTOCOLS[spec], engine=name, channel=channel)
     except ValueError:
         return False
     return True
@@ -207,7 +199,7 @@ class TestSlotCapsBindEveryEngine:
     K = 20
 
     def test_examples_cover_every_protocol_kind(self):
-        kinds = {get_protocol_class(name).protocol_kind for name in available_protocols()}
+        kinds = {cls.protocol_kind for cls in PROTOCOLS.values()}
         assert kinds == set(KIND_EXAMPLES)
 
     def test_rule_pairs_every_engine_with_its_kinds(self):
@@ -303,7 +295,7 @@ class TestLayersAgreeForEveryRegisteredProtocol:
     #: channel spec they need (binary splitting needs ternary feedback).
     CHANNEL_OVERRIDES = {"binary-splitting": "cd"}
 
-    @pytest.mark.parametrize("name", available_protocols())
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
     def test_session_and_sweep_routing(self, name):
         channel_spec = self.CHANNEL_OVERRIDES.get(name, "default")
         scenario = Scenario(protocol=name, k=self.K, replications=self.REPS, seed=3,

@@ -27,16 +27,11 @@ from repro.engine.dispatch import FusedCell, simulate, simulate_batch, simulate_
 from repro.engine.fair_engine import _DRAW_BLOCK, _KERNEL_PROTOCOLS, FairEngine
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
-from repro.protocols import base as protocol_base
 from repro.protocols.aloha import SlottedAloha
-from repro.protocols.base import (
-    FairProtocol,
-    available_protocols,
-    build_protocol,
-    get_protocol_class,
-)
+from repro.protocols.base import FairProtocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios import Scenario, Session
+from repro.scenarios.spec import PROTOCOLS, build_protocol
 from repro.util.rng import derive_seeds
 
 class TestBasicOperation:
@@ -100,10 +95,6 @@ class TestChannelRestrictions:
     def test_requires_no_cd_channel(self):
         with pytest.raises(ValueError):
             FairEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
-
-    def test_requires_acknowledgements(self):
-        with pytest.raises(ValueError):
-            FairEngine(channel=ChannelModel(acknowledgements=False))
 
 
 class TestSlotCapAndTrace:
@@ -198,11 +189,7 @@ class TestCompiledLoopIsExact:
     """The compiled loop's runs are the Python loop's, field for field."""
 
     def test_kernel_table_is_every_registered_fair_protocol(self):
-        registered = {
-            get_protocol_class(name)
-            for name in available_protocols()
-            if get_protocol_class(name).protocol_kind == "fair"
-        }
+        registered = {cls for cls in PROTOCOLS.values() if cls.protocol_kind == "fair"}
         assert set(_KERNEL_PROTOCOLS) == registered
 
     def test_cases_cover_every_kernel_protocol(self):
@@ -392,8 +379,8 @@ class TestFrontDoors:
 
 @pytest.fixture
 def plain_fair_registered(monkeypatch):
-    """Register the kernel-less fair protocol for the test's duration only."""
-    monkeypatch.setitem(protocol_base._REGISTRY, PlainFair.name, PlainFair)
+    """Add the kernel-less fair protocol to the table for the test's duration only."""
+    monkeypatch.setitem(PROTOCOLS, PlainFair.name, PlainFair)
 
 
 def _engines(sweep, key: str, k: int) -> set[str]:

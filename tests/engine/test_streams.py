@@ -27,7 +27,6 @@ from repro.experiments import figure1, table1
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 from repro.protocols import base as protocol_base
-from repro.protocols.base import build_protocol
 from repro.scenarios import (
     ChaosStore,
     JsonlStore,
@@ -36,6 +35,7 @@ from repro.scenarios import (
     Session,
     SqliteStore,
 )
+from repro.scenarios.spec import build_protocol
 from repro.scenarios.store import StoredRun, open_store
 from repro.service import create_server
 from repro.util.rng import derive_seeds

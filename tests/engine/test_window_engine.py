@@ -28,13 +28,9 @@ from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.window_engine import WindowEngine, _saturated, _throw_reference, _WindowRun
 from repro.protocols.backoff import ExponentialBackoff, LogLogIteratedBackoff
-from repro.protocols.base import (
-    WindowedProtocol,
-    available_protocols,
-    build_protocol,
-    get_protocol_class,
-)
+from repro.protocols.base import WindowedProtocol
 from repro.scenarios import Scenario, Session
+from repro.scenarios.spec import PROTOCOLS, build_protocol
 from repro.util.rng import derive_seeds
 
 
@@ -82,8 +78,6 @@ class TestBasicOperation:
     def test_requires_papers_channel(self):
         with pytest.raises(ValueError):
             WindowEngine(channel=ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION))
-        with pytest.raises(ValueError):
-            WindowEngine(channel=ChannelModel(acknowledgements=False))
 
 
 class TestSlotCapAndSchedules:
@@ -436,10 +430,9 @@ class TestCompiledThrowIsExact:
     """The compiled window loop's runs are the Python loop's, field for field."""
 
     def test_cases_are_every_registered_windowed_protocol(self):
-        registered = [
-            name for name in available_protocols()
-            if get_protocol_class(name).protocol_kind == "windowed"
-        ]
+        registered = sorted(
+            name for name, cls in PROTOCOLS.items() if cls.protocol_kind == "windowed"
+        )
         assert sorted(WINDOWED_SPECS) == registered
 
     @pytest.mark.parametrize("k", [1, 2, 3, 150, 2048, 10_000])

@@ -14,8 +14,8 @@ from repro.experiments.config import (
     paper_protocol_suite,
 )
 from repro.protocols.backoff import LogLogIteratedBackoff
-from repro.protocols.base import build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
+from repro.scenarios.spec import build_protocol
 
 
 class TestPaperKValues:

@@ -8,16 +8,16 @@ from repro.cli import build_parser, main
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.protocols.aloha import SlottedAloha
-from repro.protocols.base import build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
+from repro.scenarios.spec import build_protocol
 
 
 class TestBuildProtocol:
-    """Protocol construction through the spec-string registry.
+    """Protocol construction from spec strings.
 
-    (The deprecated ``repro.cli.build_protocol`` wrapper is gone; the
-    registry's :func:`repro.protocols.base.build_protocol` is the one place
-    protocol construction lives, and the CLI assembles spec strings for it.)
+    (The deprecated ``repro.cli.build_protocol`` wrapper is gone;
+    :func:`repro.scenarios.spec.build_protocol` is the one place protocol
+    construction lives, and the CLI assembles spec strings for it.)
     """
 
     def test_paper_protocols_default_parameters(self):

@@ -8,9 +8,8 @@ import repro
 from repro import (
     ExpBackonBackoff,
     OneFailAdaptive,
+    PROTOCOLS,
     SimulationResult,
-    available_protocols,
-    get_protocol_class,
     simulate,
 )
 
@@ -24,7 +23,7 @@ class TestPackageSurface:
             assert hasattr(repro, name), name
 
     def test_registry_lists_all_shipped_protocols(self):
-        names = available_protocols()
+        names = PROTOCOLS
         expected = {
             "one-fail-adaptive",
             "exp-backon-backoff",
@@ -40,7 +39,7 @@ class TestPackageSurface:
 
     def test_registry_roundtrip(self):
         for name in ("one-fail-adaptive", "exp-backon-backoff"):
-            assert get_protocol_class(name).name == name
+            assert PROTOCOLS[name].name == name
 
 
 class TestReadmeQuickstart:

@@ -1,4 +1,4 @@
-"""Tests for the protocol interfaces and registry."""
+"""Tests for the protocol interfaces and their table."""
 
 from __future__ import annotations
 
@@ -6,54 +6,28 @@ import numpy as np
 import pytest
 
 from repro.channel.model import Observation
-from repro.protocols.base import (
-    FairProtocol,
-    WindowedProtocol,
-    available_protocols,
-    get_protocol_class,
-    register_protocol,
-)
+from repro.protocols.base import FairProtocol, WindowedProtocol
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
+from repro.scenarios.spec import PROTOCOLS, build_protocol
 
 
 class TestRegistry:
     def test_paper_protocols_registered(self):
-        names = available_protocols()
+        names = PROTOCOLS
         assert "one-fail-adaptive" in names
         assert "exp-backon-backoff" in names
         assert "log-fails-adaptive" in names
         assert "loglog-iterated-backoff" in names
 
     def test_lookup_returns_class(self):
-        assert get_protocol_class("one-fail-adaptive") is OneFailAdaptive
-        assert get_protocol_class("exp-backon-backoff") is ExpBackonBackoff
+        assert PROTOCOLS["one-fail-adaptive"] is OneFailAdaptive
+        assert PROTOCOLS["exp-backon-backoff"] is ExpBackonBackoff
 
     def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown protocol"):
-            get_protocol_class("does-not-exist")
-
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError):
-
-            @register_protocol
-            class Duplicate(OneFailAdaptive):  # same 'name' attribute, different class
-                pass
-
-    def test_default_name_rejected(self):
-        with pytest.raises(ValueError):
-
-            @register_protocol
-            class Unnamed(FairProtocol):
-                def transmission_probability(self, slot):
-                    return 0.5
-
-                def reset(self):
-                    pass
-
-                def notify(self, observation):
-                    pass
+        with pytest.raises(KeyError, match="unknown protocol 'does-not-exist'.*one-fail-adaptive"):
+            build_protocol("does-not-exist", 8)
 
 
 class TestSpawn:

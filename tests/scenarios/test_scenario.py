@@ -9,13 +9,19 @@ import pytest
 
 import repro.scenarios.scenario as scenario_module
 
-from repro.channel.arrivals import PoissonArrival, available_arrivals, build_arrivals
-from repro.channel.model import ChannelModel, FeedbackModel, available_channels, build_channel
+from repro.channel.arrivals import PoissonArrival
+from repro.channel.model import ChannelModel, FeedbackModel
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import available_engines
-from repro.protocols.base import build_protocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios import Scenario, SpecError
+from repro.scenarios.spec import (
+    ARRIVALS,
+    CHANNELS,
+    build_arrivals,
+    build_channel,
+    build_protocol,
+)
 from repro.util.rng import derive_seeds
 
 
@@ -24,10 +30,10 @@ class TestRegistries:
         assert available_engines() == ["auto", "fair", "slot", "window"]
 
     def test_available_arrivals(self):
-        assert {"batch", "poisson", "bursty"} <= set(available_arrivals())
+        assert set(ARRIVALS) == {"batch", "poisson", "bursty"}
 
     def test_available_channels(self):
-        assert {"default", "no-cd", "cd"} <= set(available_channels())
+        assert set(CHANNELS) == {"default", "no-cd", "cd"}
 
     def test_build_protocol_spec(self):
         protocol = build_protocol("one-fail-adaptive(delta=2.9)", k=100)
@@ -76,10 +82,12 @@ class TestRegistries:
         assert build_channel("default") == ChannelModel()
         assert build_channel("no-cd") == ChannelModel()
         assert build_channel("cd").feedback is FeedbackModel.COLLISION_DETECTION
-        assert build_channel("cd(acknowledgements=false)").acknowledgements is False
+        # A success is always acknowledged: channels take no parameters.
+        with pytest.raises(ValueError, match="unknown channel parameters"):
+            build_channel("cd(acknowledgements=false)")
 
     def test_build_channel_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown channel 'quantum'.*no-cd"):
             build_channel("quantum")
 
 
@@ -170,7 +178,7 @@ class TestScenarioValidation:
             Scenario(protocol="not-a-protocol", k=10)
 
     def test_unknown_arrivals(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown arrival process 'tidal'.*poisson"):
             Scenario(protocol="one-fail-adaptive", k=10, arrivals="tidal")
 
     def test_unknown_channel(self):
@@ -199,6 +207,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=f"engine {fields['engine']!r}"):
             Scenario(k=10, **fields)
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("one-fail-adaptive(delta=-1) k=10", "delta must lie in"),
+            ("one-fail-adaptive(bogus=1) k=10", "cannot build protocol"),
+            ("one-fail-adaptive k=10 arrivals=poisson(rate=5)", "rate is per-slot"),
+            ("one-fail-adaptive k=10 arrivals=poisson", "cannot build arrival process"),
+            ("one-fail-adaptive k=10 arrivals=bursty(bursts=3)", "multiple of bursts"),
+            ("one-fail-adaptive k=10 channel=cd(acknowledgements=false)", "unknown channel parameters"),
+        ],
+        ids=[
+            "bad-delta", "unknown-protocol-parameter", "rate-above-one", "rate-missing",
+            "bursts-not-dividing-k", "ack-less-channel",
+        ],
+    )
+    def test_bad_component_parameter_fails_at_construction(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            Scenario.parse(spec)
+
     def test_bad_sizes(self):
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=0)
@@ -206,6 +233,8 @@ class TestScenarioValidation:
             Scenario(protocol="one-fail-adaptive", k=10, replications=0)
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=10, max_slots_factor=1)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Scenario(protocol="one-fail-adaptive", k=10, seed=-1)
 
     @pytest.mark.parametrize(
         "spec,field",
@@ -215,6 +244,9 @@ class TestScenarioValidation:
             ("exp-backon-backoff k=10 channel=cd max_slots_factor=2.5", "max_slots_factor"),
             ("one-fail-adaptive k=2.5", "k"),
             ("one-fail-adaptive k=10 reps=2.5", "replications"),
+            ("one-fail-adaptive k=10 seed=1.5", "seed"),
+            ("one-fail-adaptive k=10 seed=abc", "seed"),
+            ("one-fail-adaptive k=10 seed=true", "seed"),
         ],
     )
     def test_non_integer_sizes_fail_at_construction(self, spec, field):

@@ -130,10 +130,23 @@ class TestErrors:
             "one-fail-adaptive k=10 arrivals=poisson(rate=0.2) engine=fair",
             "exp-backon-backoff k=10 channel=cd max_slots_factor=2.5",
             "one-fail-adaptive k=10 max_slots_factor=1000000000000000000",
+            "one-fail-adaptive(delta=-1) k=10",
+            "one-fail-adaptive(bogus=1) k=10",
+            "one-fail-adaptive k=10 arrivals=poisson(rate=5)",
+            "one-fail-adaptive k=10 arrivals=poisson",
+            "one-fail-adaptive k=10 arrivals=bursty(bursts=3)",
+            "one-fail-adaptive k=10 channel=cd(acknowledgements=false)",
+            "one-fail-adaptive k=10 seed=1.5",
+            "one-fail-adaptive k=10 seed=abc",
+            "one-fail-adaptive k=10 seed=-1",
+            "one-fail-adaptive k=10 seed=true",
         ],
         ids=[
             "unknown-protocol", "wrong-kind", "wrong-channel", "wrong-arrivals",
             "float-slot-factor", "slot-cap-beyond-int64",
+            "bad-delta", "unknown-protocol-parameter", "rate-above-one", "rate-missing",
+            "bursts-not-dividing-k", "ack-less-channel",
+            "float-seed", "text-seed", "negative-seed", "bool-seed",
         ],
     )
     def test_bad_scenario_spec_is_400(self, client, spec):
