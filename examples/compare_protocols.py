@@ -11,7 +11,7 @@ Run with::
     python examples/compare_protocols.py 100000 10  # k up to 10^5, 10 runs each
 
 For the full-scale reproduction (CSV/gnuplot artefacts, paper comparison) use
-``python -m repro.experiments.figure1`` and ``python -m repro.experiments.table1``.
+``python -m repro figure1`` and ``python -m repro table1``.
 """
 
 from __future__ import annotations

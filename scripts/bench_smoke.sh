@@ -7,7 +7,9 @@
 # Session-store smoke run proving that
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
-# simulations), and a simulation-service smoke (cached resubmission over
+# simulations), a held-descriptor smoke (a Table 1 sweep into a JSONL and a
+# chaos-wrapped JSONL store leaves no descriptor open once the stores are
+# closed, and both re-serve it), and a simulation-service smoke (cached resubmission over
 # HTTP, a bad component parameter refused with HTTP 400, then the server's
 # store listed by URL).  The smoke-marked benchmark set includes bench_faults.py
 # (crash-recovery time + zero-duplicate chaos assertions ->
@@ -78,10 +80,11 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests -q -m chaos -
 STORE_DIR="$(mktemp -d)"
 SERVICE_STORE_DIR="$(mktemp -d)"
 LIST_DIR="$(mktemp -d)"
+DESCRIPTOR_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR"
+    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR" "$DESCRIPTOR_DIR"
 }
 trap cleanup EXIT
 SCENARIO="one-fail-adaptive(delta=2.72) k=256 reps=5 seed=2011"
@@ -114,6 +117,38 @@ assert payload["cached_runs"] == 5, f"expected 5 migrated runs, got {payload}"
 print("store-migrate smoke ok: sqlite store served %d migrated runs, %d new simulations"
       % (payload["cached_runs"], payload["new_runs"]))
 '
+
+# --- Held-descriptor smoke ---------------------------------------------------
+# A JSONL store keeps each cell's lock and cell descriptors open between
+# appends.  A k <= 1e3 Table 1 sweep into a jsonl: store and a chaos:jsonl:
+# store in one process must leave the process's descriptor count where it
+# started once each store is closed (where /proc/self/fd exists), and each
+# store must then re-serve the whole grid with 0 fresh replications.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import os, sys
+from repro.experiments.config import ExperimentConfig, paper_k_values
+from repro.experiments.table1 import reproduce_table1
+from repro.scenarios.store import open_store
+
+root = sys.argv[1]
+fds = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else None
+before = len(os.listdir(fds)) if fds else None
+config = ExperimentConfig(k_values=paper_k_values(1000), runs=10, seed=2011, workers=1)
+for spec in (f"jsonl:{root}/plain", f"chaos:jsonl:{root}/chaos?seed=7"):
+    store = open_store(spec)
+    cells = reproduce_table1(config, store_dir=store).sweep.cells
+    fresh = sum(cell.new_runs for cell in cells.values())
+    store.close()
+    if fds:
+        after = len(os.listdir(fds))
+        assert after == before, f"{spec}: {after - before} descriptors left open after close()"
+    store = open_store(spec)
+    again = reproduce_table1(config, store_dir=store).sweep.cells
+    store.close()
+    assert sum(cell.new_runs for cell in again.values()) == 0, f"{spec} re-simulated"
+    print("descriptor smoke ok: %s stored %d replications, re-served them all%s"
+          % (spec.split(":")[0], fresh, "" if fds else " (no /proc/self/fd: count skipped)"))
+' "$DESCRIPTOR_DIR"
 
 # --- Simulation-service smoke ------------------------------------------------
 # Boot `repro serve` on a free port, submit a fresh scenario end-to-end, then

@@ -113,6 +113,10 @@ _M_RUNS = REGISTRY.counter(
 _M_SLOTS = REGISTRY.counter(
     "repro_engine_slots_total", "Channel slots simulated, by engine.", ("engine",)
 )
+#: Each engine's two children, resolved once: simulate() runs per replication.
+_M_BY_ENGINE = {
+    name: (_M_RUNS.labels(engine=name), _M_SLOTS.labels(engine=name)) for name in ENGINES
+}
 
 
 @dataclass(frozen=True)
@@ -180,8 +184,9 @@ def simulate(
         else:
             result = chosen.simulate(protocol, k, seed=seed, max_slots=max_slots, trace=trace)
         run_span["engine"] = chosen.name
-    _M_RUNS.labels(engine=chosen.name).inc()
-    _M_SLOTS.labels(engine=chosen.name).inc(result.slots_simulated)
+    runs, slots = _M_BY_ENGINE[chosen.name]
+    runs.inc()
+    slots.inc(result.slots_simulated)
     return result
 
 

@@ -19,7 +19,9 @@ what the test suite verifies against the node-level engine.
 
 The uniform stream derives from :class:`repro.util.rng.RandomSource` like
 every other engine's, so a single integer seed keys the same machinery
-everywhere: slot ``i`` takes the generator's ``i``-th uniform.
+everywhere: slot ``i`` takes the generator's ``i``-th uniform.  (The
+compiled loop seeds the bare ``PCG64`` bit generator a ``RandomSource``
+wraps: the same uniforms, without the ``Generator`` around them.)
 
 Compiled slot loop
 ------------------
@@ -28,10 +30,13 @@ The paper's fair protocols — :class:`~repro.core.one_fail_adaptive.OneFailAdap
 :class:`~repro.protocols.aloha.SlottedAloha` — also run in a C port of this
 loop (``fair_kernel.c``), about 80× faster per slot.  A run is one call (one
 per ``native.SLOTS_PER_CALL`` slots of a longer run, so Ctrl-C is seen): the
-kernel draws each slot's uniform through the generator's ``ctypes``
-interface (the values the Python loop reads from its blocks), makes the same
-libm calls in the same order and is compiled with ``-ffp-contract=off``, so
-each run equals the Python loop's run of the same seed in every field.  The
+kernel draws each slot's uniform through the bit generator's ``bitgen_t``
+(:func:`repro.engine.native.bitgen`; the values the Python loop reads from
+its blocks), makes the same libm calls on the same operands and is compiled
+with ``-ffp-contract=off``, so each run equals the Python loop's run of the
+same seed in every field.  It keeps the thresholds of the last two
+``(p, remaining)`` pairs instead of calling ``pow`` again for them: equal
+operands give equal results, so the cache changes no run.  The
 Python loop stays the reference and runs everything
 else: traced runs, other fair protocols (and subclasses of the three — the
 kernel is matched by exact type, so an overridden rule is never skipped) and
@@ -51,6 +56,8 @@ from __future__ import annotations
 
 import ctypes
 from typing import ClassVar
+
+import numpy as np
 
 from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
@@ -137,8 +144,6 @@ _KERNEL_PROTOCOLS = {
 }
 
 
-
-
 class FairEngine:
     """Simulate a :class:`FairProtocol` with one random draw per slot."""
 
@@ -187,13 +192,14 @@ class FairEngine:
                 remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, last_delivery=-1,
                 **fields(protocol),
             )
-            # The uniforms the Python loop reads from its blocks, one per slot.
-            bit_generator = RandomSource(seed=seed).generator.bit_generator
-            draws = native.uniforms(bit_generator)
+            # RandomSource(seed)'s bit generator, whose uniforms the Python
+            # loop reads from its blocks: the kernel draws one per slot.  It
+            # is this run's alone, so no other thread draws from it.
+            bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
+            bitgen = native.bitgen(bit_generator)
             status = _PAUSED
             while status == _PAUSED:
-                with bit_generator.lock:
-                    status = kernel.fair_simulate(ctypes.byref(run), *draws)
+                status = kernel.fair_simulate(ctypes.byref(run), bitgen)
             return self._result(
                 protocol, k, seed, status == _SOLVED, run.slot, run.successes,
                 run.collisions, run.silences, run.last_delivery,

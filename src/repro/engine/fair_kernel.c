@@ -12,15 +12,28 @@
  * run r->budget slots in this call: the caller then calls again, so a long
  * run still returns to Python (and sees Ctrl-C) every so often.  Slot i takes
  * the i-th uniform of the run's numpy bit generator: the caller passes the
- * generator's next_double function and state (bit_generator.ctypes), which is
+ * generator's bitgen_t (from bit_generator.capsule), whose next_double is
  * what Generator.random calls too, so these are the values the Python loop
  * reads from its blocks of generator.random(1024).
+ *
+ * The success and silence thresholds depend only on (p, remaining).  Between
+ * receptions One-fail Adaptive's BT-step p, Log-fails Adaptive's p and
+ * ALOHA's p stay fixed, so the loop keeps the last two (p, remaining) pairs
+ * with their thresholds: equal operands give equal libm results, so a cached
+ * threshold is the one pow would return again, and runs do not change.
  */
 
 #include <math.h>
 #include <stdint.h>
 
-typedef double (*next_double_fn)(void *state);
+/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 enum { OFA = 0, LFA = 1, ALOHA = 2 };
 enum { FAIR_PAUSED = 0, FAIR_SOLVED = 1, FAIR_CAPPED = 2 };
@@ -112,8 +125,19 @@ static void notify(fair_run *r, int received) {
     }
 }
 
-int fair_simulate(fair_run *r, next_double_fn next_double, void *state) {
+/* The thresholds of the last two (p, remaining) pairs; remaining 0 marks an
+ * empty entry (a run with no message left draws no slot). */
+typedef struct {
+    double p[2], success[2], silence[2];
+    int64_t remaining[2];
+    int newest;
+} threshold_cache;
+
+int fair_simulate(fair_run *r, bitgen_t *bitgen) {
+    double (*const next_double)(void *state) = bitgen->next_double;
+    void *const state = bitgen->state;
     const int64_t first = r->slot;
+    threshold_cache cache = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0, 0}, 0};
     for (;;) {
         double p, probability_success, probability_silence, draw;
         int received = 0;
@@ -129,10 +153,22 @@ int fair_simulate(fair_run *r, next_double_fn next_double, void *state) {
             probability_success = r->remaining == 1 ? 1.0 : 0.0;
             probability_silence = 0.0;
         } else {
-            double q = 1.0 - p;
-            double q_pow = pow(q, (double)(r->remaining - 1));
-            probability_success = (double)r->remaining * p * q_pow;
-            probability_silence = q_pow * q;
+            int entry = cache.newest;
+            if (cache.p[entry] != p || cache.remaining[entry] != r->remaining)
+                entry = 1 - entry;
+            if (cache.p[entry] != p || cache.remaining[entry] != r->remaining) {
+                /* A miss replaces the older entry. */
+                double q = 1.0 - p;
+                double q_pow = pow(q, (double)(r->remaining - 1));
+                entry = 1 - cache.newest;
+                cache.p[entry] = p;
+                cache.remaining[entry] = r->remaining;
+                cache.success[entry] = (double)r->remaining * p * q_pow;
+                cache.silence[entry] = q_pow * q;
+            }
+            cache.newest = entry;
+            probability_success = cache.success[entry];
+            probability_silence = cache.silence[entry];
         }
         draw = next_double(state);
         if (draw < probability_success) {

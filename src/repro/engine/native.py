@@ -6,7 +6,8 @@ window loop.  An untraced fair run is one call into the library; a windowed
 run is one call per chunk of its window schedule.  A call returns after
 :data:`SLOTS_PER_CALL` slots and the next one carries on, so a long run
 still sees Ctrl-C.  Both draw their uniforms straight from the run's numpy
-bit generator.  The system ``cc`` compiles both files into one shared
+bit generator, through the ``bitgen_t`` :func:`bitgen` takes from the
+generator's capsule.  The system ``cc`` compiles both files into one shared
 library on the first run that needs either, and the library is cached per
 user (``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that
 hashes both sources, the flags and the machine, so a second process only
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.obs import get_logger
 
-__all__ = ["KERNEL", "SLOTS_PER_CALL", "uniforms"]
+__all__ = ["KERNEL", "SLOTS_PER_CALL", "bitgen"]
 
 _LOG = get_logger(__name__)
 
@@ -45,31 +46,35 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: Python, where Ctrl-C is handled, every fraction of a second.
 SLOTS_PER_CALL = 1 << 20
 
-#: The library's functions: name -> (argtypes, restype).  ``next_double``
-#: and ``state`` are the addresses :func:`uniforms` returns.
+#: The library's functions: name -> (argtypes, restype).  ``bitgen`` is the
+#: address :func:`bitgen` returns.
 _SIGNATURES = {
-    # fair_simulate(fair_run *run, next_double_fn next_double, void *state)
-    "fair_simulate": ([ctypes.c_void_p] * 3, ctypes.c_int),
+    # fair_simulate(fair_run *run, bitgen_t *bitgen)
+    "fair_simulate": ([ctypes.c_void_p] * 2, ctypes.c_int),
     # window_simulate(window_run *run, const int64_t *lengths, int64_t n,
-    #                 uint8_t *counts, int64_t capacity,
-    #                 next_double_fn next_double, void *state)
+    #                 uint8_t *counts, int64_t capacity, bitgen_t *bitgen)
     "window_simulate": (
         [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-         ctypes.c_void_p, ctypes.c_void_p],
+         ctypes.c_void_p],
         ctypes.c_int,
     ),
 }
 
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
+_capsule_pointer.restype = ctypes.c_void_p
 
-def uniforms(bit_generator: np.random.BitGenerator) -> tuple[int, int]:
-    """``(next_double, state)``: how a kernel draws ``bit_generator``'s uniforms.
 
-    These are the function and state ``Generator.random`` calls, so a kernel
-    that calls ``next_double(state)`` takes the values ``generator.random``
-    would return, in order.  Call the kernel under ``bit_generator.lock``.
+def bitgen(bit_generator: np.random.BitGenerator) -> int:
+    """The address of ``bit_generator``'s ``bitgen_t``: how a kernel draws its uniforms.
+
+    numpy's public C interface to a bit generator, taken from its capsule.
+    Its ``next_double(state)`` is what ``Generator.random`` calls, so a
+    kernel that calls it takes the values ``generator.random`` would return,
+    in order.  The struct lives in ``bit_generator``, which must outlive the
+    calls, and only one thread may draw from it at a time.
     """
-    interface = bit_generator.ctypes
-    return ctypes.cast(interface.next_double, ctypes.c_void_p).value, interface.state_address
+    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
 
 
 def _cache_dirs() -> list[Path]:

@@ -29,16 +29,21 @@ Untraced runs run the window loop in C (``window_kernel.c``, built into the
 library of :mod:`repro.engine.native`): the saturation test (a port of
 :func:`_saturated` making the same libm calls), the cap, the ball throw into
 one byte per bin with uniforms drawn straight from the run's numpy bit
-generator, and the counters.  Python pulls the window schedule in chunks of
-8, 16, 32, … windows and makes one call per chunk, so every windowed protocol
-takes the compiled path, subclasses and user-defined schedules included.  An
-error the schedule raises while a chunk is pulled ahead is held back and
-raised only if the run reaches that window, so the run ends exactly where
-the per-window loop would.  A thrown window wider than the run's bin buffer
-hands back to Python, which grows the buffer to the next power of two and
-resumes there; so does a call that has run ``native.SLOTS_PER_CALL`` slots,
-so Ctrl-C is seen.  Traced runs (they record exact per-slot transmitter
-counts) and hosts without a C compiler run the Python per-window loop and
+generator (through its ``bitgen_t``, :func:`repro.engine.native.bitgen`),
+and the counters.  Every run of one protocol instance reads the same
+schedule, so the instance holds it (:class:`_Schedule`): pulled from one
+``spawn()``, in chunks of 8, 16, 32, … windows, each pulled once, by the
+first run that reaches it, and never changed after; a run makes one call per
+chunk it reaches.  Every windowed protocol takes the compiled path,
+subclasses and user-defined schedules included.  An error the schedule
+raises while a chunk is pulled ahead is held with the chunk and raised in
+every run that reaches that window, and in no other, so each run ends
+exactly where the per-window loop would.  A thrown window wider than the
+run's bin buffer hands back to Python, which grows the buffer to the next
+power of two and resumes there; so does a call that has run
+``native.SLOTS_PER_CALL`` slots, so Ctrl-C is seen.  Traced runs (they
+record exact per-slot transmitter counts) and hosts without a C compiler
+run the Python per-window loop on a schedule of their own ``spawn()`` and
 throw the balls with numpy (:func:`_throw_reference`), which draws the same
 values and bins them the same way, so both paths produce the same runs.
 ``repro_window_runs_total{path}`` counts which one ran.
@@ -46,11 +51,14 @@ values and bins them the same way, so both paths produce the same runs.
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import math
+import threading
 from array import array
 from collections.abc import Iterator
-from typing import ClassVar
+from types import TracebackType
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -185,48 +193,131 @@ def _pull(schedule: Iterator[int], count: int) -> tuple[array, Exception | None]
     return lengths, None
 
 
+class _Chunk(NamedTuple):
+    """Window lengths of one schedule chunk, where the kernel reads them, and
+    the error that cut the chunk short (with its traceback), if any."""
+
+    lengths: array
+    address: int
+    count: int
+    error: Exception | None
+    traceback: TracebackType | None
+
+
+class _Schedule:
+    """A protocol instance's window schedule, shared by its compiled runs.
+
+    The schedule is one ``spawn()`` of the instance, pulled in the chunks a
+    run used to pull for itself (8, 16, 32, … windows), so every run reads
+    the windows it would have pulled and makes the calls it would have made.
+    Each chunk is pulled once, under the lock, by the first run that reaches
+    it, and is never changed after: a chunk a kernel call is reading with the
+    GIL released is never resized.  No chunk follows one an error cut short.
+
+    The instance holds its schedule (:func:`_schedule_of`) with a copy of the
+    attributes it was spawned from, and a run whose instance's attributes
+    differ pulls a new one.  A copy or a pickle of the instance holds none.
+    """
+
+    def __init__(self, protocol: WindowedProtocol, attributes: dict[str, object]) -> None:
+        self.kind = type(protocol)
+        self.attributes = copy.deepcopy(attributes)
+        self._windows = protocol.spawn().window_lengths()
+        self._lock = threading.Lock()
+        self._chunks: list[_Chunk] = []
+
+    def chunk(self, index: int) -> _Chunk:
+        """The ``index``-th chunk, pulled first if no run has reached it."""
+        chunks = self._chunks
+        if index >= len(chunks):
+            with self._lock:
+                while len(chunks) <= index:
+                    lengths, error = _pull(self._windows, _FIRST_CHUNK << len(chunks))
+                    address, count = lengths.buffer_info()
+                    traceback = error.__traceback__ if error is not None else None
+                    chunks.append(_Chunk(lengths, address, count, error, traceback))
+        return chunks[index]
+
+    def matches(self, protocol: WindowedProtocol, attributes: dict[str, object]) -> bool:
+        """Whether this schedule is still the one ``protocol`` would spawn."""
+        if type(protocol) is not self.kind:
+            return False
+        try:
+            return bool(attributes == self.attributes)
+        except (TypeError, ValueError):  # an attribute without one truth value: an array
+            return False
+
+    def __reduce__(self) -> tuple[object, tuple[()]]:
+        return _no_schedule, ()
+
+
+def _no_schedule() -> None:
+    """What a copied or unpickled protocol instance holds for its schedule."""
+    return None
+
+
+#: The attribute of a protocol instance that holds its :class:`_Schedule`.
+_SCHEDULE = "_window_engine_schedule"
+
+
+def _schedule_of(protocol: WindowedProtocol) -> _Schedule:
+    """The schedule ``protocol``'s compiled runs share, pulled anew when the
+    instance's attributes (its parameters) changed since it was pulled."""
+    attributes = {key: value for key, value in vars(protocol).items() if key != _SCHEDULE}
+    schedule = vars(protocol).get(_SCHEDULE)
+    if schedule is None or not schedule.matches(protocol, attributes):
+        schedule = _Schedule(protocol, attributes)
+        vars(protocol)[_SCHEDULE] = schedule
+    return schedule
+
+
 def _compiled_run(
     window_simulate: ctypes._CFuncPtr,
     protocol: WindowedProtocol,
-    schedule: Iterator[int],
-    generator: np.random.Generator,
+    schedule: _Schedule,
+    seed: int,
     k: int,
     cap: int,
 ) -> _WindowRun:
-    """The run on ``window_kernel.c``: one call per schedule chunk, and one
-    more per bin-buffer growth and per ``native.SLOTS_PER_CALL`` slots.
+    """The run on ``window_kernel.c``: one call per schedule chunk it reaches,
+    and one more per bin-buffer growth and per ``native.SLOTS_PER_CALL`` slots.
 
-    The bin buffer and the run state belong to the run, because the GIL is
-    released during each call and the service runs windows of different jobs
-    on concurrent threads.
+    The bin buffer, the bit generator and the run state belong to the run,
+    because the GIL is released during each call and the service runs
+    windows of different jobs on concurrent threads.
     """
-    bit_generator = generator.bit_generator
-    next_double, state = native.uniforms(bit_generator)
+    # RandomSource(seed)'s bit generator, whose uniforms the Python loop's
+    # generator.random returns: the kernel draws them one per ball.
+    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
+    bitgen = native.bitgen(bit_generator)
     run = _WindowRun(remaining=k, cap=cap, budget=native.SLOTS_PER_CALL)
     bins = np.empty(_FIRST_BINS, dtype=np.uint8)
-    chunk = _FIRST_CHUNK
+    bins_address = bins.ctypes.data
+    index = 0
     while True:
-        lengths, error = _pull(schedule, chunk)
-        chunk *= 2
-        address, count = lengths.buffer_info()
+        chunk = schedule.chunk(index)
+        index += 1
         run.position = 0
         while True:
-            with bit_generator.lock:
-                status = window_simulate(
-                    ctypes.byref(run), address, count, bins.ctypes.data, bins.size,
-                    next_double, state,
-                )
+            status = window_simulate(
+                ctypes.byref(run), chunk.address, chunk.count, bins_address, bins.size, bitgen,
+            )
             if status == _GROW:
                 # The next power of two: at most twice the window that did not fit.
-                bins = np.empty(1 << (lengths[run.position] - 1).bit_length(), dtype=np.uint8)
+                bins = np.empty(
+                    1 << (chunk.lengths[run.position] - 1).bit_length(), dtype=np.uint8
+                )
+                bins_address = bins.ctypes.data
             elif status != _PAUSED:
                 break
         if status == _DONE:
             return run
-        if isinstance(error, StopIteration):
-            raise _exhausted(protocol, run.remaining) from error
-        if error is not None:
-            raise error
+        if isinstance(chunk.error, StopIteration):
+            raise _exhausted(protocol, run.remaining) from chunk.error
+        if chunk.error is not None:
+            # Every run that reaches the error raises it from where the
+            # schedule raised it, not from the runs before.
+            raise chunk.error.with_traceback(chunk.traceback)
 
 
 class WindowEngine:
@@ -271,14 +362,16 @@ class WindowEngine:
             )
         cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
 
-        schedule = protocol.spawn().window_lengths()
-        rng = RandomSource(seed=seed).generator
         library = native.KERNEL.get() if trace is None else None
         if library is not None:
             _M_COMPILED.inc()
-            run = _compiled_run(library.window_simulate, protocol, schedule, rng, k, cap)
+            run = _compiled_run(
+                library.window_simulate, protocol, _schedule_of(protocol), seed, k, cap
+            )
         else:
             _M_PYTHON.inc()
+            schedule = protocol.spawn().window_lengths()
+            rng = RandomSource(seed=seed).generator
             run = _python_run(protocol, schedule, rng, k, cap, trace)
 
         for mode, count in (("saturated", run.saturated), ("ball-throw", run.thrown)):

@@ -11,7 +11,7 @@
  *   - Every other window throws its balls: ball i lands in bin
  *     min(floor(u_i * length), length - 1), where u_i is the i-th uniform of
  *     the run's numpy bit generator.  The caller passes the generator's
- *     next_double function and state (bit_generator.ctypes), which is what
+ *     bitgen_t (from bit_generator.capsule), whose next_double is what
  *     Generator.random calls too, so every bin equals the one the numpy
  *     reference computes from generator.random(balls).
  *   - A window cut by the slot cap tallies only its slots before the cap, and
@@ -33,7 +33,14 @@
 #include <stdint.h>
 #include <string.h>
 
-typedef double (*next_double_fn)(void *state);
+/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 enum { WINDOW_DONE = 0, WINDOW_MORE = 1, WINDOW_GROW = 2, WINDOW_PAUSED = 3 };
 
@@ -65,7 +72,10 @@ static int saturated(int64_t length, int64_t balls) {
 }
 
 int window_simulate(window_run *r, const int64_t *lengths, int64_t n, uint8_t *counts,
-                    int64_t capacity, next_double_fn next_double, void *state) {
+                    int64_t capacity, bitgen_t *bitgen) {
+    /* Loaded once: the byte stores into counts may alias *bitgen. */
+    double (*const next_double)(void *state) = bitgen->next_double;
+    void *const state = bitgen->state;
     const int64_t first = r->start;
     for (; r->position < n; r->position++) {
         int64_t length = lengths[r->position], limit, simulated;

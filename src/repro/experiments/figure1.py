@@ -8,11 +8,11 @@ plot and writes CSV / gnuplot / JSON artefacts.
 
 Run it with::
 
-    python -m repro.experiments.figure1 --max-k 10000 --runs 10 --output-dir results/
+    python -m repro figure1 --max-k 10000 --runs 10 --output-dir results/
 
 or, for the full paper range (slow on one CPU)::
 
-    python -m repro.experiments.figure1 --max-k 10000000
+    python -m repro figure1 --max-k 10000000
 """
 
 from __future__ import annotations

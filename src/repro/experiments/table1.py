@@ -8,7 +8,7 @@ measured-vs-paper discussion.
 
 Run with::
 
-    python -m repro.experiments.table1 --max-k 10000
+    python -m repro table1 --max-k 10000
 """
 
 from __future__ import annotations

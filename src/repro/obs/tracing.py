@@ -12,13 +12,14 @@ trace explicitly — the HTTP handler stamps ``job.trace_id`` at submit time and
 the worker enters :func:`trace_context` around the attempt.  That one explicit
 hand-off is the entire cross-thread story.
 
-Finished spans are appended to a :class:`TraceLog` — line-buffered JSONL next
-to the job journal (see :func:`trace_log_for_store`), torn-line tolerant on
-read exactly like the journal and the JSONL store: a crash mid-write costs at
-most the final line.  When no sink is configured (the default for library
-use), spans still nest and propagate ids but write nothing.  Such a span is
-cheap but not free: a ContextVar get, set and reset, an ``os.urandom`` span
-id (and a trace id when it opens a trace) and two clock reads.
+Finished spans are appended to a :class:`TraceLog` — JSONL next to the job
+journal (see :func:`trace_log_for_store`), one ``write`` per span to a file
+the log keeps open, torn-line tolerant on read exactly like the journal and
+the JSONL store: a crash mid-write costs at most the final line.  When no
+sink is configured (the default for library use), spans still nest and
+propagate ids but write nothing.  Such a span is cheap but not free: a
+ContextVar get, set and reset, an ``os.urandom`` span id (and a trace id
+when it opens a trace) and two clock reads.
 
 Span durations come from ``time.monotonic`` (wall-clock timestamps are
 metadata only), and ids are 64-bit hex from ``os.urandom`` — independent of
@@ -28,13 +29,16 @@ the seeded simulation RNG streams, so tracing can never perturb determinism.
 from __future__ import annotations
 
 import contextvars
+import io
 import json
 import os
 import threading
 import time
+import weakref
 from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from pathlib import Path
+from types import TracebackType
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -82,9 +86,14 @@ def current_span_id() -> str | None:
 
 
 def configure_tracing(path: "str | Path | None") -> "TraceLog | None":
-    """Install (or clear, with ``None``) the process-wide trace sink."""
+    """Install (or clear, with ``None``) the process-wide trace sink.
+
+    The sink it replaces closes its file.
+    """
     global _sink
     with _sink_lock:
+        if _sink is not None:
+            _sink.close()
         _sink = TraceLog(path) if path is not None else None
         return _sink
 
@@ -113,8 +122,7 @@ def trace_context(trace_id: str | None) -> Iterator[None]:
         _current.reset(token)
 
 
-@contextmanager
-def span(name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
+def span(name: str, **attrs: Any) -> "_Span":
     """Record a named span around a block of work.
 
     Opens a child of the current span (starting a new trace when there is
@@ -123,31 +131,50 @@ def span(name: str, **attrs: Any) -> Iterator[dict[str, Any]]:
     event to the configured sink.  Exceptions propagate; the span records
     the exception type in ``error`` before re-raising.
     """
-    parent = _current.get()
-    trace_id = parent[0] if parent is not None else new_trace_id()
-    span_id = os.urandom(8).hex()
-    token = _current.set((trace_id, span_id))
-    payload: dict[str, Any] = dict(attrs)
-    started = time.monotonic()
-    started_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata
-    try:
-        yield payload
-    except BaseException as exc:
-        payload.setdefault("error", type(exc).__name__)
-        raise
-    finally:
-        _current.reset(token)
+    return _Span(name, attrs)
+
+
+class _Span:
+    """The context manager :func:`span` returns (a class: cheaper to enter
+    and leave than a generator-based one, and engines open one per run)."""
+
+    __slots__ = ("name", "payload", "parent", "trace_id", "span_id", "token", "started",
+                 "started_at")
+
+    def __init__(self, name: str, payload: dict[str, Any]) -> None:
+        self.name = name
+        self.payload = payload
+
+    def __enter__(self) -> dict[str, Any]:
+        parent = self.parent = _current.get()
+        self.trace_id = parent[0] if parent is not None else new_trace_id()
+        self.span_id = os.urandom(8).hex()
+        self.token = _current.set((self.trace_id, self.span_id))
+        self.started = time.monotonic()
+        self.started_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata
+        return self.payload
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        traceback: TracebackType | None,
+    ) -> None:
+        if exc_type is not None:
+            self.payload.setdefault("error", exc_type.__name__)
+        _current.reset(self.token)
         sink = _sink
         if sink is not None:
+            parent = self.parent
             sink.append(
                 SpanEvent(
-                    trace=trace_id,
-                    span=span_id,
+                    trace=self.trace_id,
+                    span=self.span_id,
                     parent=parent[1] if parent is not None else None,
-                    name=name,
-                    ts=started_at,
-                    dur_s=time.monotonic() - started,
-                    attrs=payload,
+                    name=self.name,
+                    ts=self.started_at,
+                    dur_s=time.monotonic() - self.started,
+                    attrs=self.payload,
                 )
             )
 
@@ -205,21 +232,61 @@ class SpanEvent:
 class TraceLog:
     """Append-only JSONL sink for finished spans.
 
-    Writes are serialised under a lock and flushed line-at-a-time; like the
-    job journal, a torn final line from a crash is skipped on read rather
-    than poisoning the file.
+    Writes are serialised under a lock, one unbuffered ``write`` of a whole
+    line per span to a file the log keeps open; like the job journal, a
+    torn final line from a crash is skipped on read rather than poisoning
+    the file.  The log opens the file anew in a forked child (which must
+    not write through its parent's descriptor) and when the path no longer
+    names the open file (deleted or replaced), so spans always land in the
+    file at :attr:`path`.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        # The open file, what closes it (also when the log is collected),
+        # the (device, inode) it is and the process that opened it; written
+        # only under _lock.
+        self._file: io.FileIO | None = None
+        self._release: weakref.finalize | None = None
+        self._identity: tuple[int, int] | None = None
+        self._pid = 0
 
     def append(self, event: SpanEvent) -> None:
-        line = json.dumps(event.to_dict(), separators=(",", ":"))
+        data = (json.dumps(event.to_dict(), separators=(",", ":")) + "\n").encode("utf-8")
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            sink = self._open()
+            view = memoryview(data)
+            while view:  # a raw write may take only part of it
+                view = view[sink.write(view):]
+
+    def _open(self) -> io.FileIO:
+        """The open file, reopened unless it is still the one at :attr:`path`."""
+        if self._file is not None and self._pid == os.getpid():
+            try:
+                status = os.stat(self.path)
+            except OSError:
+                status = None
+            if status is not None and (status.st_dev, status.st_ino) == self._identity:
+                return self._file
+        self._close()
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._file = io.FileIO(self.path, "a")
+        self._release = weakref.finalize(self, self._file.close)
+        self._pid = os.getpid()
+        status = os.fstat(self._file.fileno())
+        self._identity = (status.st_dev, status.st_ino)
+        return self._file
+
+    def _close(self) -> None:
+        if self._release is not None:
+            self._release()
+        self._file = self._release = None
+
+    def close(self) -> None:
+        """Close the file; a later :meth:`append` reopens it."""
+        with self._lock:
+            self._close()
 
     def read(self) -> list[SpanEvent]:
         return read_trace(self.path)

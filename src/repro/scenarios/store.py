@@ -53,12 +53,16 @@ written exactly once.  How that is achieved is the backend's business:
   sidecar file (``<content-hash>.jsonl.lock``) around the whole
   read-tail/heal/header/write critical section; ``flock`` attaches to the
   open file description, so two server worker threads serialise exactly like
-  two processes.  On platforms without ``fcntl`` (Windows) it degrades to an
-  in-process :class:`threading.Lock`, which still serialises all writers
-  within one interpreter (the simulation service's deployment shape).  Lock
-  sidecars are janitorial litter, not data: they are excluded from every
-  listing and removed by :meth:`JsonlStore.compact` (and by
-  ``repro store migrate``).
+  two processes.  It keeps the sidecar and cell descriptors of the cells it
+  appended to last open between appends, and opens them anew in a forked
+  child and wherever a file it holds was unlinked (compaction's rename,
+  ``clean_locks``), so it always locks and writes the files at the paths.
+  On platforms without ``fcntl`` (Windows) it degrades to an in-process
+  :class:`threading.Lock`, which still serialises all writers within one
+  interpreter (the simulation service's deployment shape), and opens the
+  cell for every append.  Lock sidecars are janitorial litter, not data:
+  they are excluded from every listing and removed by
+  :meth:`JsonlStore.compact` (and by ``repro store migrate``).
 * ``SqliteStore`` relies on SQLite's own WAL-mode locking with a generous
   busy timeout; every append is one ``BEGIN IMMEDIATE`` transaction.
 
@@ -75,6 +79,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
@@ -110,6 +115,10 @@ _HASH_RE = re.compile(r"[0-9a-f]{16}")
 
 #: Parsed JSONL cells kept per :class:`JsonlStore` instance (LRU, by hash).
 _JSONL_CACHE_ENTRIES = 128
+
+#: Cells whose descriptors a :class:`JsonlStore` keeps open between appends
+#: (LRU, by hash): two each, the lock sidecar's and the cell's.
+_OPEN_CELLS = 32
 
 # Store-layer metric families, shared by every backend and labelled by its
 # name so JSONL and SQLite latencies land side by side in one scrape.
@@ -407,6 +416,10 @@ class JsonlStore(StoreBackend):
     mtime/size change of the cell file, so a repeated cache probe (the
     service's ``POST /scenarios`` fast path) costs one ``stat`` instead of
     re-parsing the whole file.
+
+    Appends keep the descriptors of the last :data:`_OPEN_CELLS` cells open
+    (see the locking contract); :meth:`close` releases them, and so does
+    garbage collection of the store.
     """
 
     name = "jsonl"
@@ -432,6 +445,11 @@ class JsonlStore(StoreBackend):
         # path, where per-call labels() lookups are measurable.
         self._m_append = _M_APPEND.labels(backend=self.name)
         self._m_probe = _M_PROBE.labels(backend=self.name)
+        # hash -> the cell's held descriptors, LRU-bounded; written only
+        # under _write_lock by the process in _open_pid.
+        self._open: OrderedDict[str, _OpenCell] = OrderedDict()
+        self._open_pid = os.getpid()
+        weakref.finalize(self, _close_cells, self._open)
 
     def path_for(self, scenario: Scenario) -> Path:
         return self.root / f"{scenario.content_hash()}.jsonl"
@@ -449,7 +467,7 @@ class JsonlStore(StoreBackend):
             if fcntl is None:
                 yield
                 return
-            lock = os.open(f"{path}.lock", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+            lock = _open_lock(path)
             try:
                 fcntl.flock(lock, fcntl.LOCK_EX)
                 try:
@@ -581,39 +599,63 @@ class JsonlStore(StoreBackend):
         decision and the write itself — runs under the per-hash advisory
         lock, and all lines of one call are emitted by a single ``write``
         loop, so concurrent appenders serialise cleanly instead of
-        interleaving.  It works on file descriptors, and holds none once it
-        returns.
+        interleaving.  It works on file descriptors, which it keeps open
+        for the next append to the cell (see the locking contract).
         """
         if not runs:
             return
         started = time.monotonic()
-        path = self.path_for(scenario)
+        content_hash = scenario.content_hash()
         body = "".join(
             _run_line(run) + "\n" for run in sorted(runs, key=lambda run: run.replication)
         )
-        with self._locked(path):
-            cell = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
-                if os.fstat(cell).st_size == 0:
-                    body = _header_line(scenario) + "\n" + body
-                else:
-                    # Heal a torn tail: a process killed mid-write leaves the
-                    # file without a trailing newline; appending straight
-                    # onto it would glue the first new record to the partial
-                    # line and corrupt both, forever.  (O_APPEND writes at
-                    # the end wherever this read leaves the offset.)
-                    os.lseek(cell, -1, os.SEEK_END)
-                    if os.read(cell, 1) != b"\n":
-                        body = "\n" + body
-                _write_all(cell, body.encode("utf-8"))
-            finally:
-                os.close(cell)
-        content_hash = scenario.content_hash()
+        with self._write_lock:
+            if fcntl is None:
+                path = self.path_for(scenario)
+                cell = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    _write_cell(cell, os.fstat(cell).st_size, -1, scenario, body)
+                finally:
+                    os.close(cell)
+            else:
+                self._append_held(content_hash, scenario, body)
         with self._cache_lock:
             self._cache.pop(content_hash, None)
             for key in [k for k in self._count_cache if k[0] == content_hash]:
                 del self._count_cache[key]
         self._m_append.observe(time.monotonic() - started)
+
+    def _append_held(self, content_hash: str, scenario: Scenario, body: str) -> None:
+        """:meth:`append`'s write through the cell's held descriptors, under
+        its flock.  Called under ``_write_lock``."""
+        if self._open_pid != os.getpid():
+            # A forked child shares the parent's open file descriptions, and
+            # a flock on one of them would not exclude the parent.
+            _close_cells(self._open)
+            self._open_pid = os.getpid()
+        held = self._open.get(content_hash)
+        if held is None:
+            held = self._open[content_hash] = _OpenCell(self.path_for(scenario))
+            while len(self._open) > _OPEN_CELLS:
+                self._open.popitem(last=False)[1].close()
+        else:
+            self._open.move_to_end(content_hash)
+        try:
+            size = held.lock_and_stat()
+            try:
+                held.end = _write_cell(held.cell, size, held.end, scenario, body)
+            finally:
+                fcntl.flock(held.lock, fcntl.LOCK_UN)
+        except BaseException:
+            # Start the cell's next append afresh: reopen, and read the tail.
+            self._open.pop(content_hash, None)
+            held.close()
+            raise
+
+    def close(self) -> None:
+        """Close the descriptors appends keep open; a later append reopens them."""
+        with self._write_lock:
+            _close_cells(self._open)
 
     # ------------------------------------------------------------- listings
     def scenarios_on_record(self) -> list[Scenario]:
@@ -698,6 +740,84 @@ class JsonlStore(StoreBackend):
             return Scenario.from_dict(record["scenario"])
         except (KeyError, TypeError, ValueError):
             return None
+
+
+class _OpenCell:
+    """The descriptors a :class:`JsonlStore` keeps open for the cell at
+    ``path``: its lock sidecar's and its own, and the cell's size after the
+    store's last write (``-1`` before one)."""
+
+    __slots__ = ("path", "lock", "cell", "end")
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.lock = _open_lock(path)
+        self.cell = -1
+        self.end = -1
+
+    def lock_and_stat(self) -> int:
+        """Hold the flock of the sidecar at ``<path>.lock`` and return the size
+        of the cell at ``path``, reopening whichever of the two was unlinked.
+
+        A sidecar :meth:`JsonlStore.clean_locks` unlinked serialises with no
+        writer that opens the path anew, and a cell compaction renamed a new
+        file over takes no more records that anyone reads.
+        """
+        while True:
+            fcntl.flock(self.lock, fcntl.LOCK_EX)
+            if os.fstat(self.lock).st_nlink:
+                break
+            os.close(self.lock)
+            self.lock = -1
+            self.lock = _open_lock(self.path)
+        if self.cell >= 0:
+            status = os.fstat(self.cell)
+            if status.st_nlink:
+                return status.st_size
+            os.close(self.cell)
+            self.cell = -1
+        self.cell = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        self.end = -1
+        return os.fstat(self.cell).st_size
+
+    def close(self) -> None:
+        for descriptor in (self.lock, self.cell):
+            if descriptor >= 0:
+                os.close(descriptor)
+        self.lock = self.cell = -1
+
+
+def _open_lock(path: Path) -> int:
+    return os.open(f"{path}.lock", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+
+
+def _close_cells(cells: OrderedDict[str, _OpenCell]) -> None:
+    """Close and forget every held cell (also a :class:`JsonlStore`'s finalizer)."""
+    while cells:
+        cells.popitem()[1].close()
+
+
+def _write_cell(descriptor: int, size: int, end: int, scenario: Scenario, body: str) -> int:
+    """Append ``body`` to the cell open at ``descriptor``, whose size is
+    ``size``; returns its size after.
+
+    A new cell gets the header first.  A cell whose size is not ``end``, the
+    size this store's last write left, may have been written by someone else
+    since, so its tail is read: a process killed mid-write leaves the file
+    without a trailing newline, and appending straight onto it would glue the
+    first new record to the partial line and corrupt both, forever.  (With
+    ``O_APPEND`` the write lands at the end wherever the read leaves the
+    offset.)
+    """
+    if size == 0:
+        body = _header_line(scenario) + "\n" + body
+    elif size != end:
+        os.lseek(descriptor, -1, os.SEEK_END)
+        if os.read(descriptor, 1) != b"\n":
+            body = "\n" + body
+    data = body.encode("utf-8")
+    _write_all(descriptor, data)
+    return size + len(data)
 
 
 def _write_all(descriptor: int, data: bytes) -> None:

@@ -15,6 +15,7 @@ of the code never has to touch ``SeedSequence`` directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +36,20 @@ def make_generator(seed: int | None = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+#: :func:`derive_seeds` remembers its ``_MEMO_ENTRIES`` most recent
+#: derivations (LRU) of at most ``_MEMO_SEEDS`` seeds each: a grid derives
+#: each cell's seeds several times (planning, the store's seed check, the
+#: result set), and a seed costs a ``SeedSequence`` spawn and a
+#: ``generate_state`` call.
+_MEMO_ENTRIES = 128
+_MEMO_SEEDS = 1024
+
+
 def derive_seeds(root_seed: int, count: int) -> list[int]:
     """Derive ``count`` independent integer seeds from ``root_seed``.
 
     The derivation uses ``SeedSequence.spawn`` so the children are independent
-    of each other and of the parent stream.
+    of each other and of the parent stream.  Every call returns a new list.
 
     Parameters
     ----------
@@ -50,9 +60,19 @@ def derive_seeds(root_seed: int, count: int) -> list[int]:
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    parent = np.random.SeedSequence(root_seed)
-    children = parent.spawn(count)
-    return [int(child.generate_state(1, dtype=np.uint64)[0] % _SEED_BOUND) for child in children]
+    if count > _MEMO_SEEDS or not isinstance(root_seed, int):
+        return list(_derive(root_seed, count))
+    return list(_remembered(root_seed, count))
+
+
+def _derive(root_seed: int, count: int) -> tuple[int, ...]:
+    children = np.random.SeedSequence(root_seed).spawn(count)
+    return tuple(
+        int(child.generate_state(1, dtype=np.uint64)[0] % _SEED_BOUND) for child in children
+    )
+
+
+_remembered = functools.lru_cache(maxsize=_MEMO_ENTRIES)(_derive)
 
 
 def spawn_generators(root_seed: int, count: int) -> list[np.random.Generator]:

@@ -8,12 +8,16 @@ their Python paths — same runs, one warning.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import repro.engine.fair_engine as fair_module
 import repro.engine.native as native
@@ -151,3 +155,29 @@ class TestKernelCache:
             sources = (*original[:index], edited, *original[index + 1:])
             monkeypatch.setattr(native, "_SOURCES", sources)
             assert native._library_name() != name
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's ``bitgen_t``, as both kernels declare it."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in ("state", "next_uint64", "next_uint32", "next_double", "next_raw")
+    ]
+
+
+class TestBitgen:
+    @pytest.mark.parametrize(
+        "make", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64]
+    )
+    def test_pointer_is_the_generators_bitgen(self, make):
+        """The kernels read ``state`` and ``next_double`` through the pointer:
+        they are the ones the generator's ``ctypes`` interface names."""
+        bit_generator = make(7)
+        fields = _Bitgen.from_address(native.bitgen(bit_generator))
+        interface = bit_generator.ctypes
+        assert fields.state == interface.state_address
+        assert fields.next_double == ctypes.cast(interface.next_double, ctypes.c_void_p).value
+
+    def test_the_ctypes_route_is_gone(self):
+        assert not hasattr(native, "uniforms")

@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 import threading
+import traceback
 from array import array
 
 import numpy as np
@@ -393,12 +394,10 @@ def _one_window(
     run = _WindowRun(remaining=balls, cap=limit, budget=native.SLOTS_PER_CALL)
     lengths = array("q", [length])
     bins = np.empty(length if capacity is None else capacity, dtype=np.uint8)
-    bit_generator = generator.bit_generator
-    with bit_generator.lock:
-        status = library.window_simulate(
-            ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size,
-            *native.uniforms(bit_generator),
-        )
+    status = library.window_simulate(
+        ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size,
+        native.bitgen(generator.bit_generator),
+    )
     return status, run
 
 
@@ -577,15 +576,26 @@ class TestCompiledThrowIsExact:
 
     def test_concurrent_runs_equal_serial_runs(self):
         """Threads share the library but not a bin buffer: with more threads
-        than cores and a tiny switch interval, every run is its serial self."""
-        jobs = [
-            (build_protocol(spec, k=k), k, derive_seeds(k + index, 3))
-            for index, (spec, k) in enumerate(
-                [("exp-backon-backoff", 10_000), ("loglog-iterated-backoff", 10_000),
-                 ("exp-backon-backoff", 2048), ("polynomial-backoff", 4096)]
-            )
-        ]
-        serial = [_window_runs("compiled", *job) for job in jobs]
+        than cores and a tiny switch interval, every run is its serial self.
+        The last three threads share one prototype, and so one schedule,
+        whose windows outgrow the first bin buffer: they pull its chunks
+        concurrently, and their runs take the ``_GROW`` path."""
+
+        def make_jobs():
+            shared = build_protocol("exp-backon-backoff", k=10_000)
+            return [
+                (build_protocol(spec, k=k), k, derive_seeds(k + index, 3))
+                for index, (spec, k) in enumerate(
+                    [("exp-backon-backoff", 10_000), ("loglog-iterated-backoff", 10_000),
+                     ("exp-backon-backoff", 2048), ("polynomial-backoff", 4096)]
+                )
+            ] + [(shared, 10_000, derive_seeds(index, 3)) for index in range(3)]
+
+        jobs = make_jobs()
+        serial = [_window_runs("compiled", *job) for job in make_jobs()]
+        reached = min(result.metadata["windows"] for runs in serial[-3:] for result in runs)
+        windows = itertools.islice(jobs[-1][0].spawn().window_lengths(), reached)
+        assert max(windows) > window_module._FIRST_BINS
         threaded: list = [None] * len(jobs)
 
         def work(index):
@@ -608,3 +618,108 @@ class TestCompiledThrowIsExact:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert compiled.value - before == sum(len(seeds) for _, _, seeds in jobs)
+
+
+class Listed(WindowedProtocol):
+    """A user-defined schedule: the windows of a list attribute."""
+
+    name = "test-listed"
+
+    def __init__(self, lengths):
+        self.lengths = list(lengths)
+
+    def window_lengths(self):
+        yield from self.lengths
+
+
+class CutShort(Listed):
+    """The windows of a list attribute, then an error."""
+
+    name = "test-cut-short"
+
+    def window_lengths(self):
+        yield from self.lengths
+        raise RuntimeError("schedule cut short")
+
+
+class CountedBackon(ExpBackonBackoff):
+    """Algorithm 2's schedule, counting the schedules anyone pulls."""
+
+    name = "test-counted-backon"
+    pulled: list = []
+
+    def window_lengths(self):
+        CountedBackon.pulled.append(self)
+        return super().window_lengths()
+
+
+class TestSharedSchedule:
+    """A protocol instance's compiled runs share one schedule, pulled once."""
+
+    def test_runs_of_one_instance_pull_one_schedule(self):
+        seeds = derive_seeds(6, 10)
+        CountedBackon.pulled.clear()
+        shared = CountedBackon()
+        runs = [WindowEngine().simulate(shared, 1000, seed=seed) for seed in seeds]
+        assert len(CountedBackon.pulled) == 1
+        assert runs == _window_runs("python", CountedBackon(), 1000, seeds)
+
+    def test_runs_still_call_once_per_chunk_they_reach(self, kernel_calls):
+        """A run whose windows another run pulled makes the calls it made alone."""
+        protocol, seed = ExpBackonBackoff(), derive_seeds(1, 1)[0]
+        WindowEngine().simulate(protocol, 10_000, seed=seed)
+        kernel_calls.clear()
+        result = WindowEngine().simulate(protocol, 1000, seed=seed)
+        assert result.metadata["windows"] == 79
+        assert kernel_calls == {"window_simulate": 4}
+
+    def test_a_parameter_change_between_runs_pulls_the_new_schedule(self):
+        seed = derive_seeds(4, 1)[0]
+        protocol = ExpBackonBackoff()
+        before = WindowEngine().simulate(protocol, 1000, seed=seed)
+        protocol.delta = 0.3
+        after = WindowEngine().simulate(protocol, 1000, seed=seed)
+        assert after == WindowEngine().simulate(ExpBackonBackoff(delta=0.3), 1000, seed=seed)
+        assert after != before
+
+    def test_an_attribute_changed_in_place_pulls_the_new_schedule(self):
+        seed = derive_seeds(5, 1)[0]
+        protocol = Listed([4] * 40)
+        before = WindowEngine().simulate(protocol, 3, seed=seed)
+        protocol.lengths[:] = [64] * 40
+        after = WindowEngine().simulate(protocol, 3, seed=seed)
+        assert after == WindowEngine().simulate(Listed([64] * 40), 3, seed=seed)
+        assert after != before
+
+    def test_copies_and_pickles_of_an_instance_pull_their_own(self):
+        import copy
+        import pickle
+
+        protocol, seeds = ExpBackonBackoff(), derive_seeds(9, 3)
+        runs = [WindowEngine().simulate(protocol, 500, seed=seed) for seed in seeds]
+        for clone in (copy.deepcopy(protocol), pickle.loads(pickle.dumps(protocol)),
+                      protocol.spawn()):
+            assert [WindowEngine().simulate(clone, 500, seed=seed) for seed in seeds] == runs
+
+    def test_a_schedule_error_is_raised_in_every_run_that_reaches_it(self):
+        """Eight saturated one-slot windows fill the first chunk; the error
+        ends the second chunk.  Runs that end before it never raise it, on
+        both loops, and every run that reaches it raises it, with the
+        traceback of the schedule's raise each time."""
+        protocol, k, seeds = CutShort([1] * 8 + [5] * 6), 10, derive_seeds(8, 30)
+        outcomes = {path: [] for path in PATHS}
+        depths = []
+        for path in PATHS:
+            for seed in seeds:
+                try:
+                    (result,) = _window_runs(path, protocol, k, [seed])
+                except RuntimeError as error:
+                    assert str(error) == "schedule cut short"
+                    outcomes[path].append("raised")
+                    if path == "compiled":
+                        depths.append(len(traceback.extract_tb(error.__traceback__)))
+                else:
+                    outcomes[path].append(result.to_dict())
+        assert outcomes["compiled"] == outcomes["python"]
+        assert 0 < outcomes["compiled"].count("raised") < len(seeds)
+        assert len(set(depths)) == 1

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import pytest
 
@@ -123,6 +125,73 @@ class TestSink:
         (event,) = log.read()
         assert (event.trace, event.span, event.parent) == ("t", "s", "p")
         assert event.ts == 1.5 and event.dur_s == 0.25 and event.attrs == {"a": 1}
+
+
+class TestSinkFile:
+    """The sink keeps its file open, and still writes to the file at its path."""
+
+    def test_a_span_in_a_forked_child_lands_exactly_once(self, sink):
+        with span("before"):
+            pass
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            code = 1
+            try:
+                with span("child"):
+                    pass
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while not (done := os.waitpid(child, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not done[0]:
+            os.kill(child, 9)
+            os.waitpid(child, 0)
+        assert done[0] and os.waitstatus_to_exitcode(done[1]) == 0, "the forked child failed"
+        with span("after"):
+            pass
+        assert [event.name for event in sink.read()] == ["before", "child", "after"]
+
+    def test_deleting_the_log_mid_run_recreates_it(self, sink):
+        with span("lost"):
+            pass
+        sink.path.unlink()
+        with span("kept"):
+            pass
+        assert [event.name for event in sink.read()] == ["kept"]
+
+    def test_a_log_replaced_mid_run_takes_the_next_spans(self, sink):
+        with span("old"):
+            pass
+        moved = sink.path.with_name("rotated.jsonl")
+        sink.path.rename(moved)
+        with span("new"):
+            pass
+        assert [event.name for event in read_trace(moved)] == ["old"]
+        assert [event.name for event in sink.read()] == ["new"]
+
+    def test_read_still_skips_a_torn_tail(self, sink):
+        for name in ("first", "second"):
+            with span(name):
+                pass
+        with sink.path.open("a", encoding="utf-8") as fh:
+            fh.write('{"trace": "deadbeef", "span": "02", "name": "torn"')
+        assert [event.name for event in read_trace(sink.path)] == ["first", "second"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_configure_tracing_closes_the_sink_it_replaces(self, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        configure_tracing(tmp_path / "one.jsonl")
+        with span("one"):
+            pass
+        configure_tracing(tmp_path / "two.jsonl")
+        with span("two"):
+            pass
+        configure_tracing(None)
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert [event.name for event in read_trace(tmp_path / "one.jsonl")] == ["one"]
+        assert [event.name for event in read_trace(tmp_path / "two.jsonl")] == ["two"]
 
 
 class TestStoreSiting:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.util import rng
 from repro.util.rng import RandomSource, derive_seeds, make_generator, spawn_generators
 
 
@@ -32,6 +33,42 @@ class TestDeriveSeeds:
     def test_seeds_fit_in_int64(self):
         for seed in derive_seeds(3, 50):
             assert 0 <= seed < 2**63
+
+
+class TestRememberedSeeds:
+    """derive_seeds remembers recent derivations; callers cannot tell."""
+
+    def test_lists_are_equal_but_independent(self):
+        first = derive_seeds(42, 5)
+        second = derive_seeds(42, 5)
+        assert first == second and first is not second
+        first.append(7)
+        first[0] = -1
+        assert derive_seeds(42, 5) == second
+
+    def test_prefix_stable(self):
+        longer = derive_seeds(11, 10)
+        assert derive_seeds(11, 4) == longer[:4]
+        assert derive_seeds(11, 10) == longer
+        assert derive_seeds(11, rng._MEMO_SEEDS + 3)[:10] == longer
+
+    def test_memory_is_bounded_in_entries_and_seeds(self):
+        for root in range(rng._MEMO_ENTRIES + 20):
+            derive_seeds(10_000 + root, 3)
+        assert rng._remembered.cache_info().currsize == rng._MEMO_ENTRIES
+        before = rng._remembered.cache_info()
+        derive_seeds(5, rng._MEMO_SEEDS + 1)
+        derive_seeds(5, rng._MEMO_SEEDS + 1)
+        assert rng._remembered.cache_info() == before
+
+    def test_remembered_seeds_equal_a_fresh_derivation(self):
+        parent = np.random.SeedSequence(2011)
+        fresh = [
+            int(child.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
+            for child in parent.spawn(6)
+        ]
+        assert derive_seeds(2011, 6) == fresh
+        assert derive_seeds(2011, 6) == fresh
 
 
 class TestMakeGenerator:
