@@ -1,13 +1,13 @@
 """Slot-by-slot inspection of One-fail Adaptive on a tiny network.
 
 The narrative of Section 3 is easiest to follow on a concrete execution: this
-example runs Algorithm 1 with k = 8 stations through the exact node-level
-simulator, records a full execution trace, and prints
+example runs Algorithm 1 with k = 8 stations on the exact node-level engine
+(``engine="slot"``), records a full execution trace, and prints
 
 * the per-slot outcomes (silence / success / collision),
+* the slot in which each station delivered its message, and
 * the evolution of the density estimator κ̃ and of the received counter σ as
-  seen by one surviving station, and
-* the per-node summary (delivery slot, number of transmissions, collisions).
+  seen by one surviving station.
 
 It also shows the value that collision detection would add, by running the
 binary-splitting tree baseline on the same instance size with a
@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import sys
 
-from repro import ChannelModel, ExecutionTrace, FeedbackModel, OneFailAdaptive, RadioNetwork
+from repro import ChannelModel, ExecutionTrace, FeedbackModel, OneFailAdaptive, simulate
 from repro.protocols.splitting import BinarySplitting
 
 
 def trace_one_fail_adaptive(k: int) -> None:
-    protocol = OneFailAdaptive()
-    network = RadioNetwork.for_static_k_selection(protocol, k=k, seed=7)
     trace = ExecutionTrace()
-    result = network.run(trace=trace, collect_node_summaries=True)
+    result = simulate(OneFailAdaptive(), k, seed=7, engine="slot", trace=trace)
 
     print(f"One-fail Adaptive, k = {k}: solved in {result.makespan} slots")
     print()
@@ -38,12 +36,14 @@ def trace_one_fail_adaptive(k: int) -> None:
     print()
     print("Trace summary:", trace.summary())
     print()
-    print("Per-node summary (node_id, delivery slot, transmissions, collisions):")
-    for summary in result.node_summaries:
-        print(
-            f"  node {summary['node_id']}: delivered at slot {summary['delivery_slot']}, "
-            f"{summary['transmissions']} transmissions, {summary['collisions']} collisions"
-        )
+    print("Delivery slot of each station:")
+    deliveries = {
+        record.delivered_node: record.slot
+        for record in trace
+        if record.delivered_node is not None
+    }
+    for station, slot in sorted(deliveries.items()):
+        print(f"  station {station}: delivered at slot {slot}")
     print()
 
     # Replay the estimator evolution as one station would compute it.
@@ -72,10 +72,7 @@ def trace_one_fail_adaptive(k: int) -> None:
 
 def trace_binary_splitting(k: int) -> None:
     channel = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
-    network = RadioNetwork.for_static_k_selection(
-        BinarySplitting(), k=k, seed=7, channel=channel
-    )
-    result = network.run()
+    result = simulate(BinarySplitting(), k, seed=7, channel=channel)
     print(
         f"Binary splitting with collision detection, k = {k}: solved in "
         f"{result.makespan} slots ({result.makespan / k:.2f} steps/node)"

@@ -31,7 +31,7 @@ def main() -> int:
     print()
 
     # --- One-fail Adaptive (Algorithm 1) ------------------------------------
-    scenario = Scenario.parse(f"one-fail-adaptive k={k} seed={seed} seed_policy=sequential")
+    scenario = Scenario.parse(f"one-fail-adaptive k={k} seed={seed}")
     result = session.run(scenario).results[0]
     delta = scenario.build_protocol().delta  # 2.72, the paper's choice
     bound = paper_analysis.ofa_makespan_bound(k, delta=delta)
@@ -44,7 +44,7 @@ def main() -> int:
     print()
 
     # --- Exp Back-on/Back-off (Algorithm 2) ---------------------------------
-    scenario = Scenario.parse(f"exp-backon-backoff k={k} seed={seed} seed_policy=sequential")
+    scenario = Scenario.parse(f"exp-backon-backoff k={k} seed={seed}")
     result = session.run(scenario).results[0]
     delta = scenario.build_protocol().delta  # 0.366, the paper's choice
     bound = paper_analysis.ebb_makespan_bound(k, delta=delta)

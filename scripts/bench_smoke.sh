@@ -4,6 +4,8 @@
 # window loop, exercises each benchmark
 # harness path that is cheap enough for CI (the
 # parallel-execution fidelity checks) without running the full sweeps, then a
+# single-run smoke (`repro simulate <spec> --json` equals the library's
+# simulate() run, and the retired seed_policy key exits 2), a
 # Session-store smoke run proving that
 # a repeated scenario execution is served entirely from the result store, a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
@@ -73,6 +75,30 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -m sm
 # The deterministic fault-injection subset: journal replay after crashes,
 # retry/resume under injected store faults, bounded-queue 503 backoff.
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest tests -q -m chaos --override-ini addopts= -p no:cacheprovider
+
+# --- Single-run smoke --------------------------------------------------------
+# `repro simulate` runs one replication with exactly the scenario's seed: its
+# --json payload, minus the scenario string, must equal simulate()'s result.
+# The retired seed_policy key must be refused as a bad scenario (exit 2).
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro simulate \
+    "one-fail-adaptive k=64 seed=3 arrivals=poisson(rate=0.2)" --json \
+  | PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import json, sys
+from repro import OneFailAdaptive, PoissonArrival, simulate
+
+payload = json.load(sys.stdin)
+payload.pop("scenario")
+result = simulate(OneFailAdaptive(), 64, seed=3, arrivals=PoissonArrival(k=64, rate=0.2))
+expected = json.loads(json.dumps(result.to_dict()))
+assert payload == expected, f"repro simulate printed {payload}, simulate() gave {expected}"
+print("single-run smoke ok: repro simulate --json equals simulate() (makespan %d)"
+      % payload["makespan"])
+'
+STATUS=0
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro run \
+    "one-fail-adaptive k=8 seed_policy=sequential" > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || { echo "expected exit 2 for seed_policy=sequential, got $STATUS"; exit 1; }
+echo "single-run smoke ok: a seed_policy scenario exits 2"
 
 # --- Session-store smoke -----------------------------------------------------
 # First invocation populates the store; the second must report 0 new

@@ -41,7 +41,6 @@ from repro.channel import (
     ExecutionTrace,
     FeedbackModel,
     PoissonArrival,
-    RadioNetwork,
     SlotOutcome,
 )
 from repro.core import ExpBackonBackoff, OneFailAdaptive
@@ -115,7 +114,6 @@ __all__ = [
     "ChannelModel",
     "FeedbackModel",
     "SlotOutcome",
-    "RadioNetwork",
     "BatchArrival",
     "PoissonArrival",
     "BurstyArrival",

@@ -10,13 +10,13 @@ This package implements that substrate:
 
 * :mod:`repro.channel.model` — slot outcomes, feedback models and the
   per-station observation produced by a slot.
-* :mod:`repro.channel.node` — station state machine (active / idle) wrapping a
-  per-node protocol instance.
 * :mod:`repro.channel.arrivals` — message-arrival processes: the batch arrival
   of static k-selection plus Poisson and bursty processes for the dynamic
   extension discussed in the paper's conclusions.
 * :mod:`repro.channel.trace` — per-slot execution records.
-* :mod:`repro.channel.radio_network` — the exact node-level simulator.
+
+The station loop that runs this substrate — one protocol copy and one random
+stream per station — is :class:`repro.engine.SlotEngine`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.channel.model import (
     SlotOutcome,
     resolve_slot,
 )
-from repro.channel.node import Message, Node, NodeState
 from repro.channel.arrivals import (
     ArrivalEvent,
     ArrivalProcess,
@@ -37,7 +36,6 @@ from repro.channel.arrivals import (
     PoissonArrival,
 )
 from repro.channel.trace import ExecutionTrace, SlotRecord
-from repro.channel.radio_network import RadioNetwork, RadioNetworkResult
 
 __all__ = [
     "ChannelModel",
@@ -45,9 +43,6 @@ __all__ = [
     "Observation",
     "SlotOutcome",
     "resolve_slot",
-    "Message",
-    "Node",
-    "NodeState",
     "ArrivalEvent",
     "ArrivalProcess",
     "BatchArrival",
@@ -55,6 +50,4 @@ __all__ = [
     "PoissonArrival",
     "ExecutionTrace",
     "SlotRecord",
-    "RadioNetwork",
-    "RadioNetworkResult",
 ]

@@ -38,8 +38,9 @@ class SlotRecord:
     active_before:
         Number of active stations at the beginning of the slot.
     delivered_node:
-        Identifier of the delivering station for successful slots (when the
-        engine tracks identities), otherwise ``None``.
+        Index, in creation order, of the delivering station for successful
+        slots of the slot engine, the one engine that runs stations;
+        ``None`` otherwise.
     """
 
     slot: int

@@ -2,10 +2,10 @@
 
 Subcommands:
 
-* ``simulate``  — run one protocol on one network size and print the result;
-  ``--arrivals`` accepts an arrival spec string (``poisson(rate=0.2)``,
-  ``bursty(bursts=4,gap=100)``) or a bare name tuned by ``--rate``,
-  ``--bursts``, ``--gap``; ``--json`` emits a machine-readable result;
+* ``simulate``  — run one replication of a scenario (the same spec string or
+  ``.toml``/``.json`` file ``run`` takes) with exactly its seed, as
+  :func:`~repro.engine.dispatch.simulate` does, and print the result;
+  ``--json`` emits ``SimulationResult.to_dict()`` plus the scenario string;
 * ``run``       — execute a declarative scenario (a compact spec string or a
   ``.toml``/``.json`` scenario file) through a
   :class:`~repro.scenarios.session.Session`, optionally backed by a
@@ -55,48 +55,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.store import StoreBackend
     from repro.service.wire import JobStatus
 
-from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.dispatch import available_engines
+from repro.engine.dispatch import simulate
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session
-from repro.scenarios.spec import PROTOCOLS, SpecError, format_spec
+from repro.scenarios.spec import PROTOCOLS, SpecError
 from repro.util.tables import format_text_table
 
 __all__ = ["main"]
-
-
-def _protocol_spec(name: str, delta: float | None = None, xi_t: float = 0.5) -> str:
-    """Assemble the protocol spec string selected by the simulate flags.
-
-    Mirrors the historical flag routing: ``--delta`` parameterises the two
-    protocols that take a δ (One-fail Adaptive, Exp Back-on/Back-off) and is
-    ignored elsewhere; ``--xi-t`` parameterises Log-fails Adaptive only.
-    """
-    params: dict[str, object] = {}
-    if delta is not None and name in ("one-fail-adaptive", "exp-backon-backoff"):
-        params["delta"] = delta
-    if name == "log-fails-adaptive":
-        params["xi_t"] = xi_t
-    return format_spec(name, params)
-
-
-def _arrivals_spec(kind: str, rate: float, bursts: int, gap: int | None) -> str:
-    """Assemble the arrival spec string selected by the simulate flags.
-
-    A ``kind`` that already carries parameters (``"poisson(rate=0.5)"``) is
-    passed through untouched; a bare name picks its parameters from
-    the dedicated flags.
-    """
-    if "(" in kind:
-        return kind
-    if kind == "poisson":
-        return format_spec(kind, {"rate": rate})
-    if kind == "bursty":
-        params: dict[str, object] = {"bursts": bursts}
-        if gap is not None:
-            params["gap"] = gap
-        return format_spec(kind, params)
-    return kind
 
 
 def _print_result_set(result_set: ResultSet) -> None:
@@ -126,34 +91,39 @@ def _scenario_error(error: Exception) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # One replication run with exactly the scenario's seed, as
+    # simulate(..., seed=scenario.seed) would; a cell of replications, whose
+    # seeds derive from the root seed, is `repro run`'s.
     try:
-        scenario = Scenario(
-            protocol=_protocol_spec(args.protocol, delta=args.delta, xi_t=args.xi_t),
-            k=args.k,
-            arrivals=_arrivals_spec(args.arrivals, rate=args.rate, bursts=args.bursts, gap=args.gap),
-            engine=args.engine,
-            replications=1,
-            seed=args.seed,
-            seed_policy="sequential",  # replication 0 runs with exactly --seed
+        scenario = _load_scenario(args.scenario, seed=args.seed)
+        if scenario.replications != 1:
+            raise ValueError(
+                f"repro simulate runs one replication, got reps={scenario.replications}; "
+                "use repro run for a cell of replications"
+            )
+        protocol = scenario.build_protocol()
+        result = simulate(
+            protocol,
+            scenario.k,
+            seed=scenario.seed,
+            engine=scenario.engine,
+            channel=scenario.build_channel(),
+            arrivals=scenario.build_arrivals(),
+            max_slots=scenario.max_slots(),
         )
-    except (SpecError, KeyError) as error:
+    except (SpecError, KeyError, ValueError, OSError) as error:
         return _scenario_error(error)
-    result_set = Session().run(scenario)
-    result = result_set.results[0]
     if args.json:
         payload = result.to_dict()
         payload["scenario"] = scenario.format()
-        payload["scenario_hash"] = result_set.scenario_hash
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if result.solved else 1
-    protocol = scenario.build_protocol()
     rows = [
         ["protocol", protocol.label],
-        ["k", args.k],
-        ["seed", args.seed],
+        ["k", scenario.k],
+        ["seed", scenario.seed],
         ["engine", result.engine],
         ["arrivals", result.metadata.get("arrivals", "BatchArrival")],
-        ["scenario hash", result_set.scenario_hash],
         ["solved", result.solved],
         ["makespan (slots)", result.makespan if result.makespan is not None else "-"],
         ["steps per node", f"{result.steps_per_node:.3f}" if result.solved else "-"],
@@ -167,34 +137,35 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if result.solved else 1
 
 
-def _load_scenario(args: argparse.Namespace) -> Scenario:
-    """Resolve the scenario argument shared by ``run`` and ``submit``.
+def _load_scenario(
+    text: str, replications: int | None = None, seed: int | None = None
+) -> Scenario:
+    """Resolve the scenario argument shared by ``simulate``, ``run`` and ``submit``.
 
-    The positional is a compact spec string or a ``.toml``/``.json`` file
-    path; ``--replications``/``--seed`` override the loaded values.
+    ``text`` is a compact spec string or a ``.toml``/``.json`` file path;
+    ``replications``/``seed`` override the loaded values.
     """
-    text = args.scenario
     path = Path(text)
     if path.suffix.lower() in (".toml", ".json") or path.is_file():
         scenario = Scenario.from_file(path)
     else:
         scenario = Scenario.parse(text)
     overrides: dict[str, object] = {}
-    if args.replications is not None:
-        overrides["replications"] = args.replications
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    if replications is not None:
+        overrides["replications"] = replications
+    if seed is not None:
+        overrides["seed"] = seed
     if overrides:
         scenario = scenario.replace(**overrides)
     return scenario
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    # `run` is a new subcommand with no legacy error contract, so every
-    # scenario-level failure — bad spec, unknown component name, missing file,
-    # invalid parameter — reports as a one-line CLI error, not a traceback.
+    # Every scenario-level failure — bad spec, unknown component name, missing
+    # file, invalid parameter — reports as a one-line CLI error, not a
+    # traceback, as in `simulate` and `submit`.
     try:
-        scenario = _load_scenario(args)
+        scenario = _load_scenario(args.scenario, args.replications, args.seed)
         session = Session(store_dir=args.store, workers=args.workers)
         result_set = session.run(scenario)
     except (SpecError, KeyError, ValueError, OSError) as error:
@@ -262,7 +233,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("repro: error: a scenario (or --cancel JOB_ID) is required", file=sys.stderr)
         return 2
     try:
-        scenario = _load_scenario(args)
+        scenario = _load_scenario(args.scenario, args.replications, args.seed)
     except (SpecError, KeyError, ValueError, OSError) as error:
         return _scenario_error(error)
     try:
@@ -538,25 +509,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    sim = subparsers.add_parser("simulate", help="run one static k-selection instance")
-    sim.add_argument("--protocol", default=OneFailAdaptive.name, choices=sorted(PROTOCOLS))
-    sim.add_argument("--k", type=int, default=1_000, help="number of contenders")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--engine", default="auto", choices=available_engines())
-    sim.add_argument("--delta", type=float, default=None, help="protocol delta (paper default if omitted)")
-    sim.add_argument("--xi-t", dest="xi_t", type=float, default=0.5, help="xi_t for log-fails-adaptive")
-    sim.add_argument(
-        "--arrivals",
-        default="batch",
-        help="arrival spec string: an arrival name (batch, poisson, bursty; batch = the "
-        "paper's static k-selection) tuned by --rate/--bursts/--gap, or a parameterised "
-        "spec like 'poisson(rate=0.2)'",
+    sim = subparsers.add_parser(
+        "simulate",
+        help="run one replication of a scenario (spec string or .toml/.json file)",
+        description="Run one replication of a scenario with exactly its seed, as "
+        "simulate(..., seed=seed) does, and print the result.  The scenario is a "
+        "compact spec string, e.g. \"one-fail-adaptive k=1000 seed=4 "
+        "arrivals=poisson(rate=0.2)\", or the path of a .toml/.json scenario file; "
+        "a scenario with reps other than 1 belongs to repro run.",
     )
-    sim.add_argument("--rate", type=float, default=0.1, help="per-slot rate for --arrivals poisson")
-    sim.add_argument("--bursts", type=int, default=4, help="number of bursts for --arrivals bursty")
-    sim.add_argument(
-        "--gap", type=int, default=None, help="slots between bursts for --arrivals bursty (default k)"
-    )
+    sim.add_argument("scenario", help="scenario spec string or path to a .toml/.json file")
+    sim.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     sim.add_argument("--json", action="store_true", help="print a machine-readable JSON result")
     sim.set_defaults(func=_cmd_simulate)
 

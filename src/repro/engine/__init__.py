@@ -4,16 +4,17 @@ Three engines sample the *same* stochastic process — the paper's channel —
 at very different costs.  :data:`ENGINES` names them, and
 :func:`pick_engine_name` (in :mod:`repro.engine.dispatch`) states the whole
 selection rule from the protocol's ``protocol_kind``, the channel and the
-arrival process; dispatch, session planning, scenario validation and the
-CLI's ``--engine`` choices all ask it.
+arrival process; dispatch, session planning and scenario validation (so
+the CLI's ``engine=`` spec token too) all ask it.
 
 =========== ======================================= ==========================================
 engine      cost                                    chosen by ``"auto"`` when
 =========== ======================================= ==========================================
-``slot``    O(active stations) per slot; the        nothing cheaper applies (generic protocols,
-            node-level reference the others are     other channels, arrival processes, fair
-            validated against                       protocols whose state depends on their
-                                                    own transmissions)
+``slot``    O(active stations) per slot: the        nothing cheaper applies (generic protocols,
+            paper's station loop, one protocol      other channels, arrival processes, fair
+            copy and stream per station; the        protocols whose state depends on their
+            reference the others are validated      own transmissions)
+            against
 ``fair``    O(1) per slot: ``Binomial(m, p)``       a fair protocol whose state ignores its own
             outcome from one uniform draw; a        transmissions, on the paper's channel with
             compiled slot loop for OFA, LFA and     slot-0 arrivals

@@ -17,17 +17,18 @@ table:
 * everything else runs on ``slot``.
 
 An explicit engine outside that answer is refused with the engines that can
-serve the request.  :func:`simulate`, ``Session._plan``, ``Scenario``
-validation and the CLI's ``--engine`` choices all ask that function or the
-table, so the layers cannot disagree about a cell's engine.  The components
-it reads arrive built: :mod:`repro.scenarios.spec` turns protocol, arrival
-and channel names into them through closed tables, as :data:`ENGINES` does
-for engine names.
+serve the request.  :func:`simulate`, ``Session._plan`` and ``Scenario``
+validation (so every CLI command's ``engine=`` token too) all ask that
+function or the table, so the layers cannot disagree about a cell's engine.
+The components it reads arrive built: :mod:`repro.scenarios.spec` turns
+protocol, arrival and channel names into them through closed tables, as
+:data:`ENGINES` does for engine names.
 
 Dynamic workloads go through the same front door: passing an
 ``arrivals=`` process (e.g. :class:`~repro.channel.arrivals.PoissonArrival`)
-routes the run to the node-level :class:`SlotEngine`, so the runner, CLI and
-sweep machinery need no special-casing for the paper's open dynamic problem.
+routes the run to the node-level :class:`SlotEngine`, which runs the paper's
+station loop itself, so the runner, CLI and sweep machinery need no
+special-casing for the paper's open dynamic problem.
 """
 
 from __future__ import annotations
@@ -169,12 +170,10 @@ def simulate(
         result = simulate(OneFailAdaptive(), k=64, seed=42,
                           arrivals=PoissonArrival(k=64, rate=0.1))
         print(result.metadata["latencies"])  # per-message delivery latencies
+
+    ``k`` must equal the arrival process's ``total_messages``; the slot
+    engine, the only one that takes an arrival process, refuses a mismatch.
     """
-    if arrivals is not None and arrivals.total_messages != k:
-        raise ValueError(
-            f"k={k} disagrees with the arrival process, which injects "
-            f"{arrivals.total_messages} messages; pass k=arrivals.total_messages"
-        )
     chosen = pick_engine(protocol, engine=engine, channel=channel, arrivals=arrivals)
     with span("engine.run", k=k) as run_span:
         if arrivals is not None:

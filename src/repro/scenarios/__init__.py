@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from repro.scenarios.federation import RemoteStore, SyncReport
 from repro.scenarios.federation import sync as sync_stores
-from repro.scenarios.scenario import SEED_POLICIES, Scenario
+from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session, SessionProgress
 from repro.scenarios.spec import SpecError, canonical_spec, format_spec, parse_spec
 from repro.scenarios.store import (
@@ -58,7 +58,6 @@ from repro.scenarios.store_sqlite import SqliteStore
 
 __all__ = [
     "Scenario",
-    "SEED_POLICIES",
     "Session",
     "SessionProgress",
     "ResultSet",

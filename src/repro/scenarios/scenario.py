@@ -59,13 +59,7 @@ from repro.scenarios.spec import (
 from repro.util.rng import derive_seeds
 from repro.util.validation import check_max_slots
 
-__all__ = ["Scenario", "SEED_POLICIES"]
-
-#: How per-replication seeds derive from the root seed: ``"derive"`` spawns
-#: independent child seeds via ``numpy.random.SeedSequence`` (the sweep
-#: runner's historical derivation); ``"sequential"`` uses ``seed, seed+1, …``
-#: so that replication 0 runs with exactly the root seed (``repro simulate``).
-SEED_POLICIES = ("derive", "sequential")
+__all__ = ["Scenario"]
 
 #: Compact-string keys, in canonical output order.  ``reps`` is accepted as a
 #: shorthand for ``replications`` on input.
@@ -76,7 +70,6 @@ _STRING_KEYS = (
     "arrivals",
     "channel",
     "engine",
-    "seed_policy",
     "max_slots_factor",
 )
 _KEY_ALIASES = {"reps": "replications", "replications": "replications"}
@@ -103,10 +96,8 @@ class Scenario:
     replications:
         Number of independently seeded runs of the cell.
     seed:
-        Non-negative root seed; per-replication seeds follow from it and
-        ``seed_policy``.
-    seed_policy:
-        One of :data:`SEED_POLICIES`.
+        Non-negative root seed; the per-replication seeds derive from it
+        (:meth:`seeds`).
     max_slots_factor:
         Per-run safety cap, expressed as a multiple of ``k``.
     """
@@ -118,7 +109,6 @@ class Scenario:
     engine: str = "auto"
     replications: int = 1
     seed: int = 0
-    seed_policy: str = "derive"
     max_slots_factor: int = 10_000
 
     def __post_init__(self) -> None:
@@ -137,10 +127,6 @@ class Scenario:
         if self.max_slots_factor < 2:
             raise ValueError(f"max_slots_factor must be at least 2, got {self.max_slots_factor}")
         check_max_slots(self.max_slots())
-        if self.seed_policy not in SEED_POLICIES:
-            raise ValueError(
-                f"unknown seed_policy {self.seed_policy!r}; choose from {SEED_POLICIES}"
-            )
         if self.engine not in available_engines():
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {available_engines()}"
@@ -185,8 +171,6 @@ class Scenario:
 
     def seeds(self) -> list[int]:
         """Per-replication seeds (prefix-stable in the replication count)."""
-        if self.seed_policy == "sequential":
-            return [self.seed + index for index in range(self.replications)]
         return derive_seeds(self.seed, self.replications)
 
     def replace(self, **changes: object) -> "Scenario":
@@ -207,7 +191,8 @@ class Scenario:
             "channel": canonical_spec(self.channel),
             "engine": self.engine,
             "seed": self.seed,
-            "seed_policy": self.seed_policy,
+            # The one seed derivation left; kept so that no digest moves.
+            "seed_policy": "derive",
             "max_slots_factor": self.max_slots_factor,
         }
 
@@ -235,11 +220,20 @@ class Scenario:
 
         ``reps`` is accepted as an alias for ``replications``; unknown keys
         are rejected so typos fail loudly instead of silently running the
-        default.
+        default.  ``seed_policy: "derive"``, which every stored or journaled
+        scenario dict written before the field went carries, is dropped;
+        any other ``seed_policy`` raises ``ValueError``.
         """
         known = {field.name for field in dataclasses.fields(cls)}
         kwargs: dict[str, object] = {}
         for key, value in data.items():
+            if key == "seed_policy":
+                if value != "derive":
+                    raise ValueError(
+                        f"seed_policy {value!r} is no longer supported: replication "
+                        "seeds always derive from the root seed"
+                    )
+                continue
             resolved = _KEY_ALIASES.get(key, key)
             if resolved not in known:
                 raise ValueError(f"unknown scenario field {key!r}; known: {sorted(known)}")
@@ -308,7 +302,7 @@ class Scenario:
             if "=" not in token.split("(", 1)[0]:
                 raise SpecError(f"expected key=value token in scenario string, got {token!r}")
             key, raw_value = token.split("=", 1)
-            if key in ("arrivals", "channel", "engine", "seed_policy"):
+            if key in ("arrivals", "channel", "engine"):
                 value: object = raw_value
             else:
                 value = parse_value(raw_value)
@@ -335,8 +329,6 @@ class Scenario:
             parts.append(f"channel={canonical_spec(self.channel)}")
         if self.engine != defaults.engine:
             parts.append(f"engine={self.engine}")
-        if self.seed_policy != defaults.seed_policy:
-            parts.append(f"seed_policy={self.seed_policy}")
         if self.max_slots_factor != defaults.max_slots_factor:
             parts.append(f"max_slots_factor={self.max_slots_factor}")
         return " ".join(parts)

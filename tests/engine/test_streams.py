@@ -1,9 +1,10 @@
 """Stream pins and the retired batching surface.
 
 * **Golden streams** — fixed cells reproduce pinned makespans exactly, on
-  each engine's compiled path and on its Python path alike, so a change to
-  an engine's draw order cannot slip through and silently invalidate stored
-  results: it must bump the engine's ``stream_version``.
+  the fair and window engines' compiled and Python paths alike and on the
+  slot engine's station loop, so a change to an engine's draw order cannot
+  slip through and silently invalidate stored results: it must bump the
+  engine's ``stream_version``.
 * **Retired surface** — the deleted engines, selectors, knobs, hooks and
   capability records fail loudly, and cells they stored (or stored under an
   older stream version) re-simulate exactly once, on both store backends.
@@ -18,10 +19,13 @@ import pytest
 
 import repro.engine.native as native
 import repro.engine.window_engine as window_module
+from repro.channel.arrivals import PoissonArrival
+from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import ENGINES, simulate, simulate_batch
 from repro.engine.fair_engine import FairEngine
+from repro.engine.slot_engine import SlotEngine
 from repro.engine.window_engine import WindowEngine
 from repro.experiments import figure1, table1
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
@@ -35,7 +39,7 @@ from repro.scenarios import (
     Session,
     SqliteStore,
 )
-from repro.scenarios.spec import build_protocol
+from repro.scenarios.spec import build_channel, build_protocol
 from repro.scenarios.store import StoredRun, open_store
 from repro.service import create_server
 from repro.util.rng import derive_seeds
@@ -139,6 +143,69 @@ class TestGoldenStreams:
             (result.slots_simulated, result.successes, result.collisions, result.silences)
             for result in results
         ] == [(400, 32, 355, 13), (400, 32, 352, 16), (400, 31, 353, 16)], self.BUMP
+
+    @pytest.mark.parametrize(
+        "spec,k,channel,makespans",
+        [
+            ("one-fail-adaptive", 20, "default", [108, 87, 92]),
+            ("exp-backon-backoff", 20, "default", [82, 80, 80]),
+            ("binary-splitting", 16, "cd", [53, 42, 47]),
+        ],
+    )
+    def test_slot_stream_version_1(self, spec, k, channel, makespans):
+        assert SlotEngine.stream_version == 1
+        results = [
+            simulate(build_protocol(spec, k=k), k, seed=seed, engine="slot",
+                     channel=build_channel(channel))
+            for seed in derive_seeds(3, 3)
+        ]
+        assert [result.makespan for result in results] == makespans, self.BUMP
+
+    def test_slot_stream_version_1_capped_counts(self):
+        results = [
+            simulate(OneFailAdaptive(), 30, seed=seed, engine="slot", max_slots=40)
+            for seed in derive_seeds(3, 3)
+        ]
+        assert not any(result.solved for result in results)
+        assert [
+            (result.slots_simulated, result.successes, result.collisions, result.silences)
+            for result in results
+        ] == [(40, 1, 38, 1), (40, 3, 34, 3), (40, 3, 36, 1)], self.BUMP
+
+    def test_slot_stream_version_1_poisson_latencies(self):
+        result = simulate(
+            OneFailAdaptive(), 16, seed=derive_seeds(3, 3)[0],
+            arrivals=PoissonArrival(k=16, rate=0.2),
+        )
+        assert result.engine == "slot"
+        assert result.makespan == 111, self.BUMP
+        assert result.metadata["latencies"] == (
+            1, 0, 1, 0, 0, 1, 0, 0, 1, 10, 7, 0, 0, 0, 0, 0
+        ), self.BUMP
+
+    def test_slot_stream_version_1_trace(self):
+        """Every record of a traced run: (transmitters, outcome, active_before,
+        delivered_node), the station index of a delivery included."""
+        trace = ExecutionTrace()
+        result = simulate(
+            OneFailAdaptive(), 6, seed=derive_seeds(3, 3)[0], engine="slot", trace=trace
+        )
+        assert result.makespan == 25, self.BUMP
+        C, S, X = "collision", "silence", "success"
+        assert [
+            (record.transmitters, record.outcome.value, record.active_before,
+             record.delivered_node)
+            for record in trace
+        ] == [
+            (2, C, 6, None), (6, C, 6, None), (0, S, 6, None), (6, C, 6, None),
+            (2, C, 6, None), (6, C, 6, None), (0, S, 6, None), (6, C, 6, None),
+            (1, X, 6, 1), (4, C, 5, None), (0, S, 5, None), (3, C, 5, None),
+            (0, S, 5, None), (4, C, 5, None), (0, S, 5, None), (1, X, 5, 2),
+            (0, S, 4, None), (1, X, 4, 0), (0, S, 3, None), (0, S, 3, None),
+            (2, C, 3, None), (0, S, 3, None), (1, X, 3, 3), (1, X, 2, 5),
+            (1, X, 1, 4),
+        ], self.BUMP
+        assert [record.slot for record in trace] == list(range(25))
 
 
 def _legacy(results, engine: str | None = None) -> list:

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
+from repro.engine.dispatch import available_engines
 from repro.protocols.aloha import SlottedAloha
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios.spec import build_protocol
@@ -50,41 +51,61 @@ class TestBuildProtocol:
 
 class TestSimulateCommand:
     def test_runs_and_prints_result(self, capsys):
-        exit_code = main(["simulate", "--protocol", "one-fail-adaptive", "--k", "200", "--seed", "4"])
-        assert exit_code == 0
+        assert main(["simulate", "one-fail-adaptive k=200 seed=4"]) == 0
         output = capsys.readouterr().out
         assert "steps per node" in output
         assert "One-Fail Adaptive" in output
+        assert "hash" not in output
 
     def test_windowed_protocol(self, capsys):
-        assert main(["simulate", "--protocol", "exp-backon-backoff", "--k", "100"]) == 0
+        assert main(["simulate", "exp-backon-backoff k=100"]) == 0
         assert "window" in capsys.readouterr().out
 
     def test_engine_override(self, capsys):
-        assert main(["simulate", "--protocol", "one-fail-adaptive", "--k", "30",
-                     "--engine", "slot"]) == 0
+        assert main(["simulate", "one-fail-adaptive k=30 engine=slot"]) == 0
         assert "slot" in capsys.readouterr().out
 
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--protocol", "not-a-protocol"])
+    def test_unknown_protocol_is_clean_error(self, capsys):
+        assert main(["simulate", "not-a-protocol k=10"]) == 2
+        assert "repro: error:" in capsys.readouterr().err
 
     def test_poisson_arrivals(self, capsys):
-        assert main(["simulate", "--protocol", "one-fail-adaptive", "--k", "16",
-                     "--arrivals", "poisson", "--rate", "0.2"]) == 0
+        assert main(["simulate", "one-fail-adaptive k=16 arrivals=poisson(rate=0.2)"]) == 0
         output = capsys.readouterr().out
         assert "PoissonArrival" in output
         assert "mean latency" in output
 
     def test_bursty_arrivals(self, capsys):
-        assert main(["simulate", "--protocol", "one-fail-adaptive", "--k", "16",
-                     "--arrivals", "bursty", "--bursts", "2", "--gap", "50"]) == 0
+        assert main(["simulate", "one-fail-adaptive k=16 arrivals=bursty(bursts=2,gap=50)"]) == 0
         assert "BurstyArrival" in capsys.readouterr().out
 
-    def test_arrivals_reject_specialised_engine(self):
-        with pytest.raises(ValueError):
-            main(["simulate", "--protocol", "one-fail-adaptive", "--k", "16",
-                  "--arrivals", "poisson", "--engine", "fair"])
+    def test_arrivals_reject_specialised_engine(self, capsys):
+        assert main(["simulate", "one-fail-adaptive k=16 arrivals=poisson(rate=0.2) "
+                     "engine=fair"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: engine 'fair' cannot serve arrival processes")
+        assert err.count("\n") == 1
+
+    def test_replications_belong_to_run(self, capsys):
+        assert main(["simulate", "one-fail-adaptive k=16 reps=3"]) == 2
+        err = capsys.readouterr().err
+        assert "repro: error:" in err
+        assert "repro run" in err
+
+    def test_scenario_file(self, capsys, tmp_path):
+        from repro.scenarios import Scenario
+
+        path = tmp_path / "cell.toml"
+        path.write_text(Scenario.parse("exp-backon-backoff k=50 seed=3").to_toml(),
+                        encoding="utf-8")
+        assert main(["simulate", str(path)]) == 0
+        assert "Exp Back-on/Back-off" in capsys.readouterr().out
+
+    def test_retired_flags_are_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--protocol", "one-fail-adaptive", "--k", "16"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --protocol" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -177,7 +198,7 @@ class TestRunCommand:
         assert "repro: error:" in capsys.readouterr().err
 
     def test_unknown_arrivals_is_clean_error(self, capsys):
-        assert main(["simulate", "--k", "8", "--arrivals", "nope"]) == 2
+        assert main(["simulate", "one-fail-adaptive k=8 arrivals=nope"]) == 2
         assert "repro: error:" in capsys.readouterr().err
 
 
@@ -185,28 +206,57 @@ class TestMachineReadableSimulate:
     def test_simulate_json_payload(self, capsys):
         import json
 
-        assert main(["simulate", "--protocol", "one-fail-adaptive", "--k", "120",
-                     "--seed", "6", "--json"]) == 0
+        assert main(["simulate", "one-fail-adaptive k=120", "--seed", "6", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["engine"] == "fair"
         assert payload["seed"] == 6
         assert payload["makespan"] >= 120
-        assert payload["scenario_hash"]
-        assert payload["scenario"].startswith("one-fail-adaptive")
+        assert "scenario_hash" not in payload
+        assert payload["scenario"] == "one-fail-adaptive k=120 seed=6"
 
-    def test_simulate_accepts_arrival_spec_string(self, capsys):
-        assert main(["simulate", "--protocol", "one-fail-adaptive", "--k", "16",
-                     "--arrivals", "poisson(rate=0.2)"]) == 0
-        assert "PoissonArrival" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "text,engine",
+        [
+            ("one-fail-adaptive k=120", "fair"),
+            ("exp-backon-backoff k=90", "window"),
+            ("one-fail-adaptive k=32 arrivals=poisson(rate=0.2)", "slot"),
+        ],
+    )
+    def test_json_equals_the_library_run(self, text, engine, capsys):
+        import json
 
-    def test_engine_choices_track_registry(self):
-        from repro.engine.dispatch import available_engines
+        from repro.engine.dispatch import simulate
+        from repro.scenarios import Scenario
 
+        assert main(["simulate", text, "--seed", "9", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scenario = Scenario.parse(text)
+        assert payload.pop("scenario") == scenario.replace(seed=9).format()
+        expected = simulate(
+            scenario.build_protocol(), scenario.k, seed=9,
+            arrivals=scenario.build_arrivals(),
+        )
+        assert expected.engine == engine
+        assert payload == json.loads(json.dumps(expected.to_dict()))
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_engine_token_takes_every_engine(self, engine, capsys):
+        """Every ``engine=`` selector runs; a new engine needs a row here."""
+        import json
+
+        protocol, resolved = {
+            "auto": ("one-fail-adaptive", "fair"),
+            "fair": ("one-fail-adaptive", "fair"),
+            "slot": ("one-fail-adaptive", "slot"),
+            "window": ("exp-backon-backoff", "window"),
+        }[engine]
+        assert main(["simulate", f"{protocol} k=24 engine={engine}", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["engine"] == resolved
+
+    def test_parser_takes_a_scenario_seed_and_json(self):
         parser = build_parser()
         sim_parser = next(
             action for action in parser._subparsers._group_actions
         ).choices["simulate"]
-        engine_action = next(
-            action for action in sim_parser._actions if action.dest == "engine"
-        )
-        assert list(engine_action.choices) == available_engines()
+        options = {action.dest for action in sim_parser._actions} - {"help"}
+        assert options == {"scenario", "seed", "json"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.channel.model import ChannelModel, FeedbackModel, Observation, SlotOutcome
-from repro.channel.radio_network import RadioNetwork
+from repro.engine.dispatch import simulate
 from repro.protocols.splitting import BinarySplitting
 from repro.util.rng import derive_seeds
 
@@ -81,10 +81,7 @@ class TestEndToEnd:
     @pytest.mark.parametrize("k", [1, 2, 7, 30])
     def test_solves_static_k_selection(self, k):
         channel = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
-        network = RadioNetwork.for_static_k_selection(
-            BinarySplitting(), k=k, seed=3, channel=channel
-        )
-        result = network.run()
+        result = simulate(BinarySplitting(), k, seed=3, channel=channel)
         assert result.solved
         assert result.successes == k
 
@@ -94,10 +91,7 @@ class TestEndToEnd:
         k = 300
         ratios = []
         for seed in derive_seeds(1, 5):
-            network = RadioNetwork.for_static_k_selection(
-                BinarySplitting(), k=k, seed=seed, channel=channel
-            )
-            result = network.run()
+            result = simulate(BinarySplitting(), k, seed=seed, channel=channel)
             assert result.solved
             ratios.append(result.makespan / k)
         mean_ratio = sum(ratios) / len(ratios)

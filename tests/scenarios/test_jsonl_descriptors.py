@@ -10,6 +10,7 @@ descriptors kept open stay bounded and are released by ``close()``.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import time
@@ -72,6 +73,16 @@ def exit_code(child: int, timeout: float = 30.0) -> int:
 needs_proc = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors in"
 )
+
+
+@pytest.fixture(autouse=True)
+def _collect_garbage() -> None:
+    """Release the descriptors earlier tests' unreachable stores still hold.
+
+    Otherwise a garbage collection that lands between two counts closes
+    them and moves the count by descriptors that are not this test's.
+    """
+    gc.collect()
 
 
 class TestEveryAppendLandsInTheCell:

@@ -112,16 +112,14 @@ class TestScenarioRoundTrip:
         assert scenario.arrivals == "batch"
         assert scenario.channel == "default"
         assert scenario.engine == "auto"
-        assert scenario.seed_policy == "derive"
 
     def test_parse_all_keys(self):
         scenario = Scenario.parse(
             "slotted-aloha k=64 reps=3 seed=5 arrivals=batch channel=cd engine=slot "
-            "seed_policy=sequential max_slots_factor=500"
+            "max_slots_factor=500"
         )
         assert scenario.channel == "cd"
         assert scenario.engine == "slot"
-        assert scenario.seed_policy == "sequential"
         assert scenario.max_slots_factor == 500
         assert Scenario.parse(scenario.format()) == scenario
 
@@ -188,10 +186,6 @@ class TestScenarioValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             Scenario(protocol="one-fail-adaptive", k=10, engine="warp")
-
-    def test_unknown_seed_policy(self):
-        with pytest.raises(ValueError):
-            Scenario(protocol="one-fail-adaptive", k=10, seed_policy="lucky")
 
     @pytest.mark.parametrize(
         "fields",
@@ -271,6 +265,23 @@ class TestScenarioHash:
         assert len(scenario.content_hash()) == 16
         assert int(scenario.content_hash(), 16) >= 0
 
+    @pytest.mark.parametrize(
+        "text,digest",
+        [
+            ("one-fail-adaptive k=1000 reps=10 seed=7", "59a48e12c8d14639"),
+            ("exp-backon-backoff k=256 reps=3 seed=5", "30282994a5287290"),
+            (
+                "log-fails-adaptive(xi_t=0.1) k=100 seed=3 arrivals=poisson(rate=0.1)",
+                "6954771d4300ec8a",
+            ),
+            ("binary-splitting k=16 channel=cd", "aa6e29a3b6c2b873"),
+            ("one-fail-adaptive k=30 engine=slot max_slots_factor=500", "64c90be61c737167"),
+        ],
+    )
+    def test_hash_literal_pins(self, text, digest):
+        """Digests of stored cells: a moved digest orphans every store holding them."""
+        assert Scenario.parse(text).content_hash() == digest
+
     def test_equal_scenarios_equal_hash(self):
         first = Scenario.parse("one-fail-adaptive(delta=2.72) k=100 seed=3")
         second = Scenario.parse("one-fail-adaptive(delta=2.72) k=100 seed=3")
@@ -293,7 +304,6 @@ class TestScenarioHash:
             base.replace(channel="cd"),
             base.replace(engine="slot"),
             base.replace(seed=4),
-            base.replace(seed_policy="sequential"),
             base.replace(max_slots_factor=100),
         ]
         hashes = {base.content_hash()} | {variant.content_hash() for variant in variants}
@@ -343,15 +353,54 @@ class TestScenarioHashIsMemoised:
 
 
 class TestScenarioSeeds:
-    def test_derive_policy_matches_derive_seeds(self):
+    def test_seeds_derive_from_the_root_seed(self):
         scenario = Scenario(protocol="one-fail-adaptive", k=10, replications=4, seed=42)
         assert scenario.seeds() == derive_seeds(42, 4)
 
-    def test_sequential_policy(self):
-        scenario = Scenario(
-            protocol="one-fail-adaptive", k=10, replications=3, seed=9, seed_policy="sequential"
-        )
-        assert scenario.seeds() == [9, 10, 11]
+
+class TestRetiredSeedPolicy:
+    """``seed_policy`` is gone; dicts written while it existed still load."""
+
+    TEXT = "one-fail-adaptive k=30 reps=3 seed=5"
+
+    def test_field_is_gone(self):
+        scenario = Scenario.parse(self.TEXT)
+        assert not hasattr(scenario, "seed_policy")
+        assert "seed_policy" not in scenario.to_dict()
+        assert not hasattr(scenario_module, "SEED_POLICIES")
+        with pytest.raises(TypeError):
+            Scenario(protocol="one-fail-adaptive", k=10, seed_policy="derive")
+
+    def test_derive_dicts_load_as_the_same_scenario(self):
+        scenario = Scenario.parse(self.TEXT)
+        legacy = {**scenario.to_dict(), "seed_policy": "derive"}
+        loaded = Scenario.from_dict(legacy)
+        assert loaded == scenario
+        assert loaded.content_hash() == scenario.content_hash()
+        assert Scenario.from_json(json.dumps(legacy)) == scenario
+
+    @pytest.mark.parametrize("policy", ["sequential", "lucky"])
+    def test_other_policies_are_refused(self, policy):
+        legacy = {**Scenario.parse(self.TEXT).to_dict(), "seed_policy": policy}
+        with pytest.raises(ValueError, match="no longer supported"):
+            Scenario.from_dict(legacy)
+
+    @pytest.mark.parametrize("policy", ["derive", "sequential"])
+    def test_compact_grammar_refuses_the_key(self, policy):
+        with pytest.raises(SpecError, match="unknown scenario key 'seed_policy'"):
+            Scenario.parse(f"{self.TEXT} seed_policy={policy}")
+
+    def test_sequential_cells_are_skipped_by_the_store(self, tmp_path):
+        from repro.scenarios import JsonlStore, Session
+
+        scenario = Scenario.parse(self.TEXT)
+        Session(store_dir=tmp_path).run(scenario)
+        store = JsonlStore(tmp_path)
+        sequential = {**scenario.to_dict(), "seed_policy": "sequential"}
+        header = {"kind": "scenario", "hash": "0123456789abcdef", "scenario": sequential}
+        (tmp_path / "0123456789abcdef.jsonl").write_text(json.dumps(header) + "\n")
+        assert store.scenarios_on_record() == [scenario]
+        assert store.scenario_for_hash("0123456789abcdef") is None
 
 
 class TestScenarioBuilders:
