@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Fast benchmark smoke target: checks that both kernels compile warning-free,
 # that fair runs take the compiled slot loop and windowed runs the compiled
-# window loop, exercises each benchmark
+# window loop, that the kernels' own PCG64 seeding and the library's seed
+# derivation equal numpy's for a three-word seed, exercises each benchmark
 # harness path that is cheap enough for CI (the
 # parallel-execution fidelity checks) without running the full sweeps, then a
 # single-run smoke (`repro simulate <spec> --json` equals the library's
@@ -29,12 +30,15 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro.cli lint
 echo "invariant lint ok: src/ is clean"
 
 # --- Kernel warnings ---------------------------------------------------------
-# Both kernels must compile warning-free as strict C99.  These flags only
-# check the sources; the library itself is built with native._CFLAGS.
-for kernel in src/repro/engine/fair_kernel.c src/repro/engine/window_kernel.c; do
+# Both kernels and the seed functions must compile warning-free as strict C99
+# (plus unsigned __int128).  Each includes pcg64.h, so the header is checked
+# through every include.  These flags only check the sources; the library
+# itself is built with native._CFLAGS.
+for kernel in src/repro/engine/fair_kernel.c src/repro/engine/window_kernel.c \
+        src/repro/engine/pcg64.c; do
     cc -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null "$kernel"
 done
-echo "kernel warnings ok: both kernels compile with -Wall -Wextra -Werror"
+echo "kernel warnings ok: both kernels and pcg64.c compile with -Wall -Wextra -Werror"
 
 # --- Compiled fair kernel ----------------------------------------------------
 # One k=1e5 One-fail Adaptive run must take FairEngine's compiled slot loop.
@@ -67,6 +71,36 @@ python = runs.get("{path=\"python\"}", 0)
 assert result.solved and compiled == 1 and python == 0, f"window runs by path: {runs}"
 print("compiled window kernel ok: k=1e5 EBB run took the compiled window loop (%d slots)"
       % result.slots_simulated)
+'
+
+# --- Kernel-owned random stream ---------------------------------------------
+# The kernels seed PCG64 from the run's seed themselves.  A three-word seed
+# (2^64 + 1) must give OFA and EBB runs at k=1e4 on the compiled paths equal
+# to the Python paths' runs, which draw through numpy; and the library's seed
+# derivation must equal numpy's.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import types
+import repro.engine.native as native
+from repro import ExpBackonBackoff, OneFailAdaptive, simulate
+from repro.obs import REGISTRY
+from repro.util.rng import derive_seeds, spawned_seeds
+
+seed = 2**64 + 1
+for protocol, family in ((OneFailAdaptive(), "repro_fair_runs_total"),
+                         (ExpBackonBackoff(), "repro_window_runs_total")):
+    compiled = simulate(protocol, k=10_000, seed=seed)
+    runs = REGISTRY.snapshot()[family]["series"]
+    assert runs.get("{path=\"compiled\"}", 0) == 1, f"{protocol.name} runs by path: {runs}"
+    loader, native.KERNEL = native.KERNEL, types.SimpleNamespace(get=lambda: None)
+    python = simulate(protocol, k=10_000, seed=seed)
+    native.KERNEL = loader
+    assert compiled.to_dict() == python.to_dict(), f"{protocol.name}: {compiled} != {python}"
+    print("kernel stream ok: %s k=1e4 seed=2^64+1 compiled run equals the numpy-drawn run "
+          "(makespan %d)" % (protocol.name, compiled.makespan))
+derived = native.derive_seeds(seed, 10)
+assert derived is not None and list(derived) == derive_seeds(seed, 10)
+assert derived == spawned_seeds(seed, 10), f"{derived} != numpy"
+print("seed derivation ok: the library derives the seeds numpy derives for root 2^64+1")
 '
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -m smoke --override-ini addopts= -p no:cacheprovider "$@"

@@ -16,6 +16,9 @@ table:
   ``window``;
 * everything else runs on ``slot``.
 
+A protocol that needs collision detection (``"collision-detection"`` in its
+``requires_knowledge``) is refused on a channel without it, whatever the
+engine, so it fails where the scenario is built and not in its first slot.
 An explicit engine outside that answer is refused with the engines that can
 serve the request.  :func:`simulate`, ``Session._plan`` and ``Scenario``
 validation (so every CLI command's ``engine=`` token too) all ask that
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.channel.arrivals import ArrivalProcess
-from repro.channel.model import ChannelModel
+from repro.channel.model import ChannelModel, FeedbackModel
 from repro.channel.trace import ExecutionTrace
 from repro.engine.fair_engine import FairEngine
 from repro.engine.result import SimulationResult
@@ -82,6 +85,13 @@ def pick_engine_name(
     attributes.  ``channel`` ``None`` means the paper's channel and
     ``arrivals`` ``None`` means every station is present at slot 0.
     """
+    if "collision-detection" in getattr(protocol, "requires_knowledge", ()) and (
+        channel is None or channel.feedback is not FeedbackModel.COLLISION_DETECTION
+    ):
+        raise ValueError(
+            f"{protocol.name!r} needs collision detection, which this channel does not "
+            "give; run it with channel=cd"
+        )
     kind = getattr(protocol, "protocol_kind", "generic")
     reduced = None
     if arrivals is not None:

@@ -20,8 +20,8 @@ what the test suite verifies against the node-level engine.
 The uniform stream derives from :class:`repro.util.rng.RandomSource` like
 every other engine's, so a single integer seed keys the same machinery
 everywhere: slot ``i`` takes the generator's ``i``-th uniform.  (The
-compiled loop seeds the bare ``PCG64`` bit generator a ``RandomSource``
-wraps: the same uniforms, without the ``Generator`` around them.)
+compiled loop seeds and steps its own port of the ``PCG64`` bit generator a
+``RandomSource`` wraps: the same uniforms, without numpy around them.)
 
 Compiled slot loop
 ------------------
@@ -30,14 +30,14 @@ The paper's fair protocols — :class:`~repro.core.one_fail_adaptive.OneFailAdap
 :class:`~repro.protocols.aloha.SlottedAloha` — also run in a C port of this
 loop (``fair_kernel.c``), about 80× faster per slot.  A run is one call (one
 per ``native.SLOTS_PER_CALL`` slots of a longer run, so Ctrl-C is seen): the
-kernel draws each slot's uniform through the bit generator's ``bitgen_t``
-(:func:`repro.engine.native.bitgen`; the values the Python loop reads from
-its blocks), makes the same libm calls on the same operands and is compiled
-with ``-ffp-contract=off``, so each run equals the Python loop's run of the
-same seed in every field.  It keeps the thresholds of the last two
-``(p, remaining)`` pairs instead of calling ``pow`` again for them: equal
-operands give equal results, so the cache changes no run.  The
-Python loop stays the reference and runs everything
+kernel seeds the run's generator from the seed on the first call and steps
+it inline (``pcg64.h``, through :func:`repro.engine.native.stream`; the
+values the Python loop reads from its blocks), makes the same libm calls on
+the same operands and is compiled with ``-ffp-contract=off``, so each run
+equals the Python loop's run of the same seed in every field.  It keeps the
+thresholds of the last two ``(p, remaining)`` pairs instead of calling
+``pow`` again for them: equal operands give equal results, so the cache
+changes no run.  The Python loop stays the reference and runs everything
 else: traced runs, other fair protocols (and subclasses of the three — the
 kernel is matched by exact type, so an overridden rule is never skipped) and
 hosts without a C compiler.  ``repro_fair_runs_total{path}`` counts which
@@ -45,8 +45,9 @@ loop ran.
 
 The kernel shares one lazily compiled, per-user cached library with
 :class:`~repro.engine.window_engine.WindowEngine`'s window loop
-(:mod:`repro.engine.native`).  A failed build logs one warning and leaves
-the Python loop in charge.
+(:mod:`repro.engine.native`).  A failed build, or a library whose seeding
+disagrees with numpy's, logs one warning and leaves the Python loop in
+charge.
 
 Which station delivers in a successful slot is irrelevant for the makespan
 (they are exchangeable), so station identities are not tracked.
@@ -56,8 +57,6 @@ from __future__ import annotations
 
 import ctypes
 from typing import ClassVar
-
-import numpy as np
 
 from repro.channel.model import ChannelModel, Observation, SlotOutcome
 from repro.channel.trace import ExecutionTrace, SlotRecord
@@ -110,6 +109,7 @@ class _FairRun(ctypes.Structure):
         ("anchor", ctypes.c_double),
         ("count", ctypes.c_int64),
         ("search", ctypes.c_int64),
+        ("stream", native.Stream),
     ]
 
 
@@ -187,19 +187,16 @@ class FairEngine:
         fields = _KERNEL_PROTOCOLS.get(type(protocol)) if trace is None else None
         kernel = native.KERNEL.get() if fields is not None else None
         if kernel is not None:
-            _M_COMPILED.inc()
+            # The kernel seeds RandomSource(seed)'s generator on the run's
+            # first call and draws one of its uniforms per slot.
             run = _FairRun(
                 remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, last_delivery=-1,
-                **fields(protocol),
+                stream=native.stream(seed), **fields(protocol),
             )
-            # RandomSource(seed)'s bit generator, whose uniforms the Python
-            # loop reads from its blocks: the kernel draws one per slot.  It
-            # is this run's alone, so no other thread draws from it.
-            bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
-            bitgen = native.bitgen(bit_generator)
+            _M_COMPILED.inc()
             status = _PAUSED
             while status == _PAUSED:
-                status = kernel.fair_simulate(ctypes.byref(run), bitgen)
+                status = kernel.fair_simulate(ctypes.byref(run))
             return self._result(
                 protocol, k, seed, status == _SOLVED, run.slot, run.successes,
                 run.collisions, run.silences, run.last_delivery,

@@ -11,9 +11,9 @@
  * fair_simulate runs the run until it is solved or capped, or until it has
  * run r->budget slots in this call: the caller then calls again, so a long
  * run still returns to Python (and sees Ctrl-C) every so often.  Slot i takes
- * the i-th uniform of the run's numpy bit generator: the caller passes the
- * generator's bitgen_t (from bit_generator.capsule), whose next_double is
- * what Generator.random calls too, so these are the values the Python loop
+ * the i-th uniform of the run's stream (pcg64.h): the run's first call seeds
+ * PCG64 from its seed as np.random.PCG64(np.random.SeedSequence(seed)) does,
+ * and the loop steps it in locals, so these are the values the Python loop
  * reads from its blocks of generator.random(1024).
  *
  * The success and silence thresholds depend only on (p, remaining).  Between
@@ -26,14 +26,7 @@
 #include <math.h>
 #include <stdint.h>
 
-/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *state);
-    uint32_t (*next_uint32)(void *state);
-    double (*next_double)(void *state);
-    uint64_t (*next_raw)(void *state);
-} bitgen_t;
+#include "pcg64.h"
 
 enum { OFA = 0, LFA = 1, ALOHA = 2 };
 enum { FAIR_PAUSED = 0, FAIR_SOLVED = 1, FAIR_CAPPED = 2 };
@@ -54,6 +47,8 @@ typedef struct {
      * count = failure streak, search); ALOHA (count = remaining estimate). */
     double kappa, anchor;
     int64_t count, search;
+    /* The run's seed and generator. */
+    pcg64_stream stream;
 } fair_run;
 
 /* Python's max(a, b) and min(a, b): the first argument wins ties. */
@@ -133,18 +128,23 @@ typedef struct {
     int newest;
 } threshold_cache;
 
-int fair_simulate(fair_run *r, bitgen_t *bitgen) {
-    double (*const next_double)(void *state) = bitgen->next_double;
-    void *const state = bitgen->state;
+int fair_simulate(fair_run *r) {
     const int64_t first = r->slot;
     threshold_cache cache = {{0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}, {0, 0}, 0};
+    pcg128 state, inc;
+    int status;
+    pcg64_load(&r->stream, &state, &inc);
     for (;;) {
         double p, probability_success, probability_silence, draw;
         int received = 0;
-        if (r->slot >= r->cap)
-            return FAIR_CAPPED;
-        if (r->slot - first >= r->budget)
-            return FAIR_PAUSED;
+        if (r->slot >= r->cap) {
+            status = FAIR_CAPPED;
+            break;
+        }
+        if (r->slot - first >= r->budget) {
+            status = FAIR_PAUSED;
+            break;
+        }
         p = transmission_probability(r);
         if (p <= 0.0) {
             probability_success = 0.0;
@@ -170,7 +170,7 @@ int fair_simulate(fair_run *r, bitgen_t *bitgen) {
             probability_success = cache.success[entry];
             probability_silence = cache.silence[entry];
         }
-        draw = next_double(state);
+        draw = pcg64_next_double(&state, inc);
         if (draw < probability_success) {
             r->successes += 1;
             r->remaining -= 1;
@@ -183,7 +183,11 @@ int fair_simulate(fair_run *r, bitgen_t *bitgen) {
         }
         notify(r, received);
         r->slot += 1;
-        if (r->remaining == 0)
-            return FAIR_SOLVED;
+        if (r->remaining == 0) {
+            status = FAIR_SOLVED;
+            break;
+        }
     }
+    pcg64_save(&r->stream, state);
+    return status;
 }

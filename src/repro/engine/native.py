@@ -5,20 +5,27 @@ loop and ``window_kernel.c`` :class:`~repro.engine.window_engine.WindowEngine`'s
 window loop.  An untraced fair run is one call into the library; a windowed
 run is one call per chunk of its window schedule.  A call returns after
 :data:`SLOTS_PER_CALL` slots and the next one carries on, so a long run
-still sees Ctrl-C.  Both draw their uniforms straight from the run's numpy
-bit generator, through the ``bitgen_t`` :func:`bitgen` takes from the
-generator's capsule.  The system ``cc`` compiles both files into one shared
-library on the first run that needs either, and the library is cached per
-user (``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that
-hashes both sources, the flags and the machine, so a second process only
-loads it.  A failed build logs one warning per process and leaves both
-engines on their Python paths, which compute the same runs.
+still sees Ctrl-C.  The kernels own the run's random stream (``pcg64.h``, a
+port of numpy's ``SeedSequence`` and ``PCG64``): a run hands its seed over
+in a :class:`Stream`, the run's first call seeds the generator from it as
+``np.random.PCG64(np.random.SeedSequence(seed))`` does, and every call steps
+it inline and leaves it in the run for the next.  ``pcg64.c`` serves
+:func:`repro.util.rng.derive_seeds` from the same port (:func:`derive_seeds`).
+The system ``cc`` compiles the three sources into one shared library on the
+first run that needs it, and the library is cached per user
+(``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that hashes
+the sources, the header, the flags and the machine, so a second process only
+loads it.  Each process checks the loaded library's seeding and derivation
+against numpy before using it.  A failed build or a failed check logs one
+warning per process and leaves both engines on their Python paths and seed
+derivation on numpy, which compute the same runs and seeds.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import platform
 import shutil
@@ -30,12 +37,17 @@ from pathlib import Path
 import numpy as np
 
 from repro.obs import get_logger
+from repro.util.rng import spawned_seeds
 
-__all__ = ["KERNEL", "SLOTS_PER_CALL", "bitgen"]
+__all__ = ["KERNEL", "SLOTS_PER_CALL", "Stream", "derive_seeds", "stream"]
 
 _LOG = get_logger(__name__)
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("fair_kernel.c", "window_kernel.c"))
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("fair_kernel.c", "window_kernel.c", "pcg64.c")
+)
+#: Included by every source: hashed into the library's name, not compiled alone.
+_HEADERS = (Path(__file__).with_name("pcg64.h"),)
 #: Never -ffast-math or -march=native: either lets the compiler reassociate
 #: or fuse floating-point arithmetic, and runs would stop equalling the
 #: Python paths'.
@@ -46,35 +58,107 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: Python, where Ctrl-C is handled, every fraction of a second.
 SLOTS_PER_CALL = 1 << 20
 
-#: The library's functions: name -> (argtypes, restype).  ``bitgen`` is the
-#: address :func:`bitgen` returns.
+#: The library's functions: name -> (argtypes, restype).
 _SIGNATURES = {
-    # fair_simulate(fair_run *run, bitgen_t *bitgen)
-    "fair_simulate": ([ctypes.c_void_p] * 2, ctypes.c_int),
+    # fair_simulate(fair_run *run)
+    "fair_simulate": ([ctypes.c_void_p], ctypes.c_int),
     # window_simulate(window_run *run, const int64_t *lengths, int64_t n,
-    #                 uint8_t *counts, int64_t capacity, bitgen_t *bitgen)
+    #                 uint8_t *counts, int64_t capacity)
     "window_simulate": (
-        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-         ctypes.c_void_p],
+        [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64],
         ctypes.c_int,
     ),
+    # seed_stream(pcg64_stream *stream)
+    "seed_stream": ([ctypes.c_void_p], None),
+    # derive_seeds(const uint8_t *root, int64_t words, int64_t count, int64_t *out)
+    "derive_seeds": ([ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p], None),
 }
 
-_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
-_capsule_pointer.argtypes = (ctypes.py_object, ctypes.c_char_p)
-_capsule_pointer.restype = ctypes.c_void_p
 
+class Stream(ctypes.Structure):
+    """A run's random stream: ``pcg64_stream`` of ``pcg64.h``, field for field.
 
-def bitgen(bit_generator: np.random.BitGenerator) -> int:
-    """The address of ``bit_generator``'s ``bitgen_t``: how a kernel draws its uniforms.
-
-    numpy's public C interface to a bit generator, taken from its capsule.
-    Its ``next_double(state)`` is what ``Generator.random`` calls, so a
-    kernel that calls it takes the values ``generator.random`` would return,
-    in order.  The struct lives in ``bit_generator``, which must outlive the
-    calls, and only one thread may draw from it at a time.
+    ``seed`` holds the seed's ``words`` little-endian 32-bit words (the
+    structure keeps the bytes alive).  The run's first kernel call seeds the
+    generator, a 128-bit state and increment in 64-bit halves, and every call
+    leaves it where the next one continues.
     """
-    return _capsule_pointer(bit_generator.capsule, b"BitGenerator")
+
+    _fields_ = [
+        ("seed", ctypes.c_char_p),
+        ("words", ctypes.c_int64),
+        *((name, ctypes.c_uint64) for name in ("state_high", "state_low", "inc_high", "inc_low")),
+    ]
+
+    def generator(self) -> dict[str, int]:
+        """The generator as ``PCG64.state["state"]`` reports it."""
+        return {
+            "state": self.state_high << 64 | self.state_low,
+            "inc": self.inc_high << 64 | self.inc_low,
+        }
+
+
+def _seed_words(seed: int) -> tuple[bytes, int]:
+    """``seed`` as numpy reads an int: 32-bit words, least significant first,
+    one word for 0, any length.
+
+    Raises :class:`TypeError` for what is not an integer (``operator.index``
+    takes numpy integers and ``bool``) and :class:`ValueError` for a
+    negative one, as ``SeedSequence`` does.
+    """
+    value = operator.index(seed)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer seed, got {value}")
+    words = max(1, -(-value.bit_length() // 32))
+    return value.to_bytes(4 * words, "little"), words
+
+
+def stream(seed: int) -> Stream:
+    """The unseeded stream of a run of ``seed`` (see :func:`_seed_words`)."""
+    return Stream(*_seed_words(seed))
+
+
+def derive_seeds(root_seed: int, count: int) -> tuple[int, ...] | None:
+    """:func:`repro.util.rng.derive_seeds` by the library; ``None`` without it.
+
+    Deriving seeds is no engine call, so it reaches the library through the
+    process's loader itself and not through :data:`KERNEL`, whose stand-ins
+    (a counting or a refusing loader) stand in for engine calls only.
+    """
+    library = _LOADER.get()
+    return None if library is None else _derived(library, root_seed, count)
+
+
+def _derived(library: ctypes.CDLL, root_seed: int, count: int) -> tuple[int, ...]:
+    root, words = _seed_words(root_seed)
+    seeds = (ctypes.c_int64 * count)()
+    library.derive_seeds(root, words, count, seeds)
+    return tuple(seeds)
+
+
+#: Seeds of one, two and three words (the last with a carry into its high
+#: word) whose seeded generator the library must share with numpy.
+_CHECKED_SEEDS = (0, 2**32, 2**64 + 1)
+
+
+def _numpy_generator(seed: int) -> dict[str, int]:
+    """numpy's seeded PCG64 for ``seed``: what a run's first kernel call must reproduce."""
+    return np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+
+
+def _agrees_with_numpy(library: ctypes.CDLL) -> bool:
+    """Whether ``library`` seeds and derives as this process's numpy does.
+
+    A numpy whose seeding changed then turns the library off instead of
+    putting two streams under one ``stream_version``.
+    """
+    for seed in _CHECKED_SEEDS:
+        checked = stream(seed)
+        library.seed_stream(ctypes.byref(checked))
+        if checked.generator() != _numpy_generator(seed):
+            return False
+    root = _CHECKED_SEEDS[-1]
+    return _derived(library, root, 10) == spawned_seeds(root, 10)
 
 
 def _cache_dirs() -> list[Path]:
@@ -99,7 +183,7 @@ def _private(directory: Path) -> bool:
 
 def _library_name() -> str:
     digest = hashlib.sha256()
-    for source in _SOURCES:
+    for source in (*_SOURCES, *_HEADERS):
         digest.update(source.read_bytes())
     digest.update(" ".join(_CFLAGS).encode())
     digest.update(platform.machine().encode())
@@ -139,7 +223,7 @@ def _build(directory: Path) -> Path:
 
 
 def _open_kernel() -> ctypes.CDLL | None:
-    """Build (or find) and load the library; ``None`` if it cannot be had."""
+    """Build (or find), load and check the library; ``None`` if it cannot be had."""
     reason = "no private cache directory"
     for directory in _cache_dirs():
         if not _private(directory):
@@ -153,10 +237,15 @@ def _open_kernel() -> ctypes.CDLL | None:
             function = getattr(library, name)
             function.argtypes = argtypes
             function.restype = restype
-        return library
+        if _agrees_with_numpy(library):
+            return library
+        # The same sources build the same library in any directory.
+        reason = f"its SeedSequence and PCG64 port disagrees with numpy {np.__version__}"
+        break
     _LOG.warning(
-        "compiled engine kernels unavailable (%s); FairEngine runs on its Python slot loop "
-        "and WindowEngine on its Python window loop and numpy ball throw",
+        "compiled engine kernels unavailable (%s); FairEngine runs on its Python slot loop, "
+        "WindowEngine on its Python window loop and numpy ball throw, and seeds derive "
+        "through numpy",
         reason,
     )
     return None
@@ -183,5 +272,8 @@ class _KernelLoader:
 
 
 #: The process's one library (``None`` from :meth:`_KernelLoader.get` when
-#: it cannot be built or loaded).
-KERNEL = _KernelLoader()
+#: it cannot be built, loaded or trusted).
+_LOADER = _KernelLoader()
+
+#: The loader the engines ask for the library.
+KERNEL = _LOADER

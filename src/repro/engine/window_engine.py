@@ -28,13 +28,14 @@ Compiled window loop
 Untraced runs run the window loop in C (``window_kernel.c``, built into the
 library of :mod:`repro.engine.native`): the saturation test (a port of
 :func:`_saturated` making the same libm calls), the cap, the ball throw into
-one byte per bin with uniforms drawn straight from the run's numpy bit
-generator (through its ``bitgen_t``, :func:`repro.engine.native.bitgen`),
-and the counters.  Every run of one protocol instance reads the same
-schedule, so the instance holds it (:class:`_Schedule`): pulled from one
-``spawn()``, in chunks of 8, 16, 32, … windows, each pulled once, by the
-first run that reaches it, and never changed after; a run makes one call per
-chunk it reaches.  Every windowed protocol takes the compiled path,
+one byte per bin with uniforms from the run's own port of numpy's
+``PCG64`` (``pcg64.h``: seeded from the run's seed by its first call,
+stepped inline, and carried from call to call in
+:func:`repro.engine.native.stream`'s structure), and the counters.  Every
+run of one protocol instance reads the same schedule, so the instance holds
+it (:class:`_Schedule`): pulled from one ``spawn()``, in chunks of 8, 16,
+32, … windows, each pulled once, by the first run that reaches it, and never
+changed after; a run makes one call per chunk it reaches.  Every windowed protocol takes the compiled path,
 subclasses and user-defined schedules included.  An error the schedule
 raises while a chunk is pulled ahead is held with the chunk and raised in
 every run that reaches that window, and in no other, so each run ends
@@ -139,11 +140,11 @@ class _WindowRun(ctypes.Structure):
     ``window_kernel.c``, field for field.  The Python loop reports in it too."""
 
     _fields_ = [
-        (name, ctypes.c_int64)
-        for name in (
+        *((name, ctypes.c_int64) for name in (
             "remaining", "start", "cap", "windows", "successes", "collisions", "silences",
             "saturated", "thrown", "position", "budget",
-        )
+        )),
+        ("stream", native.Stream),
     ]
 
 
@@ -282,15 +283,15 @@ def _compiled_run(
     """The run on ``window_kernel.c``: one call per schedule chunk it reaches,
     and one more per bin-buffer growth and per ``native.SLOTS_PER_CALL`` slots.
 
-    The bin buffer, the bit generator and the run state belong to the run,
-    because the GIL is released during each call and the service runs
-    windows of different jobs on concurrent threads.
+    The bin buffer and the run state, its generator included, belong to
+    the run, because the GIL is released during each call and the service
+    runs windows of different jobs on concurrent threads.
     """
-    # RandomSource(seed)'s bit generator, whose uniforms the Python loop's
-    # generator.random returns: the kernel draws them one per ball.
-    bit_generator = np.random.PCG64(np.random.SeedSequence(seed))
-    bitgen = native.bitgen(bit_generator)
-    run = _WindowRun(remaining=k, cap=cap, budget=native.SLOTS_PER_CALL)
+    # The first call seeds RandomSource(seed)'s generator, whose uniforms the
+    # Python loop's generator.random returns: the kernel draws one per ball.
+    run = _WindowRun(
+        remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
+    )
     bins = np.empty(_FIRST_BINS, dtype=np.uint8)
     bins_address = bins.ctypes.data
     index = 0
@@ -300,7 +301,7 @@ def _compiled_run(
         run.position = 0
         while True:
             status = window_simulate(
-                ctypes.byref(run), chunk.address, chunk.count, bins_address, bins.size, bitgen,
+                ctypes.byref(run), chunk.address, chunk.count, bins_address, bins.size
             )
             if status == _GROW:
                 # The next power of two: at most twice the window that did not fit.

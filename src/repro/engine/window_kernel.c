@@ -10,10 +10,11 @@
  *     collisions and takes no draws.
  *   - Every other window throws its balls: ball i lands in bin
  *     min(floor(u_i * length), length - 1), where u_i is the i-th uniform of
- *     the run's numpy bit generator.  The caller passes the generator's
- *     bitgen_t (from bit_generator.capsule), whose next_double is what
- *     Generator.random calls too, so every bin equals the one the numpy
- *     reference computes from generator.random(balls).
+ *     the run's stream (pcg64.h): the run's first call seeds PCG64 from its
+ *     seed as np.random.PCG64(np.random.SeedSequence(seed)) does, and each
+ *     call steps it in locals and leaves it in the run for the next, so
+ *     every bin equals the one the numpy reference computes from
+ *     generator.random(balls).
  *   - A window cut by the slot cap tallies only its slots before the cap, and
  *     the window that solves the run ends at its final delivery.
  *
@@ -33,14 +34,7 @@
 #include <stdint.h>
 #include <string.h>
 
-/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *state);
-    uint32_t (*next_uint32)(void *state);
-    double (*next_double)(void *state);
-    uint64_t (*next_raw)(void *state);
-} bitgen_t;
+#include "pcg64.h"
 
 enum { WINDOW_DONE = 0, WINDOW_MORE = 1, WINDOW_GROW = 2, WINDOW_PAUSED = 3 };
 
@@ -55,6 +49,8 @@ typedef struct {
     int64_t windows, successes, collisions, silences, saturated, thrown;
     /* The next window of the current chunk, and the slots one call runs. */
     int64_t position, budget;
+    /* The run's seed and generator. */
+    pcg64_stream stream;
 } window_run;
 
 /* _saturated: whether every bin surely holds >= 2 balls.  balls / 2 < length
@@ -72,19 +68,21 @@ static int saturated(int64_t length, int64_t balls) {
 }
 
 int window_simulate(window_run *r, const int64_t *lengths, int64_t n, uint8_t *counts,
-                    int64_t capacity, bitgen_t *bitgen) {
-    /* Loaded once: the byte stores into counts may alias *bitgen. */
-    double (*const next_double)(void *state) = bitgen->next_double;
-    void *const state = bitgen->state;
+                    int64_t capacity) {
     const int64_t first = r->start;
+    pcg128 state, inc;
+    int status = WINDOW_MORE;
+    pcg64_load(&r->stream, &state, &inc);
     for (; r->position < n; r->position++) {
         int64_t length = lengths[r->position], limit, simulated;
         int64_t silences = 0, singletons = 0, last = -1, silences_before_last = 0;
         double width = (double)length;
         if (r->remaining == 0 || r->start >= r->cap)
-            return WINDOW_DONE;
-        if (r->start - first >= r->budget)
-            return WINDOW_PAUSED;
+            break;
+        if (r->start - first >= r->budget) {
+            status = WINDOW_PAUSED;
+            break;
+        }
         limit = length < r->cap - r->start ? length : r->cap - r->start;
         if (saturated(length, r->remaining)) {
             r->windows += 1;
@@ -93,13 +91,15 @@ int window_simulate(window_run *r, const int64_t *lengths, int64_t n, uint8_t *c
             r->start += limit;
             continue;
         }
-        if (length > capacity)
-            return WINDOW_GROW;
+        if (length > capacity) {
+            status = WINDOW_GROW;
+            break;
+        }
         r->windows += 1;
         r->thrown += 1;
         memset(counts, 0, (size_t)length);
         for (int64_t i = 0; i < r->remaining; i++) {
-            int64_t bin = (int64_t)(next_double(state) * width);
+            int64_t bin = (int64_t)(pcg64_next_double(&state, inc) * width);
             if (bin > length - 1)
                 bin = length - 1;
             counts[bin] += counts[bin] < 2;
@@ -122,5 +122,8 @@ int window_simulate(window_run *r, const int64_t *lengths, int64_t n, uint8_t *c
         r->remaining -= singletons;
         r->start += simulated;
     }
-    return r->remaining == 0 || r->start >= r->cap ? WINDOW_DONE : WINDOW_MORE;
+    pcg64_save(&r->stream, state);
+    if (status == WINDOW_MORE && (r->remaining == 0 || r->start >= r->cap))
+        status = WINDOW_DONE;
+    return status;
 }

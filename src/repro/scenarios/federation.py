@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -231,31 +232,42 @@ def sync(
     (``scenarios_failed``/``failures``) rather than aborting the sync —
     idempotence makes the recovery story "run it again": already-copied
     cells diff to nothing, so the retry resumes with exactly the failures.
+
+    A store opened here from a spec string or a path is closed before the
+    call returns; a built store the caller passed in stays open.
     """
-    src = open_store(source)
-    dst = open_store(destination)
-    examined = copied_scenarios = copied_replications = 0
-    failures: list[str] = []
-    for scenario in src.scenarios_on_record():
-        examined += 1
-        copy = lambda: _copy_scenario(scenario, src, dst)  # noqa: E731
-        try:
-            if retry is not None:
-                added = retry.call(copy, sleep=sleep)
-            else:
-                added = copy()
-        except Exception:  # noqa: BLE001 - record and continue with the rest
-            failures.append(scenario.content_hash())
-            continue
-        if added:
-            copied_scenarios += 1
-            copied_replications += added
-    return SyncReport(
-        source=src.describe(),
-        destination=dst.describe(),
-        scenarios_examined=examined,
-        scenarios_copied=copied_scenarios,
-        replications_copied=copied_replications,
-        scenarios_failed=len(failures),
-        failures=tuple(failures),
-    )
+    with ExitStack() as opened:
+        src, dst = (_open(target, opened) for target in (source, destination))
+        examined = copied_scenarios = copied_replications = 0
+        failures: list[str] = []
+        for scenario in src.scenarios_on_record():
+            examined += 1
+            copy = lambda: _copy_scenario(scenario, src, dst)  # noqa: E731
+            try:
+                if retry is not None:
+                    added = retry.call(copy, sleep=sleep)
+                else:
+                    added = copy()
+            except Exception:  # noqa: BLE001 - record and continue with the rest
+                failures.append(scenario.content_hash())
+                continue
+            if added:
+                copied_scenarios += 1
+                copied_replications += added
+        return SyncReport(
+            source=src.describe(),
+            destination=dst.describe(),
+            scenarios_examined=examined,
+            scenarios_copied=copied_scenarios,
+            replications_copied=copied_replications,
+            scenarios_failed=len(failures),
+            failures=tuple(failures),
+        )
+
+
+def _open(target: str | Path | StoreBackend, opened: ExitStack) -> StoreBackend:
+    """``open_store(target)``, closed with ``opened`` unless the caller built it."""
+    store = open_store(target)
+    if store is not target:
+        opened.callback(store.close)
+    return store

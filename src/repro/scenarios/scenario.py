@@ -317,19 +317,22 @@ class Scenario:
 
     def format(self) -> str:
         """Compact string form; omits fields left at their defaults."""
-        defaults = Scenario(protocol=self.protocol, k=self.k)
+        # The declared defaults, not a Scenario of them: that need not be
+        # valid (a protocol that needs collision detection refuses the
+        # default channel).
+        defaults = {field.name: field.default for field in dataclasses.fields(self)}
         parts = [canonical_spec(self.protocol), f"k={self.k}"]
-        if self.replications != defaults.replications:
+        if self.replications != defaults["replications"]:
             parts.append(f"reps={self.replications}")
-        if self.seed != defaults.seed:
+        if self.seed != defaults["seed"]:
             parts.append(f"seed={self.seed}")
-        if self.arrivals != defaults.arrivals:
+        if self.arrivals != defaults["arrivals"]:
             parts.append(f"arrivals={canonical_spec(self.arrivals)}")
-        if self.channel != defaults.channel:
+        if self.channel != defaults["channel"]:
             parts.append(f"channel={canonical_spec(self.channel)}")
-        if self.engine != defaults.engine:
+        if self.engine != defaults["engine"]:
             parts.append(f"engine={self.engine}")
-        if self.max_slots_factor != defaults.max_slots_factor:
+        if self.max_slots_factor != defaults["max_slots_factor"]:
             parts.append(f"max_slots_factor={self.max_slots_factor}")
         return " ".join(parts)
 

@@ -837,25 +837,28 @@ def stream_version_of(result: SimulationResult) -> int:
     return version if isinstance(version, int) else 1
 
 
+#: Encodes every store line: ``json.dumps(..., sort_keys=True)`` builds a
+#: new encoder on each call, and a replication writes one line.
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _header_line(scenario: Scenario) -> str:
-    return json.dumps(
+    return _LINE_ENCODER.encode(
         {
             "kind": "scenario",
             "hash": scenario.content_hash(),
             "scenario": scenario.to_dict(),
-        },
-        sort_keys=True,
+        }
     )
 
 
 def _run_line(run: StoredRun) -> str:
-    return json.dumps(
+    return _LINE_ENCODER.encode(
         {
             "kind": "run",
             "replication": run.replication,
             "seed": run.seed,
             "elapsed_seconds": run.elapsed_seconds,
             "result": run.result.to_dict(),
-        },
-        sort_keys=True,
+        }
     )

@@ -10,7 +10,11 @@ guarantees that
   consecutive integers.
 
 The helpers here are intentionally tiny wrappers around numpy so that the rest
-of the code never has to touch ``SeedSequence`` directly.
+of the code never has to touch ``SeedSequence`` directly.  Where the engines'
+compiled library is loaded, :func:`derive_seeds` asks its port of
+``SeedSequence`` (:func:`repro.engine.native.derive_seeds`) for a cell's
+seeds in one call; :func:`spawned_seeds` is numpy's derivation, which the
+library must equal and which serves every seed without it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RandomSource", "derive_seeds", "make_generator", "spawn_generators"]
+__all__ = ["RandomSource", "derive_seeds", "make_generator", "spawn_generators", "spawned_seeds"]
 
 #: Upper bound (exclusive) for derived integer seeds.  Fits in a signed int64
 #: so seeds survive round-trips through JSON and CSV without precision loss.
@@ -39,8 +43,7 @@ def make_generator(seed: int | None = None) -> np.random.Generator:
 #: :func:`derive_seeds` remembers its ``_MEMO_ENTRIES`` most recent
 #: derivations (LRU) of at most ``_MEMO_SEEDS`` seeds each: a grid derives
 #: each cell's seeds several times (planning, the store's seed check, the
-#: result set), and a seed costs a ``SeedSequence`` spawn and a
-#: ``generate_state`` call.
+#: result set).
 _MEMO_ENTRIES = 128
 _MEMO_SEEDS = 1024
 
@@ -66,6 +69,22 @@ def derive_seeds(root_seed: int, count: int) -> list[int]:
 
 
 def _derive(root_seed: int, count: int) -> tuple[int, ...]:
+    if isinstance(root_seed, int) and root_seed >= 0:
+        # Imported here: the engine package imports this module.
+        from repro.engine import native
+
+        derived = native.derive_seeds(root_seed, count)
+        if derived is not None:
+            return derived
+    return spawned_seeds(root_seed, count)
+
+
+def spawned_seeds(root_seed: int, count: int) -> tuple[int, ...]:
+    """numpy's derivation of :func:`derive_seeds`' seeds.
+
+    The first ``generate_state(1, uint64)`` word of each child of
+    ``SeedSequence(root_seed).spawn(count)``, modulo :data:`_SEED_BOUND`.
+    """
     children = np.random.SeedSequence(root_seed).spawn(count)
     return tuple(
         int(child.generate_state(1, dtype=np.uint64)[0] % _SEED_BOUND) for child in children

@@ -58,7 +58,7 @@ class TestPickEngine:
         assert isinstance(pick_engine(ExpBackonBackoff()), WindowEngine)
 
     def test_other_protocols_get_slot_engine(self):
-        assert isinstance(pick_engine(BinarySplitting()), SlotEngine)
+        assert isinstance(pick_engine(BinarySplitting(), channel=CD_CHANNEL), SlotEngine)
 
     def test_non_default_channel_forces_slot_engine(self):
         assert isinstance(pick_engine(OneFailAdaptive(), channel=CD_CHANNEL), SlotEngine)
@@ -122,7 +122,19 @@ class TestAutoPick:
     def test_kind_routing(self):
         assert pick_engine_name(OneFailAdaptive()) == "fair"
         assert pick_engine_name(ExpBackonBackoff()) == "window"
-        assert pick_engine_name(BinarySplitting()) == "slot"
+        assert pick_engine_name(BinarySplitting(), channel=CD_CHANNEL) == "slot"
+
+    @pytest.mark.parametrize("engine", ["auto", "slot"])
+    @pytest.mark.parametrize("channel", [None, ChannelModel()])
+    def test_collision_detection_protocol_is_refused_without_it(self, engine, channel):
+        """Its first slot would raise; the rule refuses it up front."""
+        with pytest.raises(ValueError, match="needs collision detection.*channel=cd"):
+            pick_engine_name(BinarySplitting(), engine=engine, channel=channel)
+
+    def test_a_scenario_of_it_without_collision_detection_is_not_built(self):
+        with pytest.raises(ValueError, match="channel=cd"):
+            Scenario.parse("binary-splitting k=4")
+        assert Scenario.parse("binary-splitting k=4 channel=cd").channel == "cd"
 
     def test_non_default_channel_falls_back_to_slot(self):
         assert pick_engine_name(OneFailAdaptive(), channel=CD_CHANNEL) == "slot"

@@ -12,9 +12,11 @@ library's build, cache and failed-build fallback are tested in
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 import repro.engine.fair_engine as fair_module
@@ -165,6 +167,10 @@ KERNEL_SPECS = [
 ]
 
 
+#: Seeds at 32-bit word boundaries: of one, two, three and four words.
+WORD_BOUNDARY_SEEDS = [2**32 - 1, 2**32, 2**64, 2**100]
+
+
 def _fair_runs() -> dict[str, float]:
     return {path: fair_module._M_FAIR_RUNS.labels(path=path).value for path in ("compiled", "python")}
 
@@ -199,7 +205,7 @@ class TestCompiledLoopIsExact:
     @pytest.mark.parametrize("k", [1, 2, 3, 150, 10_000])
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
     def test_runs_equal_the_python_loop(self, spec, k):
-        compiled, python = _runs(spec, k, derive_seeds(k, 10))
+        compiled, python = _runs(spec, k, derive_seeds(k, 10) + WORD_BOUNDARY_SEEDS)
         assert [result.to_dict() for result in compiled] == [
             result.to_dict() for result in python
         ]
@@ -212,6 +218,28 @@ class TestCompiledLoopIsExact:
         result = FairEngine().simulate(build_protocol(spec, k=k), k, seed=7)
         assert result.solved
         assert kernel_calls == {"fair_simulate": 1}
+
+    @pytest.mark.parametrize("seed", [0, *WORD_BOUNDARY_SEEDS])
+    def test_the_first_call_seeds_the_run_and_later_calls_continue(self, seed):
+        """The run's generator is ``PCG64(SeedSequence(seed))`` once its first
+        call returns, drawless with a budget of 0 slots, and each later call
+        steps it once per slot from where the last one left it."""
+        library = native.KERNEL.get()
+        assert library is not None
+        run = fair_module._FairRun(
+            remaining=100, cap=10**6, budget=0, last_delivery=-1, stream=native.stream(seed),
+            **fair_module._one_fail_fields(OneFailAdaptive()),
+        )
+        reference = np.random.PCG64(np.random.SeedSequence(seed))
+        assert library.fair_simulate(ctypes.byref(run)) == fair_module._PAUSED
+        assert run.stream.generator() == reference.state["state"]
+        for budget in (37, 1, 100):
+            run.budget = budget
+            slot = run.slot
+            library.fair_simulate(ctypes.byref(run))
+            reference.advance(run.slot - slot)
+            assert run.stream.generator() == reference.state["state"]
+        assert run.slot == 138
 
     @pytest.mark.parametrize("cap", [None, 300])
     @pytest.mark.parametrize("spec", KERNEL_SPECS)

@@ -1,14 +1,17 @@
 """Tests for the shared kernel library of FairEngine and WindowEngine.
 
-One library holds both compiled kernels.  It is built once per user and
-machine, loaded by later processes without compiling, never loaded from a
-directory other users can write, and a failed build leaves both engines on
-their Python paths — same runs, one warning.
+One library holds both compiled kernels and their port of numpy's
+``SeedSequence`` and ``PCG64``.  It is built once per user and machine,
+loaded by later processes without compiling, never loaded from a directory
+other users can write, and seeds every run's generator as numpy does.  A
+failed build, or a library whose seeding disagrees with numpy's, leaves both
+engines on their Python paths — same runs, one warning.
 """
 
 from __future__ import annotations
 
 import ctypes
+import gc
 import logging
 import os
 import subprocess
@@ -47,17 +50,22 @@ def _runs_by_path() -> dict[str, float]:
     }
 
 
+def _both_engines(seeds: list[int]) -> list:
+    """k=150 runs of OFA on FairEngine and EBB on WindowEngine."""
+    return [
+        engine.simulate(protocol, 150, seed=seed)
+        for engine, protocol in (
+            (FairEngine(), OneFailAdaptive()), (WindowEngine(), ExpBackonBackoff()),
+        )
+        for seed in seeds
+    ]
+
+
 class TestFailedBuild:
     SEEDS = derive_seeds(31, 10)
 
     def runs(self) -> list:
-        return [
-            engine.simulate(protocol, 150, seed=seed)
-            for engine, protocol in (
-                (FairEngine(), OneFailAdaptive()), (WindowEngine(), ExpBackonBackoff()),
-            )
-            for seed in self.SEEDS
-        ]
+        return _both_engines(self.SEEDS)
 
     def test_both_engines_fall_back_and_warn_once(self, tmp_path, monkeypatch, caplog):
         expected = self.runs()
@@ -148,36 +156,106 @@ class TestKernelCache:
         assert [path.name for path in private.iterdir()] == [native._library_name()]
 
     def test_library_name_hashes_both_sources(self, monkeypatch, tmp_path):
-        original, name = native._SOURCES, native._library_name()
-        for index, source in enumerate(original):
-            edited = tmp_path / source.name
-            edited.write_bytes(source.read_bytes() + b"\n")
-            sources = (*original[:index], edited, *original[index + 1:])
-            monkeypatch.setattr(native, "_SOURCES", sources)
-            assert native._library_name() != name
+        """And the header both include: an edit to any file renames the library."""
+        assert [header.name for header in native._HEADERS] == ["pcg64.h"]
+        name = native._library_name()
+        for attribute in ("_SOURCES", "_HEADERS"):
+            original = getattr(native, attribute)
+            for index, source in enumerate(original):
+                edited = tmp_path / source.name
+                edited.write_bytes(source.read_bytes() + b"\n")
+                monkeypatch.setattr(
+                    native, attribute, (*original[:index], edited, *original[index + 1:])
+                )
+                assert native._library_name() != name
+            monkeypatch.setattr(native, attribute, original)
 
 
-class _Bitgen(ctypes.Structure):
-    """numpy's ``bitgen_t``, as both kernels declare it."""
+#: Seeds at and across 32-bit word boundaries, then random ones of up to
+#: 63 and up to 300 bits.
+_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1, 2**64, 2**128 + 1, 2**200 + 3,
+    *(int(seed) for seed in np.random.default_rng(2011).integers(0, 2**63 - 1, 6)),
+    *(
+        int.from_bytes(np.random.default_rng(length).bytes(length), "little")
+        for length in (5, 9, 17, 38)
+    ),
+]
 
-    _fields_ = [
-        (name, ctypes.c_void_p)
-        for name in ("state", "next_uint64", "next_uint32", "next_double", "next_raw")
-    ]
+
+class TestStream:
+    """The library seeds a run's PCG64 as ``PCG64(SeedSequence(seed))`` does."""
+
+    @pytest.mark.parametrize("seed", [*_SEEDS, np.int64(7), np.uint64(2**64 - 1), True])
+    def test_seeded_generator_is_numpys(self, seed):
+        library = native.KERNEL.get()
+        assert library is not None
+        stream = native.stream(seed)
+        library.seed_stream(ctypes.byref(stream))
+        assert stream.generator() == np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+
+    @pytest.mark.parametrize(
+        "seed,error", [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), ("7", TypeError)]
+    )
+    def test_what_numpy_refuses_is_refused(self, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        with pytest.raises(error):
+            native.stream(seed)
+        for engine, protocol in (
+            (FairEngine(), OneFailAdaptive()), (WindowEngine(), ExpBackonBackoff()),
+        ):
+            with pytest.raises(error):
+                engine.simulate(protocol, 10, seed=seed)
+
+    def test_a_run_keeps_its_seed_alive(self):
+        """The kernel reads the seed's words through a pointer the run holds."""
+        run = fair_module._FairRun(stream=native.stream(2**200 + 3))
+        gc.collect()
+        offset = fair_module._FairRun.stream.offset + native.Stream.seed.offset
+        address = ctypes.c_void_p.from_buffer(run, offset).value
+        assert run.stream.words == 7
+        assert ctypes.string_at(address, 28) == (2**200 + 3).to_bytes(28, "little")
 
 
 class TestBitgen:
-    @pytest.mark.parametrize(
-        "make", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.SFC64]
-    )
-    def test_pointer_is_the_generators_bitgen(self, make):
-        """The kernels read ``state`` and ``next_double`` through the pointer:
-        they are the ones the generator's ``ctypes`` interface names."""
-        bit_generator = make(7)
-        fields = _Bitgen.from_address(native.bitgen(bit_generator))
-        interface = bit_generator.ctypes
-        assert fields.state == interface.state_address
-        assert fields.next_double == ctypes.cast(interface.next_double, ctypes.c_void_p).value
+    """The kernels no longer draw through numpy's ``bitgen_t``."""
 
     def test_the_ctypes_route_is_gone(self):
         assert not hasattr(native, "uniforms")
+        assert not hasattr(native, "bitgen")
+
+
+class TestSelfCheck:
+    def test_a_library_that_disagrees_with_numpy_is_not_used(self, tmp_path, monkeypatch, caplog):
+        """A numpy whose seeding moved turns the library off: one warning,
+        and every run takes its Python path with the same results."""
+        seeds = derive_seeds(8, 6)
+        expected = _both_engines(seeds)
+        moved = native._numpy_generator
+
+        def moved_numpy(seed):
+            generator = moved(seed)
+            return {**generator, "state": generator["state"] ^ 1}
+
+        monkeypatch.setattr(native, "_numpy_generator", moved_numpy)
+        _fresh_loader(monkeypatch, tmp_path)
+        before = _runs_by_path()
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            runs = _both_engines(seeds)
+        assert runs == expected
+        after = _runs_by_path()
+        assert {key: after[key] - before[key] for key in after} == {
+            "fair-compiled": 0, "fair-python": 6, "window-compiled": 0, "window-python": 6,
+        }
+        (warning,) = [record for record in caplog.records if record.name == native.__name__]
+        assert "disagrees with numpy" in warning.getMessage()
+
+    def test_a_library_whose_derivation_disagrees_is_not_used(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(native, "spawned_seeds", lambda root, count: (0,) * count)
+        _fresh_loader(monkeypatch, tmp_path)
+        assert native.KERNEL.get() is None
+
+    def test_the_process_library_agrees_with_numpy(self):
+        library = native.KERNEL.get()
+        assert library is not None and native._agrees_with_numpy(library)

@@ -180,6 +180,9 @@ WINDOWED_SPECS = [
     "loglog-iterated-backoff",
 ]
 
+#: Seeds at 32-bit word boundaries: of one, two, three and four words.
+WORD_BOUNDARY_SEEDS = [2**32 - 1, 2**32, 2**64, 2**100]
+
 
 def _reference_makespan(protocol: WindowedProtocol, k: int, rng: np.random.Generator) -> int:
     """The plain balls-in-bins loop: every window throws every ball."""
@@ -385,20 +388,27 @@ def _cap(windows: list[tuple[int, int, bool]], where: str) -> int:
 
 
 def _one_window(
-    length: int, balls: int, limit: int, generator: np.random.Generator, capacity: int | None = None
+    length: int, balls: int, limit: int, seed: int, capacity: int | None = None
 ) -> tuple[int, _WindowRun]:
     """``window_simulate`` over a one-window chunk: a run of ``balls``
-    stations capped at ``limit`` slots, with a bin buffer of ``capacity``."""
+    stations with seed ``seed``, capped at ``limit`` slots, with a bin buffer
+    of ``capacity``."""
     library = native.KERNEL.get()
     assert library is not None
-    run = _WindowRun(remaining=balls, cap=limit, budget=native.SLOTS_PER_CALL)
+    run = _WindowRun(
+        remaining=balls, cap=limit, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
+    )
     lengths = array("q", [length])
     bins = np.empty(length if capacity is None else capacity, dtype=np.uint8)
     status = library.window_simulate(
-        ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size,
-        native.bitgen(generator.bit_generator),
+        ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size
     )
     return status, run
+
+
+def _numpy_generator(seed: int, draws: int = 0) -> dict[str, int]:
+    """numpy's ``PCG64(SeedSequence(seed))`` after ``draws`` uniforms."""
+    return np.random.PCG64(np.random.SeedSequence(seed)).advance(draws).state["state"]
 
 
 def _saturation_edge(length: int) -> int:
@@ -437,7 +447,8 @@ class TestCompiledThrowIsExact:
     @pytest.mark.parametrize("k", [1, 2, 3, 150, 2048, 10_000])
     @pytest.mark.parametrize("spec", WINDOWED_SPECS)
     def test_runs_equal_the_reference(self, spec, k):
-        results = _assert_paths_agree(build_protocol(spec, k=k), k, derive_seeds(k, 10))
+        seeds = derive_seeds(k, 10) + WORD_BOUNDARY_SEEDS
+        results = _assert_paths_agree(build_protocol(spec, k=k), k, seeds)
         assert all(result.solved for result in results)
 
     @pytest.mark.parametrize("where", ["first-slot", "saturated", "thrown", "window-boundary"])
@@ -462,10 +473,11 @@ class TestCompiledThrowIsExact:
         [(1, 1, 1), (2, 3, 1), (7, 20, 7), (1000, 700, 300), (2**20, 10**5, 2**20)],
     )
     def test_a_window_takes_exactly_its_balls_uniforms(self, length, balls, limit):
-        """The kernel's counts are the reference tally's, and the generator
-        continues where ``generator.random(balls)`` leaves it."""
-        compiled, reference = np.random.default_rng(9), np.random.default_rng(9)
-        status, run = _one_window(length, balls, limit, compiled)
+        """The kernel seeds the run's generator, its counts are the reference
+        tally's, and the generator is left where ``generator.random(balls)``
+        leaves numpy's."""
+        reference = np.random.default_rng(9)
+        status, run = _one_window(length, balls, limit, 9)
         _, (silent, delivered, last, before) = _throw_reference(reference, length, balls, limit)
         simulated = limit
         if delivered == balls:  # the solving window ends at its final delivery
@@ -475,16 +487,16 @@ class TestCompiledThrowIsExact:
         assert (run.start, run.remaining, run.successes, run.silences, run.collisions) == (
             simulated, balls - delivered, delivered, silent, simulated - silent - delivered,
         )
-        assert compiled.random() == reference.random()
+        assert run.stream.generator() == _numpy_generator(9, balls)
+        assert reference.bit_generator.state["state"] == _numpy_generator(9, balls)
 
     def test_window_wider_than_the_bin_buffer_is_handed_back(self):
         """A thrown window that does not fit the bin buffer is not started:
         no draws, no counters, and ``position`` names it for the resume."""
-        generator = np.random.default_rng(0)
-        status, run = _one_window(4, 3, 4, generator, capacity=3)
+        status, run = _one_window(4, 3, 4, 0, capacity=3)
         assert status == window_module._GROW
         assert (run.position, run.windows, run.start, run.remaining) == (0, 0, 0, 3)
-        assert generator.random() == np.random.default_rng(0).random()
+        assert run.stream.generator() == _numpy_generator(0)
 
     def test_saturation_test_equals_the_reference(self):
         """The kernel's saturation test is ``_saturated``.  With an empty bin
@@ -501,9 +513,8 @@ class TestCompiledThrowIsExact:
         for length in lengths:
             edge = _saturation_edge(length)
             pairs += [(length, balls) for balls in (edge - 1, edge, edge + 1)]
-        generator = np.random.default_rng(0)
         verdicts = [
-            _one_window(length, balls, length, generator, capacity=0)[0] != window_module._GROW
+            _one_window(length, balls, length, 0, capacity=0)[0] != window_module._GROW
             for length, balls in pairs
         ]
         assert verdicts == [_saturated(length, balls) for length, balls in pairs]

@@ -201,6 +201,15 @@ class TestRunCommand:
         assert main(["simulate", "one-fail-adaptive k=8 arrivals=nope"]) == 2
         assert "repro: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_collision_detection_protocol_without_it_is_clean_error(self, capsys, command):
+        assert main([command, "binary-splitting k=4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: 'binary-splitting' needs collision detection")
+        assert "channel=cd" in err
+        assert err.count("\n") == 1
+        assert main([command, "binary-splitting k=4 channel=cd"]) == 0
+
 
 class TestMachineReadableSimulate:
     def test_simulate_json_payload(self, capsys):

@@ -12,7 +12,9 @@ client↔server over a live service.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import sqlite3
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -312,15 +314,51 @@ class TestFederationOnDisk:
         dst_spec = BACKEND_SPECS[dst_name](tmp_path / "dst")
         source_session = Session(store_dir=src_spec)
         source = source_session.run(scenario(text))
+        source_session.store.close()
         report = sync_stores(src_spec, dst_spec)
         assert report.scenarios_examined == 1
         assert report.scenarios_copied == 1
         assert report.replications_copied == 4
-        served = Session(store_dir=dst_spec).run(scenario(text))
+        serving = Session(store_dir=dst_spec)
+        served = serving.run(scenario(text))
+        serving.store.close()
         assert served.new_runs == 0 and served.cached_runs == 4
         assert served.results == source.results  # stream_version included
         again = sync_stores(src_spec, dst_spec)
         assert again.scenarios_copied == 0 and again.replications_copied == 0
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("src_name,dst_name", [
+        ("jsonl", "jsonl"), ("jsonl", "sqlite"), ("sqlite", "chaos"),
+    ])
+    def test_sync_closes_the_stores_it_opened(self, tmp_path, src_name, dst_name):
+        """Without a cyclic collection to close them: with the collector off,
+        ``sync(spec, spec)`` leaves the descriptor count where it was."""
+        src_spec = BACKEND_SPECS[src_name](tmp_path / "src")
+        dst_spec = BACKEND_SPECS[dst_name](tmp_path / "dst")
+        with closing(open_store(src_spec)) as source:
+            source.append(scenario(), seeded_runs(scenario()))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            report = sync_stores(src_spec, dst_spec)
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            gc.enable()
+        assert report.replications_copied == 4
+        assert after == before
+
+    def test_sync_leaves_the_stores_it_was_given_open(self, tmp_path):
+        src = open_store(BACKEND_SPECS["sqlite"](tmp_path / "src"))
+        dst = open_store(BACKEND_SPECS["sqlite"](tmp_path / "dst"))
+        src.append(scenario(), seeded_runs(scenario()))
+        closed = []
+        for store in (src, dst):
+            store.close = lambda store=store: closed.append(store)
+        assert sync_stores(src, dst).replications_copied == 4
+        assert closed == []
+        assert sorted(dst.load(scenario())) == [0, 1, 2, 3]
 
     def test_sync_copies_only_missing_replications(self, tmp_path):
         src = open_store(BACKEND_SPECS["jsonl"](tmp_path / "src"))
@@ -383,7 +421,9 @@ class TestFederationOverHttp:
 
     def test_push_is_idempotent_over_http(self, tmp_path, server):
         local_spec = BACKEND_SPECS["jsonl"](tmp_path / "local")
-        Session(store_dir=local_spec).run(scenario())
+        local = Session(store_dir=local_spec)
+        local.run(scenario())
+        local.store.close()
         first = sync_stores(local_spec, server.url)
         second = sync_stores(local_spec, server.url)
         assert first.replications_copied == 4
@@ -391,6 +431,32 @@ class TestFederationOverHttp:
 
 
 class TestJsonlSpecifics:
+    @pytest.mark.parametrize("engine,text", [
+        ("fair", "one-fail-adaptive k=12 reps=2 seed=3"),
+        ("window", "exp-backon-backoff k=12 reps=2 seed=3"),
+        ("slot", "binary-splitting k=6 reps=2 seed=3 channel=cd"),
+    ])
+    def test_lines_are_sorted_json_dumps(self, engine, text):
+        """The store's one encoder writes what ``json.dumps(..., sort_keys=True)`` writes."""
+        from repro.scenarios.store import StoredRun, _header_line, _run_line
+
+        scen = scenario(text)
+        assert _header_line(scen) == json.dumps(
+            {"kind": "scenario", "hash": scen.content_hash(), "scenario": scen.to_dict()},
+            sort_keys=True,
+        )
+        results = Session().run(scen).results
+        assert {result.engine for result in results} == {engine}
+        for replication, (seed, result) in enumerate(zip(scen.seeds(), results)):
+            run = StoredRun(replication, seed, 0.125 * (replication + 1), result)
+            assert _run_line(run) == json.dumps(
+                {
+                    "kind": "run", "replication": replication, "seed": seed,
+                    "elapsed_seconds": run.elapsed_seconds, "result": result.to_dict(),
+                },
+                sort_keys=True,
+            )
+
     def test_compact_removes_lock_sidecars(self, tmp_path):
         store = JsonlStore(tmp_path)
         store.append(scenario(), seeded_runs(scenario()))

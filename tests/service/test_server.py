@@ -140,6 +140,7 @@ class TestErrors:
             "one-fail-adaptive k=10 seed=abc",
             "one-fail-adaptive k=10 seed=-1",
             "one-fail-adaptive k=10 seed=true",
+            "binary-splitting k=4",
         ],
         ids=[
             "unknown-protocol", "wrong-kind", "wrong-channel", "wrong-arrivals",
@@ -147,6 +148,7 @@ class TestErrors:
             "bad-delta", "unknown-protocol-parameter", "rate-above-one", "rate-missing",
             "bursts-not-dividing-k", "ack-less-channel",
             "float-seed", "text-seed", "negative-seed", "bool-seed",
+            "collision-detection-protocol-without-it",
         ],
     )
     def test_bad_scenario_spec_is_400(self, client, spec):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.engine.native as native
 from repro.util import rng
 from repro.util.rng import RandomSource, derive_seeds, make_generator, spawn_generators
 
@@ -35,6 +36,13 @@ class TestDeriveSeeds:
             assert 0 <= seed < 2**63
 
 
+#: Roots at and across 32-bit word boundaries, then random ones.
+ROOTS = [
+    0, 1, 2011, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1, 2**64, 2**128 + 1, 2**200 + 3,
+    *(int(root) for root in np.random.default_rng(5).integers(0, 2**63 - 1, 3)),
+]
+
+
 class TestRememberedSeeds:
     """derive_seeds remembers recent derivations; callers cannot tell."""
 
@@ -61,14 +69,19 @@ class TestRememberedSeeds:
         derive_seeds(5, rng._MEMO_SEEDS + 1)
         assert rng._remembered.cache_info() == before
 
-    def test_remembered_seeds_equal_a_fresh_derivation(self):
-        parent = np.random.SeedSequence(2011)
+    @pytest.mark.parametrize("count", [1, 6, 10, rng._MEMO_SEEDS, rng._MEMO_SEEDS + 1])
+    @pytest.mark.parametrize("root", ROOTS)
+    def test_remembered_seeds_equal_a_fresh_derivation(self, root, count):
+        """The library's derivation, remembered or not, is numpy's."""
+        parent = np.random.SeedSequence(root)
         fresh = [
             int(child.generate_state(1, dtype=np.uint64)[0] % (2**63 - 1))
-            for child in parent.spawn(6)
+            for child in parent.spawn(count)
         ]
-        assert derive_seeds(2011, 6) == fresh
-        assert derive_seeds(2011, 6) == fresh
+        assert native.derive_seeds(root, count) == tuple(fresh)
+        assert derive_seeds(root, count) == fresh
+        assert derive_seeds(root, count) == fresh
+        assert rng.spawned_seeds(root, count) == tuple(fresh)
 
 
 class TestMakeGenerator:
