@@ -40,7 +40,12 @@ def main() -> int:
     config = ExperimentConfig(k_values=paper_k_values(max_k=max_k), runs=runs)
 
     print(f"Sweeping k in {list(config.k_values)} with {runs} runs per point ...")
-    figure = reproduce_figure1(config=config, specs=specs, progress=True)
+
+    def progress(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
+        if done == total:
+            print(f"[figure1] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)
+
+    figure = reproduce_figure1(config=config, specs=specs, progress=progress)
 
     headers = ["Protocol"] + [f"k={k}" for k in config.k_values] + ["Analysis"]
     rows = []

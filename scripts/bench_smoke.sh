@@ -8,7 +8,9 @@
 # single-run smoke (`repro simulate <spec> --json` equals the library's
 # simulate() run, and the retired seed_policy key exits 2), a
 # Session-store smoke run proving that
-# a repeated scenario execution is served entirely from the result store, a
+# a repeated scenario execution is served entirely from the result store, an
+# experiment-command smoke (`repro table1` re-served from its store prints
+# the same report, `repro figure1 --output-dir` writes its artefacts), a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
 # simulations), a held-descriptor smoke (a Table 1 sweep into a JSONL and a
 # chaos-wrapped JSONL store leaves no descriptor open once the stores are
@@ -141,10 +143,11 @@ STORE_DIR="$(mktemp -d)"
 SERVICE_STORE_DIR="$(mktemp -d)"
 LIST_DIR="$(mktemp -d)"
 DESCRIPTOR_DIR="$(mktemp -d)"
+EXPERIMENT_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR" "$DESCRIPTOR_DIR"
+    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR" "$DESCRIPTOR_DIR" "$EXPERIMENT_DIR"
 }
 trap cleanup EXIT
 SCENARIO="one-fail-adaptive(delta=2.72) k=256 reps=5 seed=2011"
@@ -160,6 +163,32 @@ assert payload["cached_runs"] == 5, f"expected 5 cached runs, got {payload}"
 print("session-store smoke ok: re-run served %d cached runs, %d new simulations"
       % (payload["cached_runs"], payload["new_runs"]))
 '
+
+# --- Experiment-command smoke ------------------------------------------------
+# The experiment commands are subcommands of the one `repro` parser: `repro
+# table1` run twice into one store must print the same report (the second
+# time served from the store), `repro figure1 --output-dir` must write its
+# CSV, JSON and gnuplot files, and `repro table1 --help` must name itself.
+for run in first second; do
+    PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro table1 --max-k 100 --runs 2 \
+        --quiet --store "$EXPERIMENT_DIR/store" > "$EXPERIMENT_DIR/$run.txt"
+done
+cmp -s "$EXPERIMENT_DIR/first.txt" "$EXPERIMENT_DIR/second.txt" \
+    || { echo "repro table1 printed another report when served from its store"; exit 1; }
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro figure1 --max-k 100 --runs 2 \
+    --quiet --output-dir "$EXPERIMENT_DIR/figure1" > /dev/null
+for artefact in figure1_runs.csv figure1_summary.json figure1_series/ofa.dat \
+        figure1_series/ebb.dat figure1_series/llib.dat figure1_series/lfa-xt2.dat \
+        figure1_series/lfa-xt10.dat; do
+    [ -s "$EXPERIMENT_DIR/figure1/$artefact" ] \
+        || { echo "repro figure1 --output-dir wrote no $artefact"; exit 1; }
+done
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m repro table1 --help \
+    > "$EXPERIMENT_DIR/help.txt"
+head -n 1 "$EXPERIMENT_DIR/help.txt" | grep -q '^usage: repro table1' \
+    || { echo "repro table1 --help does not start with usage: repro table1"; exit 1; }
+echo "experiment-command smoke ok: repro table1 re-served its report from the store," \
+    "repro figure1 wrote its artefacts, repro table1 --help names itself"
 
 # --- Store-migration smoke ---------------------------------------------------
 # Federate the JSONL store populated above into a fresh SQLite store, then

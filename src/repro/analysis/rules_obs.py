@@ -7,10 +7,9 @@ trace id, can't be silenced by ``--quiet``/log level, and corrupts
 machine-readable stdout (the ``--json`` modes, the service's wire format).
 ``OBS001`` keeps library modules print-free.
 
-Exempt by design: :mod:`repro.cli` (stdout *is* its interface) and
-:mod:`repro.util.textplot` (renders terminal plots).  The experiment
-scripts' report printing — where stdout is the reproduced artefact itself —
-stays, justified line-by-line with ``# repro: noqa[OBS001]``.
+Exempt by design: :mod:`repro.cli`, whose stdout *is* its interface — it
+prints the reports the experiment modules render, so no other module
+prints.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from repro.analysis.core import AstRule, Finding, ModuleInfo
 
 __all__ = ["NoPrintInLibraryRule"]
 
-#: Modules whose stdout is their user interface, exempt from OBS001.
-_EXEMPT_MODULES = frozenset({"repro.cli", "repro.util.textplot"})
+#: The module whose stdout is its user interface, exempt from OBS001.
+_EXEMPT_MODULE = "repro.cli"
 
 
 class NoPrintInLibraryRule(AstRule):
@@ -34,13 +33,13 @@ class NoPrintInLibraryRule(AstRule):
     description = (
         "library code under repro/ must not call print() — use "
         "repro.obs.get_logger() (structured, levelled, trace-id aware); "
-        "only repro.cli and repro.util.textplot own stdout"
+        "only repro.cli owns stdout"
     )
     #: Only the installed package: tests and scripts print freely.
     scope = ("repro",)
 
     def applies_to(self, module: ModuleInfo) -> bool:
-        if module.module in _EXEMPT_MODULES:
+        if module.module == _EXEMPT_MODULE:
             return False
         return super().applies_to(module)
 

@@ -25,21 +25,16 @@ Subcommands:
 * ``trace``     — summarise a span trace log (:mod:`repro.obs`): per-stage
   latency breakdown and the slowest traces, from the ``trace.jsonl`` the
   service writes next to its store;
-* ``figure1``   — reproduce Figure 1 (delegates to
-  :mod:`repro.experiments.figure1`);
-* ``table1``    — reproduce Table 1 (delegates to
-  :mod:`repro.experiments.table1`);
-* ``dynamic``   — the dynamic-arrivals experiment (delegates to
-  :mod:`repro.experiments.dynamic`);
 * ``protocols`` — list the protocols and the knowledge they need;
 * ``lint``      — run the invariant checker (:mod:`repro.analysis`) over the
   source tree: seeded-randomness discipline, monotonic-clock discipline,
   lock discipline, exception hygiene, annotation coverage and no ``print()``
-  in library code; exits non-zero on findings so it can gate CI.
+  in library code; exits non-zero on findings so it can gate CI;
+* ``figure1``, ``table1``, ``dynamic`` — reproduce Figure 1 and Table 1 and
+  run the dynamic-arrivals experiment (:mod:`repro.experiments`), printing
+  what those modules render and writing ``--output-dir`` artefacts.
 
-The figure/table/dynamic subcommands accept the same flags as their
-``python -m`` counterparts (``--max-k``, ``--runs``, ``--seed``,
-``--workers``, ``--store``, ``--output-dir``, ``--quiet``).
+This is the only module that reads the command line or writes to stdout.
 """
 
 from __future__ import annotations
@@ -52,10 +47,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.config import ProtocolSpec
     from repro.scenarios.store import StoreBackend
     from repro.service.wire import JobStatus
 
 from repro.engine.dispatch import simulate
+from repro.experiments.config import DEFAULT_RUNS, ExperimentConfig, paper_k_values
+from repro.experiments.dynamic import run_dynamic_experiment
+from repro.experiments.export import write_json, write_markdown, write_series_dat, write_sweep_csv
+from repro.experiments.figure1 import reproduce_figure1
+from repro.experiments.table1 import reproduce_table1
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session
 from repro.scenarios.spec import PROTOCOLS, SpecError
@@ -452,6 +453,69 @@ def _format_attrs(attrs: dict[str, object]) -> str:
     return " ".join(f"{key}={value}" for key, value in sorted(attrs.items())) or "-"
 
 
+def _sweep_options(args: argparse.Namespace) -> dict[str, object]:
+    """The ``figure1``/``table1`` flags as ``reproduce_*`` keyword arguments.
+
+    Progress is one stderr line per finished (protocol, k) cell, so stdout
+    stays exactly the report.
+    """
+
+    def progress(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
+        if done == total:
+            print(f"[{args.command}] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)
+
+    config = ExperimentConfig(
+        k_values=paper_k_values(args.max_k), runs=args.runs, seed=args.seed, workers=args.workers
+    )
+    return {"config": config, "progress": None if args.quiet else progress, "store_dir": args.store}
+
+
+def _cmd_figure1(args: argparse.Namespace) -> int:
+    figure = reproduce_figure1(**_sweep_options(args))
+    print("Figure 1 — number of steps to solve static k-selection, per number of nodes k")
+    print()
+    print(figure.render_table())
+    print()
+    print(figure.render_plot())
+    if args.output_dir is not None:
+        csv_path = write_sweep_csv(figure.sweep, args.output_dir / "figure1_runs.csv")
+        dat_paths = write_series_dat(figure.sweep, args.output_dir / "figure1_series")
+        json_path = write_json(figure.sweep, args.output_dir / "figure1_summary.json")
+        print()
+        print(f"wrote {csv_path}, {json_path} and {len(dat_paths)} gnuplot series files")
+    return 0
+
+
+def _cmd_table1(args: argparse.Namespace) -> int:
+    table = reproduce_table1(**_sweep_options(args))
+    print("Table 1 — ratio steps/nodes as a function of the number of nodes k (measured)")
+    print()
+    print(table.render())
+    print()
+    print("Measured vs paper:")
+    print()
+    print(table.render_comparison())
+    if args.output_dir is not None:
+        write_markdown(*table.rows(), args.output_dir / "table1_measured.md")
+        write_markdown(*table.comparison_rows(), args.output_dir / "table1_comparison.md")
+        write_sweep_csv(table.sweep, args.output_dir / "table1_runs.csv")
+        write_json(table.sweep, args.output_dir / "table1_summary.json")
+        print()
+        print(f"wrote artefacts to {args.output_dir}")
+    return 0
+
+
+def _cmd_dynamic(args: argparse.Namespace) -> int:
+    print(f"Dynamic k-selection with k = {args.k} messages, {args.runs} runs per cell")
+    print("(node-level simulation; latency = delivery slot - arrival slot)")
+    print()
+    result = run_dynamic_experiment(
+        k=args.k, runs=args.runs, seed=args.seed, workers=args.workers, store_dir=args.store
+    )
+    print(result.render())
+    return 0
+
+
 def _cmd_protocols(_: argparse.Namespace) -> int:
     rows = []
     for name, cls in sorted(PROTOCOLS.items()):
@@ -714,31 +778,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=_cmd_lint)
 
-    # main() forwards these three to the experiment scripts before parsing;
-    # they are listed here so that `repro --help` names them.
-    subparsers.add_parser("figure1", help="reproduce Figure 1 (forwards remaining flags)")
-    subparsers.add_parser("table1", help="reproduce Table 1 (forwards remaining flags)")
-    subparsers.add_parser("dynamic", help="dynamic-arrivals experiment (forwards remaining flags)")
+    # The experiments: figure1 and table1 sweep the paper's five protocols,
+    # dynamic puts two of them under dynamic arrivals.
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes (0 = one per CPU); results are identical for any value",
+    )
+    experiment.add_argument(
+        "--store",
+        default=None,
+        help="Session result store (directory or spec like sqlite:results.db): completed "
+        "cells are persisted there and served from it on re-run (resumable sweeps)",
+    )
+    for name, func, summary in (
+        ("figure1", _cmd_figure1, "reproduce Figure 1: mean steps per (protocol, k), "
+         "as a table and an ASCII log-log plot"),
+        ("table1", _cmd_table1, "reproduce Table 1: steps/k ratios, measured and the paper's"),
+    ):
+        sweep = subparsers.add_parser(name, parents=[experiment], help=summary, description=summary)
+        sweep.add_argument("--max-k", type=int, default=None, help="largest network size to sweep")
+        sweep.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per (protocol, k)")
+        sweep.add_argument("--seed", type=int, default=2011, help="root seed of the sweep")
+        sweep.add_argument(
+            "--output-dir",
+            type=Path,
+            default=None,
+            help="directory for the CSV, JSON and table or plot artefacts (omit to skip writing)",
+        )
+        sweep.add_argument("--quiet", action="store_true", help="suppress progress output")
+        sweep.set_defaults(func=func)
+    summary = "dynamic-arrivals experiment: makespan and latency under Poisson and bursty arrivals"
+    dynamic = subparsers.add_parser(
+        "dynamic", parents=[experiment], help=summary, description=summary
+    )
+    dynamic.add_argument("--k", type=int, default=64, help="messages injected per run")
+    dynamic.add_argument("--runs", type=int, default=5, help="repetitions per cell")
+    dynamic.add_argument("--seed", type=int, default=23, help="root seed")
+    dynamic.set_defaults(func=_cmd_dynamic)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro``."""
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    # The figure1/table1/dynamic subcommands forward *all* remaining flags to
-    # the experiment scripts; argparse's REMAINDER does not reliably capture
-    # leading optionals, so forward them before involving the parser.
-    if arguments and arguments[0] in {"figure1", "table1", "dynamic"}:
-        if arguments[0] == "figure1":
-            from repro.experiments.figure1 import main as forwarded
-        elif arguments[0] == "table1":
-            from repro.experiments.table1 import main as forwarded
-        else:
-            from repro.experiments.dynamic import main as forwarded
-        return forwarded(arguments[1:])
-    parser = build_parser()
-    args = parser.parse_args(arguments)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

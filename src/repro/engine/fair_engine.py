@@ -68,7 +68,7 @@ from repro.protocols.aloha import SlottedAloha
 from repro.protocols.base import FairProtocol
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.util.rng import RandomSource
-from repro.util.validation import check_max_slots, check_positive_int
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR, check_max_slots, check_positive_int
 
 __all__ = ["FairEngine"]
 
@@ -155,14 +155,13 @@ class FairEngine:
     #: Python loop share it: they produce the same runs.
     stream_version: ClassVar[int] = 1
 
-    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
+    def __init__(self, channel: ChannelModel | None = None) -> None:
         if channel is not None and channel != ChannelModel():
             raise ValueError(
                 "FairEngine implements only the paper's channel (no collision detection, "
                 f"implicit acknowledgements), got {channel!r}; use SlotEngine for other channels"
             )
         self.channel = ChannelModel()
-        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(
         self,
@@ -183,7 +182,7 @@ class FairEngine:
                 f"{type(protocol).__name__} declares per-station state that depends on its own "
                 "transmissions; the shared-state reduction of FairEngine does not apply"
             )
-        cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
+        cap = check_max_slots(max_slots if max_slots is not None else DEFAULT_MAX_SLOTS_FACTOR * k)
         fields = _KERNEL_PROTOCOLS.get(type(protocol)) if trace is None else None
         kernel = native.KERNEL.get() if fields is not None else None
         if kernel is not None:

@@ -162,7 +162,13 @@ def _agrees_with_numpy(library: ctypes.CDLL) -> bool:
 
 
 def _cache_dirs() -> list[Path]:
-    """Where the compiled library may be cached, in order of preference."""
+    """Where the compiled library may be cached, in order of preference.
+
+    None where the platform has no user ids (Windows): :func:`_private`
+    could not tell who owns a directory.
+    """
+    if not hasattr(os, "getuid"):
+        return []
     directories = [Path(tempfile.gettempdir()) / f"repro-{os.getuid()}"]
     try:
         directories.insert(0, Path.home() / ".cache" / "repro")

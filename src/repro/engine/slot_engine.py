@@ -32,7 +32,7 @@ from repro.channel.trace import ExecutionTrace, SlotRecord
 from repro.engine.result import SimulationResult
 from repro.protocols.base import Protocol
 from repro.util.rng import RandomSource
-from repro.util.validation import check_max_slots, check_positive_int
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR, check_max_slots, check_positive_int
 
 __all__ = ["SlotEngine"]
 
@@ -60,9 +60,8 @@ class SlotEngine:
     #: Version of this engine's random stream (see ``FairEngine.stream_version``).
     stream_version: ClassVar[int] = 1
 
-    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
+    def __init__(self, channel: ChannelModel | None = None) -> None:
         self.channel = channel if channel is not None else ChannelModel()
-        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(
         self,
@@ -86,7 +85,7 @@ class SlotEngine:
             Root seed for the run: ``RandomSource(seed).child(0)`` draws the
             arrivals and ``.child(1).child(i)`` is station ``i``'s stream.
         max_slots:
-            Safety cap; defaults to ``max_slots_factor * k``.
+            Safety cap; defaults to ``DEFAULT_MAX_SLOTS_FACTOR * k``.
         trace:
             Optional :class:`ExecutionTrace` to fill with per-slot records;
             a success names its station's index in ``delivered_node``.
@@ -102,7 +101,7 @@ class SlotEngine:
                 f"{arrivals.total_messages} messages; pass k=arrivals.total_messages"
             )
         process = arrivals if arrivals is not None else BatchArrival(k)
-        cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
+        cap = check_max_slots(max_slots if max_slots is not None else DEFAULT_MAX_SLOTS_FACTOR * k)
 
         source = RandomSource(seed=seed)
         events = sorted(process.events(source.child(0).generator), key=lambda event: event.slot)

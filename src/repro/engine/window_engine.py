@@ -70,7 +70,7 @@ from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.protocols.base import WindowedProtocol
 from repro.util.rng import RandomSource
-from repro.util.validation import check_max_slots, check_positive_int
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR, check_max_slots, check_positive_int
 
 __all__ = ["WindowEngine"]
 
@@ -83,6 +83,8 @@ _M_OCCUPANCY = REGISTRY.counter(
     "Contention windows simulated by the window engine, by occupancy-sampling mode.",
     ("mode",),
 )
+_M_SATURATED = _M_OCCUPANCY.labels(mode="saturated")
+_M_THROWN = _M_OCCUPANCY.labels(mode="ball-throw")
 
 _M_WINDOW_RUNS = REGISTRY.counter(
     "repro_window_runs_total",
@@ -333,14 +335,13 @@ class WindowEngine:
     #: every window with bounded integers.
     stream_version: ClassVar[int] = 3
 
-    def __init__(self, channel: ChannelModel | None = None, max_slots_factor: int = 10_000) -> None:
+    def __init__(self, channel: ChannelModel | None = None) -> None:
         if channel is not None and channel != ChannelModel():
             raise ValueError(
                 "WindowEngine implements only the paper's channel (no collision detection, "
                 f"implicit acknowledgements), got {channel!r}; use SlotEngine for other channels"
             )
         self.channel = ChannelModel()
-        self.max_slots_factor = check_positive_int("max_slots_factor", max_slots_factor)
 
     def simulate(
         self,
@@ -361,7 +362,7 @@ class WindowEngine:
             raise TypeError(
                 f"WindowEngine requires a WindowedProtocol, got {type(protocol).__name__}"
             )
-        cap = check_max_slots(max_slots if max_slots is not None else self.max_slots_factor * k)
+        cap = check_max_slots(max_slots if max_slots is not None else DEFAULT_MAX_SLOTS_FACTOR * k)
 
         library = native.KERNEL.get() if trace is None else None
         if library is not None:
@@ -375,9 +376,10 @@ class WindowEngine:
             rng = RandomSource(seed=seed).generator
             run = _python_run(protocol, schedule, rng, k, cap, trace)
 
-        for mode, count in (("saturated", run.saturated), ("ball-throw", run.thrown)):
-            if count:
-                _M_OCCUPANCY.labels(mode=mode).inc(count)
+        if run.saturated:
+            _M_SATURATED.inc(run.saturated)
+        if run.thrown:
+            _M_THROWN.inc(run.thrown)
         solved = run.remaining == 0
         return SimulationResult(
             solved=solved,

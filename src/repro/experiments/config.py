@@ -13,8 +13,8 @@ encoded here (values imported from :mod:`repro.core.constants`):
 * k ranges over powers of ten from 10 to 10⁷.
 
 The paper's largest sizes take a long while on a single CPU, so the default
-configuration sweeps k up to ``10⁵``; the ``--max-k`` flag of the figure and
-table scripts raises the ceiling.
+configuration sweeps k up to ``10⁵``; the ``--max-k`` flag of ``repro figure1``
+and ``repro table1`` raises the ceiling.
 """
 
 from __future__ import annotations

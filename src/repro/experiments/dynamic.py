@@ -19,16 +19,14 @@ arrivals) and fans the cells out over a
 the experiment resumable like any other scenario workload.  The reported
 metrics are the makespan (slot of the last delivery) and the per-message
 delivery latency (delivery slot − arrival slot), which is the quantity a
-dynamic analysis would bound.
-
-Run from the command line with::
+dynamic analysis would bound.  ``repro dynamic`` prints the latency table;
+run it with::
 
     python -m repro dynamic --k 64 --runs 5 --workers 0
 """
 
 from __future__ import annotations
 
-import argparse
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +38,7 @@ from repro.scenarios.session import Session
 from repro.scenarios.spec import ARRIVALS, parse_spec
 from repro.util.tables import format_text_table
 
-__all__ = ["DynamicResult", "run_dynamic_experiment", "main"]
+__all__ = ["DynamicResult", "run_dynamic_experiment"]
 
 
 @dataclass(frozen=True)
@@ -200,37 +198,3 @@ def run_dynamic_experiment(
             for (protocol_label, arrival_label), result_set in zip(labels, result_sets)
         ]
     )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Command-line entry point (``python -m repro dynamic``)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k", type=int, default=64, help="messages injected per run")
-    parser.add_argument("--runs", type=int, default=5, help="repetitions per cell")
-    parser.add_argument("--seed", type=int, default=23, help="root seed")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes (0 = one per CPU); results are identical for any value",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="Session result store (directory or spec like sqlite:results.db); "
-        "completed cells are reused on re-run",
-    )
-    args = parser.parse_args(argv)
-
-    print(f"Dynamic k-selection with k = {args.k} messages, {args.runs} runs per cell")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print("(node-level simulation; latency = delivery slot - arrival slot)")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    result = run_dynamic_experiment(
-        k=args.k, runs=args.runs, seed=args.seed, workers=args.workers, store_dir=args.store
-    )
-    print(result.render())  # repro: noqa[OBS001] - experiment stdout is the artefact
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -3,8 +3,8 @@
 The paper's Figure 1 is a log-log plot with one curve per protocol (the five
 of Section 5) and one point per power-of-ten network size, each point being
 the average of 10 independent runs.  :func:`reproduce_figure1` runs that sweep
-and returns the curves; the module's ``main`` renders them as an ASCII log-log
-plot and writes CSV / gnuplot / JSON artefacts.
+and returns the curves, which render as a table and an ASCII log-log plot;
+``repro figure1`` prints both and writes CSV / gnuplot / JSON artefacts.
 
 Run it with::
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.config import ExperimentConfig, ProtocolSpec
-from repro.experiments.export import write_json, write_series_dat, write_sweep_csv
-from repro.experiments.runner import SweepResult, parse_sweep_args, run_paper_sweep
+from repro.experiments.config import ExperimentConfig, ProtocolSpec, paper_protocol_suite
+from repro.experiments.runner import ProgressCallback, SweepResult, run_sweep
 from repro.util.tables import format_text_table
 from repro.util.textplot import LogLogPlot
 
-__all__ = ["Figure1Result", "reproduce_figure1", "main"]
+__all__ = ["Figure1Result", "reproduce_figure1"]
 
 
 @dataclass
@@ -65,7 +64,7 @@ class Figure1Result:
 def reproduce_figure1(
     config: ExperimentConfig | None = None,
     specs: list[ProtocolSpec] | None = None,
-    progress: bool = False,
+    progress: ProgressCallback | None = None,
     store_dir: "str | Path | None" = None,
 ) -> Figure1Result:
     """Run the Figure 1 sweep and return the curves.
@@ -78,37 +77,19 @@ def reproduce_figure1(
     specs:
         Protocol curves; defaults to the paper's five.
     progress:
-        When true, prints one line per completed (protocol, k) cell to stderr.
+        Optional callback invoked after every completed run (see
+        :func:`~repro.experiments.runner.run_sweep`).
     store_dir:
         Optional Session result store (a directory, store spec string, or
         built backend): completed cells are persisted there and served from
         it on re-run (resumable sweeps).
     """
-    sweep = run_paper_sweep("figure1", config, specs, progress, store_dir)
+    sweep = run_sweep(
+        specs if specs is not None else paper_protocol_suite(),
+        config if config is not None else ExperimentConfig(),
+        progress=progress,
+        store_dir=store_dir,
+    )
     series = {spec.key: sweep.series(spec.key) for spec in sweep.specs}
     labels = {spec.key: spec.label for spec in sweep.specs}
     return Figure1Result(sweep=sweep, series=series, labels=labels)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point (``python -m repro figure1``)."""
-    config, args = parse_sweep_args(__doc__.splitlines()[0], argv)
-    figure = reproduce_figure1(config=config, progress=not args.quiet, store_dir=args.store)
-
-    print("Figure 1 — number of steps to solve static k-selection, per number of nodes k")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print(figure.render_table())  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print(figure.render_plot())  # repro: noqa[OBS001] - experiment stdout is the artefact
-
-    if args.output_dir is not None:
-        csv_path = write_sweep_csv(figure.sweep, args.output_dir / "figure1_runs.csv")
-        dat_paths = write_series_dat(figure.sweep, args.output_dir / "figure1_series")
-        json_path = write_json(figure.sweep, args.output_dir / "figure1_summary.json")
-        print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-        print(f"wrote {csv_path}, {json_path} and {len(dat_paths)} gnuplot series files")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

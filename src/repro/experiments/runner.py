@@ -2,10 +2,10 @@
 
 Figure 1 and Table 1 are sweeps of one shape: for each protocol specification
 and each network size ``k``, run a number of independently seeded simulations
-and aggregate their makespans.  :func:`run_sweep` implements that shape once;
-:func:`run_paper_sweep` and :func:`parse_sweep_args` hold what the two
-experiments share (the sweep call, its progress lines and its flags), and
-the experiment modules add the paper's presentation.
+and aggregate their makespans.  :func:`run_sweep` implements that shape once,
+and the experiment modules add the paper's defaults and presentation; the
+``repro figure1`` and ``repro table1`` commands (:mod:`repro.cli`) parse
+the flags and print.
 
 :func:`run_sweep` is a thin *scenario-preset builder*: each (protocol, k)
 cell becomes one frozen :class:`~repro.scenarios.scenario.Scenario`, and the
@@ -25,23 +25,15 @@ bit-identical cells to ``workers=1``.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.experiments.config import (
-    DEFAULT_RUNS,
-    ExperimentConfig,
-    ProtocolSpec,
-    paper_k_values,
-    paper_protocol_suite,
-)
+from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import ResultSet, Session
 
-__all__ = ["SweepResult", "run_sweep", "run_paper_sweep", "parse_sweep_args", "cell_seed_root"]
+__all__ = ["ProgressCallback", "SweepResult", "run_sweep", "cell_seed_root"]
 
 #: Signature of the optional progress callback: (spec, k, completed_runs, total_runs).
 ProgressCallback = Callable[[ProtocolSpec, int, int, int], None]
@@ -177,67 +169,3 @@ def run_sweep(
         specs=list(specs),
         cells={(spec.key, k): result_set for (spec, k), result_set in zip(grid, result_sets)},
     )
-
-
-def run_paper_sweep(
-    name: str,
-    config: ExperimentConfig | None,
-    specs: Sequence[ProtocolSpec] | None,
-    progress: bool,
-    store_dir: str | Path | None,
-) -> SweepResult:
-    """The Figure 1 / Table 1 sweep, by default the paper's suite and configuration.
-
-    With ``progress``, prints ``[<name>] <label>: k=<k> (<runs> runs done)``
-    to stderr as each (protocol, k) cell completes.
-    """
-
-    def report(spec: ProtocolSpec, k: int, done: int, total: int) -> None:
-        if done == total:
-            print(f"[{name}] {spec.label}: k={k} ({total} runs done)", file=sys.stderr)  # repro: noqa[OBS001] - experiment stdout is the artefact
-
-    return run_sweep(
-        specs if specs is not None else paper_protocol_suite(),
-        config if config is not None else ExperimentConfig(),
-        progress=report if progress else None,
-        store_dir=store_dir,
-    )
-
-
-def parse_sweep_args(
-    description: str, argv: Sequence[str] | None
-) -> tuple[ExperimentConfig, argparse.Namespace]:
-    """Parse the command-line flags of the Figure 1 and Table 1 scripts.
-
-    Returns the sweep configuration and the namespace, whose ``output_dir``,
-    ``store`` and ``quiet`` the script reads.
-    """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--max-k", type=int, default=None, help="largest network size to sweep")
-    parser.add_argument("--runs", type=int, default=DEFAULT_RUNS, help="runs per (protocol, k)")
-    parser.add_argument("--seed", type=int, default=2011, help="root seed of the sweep")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sweep (0 = one per CPU); results are identical for any value",
-    )
-    parser.add_argument(
-        "--output-dir",
-        type=Path,
-        default=None,
-        help="directory for the CSV, JSON and table or plot artefacts (omit to skip writing)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="Session result store (directory or spec like sqlite:results.db): "
-        "completed cells are persisted there and served from it on re-run "
-        "(resumable sweeps)",
-    )
-    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-    config = ExperimentConfig(
-        k_values=paper_k_values(args.max_k), runs=args.runs, seed=args.seed, workers=args.workers
-    )
-    return config, args

@@ -4,9 +4,8 @@ Table 1 of the paper divides the Figure 1 averages by k and appends the
 constant predicted by each protocol's analysis.  The paper's reference values
 (for its own simulation, averaged over 10 runs) are kept here verbatim so the
 reproduction can be compared side by side; see EXPERIMENTS.md for the
-measured-vs-paper discussion.
-
-Run with::
+measured-vs-paper discussion.  ``repro table1`` prints the measured table and
+the comparison and writes Markdown / CSV / JSON artefacts.  Run with::
 
     python -m repro table1 --max-k 10000
 """
@@ -16,12 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments.config import ExperimentConfig, ProtocolSpec
-from repro.experiments.export import write_json, write_markdown, write_sweep_csv
-from repro.experiments.runner import SweepResult, parse_sweep_args, run_paper_sweep
+from repro.experiments.config import ExperimentConfig, ProtocolSpec, paper_protocol_suite
+from repro.experiments.runner import ProgressCallback, SweepResult, run_sweep
 from repro.util.tables import format_markdown_table, format_text_table
 
-__all__ = ["Table1Result", "reproduce_table1", "PAPER_TABLE1", "main"]
+__all__ = ["Table1Result", "reproduce_table1", "PAPER_TABLE1"]
 
 #: The ratios published in Table 1 of the paper (steps/nodes, 10-run averages),
 #: keyed by protocol spec key and then by k.  "analysis" is the constant the
@@ -109,43 +107,17 @@ class Table1Result:
 def reproduce_table1(
     config: ExperimentConfig | None = None,
     specs: list[ProtocolSpec] | None = None,
-    progress: bool = False,
+    progress: ProgressCallback | None = None,
     store_dir: "str | Path | None" = None,
 ) -> Table1Result:
     """Run the Table 1 sweep (same sweep as Figure 1) and return the ratios.
 
-    ``store_dir`` names an optional Session result store (a directory, store
-    spec string, or built backend); completed cells are persisted there and
-    served from it on re-run (resumable sweeps).
+    The arguments are :func:`~repro.experiments.figure1.reproduce_figure1`'s.
     """
-    sweep = run_paper_sweep("table1", config, specs, progress, store_dir)
+    sweep = run_sweep(
+        specs if specs is not None else paper_protocol_suite(),
+        config if config is not None else ExperimentConfig(),
+        progress=progress,
+        store_dir=store_dir,
+    )
     return Table1Result(sweep=sweep, specs=list(sweep.specs))
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Command-line entry point (``python -m repro table1``)."""
-    config, args = parse_sweep_args(__doc__.splitlines()[0], argv)
-    table = reproduce_table1(config=config, progress=not args.quiet, store_dir=args.store)
-
-    print("Table 1 — ratio steps/nodes as a function of the number of nodes k (measured)")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print(table.render())  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print("Measured vs paper:")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-    print(table.render_comparison())  # repro: noqa[OBS001] - experiment stdout is the artefact
-
-    if args.output_dir is not None:
-        headers, body = table.rows()
-        write_markdown(headers, body, args.output_dir / "table1_measured.md")
-        headers, body = table.comparison_rows()
-        write_markdown(headers, body, args.output_dir / "table1_comparison.md")
-        write_sweep_csv(table.sweep, args.output_dir / "table1_runs.csv")
-        write_json(table.sweep, args.output_dir / "table1_summary.json")
-        print()  # repro: noqa[OBS001] - experiment stdout is the artefact
-        print(f"wrote artefacts to {args.output_dir}")  # repro: noqa[OBS001] - experiment stdout is the artefact
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

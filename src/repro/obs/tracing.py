@@ -14,8 +14,9 @@ hand-off is the entire cross-thread story.
 
 Finished spans are appended to a :class:`TraceLog` — JSONL next to the job
 journal (see :func:`trace_log_for_store`), one ``write`` per span to a file
-the log keeps open, torn-line tolerant on read exactly like the journal and
-the JSONL store: a crash mid-write costs at most the final line.  When no
+the log keeps open, torn-line tolerant on read and on append exactly like
+the journal and the JSONL store: a crash mid-write costs at most the line it
+was writing.  When no
 sink is configured (the default for library use), spans still nest and
 propagate ids but write nothing.  Such a span is cheap but not free: a
 ContextVar get, set and reset, an ``os.urandom`` span id (and a trace id
@@ -40,6 +41,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from types import TracebackType
 from typing import TYPE_CHECKING, Any
+
+from repro.util.jsonl import append_lines
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.scenarios.store import StoreBackend
@@ -233,50 +236,52 @@ class TraceLog:
     """Append-only JSONL sink for finished spans.
 
     Writes are serialised under a lock, one unbuffered ``write`` of a whole
-    line per span to a file the log keeps open; like the job journal, a
-    torn final line from a crash is skipped on read rather than poisoning
-    the file.  The log opens the file anew in a forked child (which must
-    not write through its parent's descriptor) and when the path no longer
-    names the open file (deleted or replaced), so spans always land in the
-    file at :attr:`path`.
+    line per span to a file the log keeps open, through the JSONL store's
+    :func:`~repro.util.jsonl.append_lines`: like the job journal, a torn
+    final line from a crash is skipped on read, and the next span starts a
+    line of its own.  The log opens the file anew in a forked child (which
+    must not write through its parent's descriptor) and when the path no
+    longer names the open file (deleted or replaced), so spans always land
+    in the file at :attr:`path`.
     """
 
     def __init__(self, path: "str | Path") -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         # The open file, what closes it (also when the log is collected),
-        # the (device, inode) it is and the process that opened it; written
-        # only under _lock.
+        # the (device, inode) it is, the process that opened it and its size
+        # after the last append (-1 before one); written only under _lock.
         self._file: io.FileIO | None = None
         self._release: weakref.finalize | None = None
         self._identity: tuple[int, int] | None = None
         self._pid = 0
+        self._end = -1
 
     def append(self, event: SpanEvent) -> None:
         data = (json.dumps(event.to_dict(), separators=(",", ":")) + "\n").encode("utf-8")
         with self._lock:
-            sink = self._open()
-            view = memoryview(data)
-            while view:  # a raw write may take only part of it
-                view = view[sink.write(view):]
+            descriptor, size = self._open()
+            self._end = append_lines(descriptor, data, size, self._end)
 
-    def _open(self) -> io.FileIO:
-        """The open file, reopened unless it is still the one at :attr:`path`."""
+    def _open(self) -> tuple[int, int]:
+        """The open file's descriptor and size, reopened unless it is still
+        the file at :attr:`path`."""
         if self._file is not None and self._pid == os.getpid():
             try:
                 status = os.stat(self.path)
             except OSError:
                 status = None
             if status is not None and (status.st_dev, status.st_ino) == self._identity:
-                return self._file
+                return self._file.fileno(), status.st_size
         self._close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = io.FileIO(self.path, "a")
+        self._file = io.FileIO(self.path, "a+")
         self._release = weakref.finalize(self, self._file.close)
         self._pid = os.getpid()
+        self._end = -1
         status = os.fstat(self._file.fileno())
         self._identity = (status.st_dev, status.st_ino)
-        return self._file
+        return self._file.fileno(), status.st_size
 
     def _close(self) -> None:
         if self._release is not None:

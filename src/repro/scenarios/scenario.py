@@ -57,7 +57,7 @@ from repro.scenarios.spec import (
     split_top_level,
 )
 from repro.util.rng import derive_seeds
-from repro.util.validation import check_max_slots
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR, check_max_slots
 
 __all__ = ["Scenario"]
 
@@ -109,7 +109,7 @@ class Scenario:
     engine: str = "auto"
     replications: int = 1
     seed: int = 0
-    max_slots_factor: int = 10_000
+    max_slots_factor: int = DEFAULT_MAX_SLOTS_FACTOR
 
     def __post_init__(self) -> None:
         # Checked here, not by the engines mid-job: a float from a spec

@@ -95,6 +95,7 @@ except ImportError:  # pragma: no cover - Windows fallback
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY
 from repro.scenarios.scenario import Scenario
+from repro.util.jsonl import append_lines
 
 __all__ = [
     "StoredRun",
@@ -799,32 +800,14 @@ def _close_cells(cells: OrderedDict[str, _OpenCell]) -> None:
 
 def _write_cell(descriptor: int, size: int, end: int, scenario: Scenario, body: str) -> int:
     """Append ``body`` to the cell open at ``descriptor``, whose size is
-    ``size``; returns its size after.
+    ``size``, after the header if the cell is new; returns its size after.
 
-    A new cell gets the header first.  A cell whose size is not ``end``, the
-    size this store's last write left, may have been written by someone else
-    since, so its tail is read: a process killed mid-write leaves the file
-    without a trailing newline, and appending straight onto it would glue the
-    first new record to the partial line and corrupt both, forever.  (With
-    ``O_APPEND`` the write lands at the end wherever the read leaves the
-    offset.)
+    ``end`` is the size this store's last write left; a torn tail is healed
+    as :func:`~repro.util.jsonl.append_lines` describes.
     """
     if size == 0:
         body = _header_line(scenario) + "\n" + body
-    elif size != end:
-        os.lseek(descriptor, -1, os.SEEK_END)
-        if os.read(descriptor, 1) != b"\n":
-            body = "\n" + body
-    data = body.encode("utf-8")
-    _write_all(descriptor, data)
-    return size + len(data)
-
-
-def _write_all(descriptor: int, data: bytes) -> None:
-    """Write all of ``data``: ``os.write`` may write only part of it."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(descriptor, view):]
+    return append_lines(descriptor, body.encode("utf-8"), size, end)
 
 
 def stream_version_of(result: SimulationResult) -> int:

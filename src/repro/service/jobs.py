@@ -42,14 +42,18 @@ Fault tolerance (see :mod:`repro.service.reliability`)
   503 + ``Retry-After``).  :meth:`drain` stops intake, lets running jobs
   finish, and leaves the queued rest journaled for the next boot.
 * **Journal replay** — :meth:`replay_journal` re-submits every journal entry
-  with no terminal mark through the normal submission path, so a restart
-  after a crash loses zero submissions and — via content-hash dedup and the
-  store-cached fast path — re-simulates zero completed replications.
+  with no terminal mark through the normal submission path, under the job
+  id it was acknowledged with, so a restart after a crash loses zero
+  submissions, a client polling its job across the restart finds that job,
+  and — via the store-cached fast path — zero completed replications are
+  re-simulated.  Job ids are random, so no two processes hand out the same
+  one.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import random
 import threading
 import time
@@ -231,7 +235,6 @@ class JobManager:
             "_jobs",
             "_inflight",
             "_finished_order",
-            "_next_id",
             "_shutdown",
             "_accepting",
             "_totals",
@@ -271,7 +274,6 @@ class JobManager:
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, Job] = {}  # content hash -> queued/running job
         self._finished_order: deque[str] = deque()  # job ids, oldest first
-        self._next_id = 1
         self._shutdown = False
         self._accepting = True
         self._totals: dict[str, int] = {key: 0 for key in _TOTAL_KEYS}
@@ -303,10 +305,18 @@ class JobManager:
         queue is full or the manager is draining — the journal entry for a
         queued submission is durable before this method returns.
         """
+        return self._submit(scenario, deadline)
+
+    def _submit(
+        self, scenario: Scenario, deadline: float | None, entry_id: str | None = None
+    ) -> tuple[Job, str]:
+        """:meth:`submit`, or with ``entry_id`` the replay of the journal
+        entry of that id: the job takes the id, attaches to no other job and
+        is not journaled a second time."""
         content_hash = scenario.content_hash()
         with self._lock:
             self._check_accepting()
-            existing = self._dedup_target(content_hash, scenario)
+            existing = None if entry_id else self._dedup_target(content_hash, scenario)
             if existing is not None:
                 self._totals["submitted"] += 1
                 _M_SUBMITTED.labels(disposition="deduplicated").inc()
@@ -323,7 +333,7 @@ class JobManager:
         if cached_result is not None:
             with self._lock:
                 self._totals["submitted"] += 1
-                job = self._register(scenario, content_hash, inflight=False)
+                job = self._register(scenario, content_hash, False, entry_id)
                 job.trace_id = current_trace_id()
                 job.started_at = job.finished_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata
                 job.result_set = cached_result
@@ -335,7 +345,7 @@ class JobManager:
             return job, "cached"
         with self._lock:
             self._check_accepting()
-            existing = self._dedup_target(content_hash, scenario)
+            existing = None if entry_id else self._dedup_target(content_hash, scenario)
             if existing is not None:
                 self._totals["submitted"] += 1
                 _M_SUBMITTED.labels(disposition="deduplicated").inc()
@@ -348,13 +358,13 @@ class JobManager:
                     f"limit {self.max_queue})",
                     retry_after=self._retry_after_hint(),
                 )
-            job = self._register(scenario, content_hash, inflight=True)
+            job = self._register(scenario, content_hash, True, entry_id)
             job.trace_id = current_trace_id() or new_trace_id()
             job.queued_at = time.monotonic()
             if deadline is not None:
                 job.deadline = time.monotonic() + deadline
                 job.deadline_at = time.time() + deadline  # repro: noqa[CLK001] - wall-clock ETA for the wire/journal
-            if self.journal is not None:
+            if self.journal is not None and entry_id is None:
                 try:
                     self.journal.record(job.id, scenario, deadline=job.deadline_at)
                 except Exception:
@@ -396,14 +406,16 @@ class JobManager:
             return None
         return job
 
-    def _register(self, scenario: Scenario, content_hash: str, inflight: bool) -> Job:
-        """Create and index a job; the manager lock must be held."""
+    def _register(
+        self, scenario: Scenario, content_hash: str, inflight: bool, job_id: str | None
+    ) -> Job:
+        """Create and index a job, under ``job_id`` or a new random id; the
+        manager lock must be held."""
         job = Job(
-            id=f"job-{self._next_id}",
+            id=job_id or f"job-{os.urandom(8).hex()}",
             scenario=scenario,
             content_hash=content_hash,
         )
-        self._next_id += 1
         self._jobs[job.id] = job
         if inflight:
             self._inflight[content_hash] = job
@@ -658,20 +670,22 @@ class JobManager:
     def replay_journal(self) -> int:
         """Re-submit every journal entry without a terminal mark.
 
-        Called on boot, before traffic: pending entries are drained from the
-        journal and pushed through :meth:`submit`, which journals each anew
-        under a fresh job id.  Entries whose scenario no longer parses are
-        dropped (and logged); entries that no longer fit the queue bound are
-        re-journaled untouched so *nothing is lost* even on an overloaded
-        boot.  Work that crashed after persisting its replications
-        deduplicates to the store (``cached``) — zero duplicate simulations.
+        Called on boot, before traffic: each pending entry goes through the
+        normal submission path under its journaled job id, so a client that
+        polls its job across the restart finds it.  Work that crashed after
+        persisting its replications comes back ``cached`` (zero duplicate
+        simulations) and is marked done; an entry whose scenario no longer
+        parses is marked failed (and logged); an entry that no longer fits
+        the queue bound simply stays journaled, so *nothing is lost* even on
+        an overloaded boot.  The journal is then compacted to the entries
+        still pending; it is never truncated first, so a crash mid-replay
+        leaves every entry for the next boot.
         """
         if self.journal is None:
             return 0
         entries = self.journal.pending()
         if not entries:
             return 0
-        self.journal.reset()
         replayed = 0
         for entry in entries:
             try:
@@ -680,6 +694,7 @@ class JobManager:
                 log.warning(
                     "dropping unreplayable journal entry %s: %s", entry.job_id, error
                 )
+                self.journal.mark(entry.job_id, JOB_FAILED)
                 continue
             # The journal persists the wall-clock deadline ETA (monotonic
             # clocks do not survive a restart); convert back to seconds
@@ -689,14 +704,16 @@ class JobManager:
             if entry.deadline is not None:
                 remaining = entry.deadline - time.time()  # repro: noqa[CLK001] - wall-clock ETA from the journal
             try:
-                self.submit(scenario, deadline=remaining)
+                job, disposition = self._submit(scenario, remaining, entry.job_id)
             except Overloaded:
-                self.journal.record_entry(entry)
                 continue
+            if disposition == "cached":
+                self._journal_mark(job)
             replayed += 1
             _M_REPLAYED.inc()
             with self._lock:
                 self._totals["replayed"] += 1
+        self.journal.compact()
         if replayed:
             log.info("replayed %d journaled job(s) from %s", replayed, self.journal.path)
         return replayed

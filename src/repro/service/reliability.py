@@ -56,6 +56,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.util.jsonl import append_lines
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.scenario import Scenario
     from repro.scenarios.store import StoreBackend
@@ -217,23 +219,35 @@ class JournalEntry:
     deadline: float | None = None
     recorded_at: float = 0.0
 
+    def to_record(self) -> dict:
+        """The entry's ``{"kind": "submit", ...}`` journal line."""
+        return {
+            "kind": "submit",
+            "id": self.job_id,
+            "scenario": self.scenario,
+            "deadline": self.deadline,
+            "recorded_at": self.recorded_at,
+        }
+
 
 class JobJournal:
     """Append-only, crash-safe journal of accepted (not yet finished) jobs.
 
     One JSONL file: ``{"kind": "submit", ...}`` lines record acceptance,
     ``{"kind": "mark", ...}`` lines record terminal states.  Every append is
-    flushed *and* fsynced before the submission is acknowledged, so a
-    ``kill -9`` can lose at most a submission the client never saw accepted.
-    Reads tolerate a torn final line (a crash mid-append) exactly like the
-    JSONL result store: the undecodable tail reads as absent.
+    fsynced before the submission is acknowledged, so a ``kill -9`` can lose
+    at most a submission the client never saw accepted.  A torn final line
+    (a crash mid-append) costs only itself, exactly as in the JSONL result
+    store: it reads as absent, and the next append starts a line of its own
+    (:func:`~repro.util.jsonl.append_lines`).
 
     The journal is intentionally tiny — submissions, not results.  Replay
-    (:meth:`pending` + :meth:`JobManager.replay_journal`) happens through the
-    normal submission path, whose content-hash dedup and store-cached fast
-    path guarantee a job that crashed *after* persisting its replications
-    but *before* its mark is answered from the store with zero duplicate
-    simulations.
+    (:meth:`pending` + :meth:`JobManager.replay_journal`) re-submits each
+    entry under its journaled id through the normal submission path, whose
+    store-cached fast path guarantees that a job that crashed *after*
+    persisting its replications but *before* its mark is answered from the
+    store with zero duplicate simulations; :meth:`compact` then rewrites
+    the file to the entries still pending.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -246,47 +260,42 @@ class JobJournal:
 
     # -------------------------------------------------------------- writing
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            descriptor = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                append_lines(descriptor, data, os.fstat(descriptor).st_size, -1)
+                os.fsync(descriptor)
+            finally:
+                os.close(descriptor)
 
     def record(
         self, job_id: str, scenario: "Scenario", deadline: float | None = None
     ) -> None:
         """Journal an accepted submission (called *before* it is queued)."""
-        self._append(
-            {
-                "kind": "submit",
-                "id": job_id,
-                "scenario": scenario.to_dict(),
-                "deadline": deadline,
-                "recorded_at": time.time(),  # repro: noqa[CLK001] - persisted wall-clock metadata
-            }
-        )
-
-    def record_entry(self, entry: JournalEntry) -> None:
-        """Re-journal a replayed entry verbatim (replay overflow path)."""
-        self._append(
-            {
-                "kind": "submit",
-                "id": entry.job_id,
-                "scenario": entry.scenario,
-                "deadline": entry.deadline,
-                "recorded_at": entry.recorded_at or time.time(),  # repro: noqa[CLK001] - persisted wall-clock metadata
-            }
-        )
+        recorded_at = time.time()  # repro: noqa[CLK001] - persisted wall-clock metadata
+        self._append(JournalEntry(job_id, scenario.to_dict(), deadline, recorded_at).to_record())
 
     def mark(self, job_id: str, state: str) -> None:
         """Record a job's terminal state; its submit entry stops being pending."""
         self._append({"kind": "mark", "id": job_id, "state": state, "at": time.time()})  # repro: noqa[CLK001] - persisted wall-clock metadata
 
-    def reset(self) -> None:
-        """Truncate the journal (boot-time replay takes ownership of entries)."""
+    def compact(self) -> None:
+        """Rewrite the journal to its pending entries, in one atomic replace.
+
+        The entries are written to a temporary file, which is fsynced and
+        renamed over the journal: a crash at any point leaves either the old
+        file or the new one, each with every pending entry.
+        """
         with self._lock:
-            self.path.write_text("", encoding="utf-8")
+            temp = self.path.with_name(self.path.name + ".compact")
+            with temp.open("w", encoding="utf-8") as handle:
+                handle.writelines(
+                    json.dumps(entry.to_record(), sort_keys=True) + "\n" for entry in self.pending()
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+            temp.replace(self.path)
 
     # -------------------------------------------------------------- reading
     def pending(self) -> list[JournalEntry]:

@@ -13,6 +13,7 @@ import math
 import operator
 
 __all__ = [
+    "DEFAULT_MAX_SLOTS_FACTOR",
     "check_in_range",
     "check_max_slots",
     "check_positive",
@@ -39,6 +40,10 @@ def check_positive_int(name: str, value: int) -> int:
 
 #: The largest slot cap: the compiled engines keep run state in int64.
 _MAX_SLOTS_LIMIT = 2**63 - 1
+
+#: A run's slot cap when none is given, as a multiple of ``k``: the engines'
+#: default and :attr:`~repro.scenarios.scenario.Scenario.max_slots_factor`'s.
+DEFAULT_MAX_SLOTS_FACTOR = 10_000
 
 
 def check_max_slots(max_slots: object) -> int:

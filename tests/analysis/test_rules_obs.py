@@ -41,7 +41,7 @@ class TestNoPrintInLibraryRule:
         )
         assert findings == ()
 
-    def test_textplot_module_exempt(self, tmp_path):
+    def test_textplot_module_flagged(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             "repro/util/textplot.py",
@@ -50,7 +50,7 @@ class TestNoPrintInLibraryRule:
                 print("|####|")
             """,
         )
-        assert findings == ()
+        assert [f.rule for f in findings] == ["OBS001"]
 
     def test_non_repro_file_out_of_scope(self, tmp_path):
         findings = lint_snippet(

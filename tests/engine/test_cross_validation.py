@@ -8,6 +8,9 @@ model (up to sampling noise, which the z-score criterion accounts for).
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.exp_backon_backoff import ExpBackonBackoff
@@ -28,7 +31,8 @@ class TestMakespanSamples:
         assert samples == makespan_samples(engine, OneFailAdaptive(), k=20, runs=8, root_seed=1)
 
     def test_unsolved_run_raises(self):
-        engine = FairEngine(max_slots_factor=2)
+        capped = FairEngine()
+        engine = SimpleNamespace(name=capped.name, simulate=partial(capped.simulate, max_slots=400))
         with pytest.raises(RuntimeError):
             makespan_samples(engine, LogFailsAdaptive.for_k(200), k=200, runs=2, root_seed=0)
 

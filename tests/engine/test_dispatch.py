@@ -38,6 +38,7 @@ from repro.protocols.splitting import BinarySplitting
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.session import Session
 from repro.scenarios.spec import PROTOCOLS, build_protocol
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR
 
 CD_CHANNEL = ChannelModel(feedback=FeedbackModel.COLLISION_DETECTION)
 
@@ -248,7 +249,7 @@ ENGINE_LOOPS = [
 
 
 class TestSlotCapIsCheckedAlike:
-    """A slot cap, given or the default ``max_slots_factor * k``, is an
+    """A slot cap, given or the default ``DEFAULT_MAX_SLOTS_FACTOR * k``, is an
     integer in [1, 2**63 - 1] on every engine and loop, so whether ``cc``
     exists never decides what a cap means."""
 
@@ -263,9 +264,10 @@ class TestSlotCapIsCheckedAlike:
         spec, channel = KIND_EXAMPLES[kind]
         protocol = build_protocol(spec, k=self.K)
 
-        def run(max_slots, max_slots_factor=10_000):
-            engine = ENGINES[engine_name](channel=channel, max_slots_factor=max_slots_factor)
-            return engine.simulate(protocol, self.K, seed=3, max_slots=max_slots)
+        def run(max_slots, k=self.K):
+            return ENGINES[engine_name](channel=channel).simulate(
+                protocol, k, seed=3, max_slots=max_slots
+            )
 
         return run
 
@@ -281,7 +283,7 @@ class TestSlotCapIsCheckedAlike:
 
     def test_default_cap_beyond_int64_raises_value_error(self, run):
         with pytest.raises(ValueError, match="max_slots"):
-            run(None, max_slots_factor=2**62)
+            run(None, k=(2**63 - 1) // DEFAULT_MAX_SLOTS_FACTOR + 1)
 
     def test_numpy_integer_caps_bind_like_ints(self, run):
         capped = run(np.int64(5))

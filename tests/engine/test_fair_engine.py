@@ -35,6 +35,7 @@ from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios import Scenario, Session
 from repro.scenarios.spec import PROTOCOLS, build_protocol
 from repro.util.rng import derive_seeds
+from repro.util.validation import DEFAULT_MAX_SLOTS_FACTOR
 
 class TestBasicOperation:
     @pytest.mark.parametrize("k", [1, 2, 10, 500])
@@ -184,7 +185,7 @@ def _runs(spec: str, k: int, seeds, max_slots: int | None = None) -> tuple[list,
         for seed in seeds
     ]
     assert _fair_runs()["compiled"] - before["compiled"] == len(seeds)
-    cap = max_slots if max_slots is not None else engine.max_slots_factor * k
+    cap = max_slots if max_slots is not None else DEFAULT_MAX_SLOTS_FACTOR * k
     python = [
         engine._simulate_python(build_protocol(spec, k=k), k, seed, cap, None) for seed in seeds
     ]

@@ -86,6 +86,17 @@ class TestFailedBuild:
         assert "FairEngine" in message and "WindowEngine" in message
         assert list(tmp_path.iterdir()) == []
 
+    def test_no_user_ids_means_no_private_directory(self, monkeypatch, caplog):
+        """Without ``os.getuid`` (Windows) no directory's owner can be
+        checked: the loader warns once and the engines run their Python loops."""
+        monkeypatch.delattr(os, "getuid")
+        loader = native._KernelLoader()
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            assert loader.get() is None
+            assert loader.get() is None
+        (warning,) = [record for record in caplog.records if record.name == native.__name__]
+        assert "no private cache directory" in warning.getMessage()
+
 
 #: Loads the library from (building it into) one directory and runs both
 #: engines on it.

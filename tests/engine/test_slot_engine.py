@@ -228,7 +228,3 @@ class TestChannels:
         result = engine.simulate(BinarySplitting(), 16, seed=2)
         assert result.solved
         assert result.successes == 16
-
-    def test_max_slots_factor_validation(self):
-        with pytest.raises(ValueError):
-            SlotEngine(max_slots_factor=0)

@@ -19,6 +19,7 @@ import pytest
 
 import repro.engine.native as native
 import repro.engine.window_engine as window_module
+from repro import cli
 from repro.channel.arrivals import PoissonArrival
 from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
@@ -27,7 +28,6 @@ from repro.engine.dispatch import ENGINES, simulate, simulate_batch
 from repro.engine.fair_engine import FairEngine
 from repro.engine.slot_engine import SlotEngine
 from repro.engine.window_engine import WindowEngine
-from repro.experiments import figure1, table1
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 from repro.protocols import base as protocol_base
@@ -256,9 +256,9 @@ class TestRetiredSurface:
 
     @pytest.mark.parametrize("flag", ["--fuse", "--no-fuse", "--batch", "--no-batch"])
     def test_figure_and_table_clis_reject_batching_flags(self, flag, capsys):
-        for main in (figure1.main, table1.main):
+        for command in ("figure1", "table1"):
             with pytest.raises(SystemExit) as excinfo:
-                main([flag])
+                cli.main([command, flag])
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 

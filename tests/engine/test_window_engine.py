@@ -276,10 +276,6 @@ class TestOccupancyMetric:
     def test_incremented_once_per_run_and_mode(self, spec, monkeypatch):
         increments = []
 
-        class SpyFamily:
-            def labels(self, mode):
-                return SpyChild(mode)
-
         class SpyChild:
             def __init__(self, mode):
                 self.mode = mode
@@ -287,7 +283,8 @@ class TestOccupancyMetric:
             def inc(self, amount=1.0):
                 increments.append(self.mode)
 
-        monkeypatch.setattr(window_module, "_M_OCCUPANCY", SpyFamily())
+        monkeypatch.setattr(window_module, "_M_SATURATED", SpyChild("saturated"))
+        monkeypatch.setattr(window_module, "_M_THROWN", SpyChild("ball-throw"))
         result = WindowEngine().simulate(build_protocol(spec, k=300), 300, seed=3)
         assert result.metadata["windows"] > len(_OCCUPANCY_MODES)
         assert len(increments) == len(set(increments)) <= len(_OCCUPANCY_MODES)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.experiments.config import ExperimentConfig, paper_protocol_suite
-from repro.experiments.figure1 import main as figure1_main
 from repro.experiments.figure1 import reproduce_figure1
-from repro.experiments.table1 import PAPER_TABLE1, main as table1_main
-from repro.experiments.table1 import reproduce_table1
+from repro.experiments.table1 import PAPER_TABLE1, reproduce_table1
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +94,8 @@ class TestPaperReferenceTable:
 
 class TestCommandLineEntryPoints:
     def test_figure1_main_runs(self, capsys, tmp_path):
-        exit_code = figure1_main(
-            ["--max-k", "100", "--runs", "1", "--quiet", "--output-dir", str(tmp_path)]
+        exit_code = main(
+            ["figure1", "--max-k", "100", "--runs", "1", "--quiet", "--output-dir", str(tmp_path)]
         )
         assert exit_code == 0
         captured = capsys.readouterr().out
@@ -105,8 +104,8 @@ class TestCommandLineEntryPoints:
         assert (tmp_path / "figure1_summary.json").exists()
 
     def test_table1_main_runs(self, capsys, tmp_path):
-        exit_code = table1_main(
-            ["--max-k", "100", "--runs", "1", "--quiet", "--output-dir", str(tmp_path)]
+        exit_code = main(
+            ["table1", "--max-k", "100", "--runs", "1", "--quiet", "--output-dir", str(tmp_path)]
         )
         assert exit_code == 0
         captured = capsys.readouterr().out

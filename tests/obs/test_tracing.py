@@ -107,6 +107,10 @@ class TestSink:
             fh.write('{"trace": "deadbeef", "span": "01", "name": "torn", "dur_')
         events = read_trace(sink.path)
         assert [ev.name for ev in events] == ["kept"]
+        # The next span starts a line of its own: the tear costs only itself.
+        with span("after"):
+            pass
+        assert [ev.name for ev in read_trace(sink.path)] == ["kept", "after"]
 
     def test_foreign_lines_are_skipped(self, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -153,6 +153,67 @@ class TestJournalReplay:
             server.close()
         assert store_run_lines(store_dir, scenario()) == 3  # zero duplicates
 
+    # The worker thread dying IS the scenario under test.
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_client_finds_its_job_across_a_restart(self, tmp_path):
+        """Replay keeps the ids jobs were acknowledged with, so a client that
+        polls its job through a restart gets its own scenario's results."""
+        store_dir = tmp_path / "store"
+        scenarios = [scenario(f"one-fail-adaptive k=40 reps=2 seed={seed}") for seed in (1, 2, 3)]
+        # The first job finishes; the worker dies after persisting the
+        # second's replications, before its journal mark; the third stays
+        # queued.
+        chaos = FaultInjector(seed=0, rates={"worker-crash": 1.0}, skips={"worker-crash": 1})
+        server = create_server(store_dir=store_dir, quiet=True, fault_injector=chaos)
+        server.start_background()
+        client = ServiceClient(server.url, timeout=30.0)
+        try:
+            ids = [client.submit(scen).id for scen in scenarios]
+            assert client.wait(ids[0], timeout=30.0).state == JOB_DONE
+            deadline = time.monotonic() + 60.0
+            while not chaos.fired["worker-crash"] and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert chaos.fired["worker-crash"] == 1
+        finally:
+            server.close()
+        server = create_server(store_dir=store_dir, quiet=True)
+        server.start_background()
+        client = ServiceClient(server.url, timeout=30.0)
+        try:
+            for job_id, scen in zip(ids[1:], scenarios[1:]):
+                status = client.wait(job_id, timeout=30.0)
+                assert status.state == JOB_DONE
+                assert status.hash == scen.content_hash()
+                assert client.result(status.hash)["scenario_string"] == scen.format()
+            assert client.health()["journal"]["backlog"] == 0
+        finally:
+            server.close()
+
+    def test_a_replay_killed_partway_leaves_every_entry_pending(self, tmp_path):
+        store_dir = tmp_path / "store"
+        manager = make_manager(Session(store_dir=store_dir))
+        ids = [
+            manager.submit(scenario(f"one-fail-adaptive k=40 reps=2 seed={seed}"))[0].id
+            for seed in (1, 2, 3)
+        ]
+        manager.drain()
+
+        class DiesOnTheSecondProbe(Session):
+            probes = 0
+
+            def run_cached(self, *args, **kwargs):
+                self.probes += 1
+                if self.probes == 2:
+                    raise SimulatedCrash("killed mid-replay")
+                return super().run_cached(*args, **kwargs)
+
+        with pytest.raises(SimulatedCrash):
+            make_manager(DiesOnTheSecondProbe(store_dir=store_dir)).replay_journal()
+        reborn = make_manager(Session(store_dir=store_dir))
+        assert [entry.job_id for entry in reborn.journal.pending()] == ids
+        assert reborn.replay_journal() == 3
+        assert [job.id for job in reborn.jobs()] == ids
+
     def test_drain_keeps_queued_jobs_journaled(self, tmp_path):
         store_dir = tmp_path / "store"
         manager = make_manager(Session(store_dir=store_dir))

@@ -17,7 +17,6 @@ from repro.service.reliability import (
     InjectedFault,
     JobCancelled,
     JobJournal,
-    JournalEntry,
     Overloaded,
     RetryPolicy,
     SimulatedCrash,
@@ -118,12 +117,19 @@ class TestJobJournal:
             "one-fail-adaptive k=40 reps=2 seed=9"
         )
 
-    def test_reset_truncates(self, tmp_path):
-        journal = JobJournal(tmp_path / "jobs.journal")
-        journal.record("job-1", scenario())
-        journal.reset()
-        assert journal.pending() == []
-        assert journal.backlog() == 0
+    def test_compact_keeps_exactly_the_pending_entries(self, tmp_path):
+        path = tmp_path / "jobs.journal"
+        journal = JobJournal(path)
+        for job_id in ("job-1", "job-2", "job-3"):
+            journal.record(job_id, scenario(), deadline=5.0)
+        journal.mark("job-2", "done")
+        pending = journal.pending()
+        journal.compact()
+        assert journal.pending() == pending
+        assert [json.loads(line)["id"] for line in path.read_text().splitlines()] == [
+            "job-1", "job-3",
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["jobs.journal"]
 
     def test_missing_file_reads_as_empty(self, tmp_path):
         assert JobJournal(tmp_path / "never-written.journal").pending() == []
@@ -139,6 +145,9 @@ class TestJobJournal:
         path.write_text(lines[0] + "\n" + lines[1][: len(lines[1]) // 2],
                         encoding="utf-8")
         assert [entry.job_id for entry in journal.pending()] == ["job-1"]
+        # The next append starts a line of its own: the tear costs only itself.
+        journal.record("job-3", scenario())
+        assert [entry.job_id for entry in journal.pending()] == ["job-1", "job-3"]
 
     def test_garbage_lines_are_skipped(self, tmp_path):
         path = tmp_path / "jobs.journal"
@@ -149,15 +158,6 @@ class TestJobJournal:
             handle.write(json.dumps(["not", "a", "dict"]) + "\n")
             handle.write(json.dumps({"kind": "submit"}) + "\n")  # missing fields
         assert [entry.job_id for entry in journal.pending()] == ["job-1"]
-
-    def test_record_entry_round_trips(self, tmp_path):
-        journal = JobJournal(tmp_path / "jobs.journal")
-        entry = JournalEntry(
-            job_id="job-9", scenario=scenario().to_dict(), deadline=7.0,
-            recorded_at=1.0,
-        )
-        journal.record_entry(entry)
-        assert journal.pending() == [entry]
 
     def test_concurrent_appends_stay_line_atomic(self, tmp_path):
         journal = JobJournal(tmp_path / "jobs.journal")
