@@ -51,7 +51,6 @@ from repro.engine import (
     SlotEngine,
     WindowEngine,
     available_engines,
-    compare_engines,
     simulate,
     simulate_batch,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "WindowEngine",
     "SlotEngine",
     "available_engines",
-    "compare_engines",
     # scenarios (declarative front door)
     "Scenario",
     "Session",

@@ -2,9 +2,9 @@
 
 Traces serve two purposes in this repository:
 
-* **debugging and testing** — the cross-engine validation tests compare
-  per-slot outcome sequences, and several unit tests assert properties of the
-  trace (e.g. that exactly k slots are successes);
+* **debugging and testing** — the engine conformance tests check every
+  engine's per-slot active counts, and several unit tests assert properties
+  of the trace (e.g. that exactly k slots are successes);
 * **inspection** — the examples print small traces so a reader can follow
   what a protocol does slot by slot, mirroring the narrative descriptions in
   Sections 3 and 4 of the paper.

@@ -471,7 +471,11 @@ def _sweep_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _cmd_figure1(args: argparse.Namespace) -> int:
-    figure = reproduce_figure1(**_sweep_options(args))
+    try:
+        options = _sweep_options(args)
+    except ValueError as error:
+        return _scenario_error(error)
+    figure = reproduce_figure1(**options)
     print("Figure 1 — number of steps to solve static k-selection, per number of nodes k")
     print()
     print(figure.render_table())
@@ -487,7 +491,11 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    table = reproduce_table1(**_sweep_options(args))
+    try:
+        options = _sweep_options(args)
+    except ValueError as error:
+        return _scenario_error(error)
+    table = reproduce_table1(**options)
     print("Table 1 — ratio steps/nodes as a function of the number of nodes k (measured)")
     print()
     print(table.render())
@@ -506,12 +514,16 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
+    # The header follows the run, so a bad value leaves stdout empty.
+    try:
+        result = run_dynamic_experiment(
+            k=args.k, runs=args.runs, seed=args.seed, workers=args.workers, store_dir=args.store
+        )
+    except ValueError as error:
+        return _scenario_error(error)
     print(f"Dynamic k-selection with k = {args.k} messages, {args.runs} runs per cell")
     print("(node-level simulation; latency = delivery slot - arrival slot)")
     print()
-    result = run_dynamic_experiment(
-        k=args.k, runs=args.runs, seed=args.seed, workers=args.workers, store_dir=args.store
-    )
     print(result.render())
     return 0
 

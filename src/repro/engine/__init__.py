@@ -12,9 +12,8 @@ engine      cost                                    chosen by ``"auto"`` when
 =========== ======================================= ==========================================
 ``slot``    O(active stations) per slot: the        nothing cheaper applies (generic protocols,
             paper's station loop, one protocol      other channels, arrival processes, fair
-            copy and stream per station; the        protocols whose state depends on their
-            reference the others are validated      own transmissions)
-            against
+            copy and stream per station             protocols whose state depends on their
+                                                    own transmissions)
 ``fair``    O(1) per slot: ``Binomial(m, p)``       a fair protocol whose state ignores its own
             outcome from one uniform draw; a        transmissions, on the paper's channel with
             compiled slot loop for OFA, LFA and     slot-0 arrivals
@@ -47,10 +46,9 @@ Every engine declares a ``stream_version``; results record it in
 ``metadata["stream_version"]`` and stored runs are reused only under the
 (seed, engine, stream version) that produced them.
 ``tests/engine/test_fair_engine.py`` and ``tests/engine/test_window_engine.py``
-pin the compiled paths' equality and ``tests/engine/test_streams.py`` the
-streams;
-:mod:`repro.engine.validation` holds the statistical cross-checks against
-the node-level engine.
+pin the compiled paths' equality, and ``tests/engine/test_conformance.py``
+holds every engine to one suite: the exact makespan laws of small cells,
+the structure of a result and the pinned streams.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from repro.engine.dispatch import (
     simulate_batch,
     simulate_megabatch,
 )
-from repro.engine.validation import compare_engines, makespan_samples
 
 __all__ = [
     "SimulationResult",
@@ -84,6 +81,4 @@ __all__ = [
     "pick_engine",
     "pick_engine_name",
     "available_engines",
-    "compare_engines",
-    "makespan_samples",
 ]

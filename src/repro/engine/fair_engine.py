@@ -14,8 +14,8 @@ One uniform draw per slot therefore samples the outcome exactly, and a single
 shared protocol instance can stand in for the common state of every active
 station.  This reduces the cost of a run from O(k) to O(1) per slot — the
 difference between minutes and milliseconds for the network sizes of the
-paper's Figure 1 — without changing the distribution of the makespan, which is
-what the test suite verifies against the node-level engine.
+paper's Figure 1 — without changing the distribution of the makespan, which the
+test suite checks against the exact law of small cells.
 
 The uniform stream derives from :class:`repro.util.rng.RandomSource` like
 every other engine's, so a single integer seed keys the same machinery

@@ -15,8 +15,9 @@ The run ends at the last delivery, or at the slot cap, which is reported as
 an unsolved run rather than a truncated makespan.
 
 The engine works for every protocol, channel and arrival process, at
-O(active stations) per slot.  The specialised fair and window engines are
-validated against it by :mod:`repro.engine.validation` and by the test suite.
+O(active stations) per slot.  It and the specialised fair and window engines
+are held to the same exact makespan laws by the test suite
+(``tests/engine/test_conformance.py``).
 """
 
 from __future__ import annotations
@@ -146,15 +147,20 @@ class SlotEngine:
             else:
                 silences += 1
 
+            # A station observes only whether it sent and the outcome (the one
+            # sender of a success is its winner), so two frozen observations
+            # serve every station of the slot.
+            idle = observe(
+                slot=slot, transmitted=False, outcome=outcome, is_successful_transmitter=False
+            )
+            sender = observe(
+                slot=slot,
+                transmitted=True,
+                outcome=outcome,
+                is_successful_transmitter=winner is not None,
+            )
             for station, sent in zip(active, decisions):
-                station.protocol.notify(
-                    observe(
-                        slot=slot,
-                        transmitted=sent,
-                        outcome=outcome,
-                        is_successful_transmitter=station is winner,
-                    )
-                )
+                station.protocol.notify(sender if sent else idle)
 
             if winner is not None:
                 active.remove(winner)

@@ -262,15 +262,22 @@ def _no_schedule() -> None:
 #: The attribute of a protocol instance that holds its :class:`_Schedule`.
 _SCHEDULE = "_window_engine_schedule"
 
+#: Serialises :func:`_schedule_of`'s check-and-set: a thread that copies an
+#: instance (its snapshot, ``spawn()``) while another thread adds the
+#: schedule attribute to it fails with "dictionary changed size during
+#: iteration".
+_SCHEDULE_LOCK = threading.Lock()
+
 
 def _schedule_of(protocol: WindowedProtocol) -> _Schedule:
     """The schedule ``protocol``'s compiled runs share, pulled anew when the
     instance's attributes (its parameters) changed since it was pulled."""
-    attributes = {key: value for key, value in vars(protocol).items() if key != _SCHEDULE}
-    schedule = vars(protocol).get(_SCHEDULE)
-    if schedule is None or not schedule.matches(protocol, attributes):
-        schedule = _Schedule(protocol, attributes)
-        vars(protocol)[_SCHEDULE] = schedule
+    with _SCHEDULE_LOCK:
+        attributes = {key: value for key, value in vars(protocol).items() if key != _SCHEDULE}
+        schedule = vars(protocol).get(_SCHEDULE)
+        if schedule is None or not schedule.matches(protocol, attributes):
+            schedule = _Schedule(protocol, attributes)
+            vars(protocol)[_SCHEDULE] = schedule
     return schedule
 
 

@@ -678,16 +678,14 @@ class JobManager:
         parses is marked failed (and logged); an entry that no longer fits
         the queue bound simply stays journaled, so *nothing is lost* even on
         an overloaded boot.  The journal is then compacted to the entries
-        still pending; it is never truncated first, so a crash mid-replay
-        leaves every entry for the next boot.
+        still pending, even when there are none; it is never truncated
+        first, so a crash mid-replay leaves every entry for the next boot.
+        A journal that does not exist is left uncreated.
         """
-        if self.journal is None:
-            return 0
-        entries = self.journal.pending()
-        if not entries:
+        if self.journal is None or not self.journal.path.exists():
             return 0
         replayed = 0
-        for entry in entries:
+        for entry in self.journal.pending():
             try:
                 scenario = Scenario.from_dict(entry.scenario)
             except Exception as error:  # noqa: BLE001 - skip poison entries

@@ -1,13 +1,9 @@
-"""Stream pins and the retired batching surface.
+"""The retired batching surface.
 
-* **Golden streams** — fixed cells reproduce pinned makespans exactly, on
-  the fair and window engines' compiled and Python paths alike and on the
-  slot engine's station loop, so a change to an engine's draw order cannot
-  slip through and silently invalidate stored results: it must bump the
-  engine's ``stream_version``.
-* **Retired surface** — the deleted engines, selectors, knobs, hooks and
-  capability records fail loudly, and cells they stored (or stored under an
-  older stream version) re-simulate exactly once, on both store backends.
+The deleted engines, selectors, knobs, hooks and capability records fail
+loudly, and cells they stored (or stored under an older stream version)
+re-simulate exactly once, on both store backends.  The golden stream pins
+live in the engine conformance suite (``test_conformance.py``).
 """
 
 from __future__ import annotations
@@ -17,17 +13,10 @@ import importlib
 
 import pytest
 
-import repro.engine.native as native
-import repro.engine.window_engine as window_module
 from repro import cli
-from repro.channel.arrivals import PoissonArrival
-from repro.channel.trace import ExecutionTrace
 from repro.core.exp_backon_backoff import ExpBackonBackoff
 from repro.core.one_fail_adaptive import OneFailAdaptive
 from repro.engine.dispatch import ENGINES, simulate, simulate_batch
-from repro.engine.fair_engine import FairEngine
-from repro.engine.slot_engine import SlotEngine
-from repro.engine.window_engine import WindowEngine
 from repro.experiments.config import ExperimentConfig, ProtocolSpec
 from repro.experiments.runner import run_sweep
 from repro.protocols import base as protocol_base
@@ -39,173 +28,11 @@ from repro.scenarios import (
     Session,
     SqliteStore,
 )
-from repro.scenarios.spec import build_channel, build_protocol
+from repro.scenarios.spec import build_protocol
 from repro.scenarios.store import StoredRun, open_store
 from repro.service import create_server
-from repro.util.rng import derive_seeds
 
 OFA = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
-
-
-def _compiled(spec: str, k: int, seeds, max_slots: int | None = None) -> list:
-    return [
-        FairEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=max_slots)
-        for seed in seeds
-    ]
-
-
-def _python_loop(spec: str, k: int, seeds, max_slots: int | None = None) -> list:
-    cap = max_slots if max_slots is not None else 10_000 * k
-    return [
-        FairEngine()._simulate_python(build_protocol(spec, k=k), k, seed, cap, None)
-        for seed in seeds
-    ]
-
-
-class _NoLibrary:
-    """The kernel loader of a host without a C compiler."""
-
-    def get(self) -> None:
-        return None
-
-
-def _window_runs(path: str, spec: str, k: int, seeds, max_slots: int | None = None) -> list:
-    """WindowEngine's runs of each seed, all on the given ball-throw ``path``."""
-    counter = window_module._M_WINDOW_RUNS.labels(path=path)
-    before = counter.value
-    with pytest.MonkeyPatch.context() as patch:
-        if path == "python":
-            patch.setattr(native, "KERNEL", _NoLibrary())
-        results = [
-            WindowEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=max_slots)
-            for seed in seeds
-        ]
-    assert counter.value - before == len(seeds), f"not every run took the {path} path"
-    return results
-
-
-class TestGoldenStreams:
-    """Pinned makespans: each engine's draw order is part of the store format."""
-
-    BUMP = "the stream moved: bump the engine's stream_version"
-
-    @pytest.mark.parametrize(
-        "spec,k,root,reps,makespans",
-        [
-            ("one-fail-adaptive", 60, 5, 3, [408, 365, 369]),
-            ("log-fails-adaptive(xi_t=0.5)", 50, 1, 3, [429, 382, 382]),
-            ("log-fails-adaptive(xi_t=0.1)", 200, 2, 2, [737, 1450]),
-            ("one-fail-adaptive", 1000, 9, 2, [7302, 7373]),
-            ("slotted-aloha", 150, 3, 3, [389, 382, 420]),
-            ("slotted-aloha(track_deliveries=False)", 80, 3, 3, [479, 519, 639]),
-        ],
-    )
-    def test_fair_stream_version_1(self, spec, k, root, reps, makespans):
-        assert FairEngine.stream_version == 1
-        seeds = derive_seeds(root, reps)
-        for run in (_compiled, _python_loop):
-            assert [result.makespan for result in run(spec, k, seeds)] == makespans, self.BUMP
-
-    def test_fair_stream_version_1_capped_counts(self):
-        """Rows cut off by the cap keep their (slots, successes, collisions, silences)."""
-        seeds = derive_seeds(4, 3)
-        counts = [(300, 32, 255, 13), (300, 29, 245, 26), (300, 30, 253, 17)]
-        for run in (_compiled, _python_loop):
-            results = run("one-fail-adaptive", 100, seeds, max_slots=300)
-            assert not any(result.solved for result in results)
-            assert [
-                (result.slots_simulated, result.successes, result.collisions, result.silences)
-                for result in results
-            ] == counts, self.BUMP
-
-    @pytest.mark.parametrize(
-        "spec,k,root,reps,makespans",
-        [
-            ("exp-backon-backoff", 70, 5, 3, [337, 322, 344]),
-            ("loglog-iterated-backoff", 300, 6, 3, [1886, 1861, 1855]),
-            ("exponential-backoff", 90, 4, 2, [842, 507]),
-            ("polynomial-backoff", 80, 3, 3, [367, 371, 366]),
-            ("log-backoff", 110, 7, 2, [520, 593]),
-        ],
-    )
-    @pytest.mark.parametrize("path", ["compiled", "python"])
-    def test_window_stream_version_3(self, path, spec, k, root, reps, makespans):
-        assert WindowEngine.stream_version == 3
-        results = _window_runs(path, spec, k, derive_seeds(root, reps))
-        assert [result.makespan for result in results] == makespans, self.BUMP
-
-    @pytest.mark.parametrize("path", ["compiled", "python"])
-    def test_window_stream_version_3_capped_counts(self, path):
-        """A window cut by the cap simulates only its slots before it."""
-        results = _window_runs(path, "exp-backon-backoff", 200, derive_seeds(7, 3), max_slots=400)
-        assert not any(result.solved for result in results)
-        assert [
-            (result.slots_simulated, result.successes, result.collisions, result.silences)
-            for result in results
-        ] == [(400, 32, 355, 13), (400, 32, 352, 16), (400, 31, 353, 16)], self.BUMP
-
-    @pytest.mark.parametrize(
-        "spec,k,channel,makespans",
-        [
-            ("one-fail-adaptive", 20, "default", [108, 87, 92]),
-            ("exp-backon-backoff", 20, "default", [82, 80, 80]),
-            ("binary-splitting", 16, "cd", [53, 42, 47]),
-        ],
-    )
-    def test_slot_stream_version_1(self, spec, k, channel, makespans):
-        assert SlotEngine.stream_version == 1
-        results = [
-            simulate(build_protocol(spec, k=k), k, seed=seed, engine="slot",
-                     channel=build_channel(channel))
-            for seed in derive_seeds(3, 3)
-        ]
-        assert [result.makespan for result in results] == makespans, self.BUMP
-
-    def test_slot_stream_version_1_capped_counts(self):
-        results = [
-            simulate(OneFailAdaptive(), 30, seed=seed, engine="slot", max_slots=40)
-            for seed in derive_seeds(3, 3)
-        ]
-        assert not any(result.solved for result in results)
-        assert [
-            (result.slots_simulated, result.successes, result.collisions, result.silences)
-            for result in results
-        ] == [(40, 1, 38, 1), (40, 3, 34, 3), (40, 3, 36, 1)], self.BUMP
-
-    def test_slot_stream_version_1_poisson_latencies(self):
-        result = simulate(
-            OneFailAdaptive(), 16, seed=derive_seeds(3, 3)[0],
-            arrivals=PoissonArrival(k=16, rate=0.2),
-        )
-        assert result.engine == "slot"
-        assert result.makespan == 111, self.BUMP
-        assert result.metadata["latencies"] == (
-            1, 0, 1, 0, 0, 1, 0, 0, 1, 10, 7, 0, 0, 0, 0, 0
-        ), self.BUMP
-
-    def test_slot_stream_version_1_trace(self):
-        """Every record of a traced run: (transmitters, outcome, active_before,
-        delivered_node), the station index of a delivery included."""
-        trace = ExecutionTrace()
-        result = simulate(
-            OneFailAdaptive(), 6, seed=derive_seeds(3, 3)[0], engine="slot", trace=trace
-        )
-        assert result.makespan == 25, self.BUMP
-        C, S, X = "collision", "silence", "success"
-        assert [
-            (record.transmitters, record.outcome.value, record.active_before,
-             record.delivered_node)
-            for record in trace
-        ] == [
-            (2, C, 6, None), (6, C, 6, None), (0, S, 6, None), (6, C, 6, None),
-            (2, C, 6, None), (6, C, 6, None), (0, S, 6, None), (6, C, 6, None),
-            (1, X, 6, 1), (4, C, 5, None), (0, S, 5, None), (3, C, 5, None),
-            (0, S, 5, None), (4, C, 5, None), (0, S, 5, None), (1, X, 5, 2),
-            (0, S, 4, None), (1, X, 4, 0), (0, S, 3, None), (0, S, 3, None),
-            (2, C, 3, None), (0, S, 3, None), (1, X, 3, 3), (1, X, 2, 5),
-            (1, X, 1, 4),
-        ], self.BUMP
-        assert [record.slot for record in trace] == list(range(25))
 
 
 def _legacy(results, engine: str | None = None) -> list:

@@ -15,6 +15,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import traceback
 from array import array
 
@@ -198,11 +199,12 @@ def _reference_makespan(protocol: WindowedProtocol, k: int, rng: np.random.Gener
 
 
 def _assert_same_mean(engine: np.ndarray, reference: np.ndarray) -> None:
-    """Two-sample z-test on the means, 4-sigma threshold (as in validation.py)."""
+    """Two-sample z-test on the means, 4-sigma threshold.
+
+    Only for cells without an exact law: at k <= 2 the conformance suite
+    holds the engine to the exact one (``test_conformance.py``).
+    """
     pooled = math.sqrt(engine.var(ddof=1) / engine.size + reference.var(ddof=1) / reference.size)
-    if pooled == 0.0:  # both samples constant, e.g. every run solved in slot 1
-        assert engine.mean() == reference.mean()
-        return
     z_score = abs(engine.mean() - reference.mean()) / pooled
     assert z_score < 4.0, (
         f"engine mean {engine.mean():.1f} vs reference mean {reference.mean():.1f} "
@@ -225,17 +227,16 @@ class TestOccupancySamplersAgainstBallThrowReference:
         reference = np.asarray([_reference_makespan(protocol, k, rng) for _ in range(runs)])
         return engine, reference
 
-    @pytest.mark.parametrize("k", [1, 2, 150])
     @pytest.mark.parametrize("spec", WINDOWED_SPECS)
-    def test_makespan_mean_matches_reference(self, spec, k):
+    def test_makespan_mean_matches_reference(self, spec):
+        k = 150
         engine, reference = self.samples(spec, k, 300)
         assert engine.min() >= k
         _assert_same_mean(engine, reference)
-        if k > 2:
-            for quantile in (0.25, 0.5, 0.75):
-                assert np.quantile(engine, quantile) == pytest.approx(
-                    np.quantile(reference, quantile), rel=0.10
-                )
+        for quantile in (0.25, 0.5, 0.75):
+            assert np.quantile(engine, quantile) == pytest.approx(
+                np.quantile(reference, quantile), rel=0.10
+            )
 
     @pytest.mark.parametrize("spec", ["exp-backon-backoff", "loglog-iterated-backoff"])
     def test_large_k_walks_every_sampler_and_matches_reference(self, spec):
@@ -309,6 +310,15 @@ class TestWindowEngineTraces:
         assert _occupancy_counts()["saturated"] > before
         collisions = [record for record in trace if record.outcome.name == "COLLISION"]
         assert {record.transmitters for record in collisions} >= {2}
+
+    def test_active_before_varies_within_window(self, window_engine):
+        # With enough deliveries per window, some window must contain two
+        # successes, so a constant per-window active count would be wrong.
+        trace = ExecutionTrace()
+        window_engine.simulate(ExpBackonBackoff(), 200, seed=2, trace=trace)
+        per_slot = [record.active_before for record in trace.records]
+        assert len(set(per_slot)) > 2
+        assert per_slot[0] == 200
 
 
 class TestWindowedProtocolsStayPerRun:
@@ -661,8 +671,48 @@ class CountedBackon(ExpBackonBackoff):
         return super().window_lengths()
 
 
+class SlowCopy:
+    """An attribute whose deep copy sleeps, so another thread runs meanwhile."""
+
+    def __init__(self) -> None:
+        self.copying = threading.Event()
+
+    def __deepcopy__(self, memo):
+        self.copying.set()
+        time.sleep(0.05)
+        return self
+
+
 class TestSharedSchedule:
     """A protocol instance's compiled runs share one schedule, pulled once."""
+
+    def test_threads_first_reaching_one_instance_share_its_schedule(self):
+        """The second of two threads that reach a fresh instance together
+        waits for the first one's schedule, rather than copying the instance
+        while the first adds the schedule to it (``dictionary changed size
+        during iteration``)."""
+        protocol, slow, seeds = ExpBackonBackoff(), SlowCopy(), derive_seeds(3, 2)
+        protocol.slow = slow
+        results: list = [None, None]
+        errors: list = []
+
+        def work(index):
+            try:
+                results[index] = WindowEngine().simulate(protocol, 100, seed=seeds[index])
+            except Exception as error:  # noqa: BLE001 - reported by the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(2)]
+        threads[0].start()
+        assert slow.copying.wait(timeout=10)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "a window run hung"
+        assert errors == []
+        assert results == [
+            WindowEngine().simulate(ExpBackonBackoff(), 100, seed=seed) for seed in seeds
+        ]
 
     def test_runs_of_one_instance_pull_one_schedule(self):
         seeds = derive_seeds(6, 10)

@@ -134,6 +134,23 @@ class TestOtherCommands:
         assert "mean latency" in output
         assert "poisson" in output
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["table1", "--max-k", "5"], "max_k=5 is smaller than the smallest size, 10"),
+            (["table1", "--runs", "0"], "runs must be positive, got 0"),
+            (["table1", "--workers", "-1"], "workers must be >= 0"),
+            (["figure1", "--runs", "0"], "runs must be positive, got 0"),
+            (["dynamic", "--k", "1"], "k must be at least 2, got 1"),
+        ],
+    )
+    def test_bad_experiment_value_is_clean_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -214,6 +214,26 @@ class TestJournalReplay:
         assert reborn.replay_journal() == 3
         assert [job.id for job in reborn.jobs()] == ids
 
+    def test_boots_with_nothing_pending_compact_the_journal(self, tmp_path):
+        """Three boots of five fresh jobs each: every boot compacts away the
+        last one's finished lines, so the journal never holds more than one
+        boot's submit and mark lines."""
+        store_dir = tmp_path / "store"
+        fresh = make_manager(Session(store_dir=store_dir))
+        assert fresh.replay_journal() == 0
+        assert not fresh.journal.path.exists()  # a fresh store gets no journal
+        for boot in range(3):
+            manager = make_manager(Session(store_dir=store_dir))
+            assert manager.replay_journal() == 0
+            lines = manager.journal.path.read_text().splitlines() if boot else []
+            assert lines == []
+            for seed in range(5):
+                manager.submit(scenario(f"one-fail-adaptive k=10 reps=1 seed={10 * boot + seed}"))
+            while manager.process_next() is not None:
+                pass
+            assert manager.journal.backlog() == 0
+            assert len(manager.journal.path.read_text().splitlines()) == 10
+
     def test_drain_keeps_queued_jobs_journaled(self, tmp_path):
         store_dir = tmp_path / "store"
         manager = make_manager(Session(store_dir=store_dir))
