@@ -2,8 +2,9 @@
 # Fast benchmark smoke target: checks that both kernels compile warning-free,
 # that fair runs take the compiled slot loop and windowed runs the compiled
 # window loop, that the kernels' own PCG64 seeding and the library's seed
-# derivation equal numpy's for a three-word seed, exercises each benchmark
-# harness path that is cheap enough for CI (the
+# derivation equal numpy's for a three-word seed, that a rejection-heavy
+# window schedule draws the bins numpy's bounded uint32 draw does, exercises
+# each benchmark harness path that is cheap enough for CI (the
 # parallel-execution fidelity checks) without running the full sweeps, then a
 # single-run smoke (`repro simulate <spec> --json` equals the library's
 # simulate() run, and the retired seed_policy key exits 2), a
@@ -103,6 +104,41 @@ derived = native.derive_seeds(seed, 10)
 assert derived is not None and list(derived) == derive_seeds(seed, 10)
 assert derived == spawned_seeds(seed, 10), f"{derived} != numpy"
 print("seed derivation ok: the library derives the seeds numpy derives for root 2^64+1")
+'
+
+# --- Rejection-heavy window stream -------------------------------------------
+# 641 * 6,700,417 = 2^32 + 1, so in a window of 6,700,417 slots about one
+# bounded uint32 draw in 641 takes Lemire's rejection step.  A k=1e6+1 run on
+# a schedule of such windows must take the compiled window loop and equal the
+# numpy-drawn run of the Python loop.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import types
+import repro.engine.native as native
+from repro import simulate
+from repro.obs import REGISTRY
+from repro.protocols.base import WindowedProtocol
+
+LENGTH, WINDOWS = 6_700_417, 20
+
+
+class Listed(WindowedProtocol):
+    name = "smoke-rejection-heavy"
+
+    def window_lengths(self):
+        yield from [LENGTH] * WINDOWS
+
+
+assert (2**32 - LENGTH) % LENGTH == LENGTH - 1
+k, seed = 10**6 + 1, 2**64 + 1
+compiled = simulate(Listed(), k=k, seed=seed, max_slots=LENGTH * WINDOWS)
+runs = REGISTRY.snapshot()["repro_window_runs_total"]["series"]
+assert runs.get("{path=\"compiled\"}", 0) == 1, f"window runs by path: {runs}"
+loader, native.KERNEL = native.KERNEL, types.SimpleNamespace(get=lambda: None)
+python = simulate(Listed(), k=k, seed=seed, max_slots=LENGTH * WINDOWS)
+native.KERNEL = loader
+assert compiled.solved and compiled.to_dict() == python.to_dict(), f"{compiled} != {python}"
+print("rejection-heavy stream ok: k=1e6+1 run on 6,700,417-slot windows, compiled equals "
+      "numpy-drawn (makespan %d, %d windows)" % (compiled.makespan, compiled.metadata["windows"]))
 '
 
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -m pytest benchmarks -q -m smoke --override-ini addopts= -p no:cacheprovider "$@"

@@ -6,8 +6,9 @@ window loop.  An untraced fair run is one call into the library; a windowed
 run is one call per chunk of its window schedule.  A call returns after
 :data:`SLOTS_PER_CALL` slots and the next one carries on, so a long run
 still sees Ctrl-C.  The kernels own the run's random stream (``pcg64.h``, a
-port of numpy's ``SeedSequence`` and ``PCG64``): a run hands its seed over
-in a :class:`Stream`, the run's first call seeds the generator from it as
+port of numpy's ``SeedSequence`` and ``PCG64``, and of ``Generator.integers``'
+bounded ``uint32`` draw): a run hands its seed over in a :class:`Stream`,
+the run's first call seeds the generator from it as
 ``np.random.PCG64(np.random.SeedSequence(seed))`` does, and every call steps
 it inline and leaves it in the run for the next.  ``pcg64.c`` serves
 :func:`repro.util.rng.derive_seeds` from the same port (:func:`derive_seeds`).
@@ -15,10 +16,11 @@ The system ``cc`` compiles the three sources into one shared library on the
 first run that needs it, and the library is cached per user
 (``~/.cache/repro``, else ``<tmp>/repro-<uid>``) under a name that hashes
 the sources, the header, the flags and the machine, so a second process only
-loads it.  Each process checks the loaded library's seeding and derivation
-against numpy before using it.  A failed build or a failed check logs one
-warning per process and leaves both engines on their Python paths and seed
-derivation on numpy, which compute the same runs and seeds.
+loads it.  Each process checks the loaded library's seeding, derivation and
+one window's bounded draws against numpy before using it.  A failed build
+or a failed check logs one warning per process and leaves both engines on
+their Python paths and seed derivation on numpy, which compute the same
+runs and seeds.
 """
 
 from __future__ import annotations
@@ -81,20 +83,28 @@ class Stream(ctypes.Structure):
     ``seed`` holds the seed's ``words`` little-endian 32-bit words (the
     structure keeps the bytes alive).  The run's first kernel call seeds the
     generator, a 128-bit state and increment in 64-bit halves, and every call
-    leaves it where the next one continues.
+    leaves it where the next one continues, with the 32-bit half numpy keeps
+    between bounded ``uint32`` draws (``has_uint32``, ``uinteger``).
     """
 
     _fields_ = [
         ("seed", ctypes.c_char_p),
         ("words", ctypes.c_int64),
         *((name, ctypes.c_uint64) for name in ("state_high", "state_low", "inc_high", "inc_low")),
+        ("has_uint32", ctypes.c_int),
+        ("uinteger", ctypes.c_uint32),
     ]
 
-    def generator(self) -> dict[str, int]:
-        """The generator as ``PCG64.state["state"]`` reports it."""
+    def generator(self) -> dict[str, object]:
+        """The generator as ``PCG64.state`` reports it."""
         return {
-            "state": self.state_high << 64 | self.state_low,
-            "inc": self.inc_high << 64 | self.inc_low,
+            "bit_generator": "PCG64",
+            "state": {
+                "state": self.state_high << 64 | self.state_low,
+                "inc": self.inc_high << 64 | self.inc_low,
+            },
+            "has_uint32": self.has_uint32,
+            "uinteger": self.uinteger,
         }
 
 
@@ -141,16 +151,48 @@ def _derived(library: ctypes.CDLL, root_seed: int, count: int) -> tuple[int, ...
 _CHECKED_SEEDS = (0, 2**32, 2**64 + 1)
 
 
-def _numpy_generator(seed: int) -> dict[str, int]:
+#: The window whose ball throw the library must share with numpy: its seed,
+#: slots and balls.  An odd ball count leaves a half kept in the stream.
+_CHECKED_WINDOW = (2**64 + 1, 1000, 2001)
+
+
+def _numpy_generator(seed: int) -> dict[str, object]:
     """numpy's seeded PCG64 for ``seed``: what a run's first kernel call must reproduce."""
-    return np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+    return np.random.PCG64(np.random.SeedSequence(seed)).state
+
+
+def _numpy_window(seed: int, length: int, balls: int) -> tuple[tuple[int, int, int], dict]:
+    """numpy's throw of ``balls`` balls into a fresh run's window of
+    ``length`` slots: its (silences, deliveries, collisions), and the
+    generator after it."""
+    generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    bins = generator.integers(0, length, size=balls, dtype=np.uint32)
+    occupancy = np.bincount(bins, minlength=length)
+    silences, deliveries = (int(np.count_nonzero(occupancy == count)) for count in (0, 1))
+    tally = (silences, deliveries, length - silences - deliveries)
+    return tally, generator.bit_generator.state
+
+
+def _library_window(
+    library: ctypes.CDLL, seed: int, length: int, balls: int
+) -> tuple[tuple[int, int, int], dict]:
+    """:func:`_numpy_window` by one ``window_simulate`` call."""
+    # Imported here: window_engine imports this module.
+    from repro.engine.window_engine import _WindowRun
+
+    run = _WindowRun(remaining=balls, cap=length, budget=length, stream=stream(seed))
+    lengths = (ctypes.c_int64 * 1)(length)
+    bins = (ctypes.c_uint8 * length)()
+    library.window_simulate(ctypes.byref(run), lengths, 1, bins, length)
+    return (run.silences, run.successes, run.collisions), run.stream.generator()
 
 
 def _agrees_with_numpy(library: ctypes.CDLL) -> bool:
-    """Whether ``library`` seeds and derives as this process's numpy does.
+    """Whether ``library`` seeds, derives and throws a window's balls as this
+    process's numpy does.
 
-    A numpy whose seeding changed then turns the library off instead of
-    putting two streams under one ``stream_version``.
+    A numpy whose seeding or bounded draw changed then turns the library off
+    instead of putting two streams under one ``stream_version``.
     """
     for seed in _CHECKED_SEEDS:
         checked = stream(seed)
@@ -158,7 +200,9 @@ def _agrees_with_numpy(library: ctypes.CDLL) -> bool:
         if checked.generator() != _numpy_generator(seed):
             return False
     root = _CHECKED_SEEDS[-1]
-    return _derived(library, root, 10) == spawned_seeds(root, 10)
+    if _derived(library, root, 10) != spawned_seeds(root, 10):
+        return False
+    return _library_window(library, *_CHECKED_WINDOW) == _numpy_window(*_CHECKED_WINDOW)
 
 
 def _cache_dirs() -> list[Path]:
@@ -246,7 +290,9 @@ def _open_kernel() -> ctypes.CDLL | None:
         if _agrees_with_numpy(library):
             return library
         # The same sources build the same library in any directory.
-        reason = f"its SeedSequence and PCG64 port disagrees with numpy {np.__version__}"
+        reason = (
+            f"its SeedSequence, PCG64 and bounded-draw port disagrees with numpy {np.__version__}"
+        )
         break
     _LOG.warning(
         "compiled engine kernels unavailable (%s); FairEngine runs on its Python slot loop, "

@@ -3,8 +3,9 @@
  * generator itself.
  *
  * np.random.PCG64(np.random.SeedSequence(seed)) is the bit generator that
- * RandomSource(seed) wraps, and Generator.random calls its next_double.  This
- * header reproduces all three steps exactly:
+ * RandomSource(seed) wraps; Generator.random calls its next_double, and
+ * Generator.integers(..., dtype=np.uint32) its next32.  This header
+ * reproduces each step exactly:
  *
  *   - seed_sequence_pool is SeedSequence's pool: the entropy words hashed into
  *     a pool of 4 words, every pool word mixed into every other, then any
@@ -15,14 +16,22 @@
  *   - pcg64_seed is generate_state(4, uint64) followed by pcg64_set_seed: the
  *     state is step(0 + inc), then + initstate, then step, with
  *     inc = (initseq << 1) | 1.
- *   - pcg64_next_double is one LCG step, the XSL-RR output of the new state
- *     and (x >> 11) * 2^-53.
+ *   - pcg64_next64 is one LCG step and the XSL-RR output of the new state;
+ *     pcg64_next_double is (x >> 11) * 2^-53 of it.
+ *   - pcg64_next32 and pcg64_bounded are Generator.integers(0, bound,
+ *     dtype=np.uint32)'s draw for 2 <= bound < 2^32: a 32-bit half of an
+ *     output, the low half first, the high half kept in the stream for the
+ *     next draw (numpy's has_uint32 and uinteger), and Lemire's multiply-
+ *     shift with its exact rejection (numpy's buffered_bounded_lemire_uint32;
+ *     D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+ *     29(1), 2019).  Generator.random never reads or writes the kept half.
  *
  * numpy fixes these algorithms under its stream-compatibility policy (NEP 19),
- * and native.py compares the library's seeding with numpy's once per process
- * before any run uses it.  The 128-bit arithmetic needs unsigned __int128
- * (gcc and clang on 64-bit targets); without it the library does not build
- * and the engines run their Python paths, which draw through numpy.
+ * and native.py compares the library's seeding and one window's bounded draws
+ * with numpy's once per process before any run uses it.  The 128-bit
+ * arithmetic needs unsigned __int128 (gcc and clang on 64-bit targets);
+ * without it the library does not build and the engines run their Python
+ * paths, which draw through numpy.
  */
 
 #ifndef REPRO_PCG64_H
@@ -36,11 +45,15 @@ typedef unsigned __int128 pcg128;
 /* A run's seed and its generator, mirrored field for field by native.Stream.
  * The seed is `words` little-endian 32-bit words.  The state and increment
  * are kept as 64-bit halves; the increment is odd once seeded, so a zero low
- * half marks a stream whose run has not made its first call yet. */
+ * half marks a stream whose run has not made its first call yet.  has_uint32
+ * and uinteger are numpy's kept 32-bit half: whether there is one, and its
+ * value. */
 typedef struct {
     const uint8_t *seed;
     int64_t words;
     uint64_t state_high, state_low, inc_high, inc_low;
+    int has_uint32;
+    uint32_t uinteger;
 } pcg64_stream;
 
 enum { SEED_POOL_SIZE = 4 };
@@ -147,6 +160,8 @@ static inline void pcg64_seed(pcg64_stream *stream) {
     pcg64_save(stream, pcg64_step(state, inc));
     stream->inc_high = (uint64_t)(inc >> 64);
     stream->inc_low = (uint64_t)inc;
+    stream->has_uint32 = 0;
+    stream->uinteger = 0;
 }
 
 /* A kernel call's start: the generator into locals, seeded first on the
@@ -158,15 +173,53 @@ static inline void pcg64_load(pcg64_stream *stream, pcg128 *state, pcg128 *inc) 
     *inc = ((pcg128)stream->inc_high << 64) | stream->inc_low;
 }
 
-/* Generator.random's next value: numpy's pcg64_next_double. */
-static inline double pcg64_next_double(pcg128 *state, pcg128 inc) {
+/* The next 64-bit output: numpy's pcg64_next64. */
+static inline uint64_t pcg64_next64(pcg128 *state, pcg128 inc) {
     uint64_t x;
     unsigned rotation;
     *state = pcg64_step(*state, inc);
     x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
     rotation = (unsigned)(*state >> 122);
-    x = (x >> rotation) | (x << ((-rotation) & 63));
-    return (double)(x >> 11) * (1.0 / 9007199254740992.0);
+    return (x >> rotation) | (x << ((-rotation) & 63));
+}
+
+/* Generator.random's next value: numpy's pcg64_next_double. */
+static inline double pcg64_next_double(pcg128 *state, pcg128 inc) {
+    return (double)(pcg64_next64(state, inc) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* The next 32-bit half: numpy's pcg64_next32.  The kept half if there is
+ * one, else the low half of a new output, whose high half is kept. */
+static inline uint32_t pcg64_next32(pcg128 *state, pcg128 inc, int *has_uint32,
+                                    uint32_t *uinteger) {
+    uint64_t next;
+    if (*has_uint32) {
+        *has_uint32 = 0;
+        return *uinteger;
+    }
+    next = pcg64_next64(state, inc);
+    *has_uint32 = 1;
+    *uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* A draw from [0, bound), 2 <= bound < 2^32, whose first half has been
+ * drawn already: m is that half times bound.  The rest of numpy's
+ * buffered_bounded_lemire_uint32: m is kept unless its low word falls below
+ * (2^32 - bound) mod bound, the rejection that makes every value exactly
+ * as likely, and each rejected product is replaced by that of the next half. */
+static inline uint32_t pcg64_bounded(uint64_t m, uint32_t bound, pcg128 *state, pcg128 inc,
+                                     int *has_uint32, uint32_t *uinteger) {
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < bound) {
+        /* bound is an upper bound of the threshold. */
+        const uint32_t threshold = (0u - bound) % bound;
+        while (leftover < threshold) {
+            m = (uint64_t)pcg64_next32(state, inc, has_uint32, uinteger) * bound;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
 }
 
 #endif

@@ -14,11 +14,13 @@ hours:
 * saturated windows (see :data:`_SATURATED_BOUND`) emit the all-collisions
   outcome with no random draws at all — the long descending tails of every
   back-off sawtooth;
-* every other window throws its balls: it takes exactly ``m`` uniforms
-  ``u_i``, the values ``generator.random(m)`` returns, and ball ``i`` lands
-  in bin ``min(⌊u_i·w⌋, w−1)``.  A uniform is a multiple of ``2⁻⁵³``, so
-  each bin's probability is within ``O(2⁻⁵³)`` of ``1/w`` — the
-  double-precision resolution :data:`_SATURATED_BOUND` argues from too.
+* every other window throws its balls: ball ``i`` lands in the bin that
+  the ``i``-th draw of ``generator.integers(0, w, size=m, dtype=np.uint32)``
+  returns.  numpy draws it from one 32-bit half of a ``PCG64`` output, the
+  low half first, keeps the high half in the bit generator for the next
+  draw (across calls too), and applies Lemire's multiply-shift with its
+  exact rejection, so every bin has probability exactly ``1/w``.  A window
+  wider than ``2³²−1`` slots cannot be thrown (:data:`_MAX_THROWN`).
 
 A window cut by the run's slot cap simulates only its slots before the cap,
 so a capped run never reports more than ``max_slots`` slots.
@@ -28,20 +30,23 @@ Compiled window loop
 Untraced runs run the window loop in C (``window_kernel.c``, built into the
 library of :mod:`repro.engine.native`): the saturation test (a port of
 :func:`_saturated` making the same libm calls), the cap, the ball throw into
-one byte per bin with uniforms from the run's own port of numpy's
+one byte per bin with the bounded draws of the run's own port of numpy's
 ``PCG64`` (``pcg64.h``: seeded from the run's seed by its first call,
-stepped inline, and carried from call to call in
-:func:`repro.engine.native.stream`'s structure), and the counters.  Every
-run of one protocol instance reads the same schedule, so the instance holds
-it (:class:`_Schedule`): pulled from one ``spawn()``, in chunks of 8, 16,
-32, … windows, each pulled once, by the first run that reaches it, and never
-changed after; a run makes one call per chunk it reaches.  Every windowed protocol takes the compiled path,
+stepped inline, two balls per output where both halves pass Lemire's test
+at once, and carried from call to call, kept half included, in
+:func:`repro.engine.native.stream`'s structure), the tally (8 bins at a
+time) and the counters.  Every run of one protocol instance reads the same
+schedule, so the instance holds it (:class:`_Schedule`): pulled from one
+``spawn()``, in chunks of 8, 16, 32, … windows, each pulled once, by the
+first run that reaches it, and never changed after; a run makes one call
+per chunk it reaches.  Every windowed protocol takes the compiled path,
 subclasses and user-defined schedules included.  An error the schedule
 raises while a chunk is pulled ahead is held with the chunk and raised in
 every run that reaches that window, and in no other, so each run ends
 exactly where the per-window loop would.  A thrown window wider than the
 run's bin buffer hands back to Python, which grows the buffer to the next
-power of two and resumes there; so does a call that has run
+power of two (or refuses a window wider than :data:`_MAX_THROWN`) and
+resumes there; so does a call that has run
 ``native.SLOTS_PER_CALL`` slots, so Ctrl-C is seen.  Traced runs (they
 record exact per-slot transmitter counts) and hosts without a C compiler
 run the Python per-window loop on a schedule of their own ``spawn()`` and
@@ -96,12 +101,17 @@ _M_PYTHON = _M_WINDOW_RUNS.labels(path="python")
 
 #: Threshold under which a window is all-collisions "for sure": a window is
 #: *saturated* when the exact union bound ``P(any bin holds <= 1 ball) <=
-#: w [(1-1/w)^m + (m/w)(1-1/w)^{m-1}]`` evaluates below this — one power of
-#: two under ``2^{-53}``, so even with the bound's own float rounding the
-#: event probability is beneath the resolution of the double-precision
-#: uniforms the ball throw consumes, and emitting the certain all-collisions
-#: outcome is indistinguishable from sampling it.
+#: w [(1-1/w)^m + (m/w)(1-1/w)^{m-1}]`` evaluates below this, so emitting the
+#: certain all-collisions outcome skips an outcome of probability below
+#: ``2^{-54}`` per window (one power of two under ``2^{-53}``, which keeps the
+#: margin when the bound's own float rounding is counted) — and the window
+#: takes no draws.
 _SATURATED_BOUND = 2.0**-54
+
+#: The widest window a ball throw takes: numpy's ``uint32`` bounded draw
+#: reaches ``2³²−1`` bins.  A wider window that is not saturated raises
+#: :class:`ValueError` on both loops, before any bin buffer is grown.
+_MAX_THROWN = 2**32 - 1
 
 
 def _saturated(length: int, balls: int) -> bool:
@@ -124,11 +134,20 @@ def _saturated(length: int, balls: int) -> bool:
 _Tally = tuple[int, int, int, int]
 
 
+def _check_thrown(length: int) -> None:
+    """Refuse a window too wide to throw (see :data:`_MAX_THROWN`)."""
+    if length > _MAX_THROWN:
+        raise ValueError(
+            f"a thrown window holds at most 2**32 - 1 = {_MAX_THROWN} slots, got {length}"
+        )
+
+
 def _throw_reference(
     generator: np.random.Generator, length: int, balls: int, limit: int
 ) -> tuple[np.ndarray, _Tally]:
     """The numpy ball throw: per-slot ball counts of ``[0, limit)`` and their tally."""
-    bins = np.minimum((generator.random(balls) * length).astype(np.intp), length - 1)
+    _check_thrown(length)
+    bins = generator.integers(0, length, size=balls, dtype=np.uint32)
     occupancy = np.bincount(bins, minlength=length)[:limit]
     silent = occupancy == 0
     singles = np.flatnonzero(occupancy == 1)
@@ -152,7 +171,8 @@ class _WindowRun(ctypes.Structure):
 
 # window_simulate returns _DONE once the run is solved or capped, 1 when the
 # chunk is used up, _GROW when the window at ``position`` needs a larger bin
-# buffer, and _PAUSED at ``position`` after native.SLOTS_PER_CALL slots.
+# buffer (or is wider than _MAX_THROWN), and _PAUSED at ``position`` after
+# native.SLOTS_PER_CALL slots.
 _DONE, _GROW, _PAUSED = 0, 2, 3
 
 #: Windows in the first schedule chunk of a compiled run; each further chunk
@@ -296,8 +316,8 @@ def _compiled_run(
     the run, because the GIL is released during each call and the service
     runs windows of different jobs on concurrent threads.
     """
-    # The first call seeds RandomSource(seed)'s generator, whose uniforms the
-    # Python loop's generator.random returns: the kernel draws one per ball.
+    # The first call seeds RandomSource(seed)'s generator, whose bounded draws
+    # the Python loop's generator.integers returns: the kernel draws one per ball.
     run = _WindowRun(
         remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
     )
@@ -313,10 +333,10 @@ def _compiled_run(
                 ctypes.byref(run), chunk.address, chunk.count, bins_address, bins.size
             )
             if status == _GROW:
+                length = chunk.lengths[run.position]
+                _check_thrown(length)
                 # The next power of two: at most twice the window that did not fit.
-                bins = np.empty(
-                    1 << (chunk.lengths[run.position] - 1).bit_length(), dtype=np.uint8
-                )
+                bins = np.empty(1 << (length - 1).bit_length(), dtype=np.uint8)
                 bins_address = bins.ctypes.data
             elif status != _PAUSED:
                 break
@@ -336,11 +356,13 @@ class WindowEngine:
     name = "window"
 
     #: Version of this engine's random stream (see
-    #: ``FairEngine.stream_version``).  Version 3 throws every non-saturated
-    #: window's balls from ``generator.random`` (bin ``⌊u·w⌋``); version 2
-    #: sampled narrow windows multinomially; version 1 threw every ball of
-    #: every window with bounded integers.
-    stream_version: ClassVar[int] = 3
+    #: ``FairEngine.stream_version``).  Version 4 throws every non-saturated
+    #: window's balls with ``generator.integers(0, w, dtype=np.uint32)``
+    #: (Lemire's exact bounded draw on 32-bit halves); version 3 threw them
+    #: from ``generator.random`` (bin ``⌊u·w⌋``); version 2 sampled narrow
+    #: windows multinomially; version 1 threw every ball of every window with
+    #: bounded integers.
+    stream_version: ClassVar[int] = 4
 
     def __init__(self, channel: ChannelModel | None = None) -> None:
         if channel is not None and channel != ChannelModel():

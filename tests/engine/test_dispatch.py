@@ -110,7 +110,7 @@ class TestEngineTable:
 
     def test_per_run_engines_declare_stream_versions(self):
         versions = {name: cls.stream_version for name, cls in ENGINES.items()}
-        assert versions == {"slot": 1, "fair": 1, "window": 3}
+        assert versions == {"slot": 1, "fair": 1, "window": 4}
 
     def test_unknown_engine_error_enumerates_engines(self):
         with pytest.raises(ValueError) as excinfo:

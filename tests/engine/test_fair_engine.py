@@ -233,13 +233,13 @@ class TestCompiledLoopIsExact:
         )
         reference = np.random.PCG64(np.random.SeedSequence(seed))
         assert library.fair_simulate(ctypes.byref(run)) == fair_module._PAUSED
-        assert run.stream.generator() == reference.state["state"]
+        assert run.stream.generator() == reference.state
         for budget in (37, 1, 100):
             run.budget = budget
             slot = run.slot
             library.fair_simulate(ctypes.byref(run))
             reference.advance(run.slot - slot)
-            assert run.stream.generator() == reference.state["state"]
+            assert run.stream.generator() == reference.state
         assert run.slot == 138
 
     @pytest.mark.parametrize("cap", [None, 300])

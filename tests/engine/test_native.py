@@ -203,7 +203,7 @@ class TestStream:
         assert library is not None
         stream = native.stream(seed)
         library.seed_stream(ctypes.byref(stream))
-        assert stream.generator() == np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+        assert stream.generator() == np.random.PCG64(np.random.SeedSequence(seed)).state
 
     @pytest.mark.parametrize(
         "seed,error", [(-1, ValueError), (-(2**70), ValueError), (1.0, TypeError), ("7", TypeError)]
@@ -247,7 +247,8 @@ class TestSelfCheck:
 
         def moved_numpy(seed):
             generator = moved(seed)
-            return {**generator, "state": generator["state"] ^ 1}
+            state = generator["state"]
+            return {**generator, "state": {**state, "state": state["state"] ^ 1}}
 
         monkeypatch.setattr(native, "_numpy_generator", moved_numpy)
         _fresh_loader(monkeypatch, tmp_path)
@@ -261,6 +262,41 @@ class TestSelfCheck:
         }
         (warning,) = [record for record in caplog.records if record.name == native.__name__]
         assert "disagrees with numpy" in warning.getMessage()
+
+    def test_a_library_whose_bounded_draw_disagrees_is_not_used(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A numpy whose ``integers`` moved turns the library off too: one
+        warning, and every run takes its Python path with the same results."""
+        seeds = derive_seeds(8, 6)
+        expected = _both_engines(seeds)
+        moved = native._numpy_window
+
+        def moved_numpy(seed, length, balls):
+            (silences, deliveries, collisions), generator = moved(seed, length, balls)
+            return (silences + 1, deliveries - 1, collisions), generator
+
+        monkeypatch.setattr(native, "_numpy_window", moved_numpy)
+        _fresh_loader(monkeypatch, tmp_path)
+        before = _runs_by_path()
+        with caplog.at_level(logging.WARNING, logger=native.__name__):
+            runs = _both_engines(seeds)
+        assert runs == expected
+        after = _runs_by_path()
+        assert {key: after[key] - before[key] for key in after} == {
+            "fair-compiled": 0, "fair-python": 6, "window-compiled": 0, "window-python": 6,
+        }
+        (warning,) = [record for record in caplog.records if record.name == native.__name__]
+        assert "disagrees with numpy" in warning.getMessage()
+
+    def test_the_checked_window_keeps_a_half(self):
+        """The checked window is thrown, not saturated, and its odd ball
+        count leaves numpy's kept half in the stream it compares."""
+        seed, length, balls = native._CHECKED_WINDOW
+        assert balls % 2 == 1 and not window_module._saturated(length, balls)
+        (silences, deliveries, collisions), generator = native._numpy_window(seed, length, balls)
+        assert generator["has_uint32"] == 1
+        assert silences + deliveries + collisions == length and 0 < deliveries < balls
 
     def test_a_library_whose_derivation_disagrees_is_not_used(self, tmp_path, monkeypatch):
         monkeypatch.setattr(native, "spawned_seeds", lambda root, count: (0,) * count)

@@ -35,22 +35,25 @@ from repro.service import create_server
 OFA = ProtocolSpec(key="ofa", label="OFA", spec="one-fail-adaptive")
 
 
-def _legacy(results, engine: str | None = None) -> list:
+def _legacy(results, engine: str | int | None = None) -> list:
     """Results as an older store holds them.
 
-    ``None``: written before stream versions (version 1); ``"window"``: the
-    window engine's stream-2 runs; any other name: a retired batched engine's
-    runs, with their ``batch_reps``.
+    ``None``: written before stream versions (version 1); a number: the
+    window engine's runs under that older stream version; a name: a retired
+    batched engine's runs, with their ``batch_reps``.
     """
     legacy = []
     for result in results:
         metadata = {key: value for key, value in result.metadata.items() if key != "stream_version"}
-        if engine == "window":
-            metadata["stream_version"] = 2
+        if isinstance(engine, int):
+            metadata["stream_version"] = engine
         elif engine is not None:
             metadata["batch_reps"] = len(results)
         legacy.append(
-            dataclasses.replace(result, engine=engine or result.engine, metadata=metadata)
+            dataclasses.replace(
+                result, engine=engine if isinstance(engine, str) else result.engine,
+                metadata=metadata,
+            )
         )
     return legacy
 
@@ -141,7 +144,8 @@ class TestRetiredSurface:
             ("one-fail-adaptive k=30 reps=4 seed=5", "mega"),
             ("exp-backon-backoff k=30 reps=4 seed=5", "mega-window"),
             ("exp-backon-backoff k=30 reps=4 seed=5", None),  # stream-1 window runs
-            ("exp-backon-backoff k=30 reps=4 seed=5", "window"),  # stream-2 window runs
+            ("exp-backon-backoff k=30 reps=4 seed=5", 2),  # stream-2 window runs
+            ("exp-backon-backoff k=30 reps=4 seed=5", 3),  # stream-3 window runs
         ],
     )
     def test_legacy_cells_resimulate_once(self, tmp_path, backend, text, legacy_engine):

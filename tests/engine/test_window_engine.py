@@ -213,9 +213,9 @@ def _assert_same_mean(engine: np.ndarray, reference: np.ndarray) -> None:
 
 
 class TestOccupancySamplersAgainstBallThrowReference:
-    """The saturated shortcut and the ``⌊u·w⌋`` ball throw keep the law of
-    the plain loop that throws every ball of every window with bounded
-    integers."""
+    """The saturated shortcut and the ball throw of bounded ``uint32`` draws
+    keep the law of the plain loop that throws every ball of every window
+    with numpy's default (``int64``) bounded integers."""
 
     @staticmethod
     def samples(spec: str, k: int, runs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +263,10 @@ class TestOccupancyMetric:
         ]
         after = _occupancy_counts()
         assert [result.makespan for result in results] == [
-            21661, 21680, 21622, 21616, 21642, 21634, 21502, 21643, 21626, 21647,
+            21666, 21675, 21672, 21629, 21261, 21764, 21841, 21502, 21600, 21629,
         ]
         deltas = {mode: after[mode] - before[mode] for mode in _OCCUPANCY_MODES}
-        assert deltas == {"ball-throw": 280, "saturated": 850}
+        assert deltas == {"ball-throw": 281, "saturated": 850}
         assert sum(deltas.values()) == sum(result.metadata["windows"] for result in results)
 
     @pytest.mark.parametrize(
@@ -332,7 +332,7 @@ class TestWindowedProtocolsStayPerRun:
     def test_session_runs_windowed_cells_on_window(self, spec):
         result_set = Session().run(Scenario(protocol=spec, k=40, replications=5, seed=3))
         assert result_set.engine_used == "window"
-        assert all(result.metadata["stream_version"] == 3 for result in result_set.results)
+        assert all(result.metadata["stream_version"] == 4 for result in result_set.results)
 
 
 class _NoLibrary:
@@ -400,22 +400,40 @@ def _one_window(
     """``window_simulate`` over a one-window chunk: a run of ``balls``
     stations with seed ``seed``, capped at ``limit`` slots, with a bin buffer
     of ``capacity``."""
+    return _one_chunk([length], balls, limit, seed, length if capacity is None else capacity)
+
+
+def _one_chunk(
+    lengths: list[int], balls: int, cap: int, seed: int, capacity: int
+) -> tuple[int, _WindowRun]:
+    """``window_simulate`` over one chunk of ``lengths``, as :func:`_one_window`."""
     library = native.KERNEL.get()
     assert library is not None
     run = _WindowRun(
-        remaining=balls, cap=limit, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
+        remaining=balls, cap=cap, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
     )
-    lengths = array("q", [length])
-    bins = np.empty(length if capacity is None else capacity, dtype=np.uint8)
+    chunk = array("q", lengths)
+    bins = np.empty(capacity, dtype=np.uint8)
     status = library.window_simulate(
-        ctypes.byref(run), lengths.buffer_info()[0], 1, bins.ctypes.data, bins.size
+        ctypes.byref(run), chunk.buffer_info()[0], len(chunk), bins.ctypes.data, bins.size
     )
     return status, run
 
 
-def _numpy_generator(seed: int, draws: int = 0) -> dict[str, int]:
-    """numpy's ``PCG64(SeedSequence(seed))`` after ``draws`` uniforms."""
-    return np.random.PCG64(np.random.SeedSequence(seed)).advance(draws).state["state"]
+def _reference_counters(
+    generator: np.random.Generator, length: int, balls: int, limit: int
+) -> tuple[int, int, int, int, int]:
+    """``(start, remaining, successes, silences, collisions)`` after one
+    window of the Python loop, thrown by ``_throw_reference``."""
+    _, (silent, delivered, last, before) = _throw_reference(generator, length, balls, limit)
+    simulated = limit
+    if delivered == balls:  # the solving window ends at its final delivery
+        simulated, silent = last + 1, before
+    return simulated, balls - delivered, delivered, silent, simulated - silent - delivered
+
+
+def _counters(run: _WindowRun) -> tuple[int, int, int, int, int]:
+    return run.start, run.remaining, run.successes, run.silences, run.collisions
 
 
 def _saturation_edge(length: int) -> int:
@@ -477,25 +495,77 @@ class TestCompiledThrowIsExact:
 
     @pytest.mark.parametrize(
         "length,balls,limit",
-        [(1, 1, 1), (2, 3, 1), (7, 20, 7), (1000, 700, 300), (2**20, 10**5, 2**20)],
+        [(1, 1, 1), (2, 3, 1), (7, 20, 7), (1000, 700, 300), (1000, 701, 1000),
+         (2**20, 10**5, 2**20), (2**20, 10**5 + 1, 2**20)],
     )
-    def test_a_window_takes_exactly_its_balls_uniforms(self, length, balls, limit):
+    def test_a_window_takes_exactly_its_balls_draws(self, length, balls, limit):
         """The kernel seeds the run's generator, its counts are the reference
-        tally's, and the generator is left where ``generator.random(balls)``
-        leaves numpy's."""
+        tally's, and the generator is left, with the half numpy keeps after
+        an odd ball count, where ``generator.integers(0, length, size=balls,
+        dtype=np.uint32)`` leaves numpy's."""
         reference = np.random.default_rng(9)
         status, run = _one_window(length, balls, limit, 9)
-        _, (silent, delivered, last, before) = _throw_reference(reference, length, balls, limit)
-        simulated = limit
-        if delivered == balls:  # the solving window ends at its final delivery
-            simulated, silent = last + 1, before
         assert status == window_module._DONE
         assert (run.windows, run.thrown, run.saturated) == (1, 1, 0)
-        assert (run.start, run.remaining, run.successes, run.silences, run.collisions) == (
-            simulated, balls - delivered, delivered, silent, simulated - silent - delivered,
+        assert _counters(run) == _reference_counters(reference, length, balls, limit)
+        assert run.stream.generator() == reference.bit_generator.state
+
+    def test_a_kept_half_is_the_next_windows_first_draw(self):
+        """Three balls in a two-slot window never all deliver and leave a
+        half kept; the next window of the chunk draws it first, as numpy's
+        next ``integers`` call does."""
+        for seed in derive_seeds(14, 20):
+            reference = np.random.default_rng(seed)
+            status, run = _one_chunk([2, 64], 3, 66, seed, 64)
+            start, remaining, successes, silences, collisions = _reference_counters(
+                reference, 2, 3, 2
+            )
+            assert reference.bit_generator.state["has_uint32"] == 1
+            second = _reference_counters(reference, 64, remaining, 64)
+            assert status == window_module._DONE
+            assert (run.windows, run.thrown) == (2, 2)
+            assert _counters(run) == (
+                start + second[0], second[1], successes + second[2], silences + second[3],
+                collisions + second[4],
+            )
+            assert run.stream.generator() == reference.bit_generator.state
+
+    def test_every_limit_of_a_seventeen_slot_window(self):
+        """Limits 1 to 17 tally whole 8-slot words, the tail bytes after them,
+        and solving windows whose last delivery falls in the tail."""
+        last_in_tail = 0
+        for balls, seed, limit in itertools.product((1, 2, 3, 9), range(20), range(1, 18)):
+            reference = np.random.default_rng(seed)
+            _, run = _one_window(17, balls, limit, seed)
+            expected = _reference_counters(reference, 17, balls, limit)
+            assert _counters(run) == expected, (balls, seed, limit)
+            assert run.stream.generator() == reference.bit_generator.state
+            last_in_tail += expected[1] == 0 and expected[0] > limit - limit % 8
+        assert last_in_tail > 0
+
+    @pytest.mark.parametrize("k", [10**6 + 1, 10**6 - 1, 3])
+    def test_rejection_heavy_windows_equal_the_reference(self, k):
+        """641 · 6,700,417 = 2³² + 1, so Lemire's threshold for a window of
+        6,700,417 slots is w − 1: about one half in 641 takes the rejection
+        step and one output in 320 leaves the two-ball loop."""
+        length = 6_700_417
+        assert (2**32 - length) % length == length - 1
+        windows = 20
+        results = _assert_paths_agree(
+            Listed([length] * windows), k, [0, 5, 2**64 + 1], max_slots=windows * length
         )
-        assert run.stream.generator() == _numpy_generator(9, balls)
-        assert reference.bit_generator.state["state"] == _numpy_generator(9, balls)
+        assert all(result.solved for result in results)
+
+    def test_a_window_too_wide_to_throw_is_refused(self):
+        """A thrown window that a ``uint32`` draw cannot cover raises the same
+        error on both loops; a saturated one of any width takes no draws."""
+        for path in PATHS:
+            with pytest.raises(ValueError, match=r"at most 2\*\*32 - 1 = 4294967295 slots"):
+                _window_runs(path, Listed([2**32]), 3, [0])
+        (result,) = _assert_paths_agree(Listed([2**33]), 2**40, [0], max_slots=2**33)
+        assert (result.slots_simulated, result.collisions, result.metadata["windows"]) == (
+            2**33, 2**33, 1,
+        )
 
     def test_window_wider_than_the_bin_buffer_is_handed_back(self):
         """A thrown window that does not fit the bin buffer is not started:
@@ -503,7 +573,7 @@ class TestCompiledThrowIsExact:
         status, run = _one_window(4, 3, 4, 0, capacity=3)
         assert status == window_module._GROW
         assert (run.position, run.windows, run.start, run.remaining) == (0, 0, 0, 3)
-        assert run.stream.generator() == _numpy_generator(0)
+        assert run.stream.generator() == native._numpy_generator(0)
 
     def test_saturation_test_equals_the_reference(self):
         """The kernel's saturation test is ``_saturated``.  With an empty bin
@@ -528,9 +598,9 @@ class TestCompiledThrowIsExact:
         assert 0 < sum(verdicts) < len(pairs)
 
     def test_compiled_run_calls_once_per_schedule_chunk(self, kernel_calls):
-        """Chunks of 8, 16, 32 and 64 windows: four calls for EBB's 79."""
+        """Chunks of 8, 16, 32 and 64 windows: four calls for EBB's 80."""
         result = WindowEngine().simulate(ExpBackonBackoff(), 1000, seed=derive_seeds(1, 1)[0])
-        assert result.metadata["windows"] == 79
+        assert result.metadata["windows"] == 80
         assert kernel_calls == {"window_simulate": 4}
 
     @pytest.mark.parametrize("spec", WINDOWED_SPECS)
@@ -728,7 +798,7 @@ class TestSharedSchedule:
         WindowEngine().simulate(protocol, 10_000, seed=seed)
         kernel_calls.clear()
         result = WindowEngine().simulate(protocol, 1000, seed=seed)
-        assert result.metadata["windows"] == 79
+        assert result.metadata["windows"] == 80
         assert kernel_calls == {"window_simulate": 4}
 
     def test_a_parameter_change_between_runs_pulls_the_new_schedule(self):

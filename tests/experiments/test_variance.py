@@ -14,8 +14,8 @@ PINNED_MAKESPANS = {
     "lfa-xt2": (4800.2, 375.8818963451153, 4288.0, 5230.0),
     "lfa-xt10": (3210.0, 287.72817032748117, 2781.0, 3440.0),
     "ofa": (3648.4, 36.68514685809503, 3631.0, 3714.0),
-    "ebb": (2654.4, 48.8702363407422, 2582.0, 2718.0),
-    "llib": (3112.4, 224.16355636008277, 2807.0, 3346.0),
+    "ebb": (2677.0, 45.93473631142341, 2604.0, 2716.0),
+    "llib": (3142.0, 348.52474804524286, 2542.0, 3374.0),
 }
 
 

@@ -40,7 +40,7 @@ class TestSessionExecution:
     def test_windowed_cells_run_on_the_window_engine(self):
         result_set = Session().run(scenario("exp-backon-backoff k=60 reps=6 seed=7"))
         assert result_set.engine_used == "window"
-        assert result_set.results[0].metadata["stream_version"] == 3
+        assert result_set.results[0].metadata["stream_version"] == 4
 
     def test_dynamic_arrivals_route_to_slot_engine(self):
         result_set = Session().run(
