@@ -13,7 +13,8 @@
 # experiment-command smoke (`repro table1` re-served from its store prints
 # the same report, `repro figure1 --output-dir` writes its artefacts), a
 # store-migration smoke (JSONL -> SQLite federation, re-served with 0 new
-# simulations), a held-descriptor smoke (a Table 1 sweep into a JSONL and a
+# simulations), a group-commit smoke (a cold k <= 1e3 Table 1 sweep makes one
+# store append per cell and leaves no lock sidecar), a held-descriptor smoke (a Table 1 sweep into a JSONL and a
 # chaos-wrapped JSONL store leaves no descriptor open once the stores are
 # closed, and both re-serve it), and a simulation-service smoke (cached resubmission over
 # HTTP, a bad component parameter refused with HTTP 400, then the server's
@@ -180,10 +181,12 @@ SERVICE_STORE_DIR="$(mktemp -d)"
 LIST_DIR="$(mktemp -d)"
 DESCRIPTOR_DIR="$(mktemp -d)"
 EXPERIMENT_DIR="$(mktemp -d)"
+GROUP_DIR="$(mktemp -d)"
 SERVER_PID=""
 cleanup() {
     [ -n "$SERVER_PID" ] && kill "$SERVER_PID" 2>/dev/null || true
-    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR" "$DESCRIPTOR_DIR" "$EXPERIMENT_DIR"
+    rm -rf "$STORE_DIR" "$SERVICE_STORE_DIR" "$LIST_DIR" "$DESCRIPTOR_DIR" "$EXPERIMENT_DIR" \
+        "$GROUP_DIR"
 }
 trap cleanup EXIT
 SCENARIO="one-fail-adaptive(delta=2.72) k=256 reps=5 seed=2011"
@@ -244,8 +247,7 @@ print("store-migrate smoke ok: sqlite store served %d migrated runs, %d new simu
 '
 
 # --- Held-descriptor smoke ---------------------------------------------------
-# A JSONL store keeps each cell's lock and cell descriptors open between
-# appends.  A k <= 1e3 Table 1 sweep into a jsonl: store and a chaos:jsonl:
+# A JSONL store keeps each cell's descriptor open between appends.  A k <= 1e3 Table 1 sweep into a jsonl: store and a chaos:jsonl:
 # store in one process must leave the process's descriptor count where it
 # started once each store is closed (where /proc/self/fd exists), and each
 # store must then re-serve the whole grid with 0 fresh replications.
@@ -274,6 +276,36 @@ for spec in (f"jsonl:{root}/plain", f"chaos:jsonl:{root}/chaos?seed=7"):
     print("descriptor smoke ok: %s stored %d replications, re-served them all%s"
           % (spec.split(":")[0], fresh, "" if fds else " (no /proc/self/fd: count skipped)"))
 ' "$DESCRIPTOR_DIR"
+
+# --- Group-commit smoke ------------------------------------------------------
+# A cold Table 1 sweep at k <= 1e3 with 10 runs (150 runs, 384K slots) is
+# one batch of finished runs, under the native.SLOTS_PER_CALL slots after
+# which the serial executor hands a batch over, so it reaches a fresh JSONL
+# store in one append per cell: 15 cells, no lock sidecar (appends lock the
+# cell itself), 15 observations of repro_store_append_seconds, and the
+# sweep served again simulates nothing.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import sys
+from pathlib import Path
+from repro.experiments.config import ExperimentConfig, paper_k_values
+from repro.experiments.table1 import reproduce_table1
+from repro.obs import REGISTRY
+
+root = Path(sys.argv[1])
+config = ExperimentConfig(k_values=paper_k_values(1000), runs=10, seed=2011, workers=1)
+cells = reproduce_table1(config, store_dir=str(root)).sweep.cells
+fresh = sum(cell.new_runs for cell in cells.values())
+stored = sorted(path.name for path in root.iterdir())
+appends = REGISTRY.snapshot()["repro_store_append_seconds"]["series"]
+count = sum(series["count"] for series in appends.values())
+assert fresh == 150, f"the cold sweep simulated {fresh} runs, not 150"
+assert len(stored) == 15 and all(name.endswith(".jsonl") for name in stored), stored
+assert count == 15, f"the cold sweep made {count} store appends, not one per cell (15)"
+again = reproduce_table1(config, store_dir=str(root)).sweep.cells
+assert sum(cell.new_runs for cell in again.values()) == 0, "the served sweep re-simulated"
+print("group-commit smoke ok: a cold Table 1 sweep stored %d runs in %d cells with %d appends,"
+      " no lock sidecar, and was served again with 0 new simulations" % (fresh, len(stored), count))
+' "$GROUP_DIR"
 
 # --- Simulation-service smoke ------------------------------------------------
 # Boot `repro serve` on a free port, submit a fresh scenario end-to-end, then

@@ -67,6 +67,13 @@ ENGINES = {"fair": FairEngine, "slot": SlotEngine, "window": WindowEngine}
 #: The engine each protocol kind reduces to on the paper's channel.
 _REDUCED = {"fair": "fair", "windowed": "window"}
 
+#: The paper's channel, which ``channel=None`` means.
+_PAPER_CHANNEL = ChannelModel()
+
+#: One instance of each engine on the paper's channel: an engine holds no
+#: state but its channel, so :func:`simulate` reuses these run after run.
+_ON_PAPER_CHANNEL = {name: engine() for name, engine in ENGINES.items()}
+
 
 def available_engines() -> list[str]:
     """Valid ``engine=`` selectors: ``"auto"`` plus every engine name."""
@@ -96,7 +103,7 @@ def pick_engine_name(
     reduced = None
     if arrivals is not None:
         request = "arrival processes"
-    elif channel is not None and channel != ChannelModel():
+    elif channel is not None and channel != _PAPER_CHANNEL:
         request = f"channel {channel!r}"
     elif getattr(protocol, "state_depends_on_own_transmission", False):
         request = f"{protocol.name!r}, whose state depends on its own transmissions"
@@ -148,8 +155,11 @@ def pick_engine(
     channel: ChannelModel | None = None,
     arrivals: ArrivalProcess | None = None,
 ) -> Any:
-    """Instantiate the engine :func:`pick_engine_name` names for ``protocol``."""
+    """The engine :func:`pick_engine_name` names for ``protocol``: a shared
+    instance on the paper's channel (``channel=None``), a new one otherwise."""
     name = pick_engine_name(protocol, engine=engine, channel=channel, arrivals=arrivals)
+    if channel is None:
+        return _ON_PAPER_CHANNEL[name]
     return ENGINES[name](channel=channel)
 
 

@@ -301,6 +301,16 @@ def _schedule_of(protocol: WindowedProtocol) -> _Schedule:
     return schedule
 
 
+#: Each thread's idle bin buffer and its address, as ``(bins, address)``:
+#: a compiled run borrows it and puts it back, grown if it grew it.
+_BINS = threading.local()
+
+
+def _new_bins(size: int) -> tuple[np.ndarray, int]:
+    bins = np.empty(size, dtype=np.uint8)
+    return bins, bins.ctypes.data
+
+
 def _compiled_run(
     window_simulate: ctypes._CFuncPtr,
     protocol: WindowedProtocol,
@@ -312,17 +322,20 @@ def _compiled_run(
     """The run on ``window_kernel.c``: one call per schedule chunk it reaches,
     and one more per bin-buffer growth and per ``native.SLOTS_PER_CALL`` slots.
 
-    The bin buffer and the run state, its generator included, belong to
-    the run, because the GIL is released during each call and the service
-    runs windows of different jobs on concurrent threads.
+    The run state, its generator included, belongs to the run, and so does
+    the bin buffer while the run holds it, because the GIL is released
+    during each call and the service runs windows of different jobs on
+    concurrent threads.  The buffer is borrowed from the thread (the kernel
+    clears each window's bins before it throws) and is out of the thread's
+    slot until the run returns it, so a run nested in this one gets its own;
+    a run that raises drops it.
     """
     # The first call seeds RandomSource(seed)'s generator, whose bounded draws
     # the Python loop's generator.integers returns: the kernel draws one per ball.
     run = _WindowRun(
         remaining=k, cap=cap, budget=native.SLOTS_PER_CALL, stream=native.stream(seed)
     )
-    bins = np.empty(_FIRST_BINS, dtype=np.uint8)
-    bins_address = bins.ctypes.data
+    bins, bins_address = vars(_BINS).pop("buffer", None) or _new_bins(_FIRST_BINS)
     index = 0
     while True:
         chunk = schedule.chunk(index)
@@ -336,11 +349,11 @@ def _compiled_run(
                 length = chunk.lengths[run.position]
                 _check_thrown(length)
                 # The next power of two: at most twice the window that did not fit.
-                bins = np.empty(1 << (length - 1).bit_length(), dtype=np.uint8)
-                bins_address = bins.ctypes.data
+                bins, bins_address = _new_bins(1 << (length - 1).bit_length())
             elif status != _PAUSED:
                 break
         if status == _DONE:
+            _BINS.buffer = (bins, bins_address)
             return run
         if isinstance(chunk.error, StopIteration):
             raise _exhausted(protocol, run.remaining) from chunk.error

@@ -13,6 +13,14 @@ from slices of the output cannot tell the difference from the serial path
 in-process loop with no pickling or process-pool overhead, which keeps the
 serial path exactly as cheap — and exactly as debuggable — as before.
 
+The progress callback receives finished outcomes in batches, so a caller
+that persists them (:meth:`~repro.scenarios.session.Session.run_all`) writes
+the runs that finished together in one go: the serial loop hands over its
+outcomes once they hold :data:`~repro.engine.native.SLOTS_PER_CALL` slots of
+simulated work (the budget one kernel call runs), at the end, and before a
+unit's exception propagates; the pool hands over each outcome as its future
+completes.
+
 Work units carry materialised protocol and arrival-process *instances*; all
 of the repository's protocol and arrival classes are plain attribute holders
 that pickle cleanly.
@@ -29,6 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.channel.arrivals import ArrivalProcess
 from repro.channel.model import ChannelModel
+from repro.engine import native
 # simulate_batch and simulate_megabatch are not called here; they are
 # imported so that this module keeps exposing all three engine front doors,
 # which perfbench/tracer.py wraps by name on this module.
@@ -103,6 +112,11 @@ class UnitOutcome:
     counter_deltas: dict[CounterKey, float] = field(default_factory=dict, compare=False)
 
 
+#: Progress callback of :meth:`ParallelExecutor.run`: a batch of finished
+#: outcomes (see the module docstring).
+BatchProgress = Callable[[list[UnitOutcome]], None]
+
+
 def resolve_workers(workers: int | None) -> int:
     """Normalise a ``workers`` request: ``None``/``0`` means "all CPUs"."""
     if workers is None or workers == 0:
@@ -172,13 +186,13 @@ class ParallelExecutor:
     def run(
         self,
         units: Sequence[SimulationUnit],
-        progress: Callable[[UnitOutcome], None] | None = None,
+        progress: BatchProgress | None = None,
     ) -> list[UnitOutcome]:
         """Execute every unit and return their outcomes in submission order.
 
-        ``progress`` (if given) is called once per completed unit — in
-        submission order on the serial path, in completion order on the
-        parallel path.
+        ``progress`` (if given) receives every outcome exactly once, in the
+        batches the module docstring describes: in submission order on the
+        serial path, one at a time in completion order on the parallel path.
         """
         if self.workers == 1 or len(units) <= 1:
             return self._run_serial(units, progress)
@@ -187,20 +201,38 @@ class ParallelExecutor:
     def _run_serial(
         self,
         units: Sequence[SimulationUnit],
-        progress: Callable[[UnitOutcome], None] | None,
+        progress: BatchProgress | None,
     ) -> list[UnitOutcome]:
-        outcomes = []
-        for index, unit in enumerate(units):
-            outcome = _execute_unit(index, unit)
-            if progress is not None:
-                progress(outcome)
-            outcomes.append(outcome)
+        if progress is None:
+            return [_execute_unit(index, unit) for index, unit in enumerate(units)]
+        outcomes: list[UnitOutcome] = []
+        batch: list[UnitOutcome] = []
+        slots = 0
+        try:
+            for index, unit in enumerate(units):
+                outcome = _execute_unit(index, unit)
+                outcomes.append(outcome)
+                batch.append(outcome)
+                slots += outcome.result.slots_simulated
+                if slots >= native.SLOTS_PER_CALL:
+                    # Emptied before the call: a callback that raises never
+                    # sees these outcomes again.
+                    done, batch, slots = batch, [], 0
+                    progress(done)
+        except BaseException:
+            # What finished before a failing unit (or an interrupt) is still
+            # handed over, so a caller keeps it on record.
+            if batch:
+                progress(batch)
+            raise
+        if batch:
+            progress(batch)
         return outcomes
 
     def _run_pool(
         self,
         units: Sequence[SimulationUnit],
-        progress: Callable[[UnitOutcome], None] | None,
+        progress: BatchProgress | None,
     ) -> list[UnitOutcome]:
         max_inflight = self.workers * _MAX_INFLIGHT_PER_WORKER
         outcomes: list[UnitOutcome | None] = [None] * len(units)
@@ -224,7 +256,7 @@ class ParallelExecutor:
                     REGISTRY.merge_counters(outcome.counter_deltas)
                     outcomes[outcome.index] = outcome
                     if progress is not None:
-                        progress(outcome)
+                        progress([outcome])
         # Callers assemble cells from the outcome list (relying on submission
         # order), so a lost unit must be an error, never a silently shorter
         # list.

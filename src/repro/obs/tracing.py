@@ -33,6 +33,7 @@ import contextvars
 import io
 import json
 import os
+import random
 import threading
 import time
 import weakref
@@ -70,10 +71,15 @@ _current: contextvars.ContextVar[tuple[str, str] | None] = contextvars.ContextVa
 _sink: "TraceLog | None" = None
 _sink_lock = threading.Lock()
 
+#: Draws the span and trace ids (see the module docstring).
+_ids = random.Random(os.urandom(16))
+if hasattr(os, "register_at_fork"):  # POSIX; nothing forks elsewhere
+    os.register_at_fork(after_in_child=lambda: _ids.seed(os.urandom(16)))
+
 
 def new_trace_id() -> str:
     """Return a fresh 64-bit hex trace id (not derived from simulation RNG)."""
-    return os.urandom(8).hex()
+    return "%016x" % _ids.getrandbits(64)
 
 
 def current_trace_id() -> str | None:
@@ -151,7 +157,7 @@ class _Span:
     def __enter__(self) -> dict[str, Any]:
         parent = self.parent = _current.get()
         self.trace_id = parent[0] if parent is not None else new_trace_id()
-        self.span_id = os.urandom(8).hex()
+        self.span_id = new_trace_id()
         self.token = _current.set((self.trace_id, self.span_id))
         self.started = time.monotonic()
         self.started_at = time.time()  # repro: noqa[CLK001] - wall-clock metadata

@@ -15,9 +15,14 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
    :class:`~repro.engine.fair_engine.FairEngine`'s compiled slot loop);
 3. fans the units out over a
    :class:`~repro.experiments.parallel.ParallelExecutor`; and
-4. appends each fresh replication to the store as it completes, so an
-   interrupted cell resumes from its persisted prefix and an interrupted
-   sweep with only the missing replications executed.
+4. appends fresh replications to the store as they complete, in the
+   batches the executor hands over (one ``append`` per cell of a batch), so
+   an interrupted cell resumes from its persisted prefix and an interrupted
+   sweep with only the missing replications executed.  A batch holds the
+   runs that finished together, closed once they hold
+   :data:`~repro.engine.native.SLOTS_PER_CALL` slots of simulated work on
+   the serial path, and one run on a process pool; a killed process loses
+   at most the batch in flight.
 
 Every experiment (:func:`repro.experiments.runner.run_sweep`, Figure 1,
 Table 1, the variance experiment, the δ ablations, the dynamic extension) and
@@ -69,6 +74,10 @@ __all__ = ["ResultSet", "Session", "SessionProgress"]
 #: replication already reported as done has been appended to the store
 #: *before* its progress callback fired — so an aborted cell resumes from
 #: the completed prefix on the next run instead of re-simulating it.
+#: Fresh replications are reported a batch at a time (see step 4 of the
+#: module docstring): the whole batch is appended first, then the callback
+#: fires once per replication of it, in order, so an abort is seen at the end
+#: of a batch and every replication of that batch stays on record.
 SessionProgress = Callable[[int, Scenario, int, int], None]
 
 _M_CACHE = REGISTRY.counter(
@@ -358,27 +367,35 @@ class Session:
             plan_span["cached_replications"] = sum(done_count)
         _M_REPL_CACHED.inc(sum(done_count))
 
-        # Replications are persisted as they complete (not after the whole
-        # fan-out), so a sweep killed mid-run keeps every finished run on
-        # record and the next invocation resumes from there.
+        # Replications are persisted as they complete, a batch at a time
+        # (not after the whole fan-out), so a sweep killed mid-run keeps every
+        # finished batch on record and the next invocation resumes from there.
         fresh: list[dict[int, StoredRun]] = [{} for _ in scenarios]
 
-        def record(outcome: UnitOutcome) -> None:
-            index, replication = outcome.tag
-            run = StoredRun(
-                replication=replication,
-                seed=outcome.result.seed,
-                elapsed_seconds=outcome.elapsed_seconds,
-                result=outcome.result,
-            )
-            fresh[index][replication] = run
-            _M_REPL_FRESH.inc()
+        def record(batch: list[UnitOutcome]) -> None:
+            by_cell: dict[int, list[StoredRun]] = {}
+            for outcome in batch:
+                index, replication = outcome.tag
+                run = StoredRun(
+                    replication=replication,
+                    seed=outcome.result.seed,
+                    elapsed_seconds=outcome.elapsed_seconds,
+                    result=outcome.result,
+                )
+                fresh[index][replication] = run
+                by_cell.setdefault(index, []).append(run)
+            _M_REPL_FRESH.inc(len(batch))
             if self.store is not None:
-                with span("store.append", runs=1), self._store_lock:
-                    self.store.append(scenarios[index], [run])
+                for index, runs in by_cell.items():
+                    with span("store.append", runs=len(runs)), self._store_lock:
+                        self.store.append(scenarios[index], runs)
             if progress is not None:
-                done_count[index] += 1
-                progress(index, scenarios[index], done_count[index], scenarios[index].replications)
+                for outcome in batch:
+                    index = outcome.tag[0]
+                    done_count[index] += 1
+                    progress(
+                        index, scenarios[index], done_count[index], scenarios[index].replications
+                    )
 
         ParallelExecutor(workers=self.workers).run(units, progress=record)
 

@@ -49,20 +49,26 @@ threads of one process and several processes sharing the store — such that
 readers never observe torn records and the per-cell header/metadata is
 written exactly once.  How that is achieved is the backend's business:
 
-* :class:`JsonlStore` takes an ``fcntl``-based advisory lock on a per-hash
-  sidecar file (``<content-hash>.jsonl.lock``) around the whole
+* :class:`JsonlStore` takes an ``fcntl``-based advisory lock on the cell
+  file itself (``<content-hash>.jsonl``) around the whole
   read-tail/heal/header/write critical section; ``flock`` attaches to the
   open file description, so two server worker threads serialise exactly like
-  two processes.  It keeps the sidecar and cell descriptors of the cells it
-  appended to last open between appends, and opens them anew in a forked
-  child and wherever a file it holds was unlinked (compaction's rename,
-  ``clean_locks``), so it always locks and writes the files at the paths.
-  On platforms without ``fcntl`` (Windows) it degrades to an in-process
+  two processes.  After each lock it checks that the file it locked is still
+  the one at the path (``st_nlink``) and otherwise opens the path anew:
+  compaction holds the old cell's lock while it renames the new cell over
+  the path, so a writer that was waiting locks the new cell.  It keeps the
+  descriptors of the cells it appended to last open between appends, and
+  opens them anew in a forked child and wherever a file it holds was
+  unlinked, so it always locks and writes the file at the path.  On
+  platforms without ``fcntl`` (Windows) it degrades to an in-process
   :class:`threading.Lock`, which still serialises all writers within one
   interpreter (the simulation service's deployment shape), and opens the
-  cell for every append.  Lock sidecars are janitorial litter, not data:
-  they are excluded from every listing and removed by
-  :meth:`JsonlStore.compact` (and by ``repro store migrate``).
+  cell for every append.  Earlier versions locked a sidecar
+  (``<content-hash>.jsonl.lock``) instead, so they and this version exclude
+  each other from nothing: one store must not take appends from both at
+  once.  Such sidecars are janitorial litter, not data: they are excluded
+  from every listing and removed by :meth:`JsonlStore.compact` (and by
+  ``repro store migrate``).
 * ``SqliteStore`` relies on SQLite's own WAL-mode locking with a generous
   busy timeout; every append is one ``BEGIN IMMEDIATE`` transaction.
 
@@ -118,7 +124,7 @@ _HASH_RE = re.compile(r"[0-9a-f]{16}")
 _JSONL_CACHE_ENTRIES = 128
 
 #: Cells whose descriptors a :class:`JsonlStore` keeps open between appends
-#: (LRU, by hash): two each, the lock sidecar's and the cell's.
+#: (LRU, by hash): one each, the cell's, which is also what it locks.
 _OPEN_CELLS = 32
 
 # Store-layer metric families, shared by every backend and labelled by its
@@ -463,20 +469,18 @@ class JsonlStore(StoreBackend):
 
     @contextmanager
     def _locked(self, path: Path) -> Iterator[None]:
-        """Hold the advisory per-hash write lock (see module docstring)."""
+        """Hold the advisory write lock of the existing cell at ``path`` (see
+        the module docstring)."""
         with self._write_lock:
             if fcntl is None:
                 yield
                 return
-            lock = _open_lock(path)
+            cell = _OpenCell(path)
             try:
-                fcntl.flock(lock, fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(lock, fcntl.LOCK_UN)
+                cell.lock_and_stat(os.O_RDONLY)
+                yield
             finally:
-                os.close(lock)
+                cell.close()  # releases the flock
 
     # -------------------------------------------------------------- reading
     @staticmethod
@@ -613,7 +617,7 @@ class JsonlStore(StoreBackend):
         with self._write_lock:
             if fcntl is None:
                 path = self.path_for(scenario)
-                cell = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                cell = os.open(path, _CELL_FLAGS, 0o666)
                 try:
                     _write_cell(cell, os.fstat(cell).st_size, -1, scenario, body)
                 finally:
@@ -627,7 +631,7 @@ class JsonlStore(StoreBackend):
         self._m_append.observe(time.monotonic() - started)
 
     def _append_held(self, content_hash: str, scenario: Scenario, body: str) -> None:
-        """:meth:`append`'s write through the cell's held descriptors, under
+        """:meth:`append`'s write through the cell's held descriptor, under
         its flock.  Called under ``_write_lock``."""
         if self._open_pid != os.getpid():
             # A forked child shares the parent's open file descriptions, and
@@ -646,7 +650,7 @@ class JsonlStore(StoreBackend):
             try:
                 held.end = _write_cell(held.cell, size, held.end, scenario, body)
             finally:
-                fcntl.flock(held.lock, fcntl.LOCK_UN)
+                fcntl.flock(held.cell, fcntl.LOCK_UN)
         except BaseException:
             # Start the cell's next append afresh: reopen, and read the tail.
             self._open.pop(content_hash, None)
@@ -678,12 +682,13 @@ class JsonlStore(StoreBackend):
 
     # ----------------------------------------------------------- janitorial
     def clean_locks(self) -> int:
-        """Delete ``*.jsonl.lock`` sidecars; returns how many were removed.
+        """Delete the ``*.jsonl.lock`` sidecars earlier versions locked;
+        returns how many were removed.
 
-        Safe only while no writer is mid-append on this root (a deleted lock
-        file stops serialising writers that re-open it), which is why it runs
-        from compaction and migration — offline moments — rather than after
-        every append.
+        This version locks the cells themselves and makes no sidecar.  A
+        writer of an earlier version still locks them, so this runs from
+        compaction and migration, offline moments, rather than after every
+        append.
         """
         removed = 0
         for lock_path in self.root.glob("*.jsonl.lock"):
@@ -695,7 +700,12 @@ class JsonlStore(StoreBackend):
         return removed
 
     def compact(self) -> CompactionReport:
-        """Rewrite every cell dropping torn/duplicate records; drop lock litter."""
+        """Rewrite every cell dropping torn/duplicate records; drop lock litter.
+
+        The new cell is renamed over the old one while the old one's lock is
+        held, so a writer waiting for it finds it unlinked and locks the new
+        one (see the locking contract).
+        """
         scenarios = 0
         dropped = 0
         for path in sorted(self.root.glob("*.jsonl")):
@@ -743,53 +753,44 @@ class JsonlStore(StoreBackend):
             return None
 
 
+#: How an append opens a cell: created with its first record.
+_CELL_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CREAT
+
+
 class _OpenCell:
-    """The descriptors a :class:`JsonlStore` keeps open for the cell at
-    ``path``: its lock sidecar's and its own, and the cell's size after the
+    """The descriptor a :class:`JsonlStore` keeps open for the cell at
+    ``path`` (``-1`` while none is open), and the cell's size after the
     store's last write (``-1`` before one)."""
 
-    __slots__ = ("path", "lock", "cell", "end")
+    __slots__ = ("path", "cell", "end")
 
     def __init__(self, path: Path) -> None:
         self.path = path
-        self.lock = _open_lock(path)
         self.cell = -1
         self.end = -1
 
-    def lock_and_stat(self) -> int:
-        """Hold the flock of the sidecar at ``<path>.lock`` and return the size
-        of the cell at ``path``, reopening whichever of the two was unlinked.
+    def lock_and_stat(self, flags: int = _CELL_FLAGS) -> int:
+        """Hold the flock of the cell at ``path`` and return its size,
+        opening the path with ``flags`` if no descriptor is held or the held
+        one's file was unlinked, before or while it waited.
 
-        A sidecar :meth:`JsonlStore.clean_locks` unlinked serialises with no
-        writer that opens the path anew, and a cell compaction renamed a new
-        file over takes no more records that anyone reads.
+        A cell that compaction renamed a new file over, or that was deleted,
+        takes no more records that anyone reads.
         """
         while True:
-            fcntl.flock(self.lock, fcntl.LOCK_EX)
-            if os.fstat(self.lock).st_nlink:
-                break
-            os.close(self.lock)
-            self.lock = -1
-            self.lock = _open_lock(self.path)
-        if self.cell >= 0:
+            if self.cell < 0:
+                self.cell = os.open(self.path, flags, 0o666)
+                self.end = -1
+            fcntl.flock(self.cell, fcntl.LOCK_EX)
             status = os.fstat(self.cell)
             if status.st_nlink:
                 return status.st_size
-            os.close(self.cell)
-            self.cell = -1
-        self.cell = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-        self.end = -1
-        return os.fstat(self.cell).st_size
+            self.close()
 
     def close(self) -> None:
-        for descriptor in (self.lock, self.cell):
-            if descriptor >= 0:
-                os.close(descriptor)
-        self.lock = self.cell = -1
-
-
-def _open_lock(path: Path) -> int:
-    return os.open(f"{path}.lock", os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+        if self.cell >= 0:
+            os.close(self.cell)
+        self.cell = -1
 
 
 def _close_cells(cells: OrderedDict[str, _OpenCell]) -> None:

@@ -28,14 +28,18 @@ Fault tolerance (see :mod:`repro.service.reliability`)
 ------------------------------------------------------
 * **Retries** — job execution runs under a :class:`RetryPolicy`: transient
   errors (injected faults, store/connection hiccups) are retried with
-  exponential backoff; because completed replications persist as they finish,
-  a retry re-simulates only the *missing* ones (partial-cell resume).
+  exponential backoff; because completed replications persist as each batch
+  of them finishes, a retry re-simulates only the *missing* ones
+  (partial-cell resume).
 * **Deadlines & cancellation** — each job may carry a ``deadline`` given as
   *seconds from submission*; internally it is tracked on the monotonic clock
   (immune to NTP/DST wall-clock jumps) while the wire and the journal carry
   the wall-clock ETA.  :meth:`cancel` aborts a queued job immediately and
   requests cooperative cancellation of a running one.  Both abort paths are
-  checked between replications from the progress callback.
+  checked from the progress callback, which the session fires after each
+  batch of replications reaches the store, so a running job stops between
+  batches (a batch is the runs that finished together, closed once they
+  hold ``native.SLOTS_PER_CALL`` slots of simulated work).
 * **Bounded queue & drain** — ``max_queue`` caps accepted-but-unstarted
   work; beyond it :meth:`submit` raises
   :class:`~repro.service.reliability.Overloaded` (the server maps this to
@@ -542,7 +546,7 @@ class JobManager:
 
         def progress(_index: int, _scenario: Scenario, done: int, _total: int) -> None:
             job.done = done
-            # Cooperative abort between replications: everything already
+            # Cooperative abort between batches: everything already
             # appended to the store stays there, so a later retry/resubmit
             # resumes from the completed prefix.
             self._check_abort(job)

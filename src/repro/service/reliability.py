@@ -106,7 +106,7 @@ class SimulatedCrash(BaseException):
 
 
 class JobCancelled(Exception):
-    """Cooperative-cancel signal raised between replications; terminal."""
+    """Cooperative-cancel signal raised between batches of replications; terminal."""
 
 
 class DeadlineExceeded(JobCancelled):

@@ -13,8 +13,8 @@ shared :class:`~repro.scenarios.session.Session`:
                           ``Retry-After`` when the queue is full or draining
 ``GET /jobs/<id>``        job status + per-replication progress
 ``DELETE /jobs/<id>``     cancel a job (immediate while queued, cooperative
-                          between replications while running; 409 once
-                          finished)
+                          between batches of replications while running;
+                          409 once finished)
 ``GET /jobs``             all known jobs, oldest first
 ``GET /results/<hash>``   completed ``ResultSet.to_dict()`` payload for a
                           scenario content hash (from a finished job or

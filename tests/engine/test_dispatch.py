@@ -50,7 +50,16 @@ class OwnTransmissionAloha(SlottedAloha):
 
 
 class TestPickEngine:
-    """`pick_engine` builds the engine `pick_engine_name` names."""
+    """`pick_engine` returns the engine `pick_engine_name` names."""
+
+    def test_the_paper_channel_reuses_one_engine_per_name(self):
+        assert pick_engine(OneFailAdaptive()) is pick_engine(OneFailAdaptive(), engine="fair")
+        assert pick_engine(OneFailAdaptive(), engine="slot") is pick_engine(
+            ExpBackonBackoff(), engine="slot"
+        )
+        cd = pick_engine(BinarySplitting(), channel=CD_CHANNEL)
+        assert cd is not pick_engine(BinarySplitting(), channel=CD_CHANNEL)
+        assert cd.channel == CD_CHANNEL
 
     def test_fair_protocol_gets_fair_engine(self):
         assert isinstance(pick_engine(OneFailAdaptive()), FairEngine)

@@ -707,6 +707,29 @@ class TestCompiledThrowIsExact:
         assert threaded == serial
         assert compiled.value - before == sum(len(seeds) for _, _, seeds in jobs)
 
+    def test_a_thread_keeps_the_bin_buffer_a_run_grew(self):
+        """A k = 10^5 EBB run grows its thread's bin buffer, and the thread
+        keeps it; k = 10 runs after it on that thread equal the runs of a
+        fresh thread, which throw into a first-size buffer."""
+        seeds = derive_seeds(11, 5)
+        fresh: dict = {}
+        grown: dict = {}
+
+        def work(out, grow_first):
+            if grow_first:
+                WindowEngine().simulate(ExpBackonBackoff(), 100_000, seed=3)
+            out["runs"] = [WindowEngine().simulate(ExpBackonBackoff(), 10, seed=s) for s in seeds]
+            out["bins"] = window_module._BINS.buffer[0].size
+
+        for out, grow_first in ((fresh, False), (grown, True)):
+            thread = threading.Thread(target=work, args=(out, grow_first))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "a window run hung"
+        assert fresh["bins"] == window_module._FIRST_BINS
+        assert grown["bins"] > window_module._FIRST_BINS
+        assert grown["runs"] == fresh["runs"]
+
 
 class Listed(WindowedProtocol):
     """A user-defined schedule: the windows of a list attribute."""

@@ -80,7 +80,27 @@ class TestParallelExecutor:
     def test_progress_called_once_per_unit(self):
         seen = []
         ParallelExecutor(workers=2).run(small_units(), progress=seen.append)
-        assert sorted(outcome.index for outcome in seen) == list(range(6))
+        assert all(len(batch) == 1 for batch in seen)
+        assert sorted(outcome.index for batch in seen for outcome in batch) == list(range(6))
+
+    def test_serial_progress_takes_batches_of_a_kernel_calls_slots(self):
+        """Outcomes are handed over once they hold native.SLOTS_PER_CALL
+        slots (one OFA run at k = 150,000 does), and the rest at the end."""
+        units = [
+            SimulationUnit(protocol=OneFailAdaptive(), k=k, seed=seed)
+            for seed, k in enumerate((150_000, 10, 150_000, 10, 10))
+        ]
+        seen = []
+        outcomes = ParallelExecutor(workers=1).run(units, progress=seen.append)
+        assert [[outcome.index for outcome in batch] for batch in seen] == [[0], [1, 2], [3, 4]]
+        assert [outcome for batch in seen for outcome in batch] == outcomes
+
+    def test_serial_progress_gets_the_finished_outcomes_before_a_unit_raises(self):
+        units = [*small_units(2), SimulationUnit(protocol=OneFailAdaptive(), k=0), *small_units(1)]
+        seen = []
+        with pytest.raises(ValueError):
+            ParallelExecutor(workers=1).run(units, progress=seen.append)
+        assert [[outcome.index for outcome in batch] for batch in seen] == [[0, 1]]
 
     def test_empty_unit_list(self):
         assert ParallelExecutor(workers=2).run([]) == []

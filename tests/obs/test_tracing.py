@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 
 import pytest
@@ -79,6 +80,40 @@ class TestSpanNesting:
         events = sink.read()
         assert len(events) == 1
         assert events[0].attrs == {"fixed": 1, "extra": "yes", "error": "RuntimeError"}
+
+
+class TestIds:
+    def test_ids_are_sixteen_hex_digits(self):
+        with span("outer"):
+            ids = [current_trace_id(), current_span_id(), new_trace_id()]
+        assert all(re.fullmatch("[0-9a-f]{16}", value) for value in ids)
+
+    def test_spans_without_a_sink_make_no_urandom_call(self, monkeypatch):
+        assert tracing_sink() is None
+        calls = []
+        draw = os.urandom
+        monkeypatch.setattr(os, "urandom", lambda size: calls.append(size) or draw(size))
+        for _ in range(1000):
+            with span("quiet"):
+                pass
+        assert calls == []
+
+    def test_a_forked_child_draws_other_ids_than_its_parent(self):
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:  # pragma: no cover - runs in the child
+            try:
+                os.write(write, new_trace_id().encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            parent = new_trace_id()
+            with os.fdopen(read, "rb") as pipe:
+                drawn = pipe.read().decode()
+        finally:
+            os.waitpid(child, 0)
+        assert len(drawn) == 16 and drawn != parent
 
 
 class TestSink:

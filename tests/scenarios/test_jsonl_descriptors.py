@@ -1,10 +1,10 @@
 """The descriptors a JsonlStore keeps open between appends.
 
-An append keeps the cell's lock-sidecar and cell descriptors open for the
-next one.  These cases hold the store to what an append that opens both
-files every time guarantees: every record lands in the file at the cell's
+An append keeps the cell's descriptor, which it also locks, open for the
+next one.  These cases hold the store to what an append that opens the
+cell every time guarantees: every record lands in the file at the cell's
 path, whoever else compacts, cleans, appends or tears the tail in between,
-a forked child never locks through its parent's descriptors, and the
+a forked child never locks through its parent's descriptor, and the
 descriptors kept open stay bounded and are released by ``close()``.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import threading
 import time
 
 import pytest
@@ -131,16 +132,48 @@ class TestEveryAppendLandsInTheCell:
         assert records(store) == (1, [1])
 
     def test_cleaning_the_locks_in_between_changes_nothing(self, tmp_path):
-        """The append after ``clean_locks()`` locks the sidecar at the path,
-        not the unlinked one it held."""
+        """Removing an earlier version's lock sidecar between two appends
+        leaves the next record to the cell at the path, which is also the
+        file the store locks."""
         store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0)])
+        (tmp_path / f"{store.path_for(scenario()).name}.lock").touch()
         assert store.clean_locks() == 1
         store.append(scenario(), [make_run(1)])
-        lock = f"{store.path_for(scenario())}.lock"
-        held = store._open[scenario().content_hash()].lock
-        assert os.fstat(held).st_ino == os.stat(lock).st_ino
+        held = store._open[scenario().content_hash()].cell
+        assert os.fstat(held).st_ino == os.stat(store.path_for(scenario())).st_ino
         assert records(store) == (1, [0, 1])
+        assert not list(tmp_path.glob("*.lock"))
+
+    def test_a_writer_waiting_through_a_compaction_appends_to_the_new_cell(self, tmp_path):
+        """Compaction renames the new cell over the path while it holds the
+        old one's lock.  A writer that waited on that lock through its held
+        descriptor finds the old file unlinked and writes to the new one."""
+        writer, compactor = JsonlStore(tmp_path), JsonlStore(tmp_path)
+        writer.append(scenario(), [make_run(0)])
+        old_inode = os.stat(writer.path_for(scenario())).st_ino
+        appending = threading.Thread(
+            target=writer.append, args=(scenario(), [make_run(1)]), daemon=True
+        )
+        waited = []
+        parse = compactor._parse_runs
+
+        def parse_while_the_writer_waits(path):
+            appending.start()
+            time.sleep(0.3)
+            waited.append(appending.is_alive())
+            return parse(path)
+
+        compactor._parse_runs = parse_while_the_writer_waits
+        compactor.compact()
+        appending.join(timeout=30)
+        assert not appending.is_alive()
+        assert waited == [True], "the writer did not wait for the compaction's lock"
+        path = writer.path_for(scenario())
+        assert os.stat(path).st_ino != old_inode
+        held = writer._open[scenario().content_hash()].cell
+        assert os.fstat(held).st_ino == os.stat(path).st_ino
+        assert records(writer) == (1, [0, 1])
 
 
 class TestDescriptors:
@@ -151,7 +184,7 @@ class TestDescriptors:
         store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0)])
         held = store._open[scenario().content_hash()]
-        fcntl.flock(held.lock, fcntl.LOCK_EX)
+        fcntl.flock(held.cell, fcntl.LOCK_EX)
         try:
             child = os.fork()
             if child == 0:  # pragma: no cover - runs in the child
@@ -164,7 +197,7 @@ class TestDescriptors:
             time.sleep(0.3)
             assert records(store) == (1, [0]), "the child wrote under the parent's lock"
         finally:
-            fcntl.flock(held.lock, fcntl.LOCK_UN)
+            fcntl.flock(held.cell, fcntl.LOCK_UN)
         assert exit_code(child) == 0
         store.append(scenario(), [make_run(2)])
         assert records(store) == (1, [0, 1, 2])
@@ -178,9 +211,10 @@ class TestDescriptors:
         for cell in cells:
             store.append(cell, [make_run(0)])
         assert len(store._open) == store_module._OPEN_CELLS
-        assert open_descriptors() - before == 2 * store_module._OPEN_CELLS
+        assert open_descriptors() - before == store_module._OPEN_CELLS
         for cell in cells:
             assert records(store, cell) == (1, [0])
+        assert not list(tmp_path.glob("*.lock"))
 
     @needs_proc
     def test_close_releases_every_descriptor(self, tmp_path):

@@ -261,3 +261,71 @@ class TestSweepStoreIntegration:
         # Every (spec, k) cell produced one store file; the resumed sweep
         # added nothing new.
         assert len(list(tmp_path.glob("*.jsonl"))) == len(stored.cells)
+
+
+class CountingStore(JsonlStore):
+    """A JSONL store that records the size of every append call."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.appends: list[int] = []
+
+    def append(self, scenario, runs) -> None:
+        self.appends.append(len(runs))
+        super().append(scenario, runs)
+
+
+class TestBatchedPersistence:
+    """Fresh replications reach the store a batch at a time: one append per
+    cell of each batch the executor hands over (native.SLOTS_PER_CALL slots
+    of simulated work, the rest at the end or before an error propagates)."""
+
+    def test_a_table1_sweep_makes_one_append_per_cell(self, tmp_path):
+        from repro.experiments.config import ExperimentConfig, paper_k_values
+        from repro.experiments.table1 import reproduce_table1
+
+        store = CountingStore(tmp_path)
+        config = ExperimentConfig(k_values=paper_k_values(1000), runs=10, seed=2011, workers=1)
+        cells = reproduce_table1(config, store_dir=store).sweep.cells
+        assert len(cells) == 15
+        assert store.appends == [10] * 15
+
+    def test_runs_longer_than_a_kernel_call_are_appended_one_by_one(self, tmp_path):
+        store = CountingStore(tmp_path)
+        result_set = Session(store_dir=store).run(scenario("one-fail-adaptive k=150000 reps=3"))
+        assert min(result.slots_simulated for result in result_set.results) > 2**20
+        assert store.appends == [1, 1, 1]
+
+    def test_a_failing_unit_leaves_the_finished_replications_on_record(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments import parallel
+
+        calls = []
+        simulate = parallel.simulate
+
+        def third_run_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("the engine failed")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "simulate", third_run_fails)
+        cell = scenario("one-fail-adaptive k=60 reps=4 seed=7")
+        session = Session(store_dir=tmp_path)
+        with pytest.raises(RuntimeError, match="the engine failed"):
+            session.run(cell)
+        assert sorted(session.store.load(cell)) == [0, 1]
+
+    def test_a_progress_callback_that_raises_leaves_its_batch_on_record(self, tmp_path):
+        calls = []
+
+        def abort(index, scenario, done, total):
+            calls.append(done)
+            raise RuntimeError("cancelled")
+
+        with pytest.raises(RuntimeError, match="cancelled"):
+            Session(store_dir=tmp_path).run(scenario(), progress=abort)
+        assert calls == [1]
+        rerun = Session(store_dir=tmp_path).run(scenario())
+        assert (rerun.new_runs, rerun.cached_runs) == (0, 3)

@@ -89,9 +89,8 @@ class TestConcurrentAppends:
     def test_lock_files_do_not_pollute_the_listing(self, tmp_path):
         store = JsonlStore(tmp_path)
         store.append(scenario(), [make_run(0)])
-        assert (store.path_for(scenario()).with_name(
-            store.path_for(scenario()).name + ".lock"
-        )).exists()
+        path = store.path_for(scenario())
+        path.with_name(path.name + ".lock").touch()  # an earlier version's sidecar
         assert len(store.scenarios_on_record()) == 1
 
     def test_append_survives_missing_fcntl(self, tmp_path, monkeypatch):

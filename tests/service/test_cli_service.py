@@ -152,7 +152,8 @@ class TestStoreMigrateCommand:
     def test_migrate_cleans_lock_sidecars(self, capsys, tmp_path):
         src = tmp_path / "src"
         Session(store_dir=src).run(Scenario.parse(SPEC))
-        assert list(src.glob("*.jsonl.lock"))
+        # Appends make no sidecar; this one is an earlier version's.
+        (src / f"{Scenario.parse(SPEC).content_hash()}.jsonl.lock").touch()
         assert main(["store", "migrate", str(src), f"sqlite:{tmp_path / 'dst.db'}"]) == 0
         assert not list(src.glob("*.jsonl.lock"))
 
@@ -179,6 +180,8 @@ class TestStoreCompactCommand:
     def test_compact_reports_and_preserves(self, capsys, tmp_path):
         store_dir = tmp_path / "store"
         Session(store_dir=store_dir).run(Scenario.parse(SPEC))
+        # Appends make no sidecar; this one is an earlier version's.
+        (store_dir / f"{Scenario.parse(SPEC).content_hash()}.jsonl.lock").touch()
         assert main(["store", "compact", str(store_dir)]) == 0
         out = capsys.readouterr().out
         assert "compacted 1 scenario(s)" in out

@@ -279,9 +279,11 @@ class TestJournalReplay:
 
 class TestRetriesAndResume:
     def test_partial_cell_failure_resumes_from_completed_prefix(self, tmp_path):
-        # The store dies on the third per-replication append (calls 1-2 are
-        # skipped, at most one failure), so attempt 1 persists replications
-        # 0-1 and crashes; attempt 2 must re-simulate ONLY the missing two.
+        # Each OFA run at k = 150,000 exceeds native.SLOTS_PER_CALL slots, so
+        # every replication is a batch of its own and one append.  The store
+        # dies on the third append (calls 1-2 are skipped, at most one
+        # failure), so attempt 1 persists replications 0-1 and crashes;
+        # attempt 2 must re-simulate ONLY the missing two.
         store_dir = tmp_path / "store"
         spec = (
             f"chaos:jsonl:{store_dir}"
@@ -289,7 +291,7 @@ class TestRetriesAndResume:
         )
         session = Session(store_dir=spec)
         manager = make_manager(session)
-        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7")
+        scen = scenario("one-fail-adaptive k=150000 reps=4 seed=7")
         job, disposition = manager.submit(scen)
         assert disposition == "queued"
         manager.process_next()
@@ -298,6 +300,22 @@ class TestRetriesAndResume:
         assert manager.lifetime_counts()["retried"] == 1
         assert job.result_set.cached_runs == 2  # the persisted prefix
         assert job.result_set.new_runs == 2  # only the missing suffix re-ran
+        assert store_run_lines(store_dir, scen) == 4  # zero duplicates
+
+    def test_a_failed_one_batch_cell_reruns_whole(self, tmp_path):
+        # A small cell's runs finish together and reach the store in one
+        # append; when that append fails, nothing is on record, and the
+        # retry simulates the whole cell once more.
+        store_dir = tmp_path / "store"
+        spec = f"chaos:jsonl:{store_dir}?seed=1&append_fail=1&append_fail_max=1"
+        manager = make_manager(Session(store_dir=spec))
+        scen = scenario("one-fail-adaptive k=40 reps=4 seed=7")
+        job, _ = manager.submit(scen)
+        manager.process_next()
+        assert job.state == JOB_DONE
+        assert job.attempts == 2
+        assert job.result_set.cached_runs == 0
+        assert job.result_set.new_runs == 4
         assert store_run_lines(store_dir, scen) == 4  # zero duplicates
 
     def test_terminal_error_is_not_retried(self, tmp_path):
