@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # Fast benchmark smoke target: checks that both kernels compile warning-free,
 # that fair runs take the compiled slot loop and windowed runs the compiled
-# window loop, that the kernels' own PCG64 seeding and the library's seed
+# window loop, that paper-scale (k=1e6) fair runs of One-fail and both
+# Log-fails Adaptive variants end at their pinned makespans, that the
+# kernels' own PCG64 seeding and the library's seed
 # derivation equal numpy's for a three-word seed, that a rejection-heavy
 # window schedule draws the bins numpy's bounded uint32 draw does, exercises
 # each benchmark harness path that is cheap enough for CI (the
@@ -59,6 +61,38 @@ python = runs.get("{path=\"python\"}", 0)
 assert result.solved and compiled == 1 and python == 0, f"fair runs by path: {runs}"
 print("compiled fair kernel ok: k=1e5 OFA run took the compiled loop (%d slots)"
       % result.slots_simulated)
+'
+
+# --- Paper-scale fair runs ---------------------------------------------------
+# One k=1e6 run each of One-fail Adaptive and both Log-fails Adaptive variants
+# at seed 2011 must take the compiled loop and end where the kernel that
+# called pow for every threshold ended them: the makespans and slot counts
+# below were recorded from it.  The bounded kernel calls pow only for a
+# uniform between a threshold's bounds, so a bound that fails to hold moves
+# one of these runs.
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python -c '
+from repro import simulate
+from repro.obs import REGISTRY
+from repro.scenarios.spec import build_protocol
+
+PINNED = {
+    "one-fail-adaptive": (7_439_880, 7_439_880),
+    "log-fails-adaptive(xi_t=0.5)": (10_274_834, 10_274_834),
+    "log-fails-adaptive(xi_t=0.1)": (5_580_489, 5_580_489),
+}
+k = 10**6
+before = REGISTRY.snapshot()["repro_fair_runs_total"]["series"]
+for spec, (makespan, slots) in PINNED.items():
+    result = simulate(build_protocol(spec, k=k), k=k, seed=2011)
+    assert (result.makespan, result.slots_simulated) == (makespan, slots), (
+        f"{spec}: makespan {result.makespan}, {result.slots_simulated} slots, "
+        f"pinned {makespan}, {slots}")
+    print("paper-scale fair run ok: %s k=1e6 seed=2011 makespan %d in %d slots"
+          % (spec, makespan, slots))
+runs = REGISTRY.snapshot()["repro_fair_runs_total"]["series"]
+compiled = runs.get("{path=\"compiled\"}", 0) - before.get("{path=\"compiled\"}", 0)
+python = runs.get("{path=\"python\"}", 0) - before.get("{path=\"python\"}", 0)
+assert compiled == len(PINNED) and python == 0, f"fair runs by path: {runs}"
 '
 
 # --- Compiled window kernel --------------------------------------------------

@@ -28,20 +28,26 @@ Compiled slot loop
 The paper's fair protocols — :class:`~repro.core.one_fail_adaptive.OneFailAdaptive`,
 :class:`~repro.protocols.log_fails_adaptive.LogFailsAdaptive` and
 :class:`~repro.protocols.aloha.SlottedAloha` — also run in a C port of this
-loop (``fair_kernel.c``), about 80× faster per slot.  A run is one call (one
-per ``native.SLOTS_PER_CALL`` slots of a longer run, so Ctrl-C is seen): the
-kernel seeds the run's generator from the seed on the first call and steps
-it inline (``pcg64.h``, through :func:`repro.engine.native.stream`; the
-values the Python loop reads from its blocks), makes the same libm calls on
-the same operands and is compiled with ``-ffp-contract=off``, so each run
-equals the Python loop's run of the same seed in every field.  It keeps the
-thresholds of the last two ``(p, remaining)`` pairs instead of calling
-``pow`` again for them: equal operands give equal results, so the cache
-changes no run.  The Python loop stays the reference and runs everything
-else: traced runs, other fair protocols (and subclasses of the three — the
-kernel is matched by exact type, so an overridden rule is never skipped) and
-hosts without a C compiler.  ``repro_fair_runs_total{path}`` counts which
-loop ran.
+loop (``fair_kernel.c``, one loop per protocol), two orders of magnitude
+faster per slot.
+A run is one call (one per ``native.SLOTS_PER_CALL`` slots of a longer run,
+so Ctrl-C is seen): the kernel seeds the run's generator from the seed on
+the first call and steps it inline (``pcg64.h``, through
+:func:`repro.engine.native.stream`; the values the Python loop reads from
+its blocks).  It classifies most slots without ``pow``: each probability
+stream carries rigorous bounds on ``(1 - p)^(m - 1)`` from its last exact
+``pow``, and the thresholds' bounds, computed with the same rounded products
+as above, settle every uniform that does not fall between them.  One that
+does takes ``pow`` on this loop's operands, is classified exactly and
+re-anchors the bounds.  Rounding is monotone and the bounds hold as long as
+libm's ``pow`` is within 1 ulp among normal numbers (values below 2⁻⁹⁶⁰ get
+absolute bounds), so with ``-ffp-contract=off`` each run equals the Python
+loop's run of the same seed in every field; the run's ``exact`` field counts
+the ``pow`` calls, for the tests.  The Python loop stays the reference and
+runs everything else: traced runs, other fair protocols (and subclasses of
+the three — the kernel is matched by exact type, so an overridden rule is
+never skipped) and hosts without a C compiler.
+``repro_fair_runs_total{path}`` counts which loop ran.
 
 The kernel shares one lazily compiled, per-user cached library with
 :class:`~repro.engine.window_engine.WindowEngine`'s window loop
@@ -109,6 +115,7 @@ class _FairRun(ctypes.Structure):
         ("anchor", ctypes.c_double),
         ("count", ctypes.c_int64),
         ("search", ctypes.c_int64),
+        ("exact", ctypes.c_int64),
         ("stream", native.Stream),
     ]
 

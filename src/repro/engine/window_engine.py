@@ -237,14 +237,19 @@ class _Schedule:
     it, and is never changed after: a chunk a kernel call is reading with the
     GIL released is never resized.  No chunk follows one an error cut short.
 
-    The instance holds its schedule (:func:`_schedule_of`) with a copy of the
-    attributes it was spawned from, and a run whose instance's attributes
-    differ pulls a new one.  A copy or a pickle of the instance holds none.
+    The instance holds its schedule (:func:`_schedule_of`), and the schedule a
+    snapshot of the instance's attributes as they are once it holds it: a
+    copy of the attributes it was spawned from, plus the schedule itself.  A
+    run whose instance's attributes differ from the snapshot pulls a new one.
+    A copy or a pickle of the instance holds none.
     """
 
-    def __init__(self, protocol: WindowedProtocol, attributes: dict[str, object]) -> None:
+    def __init__(self, protocol: WindowedProtocol) -> None:
         self.kind = type(protocol)
-        self.attributes = copy.deepcopy(attributes)
+        self.snapshot = copy.deepcopy(
+            {key: value for key, value in vars(protocol).items() if key != _SCHEDULE}
+        )
+        self.snapshot[_SCHEDULE] = self
         self._windows = protocol.spawn().window_lengths()
         self._lock = threading.Lock()
         self._chunks: list[_Chunk] = []
@@ -261,12 +266,12 @@ class _Schedule:
                     chunks.append(_Chunk(lengths, address, count, error, traceback))
         return chunks[index]
 
-    def matches(self, protocol: WindowedProtocol, attributes: dict[str, object]) -> bool:
+    def matches(self, protocol: WindowedProtocol) -> bool:
         """Whether this schedule is still the one ``protocol`` would spawn."""
         if type(protocol) is not self.kind:
             return False
         try:
-            return bool(attributes == self.attributes)
+            return bool(vars(protocol) == self.snapshot)
         except (TypeError, ValueError):  # an attribute without one truth value: an array
             return False
 
@@ -293,10 +298,9 @@ def _schedule_of(protocol: WindowedProtocol) -> _Schedule:
     """The schedule ``protocol``'s compiled runs share, pulled anew when the
     instance's attributes (its parameters) changed since it was pulled."""
     with _SCHEDULE_LOCK:
-        attributes = {key: value for key, value in vars(protocol).items() if key != _SCHEDULE}
         schedule = vars(protocol).get(_SCHEDULE)
-        if schedule is None or not schedule.matches(protocol, attributes):
-            schedule = _Schedule(protocol, attributes)
+        if schedule is None or not schedule.matches(protocol):
+            schedule = _Schedule(protocol)
             vars(protocol)[_SCHEDULE] = schedule
     return schedule
 

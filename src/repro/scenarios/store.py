@@ -344,9 +344,12 @@ def parse_store_spec(spec: str) -> tuple[str, str]:
 
     An ``http(s)://`` URL is ``remote`` with the whole URL as location.  A
     bare path — including a Windows drive path, whose one-letter "scheme" is
-    not in :data:`STORE_SCHEMES` — is ``jsonl``.  A scheme with an empty
-    location raises ``ValueError``.
+    not in :data:`STORE_SCHEMES` — is ``jsonl``.  An empty or blank spec, and
+    a scheme with an empty location, raise ``ValueError``: neither names a
+    place, and a JSONL store there would fill the working directory.
     """
+    if not spec.strip():
+        raise ValueError(f"store spec {spec!r} names no location")
     if spec.startswith(("http://", "https://")):
         return "remote", spec
     scheme, sep, location = spec.partition(":")

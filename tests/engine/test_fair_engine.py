@@ -3,7 +3,8 @@
 Besides the engine's own behaviour, this pins its two slot loops against
 each other: the compiled loop (``fair_kernel.c``) must equal the Python loop
 in every result field for every protocol it implements, in one kernel call
-per run, and everything it
+per run, while it classifies most slots from bounds and calls ``pow`` only
+for the few its bounds cannot settle; and everything it
 does not serve — traced runs, subclasses, other fair protocols — must take
 the Python loop and say so in ``repro_fair_runs_total{path}``.  The shared
 library's build, cache and failed-build fallback are tested in
@@ -242,19 +243,23 @@ class TestCompiledLoopIsExact:
             assert run.stream.generator() == reference.state
         assert run.slot == 138
 
+    @pytest.mark.parametrize("budget", [100, 97])
     @pytest.mark.parametrize("cap", [None, 300])
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
-    def test_paused_calls_resume_where_they_stopped(self, spec, cap, kernel_calls, monkeypatch):
+    def test_paused_calls_resume_where_they_stopped(
+        self, spec, cap, budget, kernel_calls, monkeypatch
+    ):
         """A call returns after ``native.SLOTS_PER_CALL`` slots and the next
-        one carries on: a run takes one call per budget, and does not move."""
+        one carries on: a run takes one call per budget, and does not move.
+        An odd budget pauses calls on BT steps as well as on AT steps."""
         k, seeds = 150, derive_seeds(31, 5)
         python = _runs(spec, k, seeds, max_slots=cap)[1]
-        monkeypatch.setattr(native, "SLOTS_PER_CALL", 100)
+        monkeypatch.setattr(native, "SLOTS_PER_CALL", budget)
         for seed, reference in zip(seeds, python):
             kernel_calls.clear()
             result = FairEngine().simulate(build_protocol(spec, k=k), k, seed=seed, max_slots=cap)
             assert result.to_dict() == reference.to_dict()
-            assert kernel_calls == {"fair_simulate": -(-result.slots_simulated // 100)}
+            assert kernel_calls == {"fair_simulate": -(-result.slots_simulated // budget)}
 
     @pytest.mark.parametrize("cap", [1, _DRAW_BLOCK, _DRAW_BLOCK + 1, "mid-run"])
     @pytest.mark.parametrize("spec", KERNEL_SPECS)
@@ -270,6 +275,50 @@ class TestCompiledLoopIsExact:
         assert not all(result.solved for result in compiled)
         for result in compiled:
             assert result.solved or result.slots_simulated == cap
+
+
+#: The paper's protocols: One-fail Adaptive and both Log-fails Adaptive variants.
+PAPER_SPECS = [
+    pytest.param("one-fail-adaptive", id="ofa"),
+    pytest.param("log-fails-adaptive(xi_t=0.5)", id="lfa-xt2"),
+    pytest.param("log-fails-adaptive(xi_t=0.1)", id="lfa-xt10"),
+]
+
+
+def _kernel_run(spec: str, k: int, seed: int) -> fair_module._FairRun:
+    """A compiled run, called until it ends: its ``fair_run`` struct."""
+    library = native.KERNEL.get()
+    assert library is not None
+    protocol = build_protocol(spec, k=k)
+    run = fair_module._FairRun(
+        remaining=k, cap=DEFAULT_MAX_SLOTS_FACTOR * k, budget=native.SLOTS_PER_CALL,
+        last_delivery=-1, stream=native.stream(seed), **_KERNEL_PROTOCOLS[type(protocol)](protocol),
+    )
+    while library.fair_simulate(ctypes.byref(run)) == fair_module._PAUSED:
+        pass
+    return run
+
+
+class TestBoundedThresholds:
+    """The kernel classifies a uniform from bounds on ``pow(1 - p, m - 1)``
+    and calls ``pow`` only where they cannot: rarely, and exactly."""
+
+    @pytest.mark.parametrize("spec", PAPER_SPECS)
+    def test_pow_is_rare_but_taken(self, spec):
+        for seed in derive_seeds(13, 3):
+            run = _kernel_run(spec, 10_000, seed)
+            assert run.remaining == 0
+            assert 0 < run.exact < run.slot / 10
+
+    @pytest.mark.parametrize("k", [2, 3, 10, 40])
+    @pytest.mark.parametrize("spec", PAPER_SPECS)
+    def test_small_networks_equal_the_python_loop(self, spec, k):
+        """With few messages the estimate stays small and its steps are
+        large, so the bounds are wide and ``pow`` is frequent."""
+        compiled, python = _runs(spec, k, derive_seeds(500 + k, 500))
+        assert [result.to_dict() for result in compiled] == [
+            result.to_dict() for result in python
+        ]
 
 
 class OneFailVariant(OneFailAdaptive):

@@ -645,3 +645,12 @@ class TestSpecGrammar:
         for spec, path in cases.items():
             assert store_path(spec) == path, spec
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("spec", ["", "   ", "jsonl:", "sqlite:", "chaos:"])
+    def test_a_spec_without_location_is_refused(self, tmp_path, monkeypatch, spec):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError, match=f"store spec {spec!r} names no location"):
+            open_store(spec)
+        with pytest.raises(ValueError, match="names no location"):
+            parse_store_spec(spec)
+        assert list(tmp_path.iterdir()) == []

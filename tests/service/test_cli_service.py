@@ -204,20 +204,21 @@ class TestRunWithSqliteStore:
 
 
 class TestStoreSpecErrors:
-    @pytest.mark.parametrize("spec", ["jsonl:", "sqlite:", "chaos:"])
-    def test_run_refuses_a_scheme_without_location(self, capsys, tmp_path, monkeypatch, spec):
+    @pytest.mark.parametrize("spec", ["jsonl:", "sqlite:", "chaos:", "", "  "])
+    def test_run_refuses_a_spec_without_location(self, capsys, tmp_path, monkeypatch, spec):
         monkeypatch.chdir(tmp_path)
         assert main(["run", "one-fail-adaptive k=8 reps=1", "--store", spec]) == 2
         error = capsys.readouterr().err
         assert error == f"repro: error: store spec {spec!r} names no location\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_serve_refuses_it_before_listening(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["sqlite:", ""])
+    def test_serve_refuses_it_before_listening(self, tmp_path, spec):
         # A child process: a server that does listen would serve until the
         # timeout instead of hanging the test run.
         src = Path(repro.__file__).resolve().parents[1]
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", "sqlite:"],
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--store", spec],
             cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
@@ -225,7 +226,7 @@ class TestStoreSpecErrors:
             timeout=60,
         )
         assert result.returncode == 2
-        assert "store spec 'sqlite:' names no location" in result.stderr
+        assert result.stderr == f"repro: error: store spec {spec!r} names no location\n"
         assert list(tmp_path.iterdir()) == []
 
 
