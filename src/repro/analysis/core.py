@@ -20,12 +20,11 @@ rules:
 * :func:`load_module` — a per-file AST cache keyed by ``(mtime, size)`` so
   repeated lint runs (and multi-rule runs) parse each file once.
 * Suppression — a ``# repro: noqa[rule-id]`` comment on the flagged line
-  silences that rule there (``# repro: noqa`` silences every rule); a
-  committed :class:`Baseline` file grandfathers known findings without
-  letting new ones in.
+  silences that rule there (``# repro: noqa`` silences every rule); every
+  other finding fails the lint.
 * :func:`run_lint` — the one entry point: collect files, run rules, apply
-  suppressions and the baseline, return a deterministic :class:`LintReport`
-  (two runs over the same tree produce byte-identical JSON).
+  suppressions, return a deterministic :class:`LintReport` (two runs over
+  the same tree produce byte-identical JSON).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ import json
 import re
 import threading
 from abc import ABC, abstractmethod
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -48,7 +47,6 @@ __all__ = [
     "rule_class",
     "rule_classes",
     "load_module",
-    "Baseline",
     "LintReport",
     "run_lint",
 ]
@@ -67,8 +65,9 @@ class Finding:
     """One rule violation at a specific location.
 
     Ordering is ``(path, line, rule, message)`` so reports are deterministic.
-    The :attr:`fingerprint` deliberately excludes the line number: baselined
-    findings survive unrelated edits that shift code up or down.
+    The :attr:`fingerprint` deliberately excludes the line number, so one
+    finding keeps its identity across unrelated edits that shift code up or
+    down.
     """
 
     path: str
@@ -275,72 +274,6 @@ def rule_classes(rule_ids: Sequence[str] | None = None) -> list[type[AstRule]]:
 
 
 # --------------------------------------------------------------------------
-# Baseline
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class Baseline:
-    """Grandfathered findings, keyed by :attr:`Finding.fingerprint`.
-
-    The committed file is a budget, not a blanket: each baselined fingerprint
-    absorbs at most its recorded count of findings, so *new* occurrences of
-    an old problem still fail the lint.  Fixing a baselined finding leaves a
-    stale entry behind — regenerate with ``repro lint --write-baseline``.
-    """
-
-    counts: dict[str, int] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, path: str | Path | None) -> "Baseline":
-        """Read a baseline file; a missing/``None`` path is an empty baseline."""
-        if path is None:
-            return cls()
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        counts: dict[str, int] = {}
-        for entry in payload.get("findings", []):
-            fingerprint = f"{entry['rule']}::{entry['path']}::{entry['message']}"
-            counts[fingerprint] = counts.get(fingerprint, 0) + int(entry.get("count", 1))
-        return cls(counts)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        counts: dict[str, int] = {}
-        for finding in findings:
-            counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-        return cls(counts)
-
-    def to_json(self) -> str:
-        findings = []
-        for fingerprint in sorted(self.counts):
-            rule, path, message = fingerprint.split("::", 2)
-            findings.append(
-                {"rule": rule, "path": path, "message": message, "count": self.counts[fingerprint]}
-            )
-        return json.dumps({"version": 1, "findings": findings}, indent=2, sort_keys=True) + "\n"
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    def filter(self, findings: Sequence[Finding]) -> tuple[list[Finding], int]:
-        """Split findings into (new, baselined-count)."""
-        budget = dict(self.counts)
-        kept: list[Finding] = []
-        absorbed = 0
-        for finding in findings:
-            remaining = budget.get(finding.fingerprint, 0)
-            if remaining > 0:
-                budget[finding.fingerprint] = remaining - 1
-                absorbed += 1
-            else:
-                kept.append(finding)
-        return kept, absorbed
-
-
-# --------------------------------------------------------------------------
 # Running
 # --------------------------------------------------------------------------
 
@@ -348,13 +281,12 @@ class Baseline:
 @dataclass(frozen=True)
 class LintReport:
     """The outcome of one lint run; :attr:`findings` are the *actionable*
-    ones (noqa-suppressed and baselined findings are only counted)."""
+    ones (noqa-suppressed findings are only counted)."""
 
     findings: tuple[Finding, ...]
     files: int
     rules: tuple[str, ...]
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -366,7 +298,6 @@ class LintReport:
             "files": self.files,
             "rules": list(self.rules),
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "clean": self.clean,
         }
 
@@ -397,15 +328,14 @@ def _relpath(path: Path, root: Path) -> str:
 def run_lint(
     paths: Sequence[str | Path],
     rules: Sequence[str] | None = None,
-    baseline: Baseline | str | Path | None = None,
     root: str | Path | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files or directories) with the selected rules.
 
-    ``rules`` filters by id (default: every rule); ``baseline`` absorbs
-    grandfathered findings; ``root`` anchors the deterministic relative paths
-    in findings (default: the current working directory).  Unparseable files
-    surface as ``parse-error`` findings rather than aborting the run.
+    ``rules`` filters by id (default: every rule); ``root`` anchors the
+    deterministic relative paths in findings (default: the current working
+    directory).  Unparseable files surface as ``parse-error`` findings
+    rather than aborting the run.
     """
     root = Path(root) if root is not None else Path.cwd()
     selected = [cls() for cls in rule_classes(rules)]
@@ -433,14 +363,9 @@ def run_lint(
     for rule in selected:
         raw.extend(rule.finish())
 
-    raw.sort()
-    if not isinstance(baseline, Baseline):
-        baseline = Baseline.load(baseline)
-    kept, absorbed = baseline.filter(raw)
     return LintReport(
-        findings=tuple(kept),
+        findings=tuple(sorted(raw)),
         files=len(files),
         rules=tuple(sorted(rule.id for rule in selected)),
         suppressed=suppressed,
-        baselined=absorbed,
     )

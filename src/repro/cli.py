@@ -538,7 +538,7 @@ def _cmd_protocols(_: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.core import Baseline, available_rules, rule_class, run_lint
+    from repro.analysis.core import available_rules, rule_class, run_lint
 
     if args.list_rules:
         rows = []
@@ -548,15 +548,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(format_text_table(["id", "name", "description"], rows))
         return 0
 
-    paths = args.paths or ["src"]
-    baseline_path = Path(args.baseline) if args.baseline else Path("lint_baseline.json")
     try:
-        if args.write_baseline:
-            report = run_lint(paths, rules=args.rule or None)
-            Baseline.from_findings(report.findings).save(baseline_path)
-            print(f"wrote {len(report.findings)} finding(s) to {baseline_path}")
-            return 0
-        report = run_lint(paths, rules=args.rule or None, baseline=baseline_path)
+        report = run_lint(args.paths or ["src"], rules=args.rule or None)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -572,8 +565,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         )
         if report.suppressed:
             summary += f", {report.suppressed} suppressed"
-        if report.baselined:
-            summary += f", {report.baselined} baselined"
         print(summary + ")")
     return 0 if report.clean else 1
 
@@ -761,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(LCK001/LCK002), exception hygiene (EXC001-003), annotation coverage "
         "(ANN001/ANN002) and no print() in library code (OBS001).  Exits 0 "
         "when clean, 1 on findings, 2 on usage errors.  Suppress a single line with "
-        "'# repro: noqa[RULE-ID]'; grandfather existing findings with --write-baseline.",
+        "'# repro: noqa[RULE-ID]'; every other finding fails.",
     )
     lint.add_argument(
         "paths", nargs="*", help="files or directories to lint (default: src)"
@@ -774,16 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file of grandfathered findings (default: lint_baseline.json)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit 0",
     )
     lint.add_argument(
         "--list-rules", action="store_true", help="list the rules and exit"

@@ -20,9 +20,9 @@ A protocol that needs collision detection (``"collision-detection"`` in its
 ``requires_knowledge``) is refused on a channel without it, whatever the
 engine, so it fails where the scenario is built and not in its first slot.
 An explicit engine outside that answer is refused with the engines that can
-serve the request.  :func:`simulate`, ``Session._plan`` and ``Scenario``
-validation (so every CLI command's ``engine=`` token too) all ask that
-function or the table, so the layers cannot disagree about a cell's engine.
+serve the request.  :func:`simulate` and ``Scenario.engine_name`` (so the
+session's reuse key and every CLI command's ``engine=`` token too) both ask
+that function, so the layers cannot disagree about a cell's engine.
 The components it reads arrive built: :mod:`repro.scenarios.spec` turns
 protocol, arrival and channel names into them through closed tables, as
 :data:`ENGINES` does for engine names.

@@ -47,6 +47,7 @@ from repro.scenarios.store import (
     StoredRun,
     StoreRecord,
     open_store,
+    seed_checked,
     stream_version_of,
 )
 
@@ -146,14 +147,11 @@ class RemoteStore(StoreBackend):
         results = payload.get("results", [])
         elapsed_total = float(payload.get("elapsed_seconds", 0.0) or 0.0)
         per_run_elapsed = elapsed_total / max(len(results), 1)
-        expected_seeds = scenario.seeds()
         runs: dict[int, StoredRun] = {}
         for replication, result_dict in enumerate(results):
             try:
                 result = SimulationResult.from_dict(result_dict)
             except (KeyError, TypeError, ValueError):
-                continue
-            if replication < len(expected_seeds) and result.seed != expected_seeds[replication]:
                 continue
             runs[replication] = StoredRun(
                 replication=replication,
@@ -161,7 +159,7 @@ class RemoteStore(StoreBackend):
                 elapsed_seconds=per_run_elapsed,
                 result=result,
             )
-        return runs
+        return seed_checked(scenario, runs)
 
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
         return {

@@ -52,7 +52,6 @@ from repro.scenarios.spec import (
     build_channel,
     build_protocol,
     canonical_spec,
-    parse_spec,
     parse_value,
     split_top_level,
 )
@@ -131,26 +130,25 @@ class Scenario:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {available_engines()}"
             )
-        # Build the three components and ask the engine rule now, so an
-        # unknown name, a bad parameter or an engine the rule refuses fails
-        # at construction, not mid-job.
-        pick_engine_name(
+        # Decided now, so an unknown name, a bad parameter or an engine the
+        # rule refuses fails at construction, not mid-job.
+        self.engine_name
+
+    # ------------------------------------------------------------ components
+    @functools.cached_property
+    def engine_name(self) -> str:
+        """The engine that runs this cell: the answer of
+        :func:`~repro.engine.dispatch.pick_engine_name` for its components.
+
+        Decided once, when the scenario is built; not a field, so it enters
+        neither :meth:`to_dict` nor :meth:`identity`.
+        """
+        return pick_engine_name(
             build_protocol(self.protocol, self.k),
             engine=self.engine,
             channel=build_channel(self.channel),
             arrivals=build_arrivals(self.arrivals, self.k),
         )
-
-    # ------------------------------------------------------------ components
-    @property
-    def protocol_name(self) -> str:
-        """Name of the protocol (spec string minus parameters)."""
-        return parse_spec(self.protocol)[0]
-
-    @property
-    def arrivals_name(self) -> str:
-        """Name of the arrival process."""
-        return parse_spec(self.arrivals)[0]
 
     def build_protocol(self) -> Protocol:
         """Instantiate the scenario's protocol for its network size."""

@@ -6,13 +6,19 @@ repository.  Given a :class:`~repro.scenarios.scenario.Scenario`, it
 1. content-hashes the scenario and, when backed by a result store (any
    :class:`~repro.scenarios.store.StoreBackend` — a JSONL directory, an
    indexed SQLite file, or a spec string selecting one), loads the
-   replications already on record (re-running a completed scenario costs
-   **zero** new simulations);
+   replications already on record, in one ``load`` per cell, and reuses
+   those keyed like the runs it would produce: same seed, same engine and
+   same stream version (re-running a completed scenario costs **zero** new
+   simulations).  The engine is the one the scenario decided when it was
+   built (:attr:`Scenario.engine_name
+   <repro.scenarios.scenario.Scenario.engine_name>`), so answering from the
+   store builds no component;
 2. plans exactly the missing replications, one
    :class:`~repro.experiments.parallel.SimulationUnit` per replication on
-   the engine :func:`~repro.engine.dispatch.pick_engine_name` picks for the
-   cell (the fair protocols run in
-   :class:`~repro.engine.fair_engine.FairEngine`'s compiled slot loop);
+   that engine (the fair protocols run in
+   :class:`~repro.engine.fair_engine.FairEngine`'s compiled slot loop),
+   building a cell's protocol, arrivals and channel once, and only when it
+   has a replication missing;
 3. fans the units out over a
    :class:`~repro.experiments.parallel.ParallelExecutor`; and
 4. appends fresh replications to the store as they complete, in the
@@ -45,17 +51,25 @@ one callback object observes several sessions or jobs.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from repro.analysis.statistics import RunStatistics, summarize_makespans
-from repro.engine.dispatch import ENGINES, pick_engine_name
+from repro.engine.dispatch import ENGINES
 from repro.engine.result import SimulationResult
 from repro.obs import REGISTRY, span
 from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
 from repro.scenarios.scenario import Scenario
-from repro.scenarios.store import StoreBackend, StoredRun, open_store, stream_version_of
+from repro.scenarios.store import (
+    RunMeta,
+    StoreBackend,
+    StoredRun,
+    open_store,
+    seed_checked,
+    stream_version_of,
+)
 
 __all__ = ["ResultSet", "Session", "SessionProgress"]
 
@@ -97,17 +111,31 @@ _M_REPL_CACHED = _M_REPLICATIONS.labels(source="cached")
 _M_REPL_FRESH = _M_REPLICATIONS.labels(source="fresh")
 
 
-@dataclass(frozen=True)
-class _CellPlan:
-    """Resolved execution plan of one scenario."""
+_Run = TypeVar("_Run", StoredRun, RunMeta)
 
-    protocol: object
-    arrivals: object
-    channel: object
-    # The reuse key of the runs this cell produces: the engine name their
-    # SimulationResult.engine carries and that engine's stream version.
-    engine: str
-    stream_version: int
+
+def _reusable(
+    scenario: Scenario,
+    runs: Mapping[int, _Run],
+    key: Callable[[_Run], tuple[str, int]],
+) -> dict[int, _Run]:
+    """The reuse rule: of ``runs`` (by replication), those below the
+    scenario's count whose seed is their derived seed
+    (:func:`~repro.scenarios.store.seed_checked`) and whose ``key`` — the
+    (engine, stream version) that sampled them — is the one this cell's
+    runs get.
+
+    A run sampled by another engine or an older stream is recomputed once
+    rather than mixed into one result set.  Every replication is its own
+    stream, so any prefix of the cell can be reused.
+    """
+    engine = scenario.engine_name
+    wanted = (engine, ENGINES[engine].stream_version)
+    return {
+        replication: run
+        for replication, run in seed_checked(scenario, runs).items()
+        if replication < scenario.replications and key(run) == wanted
+    }
 
 
 @dataclass(frozen=True)
@@ -223,18 +251,9 @@ class Session:
         """
         if self.store is None:
             return 0
-        plan = self._plan(scenario)
         with self._store_lock:
             index = self.store.run_index(scenario)
-        expected_seeds = scenario.seeds()
-        return sum(
-            1
-            for replication, meta in index.items()
-            if replication < scenario.replications
-            and meta.seed == expected_seeds[replication]
-            and meta.engine == plan.engine
-            and meta.stream_version == plan.stream_version
-        )
+        return len(_reusable(scenario, index, lambda meta: (meta.engine, meta.stream_version)))
 
     def is_cached(self, scenario: Scenario) -> bool:
         """Whether :meth:`run` would perform zero new simulations."""
@@ -243,21 +262,16 @@ class Session:
     def run_cached(self, scenario: Scenario) -> ResultSet | None:
         """Serve a scenario entirely from the store, or ``None`` on any miss.
 
-        One store read total — unlike ``is_cached(s) and run(s)``, which
-        loads the file twice.  This is the service's cached fast path: a
-        definite miss is answered by the store's own ``cached_count`` probe
-        (an O(1) counter fetch on indexed backends, a stat-validated cache
-        hit on JSONL) and a repeat submission costs zero simulations.
+        One store read, hit or miss: the ``load`` the answer is made of,
+        under the reuse rule — unlike ``is_cached(s) and run(s)``, which
+        reads the cell twice.  The reuse key comes from the scenario, which
+        decided its engine when it was built, so nothing is built here.
+        This is the service's cached fast path: a repeat submission costs
+        zero simulations.
         """
         if self.store is None:
             return None
-        with self._store_lock:
-            # Upper bound on usable replications: short-circuits misses
-            # without deserialising any results.
-            if self.store.cached_count(scenario) < scenario.replications:
-                _M_CACHE_MISS.inc()
-                return None
-        usable = self._usable_cached(scenario, self._plan(scenario))
+        usable = self._usable_cached(scenario)
         if len(usable) != scenario.replications:
             _M_CACHE_MISS.inc()
             return None
@@ -286,19 +300,11 @@ class Session:
         """
         if self.store is None:
             raise ValueError("session has no store to ingest into")
-        expected_seeds = scenario.seeds()
-        valid = [
-            run
-            for run in runs
-            if run.replication >= len(expected_seeds)
-            or run.seed == expected_seeds[run.replication]
-        ]
+        valid = seed_checked(scenario, {run.replication: run for run in runs})
         with self._store_lock:
-            existing = set(self.store.load(scenario))
+            existing = self.store.load(scenario)
             missing = [
-                run
-                for run in sorted(valid, key=lambda run: run.replication)
-                if run.replication not in existing
+                run for replication, run in sorted(valid.items()) if replication not in existing
             ]
             if missing:
                 self.store.append(scenario, missing)
@@ -319,9 +325,7 @@ class Session:
         if not scenarios:
             return []
         with span("session.plan", scenarios=len(scenarios)) as plan_span:
-            hashes = [scenario.content_hash() for scenario in scenarios]
             all_seeds = [scenario.seeds() for scenario in scenarios]
-            plans = [self._plan(scenario) for scenario in scenarios]
             # One batched cache probe for the whole grid (a single backend
             # query on indexed stores), then full result loads only for the
             # cells the counts say can actually serve: a cell with zero runs
@@ -333,14 +337,13 @@ class Session:
             else:
                 counts = [0] * len(scenarios)
             cached = [
-                self._usable_cached(scenario, plan) if count > 0 else {}
-                for scenario, plan, count in zip(scenarios, plans, counts)
+                self._usable_cached(scenario) if count > 0 else {}
+                for scenario, count in zip(scenarios, counts)
             ]
 
             units: list[SimulationUnit] = []
             done_count = [0] * len(scenarios)
             for index, scenario in enumerate(scenarios):
-                plan = plans[index]
                 missing = [
                     replication
                     for replication in range(scenario.replications)
@@ -350,15 +353,22 @@ class Session:
                 if progress is not None:
                     for step in range(done_count[index]):
                         progress(index, scenario, step + 1, scenario.replications)
+                if not missing:
+                    continue
+                # Built once per cell: its units share one protocol
+                # instance, and so one windowed schedule.
+                protocol = scenario.build_protocol()
+                arrivals = scenario.build_arrivals()
+                channel = scenario.build_channel()
                 units.extend(
                     SimulationUnit(
-                        protocol=plan.protocol,
+                        protocol=protocol,
                         k=scenario.k,
                         seed=all_seeds[index][replication],
                         engine=scenario.engine,
                         max_slots=scenario.max_slots(),
-                        arrivals=plan.arrivals,
-                        channel=plan.channel,
+                        arrivals=arrivals,
+                        channel=channel,
                         tag=(index, replication),
                     )
                     for replication in missing
@@ -406,7 +416,7 @@ class Session:
             result_sets.append(
                 ResultSet(
                     scenario=scenario,
-                    scenario_hash=hashes[index],
+                    scenario_hash=scenario.content_hash(),
                     results=tuple(run.result for run in ordered),
                     seeds=tuple(all_seeds[index]),
                     new_runs=len(fresh[index]),
@@ -416,46 +426,14 @@ class Session:
             )
         return result_sets
 
-    # --------------------------------------------------------------- planning
-    def _usable_cached(self, scenario: Scenario, plan: "_CellPlan") -> dict[int, StoredRun]:
-        """The stored replications this session may serve for ``scenario``.
-
-        Serves only the replications this call asks for, and only runs keyed
-        like the ones this session would produce — same seed (checked by the
-        store), same engine and same stream version — so a run sampled by a
-        different engine or an older stream is recomputed once rather than
-        mixed into one result set.  Every replication is its own stream, so
-        any prefix of the cell can be reused.
-        """
+    # ---------------------------------------------------------------- reuse
+    def _usable_cached(self, scenario: Scenario) -> dict[int, StoredRun]:
+        """The stored replications this session may serve for ``scenario``:
+        one ``load``, under the reuse rule (:func:`_reusable`)."""
         if self.store is None:
             return {}
         with self._store_lock:
             stored = self.store.load(scenario)
-        return {
-            replication: run
-            for replication, run in stored.items()
-            if replication < scenario.replications
-            and run.result.engine == plan.engine
-            and stream_version_of(run.result) == plan.stream_version
-        }
-
-    def _plan(self, scenario: Scenario) -> "_CellPlan":
-        """Resolve a scenario's components and the reuse key of its runs.
-
-        Engine selection is :func:`~repro.engine.dispatch.pick_engine_name`
-        — the same rule the engine front door applies, so the layers cannot
-        disagree about a cell's engine.
-        """
-        protocol = scenario.build_protocol()
-        arrivals = scenario.build_arrivals()
-        channel = scenario.build_channel()
-        engine = ENGINES[
-            pick_engine_name(protocol, engine=scenario.engine, channel=channel, arrivals=arrivals)
-        ]
-        return _CellPlan(
-            protocol=protocol,
-            arrivals=arrivals,
-            channel=channel,
-            engine=engine.name,
-            stream_version=engine.stream_version,
+        return _reusable(
+            scenario, stored, lambda run: (run.result.engine, stream_version_of(run.result))
         )

@@ -88,10 +88,11 @@ import time
 import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 try:  # pragma: no cover - exercised implicitly on POSIX
     import fcntl
@@ -113,6 +114,7 @@ __all__ = [
     "STORE_SCHEMES",
     "open_store",
     "parse_store_spec",
+    "seed_checked",
     "store_path",
     "stream_version_of",
 ]
@@ -134,7 +136,7 @@ _M_APPEND = REGISTRY.histogram(
 )
 _M_PROBE = REGISTRY.histogram(
     "repro_store_probe_seconds",
-    "cached_count probe latency, by backend.",
+    "Cell read (load) latency, by backend: the read that answers a cache probe.",
     ("backend",),
 )
 
@@ -163,6 +165,27 @@ class RunMeta:
     seed: int
     engine: str
     stream_version: int
+
+
+_Run = TypeVar("_Run", StoredRun, RunMeta)
+
+
+def seed_checked(scenario: Scenario, runs: Mapping[int, _Run]) -> dict[int, _Run]:
+    """The ``runs`` (by replication) whose seed is the derived seed of their
+    replication; a replication beyond ``scenario.replications`` is kept
+    unchecked, and a negative one, which has no derived seed, is dropped.
+
+    The one seed check: every ``load``, the generic :meth:`StoreBackend.
+    cached_count`, the session's reuse rule and federation ingest apply it,
+    so a hand-edited or foreign seed reads as a missing replication.
+    """
+    expected = scenario.seeds()
+    return {
+        replication: run
+        for replication, run in runs.items()
+        if replication >= len(expected)
+        or (replication >= 0 and run.seed == expected[replication])
+    }
 
 
 @dataclass(frozen=True)
@@ -227,10 +250,12 @@ class StoreBackend(ABC):
         """Completed replications on record for ``scenario``, by index.
 
         Replications whose recorded seed disagrees with the scenario's seed
-        derivation are ignored (treated as missing) — that cannot happen
-        through this store's own writes, but it keeps a hand-edited or
-        corrupted cell from silently poisoning a resumed sweep.  Corrupt
-        records are skipped, never raised.
+        derivation are ignored (treated as missing, by :func:`seed_checked`)
+        — that cannot happen through this store's own writes, but it keeps a
+        hand-edited or corrupted cell from silently poisoning a resumed
+        sweep.  Corrupt records are skipped, never raised.  A backend times
+        it in ``repro_store_probe_seconds``: it is the read that answers a
+        cache probe.
         """
 
     @abstractmethod
@@ -244,8 +269,8 @@ class StoreBackend(ABC):
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
         """Lightweight per-replication index (no result payloads).
 
-        Entries are *not* seed-validated — callers filter against
-        ``scenario.seeds()`` themselves — so one cached index can serve
+        Entries are *not* seed-validated — callers apply
+        :func:`seed_checked` themselves — so one cached index can serve
         scenarios differing only in replication count.
         """
 
@@ -279,21 +304,23 @@ class StoreBackend(ABC):
         Counts seed-valid replication indices below
         ``scenario.replications``.  Indexed backends override this with an
         O(1) metadata probe that MAY over-count hand-corrupted rows —
-        ``load`` stays the authority on what is actually servable.
+        ``load`` stays the authority on what is actually servable.  Its
+        caller is :meth:`cached_counts`, the grid probe of
+        :meth:`Session.run_all <repro.scenarios.session.Session.run_all>`;
+        ``Session.cached_count`` reads :meth:`run_index` instead, and a
+        cached answer is one ``load``.
         """
-        expected = scenario.seeds()
-        return sum(
-            1
-            for replication, meta in self.run_index(scenario).items()
-            if replication < scenario.replications and meta.seed == expected[replication]
-        )
+        checked = seed_checked(scenario, self.run_index(scenario))
+        return sum(1 for replication in checked if replication < scenario.replications)
 
     def cached_counts(self, scenarios: Sequence[Scenario]) -> list[int]:
         """:meth:`cached_count` for a whole grid, in input order.
 
-        The session's sweep planner probes every cell of a grid before
-        loading anything; indexed backends override this with **one** query
-        for all hashes instead of one round trip per cell.
+        :meth:`Session.run_all <repro.scenarios.session.Session.run_all>`
+        probes every cell of a grid with it before loading anything, and
+        loads only the cells it counts runs in; indexed backends override
+        it with **one** query for all hashes instead of one round trip per
+        cell.
         """
         return [self.cached_count(scenario) for scenario in scenarios]
 
@@ -424,8 +451,8 @@ class JsonlStore(StoreBackend):
 
     Reads are served through a per-hash parse cache invalidated on any
     mtime/size change of the cell file, so a repeated cache probe (the
-    service's ``POST /scenarios`` fast path) costs one ``stat`` instead of
-    re-parsing the whole file.
+    service's ``POST /scenarios`` fast path, one ``load``) costs one
+    ``stat`` and a seed check instead of re-parsing the whole file.
 
     Appends keep the descriptors of the last :data:`_OPEN_CELLS` cells open
     (see the locking contract); :meth:`close` releases them, and so does
@@ -444,15 +471,9 @@ class JsonlStore(StoreBackend):
         self._cache: OrderedDict[str, tuple[tuple[int, int], dict[int, StoredRun]]] = (
             OrderedDict()
         )
-        # (hash, replications) -> ((mtime_ns, size), validated count).  Kept
-        # separately from the parse cache because the count also depends on
-        # the requested replication budget and its (derived) seed prefix.
-        self._count_cache: OrderedDict[tuple[str, int], tuple[tuple[int, int], int]] = (
-            OrderedDict()
-        )
         self._cache_lock = threading.Lock()
-        # Label children resolved once: the probe sits on the cached fast
-        # path, where per-call labels() lookups are measurable.
+        # Label children resolved once: load sits on the cached fast path,
+        # where per-call labels() lookups are measurable.
         self._m_append = _M_APPEND.labels(backend=self.name)
         self._m_probe = _M_PROBE.labels(backend=self.name)
         # hash -> the cell's held descriptors, LRU-bounded; written only
@@ -538,55 +559,11 @@ class JsonlStore(StoreBackend):
         return runs
 
     def load(self, scenario: Scenario) -> dict[int, StoredRun]:
-        expected_seeds = scenario.seeds()
-        return {
-            replication: run
-            for replication, run in self._cell_runs(scenario).items()
-            if replication >= len(expected_seeds) or run.seed == expected_seeds[replication]
-        }
-
-    def cached_count(self, scenario: Scenario) -> int:
-        """Seed-validated count, memoised per ``(hash, replications)``.
-
-        The memo follows the same mtime/size invalidation rule as the parse
-        cache, so the service's repeated ``POST /scenarios`` cache-hit probe
-        costs one ``stat`` — not a file parse plus an O(replications) seed
-        derivation.
-        """
         started = time.monotonic()
         try:
-            return self._cached_count_inner(scenario)
+            return seed_checked(scenario, self._cell_runs(scenario))
         finally:
             self._m_probe.observe(time.monotonic() - started)
-
-    def _cached_count_inner(self, scenario: Scenario) -> int:
-        key = (scenario.content_hash(), scenario.replications)
-        path = self.path_for(scenario)
-        try:
-            stat = path.stat()
-        except OSError:
-            with self._cache_lock:
-                self._count_cache.pop(key, None)
-            return 0
-        signature = (stat.st_mtime_ns, stat.st_size)
-        with self._cache_lock:
-            entry = self._count_cache.get(key)
-            if entry is not None and entry[0] == signature:
-                self._count_cache.move_to_end(key)
-                return entry[1]
-        count = super().cached_count(scenario)
-        try:
-            stat = path.stat()
-        except OSError:
-            return count
-        if (stat.st_mtime_ns, stat.st_size) != signature:
-            return count  # concurrent append mid-computation: don't memoise
-        with self._cache_lock:
-            self._count_cache[key] = (signature, count)
-            self._count_cache.move_to_end(key)
-            while len(self._count_cache) > _JSONL_CACHE_ENTRIES:
-                self._count_cache.popitem(last=False)
-        return count
 
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
         return {
@@ -629,8 +606,6 @@ class JsonlStore(StoreBackend):
                 self._append_held(content_hash, scenario, body)
         with self._cache_lock:
             self._cache.pop(content_hash, None)
-            for key in [k for k in self._count_cache if k[0] == content_hash]:
-                del self._count_cache[key]
         self._m_append.observe(time.monotonic() - started)
 
     def _append_held(self, content_hash: str, scenario: Scenario, body: str) -> None:
@@ -728,7 +703,6 @@ class JsonlStore(StoreBackend):
             dropped += max(0, original_lines - (1 + len(runs)))
         with self._cache_lock:
             self._cache.clear()
-            self._count_cache.clear()
         return CompactionReport(
             scenarios=scenarios,
             records_dropped=dropped,

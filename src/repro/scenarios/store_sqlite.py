@@ -6,8 +6,9 @@ with one row per replication keyed ``(hash, replication)``.  Compared to the
 JSONL backend this buys:
 
 * **O(1) ``cached_count``** — the append transaction maintains ``run_count``
-  and ``max_replication`` per scenario, so the service's repeat-submission
-  probe is a single primary-key row fetch instead of a result-tail read.
+  and ``max_replication`` per scenario, so a sweep's grid probe
+  (``cached_counts``) is one query over primary-key rows instead of a
+  result-tail read per cell.
 * **WAL-mode concurrent appends** — writers from any number of threads *and
   processes* serialise on SQLite's own locking (``BEGIN IMMEDIATE`` with a
   generous busy timeout); readers never block behind them.
@@ -43,6 +44,7 @@ from repro.scenarios.store import (
     RunMeta,
     StoreBackend,
     StoredRun,
+    seed_checked,
     stream_version_of,
 )
 
@@ -212,27 +214,28 @@ class SqliteStore(StoreBackend):
 
     # -------------------------------------------------------------- reading
     def load(self, scenario: Scenario) -> dict[int, StoredRun]:
-        expected_seeds = scenario.seeds()
-        rows = self._connection().execute(
-            "SELECT replication, seed, elapsed_seconds, result_json"
-            " FROM runs WHERE hash = ?",
-            (scenario.content_hash(),),
-        ).fetchall()
-        runs: dict[int, StoredRun] = {}
-        for replication, seed, elapsed_seconds, result_json in rows:
-            if replication < len(expected_seeds) and seed != expected_seeds[replication]:
-                continue  # hand-edited / foreign seed: treat as missing
-            try:
-                result = SimulationResult.from_dict(json.loads(result_json))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                continue  # corrupt row: skip, never raise
-            runs[replication] = StoredRun(
-                replication=replication,
-                seed=seed,
-                elapsed_seconds=elapsed_seconds,
-                result=result,
-            )
-        return runs
+        started = time.monotonic()
+        try:
+            rows = self._connection().execute(
+                "SELECT replication, seed, elapsed_seconds, result_json"
+                " FROM runs WHERE hash = ?",
+                (scenario.content_hash(),),
+            ).fetchall()
+            runs: dict[int, StoredRun] = {}
+            for replication, seed, elapsed_seconds, result_json in rows:
+                try:
+                    result = SimulationResult.from_dict(json.loads(result_json))
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    continue  # corrupt row: skip, never raise
+                runs[replication] = StoredRun(
+                    replication=replication,
+                    seed=seed,
+                    elapsed_seconds=elapsed_seconds,
+                    result=result,
+                )
+            return seed_checked(scenario, runs)
+        finally:
+            _M_PROBE.labels(backend=self.name).observe(time.monotonic() - started)
 
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
         rows = self._connection().execute(
@@ -257,26 +260,12 @@ class SqliteStore(StoreBackend):
         probe does not re-derive seeds, so a hand-corrupted row may be
         over-counted; ``load`` remains the authority on servable runs.
         """
-        started = time.monotonic()
-        try:
-            row = self._connection().execute(
-                "SELECT run_count, max_replication FROM scenarios WHERE hash = ?",
-                (scenario.content_hash(),),
-            ).fetchone()
-            if row is None:
-                return 0
-            run_count, max_replication = row
-            if max_replication < scenario.replications:
-                return run_count
-            return self._connection().execute(
-                "SELECT COUNT(*) FROM runs WHERE hash = ? AND replication < ?",
-                (scenario.content_hash(), scenario.replications),
-            ).fetchone()[0]
-        finally:
-            _M_PROBE.labels(backend=self.name).observe(time.monotonic() - started)
+        return self.cached_counts([scenario])[0]
 
     def cached_counts(self, scenarios: Sequence[Scenario]) -> list[int]:
-        """One ``WHERE hash IN (...)`` query for a whole grid of cells.
+        """One ``WHERE hash IN (...)`` query for a whole grid of cells: the
+        grid probe of :meth:`Session.run_all
+        <repro.scenarios.session.Session.run_all>`.
 
         Same over-counting caveat as :meth:`cached_count`; only cells whose
         record holds *more* replications than requested fall back to the
@@ -285,35 +274,31 @@ class SqliteStore(StoreBackend):
         """
         if not scenarios:
             return []
-        started = time.monotonic()
-        try:
-            hashes = [scenario.content_hash() for scenario in scenarios]
-            placeholders = ",".join("?" * len(set(hashes)))
-            rows = self._connection().execute(
-                f"SELECT hash, run_count, max_replication FROM scenarios "
-                f"WHERE hash IN ({placeholders})",
-                sorted(set(hashes)),
-            ).fetchall()
-            on_record = {row[0]: (row[1], row[2]) for row in rows}
-            counts = []
-            for scenario, content_hash in zip(scenarios, hashes):
-                row = on_record.get(content_hash)
-                if row is None:
-                    counts.append(0)
-                    continue
-                run_count, max_replication = row
-                if max_replication < scenario.replications:
-                    counts.append(run_count)
-                    continue
-                counts.append(
-                    self._connection().execute(
-                        "SELECT COUNT(*) FROM runs WHERE hash = ? AND replication < ?",
-                        (content_hash, scenario.replications),
-                    ).fetchone()[0]
-                )
-            return counts
-        finally:
-            _M_PROBE.labels(backend=self.name).observe(time.monotonic() - started)
+        hashes = [scenario.content_hash() for scenario in scenarios]
+        placeholders = ",".join("?" * len(set(hashes)))
+        rows = self._connection().execute(
+            f"SELECT hash, run_count, max_replication FROM scenarios "
+            f"WHERE hash IN ({placeholders})",
+            sorted(set(hashes)),
+        ).fetchall()
+        on_record = {row[0]: (row[1], row[2]) for row in rows}
+        counts = []
+        for scenario, content_hash in zip(scenarios, hashes):
+            row = on_record.get(content_hash)
+            if row is None:
+                counts.append(0)
+                continue
+            run_count, max_replication = row
+            if max_replication < scenario.replications:
+                counts.append(run_count)
+                continue
+            counts.append(
+                self._connection().execute(
+                    "SELECT COUNT(*) FROM runs WHERE hash = ? AND replication < ?",
+                    (content_hash, scenario.replications),
+                ).fetchone()[0]
+            )
+        return counts
 
     def scenarios_on_record(self) -> list[Scenario]:
         rows = self._connection().execute(

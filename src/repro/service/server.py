@@ -70,6 +70,7 @@ from repro.obs import (
 )
 from repro.scenarios.session import Session
 from repro.scenarios.spec import SpecError
+from repro.scenarios.store import seed_checked
 from repro.service.jobs import JobManager
 from repro.service.reliability import (
     FaultInjector,
@@ -466,21 +467,15 @@ class _Handler(BaseHTTPRequestHandler):
                 f"not the requested {content_hash!r}",
             )
             return
-        expected_seeds = scenario.seeds()
-        valid = [
-            run
-            for run in runs
-            if run.replication >= len(expected_seeds)
-            or run.seed == expected_seeds[run.replication]
-        ]
-        added = session.ingest(scenario, valid)
+        pushed = {run.replication: run for run in runs}
+        added = session.ingest(scenario, runs)
         self._send(
             200,
             {
                 "hash": content_hash,
                 "received": len(runs),
                 "added": added,
-                "rejected": len(runs) - len(valid),
+                "rejected": len(pushed) - len(seed_checked(scenario, pushed)),
             },
         )
 

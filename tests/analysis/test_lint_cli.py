@@ -1,4 +1,4 @@
-"""The ``repro lint`` CLI: formats, exit codes, baseline workflow, determinism."""
+"""The ``repro lint`` CLI: formats, exit codes, determinism."""
 
 from __future__ import annotations
 
@@ -60,23 +60,6 @@ class TestOutput:
         out = capsys.readouterr().out
         for rule_id in ("RND001", "CLK001", "LCK001", "EXC001", "ANN001", "OBS001"):
             assert rule_id in out
-
-
-class TestBaselineWorkflow:
-    def test_write_then_absorb(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert run_cli(str(bad_tree), "--rule", "EXC001",
-                       "--baseline", str(baseline), "--write-baseline") == 0
-        assert baseline.exists()
-        # With the recorded baseline the same tree is clean...
-        assert run_cli(str(bad_tree), "--rule", "EXC001",
-                       "--baseline", str(baseline)) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # ...but a *new* occurrence still fails.
-        extra = bad_tree / "repro" / "util" / "more.py"
-        extra.write_text(BAD_SOURCE, encoding="utf-8")
-        assert run_cli(str(bad_tree), "--rule", "EXC001",
-                       "--baseline", str(baseline)) == 1
 
 
 class TestRepositoryTree:

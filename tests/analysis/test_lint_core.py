@@ -1,13 +1,10 @@
-"""The lint framework itself: findings, suppression, cache, baseline, registry."""
+"""The lint framework itself: findings, suppression, cache, registry."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis.core import (
-    Baseline,
     Finding,
     available_rules,
     load_module,
@@ -138,36 +135,3 @@ class TestRunLint:
         )
         report = run_lint([tmp_path], rules=["EXC001"], root=tmp_path)
         assert report.clean and report.suppressed == 1
-
-
-class TestBaseline:
-    SOURCE = "try:\n    pass\nexcept:\n    pass\n"
-
-    def test_round_trip_absorbs_existing_findings(self, tmp_path):
-        write(tmp_path, "m.py", self.SOURCE)
-        report = run_lint([tmp_path], rules=["EXC001"], root=tmp_path)
-        assert len(report.findings) == 1
-        baseline = Baseline.from_findings(report.findings)
-        again = run_lint([tmp_path], rules=["EXC001"], baseline=baseline, root=tmp_path)
-        assert again.clean and again.baselined == 1
-
-    def test_baseline_is_a_budget_not_a_blanket(self, tmp_path):
-        write(tmp_path, "m.py", self.SOURCE)
-        report = run_lint([tmp_path], rules=["EXC001"], root=tmp_path)
-        baseline = Baseline.from_findings(report.findings)
-        # A second occurrence of the same fingerprint exceeds the budget.
-        write(tmp_path, "m.py", self.SOURCE + "\ntry:\n    pass\nexcept:\n    pass\n")
-        again = run_lint([tmp_path], rules=["EXC001"], baseline=baseline, root=tmp_path)
-        assert len(again.findings) == 1 and again.baselined == 1
-
-    def test_save_and_load(self, tmp_path):
-        baseline = Baseline({"EXC001::m.py::bare `except:`": 2})
-        path = tmp_path / "baseline.json"
-        baseline.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.counts == baseline.counts
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["version"] == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").counts == {}

@@ -12,7 +12,7 @@ import repro.scenarios.scenario as scenario_module
 from repro.channel.arrivals import PoissonArrival
 from repro.channel.model import ChannelModel, FeedbackModel
 from repro.core.one_fail_adaptive import OneFailAdaptive
-from repro.engine.dispatch import available_engines
+from repro.engine.dispatch import available_engines, pick_engine_name
 from repro.protocols.log_fails_adaptive import LogFailsAdaptive
 from repro.scenarios import Scenario, SpecError
 from repro.scenarios.spec import (
@@ -350,6 +350,50 @@ class TestScenarioHashIsMemoised:
         equal = Scenario.parse(self.TEXT)
         assert copy == scenario == equal
         assert copy.content_hash() == scenario.content_hash() == equal.content_hash()
+
+
+class TestEngineName:
+    """A scenario decides its engine once, when it is built."""
+
+    @pytest.mark.parametrize(
+        "text, engine",
+        [
+            ("one-fail-adaptive k=8", "fair"),
+            ("log-fails-adaptive(xi_t=0.1) k=8", "fair"),
+            ("exp-backon-backoff k=8", "window"),
+            ("binary-splitting k=8 channel=cd", "slot"),
+            ("one-fail-adaptive k=8 channel=cd", "slot"),
+            ("one-fail-adaptive k=8 arrivals=poisson(rate=0.2)", "slot"),
+            ("exp-backon-backoff k=8 engine=slot", "slot"),
+        ],
+    )
+    def test_it_is_the_rule_answer(self, text, engine):
+        scenario = Scenario.parse(text)
+        answer = pick_engine_name(
+            scenario.build_protocol(),
+            engine=scenario.engine,
+            channel=scenario.build_channel(),
+            arrivals=scenario.build_arrivals(),
+        )
+        assert scenario.engine_name == answer == engine
+
+    def test_it_is_not_part_of_the_identity(self):
+        scenario = Scenario.parse("exp-backon-backoff k=8 reps=2 seed=3")
+        assert scenario.engine_name == "window"
+        assert "engine_name" not in scenario.to_dict()
+        assert "engine_name" not in scenario.identity()
+        assert Scenario.from_dict(scenario.to_dict()) == scenario
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert copy == scenario and copy.engine_name == "window"
+
+    def test_it_is_decided_once_per_instance(self, monkeypatch):
+        scenario = Scenario.parse("one-fail-adaptive k=8")
+        calls = []
+        monkeypatch.setattr(
+            scenario_module, "pick_engine_name", lambda *args, **kwargs: calls.append(args)
+        )
+        assert {scenario.engine_name for _ in range(3)} == {"fair"}
+        assert calls == []
 
 
 class TestScenarioSeeds:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 
 import pytest
 
+from repro.engine.dispatch import pick_engine_name
 from repro.engine.fair_engine import FairEngine
+from repro.obs import REGISTRY
 from repro.protocols.base import Protocol
 from repro.scenarios import JsonlStore, Scenario, Session
+from repro.scenarios.spec import build_arrivals, build_channel, build_protocol
 
 
 def scenario(text: str = "one-fail-adaptive k=60 reps=3 seed=7") -> Scenario:
@@ -200,6 +205,21 @@ class TestSessionStore:
         resumed = session.run(scenario())
         assert resumed.new_runs == 1 and resumed.cached_runs == 2
 
+    def test_a_negative_replication_is_neither_ingested_nor_served(self, tmp_path):
+        # Replication -1 has no derived seed; it must not pass for the last
+        # one, or the cell reads as over-full and is never served cached.
+        session = Session(store_dir=tmp_path)
+        session.run(scenario())
+        runs = session.store.load(scenario())
+        forged = dataclasses.replace(runs[2], replication=-1)
+        assert session.ingest(scenario(), [forged]) == 0
+        writer = JsonlStore(tmp_path)
+        writer.append(scenario(), [forged])
+        writer.close()
+        assert sorted(session.store.load(scenario())) == [0, 1, 2]
+        assert session.cached_count(scenario()) == 3
+        assert session.run_cached(scenario()).cached_runs == 3
+
     def test_store_file_is_self_describing(self, tmp_path):
         Session(store_dir=tmp_path).run(scenario())
         store = JsonlStore(tmp_path)
@@ -231,8 +251,8 @@ class TestSessionStore:
         ["one-fail-adaptive k=60 reps=3 seed=7", "log-fails-adaptive(xi_t=0.1) k=60 reps=3 seed=7"],
     )
     def test_cache_probes_spawn_no_protocol_state(self, tmp_path, monkeypatch, text):
-        # The service's cached path plans a cell on every probe; planning
-        # must only resolve the cell, never build per-run protocol state.
+        # The service's cached path reads the store on every probe; it must
+        # never build per-run protocol state.
         session = Session(store_dir=tmp_path)
         session.run(scenario(text))
         spawned = []
@@ -243,6 +263,122 @@ class TestSessionStore:
         assert session.cached_count(scenario(text)) == 3
         assert session.run_cached(scenario(text)).cached_runs == 3
         assert spawned == []
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Wrap ``function`` in every loaded ``repro`` module that binds it, and
+    return the list each call appends its arguments to."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counted)
+    return calls
+
+
+def record_store_calls(monkeypatch, store) -> list[str]:
+    """Record the name of every read and write ``store`` is asked for."""
+    calls: list[str] = []
+    for name in ("load", "append", "run_index", "cached_count", "cached_counts"):
+        method = getattr(store, name)
+
+        def recorded(*args, _name=name, _method=method, **kwargs):
+            calls.append(_name)
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(store, name, recorded)
+    return calls
+
+
+def probe_observations(backend: str) -> int:
+    series = REGISTRY.snapshot()["repro_store_probe_seconds"]["series"]
+    return series.get(f'{{backend="{backend}"}}', {"count": 0})["count"]
+
+
+class TestOneDecisionOneRead:
+    """A scenario decides its engine once, when it is built; a cached answer
+    is then one store read that builds nothing."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "one-fail-adaptive k=60 reps=3 seed=7",
+            "exp-backon-backoff k=60 reps=3 seed=7",
+            "one-fail-adaptive k=16 reps=2 seed=7 arrivals=poisson(rate=0.2)",
+        ],
+    )
+    def test_a_cached_answer_is_one_load_and_builds_nothing(self, tmp_path, monkeypatch, text):
+        Session(store_dir=tmp_path).run(scenario(text))
+        session = Session(store_dir=tmp_path)
+        cell = scenario(text)
+        built = [
+            count_calls(monkeypatch, function)
+            for function in (build_protocol, build_arrivals, build_channel)
+        ]
+        decisions = count_calls(monkeypatch, pick_engine_name)
+        store_calls = record_store_calls(monkeypatch, session.store)
+        result_set = session.run_cached(cell)
+        assert result_set is not None and result_set.cached_runs == cell.replications
+        assert store_calls == ["load"]
+        assert built == [[], [], []]
+        assert decisions == []
+
+    def test_a_miss_is_one_load_too(self, tmp_path, monkeypatch):
+        session = Session(store_dir=tmp_path)
+        session.run(scenario())
+        cell = scenario().replace(replications=4)
+        store_calls = record_store_calls(monkeypatch, session.store)
+        assert session.run_cached(cell) is None
+        assert store_calls == ["load"]
+
+    def test_a_served_table1_grid_builds_no_protocol(self, tmp_path, monkeypatch):
+        from repro.experiments.config import ExperimentConfig, paper_k_values
+        from repro.experiments.table1 import reproduce_table1
+
+        config = ExperimentConfig(k_values=paper_k_values(1000), runs=10, seed=2011, workers=1)
+        cells = reproduce_table1(config, store_dir=tmp_path).sweep.cells
+        scenarios = [result_set.scenario for result_set in cells.values()]
+        assert len(scenarios) == 15
+        built = count_calls(monkeypatch, build_protocol)
+        decisions = count_calls(monkeypatch, pick_engine_name)
+        served = Session(store_dir=tmp_path).run_all(scenarios)
+        assert [result_set.new_runs for result_set in served] == [0] * 15
+        assert [result_set.results for result_set in served] == [
+            result_set.results for result_set in cells.values()
+        ]
+        assert built == []
+        assert decisions == []
+
+    def test_a_cell_with_missing_runs_builds_its_components_once(self, tmp_path, monkeypatch):
+        session = Session(store_dir=tmp_path)
+        session.run(scenario())
+        cell = scenario().replace(replications=6)
+        built = count_calls(monkeypatch, build_protocol)
+        result_set = session.run(cell)
+        assert (result_set.cached_runs, result_set.new_runs) == (3, 3)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
+    def test_each_cached_answer_is_one_probe_observation(self, tmp_path, backend):
+        store = f"{backend}:{tmp_path / 'store'}"
+        session = Session(store_dir=store)
+        session.run(scenario())
+        before = probe_observations(backend)
+        for _ in range(3):
+            assert session.run_cached(scenario()) is not None
+        assert session.run_cached(scenario().replace(replications=4)) is None
+        assert probe_observations(backend) == before + 4
+
+    def test_a_cold_grid_probe_reads_no_cell(self, tmp_path):
+        before = probe_observations("jsonl")
+        Session(store_dir=tmp_path).run_all(
+            [scenario(f"one-fail-adaptive k=8 reps=2 seed={seed}") for seed in (1, 2, 3)]
+        )
+        assert probe_observations("jsonl") == before
 
 
 class TestSweepStoreIntegration:
