@@ -65,19 +65,12 @@ class Finding:
     """One rule violation at a specific location.
 
     Ordering is ``(path, line, rule, message)`` so reports are deterministic.
-    The :attr:`fingerprint` deliberately excludes the line number, so one
-    finding keeps its identity across unrelated edits that shift code up or
-    down.
     """
 
     path: str
     line: int
     rule: str
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_dict(self) -> dict[str, object]:
         return {

@@ -51,10 +51,9 @@ one callback object observes several sessions or jobs.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TypeVar
 
 from repro.analysis.statistics import RunStatistics, summarize_makespans
 from repro.engine.dispatch import ENGINES
@@ -63,7 +62,6 @@ from repro.obs import REGISTRY, span
 from repro.experiments.parallel import ParallelExecutor, SimulationUnit, UnitOutcome
 from repro.scenarios.scenario import Scenario
 from repro.scenarios.store import (
-    RunMeta,
     StoreBackend,
     StoredRun,
     open_store,
@@ -109,33 +107,6 @@ _M_CACHE_HIT = _M_CACHE.labels(result="hit")
 _M_CACHE_MISS = _M_CACHE.labels(result="miss")
 _M_REPL_CACHED = _M_REPLICATIONS.labels(source="cached")
 _M_REPL_FRESH = _M_REPLICATIONS.labels(source="fresh")
-
-
-_Run = TypeVar("_Run", StoredRun, RunMeta)
-
-
-def _reusable(
-    scenario: Scenario,
-    runs: Mapping[int, _Run],
-    key: Callable[[_Run], tuple[str, int]],
-) -> dict[int, _Run]:
-    """The reuse rule: of ``runs`` (by replication), those below the
-    scenario's count whose seed is their derived seed
-    (:func:`~repro.scenarios.store.seed_checked`) and whose ``key`` — the
-    (engine, stream version) that sampled them — is the one this cell's
-    runs get.
-
-    A run sampled by another engine or an older stream is recomputed once
-    rather than mixed into one result set.  Every replication is its own
-    stream, so any prefix of the cell can be reused.
-    """
-    engine = scenario.engine_name
-    wanted = (engine, ENGINES[engine].stream_version)
-    return {
-        replication: run
-        for replication, run in seed_checked(scenario, runs).items()
-        if replication < scenario.replications and key(run) == wanted
-    }
 
 
 @dataclass(frozen=True)
@@ -245,15 +216,12 @@ class Session:
         from its store without simulating (0 for store-less sessions).
 
         A scenario is fully cached — ``cached_count(s) == s.replications`` —
-        exactly when :meth:`run` would report ``new_runs == 0``; the
-        simulation service uses this to answer repeat submissions
-        synchronously instead of queueing them.
+        exactly when :meth:`run` would report ``new_runs == 0``.  It reads
+        the cell as :meth:`run_cached` does, one ``load`` under the reuse
+        rule; the service reports it when ``GET /results/<hash>`` finds a
+        cell incomplete.
         """
-        if self.store is None:
-            return 0
-        with self._store_lock:
-            index = self.store.run_index(scenario)
-        return len(_reusable(scenario, index, lambda meta: (meta.engine, meta.stream_version)))
+        return len(self._usable_cached(scenario))
 
     def is_cached(self, scenario: Scenario) -> bool:
         """Whether :meth:`run` would perform zero new simulations."""
@@ -264,7 +232,7 @@ class Session:
 
         One store read, hit or miss: the ``load`` the answer is made of,
         under the reuse rule — unlike ``is_cached(s) and run(s)``, which
-        reads the cell twice.  The reuse key comes from the scenario, which
+        reads the cell three times.  The reuse key comes from the scenario, which
         decided its engine when it was built, so nothing is built here.
         This is the service's cached fast path: a repeat submission costs
         zero simulations.
@@ -295,8 +263,10 @@ class Session:
         ``repro store migrate``): replications whose index is already on
         record are ignored — existing results are never overwritten — and
         runs whose seed disagrees with the scenario's derivation are dropped,
-        so a misbehaving peer cannot poison the store.  Returns how many
-        replications were actually added; idempotent.
+        so a misbehaving peer cannot poison the store.  ``runs`` give each
+        replication once (:func:`~repro.service.wire.parse_results_body`
+        refuses a body that repeats one).  Returns how many replications
+        were actually added; idempotent.
         """
         if self.store is None:
             raise ValueError("session has no store to ingest into")
@@ -429,11 +399,26 @@ class Session:
     # ---------------------------------------------------------------- reuse
     def _usable_cached(self, scenario: Scenario) -> dict[int, StoredRun]:
         """The stored replications this session may serve for ``scenario``:
-        one ``load``, under the reuse rule (:func:`_reusable`)."""
+        one ``load`` (which drops runs whose seed is not their derived
+        seed), under the reuse rule.
+
+        The reuse rule keeps the runs below the scenario's count sampled
+        by the engine the scenario decided and that engine's stream
+        version; a run from another engine or an older stream is
+        recomputed once rather than mixed into one result set.  Every
+        replication is its own stream, so any prefix of the cell can be
+        reused.
+        """
         if self.store is None:
             return {}
         with self._store_lock:
             stored = self.store.load(scenario)
-        return _reusable(
-            scenario, stored, lambda run: (run.result.engine, stream_version_of(run.result))
-        )
+        engine = scenario.engine_name
+        version = ENGINES[engine].stream_version
+        return {
+            replication: run
+            for replication, run in stored.items()
+            if replication < scenario.replications
+            and run.result.engine == engine
+            and stream_version_of(run.result) == version
+        }

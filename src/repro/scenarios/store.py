@@ -155,10 +155,10 @@ class StoredRun:
 class RunMeta:
     """Index entry for one stored replication: everything a cache probe needs.
 
-    Carries the fields :class:`~repro.scenarios.session.Session` filters on
-    (seed, producing engine, its stream version) *without* the full
-    :class:`SimulationResult`, so indexed backends can answer
-    ``cached_count`` probes without deserialising result payloads.
+    Carries the fields a cached run is reused by (seed, producing engine,
+    its stream version) *without* the full :class:`SimulationResult`, so
+    indexed backends can answer ``cached_count`` probes without
+    deserialising result payloads.
     """
 
     replication: int
@@ -176,15 +176,16 @@ def seed_checked(scenario: Scenario, runs: Mapping[int, _Run]) -> dict[int, _Run
     unchecked, and a negative one, which has no derived seed, is dropped.
 
     The one seed check: every ``load``, the generic :meth:`StoreBackend.
-    cached_count`, the session's reuse rule and federation ingest apply it,
-    so a hand-edited or foreign seed reads as a missing replication.
+    cached_count` and federation ingest apply it (the session's reuse rule
+    reads runs through ``load``), so a hand-edited or foreign seed reads as
+    a missing replication.
     """
     expected = scenario.seeds()
+    count = len(expected)
     return {
         replication: run
         for replication, run in runs.items()
-        if replication >= len(expected)
-        or (replication >= 0 and run.seed == expected[replication])
+        if replication >= count or (replication >= 0 and run.seed == expected[replication])
     }
 
 
@@ -307,11 +308,12 @@ class StoreBackend(ABC):
         ``load`` stays the authority on what is actually servable.  Its
         caller is :meth:`cached_counts`, the grid probe of
         :meth:`Session.run_all <repro.scenarios.session.Session.run_all>`;
-        ``Session.cached_count`` reads :meth:`run_index` instead, and a
-        cached answer is one ``load``.
+        ``Session.cached_count`` and a cached answer read one ``load``
+        instead.
         """
         checked = seed_checked(scenario, self.run_index(scenario))
-        return sum(1 for replication in checked if replication < scenario.replications)
+        count = scenario.replications
+        return sum(1 for replication in checked if replication < count)
 
     def cached_counts(self, scenarios: Sequence[Scenario]) -> list[int]:
         """:meth:`cached_count` for a whole grid, in input order.
@@ -439,6 +441,19 @@ def store_path(spec: str) -> Path | None:
 # --------------------------------------------------------------------------
 
 
+class _ParsedCell:
+    """A JSONL cell's parse-cache entry: its runs by replication (last write
+    wins, seeds unchecked) as of the file's ``(mtime_ns, size)``, and their
+    :class:`RunMeta` index once :meth:`JsonlStore.run_index` has asked."""
+
+    __slots__ = ("signature", "runs", "index")
+
+    def __init__(self, signature: tuple[int, int], runs: dict[int, StoredRun]) -> None:
+        self.signature = signature
+        self.runs = runs
+        self.index: dict[int, RunMeta] | None = None
+
+
 class JsonlStore(StoreBackend):
     """Append-only per-hash JSONL files under one root directory.
 
@@ -467,10 +482,8 @@ class JsonlStore(StoreBackend):
         # Serialises writers within this process even where fcntl is missing;
         # cheap enough to hold across the flock on POSIX too.
         self._write_lock = threading.Lock()
-        # hash -> ((mtime_ns, size), raw runs-by-replication); LRU-bounded.
-        self._cache: OrderedDict[str, tuple[tuple[int, int], dict[int, StoredRun]]] = (
-            OrderedDict()
-        )
+        # hash -> the cell's parsed runs and (mtime_ns, size); LRU-bounded.
+        self._cache: OrderedDict[str, _ParsedCell] = OrderedDict()
         self._cache_lock = threading.Lock()
         # Label children resolved once: load sits on the cached fast path,
         # where per-call labels() lookups are measurable.
@@ -534,8 +547,8 @@ class JsonlStore(StoreBackend):
                 runs[run.replication] = run
         return runs
 
-    def _cell_runs(self, scenario: Scenario) -> dict[int, StoredRun]:
-        """The cell's raw runs, via the mtime/size-invalidated parse cache."""
+    def _parsed(self, scenario: Scenario) -> _ParsedCell:
+        """The cell's entry in the mtime/size-invalidated parse cache."""
         path = self.path_for(scenario)
         key = scenario.content_hash()
         try:
@@ -543,38 +556,43 @@ class JsonlStore(StoreBackend):
         except OSError:
             with self._cache_lock:
                 self._cache.pop(key, None)
-            return {}
+            return _ParsedCell((0, 0), {})
         signature = (stat.st_mtime_ns, stat.st_size)
         with self._cache_lock:
             entry = self._cache.get(key)
-            if entry is not None and entry[0] == signature:
+            if entry is not None and entry.signature == signature:
                 self._cache.move_to_end(key)
-                return entry[1]
-        runs = self._parse_runs(path)
+                return entry
+        entry = _ParsedCell(signature, self._parse_runs(path))
         with self._cache_lock:
-            self._cache[key] = (signature, runs)
+            self._cache[key] = entry
             self._cache.move_to_end(key)
             while len(self._cache) > _JSONL_CACHE_ENTRIES:
                 self._cache.popitem(last=False)
-        return runs
+        return entry
 
     def load(self, scenario: Scenario) -> dict[int, StoredRun]:
         started = time.monotonic()
         try:
-            return seed_checked(scenario, self._cell_runs(scenario))
+            return seed_checked(scenario, self._parsed(scenario).runs)
         finally:
             self._m_probe.observe(time.monotonic() - started)
 
     def run_index(self, scenario: Scenario) -> dict[int, RunMeta]:
-        return {
-            replication: RunMeta(
-                replication=replication,
-                seed=run.seed,
-                engine=run.result.engine,
-                stream_version=stream_version_of(run.result),
-            )
-            for replication, run in self._cell_runs(scenario).items()
-        }
+        """The index, built once per parse of the cell and kept in its parse
+        cache entry, so a warm grid probe is one ``stat`` and a seed check."""
+        cell = self._parsed(scenario)
+        if cell.index is None:
+            cell.index = {
+                replication: RunMeta(
+                    replication=replication,
+                    seed=run.seed,
+                    engine=run.result.engine,
+                    stream_version=stream_version_of(run.result),
+                )
+                for replication, run in cell.runs.items()
+            }
+        return dict(cell.index)
 
     # -------------------------------------------------------------- writing
     def append(self, scenario: Scenario, runs: Sequence[StoredRun]) -> None:

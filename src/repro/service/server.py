@@ -467,6 +467,8 @@ class _Handler(BaseHTTPRequestHandler):
                 f"not the requested {content_hash!r}",
             )
             return
+        # parse_results_body refused a repeated replication, so keying the
+        # runs by replication keeps every one of them.
         pushed = {run.replication: run for run in runs}
         added = session.ingest(scenario, runs)
         self._send(
@@ -475,7 +477,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "hash": content_hash,
                 "received": len(runs),
                 "added": added,
-                "rejected": len(pushed) - len(seed_checked(scenario, pushed)),
+                "rejected": len(runs) - len(seed_checked(scenario, pushed)),
             },
         )
 

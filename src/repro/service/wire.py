@@ -127,7 +127,8 @@ def parse_results_body(body: bytes) -> tuple[Scenario, list["StoredRun"]]:
     "seed", "elapsed_seconds", "result"}, ...]}`` — the same per-run shape
     the JSONL store records, which is what :func:`dump_results_body`
     produces on the sending side.  Raises :class:`ValueError`/
-    :class:`KeyError` on malformed input (the server maps both to 400).
+    :class:`KeyError` on malformed input, a replication given twice
+    included (the server maps both to 400).
     """
     from repro.engine.result import SimulationResult
     from repro.scenarios.store import StoredRun
@@ -148,6 +149,8 @@ def parse_results_body(body: bytes) -> tuple[Scenario, list["StoredRun"]]:
         )
         for record in raw_runs
     ]
+    if len({run.replication for run in runs}) != len(runs):
+        raise ValueError("results body gives a replication more than once")
     return scenario, runs
 
 

@@ -28,11 +28,6 @@ class TestFinding:
         c = Finding("b.py", 1, "X001", "m")
         assert sorted([c, b, a]) == [a, b, c]
 
-    def test_fingerprint_excludes_line(self):
-        a = Finding("a.py", 1, "X001", "m")
-        b = Finding("a.py", 99, "X001", "m")
-        assert a.fingerprint == b.fingerprint
-
     def test_format_and_dict_round_trip(self):
         finding = Finding("pkg/mod.py", 7, "RND001", "boom")
         assert finding.format() == "pkg/mod.py:7: RND001 boom"

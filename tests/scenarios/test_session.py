@@ -14,6 +14,7 @@ from repro.obs import REGISTRY
 from repro.protocols.base import Protocol
 from repro.scenarios import JsonlStore, Scenario, Session
 from repro.scenarios.spec import build_arrivals, build_channel, build_protocol
+from repro.scenarios.store import stream_version_of
 
 
 def scenario(text: str = "one-fail-adaptive k=60 reps=3 seed=7") -> Scenario:
@@ -372,6 +373,21 @@ class TestOneDecisionOneRead:
             assert session.run_cached(scenario()) is not None
         assert session.run_cached(scenario().replace(replications=4)) is None
         assert probe_observations(backend) == before + 4
+
+    def test_a_warm_jsonl_grid_probe_reuses_the_cell_index(self, tmp_path, monkeypatch):
+        # The grid probe counts through run_index, which a JSONL store builds
+        # once per parse of the cell and keeps until the cell file changes.
+        session = Session(store_dir=tmp_path)
+        session.run(scenario())
+        indexed = count_calls(monkeypatch, stream_version_of)
+        assert session.store.cached_counts([scenario()]) == [3]
+        assert len(indexed) == 3
+        assert session.store.cached_counts([scenario()]) == [3]
+        assert len(indexed) == 3
+        session.run(scenario().replace(replications=4))
+        indexed.clear()
+        assert session.store.cached_counts([scenario().replace(replications=4)]) == [4]
+        assert len(indexed) == 4
 
     def test_a_cold_grid_probe_reads_no_cell(self, tmp_path):
         before = probe_observations("jsonl")

@@ -232,6 +232,23 @@ class TestResultsIngest:
         assert payload["rejected"] == 1
         assert client.store_records() == []
 
+    def test_repeated_replication_is_400_and_stores_nothing(self, tmp_path, client):
+        from dataclasses import replace
+
+        from repro.service.wire import dump_results_body
+
+        scenario, runs = self._runs_from_session(tmp_path)
+        forged = replace(runs[0], seed=runs[0].seed + 1)
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(
+                f"/results/{scenario.content_hash()}",
+                body=dump_results_body(scenario, [runs[0], forged]),
+                content_type="application/json",
+            )
+        assert excinfo.value.status == 400
+        assert "more than once" in str(excinfo.value)
+        assert client.store_records() == []
+
     def test_hash_mismatch_is_400(self, tmp_path, client):
         from repro.service.wire import dump_results_body
 
